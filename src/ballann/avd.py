@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -507,15 +507,14 @@ def build_avd(
 def avd_query(a: AVDIndex, q) -> KnnAnswer:
     """Answer a fixed-(k, eps) query from per-cell data.
 
-    Points outside the unit cube get ball 0 with the out-of-domain flag:
-    the instance lives strictly inside the cube, so by the domain
-    convention any ball is an accepted answer there.  In-domain queries
-    walk to their cell and try, in order: the small-cell stored witness,
-    the stored witness again when the query sits close enough to the
-    representative, and the owning cluster's contained ball.  Each branch
-    re-checks its own sufficient condition on the live query point, so a
-    hit is correct regardless of what held at build time; if nothing fires
-    the query falls back to the registry search.
+    Points outside the unit cube have no cell: the registry search answers
+    them, with its certified interval, and the answer is flagged out of
+    domain.  In-domain queries walk to their cell and try, in order: the
+    small-cell stored witness, the stored witness again when the query sits
+    close enough to the representative, and the owning cluster's contained
+    ball.  Each branch re-checks its own sufficient condition on the live
+    query point, so a hit is correct regardless of what held at build time;
+    if nothing fires the query falls back to the registry search.
     """
     qt = np.asarray(q, dtype=np.float64).reshape(-1)
     if qt.size != a.registry.dim:
@@ -523,8 +522,7 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
     eps, k = a.eps, a.k
     if not all(0.0 <= x < 1.0 for x in qt):
         a.query_counts["out_of_domain"] += 1
-        d0 = dist_point_ball(qt, a.registry.instance.balls[0])
-        return KnnAnswer(0, d0, (0.0, math.inf), out_of_domain=True)
+        return replace(query(a.registry, qt, k, eps), out_of_domain=True)
     v = a.tree.point_location(qt)
     if a.flags[v] & _EMPTY:
         raise InternalInvariantError("point location landed in a tiled cell")

@@ -15,6 +15,7 @@ import statistics
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .datasets import PROFILES, generate_instance
 from .geometry import (
     InputError,
     InternalInvariantError,
-    dist_point_ball,
     normalize,
     packing_constant,
 )
@@ -116,10 +116,10 @@ def _cmd_build(args) -> int:
 
 
 def _query_registry(reg: Registry, q_norm, k: int, eps: float) -> KnnAnswer:
-    if not all(0.0 <= x < 1.0 for x in q_norm):
-        d0 = dist_point_ball(q_norm, reg.instance.balls[0])
-        return KnnAnswer(0, d0, (0.0, math.inf), out_of_domain=True)
-    return knn.query(reg, q_norm, k, eps)
+    ans = knn.query(reg, q_norm, k, eps)
+    if all(0.0 <= x < 1.0 for x in q_norm):
+        return ans
+    return replace(ans, out_of_domain=True)
 
 
 def _cmd_query(args) -> int:

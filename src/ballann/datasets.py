@@ -24,27 +24,28 @@ def _place_disjoint(
     sample_radius,
     budget_per_ball: int = 400,
 ) -> list[Ball]:
-    centers: list[np.ndarray] = []
-    radii: list[float] = []
+    centers = np.empty((0, 0))
+    radii = np.empty(n)
+    placed = 0
     budget = budget_per_ball * n
-    while len(centers) < n:
+    while placed < n:
         if budget <= 0:
             raise InputError(
                 f"could not place {n} disjoint balls within the retry budget; "
-                f"placed {len(centers)}"
+                f"placed {placed}"
             )
         budget -= 1
         c = sample_center(rng)
         r = float(sample_radius(rng))
-        ok = True
-        for cj, rj in zip(centers, radii):
-            if float(np.linalg.norm(c - cj)) < r + rj + 1e-12:
-                ok = False
-                break
-        if ok:
-            centers.append(c)
-            radii.append(r)
-    return [Ball(tuple(float(v) for v in c), r) for c, r in zip(centers, radii)]
+        if placed == 0:
+            centers = np.empty((n, c.size))
+        gap = np.linalg.norm(centers[:placed] - c, axis=1)
+        if np.any(gap < r + radii[:placed] + 1e-12):
+            continue
+        centers[placed] = c
+        radii[placed] = r
+        placed += 1
+    return [Ball(tuple(float(v) for v in c), float(r)) for c, r in zip(centers, radii)]
 
 
 def _uniform(rng: np.random.Generator, dim: int, n: int) -> list[Ball]:

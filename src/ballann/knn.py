@@ -40,8 +40,7 @@ class KnnAnswer:
 
     certified_interval = (lo, hi) brackets the true k-th ball distance;
     lo <= distance <= hi and hi/lo <= (1+eps)/(1-eps).  out_of_domain marks
-    answers where the structure declined to certify (query outside the unit
-    cube on the cell-based path) and any ball is considered valid.
+    a query outside the unit cube; its answer is certified all the same.
     """
 
     ball_id: int

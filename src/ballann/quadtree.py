@@ -11,7 +11,7 @@ one stack sweep over (z asc, level asc) order.  All keys fit in a signed
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -166,8 +166,6 @@ class CompressedQuadtree:
     """Frozen compressed quadtree; build through the module-level constructors.
 
     Node order is (z asc, level asc), which lists parents before children.
-    The payload slot is `payload`, an int64 per node for module-owned side
-    tables; -1 means unset.
     """
 
     def __init__(self, dim: int, z: np.ndarray, level: np.ndarray):
@@ -179,7 +177,6 @@ class CompressedQuadtree:
         self.shift = (self.max_level - self.level) * dim  # low bits owned per node
         self.z_hi = range_hi_inclusive(self.z, self.shift)
         self.parent = np.full(self.size, -1, dtype=np.int64)
-        self.payload = np.full(self.size, -1, dtype=np.int64)
         self._key_index: dict[int, int] = {}
         self._levels_present: list[int] = []
         self._level_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -259,6 +256,21 @@ class CompressedQuadtree:
     def find_key(self, z: int, level: int) -> int:
         """Node index of an exactly stored cube, or -1."""
         return self._key_index.get((int(z) << 6) | int(level), -1)
+
+    def find_keys(self, z: np.ndarray, level: np.ndarray) -> np.ndarray:
+        """find_key over arrays of cubes: node index per exactly stored cube, or -1."""
+        zz = np.asarray(z, dtype=np.int64)
+        lv = np.asarray(level, dtype=np.int64)
+        out = np.full(zz.size, -1, dtype=np.int64)
+        for lev in np.unique(lv):
+            if int(lev) not in self._level_tables:
+                continue
+            table_z, table_idx = self._level_tables[int(lev)]
+            sel = np.flatnonzero(lv == lev)
+            pos = np.minimum(np.searchsorted(table_z, zz[sel]), table_z.size - 1)
+            hit = table_z[pos] == zz[sel]
+            out[sel[hit]] = table_idx[pos[hit]]
+        return out
 
     def deepest_stored_ancestor(self, z: int, level: int, proper: bool = False) -> int:
         """Deepest stored cube containing (z, level); the root always matches."""
@@ -343,13 +355,6 @@ class CompressedQuadtree:
 
     def keys(self) -> set[tuple[int, int]]:
         return {(int(z), int(l)) for z, l in zip(self.z, self.level)}
-
-    def iter_dump(self) -> Iterable[str]:
-        """One line per cube: level, coords, payload tag."""
-        for i in range(self.size):
-            cube = self.node_cube(i)
-            coords = " ".join(str(c) for c in cube.coords)
-            yield f"{cube.level} {coords} {int(self.payload[i])}"
 
 
 def encode_points(points: np.ndarray, dim: int) -> np.ndarray:
@@ -464,20 +469,3 @@ def overlay(t1: CompressedQuadtree, t2: CompressedQuadtree) -> tuple[
     if back1[0] < 0 or back2[0] < 0:
         raise InternalInvariantError("source trees must both contain the root")
     return tree, np.array(back1, dtype=np.int64), np.array(back2, dtype=np.int64)
-
-
-def nodes_realizing_grid_approx(tree: CompressedQuadtree, X, delta: float) -> list[int]:
-    """Node indices realizing the grid approximation of X (Lemma-style retrieval).
-
-    Each grid cell maps to its exactly stored node or to the stored node whose
-    region the cell falls into; results are deduplicated, so one huge leaf that
-    swallows many grid cells is reported once.
-    """
-    from .geometry import grid_approx
-
-    cells = grid_approx(X, delta)
-    out: set[int] = set()
-    for cube in cells:
-        kind, u, v = tree.cell_query(cube)
-        out.add(u)
-    return sorted(out)

@@ -31,17 +31,20 @@ from .geometry import (
     dist_points_balls,
     enumerate_grid_cells_ball,
     enumerate_grid_cells_box,
-    grid_approx,
     grid_level_for_diameter,
+    max_level_for_dim,
 )
 from .quadtree import (
     CompressedQuadtree,
     build_from_cubes,
     build_from_points,
-    cube_to_key,
     morton_encode,
     range_hi_inclusive,
 )
+
+# Not used by the build; bound here because perfbench/tracing.py wraps these names.
+from .geometry import grid_approx  # noqa: F401
+from .quadtree import cube_to_key  # noqa: F401
 
 # Cell-count caps: above these the grid path would cost more than a linear
 # scan, so the exact fallback takes over (results are identical either way).
@@ -51,6 +54,14 @@ RETRIEVAL_CELL_CAP = 65536
 # Exact-finish threshold for the k-th center distance frontier.
 EXACT_FINISH_COUNT = 256
 FRONTIER_MAX_ROUNDS = 400
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + l) over the pairs (s, l), as int64."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts - ends + lens, lens) + np.arange(
+        int(ends[-1]) if ends.size else 0, dtype=np.int64
+    )
 
 
 @dataclass(frozen=True)
@@ -79,72 +90,35 @@ class Registry:
         self.c_d = instance.c_d
         t0 = time.perf_counter()
 
-        # (1) Registration cells: grid_approx(b, 1) per ball; one level each.
-        reg_cubes: list[CanonicalCube] = []
-        reg_ball_of_cube: list[int] = []
-        self.reg_level = np.empty(self.n, dtype=np.int64)
-        for i, b in enumerate(instance.balls):
-            cells = grid_approx(b, 1.0)
-            levels = {c.level for c in cells}
-            if len(levels) != 1:
-                raise InternalInvariantError("registration cells must share one level")
-            self.reg_level[i] = levels.pop()
-            for c in cells:
-                reg_cubes.append(c)
-                reg_ball_of_cube.append(i)
+        # (1) Registration cells: the cells of grid_approx(b, 1) for every
+        # ball b, as Morton keys, all on the ball's own level reg_level[b].
+        self.reg_level, reg_z, reg_ball = self._registration_cells()
+        reg_lv = self.reg_level[reg_ball]
+        t1 = time.perf_counter()
 
-        self.ball_tree = build_from_cubes(reg_cubes, dim=self.dim)
-
-        # (2) Registered lists in CSR form, indexed by ball_tree node.
-        node_of_cube = np.array(
-            [self.ball_tree.find_key(*cube_to_key(c)) for c in reg_cubes],
-            dtype=np.int64,
-        )
+        # (2) Ball tree over the registration cells, and the registered lists
+        # in CSR form indexed by ball_tree node, ball ids ascending per node.
+        self.ball_tree = build_from_cubes((reg_z, reg_lv, self.dim))
+        node_of_cube = self.ball_tree.find_keys(reg_z, reg_lv)
         if node_of_cube.size and node_of_cube.min() < 0:
             raise InternalInvariantError("a registration cell is missing from the tree")
-        order = np.argsort(node_of_cube, kind="stable")
-        self._reg_sorted_ids = np.array(reg_ball_of_cube, dtype=np.int64)[order]
+        self._reg_sorted_ids = reg_ball[np.lexsort((reg_ball, node_of_cube))]
         counts = np.bincount(node_of_cube, minlength=self.ball_tree.size)
         self._reg_off = np.zeros(self.ball_tree.size + 1, dtype=np.int64)
         np.cumsum(counts, out=self._reg_off[1:])
+        t2 = time.perf_counter()
 
-        # Per-node cube geometry, vectorized once for the exact filters below.
+        # (3) Associated lists, with the per-node cube geometry they are
+        # filtered by (kept for the exact filters of the queries too).
         self._node_lo, self._node_side = self._node_boxes(self.ball_tree)
-
-        # (3) Associated lists: balls intersecting the node's cell that are at
-        # least as coarse (registration level <= node level).  One top-down
-        # pass is exact: a qualifying ball either qualified at the parent or
-        # is registered right here (its registration cell would otherwise be a
-        # stored node strictly between parent and child, contradicting the
-        # compressed parent relation).
-        tree = self.ball_tree
-        assoc: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * tree.size
-        parent = tree.parent
-        for v in range(tree.size):
-            cand_parts = []
-            if v > 0:
-                cand_parts.append(assoc[parent[v]])
-            cand_parts.append(self.registered_ids(v))
-            cand = np.concatenate(cand_parts) if len(cand_parts) > 1 else cand_parts[0]
-            if cand.size == 0:
-                assoc[v] = cand
-                continue
-            lo = self._node_lo[v]
-            hi = lo + self._node_side[v]
-            c = self.centers[cand]
-            gap = np.maximum(lo - c, 0.0) + np.maximum(c - hi, 0.0)
-            keep = np.einsum("ij,ij->i", gap, gap) <= self.radii[cand] ** 2
-            assoc[v] = cand[keep]
-        lens = np.array([a.size for a in assoc], dtype=np.int64)
-        self._assoc_off = np.zeros(tree.size + 1, dtype=np.int64)
-        np.cumsum(lens, out=self._assoc_off[1:])
-        self._assoc_ids = (
-            np.concatenate(assoc) if tree.size else np.empty(0, dtype=np.int64)
-        )
+        self._assoc_off, self._assoc_ids = self._associated_lists()
+        t3 = time.perf_counter()
 
         # (4) Centers tree with exact subtree counts and witnesses.
         self.centers_tree = build_from_points(self.centers, dim=self.dim)
+        t4 = time.perf_counter()
 
+        lens = np.diff(self._assoc_off)
         self.stats = {
             "n": self.n,
             "dim": self.dim,
@@ -152,8 +126,103 @@ class Registry:
             "centers_tree_nodes": self.centers_tree.size,
             "registration_entries": int(self._reg_off[-1]),
             "max_associated_len": int(lens.max()) if lens.size else 0,
-            "build_seconds": time.perf_counter() - t0,
+            "registration_s": t1 - t0,
+            "ball_tree_s": t2 - t1,
+            "associated_s": t3 - t2,
+            "centers_tree_s": t4 - t3,
+            "build_seconds": t4 - t0,
         }
+
+    def _registration_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(level per ball, key z per cell, ball per cell) of the registration.
+
+        Ball b registers to the cells of grid_approx(b, 1): the cells of one
+        level that its closed body meets, or, when its radius is 0, the
+        deepest cell holding its center.
+        """
+        d = self.dim
+        deepest = max_level_for_dim(d)
+        top = 1 << deepest
+        levels = np.empty(self.n, dtype=np.int64)
+        parts: list[np.ndarray] = []
+        for i, b in enumerate(self.instance.balls):
+            if b.radius == 0.0:
+                p = np.clip(self.centers[i], 0.0, math.nextafter(1.0, 0.0))
+                levels[i] = deepest
+                parts.append(np.minimum(np.floor(p * top), top - 1).astype(np.int64)[None])
+                continue
+            levels[i], _ = grid_level_for_diameter(b.diameter, 1.0, d)
+            coords = enumerate_grid_cells_ball(b.center, b.radius, int(levels[i]))
+            if coords.shape[0] == 0:
+                raise InternalInvariantError(f"ball {i} has no registration cell")
+            parts.append(coords)
+        sizes = np.array([c.shape[0] for c in parts], dtype=np.int64)
+        coords = np.concatenate(parts) if parts else np.empty((0, d), dtype=np.int64)
+        ball = np.repeat(np.arange(self.n, dtype=np.int64), sizes)
+        cell_level = levels[ball]
+        z = np.empty(ball.size, dtype=np.int64)
+        for lev in np.unique(cell_level):
+            mask = cell_level == lev
+            z[mask] = morton_encode(coords[mask], int(lev), d)
+        return levels, z, ball
+
+    def _associated_lists(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR (offsets, ids) of each node's associated list.
+
+        A node's list holds the balls that meet its closed cell and are at
+        least as coarse (registration level <= node level).  One top-down
+        pass is exact: a qualifying ball either qualified at the parent or is
+        registered right here (its registration cell would otherwise be a
+        stored node strictly between parent and child, contradicting the
+        compressed parent relation).  The pass runs one tree layer at a time:
+        every node of a layer tests its parent's list followed by its own
+        registered ids, and keeps the survivors in that order.
+        """
+        tree = self.ball_tree
+        lens = np.zeros(tree.size, dtype=np.int64)
+        pos = np.zeros(tree.size, dtype=np.int64)  # node -> index in its layer
+        layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        nodes = np.zeros(1, dtype=np.int64)
+        prev_off = np.zeros(1, dtype=np.int64)
+        prev_ids = np.empty(0, dtype=np.int64)
+        while nodes.size:
+            width = np.arange(nodes.size, dtype=np.int64)
+            if layers:
+                up = pos[tree.parent[nodes]]
+                par_len = prev_off[up + 1] - prev_off[up]
+                par_ids = prev_ids[_ranges(prev_off[up], par_len)]
+            else:
+                par_len = np.zeros(1, dtype=np.int64)
+                par_ids = prev_ids
+            reg_len = self._reg_off[nodes + 1] - self._reg_off[nodes]
+            reg_ids = self._reg_sorted_ids[_ranges(self._reg_off[nodes], reg_len)]
+            tot = par_len + reg_len
+            start = np.cumsum(tot) - tot
+            cand = np.empty(int(tot.sum()), dtype=np.int64)
+            cand[_ranges(start, par_len)] = par_ids
+            cand[_ranges(start + par_len, reg_len)] = reg_ids
+            row = np.repeat(width, tot)
+            lo = self._node_lo[nodes[row]]
+            hi = lo + self._node_side[nodes[row], None]
+            c = self.centers[cand]
+            gap = np.maximum(lo - c, 0.0) + np.maximum(c - hi, 0.0)
+            keep = np.einsum("ij,ij->i", gap, gap) <= self.radii[cand] ** 2
+            prev_ids = cand[keep]
+            kept = np.bincount(row[keep], minlength=nodes.size)
+            prev_off = np.zeros(nodes.size + 1, dtype=np.int64)
+            np.cumsum(kept, out=prev_off[1:])
+            lens[nodes] = kept
+            pos[nodes] = width
+            layers.append((nodes, kept, prev_ids))
+            nodes = tree.child_idx[
+                _ranges(tree.child_off[nodes], tree.child_off[nodes + 1] - tree.child_off[nodes])
+            ]
+        off = np.zeros(tree.size + 1, dtype=np.int64)
+        np.cumsum(lens, out=off[1:])
+        ids = np.empty(int(off[-1]), dtype=np.int64)
+        for nodes, kept, layer_ids in layers:
+            ids[_ranges(off[nodes], kept)] = layer_ids
+        return off, ids
 
     # -- side-table access ---------------------------------------------------
 

@@ -86,16 +86,20 @@ def test_avd_branch_mix_and_counts():
     assert sum(c.values()) == 500
 
 
-def test_avd_out_of_domain_answers_ball_zero():
+def test_avd_out_of_domain_is_certified():
     a = _build(62, 1, 16, 7, 0.5)
-    ans = avd_query(a, (1.5,))
-    assert ans.out_of_domain
-    assert ans.ball_id == 0
-    assert ans.distance == pytest.approx(
-        dist_point_ball((1.5,), a.registry.instance.balls[0]), abs=1e-12
-    )
-    assert ans.certified_interval == (0.0, math.inf)
-    assert a.query_counts["out_of_domain"] == 1
+    balls = a.registry.instance.balls
+    queries = [(1.5,), (1.0,), (-0.25,), (7.0,)]
+    for q in queries:
+        ans = avd_query(a, q)
+        assert ans.out_of_domain
+        truth = exact_kth_distance(balls, q, a.k).value
+        tol = 1e-12 * max(1.0, truth)
+        lo, hi = ans.certified_interval
+        assert lo - tol <= truth <= hi + tol
+        assert (1.0 - a.eps) * truth - tol <= ans.distance <= (1.0 + a.eps) * truth + tol
+        assert ans.distance == pytest.approx(dist_point_ball(q, balls[ans.ball_id]), abs=1e-12)
+    assert a.query_counts["out_of_domain"] == len(queries)
 
 
 def test_avd_dimension_mismatch_rejected():

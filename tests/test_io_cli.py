@@ -206,6 +206,26 @@ def test_cli_registry_query_needs_k_eps(tmp_path):
     assert not lines[0].startswith("0 error")
 
 
+def test_cli_registry_query_out_of_domain_is_certified(tmp_path):
+    ballfile = str(tmp_path / "x.balls")
+    regfile = str(tmp_path / "reg.idx")
+    qfile = tmp_path / "q.txt"
+    out = tmp_path / "res.txt"
+    assert _run(["gen", "--dim", "2", "--n", "200", "--seed", "5", "--out", ballfile]) == 0
+    assert _run(["build", ballfile, "--out", regfile]) == 0
+    # Normalized (1.3, 0.5) lies outside the unit cube.
+    q = tuple(float(x) for x in load_index(regfile).instance.to_original((1.3, 0.5)))
+    qfile.write_text(f"{q[0]!r} {q[1]!r} 10 0.25\n")
+    assert _run(["query", regfile, str(qfile), "--out", str(out)]) == 0
+    _, ball_id, dist, _, tail = out.read_text().split()
+    assert tail == "out_of_domain"
+    balls = read_balls(ballfile)
+    truth = exact_kth_distance(balls, q, 10).value
+    assert truth == pytest.approx(6.073, abs=5e-4)
+    assert 0.75 * truth <= float(dist) <= 1.25 * truth
+    assert float(dist) == pytest.approx(dist_point_ball(q, balls[int(ball_id)]), rel=1e-9)
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     ballfile = str(tmp_path / "x.balls")
     _run(["gen", "--dim", "1", "--n", "20", "--seed", "2", "--out", ballfile])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ballann import build_registry, generate_instance, normalize
-from ballann.geometry import InputError
+from ballann.geometry import Ball, InputError, grid_approx
+from ballann.quadtree import cube_to_key
+from ballann.registry import Registry
 from ballann.oracle import exact_counts
 
 from conftest import make_registry
@@ -163,3 +166,49 @@ def test_stats_present():
     reg = make_registry(0, 2, 30)
     assert reg.stats["n"] == 30
     assert reg.stats["dim"] == 2
+    phases = ("registration_s", "ball_tree_s", "associated_s", "centers_tree_s")
+    for name in phases:
+        assert reg.stats[name] >= 0.0
+    assert sum(reg.stats[name] for name in phases) == pytest.approx(
+        reg.stats["build_seconds"], abs=1e-6
+    )
+
+
+# -- built structure against its definitions -------------------------------------
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_registry_structure_matches_definitions(dim):
+    inst = normalize(generate_instance(50 + dim, dim, 20, "clustered"), 0.5)
+    rest = (0.5,) * (dim - 1)
+    extra = (
+        Ball((0.0625,) + rest, 0.0),  # radius 0: the deepest cell holding it
+        Ball((0.25,) * dim, 0.0),  # radius 0 on a cell corner
+        Ball((0.875,) + rest, 0.125),  # touches the wall x = 1
+        Ball((0.125,) * dim, 0.125),  # touches the walls x_j = 0
+    )
+    reg = Registry(replace(inst, balls=inst.balls + extra))
+    tree = reg.ball_tree
+    node_of_key = {(int(z), int(l)): v for v, (z, l) in enumerate(zip(tree.z, tree.level))}
+
+    # Registration cells are exactly grid_approx(b, 1), all on level reg_level[b].
+    registered_at: dict[int, list[int]] = {}
+    for b, ball in enumerate(reg.instance.balls):
+        cells = grid_approx(ball, 1.0)
+        assert {c.level for c in cells} == {int(reg.reg_level[b])}
+        for c in cells:
+            registered_at.setdefault(node_of_key[cube_to_key(c)], []).append(b)
+    for v in range(tree.size):
+        assert reg.registered_ids(v).tolist() == registered_at.get(v, [])
+
+    # Associated lists: balls at least as coarse as the node that meet its cell.
+    for v in range(tree.size):
+        cube = tree.node_cube(v)
+        want = [
+            b
+            for b, ball in enumerate(reg.instance.balls)
+            if reg.reg_level[b] <= cube.level and cube.intersects_ball(ball)
+        ]
+        got = reg.associated_ids(v)
+        assert got.size == len(want)
+        assert np.sort(got).tolist() == want
