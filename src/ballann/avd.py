@@ -32,8 +32,9 @@ from .geometry import (
     InternalInvariantError,
     LiftedPoint,
     dist_point_ball,
-    grid_level_for_diameter,
     enumerate_grid_cells_ball,
+    grid_footprint,
+    grid_level_for_diameter,
 )
 from .knn import KnnAnswer, query, refine
 from .quadtree import (
@@ -80,11 +81,6 @@ _FAR_CAP_DEFAULT = 768
 
 _EMPTY = np.uint8(1)  # flags bit: children tile the cube, no query lands here
 
-_CERT_NONE = 0  # no per-cell guarantee; query may fall back to the registry
-_CERT_SMALL = 1  # cell diameter small against the k-th distance lower bound
-_CERT_NEAR = 2  # every point of the cell sits near the representative
-_CERT_CLUSTER = 3  # owning cluster is provably right-sized for every query
-
 
 @dataclass(frozen=True)
 class AVDCell:
@@ -107,7 +103,6 @@ class AVDIndex:
     kdist: np.ndarray  # (size,) estimate of d_B(rep, k), two-sided sandwich
     kdist_witness: np.ndarray  # (size,) ball realizing the estimate
     site: np.ndarray  # (size,) owning cluster per cell
-    cert: np.ndarray  # (size,) certification tag, _CERT_*
     flags: np.ndarray  # (size,) bit 1: empty region
     clusters: list[QuorumCluster]
     registry: Registry
@@ -126,30 +121,11 @@ class AVDIndex:
             "out_of_domain": 0,
         }
 
-    @property
-    def cluster_centers(self) -> np.ndarray:
-        return np.stack([np.asarray(c.center, dtype=np.float64) for c in self.clusters])
 
-    @property
-    def cluster_radii(self) -> np.ndarray:
-        return np.array([c.radius for c in self.clusters], dtype=np.float64)
-
-
-def _capped_level(center: np.ndarray, radius: float, level: int, dim: int, cap: int | None) -> tuple[int, bool]:
+def _capped_level(center: np.ndarray, radius: float, level: int, cap: int | None) -> tuple[int, bool]:
     """Lower the level until the enumeration footprint fits under cap."""
     coarsened = False
-    while level > 0 and cap is not None:
-        top = 1 << level
-        est = 1
-        for j in range(dim):
-            lo = max(int(math.floor((float(center[j]) - radius) * top)) - 1, 0)
-            hi = min(int(math.floor((float(center[j]) + radius) * top)) + 1, top - 1)
-            if lo > hi:
-                est = 0
-                break
-            est *= hi - lo + 1
-        if est <= cap:
-            break
+    while level > 0 and cap is not None and grid_footprint(center - radius, center + radius, level) > cap:
         level -= 1
         coarsened = True
     return level, coarsened
@@ -167,7 +143,7 @@ def _near_field(
         for j in range(top_j + 1):
             radius = (2.0**j) * float(radii[i])
             level, _ = grid_level_for_diameter(2.0 * radius, eps / zeta1, dim)
-            level, co = _capped_level(centers[i], radius, level, dim, cap)
+            level, co = _capped_level(centers[i], radius, level, cap)
             coarsened += int(co)
             coords = enumerate_grid_cells_ball(centers[i], radius, level)
             if coords.shape[0]:
@@ -202,7 +178,7 @@ def _far_field(
         while True:
             target = (eps / 8.0) * floor
             level, _ = grid_level_for_diameter(2.0 * ring_r, target / (2.0 * ring_r), dim)
-            level, co = _capped_level(w, ring_r, level, dim, cap)
+            level, co = _capped_level(w, ring_r, level, cap)
             coarsened += int(co)
             coords = enumerate_grid_cells_ball(w, ring_r, level)
             if coords.shape[0]:
@@ -381,11 +357,13 @@ def build_avd(
 
     # Certification sweep.  lm lower-bounds d_B(q, k) for every q in the
     # cube: kdist/sandwich <= d_B(rep, k), and d_B is 1-Lipschitz in q.
-    # Each tag marks that one query branch answers every point of the cell
-    # within (1 +- eps); tag order matches the query-time branch order.
+    # A cell is certified when one query branch (small cell, near the
+    # representative, owning cluster; the query-time order) answers every
+    # point of it within (1 +- eps); the others are split while the tree
+    # depth and the cell budget allow.
     sandwich = 1.0 + eps / 4.0
     eps_in = eps / _KDIST_SHRINK
-    rows: dict[tuple[int, int], tuple[np.ndarray | None, float, int, int, int]] = {}
+    rows: dict[tuple[int, int], tuple[np.ndarray | None, float, int, int]] = {}
     queue: deque[tuple[tuple[int, int], tuple[np.ndarray, float] | None]] = deque(
         (key, None) for key in w_keys
     )
@@ -396,7 +374,7 @@ def build_avd(
         kids = childmap[key]
         rep = _region_rep(dim, max_level, key, kids)
         if rep is None:
-            rows[key] = (None, 0.0, -1, _CERT_NONE, int(_EMPTY))
+            rows[key] = (None, 0.0, -1, int(_EMPTY))
             continue
         ans, warm = _kdist_at(reg, rep, k, eps_in, sandwich, hint if hint is not None else rolling)
         warm_calls += int(warm)
@@ -408,20 +386,14 @@ def build_avd(
         diam = (2.0 ** (-lev)) * math.sqrt(dim)
         lm = max(0.0, kd / sandwich - diam)
         lam1 = float(np.linalg.norm(rep - centers[j])) + float(radii[j])
-        if diam <= (eps / 8.0) * lm:
-            cert = _CERT_SMALL
-        elif diam <= (eps / 4.0) * lm:
-            cert = _CERT_NEAR
-        elif 2.0 * float(radii[j]) <= eps * lm and lam1 + diam <= (1.0 + eps) * lm:
-            cert = _CERT_CLUSTER
-        else:
-            cert = _CERT_NONE
-        if cert != _CERT_NONE:
-            rows[key] = (rep, kd, ans.ball_id, cert, 0)
-            continue
-        if lev >= max_level or len(childmap) + (1 << dim) > cell_budget:
-            rows[key] = (rep, kd, ans.ball_id, _CERT_NONE, 0)
-            uncertified += 1
+        certified = (
+            diam <= (eps / 8.0) * lm
+            or diam <= (eps / 4.0) * lm
+            or (2.0 * float(radii[j]) <= eps * lm and lam1 + diam <= (1.0 + eps) * lm)
+        )
+        if certified or lev >= max_level or len(childmap) + (1 << dim) > cell_budget:
+            rows[key] = (rep, kd, ans.ball_id, 0)
+            uncertified += int(not certified)
             continue
         splits += 1
         s = dim * (max_level - lev - 1)
@@ -439,7 +411,7 @@ def build_avd(
             sitemap[qkey] = j
             queue.append((qkey, (rep, kd)))
         childmap[key] = quadrants
-        rows[key] = (rep, kd, ans.ball_id, _CERT_NONE, int(_EMPTY))
+        rows[key] = (rep, kd, ans.ball_id, int(_EMPTY))
 
     all_z = np.array([key[0] for key in rows], dtype=np.int64)
     all_l = np.array([key[1] for key in rows], dtype=np.int64)
@@ -452,17 +424,15 @@ def build_avd(
     kdist = np.zeros(size, dtype=np.float64)
     kwit = np.full(size, -1, dtype=np.int64)
     site = np.zeros(size, dtype=np.int64)
-    cert_arr = np.zeros(size, dtype=np.uint8)
     flag_arr = np.zeros(size, dtype=np.uint8)
     for v in range(size):
         key = (int(tree.z[v]), int(tree.level[v]))
-        rep_v, kd, wit, cert, fl = rows[key]
+        rep_v, kd, wit, fl = rows[key]
         if rep_v is not None:
             rep_arr[v] = rep_v
         kdist[v] = kd
         kwit[v] = wit
         site[v] = sitemap[key]
-        cert_arr[v] = cert
         flag_arr[v] = fl
 
     stats = {
@@ -492,7 +462,6 @@ def build_avd(
         kdist=kdist,
         kdist_witness=kwit,
         site=site,
-        cert=cert_arr,
         flags=flag_arr,
         clusters=clusters,
         registry=reg,

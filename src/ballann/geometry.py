@@ -25,8 +25,11 @@ __all__ = [
     "dist_point_ball",
     "normalize",
     "grid_cell",
+    "grid_coords",
     "grid_level_for_diameter",
     "grid_approx",
+    "grid_index_box",
+    "grid_footprint",
     "enumerate_grid_cells_ball",
     "enumerate_grid_cells_box",
     "lift",
@@ -305,6 +308,16 @@ def grid_cell(width_level: int, p: Sequence[float]) -> CanonicalCube:
     return CanonicalCube(width_level, tuple(min(int(x * top), top - 1) for x in p))
 
 
+def grid_coords(points: np.ndarray, level: int) -> np.ndarray:
+    """Integer coords (m, d) of the level-`level` cell holding each point.
+
+    The array form of grid_cell, except that points outside [0,1)^d are
+    clipped to the nearest cell instead of rejected.
+    """
+    top = 1 << level
+    return np.clip(np.floor(points * top).astype(np.int64), 0, top - 1)
+
+
 def floor_log2(y: float) -> int:
     if y <= 0.0 or not math.isfinite(y):
         raise InputError(f"floor_log2 requires a positive finite value, got {y}")
@@ -326,6 +339,32 @@ def grid_level_for_diameter(diam: float, delta: float, dim: int) -> tuple[int, b
     return level, raw > max_level
 
 
+def grid_index_box(
+    lo: Sequence[float], hi: Sequence[float], level: int
+) -> list[tuple[int, int]] | None:
+    """Per-axis inclusive index ranges [a, b] of the level-`level` cells that
+    may meet the closed box [lo, hi].
+
+    Each range is padded by one cell against rounding at the box faces and
+    clipped to the grid; None when the box misses the grid on some axis.
+    """
+    top = 1 << level
+    box = []
+    for l, h in zip(lo, hi):
+        a = max(math.floor(l * top) - 1, 0)
+        b = min(math.floor(h * top) + 1, top - 1)
+        if a > b:
+            return None
+        box.append((a, b))
+    return box
+
+
+def grid_footprint(lo: Sequence[float], hi: Sequence[float], level: int) -> int:
+    """Number of cells in grid_index_box(lo, hi, level), the cost of enumerating them."""
+    box = grid_index_box(lo, hi, level)
+    return 0 if box is None else math.prod(b - a + 1 for a, b in box)
+
+
 def enumerate_grid_cells_ball(
     center: Sequence[float], radius: float, level: int
 ) -> np.ndarray:
@@ -334,18 +373,13 @@ def enumerate_grid_cells_ball(
     The ball is clipped to [0,1]^d; cells outside the unit cube do not exist.
     """
     d = len(center)
-    top = 1 << level
-    side = 2.0 ** (-level)
-    ranges = []
-    for j in range(d):
-        lo = max(int(math.floor((center[j] - radius) * top)) - 1, 0)
-        hi = min(int(math.floor((center[j] + radius) * top)) + 1, top - 1)
-        if lo > hi:
-            return np.empty((0, d), dtype=np.int64)
-        ranges.append(np.arange(lo, hi + 1, dtype=np.int64))
-    grids = np.meshgrid(*ranges, indexing="ij")
+    box = grid_index_box([x - radius for x in center], [x + radius for x in center], level)
+    if box is None:
+        return np.empty((0, d), dtype=np.int64)
+    grids = np.meshgrid(*[np.arange(a, b + 1, dtype=np.int64) for a, b in box], indexing="ij")
     coords = np.stack([g.ravel() for g in grids], axis=1)
     # Exact closed-body filter: distance from the center to each cell box.
+    side = 2.0 ** (-level)
     lo_f = coords * side
     hi_f = lo_f + side
     c = np.asarray(center, dtype=np.float64)
@@ -359,17 +393,14 @@ def enumerate_grid_cells_box(
 ) -> np.ndarray:
     """Integer coords (m, d) of level-`level` cells meeting the closed box [lo, hi]."""
     d = len(lo)
-    top = 1 << level
+    box = grid_index_box(lo, hi, level)
+    if box is None:
+        return np.empty((0, d), dtype=np.int64)
+    side = 2.0 ** (-level)
     ranges = []
-    for j in range(d):
-        a = max(int(math.floor(lo[j] * top)) - 1, 0)
-        b = min(int(math.floor(hi[j] * top)) + 1, top - 1)
-        if a > b:
-            return np.empty((0, d), dtype=np.int64)
+    for (a, b), l, h in zip(box, lo, hi):
         cells = np.arange(a, b + 1, dtype=np.int64)
-        side = 2.0 ** (-level)
-        keep = (cells * side <= hi[j]) & ((cells + 1) * side >= lo[j])
-        cells = cells[keep]
+        cells = cells[(cells * side <= h) & ((cells + 1) * side >= l)]
         if cells.size == 0:
             return np.empty((0, d), dtype=np.int64)
         ranges.append(cells)

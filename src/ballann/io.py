@@ -8,8 +8,9 @@ before any structure is touched.
 A registry file (magic BREG) stores only the inputs; the structure is
 rebuilt on load, which is deterministic and cheap.  An approximate-Voronoi
 file (magic BAVD) stores the full cell decomposition: cube table, per-cell
-representative/estimate/witness/site/certificate, and the cluster list,
-plus the inputs needed to rebuild the fallback registry.
+representative/estimate/witness/site/flags, and the cluster list, plus the
+inputs needed to rebuild the fallback registry.  Each magic has its own
+format version.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from .quadtree import CompressedQuadtree
 from .quorum import QuorumCluster
 from .registry import Registry, build_registry
 
-_VERSION = 1
+# Format version per magic.  BAVD 2 dropped the per-cell certificate byte
+# that version 1 stored after the site column.
+_VERSION = {b"BREG": 1, b"BAVD": 2}
 _MODE_CODE = {"practical": 0, "strict": 1}
 _MODE_NAME = {v: k for k, v in _MODE_CODE.items()}
 
@@ -170,7 +173,7 @@ def write_queries(
 
 
 def _container(magic: bytes, payload: bytes) -> bytes:
-    head = magic + struct.pack("<HH", _VERSION, 0)
+    head = magic + struct.pack("<HH", _VERSION[magic], 0)
     return head + payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
 
 
@@ -179,9 +182,14 @@ def _open_container(path: str, blob: bytes) -> tuple[bytes, bytes]:
         raise InputError(f"index file {path!r} is too short to be valid")
     magic = blob[:4]
     version, _ = struct.unpack_from("<HH", blob, 4)
-    if magic not in (b"BREG", b"BAVD"):
+    if magic not in _VERSION:
         raise InputError(f"index file {path!r} has unknown magic {magic!r}")
-    if version != _VERSION:
+    if magic == b"BAVD" and version == 1:
+        raise InputError(
+            f"cell index file {path!r} predates format 2 and must be rebuilt "
+            "from its ball file"
+        )
+    if version != _VERSION[magic]:
         raise InputError(f"index file {path!r} has unsupported version {version}")
     payload = blob[8:-4]
     (crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
@@ -281,7 +289,6 @@ def save_avd(path: str, a: AVDIndex) -> None:
     payload += a.kdist.astype("<f8").tobytes()
     payload += a.kdist_witness.astype("<i8").tobytes()
     payload += a.site.astype("<i8").tobytes()
-    payload += a.cert.astype("u1").tobytes()
     payload += a.flags.astype("u1").tobytes()
     payload += struct.pack("<10Q", *(int(a.stats.get(f, 0)) for f in _STAT_FIELDS))
     with open(path, "wb") as fh:
@@ -323,7 +330,6 @@ def _load_avd(payload: bytes) -> AVDIndex:
     kdist = r.array("f8", size).copy()
     kdist_witness = r.array("i8", size).copy()
     site = r.array("i8", size).copy()
-    cert = r.array("u1", size).copy()
     flags = r.array("u1", size).copy()
     stat_vals = r.unpack("10Q")
     if r.pos != len(r.buf):
@@ -339,7 +345,6 @@ def _load_avd(payload: bytes) -> AVDIndex:
         kdist=kdist,
         kdist_witness=kdist_witness,
         site=site,
-        cert=cert,
         flags=flags,
         clusters=clusters,
         registry=reg,

@@ -21,11 +21,11 @@ from .geometry import (
     InternalInvariantError,
     dist_point_ball,
     dist_points_balls,
+    grid_coords,
     grid_level_for_diameter,
-    enumerate_grid_cells_ball,
 )
-from .quadtree import morton_decode, morton_encode, range_hi_inclusive
-from .registry import DENSE_CELL_CAP, Registry
+from .quadtree import morton_encode
+from .registry import Registry
 
 # The refinement runs internally at eps/EPS_HAT_SHRINK.  The snapping error
 # chain (dropped radius + cell snap, each at most ~1.3 * ehat * x, doubled on
@@ -145,18 +145,21 @@ def refine(reg: Registry, q, k: int, x: float, eps: float) -> KnnAnswer:
     # The pad keeps every ball that could still be the k-th inside the net,
     # while anything farther sits strictly above the selection threshold.
     r_snap = r_q + ehat * x
-    qa = np.asarray(qt, dtype=np.float64)
-    cell_codes, weights, cell_witness = _small_cells(reg, qa, r_snap, level, large)
-    side = 2.0 ** (-level)
-    if cell_codes.size:
-        cc = (morton_decode(cell_codes, level, reg.dim) + 0.5) * side
-        d_cells = np.sqrt(np.einsum("ij,ij->i", cc - qa, cc - qa))
-    else:
-        d_cells = np.empty(0, dtype=np.float64)
-
-    est = np.concatenate([d_large, d_cells])
-    w = np.concatenate([np.ones(large.size, dtype=np.int64), weights])
-    keys = np.concatenate([large, cell_witness])
+    small = reg.small_center_ids(qt, r_snap, level, large)
+    est, w, keys = d_large, np.ones(large.size, dtype=np.int64), large
+    if small.size:
+        # One candidate per grid cell at the cell center, weighted by its
+        # small centers and keyed by the smallest of their ids.
+        coords = grid_coords(reg.centers[small], level)
+        codes = morton_encode(coords, level, reg.dim)
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        first = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+        cc = (coords[order[first]] + 0.5) * 2.0 ** (-level)
+        d_cells = np.sqrt(np.einsum("ij,ij->i", cc - qt, cc - qt))
+        est = np.concatenate([est, d_cells])
+        w = np.concatenate([w, np.diff(np.append(first, codes.size))])
+        keys = np.concatenate([keys, small[order[first]]])
     order = np.lexsort((keys, est))
     cum = np.cumsum(w[order])
     j = int(np.searchsorted(cum, k))
@@ -164,79 +167,9 @@ def refine(reg: Registry, q, k: int, x: float, eps: float) -> KnnAnswer:
         raise InternalInvariantError(
             "selection ran out of candidates; the 4-factor estimate must be wrong"
         )
-    win = int(order[j])
-    if win < large.size:
-        wid = int(large[win])
-    else:
-        wid = _cell_small_witness(reg, int(cell_codes[win - large.size]), level, large)
+    wid = int(keys[order[j]])
     wdist = dist_point_ball(qt, reg.instance.balls[wid])
     return KnnAnswer(wid, wdist, (wdist / (1.0 + eps), wdist / (1.0 - eps)))
-
-
-def _small_cells(
-    reg: Registry, q: np.ndarray, radius: float, level: int, large: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(codes, weights, witness_key) of grid cells holding small-ball centers.
-
-    Dense path enumerates the cells around q when that is cheap; otherwise
-    centers are grouped by their cell code.  Both count exactly the centers
-    whose own cell meets ball(q, radius), minus centers of `large` balls.
-    """
-    t = reg.centers_tree
-    top = 1 << level
-    est_cells = 1.0
-    for j in range(reg.dim):
-        a = max(int(np.floor((q[j] - radius) * top)) - 1, 0)
-        b = min(int(np.floor((q[j] + radius) * top)) + 1, top - 1)
-        est_cells *= max(b - a + 1, 0)
-    if est_cells > DENSE_CELL_CAP:
-        mask = reg._cell_meets_ball(reg.centers, q, radius, level)
-        if large.size:
-            mask[large] = False
-        ids = np.flatnonzero(mask)
-        if ids.size == 0:
-            return (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64))
-        coords = np.clip((reg.centers[ids] * top).astype(np.int64), 0, top - 1)
-        codes = morton_encode(coords, level, reg.dim)
-        order = np.lexsort((ids, codes))
-        codes, ids = codes[order], ids[order]
-        first = np.ones(codes.size, dtype=bool)
-        first[1:] = codes[1:] != codes[:-1]
-        starts = np.flatnonzero(first)
-        weights = np.diff(np.append(starts, codes.size))
-        return codes[starts], weights.astype(np.int64), ids[starts]
-    coords = enumerate_grid_cells_ball(tuple(q), radius, level)
-    if coords.shape[0] == 0:
-        return (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64))
-    codes = morton_encode(coords, level, reg.dim)
-    hi = range_hi_inclusive(codes, reg.dim * (t.max_level - level))
-    lo_i = np.searchsorted(t.point_codes, codes, side="left")
-    hi_i = np.searchsorted(t.point_codes, hi, side="right")
-    counts = (hi_i - lo_i).astype(np.int64)
-    if large.size:
-        lcoords = np.clip((reg.centers[large] * top).astype(np.int64), 0, top - 1)
-        lcodes = morton_encode(lcoords, level, reg.dim)
-        sorter = np.argsort(codes, kind="stable")
-        pos = np.searchsorted(codes[sorter], lcodes)
-        ok = pos < codes.size
-        ok[ok] &= codes[sorter][pos[ok]] == lcodes[ok]
-        np.subtract.at(counts, sorter[pos[ok]], 1)
-    keep = counts > 0
-    codes, counts, lo_i = codes[keep], counts[keep], lo_i[keep]
-    witness = t.point_perm[lo_i] if codes.size else np.empty(0, np.int64)
-    return codes, counts, witness.astype(np.int64)
-
-
-def _cell_small_witness(
-    reg: Registry, code: int, level: int, large: np.ndarray
-) -> int:
-    """Smallest ball id in the cell that is not one of the large balls."""
-    ids = reg.centers_tree.point_ids_in_cube(code, level)
-    if large.size:
-        ids = ids[~np.isin(ids, large)]
-    if ids.size == 0:
-        raise InternalInvariantError("a weighted cell lost its small witness")
-    return int(ids.min())
 
 
 def query(reg: Registry, q, k: int, eps: float) -> KnnAnswer:

@@ -141,6 +141,14 @@ def range_hi_inclusive(z, shift):
     return z + size
 
 
+def concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + l) over the pairs (s, l), as int64."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts - ends + lens, lens) + np.arange(
+        int(ends[-1]) if ends.size else 0, dtype=np.int64
+    )
+
+
 def _bit_length_i64(x: np.ndarray) -> np.ndarray:
     x = x.astype(np.int64).copy()
     out = np.zeros_like(x)
@@ -333,25 +341,31 @@ class CompressedQuadtree:
             raise InternalInvariantError("cell located outside the root")
         return out
 
-    def count_points_in_cubes(self, z: np.ndarray, level: int) -> np.ndarray:
-        """Exact stored-point count per queried cube (any canonical cube)."""
+    def _point_spans(self, z, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """[lo, hi) positions in point_codes of the stored points of each cube."""
         if not self.has_points:
             raise InputError("tree holds no points")
         zz = np.asarray(z, dtype=np.int64)
-        shift = self.dim * (self.max_level - level)
-        hi = range_hi_inclusive(zz, shift)
-        lo_i = np.searchsorted(self.point_codes, zz, side="left")
-        hi_i = np.searchsorted(self.point_codes, hi, side="right")
-        return hi_i - lo_i
+        hi = range_hi_inclusive(zz, self.dim * (self.max_level - level))
+        return (
+            np.searchsorted(self.point_codes, zz, side="left"),
+            np.searchsorted(self.point_codes, hi, side="right"),
+        )
+
+    def count_points_in_cubes(self, z: np.ndarray, level: int) -> np.ndarray:
+        """Exact stored-point count per queried cube (any canonical cube)."""
+        lo, hi = self._point_spans(z, level)
+        return hi - lo
 
     def point_ids_in_cube(self, z: int, level: int) -> np.ndarray:
-        if not self.has_points:
-            raise InputError("tree holds no points")
-        shift = self.dim * (self.max_level - level)
-        hi = range_hi_inclusive(np.int64(z), shift)
-        lo_i = int(np.searchsorted(self.point_codes, np.int64(z), side="left"))
-        hi_i = int(np.searchsorted(self.point_codes, hi, side="right"))
-        return self.point_perm[lo_i:hi_i]
+        lo, hi = self._point_spans(z, level)
+        return self.point_perm[int(lo) : int(hi)]
+
+    def point_ids_in_cubes(self, z: np.ndarray, level: int) -> np.ndarray:
+        """Ids of the stored points in the given disjoint cubes of one level,
+        cube after cube."""
+        lo, hi = self._point_spans(z, level)
+        return self.point_perm[concat_ranges(lo, hi - lo)]
 
     def keys(self) -> set[tuple[int, int]]:
         return {(int(z), int(l)) for z, l in zip(self.z, self.level)}

@@ -6,7 +6,8 @@ ball centers as points.  On top of them sit the four query primitives:
 
   * exact retrieval of balls intersecting a region with a diameter floor,
   * 2-approximate k-th nearest center distance,
-  * approximate center range counting with per-cell witnesses,
+  * the ids of the centers whose grid cell meets a query ball, which both
+    the approximate ball count and the eps refinement of `knn` build on,
   * the delta-monotone approximate count of balls meeting a query ball.
 
 Everything here works in normalized coordinates; the structure is immutable
@@ -17,13 +18,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
     Ball,
-    CanonicalCube,
     InputError,
     InternalInvariantError,
     NormalizedInstance,
@@ -31,6 +30,8 @@ from .geometry import (
     dist_points_balls,
     enumerate_grid_cells_ball,
     enumerate_grid_cells_box,
+    grid_coords,
+    grid_footprint,
     grid_level_for_diameter,
     max_level_for_dim,
 )
@@ -38,44 +39,23 @@ from .quadtree import (
     CompressedQuadtree,
     build_from_cubes,
     build_from_points,
+    concat_ranges,
     morton_encode,
-    range_hi_inclusive,
 )
 
 # Not used by the build; bound here because perfbench/tracing.py wraps these names.
 from .geometry import grid_approx  # noqa: F401
 from .quadtree import cube_to_key  # noqa: F401
 
-# Cell-count caps: above these the grid path would cost more than a linear
-# scan, so the exact fallback takes over (results are identical either way).
+# Grid footprints (see geometry.grid_footprint) above which enumerating the
+# cells would cost more than a linear scan over all balls, so the scan runs
+# instead (results are identical either way).
 DENSE_CELL_CAP = 4096
 RETRIEVAL_CELL_CAP = 65536
 
 # Exact-finish threshold for the k-th center distance frontier.
 EXACT_FINISH_COUNT = 256
 FRONTIER_MAX_ROUNDS = 400
-
-
-def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(s, s + l) over the pairs (s, l), as int64."""
-    ends = np.cumsum(lens)
-    return np.repeat(starts - ends + lens, lens) + np.arange(
-        int(ends[-1]) if ends.size else 0, dtype=np.int64
-    )
-
-
-@dataclass(frozen=True)
-class RangeEntry:
-    """One grid cell of an approximate range answer.
-
-    cell is None on the exact fallback path (then node is -1 and count 1).
-    center_id is one ball index whose center lies in the cell.
-    """
-
-    cell: CanonicalCube | None
-    node: int
-    count: int
-    center_id: int
 
 
 class Registry:
@@ -190,17 +170,17 @@ class Registry:
             if layers:
                 up = pos[tree.parent[nodes]]
                 par_len = prev_off[up + 1] - prev_off[up]
-                par_ids = prev_ids[_ranges(prev_off[up], par_len)]
+                par_ids = prev_ids[concat_ranges(prev_off[up], par_len)]
             else:
                 par_len = np.zeros(1, dtype=np.int64)
                 par_ids = prev_ids
             reg_len = self._reg_off[nodes + 1] - self._reg_off[nodes]
-            reg_ids = self._reg_sorted_ids[_ranges(self._reg_off[nodes], reg_len)]
+            reg_ids = self._reg_sorted_ids[concat_ranges(self._reg_off[nodes], reg_len)]
             tot = par_len + reg_len
             start = np.cumsum(tot) - tot
             cand = np.empty(int(tot.sum()), dtype=np.int64)
-            cand[_ranges(start, par_len)] = par_ids
-            cand[_ranges(start + par_len, reg_len)] = reg_ids
+            cand[concat_ranges(start, par_len)] = par_ids
+            cand[concat_ranges(start + par_len, reg_len)] = reg_ids
             row = np.repeat(width, tot)
             lo = self._node_lo[nodes[row]]
             hi = lo + self._node_side[nodes[row], None]
@@ -215,13 +195,13 @@ class Registry:
             pos[nodes] = width
             layers.append((nodes, kept, prev_ids))
             nodes = tree.child_idx[
-                _ranges(tree.child_off[nodes], tree.child_off[nodes + 1] - tree.child_off[nodes])
+                concat_ranges(tree.child_off[nodes], tree.child_off[nodes + 1] - tree.child_off[nodes])
             ]
         off = np.zeros(tree.size + 1, dtype=np.int64)
         np.cumsum(lens, out=off[1:])
         ids = np.empty(int(off[-1]), dtype=np.int64)
         for nodes, kept, layer_ids in layers:
-            ids[_ranges(off[nodes], kept)] = layer_ids
+            ids[concat_ranges(off[nodes], kept)] = layer_ids
         return off, ids
 
     # -- side-table access ---------------------------------------------------
@@ -301,13 +281,7 @@ class Registry:
         else:
             lo_box = np.asarray(X[0], dtype=np.float64)
             hi_box = np.asarray(X[1], dtype=np.float64)
-        top = 1 << level
-        est = 1.0
-        for j in range(self.dim):
-            a = max(math.floor(lo_box[j] * top) - 1, 0)
-            b = min(math.floor(hi_box[j] * top) + 1, top - 1)
-            est *= max(b - a + 1, 0)
-        if est > RETRIEVAL_CELL_CAP:
+        if grid_footprint(lo_box, hi_box, level) > RETRIEVAL_CELL_CAP:
             return everything
         if kind == "ball":
             coords = enumerate_grid_cells_ball(X.center, X.radius, level)
@@ -414,49 +388,6 @@ class Registry:
             results[k] = float(np.partition(dist, k - 1)[k - 1])
         return results
 
-    # -- approximate center range ----------------------------------------------
-
-    def approx_center_range(self, q, x: float, delta: float) -> tuple[int, list[RangeEntry]]:
-        """Centers within distance x of q, overcounting at most to (1+delta)x.
-
-        Returns (count, entries); every center within x is in some entry and
-        every counted center is within (1+delta)x of q.
-        """
-        if x <= 0.0:
-            raise InputError(f"range radius must be positive, got {x}")
-        if not (0.0 < delta <= 1.0):
-            raise InputError(f"delta must lie in (0, 1], got {delta}")
-        qa = np.asarray(q, dtype=np.float64)
-        level, clamped = grid_level_for_diameter(x, delta, self.dim)
-        if clamped:
-            diff = self.centers - qa
-            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            ids = np.flatnonzero(dist <= x)
-            return int(ids.size), [RangeEntry(None, -1, 1, int(i)) for i in ids]
-        coords = enumerate_grid_cells_ball(tuple(qa), x, level)
-        if coords.shape[0] == 0:
-            return 0, []
-        t = self.centers_tree
-        codes = morton_encode(coords, level, self.dim)
-        hi_codes = range_hi_inclusive(codes, self.dim * (t.max_level - level))
-        lo_i = np.searchsorted(t.point_codes, codes, side="left")
-        hi_i = np.searchsorted(t.point_codes, hi_codes, side="right")
-        counts = hi_i - lo_i
-        nz = np.flatnonzero(counts)
-        if nz.size == 0:
-            return 0, []
-        nodes = t.locate_cells(codes[nz], level)
-        entries = [
-            RangeEntry(
-                CanonicalCube(level, tuple(int(v) for v in coords[j])),
-                int(nodes[pos]),
-                int(counts[j]),
-                int(t.point_perm[lo_i[j]]),
-            )
-            for pos, j in enumerate(nz)
-        ]
-        return int(counts.sum()), entries
-
     # -- approximate ball-intersection count ------------------------------------
 
     def approx_ball_count(self, q, delta: float, x: float) -> int:
@@ -464,8 +395,7 @@ class Registry:
 
         Large balls (radius >= delta*x/4, ties large) are retrieved exactly;
         the rest are counted through their center cells on a grid fine enough
-        that the overshoot stays within the (1+delta) slack; large balls whose
-        centers land in counted cells are subtracted once.
+        that the overshoot stays within the (1+delta) slack.
         """
         if not (0.0 < delta <= 1.0):
             raise InputError(f"delta must lie in (0, 1], got {delta}")
@@ -482,46 +412,30 @@ class Registry:
         )
         if clamped:
             return self.exact_intersection_count(qt, x)
-        qa = np.asarray(qt, dtype=np.float64)
-        n_prime = self._count_center_cells(qa, inflated, level)
-        n_double = 0
-        if large.size:
-            n_double = int(
-                self._cell_meets_ball(self.centers[large], qa, inflated, level).sum()
-            )
-        return int(n_prime) + int(large.size) - n_double
+        return int(large.size) + int(self.small_center_ids(qt, inflated, level, large).size)
 
-    def _cell_meets_ball(
-        self, pts: np.ndarray, q: np.ndarray, radius: float, level: int
-    ) -> np.ndarray:
-        """Whether each point's own level-`level` cell meets ball(q, radius).
+    def small_center_ids(self, q, radius: float, level: int, large: np.ndarray) -> np.ndarray:
+        """Ids, ascending and minus `large`, of the centers whose own
+        level-`level` cell meets the closed ball(q, radius).
 
-        Mirrors the exact closed-body filter of enumerate_grid_cells_ball, so
-        membership here coincides with cell enumeration there.
+        Enumerates the cells around q when they are few, else tests the cell
+        of every center with the closed-body test of enumerate_grid_cells_ball;
+        both paths return the same ids.
         """
-        top = 1 << level
-        side = 2.0 ** (-level)
-        cc = np.clip(np.floor(pts * top).astype(np.int64), 0, top - 1)
-        lo = cc * side
-        hi = lo + side
-        gap = np.maximum(lo - q, 0.0) + np.maximum(q - hi, 0.0)
-        return np.einsum("ij,ij->i", gap, gap) <= radius * radius
-
-    def _count_center_cells(self, q: np.ndarray, radius: float, level: int) -> int:
-        """#centers whose own cell meets ball(q, radius), dense or sparse."""
-        top = 1 << level
-        est = 1.0
-        for j in range(self.dim):
-            a = max(math.floor((q[j] - radius) * top) - 1, 0)
-            b = min(math.floor((q[j] + radius) * top) + 1, top - 1)
-            est *= max(b - a + 1, 0)
-        if est > DENSE_CELL_CAP:
-            return int(self._cell_meets_ball(self.centers, q, radius, level).sum())
-        coords = enumerate_grid_cells_ball(tuple(q), radius, level)
-        if coords.shape[0] == 0:
-            return 0
-        codes = morton_encode(coords, level, self.dim)
-        return int(self.centers_tree.count_points_in_cubes(codes, level).sum())
+        qa = np.asarray(q, dtype=np.float64)
+        if grid_footprint(qa - radius, qa + radius, level) > DENSE_CELL_CAP:
+            side = 2.0 ** (-level)
+            lo = grid_coords(self.centers, level) * side
+            hi = lo + side
+            gap = np.maximum(lo - qa, 0.0) + np.maximum(qa - hi, 0.0)
+            meets = np.einsum("ij,ij->i", gap, gap) <= radius * radius
+            meets[large] = False
+            return np.flatnonzero(meets)
+        coords = enumerate_grid_cells_ball(qa, radius, level)
+        ids = self.centers_tree.point_ids_in_cubes(morton_encode(coords, level, self.dim), level)
+        if large.size:
+            ids = ids[~np.isin(ids, large)]
+        return np.sort(ids)
 
     # -- exact helpers -----------------------------------------------------------
 

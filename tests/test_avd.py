@@ -208,7 +208,7 @@ def test_build_deterministic():
     b = _build(72, 1, 48, 12, 0.5)
     assert np.array_equal(a.tree.z, b.tree.z)
     assert np.array_equal(a.tree.level, b.tree.level)
-    for name in ("rep", "kdist", "kdist_witness", "site", "cert", "flags"):
+    for name in ("rep", "kdist", "kdist_witness", "site", "flags"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 

@@ -11,9 +11,13 @@ from ballann.geometry import (
     InputError,
     dist_point_ball,
     dist_points_balls,
+    enumerate_grid_cells_ball,
+    enumerate_grid_cells_box,
     floor_log2,
     grid_approx,
     grid_cell,
+    grid_footprint,
+    grid_index_box,
     grid_level_for_diameter,
     lift,
     max_level_for_dim,
@@ -197,6 +201,27 @@ def test_grid_approx_zero_diameter_registers_deepest_cell():
     cell = next(iter(cells))
     assert cell.level == max_level_for_dim(2)
     assert cell.contains_point((0.3, 0.7))
+
+
+@given(st.integers(1, 4), st.integers(0, 6), st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_grid_footprint_bounds_enumeration(d, level, seed):
+    rng = np.random.default_rng(seed)
+    # Centers and boxes reach past the unit cube on purpose.
+    center = rng.uniform(-0.3, 1.3, size=d)
+    radius = float(rng.uniform(0.0, 0.4))
+    footprint = grid_footprint(center - radius, center + radius, level)
+    cells = enumerate_grid_cells_ball(center, radius, level)
+    assert len(cells) <= footprint
+    box = grid_index_box(center - radius, center + radius, level)
+    assert (box is None) == (footprint == 0)
+    if box is not None:
+        for j, (a, b) in enumerate(box):
+            assert 0 <= a <= b < 1 << level
+            assert np.all((a <= cells[:, j]) & (cells[:, j] <= b))
+    lo = rng.uniform(-0.3, 1.3, size=d)
+    hi = lo + rng.uniform(0.0, 0.5, size=d)
+    assert len(enumerate_grid_cells_box(lo, hi, level)) <= grid_footprint(lo, hi, level)
 
 
 # -- lifting and packing ---------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import struct
 import subprocess
 import sys
 
@@ -106,13 +107,27 @@ def test_avd_save_load_equal_arrays_and_answers(tmp_path):
     assert isinstance(b, AVDIndex)
     assert (b.k, b.eps, b.mode, b.zeta1) == (a.k, a.eps, a.mode, a.zeta1)
     assert np.array_equal(a.tree.z, b.tree.z)
-    for name in ("rep", "kdist", "kdist_witness", "site", "cert", "flags"):
+    for name in ("rep", "kdist", "kdist_witness", "site", "flags"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert len(a.clusters) == len(b.clusters)
     rng = np.random.default_rng(1)
     for _ in range(200):
         q = tuple(rng.random(1))
         assert avd_query(a, q) == avd_query(b, q)
+
+
+def test_avd_version_1_file_is_rejected(tmp_path):
+    balls = generate_instance(8, 1, 48)
+    a = build_avd(build_registry(normalize(balls, 0.5)), 12, 0.5)
+    path = tmp_path / "a.idx"
+    save_avd(str(path), a)
+    blob = path.read_bytes()
+    assert blob[:4] == b"BAVD" and struct.unpack_from("<H", blob, 4)[0] == 2
+    for version, match in ((1, "predates format 2 and must be rebuilt"), (3, "unsupported version")):
+        old = tmp_path / f"v{version}.idx"
+        old.write_bytes(blob[:4] + struct.pack("<H", version) + blob[6:])
+        with pytest.raises(InputError, match=match):
+            load_index(str(old))
 
 
 def test_index_integrity_rejects_damage(tmp_path):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ballann import build_registry, generate_instance, normalize
-from ballann.geometry import Ball, InputError, grid_approx
+from ballann import registry as registry_module
+from ballann.geometry import Ball, InputError, grid_approx, grid_level_for_diameter
 from ballann.quadtree import cube_to_key
 from ballann.registry import Registry
 from ballann.oracle import exact_counts
@@ -143,7 +144,7 @@ def test_kth_center_distance_rejects_bad_k():
         reg.approx_kth_center_distance((0.5,), 11)
 
 
-# -- center range -------------------------------------------------------------------
+# -- center cells ------------------------------------------------------------------
 
 
 @given(st.integers(0, 1_000))
@@ -155,11 +156,38 @@ def test_center_range_sandwich(seed):
     q = rng.random(dim)
     x = float(rng.random() * 0.5 + 1e-3)
     delta = float(rng.choice([1.0, 0.5, 0.25]))
-    count, entries = reg.approx_center_range(tuple(q), x, delta)
+    # Cells of diameter <= delta * x: a center whose cell meets ball(q, x)
+    # lies within (1 + delta) x of q.
+    level, clamped = grid_level_for_diameter(x, delta, dim)
+    assert not clamped
+    count = reg.small_center_ids(q, x, level, np.empty(0, dtype=np.int64)).size
     dist = np.linalg.norm(reg.centers - q, axis=1)
     assert int((dist <= x).sum()) <= count
     assert count <= int((dist <= (1.0 + delta) * x).sum())
-    assert sum(e.count for e in entries) == count
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_small_center_ids_scan_matches_enumeration(dim, monkeypatch):
+    reg = make_registry(60 + dim, dim, 60, profile="clustered")
+    rng = np.random.default_rng(dim)
+    for _ in range(40):
+        q = rng.uniform(-0.1, 1.1, size=dim)
+        radius = float(rng.uniform(0.005, 0.4))
+        level, _ = grid_level_for_diameter(2.0 * radius, float(rng.choice([1.0, 0.5])), dim)
+        some = np.sort(rng.choice(reg.n, size=reg.n // 4, replace=False))
+        for large in (np.empty(0, dtype=np.int64), some):
+            got = {}
+            for cap in (-1, 10**18):  # -1 forces the scan, 10**18 the enumeration
+                monkeypatch.setattr(registry_module, "DENSE_CELL_CAP", cap)
+                got[cap] = reg.small_center_ids(q, radius, level, large)
+            assert np.array_equal(got[-1], got[10**18])
+            ids = got[-1]
+            assert np.all(np.diff(ids) > 0)
+            assert not np.isin(ids, large).any()
+            # Every center inside the ball is there unless it is large.
+            dist = np.linalg.norm(reg.centers - q, axis=1)
+            inside = np.setdiff1d(np.flatnonzero(dist <= radius), large)
+            assert np.isin(inside, ids).all()
 
 
 def test_stats_present():
