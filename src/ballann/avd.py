@@ -200,20 +200,24 @@ def _far_field(
 
 
 def _assign_sites(
-    z: np.ndarray, lev: np.ndarray, centers: np.ndarray, radii: np.ndarray, dim: int
+    tree: CompressedQuadtree, z: np.ndarray, lev: np.ndarray, centers: np.ndarray, radii: np.ndarray
 ) -> np.ndarray:
-    """Exact nearest lifted site of each cube center under the product norm."""
-    pts = np.empty((z.size, dim), dtype=np.float64)
-    for L in np.unique(lev):
-        mask = lev == L
-        coords = morton_decode(z[mask], int(L), dim)
-        pts[mask] = (coords.astype(np.float64) + 0.5) * (2.0 ** (-int(L)))
-    out = np.empty(z.size, dtype=np.int64)
+    """Owning cluster per node of the far-field tree built from the cubes (z, lev).
+
+    Each original cube takes the exact nearest lifted site of its center
+    under the product norm; closure nodes inherit from their nearest
+    original ancestor (parents precede children in node order).
+    """
+    nodes = tree.find_keys(z, lev)
+    pts = tree.low_corners()[nodes] + 0.5 * 2.0 ** (-lev.astype(np.float64))[:, None]
+    site = np.full(tree.size, -1, dtype=np.int64)
     for lo in range(0, z.size, 65536):
         hi = min(lo + 65536, z.size)
         dmat = np.linalg.norm(pts[lo:hi, None, :] - centers[None, :, :], axis=2)
-        out[lo:hi] = np.argmin(dmat + radii[None, :], axis=1)
-    return out
+        site[nodes[lo:hi]] = np.argmin(dmat + radii[None, :], axis=1)
+    for v in np.flatnonzero(site < 0):
+        site[v] = site[tree.parent[v]]
+    return site
 
 
 def _region_rep(dim: int, max_level: int, key: tuple[int, int], kids: list[tuple[int, int]]) -> np.ndarray | None:
@@ -283,8 +287,6 @@ def build_avd(
     *,
     zeta1: float | None = None,
     cell_budget: int = 400_000,
-    near_cap: int | None = None,
-    far_cap: int | None = None,
 ) -> AVDIndex:
     """Build the fixed-(k, eps) cell decomposition over a registry.
 
@@ -310,13 +312,8 @@ def build_avd(
         raise InputError(f"mode must be 'practical' or 'strict', got {mode!r}")
     strict = mode == "strict"
     z1 = float(zeta1) if zeta1 is not None else (ZETA1_STRICT if strict else ZETA1_PRACTICAL)
-    if strict:
-        near_cap = far_cap = None
-    else:
-        if near_cap is None:
-            near_cap = _NEAR_CAP.get(dim, _NEAR_CAP_DEFAULT)
-        if far_cap is None:
-            far_cap = _FAR_CAP.get(dim, _FAR_CAP_DEFAULT)
+    near_cap = None if strict else _NEAR_CAP.get(dim, _NEAR_CAP_DEFAULT)
+    far_cap = None if strict else _FAR_CAP.get(dim, _FAR_CAP_DEFAULT)
 
     clusters = ball_quorum(reg, k)
     centers = np.stack([np.asarray(c.center, dtype=np.float64) for c in clusters])
@@ -326,20 +323,11 @@ def build_avd(
     far_z, far_l, co_far = _far_field(centers, radii, eps, dim, far_cap)
     far_keys = np.unique(np.stack([far_z, far_l], axis=1), axis=0)
     far_z, far_l = far_keys[:, 0], far_keys[:, 1]
-    far_site = _assign_sites(far_z, far_l, centers, radii, dim)
 
     far_tree = build_from_cubes((far_z, far_l, dim))
+    far_node_site = _assign_sites(far_tree, far_z, far_l, centers, radii)
     near_tree = build_from_cubes((near_z, near_l, dim))
     w_tree, _, back_far = overlay(near_tree, far_tree)
-
-    # Owning cluster per overlay node = the assignment of the smallest
-    # far-field cube containing it: original far cubes keep their brute
-    # assignment, closure nodes inherit from the nearest original ancestor.
-    original = {(int(zz), int(ll)): int(s) for zz, ll, s in zip(far_z, far_l, far_site)}
-    far_node_site = np.full(far_tree.size, -1, dtype=np.int64)
-    for v in range(far_tree.size):
-        got = original.get((int(far_tree.z[v]), int(far_tree.level[v])))
-        far_node_site[v] = got if got is not None else far_node_site[far_tree.parent[v]]
 
     max_level = w_tree.max_level
     childmap: dict[tuple[int, int], list[tuple[int, int]]] = {}

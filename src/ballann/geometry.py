@@ -173,13 +173,6 @@ class CanonicalCube:
         # Closed-body semantics: tangency counts as intersection.
         return self.min_dist_to_point(b.center) <= b.radius
 
-    def intersects_box(self, lo: Sequence[float], hi: Sequence[float]) -> bool:
-        s = self.side
-        for c, a, b in zip(self.coords, lo, hi):
-            if (c + 1) * s < a or c * s > b:
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class LiftedPoint:
@@ -462,15 +455,8 @@ def product_dist(a: LiftedPoint, b: LiftedPoint) -> float:
     return math.dist(a.spatial, b.spatial) + abs(a.last - b.last)
 
 
-def packing_constant(d: int, override: int | None = None) -> int:
-    """Upper bound on disjoint balls of radius >= r meeting a radius-r ball.
-
-    Defaults to 3^d, always valid; callers may assert a tighter constant.
-    """
+def packing_constant(d: int) -> int:
+    """Upper bound on disjoint balls of radius >= r meeting a radius-r ball: 3^d."""
     if d < 1:
         raise InputError("dimension must be at least 1")
-    if override is not None:
-        if override < 2:
-            raise InputError(f"packing constant override must be at least 2, got {override}")
-        return int(override)
     return 3**d

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    Ball,
     InputError,
     InternalInvariantError,
     dist_point_ball,
@@ -137,9 +136,7 @@ def refine(reg: Registry, q, k: int, x: float, eps: float) -> KnnAnswer:
     level, clamped = grid_level_for_diameter(2.0 * r_q, ehat / 16.0, reg.dim)
     if clamped:
         return _exact_answer(reg, qt, k, eps)
-    large = reg.large_balls_intersecting(
-        Ball(qt, r_q), min_diameter=2.0 * ehat * x
-    )
+    large = reg.large_balls_intersecting(qt, r_q, 2.0 * ehat * x)
     d_large = dist_points_balls(qt, reg.centers[large], reg.radii[large])
     # Small candidates: every center whose own cell meets the padded ball.
     # The pad keeps every ball that could still be the k-th inside the net,

@@ -4,11 +4,17 @@ Two trees share the work: `ball_tree` stores the grid cells every ball
 registers to (plus ancestors closing the tree), `centers_tree` stores the
 ball centers as points.  On top of them sit the four query primitives:
 
-  * exact retrieval of balls intersecting a region with a diameter floor,
+  * exact retrieval of the balls, with a diameter floor, that meet a query
+    ball,
   * 2-approximate k-th nearest center distance,
   * the ids of the centers whose grid cell meets a query ball, which both
     the approximate ball count and the eps refinement of `knn` build on,
   * the delta-monotone approximate count of balls meeting a query ball.
+
+The two grid primitives share one cost rule: they enumerate the grid cells
+around the query only while those cells (`grid_footprint`) are at most n,
+and otherwise test all n balls or centers directly; both paths return the
+same ids.
 
 Everything here works in normalized coordinates; the structure is immutable
 once built and all queries are pure.
@@ -22,21 +28,17 @@ import time
 import numpy as np
 
 from .geometry import (
-    Ball,
     InputError,
     InternalInvariantError,
     NormalizedInstance,
-    _extent_of,
     dist_points_balls,
     enumerate_grid_cells_ball,
-    enumerate_grid_cells_box,
     grid_coords,
     grid_footprint,
     grid_level_for_diameter,
     max_level_for_dim,
 )
 from .quadtree import (
-    CompressedQuadtree,
     build_from_cubes,
     build_from_points,
     concat_ranges,
@@ -46,12 +48,6 @@ from .quadtree import (
 # Not used by the build; bound here because perfbench/tracing.py wraps these names.
 from .geometry import grid_approx  # noqa: F401
 from .quadtree import cube_to_key  # noqa: F401
-
-# Grid footprints (see geometry.grid_footprint) above which enumerating the
-# cells would cost more than a linear scan over all balls, so the scan runs
-# instead (results are identical either way).
-DENSE_CELL_CAP = 4096
-RETRIEVAL_CELL_CAP = 65536
 
 # Exact-finish threshold for the k-th center distance frontier.
 EXACT_FINISH_COUNT = 256
@@ -88,14 +84,14 @@ class Registry:
         np.cumsum(counts, out=self._reg_off[1:])
         t2 = time.perf_counter()
 
-        # (3) Associated lists, with the per-node cube geometry they are
-        # filtered by (kept for the exact filters of the queries too).
-        self._node_lo, self._node_side = self._node_boxes(self.ball_tree)
+        # (3) Associated lists.
         self._assoc_off, self._assoc_ids = self._associated_lists()
         t3 = time.perf_counter()
 
-        # (4) Centers tree with exact subtree counts and witnesses.
+        # (4) Centers tree with exact subtree counts and witnesses, and its
+        # node boxes for the k-th center distance frontier.
         self.centers_tree = build_from_points(self.centers, dim=self.dim)
+        self._center_low = self.centers_tree.low_corners()
         t4 = time.perf_counter()
 
         lens = np.diff(self._assoc_off)
@@ -159,6 +155,8 @@ class Registry:
         registered ids, and keeps the survivors in that order.
         """
         tree = self.ball_tree
+        node_lo = tree.low_corners()
+        node_side = 2.0 ** (-tree.level.astype(np.float64))
         lens = np.zeros(tree.size, dtype=np.int64)
         pos = np.zeros(tree.size, dtype=np.int64)  # node -> index in its layer
         layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -182,8 +180,8 @@ class Registry:
             cand[concat_ranges(start, par_len)] = par_ids
             cand[concat_ranges(start + par_len, reg_len)] = reg_ids
             row = np.repeat(width, tot)
-            lo = self._node_lo[nodes[row]]
-            hi = lo + self._node_side[nodes[row], None]
+            lo = node_lo[nodes[row]]
+            hi = lo + node_side[nodes[row], None]
             c = self.centers[cand]
             gap = np.maximum(lo - c, 0.0) + np.maximum(c - hi, 0.0)
             keep = np.einsum("ij,ij->i", gap, gap) <= self.radii[cand] ** 2
@@ -212,91 +210,34 @@ class Registry:
     def associated_ids(self, node: int) -> np.ndarray:
         return self._assoc_ids[self._assoc_off[node] : self._assoc_off[node + 1]]
 
-    @staticmethod
-    def _node_boxes(tree: CompressedQuadtree) -> tuple[np.ndarray, np.ndarray]:
-        from .quadtree import morton_decode
-
-        lo = np.empty((tree.size, tree.dim), dtype=np.float64)
-        side = 2.0 ** (-tree.level.astype(np.float64))
-        for lev in np.unique(tree.level):
-            mask = tree.level == lev
-            coords = morton_decode(tree.z[mask], int(lev), tree.dim)
-            lo[mask] = coords * (2.0 ** (-int(lev)))
-        return lo, side
-
     # -- exact large-ball retrieval -------------------------------------------
 
-    def large_balls_intersecting(
-        self, X, delta: float | None = None, *, min_diameter: float | None = None
-    ) -> np.ndarray:
-        """Ids of balls intersecting X whose diameter is >= the floor (exact).
+    def large_balls_intersecting(self, q, radius: float, min_diameter: float) -> np.ndarray:
+        """Ids, ascending, of the balls that meet the closed ball(q, radius)
+        and whose diameter is at least `min_diameter` (ties count as large)."""
+        qa = np.asarray(q, dtype=np.float64)
+        cand = self._large_candidates(qa, radius, min_diameter)
+        cand = cand[2.0 * self.radii[cand] >= min_diameter]
+        return np.sort(cand[dist_points_balls(qa, self.centers[cand], self.radii[cand]) <= radius])
 
-        The floor is delta * diam(X), or `min_diameter` directly.  Ties count
-        as large.  X may be a Ball, a CanonicalCube, or a (lo, hi) box.
-        """
-        if (delta is None) == (min_diameter is None):
-            raise InputError("pass exactly one of delta or min_diameter")
-        ref, diam_x, kind = _extent_of(X)
-        if min_diameter is None:
-            if not (0.0 < delta <= 1.0):
-                raise InputError(f"delta must lie in (0, 1], got {delta}")
-            min_diameter = delta * diam_x
-        cand = self._large_candidates(X, ref, kind, float(min_diameter))
-        if cand.size == 0:
-            return cand
-        keep = 2.0 * self.radii[cand] >= min_diameter
-        cand = cand[keep]
-        return np.sort(cand[self._intersects_mask(X, kind, cand)])
-
-    def _intersects_mask(self, X, kind: str, ids: np.ndarray) -> np.ndarray:
-        c = self.centers[ids]
-        r = self.radii[ids]
-        if kind == "ball":
-            return dist_points_balls(X.center, c, r) <= X.radius
-        if kind == "cube":
-            lo = np.asarray(X.low)
-            hi = np.asarray(X.high)
-        else:
-            lo = np.asarray(X[0], dtype=np.float64)
-            hi = np.asarray(X[1], dtype=np.float64)
-        gap = np.maximum(lo - c, 0.0) + np.maximum(c - hi, 0.0)
-        return np.einsum("ij,ij->i", gap, gap) <= r * r
-
-    def _large_candidates(
-        self, X, ref, kind: str, min_diameter: float
-    ) -> np.ndarray:
-        """Superset of qualifying balls; grid path when cheap, else all ids."""
+    def _large_candidates(self, q: np.ndarray, radius: float, min_diameter: float) -> np.ndarray:
+        """Superset of the qualifying balls: the associated lists of the
+        grid cells around the ball when they are at most n, else all ids."""
         everything = np.arange(self.n, dtype=np.int64)
         if min_diameter <= 0.0:
             return everything
         level, clamped = grid_level_for_diameter(min_diameter, 1.0, self.dim)
-        if clamped:
+        if clamped or grid_footprint(q - radius, q + radius, level) > self.n:
             return everything
-        if kind == "ball":
-            lo_box = np.asarray(X.center, dtype=np.float64) - X.radius
-            hi_box = np.asarray(X.center, dtype=np.float64) + X.radius
-        elif kind == "cube":
-            lo_box = np.asarray(X.low, dtype=np.float64)
-            hi_box = np.asarray(X.high, dtype=np.float64)
-        else:
-            lo_box = np.asarray(X[0], dtype=np.float64)
-            hi_box = np.asarray(X[1], dtype=np.float64)
-        if grid_footprint(lo_box, hi_box, level) > RETRIEVAL_CELL_CAP:
-            return everything
-        if kind == "ball":
-            coords = enumerate_grid_cells_ball(X.center, X.radius, level)
-        else:
-            coords = enumerate_grid_cells_box(lo_box, hi_box, level)
+        coords = enumerate_grid_cells_ball(q, radius, level)
         if coords.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
-        codes = morton_encode(coords, level, self.dim)
-        nodes = self.ball_tree.locate_cells(codes, level)
-        nodes = np.unique(np.concatenate([nodes, self.ball_tree.parent[nodes]]))
+        tree = self.ball_tree
+        nodes = tree.locate_cells(morton_encode(coords, level, self.dim), level)
+        nodes = np.unique(np.concatenate([nodes, tree.parent[nodes]]))
         nodes = nodes[nodes >= 0]
-        parts = [self.associated_ids(int(v)) for v in nodes]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(parts))
+        start = self._assoc_off[nodes]
+        return np.unique(self._assoc_ids[concat_ranges(start, self._assoc_off[nodes + 1] - start)])
 
     # -- 2-approximate k-th center distance ------------------------------------
 
@@ -310,7 +251,9 @@ class Registry:
         with distance bounds [lo, hi] and exact counts, certify a k once the
         k-th cumulative hi is within twice the k-th cumulative lo, and fall
         back to exact selection over a small candidate set when the frontier
-        stops helping (ties, coincident centers, q on a center).
+        stops helping (ties, coincident centers, q on a center).  The
+        frontier is parallel arrays, and each round splits all its chosen
+        nodes at once.
         """
         ks = sorted({int(k) for k in ks})
         if ks[0] < 1:
@@ -318,75 +261,62 @@ class Registry:
         if ks[-1] > self.n:
             raise InputError(f"k={ks[-1]} exceeds the number of balls {self.n}")
         t = self.centers_tree
-        qt = tuple(float(v) for v in q)
-        root = t.node_cube(0)
-        # entry: [node, lo, hi, count, level]
-        entries: list[tuple[int, float, float, int, int]] = [
-            (0, root.min_dist_to_point(qt), root.max_dist_to_point(qt), self.n, 0)
-        ]
+        qa = np.asarray(q, dtype=np.float64)
+        nodes = np.zeros(1, dtype=np.int64)
+        lo, hi = self._center_box_dists(nodes, qa)
+        cnt = t.span_hi[nodes] - t.span_lo[nodes]
         results: dict[int, float] = {}
-        pending = set(ks)
+        pending = np.array(ks, dtype=np.int64)
         for _ in range(FRONTIER_MAX_ROUNDS):
-            lo = np.array([e[1] for e in entries])
-            hi = np.array([e[2] for e in entries])
-            cnt = np.array([e[3] for e in entries])
             o_lo = np.argsort(lo, kind="stable")
             o_hi = np.argsort(hi, kind="stable")
-            cum_lo = np.cumsum(cnt[o_lo])
-            cum_hi = np.cumsum(cnt[o_hi])
-            t_hi_max = 0.0
-            t_lo_min = math.inf
-            for k in sorted(pending):
-                t_lo = float(lo[o_lo[np.searchsorted(cum_lo, k)]])
-                t_hi = float(hi[o_hi[np.searchsorted(cum_hi, k)]])
-                if t_hi <= 2.0 * t_lo:
-                    results[k] = t_hi
-                else:
-                    t_hi_max = max(t_hi_max, t_hi)
-                    t_lo_min = min(t_lo_min, t_lo)
-            pending -= results.keys()
-            if not pending:
+            t_lo = lo[o_lo[np.searchsorted(np.cumsum(cnt[o_lo]), pending)]]
+            t_hi = hi[o_hi[np.searchsorted(np.cumsum(cnt[o_hi]), pending)]]
+            done = t_hi <= 2.0 * t_lo
+            results.update(zip(pending[done].tolist(), t_hi[done].tolist()))
+            pending, t_lo, t_hi = pending[~done], t_lo[~done], t_hi[~done]
+            if not pending.size:
                 return results
-            entries = [e for e in entries if e[1] <= t_hi_max]
-            active_total = sum(e[3] for e in entries)
-            splittable = [
-                e for e in entries if e[4] < t.max_level and e[2] > t_lo_min
-            ]
-            if active_total <= EXACT_FINISH_COUNT or not splittable:
+            keep = lo <= t_hi.max()
+            nodes, lo, hi, cnt = nodes[keep], lo[keep], hi[keep], cnt[keep]
+            split = (t.level[nodes] < t.max_level) & (hi > t_lo.min())
+            if cnt.sum() <= EXACT_FINISH_COUNT or not split.any():
                 break
-            chosen = {id(e) for e in splittable}
-            nxt = [e for e in entries if id(e) not in chosen]
-            for e in splittable:
-                kids = t.children(e[0])
-                csum = 0
-                for ci in kids:
-                    c = int(ci)
-                    m = t.count_in_node(c)
-                    csum += m
-                    cube = t.node_cube(c)
-                    nxt.append(
-                        (
-                            c,
-                            cube.min_dist_to_point(qt),
-                            cube.max_dist_to_point(qt),
-                            m,
-                            cube.level,
-                        )
-                    )
-                if csum != e[3]:
-                    raise InternalInvariantError("child counts must add up to the parent")
-            entries = nxt
-        # Exact finish over the remaining candidates.
-        ids = np.concatenate(
-            [t.point_ids_in_cube(int(t.z[e[0]]), int(t.level[e[0]])) for e in entries]
-        )
-        diff = self.centers[ids] - np.asarray(qt, dtype=np.float64)
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        for k in sorted(pending):
-            if dist.size < k:
-                raise InternalInvariantError("frontier lost candidates it still needed")
-            results[k] = float(np.partition(dist, k - 1)[k - 1])
+            par = nodes[split]
+            n_kids = t.child_off[par + 1] - t.child_off[par]
+            kids = t.child_idx[concat_ranges(t.child_off[par], n_kids)]
+            kid_cnt = t.span_hi[kids] - t.span_lo[kids]
+            run = np.concatenate([[0], np.cumsum(kid_cnt)])
+            ends = np.cumsum(n_kids)
+            if not np.array_equal(run[ends] - run[ends - n_kids], cnt[split]):
+                raise InternalInvariantError("child counts must add up to the parent")
+            kid_lo, kid_hi = self._center_box_dists(kids, qa)
+            nodes = np.concatenate([nodes[~split], kids])
+            lo = np.concatenate([lo[~split], kid_lo])
+            hi = np.concatenate([hi[~split], kid_hi])
+            cnt = np.concatenate([cnt[~split], kid_cnt])
+        # Exact finish over the centers of the remaining nodes.
+        ids = t.point_perm[concat_ranges(t.span_lo[nodes], cnt)]
+        if ids.size < pending[-1]:
+            raise InternalInvariantError("frontier lost candidates it still needed")
+        diff = self.centers[ids] - qa
+        dist = np.partition(np.sqrt(np.einsum("ij,ij->i", diff, diff)), pending - 1)
+        results.update(zip(pending.tolist(), dist[pending - 1].tolist()))
         return results
+
+    def _center_box_dists(self, nodes: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Min and max distance from q to each node's closed cube in the
+        centers tree, summed over the axes in order."""
+        lo = self._center_low[nodes]
+        side = 2.0 ** (-self.centers_tree.level[nodes].astype(np.float64))
+        near = np.zeros(nodes.size)
+        far = np.zeros(nodes.size)
+        for j in range(self.dim):
+            below = lo[:, j] - q[j]
+            above = q[j] - (lo[:, j] + side)
+            near += np.maximum(np.maximum(below, above), 0.0) ** 2
+            far += np.maximum(np.abs(below), np.abs(above)) ** 2
+        return np.sqrt(near), np.sqrt(far)
 
     # -- approximate ball-intersection count ------------------------------------
 
@@ -404,8 +334,7 @@ class Registry:
         qt = tuple(float(v) for v in q)
         if x == 0.0:
             return int(self.balls_containing_point(qt).size)
-        bq = Ball(qt, float(x))
-        large = self.large_balls_intersecting(bq, min_diameter=delta * x / 2.0)
+        large = self.large_balls_intersecting(qt, x, delta * x / 2.0)
         inflated = x * (1.0 + delta / 4.0)
         level, clamped = grid_level_for_diameter(
             2.0 * inflated, delta / 4.0, self.dim
@@ -418,12 +347,12 @@ class Registry:
         """Ids, ascending and minus `large`, of the centers whose own
         level-`level` cell meets the closed ball(q, radius).
 
-        Enumerates the cells around q when they are few, else tests the cell
-        of every center with the closed-body test of enumerate_grid_cells_ball;
-        both paths return the same ids.
+        Enumerates the cells around q when they are at most n, else tests
+        the cell of every center with the closed-body test of
+        enumerate_grid_cells_ball; both paths return the same ids.
         """
         qa = np.asarray(q, dtype=np.float64)
-        if grid_footprint(qa - radius, qa + radius, level) > DENSE_CELL_CAP:
+        if grid_footprint(qa - radius, qa + radius, level) > self.n:
             side = 2.0 ** (-level)
             lo = grid_coords(self.centers, level) * side
             hi = lo + side

@@ -245,25 +245,14 @@ def test_far_field_assignment_quality(centers, radii, eps):
     radii = np.asarray(radii, dtype=np.float64)
     dim = centers.shape[1]
     z, lev, _ = _far_field(centers, radii, eps, dim, None)
-    site = _assign_sites(z, lev, centers, radii, dim)
     tree = build_from_cubes((z, lev, dim))
-    original = {}
-    for j in range(z.size):
-        key = tree.find_key(int(z[j]), int(lev[j]))
-        assert key >= 0
-        if key not in original:
-            original[key] = int(site[j])
-        else:
-            original[key] = min(original[key], int(site[j]))
+    site = _assign_sites(tree, z, lev, centers, radii)
+    assert site.shape == (tree.size,) and site.min() >= 0
     rng = np.random.default_rng(13)
     worst = 1.0
     for _ in range(400):
         q = rng.random(dim)
-        node = tree.point_location(tuple(q))
-        while node >= 0 and node not in original:
-            node = int(tree.parent[node])
-        assert node >= 0
-        s = original[node]
+        s = int(site[tree.point_location(tuple(q))])
         lifted = np.linalg.norm(centers - q, axis=1) + radii
         got = float(lifted[s])
         best = float(lifted.min())

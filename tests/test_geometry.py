@@ -231,7 +231,6 @@ def test_packing_constant_values():
     assert packing_constant(1) == 3
     assert packing_constant(2) == 9
     assert packing_constant(3) == 27
-    assert packing_constant(2, override=5) == 5
 
 
 def test_product_norm_hand_values():

@@ -98,6 +98,10 @@ def _random_cubes(rng, dim, m, max_level=8):
     return out
 
 
+def _keys(tree):
+    return set(zip(tree.z.tolist(), tree.level.tolist()))
+
+
 def _brute_deepest(cubes, p):
     best = None
     for c in cubes:
@@ -142,7 +146,7 @@ def test_lca_closure_makes_sibling_fork_nodes():
     a = CanonicalCube(5, (0,))
     b = CanonicalCube(5, (31,))
     tree = build_from_cubes([a, b], dim=1)
-    keys = tree.keys()
+    keys = _keys(tree)
     assert cube_to_key(a) in keys and cube_to_key(b) in keys
     assert (0, 0) in keys  # root is the fork here
     assert tree.size == 3
@@ -194,6 +198,19 @@ def test_count_in_node_and_witness():
             assert cube.contains_point(pts[tree.witness_in_node(i)])
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_low_corners_match_node_cubes(dim):
+    rng = np.random.default_rng(31 + dim)
+    deep = max_level_for_dim(dim)
+    cubes = _random_cubes(rng, dim, 30)
+    cubes.append(CanonicalCube(deep, tuple(int(c) for c in rng.integers(0, 1 << deep, dim))))
+    tree = build_from_cubes(cubes, dim=dim)
+    low = tree.low_corners()
+    assert low.shape == (tree.size, dim)
+    for i in range(tree.size):
+        assert tuple(low[i]) == tree.node_cube(i).low
+
+
 def test_overlay_contains_both_trees():
     rng = np.random.default_rng(23)
     ca = _random_cubes(rng, 2, 25)
@@ -203,8 +220,8 @@ def test_overlay_contains_both_trees():
     za = np.concatenate([ta.z, tb.z])
     la = np.concatenate([ta.level, tb.level])
     overlay = build_from_cubes((za, la, 2))
-    keys = overlay.keys()
-    assert ta.keys() <= keys and tb.keys() <= keys
+    keys = _keys(overlay)
+    assert _keys(ta) <= keys and _keys(tb) <= keys
     # Point location in the overlay refines both inputs.
     cubes = {k: key_to_cube(k[0], k[1], 2) for k in keys}
     for _ in range(300):

@@ -8,9 +8,17 @@ from hypothesis import strategies as st
 
 from ballann import build_registry, generate_instance, normalize
 from ballann import registry as registry_module
-from ballann.geometry import Ball, InputError, grid_approx, grid_level_for_diameter
+from ballann.geometry import (
+    Ball,
+    InputError,
+    dist_point_ball,
+    grid_approx,
+    grid_cell,
+    grid_footprint,
+    grid_level_for_diameter,
+)
 from ballann.quadtree import cube_to_key
-from ballann.registry import Registry
+from ballann.registry import EXACT_FINISH_COUNT, Registry
 from ballann.oracle import exact_counts
 
 from conftest import make_registry
@@ -115,16 +123,25 @@ def test_counter_input_validation():
 # -- center-distance estimates ----------------------------------------------------
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_kth_center_distance_two_approx(dim):
-    reg = make_registry(40 + dim, dim, 64)
-    rng = np.random.default_rng(13)
-    for _ in range(200):
-        q = rng.random(dim)
-        k = int(rng.integers(1, reg.n + 1))
-        got = reg.approx_kth_center_distance(tuple(q), k)
-        truth = float(np.sort(np.linalg.norm(reg.centers - q, axis=1))[k - 1])
-        assert truth - 1e-12 <= got <= 2.0 * truth + 1e-12
+    rng = np.random.default_rng(13 + dim)
+    for profile in ("uniform", "clustered"):
+        reg = make_registry(40 + dim, dim, 600, profile=profile)
+        assert reg.n > EXACT_FINISH_COUNT  # the frontier must split nodes before it finishes
+        queries = [rng.random(dim) for _ in range(40)]
+        queries += [reg.centers[int(i)] for i in rng.integers(reg.n, size=10)]  # exactly on a center
+        for _ in range(10):  # outside the unit cube on axis 0, perhaps on others
+            q = rng.uniform(-0.5, 1.5, size=dim)
+            q[0] = rng.choice([-0.3, 1.3])
+            queries.append(q)
+        for q in queries:
+            ks = [1, reg.n] + rng.integers(1, reg.n + 1, size=4).tolist()
+            got = reg.approx_kth_center_distances(q, ks)
+            dist = np.sort(np.linalg.norm(reg.centers - q, axis=1))
+            for k in ks:
+                truth = float(dist[k - 1])
+                assert truth - 1e-12 <= got[k] <= 2.0 * truth + 1e-12
 
 
 def test_kth_center_distance_batched_matches_single():
@@ -166,28 +183,88 @@ def test_center_range_sandwich(seed):
     assert count <= int((dist <= (1.0 + delta) * x).sum())
 
 
+def _count_enumerations(monkeypatch) -> list[int]:
+    """Count the registry's calls of enumerate_grid_cells_ball from now on:
+    the grid path of a query primitive makes one, its scan path none."""
+    calls = [0]
+    enumerate_cells = registry_module.enumerate_grid_cells_ball
+
+    def counted(*args):
+        calls[0] += 1
+        return enumerate_cells(*args)
+
+    monkeypatch.setattr(registry_module, "enumerate_grid_cells_ball", counted)
+    return calls
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_small_center_ids_scan_matches_enumeration(dim, monkeypatch):
     reg = make_registry(60 + dim, dim, 60, profile="clustered")
+    calls = _count_enumerations(monkeypatch)
     rng = np.random.default_rng(dim)
+    paths = set()
     for _ in range(40):
         q = rng.uniform(-0.1, 1.1, size=dim)
-        radius = float(rng.uniform(0.005, 0.4))
-        level, _ = grid_level_for_diameter(2.0 * radius, float(rng.choice([1.0, 0.5])), dim)
+        # A fixed level with radii over two decades puts the footprint on
+        # both sides of n.
+        level = int(rng.integers(1, 10))
+        radius = float(10.0 ** rng.uniform(-2.3, -0.3))
         some = np.sort(rng.choice(reg.n, size=reg.n // 4, replace=False))
         for large in (np.empty(0, dtype=np.int64), some):
-            got = {}
-            for cap in (-1, 10**18):  # -1 forces the scan, 10**18 the enumeration
-                monkeypatch.setattr(registry_module, "DENSE_CELL_CAP", cap)
-                got[cap] = reg.small_center_ids(q, radius, level, large)
-            assert np.array_equal(got[-1], got[10**18])
-            ids = got[-1]
+            before = calls[0]
+            ids = reg.small_center_ids(q, radius, level, large)
+            enumerated = calls[0] > before
+            assert enumerated == (grid_footprint(q - radius, q + radius, level) <= reg.n)
+            paths.add(enumerated)
+            # Brute force: each center's closed cell against the closed ball.
+            skip = set(large.tolist())
+            want = [
+                i
+                for i in range(reg.n)
+                if i not in skip and grid_cell(level, reg.centers[i]).min_dist_to_point(q) <= radius
+            ]
+            assert ids.tolist() == want
             assert np.all(np.diff(ids) > 0)
             assert not np.isin(ids, large).any()
             # Every center inside the ball is there unless it is large.
             dist = np.linalg.norm(reg.centers - q, axis=1)
             inside = np.setdiff1d(np.flatnonzero(dist <= radius), large)
             assert np.isin(inside, ids).all()
+    assert paths == {True, False}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_large_balls_intersecting_matches_brute_force(dim, monkeypatch):
+    reg = make_registry(70 + dim, dim, 60, profile="clustered")
+    calls = _count_enumerations(monkeypatch)
+    balls = reg.instance.balls
+    rng = np.random.default_rng(dim)
+    paths = set()
+    ties = 0
+    for _ in range(60):
+        # Around a random ball, often reaching outside the unit cube.
+        b = int(rng.integers(reg.n))
+        q = reg.centers[b] + rng.uniform(-0.6, 0.6, size=dim)
+        radius = float(10.0 ** rng.uniform(-2.5, 0.0))
+        for min_diameter in (0.0, balls[b].diameter):
+            before = calls[0]
+            got = reg.large_balls_intersecting(q, radius, min_diameter)
+            if min_diameter > 0.0:
+                level, clamped = grid_level_for_diameter(min_diameter, 1.0, dim)
+                enumerated = calls[0] > before
+                assert enumerated == (
+                    not clamped and grid_footprint(q - radius, q + radius, level) <= reg.n
+                )
+                paths.add(enumerated)
+            want = [
+                i
+                for i, ball in enumerate(balls)
+                if ball.diameter >= min_diameter and dist_point_ball(q, ball) <= radius
+            ]
+            assert got.tolist() == want
+            ties += int(min_diameter > 0.0 and b in want)
+    assert paths == {True, False}
+    assert ties > 0  # the ball at the floor itself was retrieved
 
 
 def test_stats_present():
