@@ -11,7 +11,16 @@ ball realizing it, and the cluster owning the cell's far-field region.
 A certification sweep follows construction: cells whose stored data cannot
 yet guarantee a (1 +- eps) answer for every query inside them are split
 until the guarantee holds, the tree bottoms out, or the cell budget runs
-dry.  Queries answer from per-cell data alone; each answer branch re-checks
+dry.  The sweep takes its first-in-first-out queue a block of cells at a
+time.  A cell that a split makes carries its parent's estimate as a warm
+start, known when the cell joins the queue, so a block's cells get their
+representatives in one pass and their warm estimates from one batched
+refinement; the block's certify/split/budget decisions then run in queue
+order.  The overlay's own cells have no parent: each is warm-started from
+the overlay cell before it, so they are estimated one at a time.  The
+index is the one a cell-by-cell sweep would build.
+
+Queries answer from per-cell data alone; each answer branch re-checks
 its own sufficient condition at query time, so answers are correct even in
 cells the sweep left uncertified, where the structure falls back to the
 full registry search.
@@ -36,7 +45,7 @@ from .geometry import (
     grid_footprint,
     grid_level_for_diameter,
 )
-from .knn import KnnAnswer, query, refine
+from .knn import KnnAnswer, query, refine, refine_many
 from .quadtree import (
     CompressedQuadtree,
     build_from_cubes,
@@ -80,6 +89,11 @@ _FAR_CAP = {1: 1024}
 _FAR_CAP_DEFAULT = 768
 
 _EMPTY = np.uint8(1)  # flags bit: children tile the cube, no query lands here
+
+# Queue cells the certification sweep estimates before deciding them, the
+# warm ones by one refine_many call.  The block bounds the per-cell objects
+# that wait for their decisions.
+_SWEEP_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -220,14 +234,34 @@ def _assign_sites(
     return site
 
 
+def _block_reps(
+    dim: int, max_level: int, keys: list[tuple[int, int]], childmap: dict[tuple[int, int], list[tuple[int, int]]]
+) -> list[np.ndarray | None]:
+    """Representative point per cell of one sweep block (see _region_rep).
+
+    A cell without stored children is its own region, represented by its
+    center; those centers come from one full-depth decode of their keys.
+    """
+    reps: list[np.ndarray | None] = [None] * len(keys)
+    leaves = [i for i, key in enumerate(keys) if not childmap[key]]
+    if leaves:
+        z = np.array([keys[i][0] for i in leaves], dtype=np.int64)
+        lev = np.array([keys[i][1] for i in leaves], dtype=np.int64)
+        coords = morton_decode(z, max_level, dim) >> (max_level - lev)[:, None]
+        centers = (coords.astype(np.float64) + 0.5) * np.ldexp(1.0, -lev)[:, None]
+        for i, c in zip(leaves, centers):
+            reps[i] = c
+    for i, key in enumerate(keys):
+        if childmap[key]:
+            reps[i] = _region_rep(dim, max_level, key, childmap[key])
+    return reps
+
+
 def _region_rep(dim: int, max_level: int, key: tuple[int, int], kids: list[tuple[int, int]]) -> np.ndarray | None:
-    """Center of the largest child-free dyadic sub-cube, or None when the
-    children tile the cube exactly.  Breadth-first by level, scanning
-    quadrants in key order, so the choice is deterministic."""
+    """Center of the largest child-free dyadic sub-cube of a cell with stored
+    children, or None when the children tile the cube exactly.  Breadth-first
+    by level, scanning quadrants in key order, so the choice is deterministic."""
     z, lev = key
-    if not kids:
-        coords = morton_decode(np.array([z], dtype=np.int64), lev, dim)[0]
-        return (coords.astype(np.float64) + 0.5) * (2.0 ** (-lev))
     cover = sum(1 << (dim * (max_level - kl)) for _, kl in kids)
     if cover >= 1 << (dim * (max_level - lev)):
         return None
@@ -253,6 +287,21 @@ def _region_rep(dim: int, max_level: int, key: tuple[int, int], kids: list[tuple
     raise InternalInvariantError("no free sub-cube despite partial coverage")
 
 
+def _warm_x(p: np.ndarray, hint: tuple[np.ndarray, float], sandwich: float) -> float | None:
+    """The 4-factor estimate at p that a hint certifies, or None.
+
+    A valid hint (point h, value v) with d_B(h,k) <= v <= sandwich*d_B(h,k)
+    brackets d_B(p,k) inside [v/sandwich - delta, v + delta] by the
+    Lipschitz property; x = (v + delta)/4 is a 4-factor estimate when the
+    bracket's low end is at least x/4.
+    """
+    hp, hv = hint
+    delta = float(np.linalg.norm(p - hp))
+    lo = hv / sandwich - delta
+    x = (hv + delta) / 4.0
+    return x if x > 0.0 and lo >= x / 4.0 else None
+
+
 def _kdist_at(
     reg: Registry,
     p: np.ndarray,
@@ -261,22 +310,59 @@ def _kdist_at(
     sandwich: float,
     hint: tuple[np.ndarray, float] | None,
 ) -> tuple[KnnAnswer, bool]:
-    """Estimate at p, warm-started from a nearby already-estimated point.
+    """Estimate at one point, warm-started from a nearby estimated point.
 
-    A valid hint (point h, value v) with d_B(h,k) <= v <= sandwich*d_B(h,k)
-    brackets d_B(p,k) inside [v/sandwich - delta, v + delta] by the
-    Lipschitz property; when that bracket certifies the 4-factor promise,
-    the refinement stage runs directly and the estimation descent is
-    skipped.  Results carry the same accuracy either way.
+    When the hint certifies a 4-factor estimate (_warm_x), the refinement
+    stage runs directly and the estimation descent is skipped; otherwise
+    the full registry query runs.  Results carry the same accuracy either
+    way.  The sweep estimates the overlay's cells this way, one at a time,
+    because each one's hint is the estimate of the cell before it; the
+    cells that splits make are hinted by their parents and go through
+    _block_kdists, which decides warm or cold the same way per cell and
+    refines a block's warm cells in one refine_many call.
     """
-    if hint is not None:
-        hp, hv = hint
-        delta = float(np.linalg.norm(p - hp))
-        lo = hv / sandwich - delta
-        x = (hv + delta) / 4.0
-        if x > 0.0 and lo >= x / 4.0:
-            return refine(reg, p, k, x, eps_in), True
+    x = None if hint is None else _warm_x(p, hint, sandwich)
+    if x is not None:
+        return refine(reg, p, k, x, eps_in), True
     return query(reg, p, k, eps_in), False
+
+
+def _block_kdists(
+    reg: Registry,
+    reps: list[np.ndarray | None],
+    hints: list[tuple[np.ndarray, float] | None],
+    k: int,
+    eps_in: float,
+    sandwich: float,
+    rolling: tuple[np.ndarray, float] | None,
+) -> tuple[list[tuple[KnnAnswer, bool] | None], tuple[np.ndarray, float] | None]:
+    """_kdist_at for every cell of a sweep block that has a representative,
+    and the rolling hint after the block.
+
+    A cell without a hint is an overlay cell: it takes the rolling hint,
+    the estimate of the overlay cell before it.
+    """
+    out: list[tuple[KnnAnswer, bool] | None] = [None] * len(reps)
+    warm: list[int] = []
+    xs: list[float] = []
+    for i, (rep, hint) in enumerate(zip(reps, hints)):
+        if rep is None:
+            continue
+        if hint is None:
+            out[i] = _kdist_at(reg, rep, k, eps_in, sandwich, rolling)
+            rolling = (rep, out[i][0].distance / (1.0 - eps_in))
+            continue
+        x = _warm_x(rep, hint, sandwich)
+        if x is None:
+            out[i] = (query(reg, rep, k, eps_in), False)
+        else:
+            warm.append(i)
+            xs.append(x)
+    if warm:
+        answers = refine_many(reg, np.stack([reps[i] for i in warm]), k, xs, eps_in)
+        for i, ans in zip(warm, answers):
+            out[i] = (ans, True)
+    return out, rolling
 
 
 def build_avd(
@@ -318,6 +404,7 @@ def build_avd(
     clusters = ball_quorum(reg, k)
     centers = np.stack([np.asarray(c.center, dtype=np.float64) for c in clusters])
     radii = np.array([c.radius for c in clusters], dtype=np.float64)
+    t_quorum = time.perf_counter()
 
     near_z, near_l, co_near = _near_field(centers, radii, eps, z1, dim, near_cap)
     far_z, far_l, co_far = _far_field(centers, radii, eps, dim, far_cap)
@@ -327,6 +414,7 @@ def build_avd(
     far_tree = build_from_cubes((far_z, far_l, dim))
     far_node_site = _assign_sites(far_tree, far_z, far_l, centers, radii)
     near_tree = build_from_cubes((near_z, near_l, dim))
+    t_fields = time.perf_counter()
     w_tree, _, back_far = overlay(near_tree, far_tree)
 
     max_level = w_tree.max_level
@@ -342,64 +430,76 @@ def build_avd(
             raise InternalInvariantError("overlay back pointer lost its source cube")
         sitemap[key] = int(far_node_site[fv])
     overlay_pre_split = w_tree.size
+    t_overlay = time.perf_counter()
 
     # Certification sweep.  lm lower-bounds d_B(q, k) for every q in the
     # cube: kdist/sandwich <= d_B(rep, k), and d_B is 1-Lipschitz in q.
     # A cell is certified when one query branch (small cell, near the
     # representative, owning cluster; the query-time order) answers every
     # point of it within (1 +- eps); the others are split while the tree
-    # depth and the cell budget allow.
+    # depth and the cell budget allow.  The queue is first in, first out,
+    # so the sweep runs breadth first: the overlay's cells, then the
+    # quadrants their splits made, and so on.  It takes the queue a block
+    # at a time.  A block's estimates are all computed before its
+    # decisions, which then run in queue order; every hint a block needs
+    # is known when the block starts, so the cells, splits and budget cut
+    # are those of a cell-by-cell sweep.
     sandwich = 1.0 + eps / 4.0
     eps_in = eps / _KDIST_SHRINK
     rows: dict[tuple[int, int], tuple[np.ndarray | None, float, int, int]] = {}
-    queue: deque[tuple[tuple[int, int], tuple[np.ndarray, float] | None]] = deque(
-        (key, None) for key in w_keys
+    # Queue entries: cell key, its parent's (rep, kdist) or None for an
+    # overlay cell, and its breadth-first layer.
+    queue: deque[tuple[tuple[int, int], tuple[np.ndarray, float] | None, int]] = deque(
+        (key, None, 0) for key in w_keys
     )
     rolling: tuple[np.ndarray, float] | None = None
-    splits = uncertified = warm_calls = cold_calls = 0
+    splits = uncertified = warm_calls = cold_calls = layers = 0
     while queue:
-        key, hint = queue.popleft()
-        kids = childmap[key]
-        rep = _region_rep(dim, max_level, key, kids)
-        if rep is None:
-            rows[key] = (None, 0.0, -1, int(_EMPTY))
-            continue
-        ans, warm = _kdist_at(reg, rep, k, eps_in, sandwich, hint if hint is not None else rolling)
-        warm_calls += int(warm)
-        cold_calls += int(not warm)
-        kd = ans.distance / (1.0 - eps_in)
-        rolling = (rep, kd)
-        j = sitemap[key]
-        lev = key[1]
-        diam = (2.0 ** (-lev)) * math.sqrt(dim)
-        lm = max(0.0, kd / sandwich - diam)
-        lam1 = float(np.linalg.norm(rep - centers[j])) + float(radii[j])
-        certified = (
-            diam <= (eps / 8.0) * lm
-            or diam <= (eps / 4.0) * lm
-            or (2.0 * float(radii[j]) <= eps * lm and lam1 + diam <= (1.0 + eps) * lm)
-        )
-        if certified or lev >= max_level or len(childmap) + (1 << dim) > cell_budget:
-            rows[key] = (rep, kd, ans.ball_id, 0)
-            uncertified += int(not certified)
-            continue
-        splits += 1
-        s = dim * (max_level - lev - 1)
-        buckets: dict[int, list[tuple[int, int]]] = {}
-        for kz, kl in kids:
-            buckets.setdefault((kz >> s) << s, []).append((kz, kl))
-        quadrants: list[tuple[int, int]] = []
-        for off in range(1 << dim):
-            qkey = (key[0] + (off << s), lev + 1)
-            quadrants.append(qkey)
-            got = buckets.get(qkey[0], [])
-            if any(kl == lev + 1 and kz == qkey[0] for kz, kl in got):
-                continue  # the quadrant is already a stored node
-            childmap[qkey] = got
-            sitemap[qkey] = j
-            queue.append((qkey, (rep, kd)))
-        childmap[key] = quadrants
-        rows[key] = (rep, kd, ans.ball_id, int(_EMPTY))
+        block = [queue.popleft() for _ in range(min(_SWEEP_BLOCK, len(queue)))]
+        keys = [key for key, _, _ in block]
+        reps = _block_reps(dim, max_level, keys, childmap)
+        kdists, rolling = _block_kdists(reg, reps, [hint for _, hint, _ in block], k, eps_in, sandwich, rolling)
+        for (key, _, layer), rep, got_kd in zip(block, reps, kdists):
+            layers = max(layers, layer + 1)
+            if rep is None:
+                rows[key] = (None, 0.0, -1, int(_EMPTY))
+                continue
+            ans, warm = got_kd
+            warm_calls += int(warm)
+            cold_calls += int(not warm)
+            kd = ans.distance / (1.0 - eps_in)
+            j = sitemap[key]
+            lev = key[1]
+            diam = (2.0 ** (-lev)) * math.sqrt(dim)
+            lm = max(0.0, kd / sandwich - diam)
+            lam1 = float(np.linalg.norm(rep - centers[j])) + float(radii[j])
+            certified = (
+                diam <= (eps / 8.0) * lm
+                or diam <= (eps / 4.0) * lm
+                or (2.0 * float(radii[j]) <= eps * lm and lam1 + diam <= (1.0 + eps) * lm)
+            )
+            if certified or lev >= max_level or len(childmap) + (1 << dim) > cell_budget:
+                rows[key] = (rep, kd, ans.ball_id, 0)
+                uncertified += int(not certified)
+                continue
+            splits += 1
+            s = dim * (max_level - lev - 1)
+            buckets: dict[int, list[tuple[int, int]]] = {}
+            for kz, kl in childmap[key]:
+                buckets.setdefault((kz >> s) << s, []).append((kz, kl))
+            quadrants: list[tuple[int, int]] = []
+            for off in range(1 << dim):
+                qkey = (key[0] + (off << s), lev + 1)
+                quadrants.append(qkey)
+                got = buckets.get(qkey[0], [])
+                if any(kl == lev + 1 and kz == qkey[0] for kz, kl in got):
+                    continue  # the quadrant is already a stored node
+                childmap[qkey] = got
+                sitemap[qkey] = j
+                queue.append((qkey, (rep, kd), layer + 1))
+            childmap[key] = quadrants
+            rows[key] = (rep, kd, ans.ball_id, int(_EMPTY))
+    t_sweep = time.perf_counter()
 
     all_z = np.array([key[0] for key in rows], dtype=np.int64)
     all_l = np.array([key[1] for key in rows], dtype=np.int64)
@@ -422,6 +522,7 @@ def build_avd(
         kwit[v] = wit
         site[v] = sitemap[key]
         flag_arr[v] = fl
+    t_end = time.perf_counter()
 
     stats = {
         "n": n,
@@ -442,7 +543,13 @@ def build_avd(
         "empty_cells": int(np.count_nonzero(flag_arr & _EMPTY)),
         "knn_calls_warm": warm_calls,
         "knn_calls_cold": cold_calls,
-        "build_seconds": time.perf_counter() - t0,
+        "sweep_layers": layers,
+        "quorum_s": t_quorum - t0,
+        "fields_s": t_fields - t_quorum,
+        "overlay_s": t_overlay - t_fields,
+        "sweep_s": t_sweep - t_overlay,
+        "assemble_s": t_end - t_sweep,
+        "build_seconds": t_end - t0,
     }
     return AVDIndex(
         tree=tree,

@@ -10,6 +10,7 @@ transform converts to and from the normalized cube.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import statistics
 import sys
@@ -104,11 +105,13 @@ def _cmd_build(args) -> int:
         bio.save_avd(args.out, a)
         print(f"index: approximate-voronoi cells={a.tree.size} clusters={len(a.clusters)}")
         print(f"built in {elapsed:.3f}s, uncertified={a.stats['uncertified']}")
+        print(json.dumps(a.stats))
     else:
         floor = args.eps if args.eps is not None else _DEFAULT_FLOOR
         reg = build_registry(normalize(balls, floor))
         bio.save_registry(args.out, reg)
         print(f"index: registry n={reg.n} dim={reg.dim} nodes={reg.ball_tree.size}")
+        print(json.dumps(reg.stats))
     return 0
 
 
@@ -365,7 +368,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--out", default=None)
     g.set_defaults(func=_cmd_gen)
 
-    b = sub.add_parser("build", help="build an index file from a ball file")
+    b = sub.add_parser("build", help="build an index file from a ball file; prints its build stats as one JSON line")
     b.add_argument("ballfile")
     b.add_argument("--k", type=int, default=None)
     b.add_argument("--eps", type=float, default=None)

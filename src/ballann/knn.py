@@ -7,10 +7,25 @@ a fine grid and runs a weighted selection to land within (1 +- eps).
 
 The returned distance is always the exact distance to a real input ball; the
 approximation lives in which ball gets picked.
+
+Refinement runs on rows (`refine_many`; `refine` is its one-row case), in
+chunks of at most about REFINE_CHUNK_PAIRS (row, ball) pairs.  One block of
+center distances per chunk yields every row's large balls and a prefilter
+for its small candidates.  A small candidate is a center whose own grid
+cell meets the closed ball(q, r_snap); the center lies in that cell, so it
+is within r_snap plus the cell diameter side*sqrt(d) of q.  A row with no
+other center that close has no small candidate: its candidates are its
+large balls, each of weight 1, and its answer is their k-th (distance, id)
+pair, found by partition.  On the other rows the exact closed cell test
+of `Registry.small_center_ids` runs on the centers that pass the prefilter
+only (`Registry.center_cells_meeting`), and the cell grouping follows.  The
+prefilter's reach is padded by the relative PREFILTER_SLACK, so float
+rounding cannot drop a center the exact test would keep.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +38,6 @@ from .geometry import (
     grid_coords,
     grid_level_for_diameter,
 )
-from .quadtree import morton_encode
 from .registry import Registry
 
 # The refinement runs internally at eps/EPS_HAT_SHRINK.  The snapping error
@@ -31,6 +45,14 @@ from .registry import Registry
 # the witness) totals about 10.4 * ehat * d_k in the worst case, so /8 would
 # overshoot the stated bound while /16 leaves margin.
 EPS_HAT_SHRINK = 16.0
+
+# refine_many works on chunks of rows holding at most about this many
+# (row, ball) pairs, which bounds the memory of its distance blocks.
+REFINE_CHUNK_PAIRS = 1 << 16
+
+# Relative pad on the small-candidate prefilter's reach, far above the few
+# ulps by which a float center distance or cell test can be off.
+PREFILTER_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -110,50 +132,136 @@ def _exact_answer(reg: Registry, q, k: int, eps: float) -> KnnAnswer:
 
 
 def refine(reg: Registry, q, k: int, x: float, eps: float) -> KnnAnswer:
-    """Sharpen a 4-factor estimate x into a (1 +- eps) witness ball.
+    """Sharpen a 4-factor estimate x into a (1 +- eps) witness ball: the
+    one-row case of `refine_many`."""
+    return refine_many(reg, [q], k, [x], eps)[0]
 
-    Large balls (radius >= ehat*x) near the query are handled exactly; the
-    rest enter as their centers snapped to a grid cell, weighted by how many
-    centers share the cell.  A weighted selection picks the k-th candidate;
-    ties order by the candidate's stored id key so reruns reproduce.
+
+def refine_many(reg: Registry, points, k: int, xs, eps: float) -> list[KnnAnswer]:
+    """Sharpen the 4-factor estimate xs[i] at points[i] into a (1 +- eps)
+    witness ball, for every row i.
+
+    Large balls (diameter >= 2*ehat*x) that meet ball(q, r_q) enter exactly;
+    the rest enter as their centers snapped to a grid cell, weighted by how
+    many centers share the cell.  A weighted selection picks the k-th
+    candidate; ties order by the candidate's id key so reruns reproduce.
+    A row with x = 0 must lie inside at least k balls, and a row whose grid
+    would be deeper than the exact levels gets an exact scan.
     """
     _check_qk(reg, k)
     if not 0.0 < eps < 1.0:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
-    if x < 0.0:
-        raise InputError(f"estimate must be nonnegative, got {x}")
     k = int(k)
-    qt = tuple(float(v) for v in q)
-    if x == 0.0:
-        inside = reg.balls_containing_point(qt)
-        if inside.size < k:
-            raise InternalInvariantError(
-                "x=0 requires q to lie inside at least k balls"
-            )
-        return KnnAnswer(int(inside.min()), 0.0, (0.0, 0.0))
+    pts = np.asarray(points, dtype=np.float64)
+    xa = np.asarray(xs, dtype=np.float64).reshape(-1)
+    if pts.ndim != 2 or pts.shape != (xa.size, reg.dim):
+        raise InputError(
+            f"expected {xa.size} points of dimension {reg.dim}, got shape {pts.shape}"
+        )
+    if not np.all(xa >= 0.0):
+        raise InputError(f"estimate must be nonnegative, got {xa[~(xa >= 0.0)][0]}")
     ehat = eps / EPS_HAT_SHRINK
-    r_q = 4.0 * x * (1.0 + ehat)
-    level, clamped = grid_level_for_diameter(2.0 * r_q, ehat / 16.0, reg.dim)
-    if clamped:
-        return _exact_answer(reg, qt, k, eps)
-    large = reg.large_balls_intersecting(qt, r_q, 2.0 * ehat * x)
-    d_large = dist_points_balls(qt, reg.centers[large], reg.radii[large])
-    # Small candidates: every center whose own cell meets the padded ball.
-    # The pad keeps every ball that could still be the k-th inside the net,
-    # while anything farther sits strictly above the selection threshold.
-    r_snap = r_q + ehat * x
-    small = reg.small_center_ids(qt, r_snap, level, large)
+    out: list[KnnAnswer | None] = [None] * xa.size
+    rows: list[int] = []
+    levels: list[int] = []
+    for i, x in enumerate(xa.tolist()):
+        if x == 0.0:
+            inside = reg.balls_containing_point(pts[i])
+            if inside.size < k:
+                raise InternalInvariantError(
+                    "x=0 requires q to lie inside at least k balls"
+                )
+            out[i] = KnnAnswer(int(inside.min()), 0.0, (0.0, 0.0))
+            continue
+        r_q = 4.0 * x * (1.0 + ehat)
+        level, clamped = grid_level_for_diameter(2.0 * r_q, ehat / 16.0, reg.dim)
+        if clamped:
+            out[i] = _exact_answer(reg, pts[i], k, eps)
+            continue
+        rows.append(i)
+        levels.append(level)
+    qs, xs_rows = pts[rows], xa[rows]
+    step = max(1, REFINE_CHUNK_PAIRS // reg.n)
+    for lo in range(0, len(rows), step):
+        hi = lo + step
+        for i, ans in zip(rows[lo:hi], _refine_chunk(reg, qs[lo:hi], xs_rows[lo:hi], levels[lo:hi], k, eps)):
+            out[i] = ans
+    return out
+
+
+def _refine_chunk(
+    reg: Registry, qs: np.ndarray, xs: np.ndarray, levels: list[int], k: int, eps: float
+) -> list[KnnAnswer]:
+    """refine_many on rows with x > 0 and an exact grid level."""
+    m, n = xs.size, reg.n
+    ehat = eps / EPS_HAT_SHRINK
+    r_q = 4.0 * xs * (1.0 + ehat)
+    # Small candidates: every center whose own cell meets the padded ball
+    # (q, r_snap).  The pad keeps every ball that could still be the k-th
+    # inside the net, while anything farther sits strictly above the
+    # selection threshold.
+    r_snap = r_q + ehat * xs
+    diff = (reg.centers[None, :, :] - qs[:, None, :]).reshape(m * n, reg.dim)
+    dist = np.einsum("ij,ij->i", diff, diff).reshape(m, n)
+    del diff
+    np.sqrt(dist, out=dist)
+    # A small candidate's center lies in its own cell, which meets
+    # ball(q, r_snap); so it lies within r_snap plus the cell diameter.
+    side = np.ldexp(1.0, -np.array(levels, dtype=np.int64))
+    reach = (r_snap + side * math.sqrt(reg.dim)) * (1.0 + PREFILTER_SLACK)
+    near = dist <= reach[:, None]
+    # From here on dist holds ball distances, in place of center distances.
+    np.maximum(np.subtract(dist, reg.radii, out=dist), 0.0, out=dist)
+    # The large set of large_balls_intersecting(q, r_q, 2*ehat*x), ties in.
+    large = (2.0 * reg.radii >= (2.0 * ehat * xs)[:, None]) & (dist <= r_q[:, None])
+    near &= ~large
+    maybe_small = near.any(axis=1)
+
+    wids = np.empty(m, dtype=np.int64)
+    plain = np.flatnonzero(~maybe_small)
+    if plain.size:
+        # Only large candidates, each of weight 1: the k-th (distance, id).
+        sub = slice(None) if plain.size == m else plain
+        est = np.where(large[sub], dist[sub], np.inf)
+        kth = np.partition(est, k - 1, axis=1)[:, k - 1].copy()
+        if not np.all(np.isfinite(kth)):
+            raise InternalInvariantError(
+                "selection ran out of candidates; the 4-factor estimate must be wrong"
+            )
+        rank = k - np.count_nonzero(est < kth[:, None], axis=1)
+        ties = np.cumsum(est == kth[:, None], axis=1, dtype=np.int32)
+        wids[plain] = np.argmax(ties >= rank[:, None], axis=1)
+    for r in np.flatnonzero(maybe_small).tolist():
+        ids = np.flatnonzero(large[r])
+        small = reg.center_cells_meeting(np.flatnonzero(near[r]), qs[r], float(r_snap[r]), levels[r])
+        wids[r] = _select_with_cells(reg, qs[r], k, levels[r], ids, dist[r, ids], small)
+    answers = []
+    for r in range(m):
+        wid = int(wids[r])
+        wdist = dist_point_ball(tuple(qs[r].tolist()), reg.instance.balls[wid])
+        answers.append(KnnAnswer(wid, wdist, (wdist / (1.0 + eps), wdist / (1.0 - eps))))
+    return answers
+
+
+def _select_with_cells(
+    reg: Registry, q: np.ndarray, k: int, level: int, large: np.ndarray, d_large: np.ndarray, small: np.ndarray
+) -> int:
+    """The k-th candidate's id, given the large balls with their distances
+    and the small centers, ascending, whose cells meet ball(q, r_snap)."""
     est, w, keys = d_large, np.ones(large.size, dtype=np.int64), large
     if small.size:
         # One candidate per grid cell at the cell center, weighted by its
         # small centers and keyed by the smallest of their ids.
         coords = grid_coords(reg.centers[small], level)
-        codes = morton_encode(coords, level, reg.dim)
+        # Row-major cell codes: dim * level <= 63 bits, so they fit.
+        codes = coords[:, 0]
+        for j in range(1, reg.dim):
+            codes = codes * (1 << level) + coords[:, j]
         order = np.argsort(codes, kind="stable")
         codes = codes[order]
-        first = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+        first = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
         cc = (coords[order[first]] + 0.5) * 2.0 ** (-level)
-        d_cells = np.sqrt(np.einsum("ij,ij->i", cc - qt, cc - qt))
+        d_cells = np.sqrt(np.einsum("ij,ij->i", cc - q, cc - q))
         est = np.concatenate([est, d_cells])
         w = np.concatenate([w, np.diff(np.append(first, codes.size))])
         keys = np.concatenate([keys, small[order[first]]])
@@ -164,9 +272,7 @@ def refine(reg: Registry, q, k: int, x: float, eps: float) -> KnnAnswer:
         raise InternalInvariantError(
             "selection ran out of candidates; the 4-factor estimate must be wrong"
         )
-    wid = int(keys[order[j]])
-    wdist = dist_point_ball(qt, reg.instance.balls[wid])
-    return KnnAnswer(wid, wdist, (wdist / (1.0 + eps), wdist / (1.0 - eps)))
+    return int(keys[order[j]])
 
 
 def query(reg: Registry, q, k: int, eps: float) -> KnnAnswer:

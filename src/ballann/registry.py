@@ -8,7 +8,9 @@ ball centers as points.  On top of them sit the four query primitives:
     ball,
   * 2-approximate k-th nearest center distance,
   * the ids of the centers whose grid cell meets a query ball, which both
-    the approximate ball count and the eps refinement of `knn` build on,
+    the approximate ball count and the eps refinement of `knn` build on
+    (the refinement runs the same cell test on the centers its prefilter
+    keeps, through `center_cells_meeting`),
   * the delta-monotone approximate count of balls meeting a query ball.
 
 The two grid primitives share one cost rule: they enumerate the grid cells
@@ -353,11 +355,7 @@ class Registry:
         """
         qa = np.asarray(q, dtype=np.float64)
         if grid_footprint(qa - radius, qa + radius, level) > self.n:
-            side = 2.0 ** (-level)
-            lo = grid_coords(self.centers, level) * side
-            hi = lo + side
-            gap = np.maximum(lo - qa, 0.0) + np.maximum(qa - hi, 0.0)
-            meets = np.einsum("ij,ij->i", gap, gap) <= radius * radius
+            meets = self._cells_meet(self.centers, qa, radius, level)
             meets[large] = False
             return np.flatnonzero(meets)
         coords = enumerate_grid_cells_ball(qa, radius, level)
@@ -365,6 +363,21 @@ class Registry:
         if large.size:
             ids = ids[~np.isin(ids, large)]
         return np.sort(ids)
+
+    def center_cells_meeting(self, ids: np.ndarray, q: np.ndarray, radius: float, level: int) -> np.ndarray:
+        """The ids, in their given order, whose center's own level-`level`
+        cell meets the closed ball(q, radius): the test of small_center_ids
+        on those centers only."""
+        return ids[self._cells_meet(self.centers[ids], q, radius, level)]
+
+    @staticmethod
+    def _cells_meet(centers: np.ndarray, q: np.ndarray, radius: float, level: int) -> np.ndarray:
+        """Whether each center's level-`level` cell meets the closed
+        ball(q, radius), by the closed-body test of enumerate_grid_cells_ball."""
+        side = 2.0 ** (-level)
+        lo = grid_coords(centers, level) * side
+        gap = np.maximum(lo - q, 0.0) + np.maximum(q - (lo + side), 0.0)
+        return np.einsum("ij,ij->i", gap, gap) <= radius * radius
 
     # -- exact helpers -----------------------------------------------------------
 

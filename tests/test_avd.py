@@ -214,13 +214,51 @@ def test_build_deterministic():
 
 def test_stats_inventory():
     a = _build(73, 1, 32, 8, 0.5)
+    phases = ("quorum_s", "fields_s", "overlay_s", "sweep_s", "assemble_s")
     for key in (
         "n", "dim", "k", "eps", "mode", "zeta1", "clusters", "I", "S", "W",
         "overlay_pre_split", "splits", "uncertified", "coarsened_near",
-        "coarsened_far", "empty_cells", "build_seconds",
+        "coarsened_far", "empty_cells", "sweep_layers", "build_seconds", *phases,
     ):
         assert key in a.stats
     assert a.stats["W"] == a.tree.size
+    for name in phases:
+        assert a.stats[name] >= 0.0
+    assert sum(a.stats[name] for name in phases) == pytest.approx(a.stats["build_seconds"], abs=1e-6)
+    # The overlay layer plus one layer per round of splits.
+    assert a.stats["sweep_layers"] >= 1 + (a.stats["splits"] > 0)
+
+
+@pytest.mark.parametrize(
+    "seed,dim,n,k,eps,zeta1,budget",
+    [
+        (74, 1, 64, 16, 0.25, 8.0, 400_000),
+        (75, 2, 100, 25, 0.5, None, 400_000),
+        (75, 2, 100, 25, 0.5, None, 4_000),
+        (76, 3, 60, 56, 0.5, None, 6_000),
+    ],
+)
+def test_block_sweep_matches_cell_by_cell_sweep(monkeypatch, seed, dim, n, k, eps, zeta1, budget):
+    """The block sweep builds the index a cell-by-cell sweep builds: one
+    cell per block and one refine_many row per chunk change nothing."""
+    import ballann.avd as avd
+    import ballann.knn as knn
+
+    a = _build(seed, dim, n, k, eps, zeta1=zeta1, cell_budget=budget)
+    monkeypatch.setattr(knn, "REFINE_CHUNK_PAIRS", 1)
+    monkeypatch.setattr(avd, "_SWEEP_BLOCK", 1)
+    b = _build(seed, dim, n, k, eps, zeta1=zeta1, cell_budget=budget)
+    assert a.stats["splits"] > 0 and a.stats["sweep_layers"] >= 2
+    if budget < 400_000:
+        # The budget stopped the splitting partway through a layer.
+        assert a.stats["uncertified"] > 0
+        assert a.stats["W"] <= budget
+    assert np.array_equal(a.tree.z, b.tree.z)
+    assert np.array_equal(a.tree.level, b.tree.level)
+    for name in ("rep", "kdist", "kdist_witness", "site", "flags"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for key in ("splits", "uncertified", "knn_calls_warm", "knn_calls_cold", "sweep_layers"):
+        assert a.stats[key] == b.stats[key], key
 
 
 # -- far-field quality property ------------------------------------------------------

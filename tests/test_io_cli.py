@@ -1,3 +1,4 @@
+import json
 import math
 import struct
 import subprocess
@@ -201,6 +202,20 @@ def test_cli_gen_build_query_audit_flow(tmp_path, capsys):
     assert "audit: PASS" in text
     for suite in ("integrity", "counter-sandwich", "constant-factor", "knn-two-sided", "quorum", "avd-queries", "avd-cells"):
         assert f"{suite}: pass" in text
+
+
+def test_cli_build_prints_stats_as_json(tmp_path, capsys):
+    ballfile = str(tmp_path / "x.balls")
+    assert _run(["gen", "--dim", "1", "--n", "32", "--seed", "5", "--out", ballfile]) == 0
+    capsys.readouterr()
+    assert _run(["build", ballfile, "--out", str(tmp_path / "reg.idx")]) == 0
+    reg_stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert reg_stats["n"] == 32 and "build_seconds" in reg_stats
+    assert _run(["build", ballfile, "--k", "8", "--eps", "0.5", "--out", str(tmp_path / "avd.idx")]) == 0
+    avd_stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert avd_stats["k"] == 8 and avd_stats["mode"] == "practical"
+    for key in ("quorum_s", "fields_s", "overlay_s", "sweep_s", "assemble_s", "sweep_layers", "W"):
+        assert key in avd_stats
 
 
 def test_cli_registry_query_needs_k_eps(tmp_path):

@@ -4,8 +4,24 @@ import numpy as np
 import pytest
 
 from ballann import build_registry, generate_instance, normalize
-from ballann.geometry import InputError, dist_point_ball
-from ballann.knn import KnnAnswer, constant_factor_detail, constant_factor_kth, query, refine
+from ballann.geometry import (
+    Ball,
+    InputError,
+    dist_point_ball,
+    dist_points_balls,
+    grid_coords,
+    grid_level_for_diameter,
+)
+import ballann.knn as knn
+from ballann.knn import (
+    KnnAnswer,
+    constant_factor_detail,
+    constant_factor_kth,
+    query,
+    refine,
+    refine_many,
+)
+from ballann.registry import Registry
 from ballann.oracle import exact_kth_distance
 
 from conftest import make_registry
@@ -101,6 +117,127 @@ def test_refine_zero_x_answers_inside_queries():
     ans = refine(reg, b.center, 1, 0.0, 0.5)
     assert ans.distance == 0.0
     assert dist_point_ball(b.center, reg.instance.balls[ans.ball_id]) == 0.0
+
+
+def _refine_reference(reg, q, k, x, eps):
+    """Witness id of the refinement one row at a time, without the
+    prefilter: every row runs the registry's large-ball retrieval and its
+    exact small-center cell test, then the weighted selection."""
+    ehat = eps / knn.EPS_HAT_SHRINK
+    r_q = 4.0 * x * (1.0 + ehat)
+    level, clamped = grid_level_for_diameter(2.0 * r_q, ehat / 16.0, reg.dim)
+    if clamped:  # the grid would be too fine: exact k-th (distance, id)
+        d = dist_points_balls(q, reg.centers, reg.radii).tolist()
+        return sorted(range(reg.n), key=lambda i: (d[i], i))[k - 1]
+    large = reg.large_balls_intersecting(q, r_q, 2.0 * ehat * x)
+    est = list(zip(dist_points_balls(q, reg.centers[large], reg.radii[large]).tolist(), large.tolist()))
+    weight = [1] * len(est)
+    small = reg.small_center_ids(q, r_q + ehat * x, level, large)
+    cells = {}
+    for i in small.tolist():
+        cells.setdefault(tuple(grid_coords(reg.centers[i : i + 1], level)[0].tolist()), []).append(i)
+    for coords, ids in cells.items():
+        cc = (np.array(coords) + 0.5) * 2.0 ** (-level)
+        est.append((float(np.sqrt(np.einsum("i,i->", cc - q, cc - q))), min(ids)))
+        weight.append(len(ids))
+    order = sorted(range(len(est)), key=lambda j: est[j])
+    total = 0
+    for j in order:
+        total += weight[j]
+        if total >= k:
+            return est[j][1]
+    raise AssertionError("ran out of candidates")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_refine_many_matches_one_row_refine(monkeypatch, dim):
+    """Row for row, refine_many answers as refine does, on chunks of a few
+    rows, picks the reference's witness, and every answer is within
+    (1 +- eps) of the true k-th distance."""
+    reg = make_registry(90 + dim, dim, 40, profile="nested-huge" if dim % 2 else "uniform")
+    monkeypatch.setattr(knn, "REFINE_CHUNK_PAIRS", 7 * reg.n)  # 7 rows a chunk
+    cells = []
+    real_cells = Registry.center_cells_meeting
+
+    def counted(self, *args):
+        cells.append(1)
+        return real_cells(self, *args)
+
+    monkeypatch.setattr(Registry, "center_cells_meeting", counted)
+    rng = np.random.default_rng(41 + dim)
+    eps = 0.25
+    rows = cell_rows = zero_rows = 0
+    for k in (1, int(rng.integers(2, reg.n)), reg.n):
+        pts, xs = [], []
+        for i in range(24):
+            if i < 3:
+                q = np.array(reg.instance.balls[i].center)  # inside >= 1 ball
+            elif i < 9:
+                q = rng.random(dim) * 2.0 - 0.5  # mostly outside the unit cube
+            elif i < 18:
+                q = 0.5 + (rng.random(dim) - 0.5) * 0.15  # among the balls
+            else:
+                q = rng.random(dim)
+            truth = _truth(reg, q, k)
+            pts.append(q)
+            xs.append(truth * float(rng.uniform(0.26, 3.9)))
+        # A row whose grid would be deeper than the exact levels.
+        pts.append(rng.random(dim))
+        xs.append(1e-20)
+        del cells[:]
+        many = refine_many(reg, np.array(pts), k, xs, eps)
+        cell_rows += len(cells)
+        zero_rows += xs.count(0.0)
+        assert len(many) == len(pts)
+        for q, x, ans in zip(pts, xs, many):
+            if x > 0.0:
+                assert ans.ball_id == _refine_reference(reg, q, k, x, eps)
+            one = refine(reg, q, k, x, eps)
+            assert (ans.ball_id, ans.distance, ans.certified_interval) == (
+                one.ball_id,
+                one.distance,
+                one.certified_interval,
+            )
+            truth = _truth(reg, q, k)
+            tol = 1e-12 * max(1.0, truth)
+            assert (1.0 - eps) * truth - tol <= ans.distance <= (1.0 + eps) * truth + tol
+            lo, hi = ans.certified_interval
+            assert lo - tol <= truth <= hi + tol
+        rows += len(pts)
+    assert zero_rows >= 3
+    # The cell selection ran on some rows, the large-only selection on others.
+    assert 0 < cell_rows < rows - zero_rows - 3
+
+
+def test_refine_many_breaks_distance_ties_by_id():
+    # Five coincident balls and one apart: every ball is large, so the rows
+    # take the large-only selection, and equal distances order by id.
+    balls = [Ball((0.0, 0.0), 1.0)] * 5 + [Ball((6.0, 0.0), 1.0)]
+    reg = build_registry(normalize(balls, 0.5))
+    q = reg.instance.to_unit((0.0, 1.5))
+    truth = _truth(reg, q, 3)
+    answers = refine_many(reg, [q] * 5, 3, [truth] * 5, 0.5)
+    assert {a.ball_id for a in answers} == {2}
+    ans = refine_many(reg, [q], 5, [truth], 0.5)[0]
+    assert ans.ball_id == 4 and ans.distance == pytest.approx(truth)
+
+
+def test_refine_many_validation():
+    reg = make_registry(3, 2, 20)
+    pts = [(0.3, 0.4), (0.6, 0.1)]
+    with pytest.raises(InputError):
+        refine_many(reg, pts, 0, [0.1, 0.1], 0.5)
+    with pytest.raises(InputError):
+        refine_many(reg, pts, 3, [0.1, 0.1], 1.0)
+    with pytest.raises(InputError):
+        refine_many(reg, pts, 3, [0.1, -0.1], 0.5)
+    with pytest.raises(InputError):
+        refine_many(reg, pts, 3, [0.1, float("nan")], 0.5)
+    with pytest.raises(InputError):
+        refine_many(reg, pts, 3, [0.1], 0.5)
+    with pytest.raises(InputError):
+        refine_many(reg, [(0.3, 0.4, 0.5)], 3, [0.1], 0.5)
+    assert refine_many(reg, np.empty((0, 2)), 3, [], 0.5) == []
 
 
 # -- full query ----------------------------------------------------------------------

@@ -224,6 +224,9 @@ def test_small_center_ids_scan_matches_enumeration(dim, monkeypatch):
                 if i not in skip and grid_cell(level, reg.centers[i]).min_dist_to_point(q) <= radius
             ]
             assert ids.tolist() == want
+            # The same test on a given set of centers.
+            rest = np.setdiff1d(np.arange(reg.n), large)
+            assert reg.center_cells_meeting(rest, q, radius, level).tolist() == want
             assert np.all(np.diff(ids) > 0)
             assert not np.isin(ids, large).any()
             # Every center inside the ball is there unless it is large.
