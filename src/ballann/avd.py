@@ -421,14 +421,15 @@ def build_avd(
     childmap: dict[tuple[int, int], list[tuple[int, int]]] = {}
     sitemap: dict[tuple[int, int], int] = {}
     w_keys: list[tuple[int, int]] = []
+    far_node = far_tree.find_keys(w_tree.z[back_far], w_tree.level[back_far])
+    if (far_node < 0).any():
+        raise InternalInvariantError("overlay back pointer lost its source cube")
+    w_site = far_node_site[far_node].tolist()
     for v in range(w_tree.size):
         key = (int(w_tree.z[v]), int(w_tree.level[v]))
         w_keys.append(key)
         childmap[key] = [(int(w_tree.z[c]), int(w_tree.level[c])) for c in w_tree.children(v)]
-        fv = far_tree.find_key(int(w_tree.z[back_far[v]]), int(w_tree.level[back_far[v]]))
-        if fv < 0:
-            raise InternalInvariantError("overlay back pointer lost its source cube")
-        sitemap[key] = int(far_node_site[fv])
+        sitemap[key] = w_site[v]
     overlay_pre_split = w_tree.size
     t_overlay = time.perf_counter()
 

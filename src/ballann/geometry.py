@@ -31,6 +31,7 @@ __all__ = [
     "grid_index_box",
     "grid_footprint",
     "enumerate_grid_cells_ball",
+    "enumerate_grid_cells_balls",
     "enumerate_grid_cells_box",
     "lift",
     "product_norm",
@@ -365,20 +366,43 @@ def enumerate_grid_cells_ball(
 
     The ball is clipped to [0,1]^d; cells outside the unit cube do not exist.
     """
-    d = len(center)
-    box = grid_index_box([x - radius for x in center], [x + radius for x in center], level)
-    if box is None:
-        return np.empty((0, d), dtype=np.int64)
-    grids = np.meshgrid(*[np.arange(a, b + 1, dtype=np.int64) for a, b in box], indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=1)
-    # Exact closed-body filter: distance from the center to each cell box.
+    c = np.asarray(center, dtype=np.float64).reshape(1, -1)
+    return enumerate_grid_cells_balls(c, np.array([radius], dtype=np.float64), level)[0]
+
+
+def enumerate_grid_cells_balls(
+    centers: np.ndarray, radii: np.ndarray, level: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(coords (m, d), ball (m,)) of the level-`level` cells whose closed body
+    meets each ball, ball after ball.
+
+    Each ball's candidates are its grid_index_box, computed with the same
+    float operations, in C order; the closed-body test keeps the cells within
+    the radius of the center.
+    """
+    n, d = centers.shape
+    top = 1 << level
+    rad = radii[:, None]
+    a = np.maximum(np.floor((centers - rad) * top).astype(np.int64) - 1, 0)
+    b = np.minimum(np.floor((centers + rad) * top).astype(np.int64) + 1, top - 1)
+    span = b - a + 1
+    # Offsets over the widest box in C order; each ball keeps those in its own.
+    offsets = np.indices(np.maximum(span.max(axis=0, initial=0), 0)).reshape(d, -1).T
+    in_box = (offsets[None, :, :] < span[:, None, :]).all(axis=2)
+    count = in_box.sum(axis=1)
+    coords = np.repeat(a, count, axis=0) + offsets[np.nonzero(in_box)[1]]
+    # Exact closed-body filter: distance from the center to each cell box,
+    # computed in place to hold fewer (m, d) temporaries.
     side = 2.0 ** (-level)
-    lo_f = coords * side
-    hi_f = lo_f + side
-    c = np.asarray(center, dtype=np.float64)
-    gap = np.maximum(lo_f - c, 0.0) + np.maximum(c - hi_f, 0.0)
-    keep = np.einsum("ij,ij->i", gap, gap) <= radius * radius
-    return coords[keep]
+    c = np.repeat(centers, count, axis=0)
+    below = coords * side
+    above = below + side
+    np.maximum(np.subtract(below, c, out=below), 0.0, out=below)
+    np.maximum(np.subtract(c, above, out=above), 0.0, out=above)
+    gap = np.add(below, above, out=below)
+    r = np.repeat(radii, count)
+    keep = np.einsum("ij,ij->i", gap, gap) <= r * r
+    return coords[keep], np.repeat(np.arange(n, dtype=np.int64), count)[keep]
 
 
 def enumerate_grid_cells_box(

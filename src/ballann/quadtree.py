@@ -3,9 +3,11 @@
 A canonical cube at `level` maps to the key of its low corner at the maximum
 level M = max_level_for_dim(d); the cube owns the contiguous key range
 [z, z + 2^(d*(M-level))).  A tree is a sorted array of such (z, level) pairs,
-closed under pairwise least common ancestors, with parent links recovered by
-one stack sweep over (z asc, level asc) order.  All keys fit in a signed
-64-bit integer because d * M <= 63.
+closed under pairwise least common ancestors.  Every lookup is a search on
+those sorted arrays: a node's parent is the stored LCA of it and the node
+before it, and the deepest stored cube holding a key is found by one
+`searchsorted` and a short walk up the parent links.  All keys fit in a
+signed 64-bit integer because d * M <= 63.
 """
 
 from __future__ import annotations
@@ -79,6 +81,34 @@ def _compact_bits(x: np.ndarray, dim: int) -> np.ndarray:
     for shift, mask in _COMPACT2 if dim == 2 else _COMPACT3:
         x = (x | (x >> np.int64(shift))) & mask
     return x
+
+
+_SPREAD_INT = {2: [(s, int(m)) for s, m in _SPREAD2], 3: [(s, int(m)) for s, m in _SPREAD3]}
+
+
+def _spread_int(x: int, dim: int) -> int:
+    """_spread_bits on one Python int: bit b of x moves to bit b * dim."""
+    if dim == 1:
+        return x
+    if dim <= 3:
+        for shift, mask in _SPREAD_INT[dim]:
+            x = (x | (x << shift)) & mask
+        return x
+    out = 0
+    for bit in range(x.bit_length()):
+        out |= ((x >> bit) & 1) << (bit * dim)
+    return out
+
+
+def encode_point(p: Sequence[float], dim: int) -> int:
+    """encode_points for one point, as a Python int: the same floor and clip,
+    with no numpy call."""
+    top = 1 << max_level_for_dim(dim)
+    code = 0
+    for j, x in enumerate(p):
+        c = min(max(math.floor(x * top), 0), top - 1)
+        code |= _spread_int(c, dim) << (dim - 1 - j)
+    return code
 
 
 def morton_encode(coords: np.ndarray, level: int, dim: int) -> np.ndarray:
@@ -185,8 +215,6 @@ class CompressedQuadtree:
         self.shift = (self.max_level - self.level) * dim  # low bits owned per node
         self.z_hi = range_hi_inclusive(self.z, self.shift)
         self.parent = np.full(self.size, -1, dtype=np.int64)
-        self._key_index: dict[int, int] = {}
-        self._levels_present: list[int] = []
         self._level_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # Point attachment (present when built over points).
         self.has_points = False
@@ -199,40 +227,27 @@ class CompressedQuadtree:
     # -- construction ------------------------------------------------------
 
     def _finalize(self) -> None:
+        """Level tables, parent links and the child CSR, all from the sorted keys.
+
+        Node i - 1 either contains node i, and is then its parent, or lies
+        before it in z order outside it; then the smallest cube holding both
+        is i's parent, and it is stored because the tree is LCA-closed.  In
+        both cases the parent is the stored LCA of i - 1 and i.
+        """
         if self.size == 0 or self.z[0] != 0 or self.level[0] != 0:
             raise InternalInvariantError("tree must start at the root cube")
-        z_l = self.z.tolist()
-        lv_l = self.level.tolist()
-        sh_l = self.shift.tolist()
-        parent_l = [-1] * self.size
-        stack = [0]
-        for i in range(1, self.size):
-            zi = z_l[i]
-            li = lv_l[i]
-            while True:
-                t = stack[-1]
-                s = sh_l[t]
-                if (zi >> s) == (z_l[t] >> s) and lv_l[t] < li:
-                    break
-                stack.pop()
-            parent_l[i] = stack[-1]
-            stack.append(i)
-        self.parent = np.array(parent_l, dtype=np.int64)
+        for lev in np.unique(self.level).tolist():
+            idx = np.flatnonzero(self.level == lev)
+            self._level_tables[lev] = (self.z[idx], idx)
+        lca_z, lca_l = _pair_lcas(self.z[:-1], self.level[:-1], self.z[1:], self.level[1:], self.dim)
+        self.parent[1:] = self.find_keys(lca_z, lca_l)
+        if (self.parent[1:] < 0).any():
+            raise InternalInvariantError("tree must be closed under least common ancestors")
         # Children in CSR form, ordered by node index (z order within a parent).
         counts = np.bincount(self.parent[1:], minlength=self.size)
         self.child_off = np.zeros(self.size + 1, dtype=np.int64)
         np.cumsum(counts, out=self.child_off[1:])
-        self.child_idx = np.empty(max(self.size - 1, 0), dtype=np.int64)
-        fill = self.child_off[:-1].copy()
-        for i in range(1, self.size):
-            p = parent_l[i]
-            self.child_idx[fill[p]] = i
-            fill[p] += 1
-        self._key_index = {(zz << 6) | ll: i for i, (zz, ll) in enumerate(zip(z_l, lv_l))}
-        self._levels_present = sorted({int(l) for l in self.level}, reverse=True)
-        for lev in self._levels_present:
-            mask = self.level == lev
-            self._level_tables[lev] = (self.z[mask], np.flatnonzero(mask).astype(np.int64))
+        self.child_idx = np.argsort(self.parent[1:], kind="stable") + 1
 
     def attach_points(self, points: np.ndarray) -> None:
         """Attach point codes so every cube can report exact counts and a witness."""
@@ -271,17 +286,17 @@ class CompressedQuadtree:
 
     def find_key(self, z: int, level: int) -> int:
         """Node index of an exactly stored cube, or -1."""
-        return self._key_index.get((int(z) << 6) | int(level), -1)
+        return int(self.find_keys(np.array([z], dtype=np.int64), np.array([level], dtype=np.int64))[0])
 
     def find_keys(self, z: np.ndarray, level: np.ndarray) -> np.ndarray:
         """find_key over arrays of cubes: node index per exactly stored cube, or -1."""
         zz = np.asarray(z, dtype=np.int64)
         lv = np.asarray(level, dtype=np.int64)
         out = np.full(zz.size, -1, dtype=np.int64)
-        for lev in np.unique(lv):
-            if int(lev) not in self._level_tables:
+        for lev in np.unique(lv).tolist():
+            if lev not in self._level_tables:
                 continue
-            table_z, table_idx = self._level_tables[int(lev)]
+            table_z, table_idx = self._level_tables[lev]
             sel = np.flatnonzero(lv == lev)
             pos = np.minimum(np.searchsorted(table_z, zz[sel]), table_z.size - 1)
             hit = table_z[pos] == zz[sel]
@@ -289,17 +304,19 @@ class CompressedQuadtree:
         return out
 
     def deepest_stored_ancestor(self, z: int, level: int, proper: bool = False) -> int:
-        """Deepest stored cube containing (z, level); the root always matches."""
-        M, d = self.max_level, self.dim
-        for lev in self._levels_present:
-            if lev > level or (proper and lev == level):
-                continue
-            s = d * (M - lev)
-            key = ((z >> s) << s << 6) | lev
-            hit = self._key_index.get(key, -1)
-            if hit >= 0:
-                return hit
-        raise InternalInvariantError("root missing from level tables")
+        """Deepest stored cube containing (z, level); the root always matches.
+
+        The last node whose key is at most z lies inside that cube (or is
+        it), so the walk up its parent links from there stops at the answer.
+        """
+        lim = level - 1 if proper else level
+        if lim < 0:
+            raise InternalInvariantError("the root has no proper ancestor")
+        j = int(self.z.searchsorted(z, side="right")) - 1
+        z_hi, lv, parent = self.z_hi, self.level, self.parent
+        while z_hi[j] < z or lv[j] > lim:
+            j = int(parent[j])
+        return j
 
     def cell_query(self, cube: CanonicalCube) -> tuple[str, int, int | None]:
         """('node', i, None) exact hit; ('edge', u, v) bracketed by a compressed
@@ -320,33 +337,22 @@ class CompressedQuadtree:
 
     def point_location(self, p: Sequence[float]) -> int:
         """Node index of the smallest stored cube containing p; p in [0,1)^d."""
+        if len(p) != self.dim:
+            raise InputError(f"point dimension {len(p)} != tree dimension {self.dim}")
         if any(not (0.0 <= x < 1.0) for x in p):
             raise InputError(f"point {tuple(p)} outside [0,1)^d")
-        code = encode_points(np.asarray(p, dtype=np.float64).reshape(1, -1), self.dim)
-        return self.deepest_stored_ancestor(int(code[0]), self.max_level)
+        return self.deepest_stored_ancestor(encode_point(p, self.dim), self.max_level)
 
     def locate_cells(self, z: np.ndarray, level: int) -> np.ndarray:
-        """Deepest stored ancestor-or-self, vectorized over cubes of one level."""
+        """Deepest stored ancestor-or-self, vectorized over cubes of one level:
+        the search of deepest_stored_ancestor, every walk one step at a time."""
         zz = np.asarray(z, dtype=np.int64)
-        out = np.full(zz.size, -1, dtype=np.int64)
-        M, d = self.max_level, self.dim
-        for lev in self._levels_present:
-            if lev > level:
-                continue
-            todo = out < 0
-            if not todo.any():
-                break
-            s = np.int64(d * (M - lev))
-            prefix = (zz[todo] >> s) << s
-            table_z, table_idx = self._level_tables[lev]
-            pos = np.searchsorted(table_z, prefix)
-            pos_ok = pos < table_z.size
-            hit = np.zeros(prefix.size, dtype=bool)
-            hit[pos_ok] = table_z[pos[pos_ok]] == prefix[pos_ok]
-            idx = np.flatnonzero(todo)[hit]
-            out[idx] = table_idx[pos[hit]]
-        if (out < 0).any():
-            raise InternalInvariantError("cell located outside the root")
+        out = np.searchsorted(self.z, zz, side="right") - 1
+        todo = np.flatnonzero((self.z_hi[out] < zz) | (self.level[out] > level))
+        while todo.size:
+            up = self.parent[out[todo]]
+            out[todo] = up
+            todo = todo[(self.z_hi[up] < zz[todo]) | (self.level[up] > level)]
         return out
 
     def _point_spans(self, z, level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -385,22 +391,24 @@ def encode_points(points: np.ndarray, dim: int) -> np.ndarray:
     return morton_encode(ints, M, dim)
 
 
+def _pair_lcas(za, la, zb, lb, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(z, level) of the smallest cube holding both cubes (za, la) and (zb, lb)."""
+    M = max_level_for_dim(dim)
+    common = np.int64(dim * M) - _bit_length_i64(za ^ zb)
+    lca_level = np.minimum(np.minimum(la, lb), common // np.int64(dim))
+    s = (np.int64(M) - lca_level) * np.int64(dim)
+    return (za >> s) << s, lca_level
+
+
 def _lca_closure(z: np.ndarray, level: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Close a deduped (z asc, level asc) key list under pairwise LCAs.
 
     For keys in z order, the LCA set of consecutive pairs already generates
     all pairwise LCAs, so one pass suffices.
     """
-    M = max_level_for_dim(dim)
     if z.size <= 1:
         return z, level
-    za, zb = z[:-1], z[1:]
-    la, lb = level[:-1], level[1:]
-    xor = za ^ zb
-    common = np.int64(dim * M) - _bit_length_i64(xor)
-    lca_level = np.minimum(np.minimum(la, lb), common // np.int64(dim))
-    s = (np.int64(M) - lca_level) * np.int64(dim)
-    lca_z = (za >> s) << s
+    lca_z, lca_level = _pair_lcas(z[:-1], level[:-1], z[1:], level[1:], dim)
     all_z = np.concatenate([z, lca_z])
     all_l = np.concatenate([level, lca_level])
     return _dedupe_keys(all_z, all_l)
@@ -464,8 +472,8 @@ def overlay(t1: CompressedQuadtree, t2: CompressedQuadtree) -> tuple[
 ]:
     """Union tree plus, per node, the smallest containing cube from each source.
 
-    Returns (tree, back1, back2); back_i[j] is a node index in the overlay
-    whose key belongs to t_i, found by one top-down sweep.
+    Returns (tree, back1, back2); back_i[j] is the deepest ancestor-or-self
+    of overlay node j whose key belongs to t_i.
     """
     if t1.dim != t2.dim:
         raise InputError("overlay requires trees of one dimension")
@@ -473,18 +481,19 @@ def overlay(t1: CompressedQuadtree, t2: CompressedQuadtree) -> tuple[
     level = np.concatenate([t1.level, t2.level])
     z, level = _dedupe_keys(z, level)
     tree = build_from_cubes((z, level, t1.dim))
-    back1 = [-1] * tree.size
-    back2 = [-1] * tree.size
-    z_l = tree.z.tolist()
-    lv_l = tree.level.tolist()
-    par_l = tree.parent.tolist()
-    k1 = t1._key_index
-    k2 = t2._key_index
-    for j in range(tree.size):
-        key = (z_l[j] << 6) | lv_l[j]
-        p = par_l[j]
-        back1[j] = j if key in k1 else back1[p]
-        back2[j] = j if key in k2 else back2[p]
-    if back1[0] < 0 or back2[0] < 0:
+    back1 = _nearest_marked_ancestor(tree.parent, t1.find_keys(tree.z, tree.level) >= 0)
+    back2 = _nearest_marked_ancestor(tree.parent, t2.find_keys(tree.z, tree.level) >= 0)
+    return tree, back1, back2
+
+
+def _nearest_marked_ancestor(parent: np.ndarray, marked: np.ndarray) -> np.ndarray:
+    """Per node, its deepest marked ancestor-or-self, by pointer jumping up
+    the parent links; the root must be marked."""
+    if not marked[0]:
         raise InternalInvariantError("source trees must both contain the root")
-    return tree, np.array(back1, dtype=np.int64), np.array(back2, dtype=np.int64)
+    up = np.where(marked, np.arange(parent.size, dtype=np.int64), parent)
+    while True:
+        nxt = up[up]
+        if np.array_equal(nxt, up):
+            return up
+        up = nxt

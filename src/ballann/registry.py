@@ -35,6 +35,7 @@ from .geometry import (
     NormalizedInstance,
     dist_points_balls,
     enumerate_grid_cells_ball,
+    enumerate_grid_cells_balls,
     grid_coords,
     grid_footprint,
     grid_level_for_diameter,
@@ -116,33 +117,28 @@ class Registry:
 
         Ball b registers to the cells of grid_approx(b, 1): the cells of one
         level that its closed body meets, or, when its radius is 0, the
-        deepest cell holding its center.
+        deepest cell holding its center.  The level is that of
+        grid_level_for_diameter(2 r, 1, d), in array form, and the cells of
+        all balls on one level come from one enumerate_grid_cells_balls.
         """
         d = self.dim
         deepest = max_level_for_dim(d)
         top = 1 << deepest
-        levels = np.empty(self.n, dtype=np.int64)
-        parts: list[np.ndarray] = []
-        for i, b in enumerate(self.instance.balls):
-            if b.radius == 0.0:
-                p = np.clip(self.centers[i], 0.0, math.nextafter(1.0, 0.0))
-                levels[i] = deepest
-                parts.append(np.minimum(np.floor(p * top), top - 1).astype(np.int64)[None])
-                continue
-            levels[i], _ = grid_level_for_diameter(b.diameter, 1.0, d)
-            coords = enumerate_grid_cells_ball(b.center, b.radius, int(levels[i]))
-            if coords.shape[0] == 0:
-                raise InternalInvariantError(f"ball {i} has no registration cell")
-            parts.append(coords)
-        sizes = np.array([c.shape[0] for c in parts], dtype=np.int64)
-        coords = np.concatenate(parts) if parts else np.empty((0, d), dtype=np.int64)
-        ball = np.repeat(np.arange(self.n, dtype=np.int64), sizes)
-        cell_level = levels[ball]
-        z = np.empty(ball.size, dtype=np.int64)
-        for lev in np.unique(cell_level):
-            mask = cell_level == lev
-            z[mask] = morton_encode(coords[mask], int(lev), d)
-        return levels, z, ball
+        point = self.radii == 0.0
+        _, exp = np.frexp(2.0 * self.radii / math.sqrt(d))
+        levels = np.where(point, deepest, np.clip(1 - exp, 0, deepest)).astype(np.int64)
+        pts = np.flatnonzero(point)
+        p = np.clip(self.centers[pts], 0.0, math.nextafter(1.0, 0.0))
+        z_parts = [morton_encode(np.minimum(np.floor(p * top), top - 1).astype(np.int64), deepest, d)]
+        ball_parts = [pts]
+        for lev in np.unique(levels[~point]).tolist():
+            ids = np.flatnonzero(~point & (levels == lev))
+            coords, owner = enumerate_grid_cells_balls(self.centers[ids], self.radii[ids], lev)
+            if np.bincount(owner, minlength=ids.size).min() == 0:
+                raise InternalInvariantError("a ball has no registration cell")
+            z_parts.append(morton_encode(coords, lev, d))
+            ball_parts.append(ids[owner])
+        return levels, np.concatenate(z_parts), np.concatenate(ball_parts)
 
     def _associated_lists(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR (offsets, ids) of each node's associated list.

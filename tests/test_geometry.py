@@ -12,6 +12,7 @@ from ballann.geometry import (
     dist_point_ball,
     dist_points_balls,
     enumerate_grid_cells_ball,
+    enumerate_grid_cells_balls,
     enumerate_grid_cells_box,
     floor_log2,
     grid_approx,
@@ -222,6 +223,37 @@ def test_grid_footprint_bounds_enumeration(d, level, seed):
     lo = rng.uniform(-0.3, 1.3, size=d)
     hi = lo + rng.uniform(0.0, 0.5, size=d)
     assert len(enumerate_grid_cells_box(lo, hi, level)) <= grid_footprint(lo, hi, level)
+
+
+def _cells_meeting_ball_reference(center, radius, level):
+    """Per-ball meshgrid over grid_index_box plus the closed-body test: the
+    reference the batched enumeration must reproduce, row for row."""
+    box = grid_index_box([x - radius for x in center], [x + radius for x in center], level)
+    if box is None:
+        return np.empty((0, len(center)), dtype=np.int64)
+    grids = np.meshgrid(*[np.arange(a, b + 1, dtype=np.int64) for a, b in box], indexing="ij")
+    coords = np.stack([g.ravel() for g in grids], axis=1)
+    lo = coords * 2.0 ** (-level)
+    gap = np.maximum(lo - center, 0.0) + np.maximum(center - (lo + 2.0 ** (-level)), 0.0)
+    return coords[np.einsum("ij,ij->i", gap, gap) <= radius * radius]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_batched_ball_enumeration_matches_per_ball(d):
+    rng = np.random.default_rng(90 + d)
+    for level in range(0, 9):
+        n = int(rng.integers(1, 40))
+        centers = rng.uniform(-0.2, 1.2, size=(n, d))
+        # Radii up to three cells, some zero, some exactly on cell multiples.
+        radii = rng.uniform(0.0, 3.0, size=n) * 2.0 ** (-level)
+        radii[rng.random(n) < 0.2] = 0.0
+        radii[rng.random(n) < 0.2] = 2.0 ** (-level)
+        coords, ball = enumerate_grid_cells_balls(centers, radii, level)
+        want = [_cells_meeting_ball_reference(c, r, level) for c, r in zip(centers, radii)]
+        assert np.array_equal(coords, np.concatenate(want))
+        assert ball.tolist() == [i for i, w in enumerate(want) for _ in range(len(w))]
+        for c, r, w in zip(centers, radii, want):
+            assert np.array_equal(enumerate_grid_cells_ball(c, float(r), level), w)
 
 
 # -- lifting and packing ---------------------------------------------------------

@@ -1,17 +1,27 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballann.geometry import CanonicalCube, InputError, max_level_for_dim
+from ballann.geometry import (
+    CanonicalCube,
+    InputError,
+    InternalInvariantError,
+    max_level_for_dim,
+)
 from ballann.quadtree import (
+    CompressedQuadtree,
     build_from_cubes,
     build_from_points,
     cube_to_key,
+    encode_point,
     encode_points,
     key_to_cube,
     morton_decode,
     morton_encode,
+    overlay,
 )
 
 
@@ -56,6 +66,27 @@ def test_morton_exhaustive_small():
         assert len(set(z.tolist())) == len(z)  # injective
         assert np.array_equal(morton_decode(z, level, dim), coords)
         assert np.array_equal(z, reference_encode(coords, level, dim))
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6])
+def test_morton_round_trip_bit_loop_dims(dim):
+    # d >= 4 runs the bit-at-a-time path; take every level up to the deepest,
+    # with coordinates 0, 2^level - 1 and random values in between.
+    rng = np.random.default_rng(dim)
+    for level in range(max_level_for_dim(dim) + 1):
+        top = 1 << level
+        coords = np.concatenate(
+            [
+                np.zeros((1, dim), dtype=np.int64),
+                np.full((1, dim), top - 1, dtype=np.int64),
+                np.eye(dim, dtype=np.int64) * (top - 1),
+                rng.integers(0, top, size=(20, dim)),
+            ]
+        )
+        z = morton_encode(coords, level, dim)
+        assert np.array_equal(z, reference_encode(coords, level, dim))
+        assert np.array_equal(morton_decode(z, level, dim), coords)
+        assert z.min() >= 0
 
 
 def test_morton_order_is_hierarchical():
@@ -110,18 +141,35 @@ def _brute_deepest(cubes, p):
     return best
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 def test_point_location_matches_brute_force(dim):
     rng = np.random.default_rng(dim)
     cubes = _random_cubes(rng, dim, 40)
+    # A chain of nested cubes on one low corner: a point inside the coarsest
+    # but outside the next starts its search at the deepest, the longest walk.
+    chain = min(12, max_level_for_dim(dim))
+    cubes += [CanonicalCube(lev, (0,) * dim) for lev in range(1, chain + 1)]
     tree = build_from_cubes(cubes, dim=dim)
     stored = [key_to_cube(int(z), int(l), dim) for z, l in zip(tree.z, tree.level)]
     for c in cubes:
         assert (cube_to_key(c)) in {(int(z), int(l)) for z, l in zip(tree.z, tree.level)}
-    for _ in range(400):
-        p = tuple(rng.random(dim))
+    points = [tuple(rng.random(dim)) for _ in range(400)]
+    # Dyadic cell faces, the domain's corners, and the chain's faces from
+    # both sides.
+    edge = [0.0, 0.5, 0.25, 0.375, math.nextafter(1.0, 0.0)]
+    points += [tuple(float(v) for v in rng.choice(edge, size=dim)) for _ in range(100)]
+    for lev in range(1, chain + 1):
+        face = 2.0 ** (-lev)
+        for x in (face, math.nextafter(face, 0.0)):
+            points.append((x,) * dim)
+            points.append((x,) + (0.0,) * (dim - 1))
+    for p in points:
+        assert encode_point(p, dim) == int(encode_points(np.array([p]), dim)[0])
         node = tree.point_location(p)
         assert stored[node] == _brute_deepest(stored, p)
+    # Both encoders clip points outside the unit cube to its boundary cells.
+    for p in [(-0.25,) * dim, (1.0,) * dim, (1.5,) + (0.3,) * (dim - 1)]:
+        assert encode_point(p, dim) == int(encode_points(np.array([p]), dim)[0])
 
 
 def test_tree_orders_parents_before_children():
@@ -150,6 +198,106 @@ def test_lca_closure_makes_sibling_fork_nodes():
     assert cube_to_key(a) in keys and cube_to_key(b) in keys
     assert (0, 0) in keys  # root is the fork here
     assert tree.size == 3
+
+
+def _stack_sweep(tree):
+    """Parent links and child CSR by a stack sweep over (z asc, level asc)
+    order: the reference the array construction must reproduce."""
+    z_l, lv_l, sh_l = tree.z.tolist(), tree.level.tolist(), tree.shift.tolist()
+    parent = [-1] * tree.size
+    stack = [0]
+    for i in range(1, tree.size):
+        while True:
+            t = stack[-1]
+            if (z_l[i] >> sh_l[t]) == (z_l[t] >> sh_l[t]) and lv_l[t] < lv_l[i]:
+                break
+            stack.pop()
+        parent[i] = stack[-1]
+        stack.append(i)
+    child_off = [0] * (tree.size + 1)
+    for p in parent[1:]:
+        child_off[p + 1] += 1
+    for i in range(tree.size):
+        child_off[i + 1] += child_off[i]
+    fill = child_off[:-1]
+    child_idx = [0] * (tree.size - 1)
+    for i in range(1, tree.size):
+        child_idx[fill[parent[i]]] = i
+        fill[parent[i]] += 1
+    return parent, child_off, child_idx
+
+
+def _cubes_sharing_corners(rng, dim, m, max_level=8):
+    """Random cubes, each with descendants on its own low corner at deeper
+    levels, so that one z repeats over several levels."""
+    out = []
+    for c in _random_cubes(rng, dim, m, max_level):
+        out.append(c)
+        for deeper in rng.integers(c.level + 1, max_level + 3, size=int(rng.integers(0, 3))):
+            out.append(CanonicalCube(int(deeper), tuple(x << int(deeper - c.level) for x in c.coords)))
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_parents_and_children_match_stack_sweep(dim):
+    rng = np.random.default_rng(40 + dim)
+    most_levels = 0
+    for _ in range(12):
+        tree = build_from_cubes(_cubes_sharing_corners(rng, dim, int(rng.integers(1, 60))), dim=dim)
+        most_levels = max(most_levels, int(np.unique(tree.z, return_counts=True)[1].max()))
+        parent, child_off, child_idx = _stack_sweep(tree)
+        assert tree.parent.tolist() == parent
+        assert tree.child_off.tolist() == child_off
+        assert tree.child_idx.tolist() == child_idx
+    assert most_levels >= 3
+    tree = build_from_points(rng.random((80, dim)), dim=dim)
+    assert [a.tolist() for a in (tree.parent, tree.child_off, tree.child_idx)] == list(
+        _stack_sweep(tree)
+    )
+
+
+def test_tree_without_its_lcas_is_refused():
+    # Two sibling cubes at level 5 whose parent (level 4) is not stored.
+    z = np.array([0, 0, 1 << (max_level_for_dim(1) - 5)], dtype=np.int64)
+    with pytest.raises(InternalInvariantError):
+        CompressedQuadtree(1, z, np.array([0, 5, 5], dtype=np.int64))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_overlay_back_pointers_match_top_down_sweep(dim):
+    rng = np.random.default_rng(60 + dim)
+    for _ in range(6):
+        ta = build_from_cubes(_cubes_sharing_corners(rng, dim, 20), dim=dim)
+        tb = build_from_cubes(_cubes_sharing_corners(rng, dim, 20), dim=dim)
+        tree, back_a, back_b = overlay(ta, tb)
+        for src, back in ((ta, back_a), (tb, back_b)):
+            keys = _keys(src)
+            want = [-1] * tree.size
+            for j in range(tree.size):
+                inside = (int(tree.z[j]), int(tree.level[j])) in keys
+                want[j] = j if inside else want[int(tree.parent[j])]
+            assert back.tolist() == want
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cell_query_matches_brute_force(dim):
+    rng = np.random.default_rng(80 + dim)
+    tree = build_from_cubes(_cubes_sharing_corners(rng, dim, 30, max_level=6), dim=dim)
+    stored = [tree.node_cube(i) for i in range(tree.size)]
+    for q in _random_cubes(rng, dim, 300, max_level=9):
+        status, u, v = tree.cell_query(q)
+        if q in stored:
+            assert (status, u, v) == ("node", stored.index(q), None)
+            continue
+        ancestors = [i for i, c in enumerate(stored) if c.contains_cube(q)]
+        want_u = max(ancestors, key=lambda i: stored[i].level)
+        inside = [i for i in tree.children(want_u).tolist() if q.contains_cube(stored[i])]
+        assert u == want_u
+        assert len(inside) <= 1
+        if inside:
+            assert (status, v) == ("edge", inside[0])
+        else:
+            assert (status, v) == ("outside", None)
 
 
 def test_cell_query_reports_node_edge_outside():
@@ -238,3 +386,5 @@ def test_point_location_rejects_outside_domain():
         tree.point_location((1.0,))
     with pytest.raises(InputError):
         tree.point_location((-0.1,))
+    with pytest.raises(InputError):
+        tree.point_location((0.5, 0.5))
