@@ -5,7 +5,7 @@ answers (1+eps)-approximate k-th nearest ball queries in polylogarithmic time,
 and a sublinear-space Voronoi-style subdivision built on quorum clustering.
 """
 
-from .avd import AVDCell, AVDIndex, audit_cells, avd_query, build_avd, cell_view
+from .avd import AVDIndex, audit_cells, avd_query, build_avd
 from .datasets import PROFILES, generate_instance
 from .geometry import (
     Ball,
@@ -24,7 +24,6 @@ from .quorum import QuorumCluster, ball_quorum, verify_quorum
 from .registry import Registry, build_registry
 
 __all__ = [
-    "AVDCell",
     "AVDIndex",
     "Ball",
     "CanonicalCube",
@@ -40,7 +39,6 @@ __all__ = [
     "ball_quorum",
     "build_avd",
     "build_registry",
-    "cell_view",
     "constant_factor_kth",
     "dist_point_ball",
     "exact_counts",

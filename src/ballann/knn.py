@@ -26,7 +26,7 @@ rounding cannot drop a center the exact test would keep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -279,11 +279,16 @@ def query(reg: Registry, q, k: int, eps: float) -> KnnAnswer:
     """(1 +- eps)-approximate k-th nearest ball: estimate, then refine.
 
     The guarantee is position-free: the distance bounds never assume q lies
-    inside the unit cube, so arbitrary query points are certified too.
+    inside the unit cube, so arbitrary query points are certified too; the
+    answer to a point outside [0,1)^d is flagged out_of_domain.
     """
     if not 0.0 < eps < 1.0:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     x, step, wid = constant_factor_detail(reg, q, k)
     if step == "zero":
-        return KnnAnswer(wid, 0.0, (0.0, 0.0))
-    return refine(reg, q, k, x, eps)
+        ans = KnnAnswer(wid, 0.0, (0.0, 0.0))
+    else:
+        ans = refine(reg, q, k, x, eps)
+    if all(0.0 <= v < 1.0 for v in q):
+        return ans
+    return replace(ans, out_of_domain=True)

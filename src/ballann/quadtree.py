@@ -21,6 +21,7 @@ from .geometry import (
     CanonicalCube,
     InputError,
     InternalInvariantError,
+    concat_ranges,
     max_level_for_dim,
 )
 
@@ -171,14 +172,6 @@ def range_hi_inclusive(z, shift):
     return z + size
 
 
-def concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(s, s + l) over the pairs (s, l), as int64."""
-    ends = np.cumsum(lens)
-    return np.repeat(starts - ends + lens, lens) + np.arange(
-        int(ends[-1]) if ends.size else 0, dtype=np.int64
-    )
-
-
 def _bit_length_i64(x: np.ndarray) -> np.ndarray:
     x = x.astype(np.int64).copy()
     out = np.zeros_like(x)
@@ -276,14 +269,6 @@ class CompressedQuadtree:
     def children(self, i: int) -> np.ndarray:
         return self.child_idx[self.child_off[i] : self.child_off[i + 1]]
 
-    def count_in_node(self, i: int) -> int:
-        return int(self.span_hi[i] - self.span_lo[i])
-
-    def witness_in_node(self, i: int) -> int:
-        if self.span_hi[i] <= self.span_lo[i]:
-            raise InputError(f"node {i} holds no points")
-        return int(self.point_perm[self.span_lo[i]])
-
     def find_key(self, z: int, level: int) -> int:
         """Node index of an exactly stored cube, or -1."""
         return int(self.find_keys(np.array([z], dtype=np.int64), np.array([level], dtype=np.int64))[0])
@@ -303,49 +288,27 @@ class CompressedQuadtree:
             out[sel[hit]] = table_idx[pos[hit]]
         return out
 
-    def deepest_stored_ancestor(self, z: int, level: int, proper: bool = False) -> int:
-        """Deepest stored cube containing (z, level); the root always matches.
-
-        The last node whose key is at most z lies inside that cube (or is
-        it), so the walk up its parent links from there stops at the answer.
-        """
-        lim = level - 1 if proper else level
-        if lim < 0:
-            raise InternalInvariantError("the root has no proper ancestor")
-        j = int(self.z.searchsorted(z, side="right")) - 1
-        z_hi, lv, parent = self.z_hi, self.level, self.parent
-        while z_hi[j] < z or lv[j] > lim:
-            j = int(parent[j])
-        return j
-
-    def cell_query(self, cube: CanonicalCube) -> tuple[str, int, int | None]:
-        """('node', i, None) exact hit; ('edge', u, v) bracketed by a compressed
-        edge; ('outside', u, None) inside u's region, beyond any refinement."""
-        z, level = cube_to_key(cube)
-        exact = self.find_key(z, level)
-        if exact >= 0:
-            return "node", exact, None
-        u = self.deepest_stored_ancestor(z, level, proper=True)
-        hi = range_hi_inclusive(np.int64(z), self.dim * (self.max_level - level))
-        kids = self.children(u)
-        if kids.size:
-            zk = self.z[kids]
-            j = int(np.searchsorted(zk, z, side="left"))
-            if j < kids.size and zk[j] <= hi:
-                return "edge", u, int(kids[j])
-        return "outside", u, None
-
     def point_location(self, p: Sequence[float]) -> int:
-        """Node index of the smallest stored cube containing p; p in [0,1)^d."""
+        """Node index of the smallest stored cube containing p; p in [0,1)^d.
+
+        The last node whose key is at most p's full-depth key lies inside
+        that cube (or is it), so the walk up its parent links from there
+        stops at the answer; the root always matches.
+        """
         if len(p) != self.dim:
             raise InputError(f"point dimension {len(p)} != tree dimension {self.dim}")
         if any(not (0.0 <= x < 1.0) for x in p):
             raise InputError(f"point {tuple(p)} outside [0,1)^d")
-        return self.deepest_stored_ancestor(encode_point(p, self.dim), self.max_level)
+        code = encode_point(p, self.dim)
+        j = int(self.z.searchsorted(code, side="right")) - 1
+        z_hi, parent = self.z_hi, self.parent
+        while z_hi[j] < code:
+            j = int(parent[j])
+        return j
 
     def locate_cells(self, z: np.ndarray, level: int) -> np.ndarray:
         """Deepest stored ancestor-or-self, vectorized over cubes of one level:
-        the search of deepest_stored_ancestor, every walk one step at a time."""
+        the search of point_location, every walk one step at a time."""
         zz = np.asarray(z, dtype=np.int64)
         out = np.searchsorted(self.z, zz, side="right") - 1
         todo = np.flatnonzero((self.z_hi[out] < zz) | (self.level[out] > level))
@@ -370,10 +333,6 @@ class CompressedQuadtree:
         """Exact stored-point count per queried cube (any canonical cube)."""
         lo, hi = self._point_spans(z, level)
         return hi - lo
-
-    def point_ids_in_cube(self, z: int, level: int) -> np.ndarray:
-        lo, hi = self._point_spans(z, level)
-        return self.point_perm[int(lo) : int(hi)]
 
     def point_ids_in_cubes(self, z: np.ndarray, level: int) -> np.ndarray:
         """Ids of the stored points in the given disjoint cubes of one level,

@@ -25,7 +25,6 @@ __all__ = [
     "PointQuorumBall",
     "QuorumCluster",
     "ball_quorum",
-    "dump_clusters",
     "point_quorum",
     "verify_quorum",
 ]
@@ -255,20 +254,3 @@ def verify_quorum(
         "ratios": ratios,
         "remainder_present": any(c.is_remainder for c in clusters),
     }
-
-
-def dump_clusters(clusters: list[QuorumCluster]) -> str:
-    """One whitespace-separated line per cluster, in cluster order.
-
-    Columns: index, center coordinates, radius, rho, gamma, witness id,
-    remainder flag, then the assigned ball ids.
-    """
-    lines = []
-    for i, c in enumerate(clusters):
-        coords = " ".join(f"{v:.17g}" for v in np.asarray(c.center).ravel())
-        ids = " ".join(str(int(b)) for b in np.asarray(c.assigned).ravel())
-        lines.append(
-            f"{i} {coords} {c.radius:.17g} {c.rho:.17g} {c.gamma:.17g} "
-            f"{c.witness} {int(c.is_remainder)} {ids}"
-        )
-    return "\n".join(lines) + "\n"

@@ -33,6 +33,7 @@ from .geometry import (
     InputError,
     InternalInvariantError,
     NormalizedInstance,
+    concat_ranges,
     dist_points_balls,
     enumerate_grid_cells_ball,
     enumerate_grid_cells_balls,
@@ -44,7 +45,6 @@ from .geometry import (
 from .quadtree import (
     build_from_cubes,
     build_from_points,
-    concat_ranges,
     morton_encode,
 )
 
@@ -403,14 +403,7 @@ class Registry:
         return int((dist_points_balls(q, self.centers, self.radii) <= x).sum())
 
 
-def build_registry(
-    instance: NormalizedInstance, *, verify_disjoint: bool = False
-) -> Registry:
-    """Build the registration structure; optionally check pairwise disjointness."""
-    if verify_disjoint:
-        from .oracle import check_disjoint
-
-        ok, pair = check_disjoint(instance.balls)
-        if not ok:
-            raise InputError(f"balls {pair[0]} and {pair[1]} overlap")
+def build_registry(instance: NormalizedInstance) -> Registry:
+    """Build the registration structure over balls the caller has checked
+    to be pairwise disjoint (`geometry.find_overlap`)."""
     return Registry(instance)

@@ -13,7 +13,6 @@ from ballann.avd import (
     audit_cells,
     avd_query,
     build_avd,
-    cell_view,
 )
 from ballann.geometry import InputError, dist_point_ball
 from ballann.oracle import exact_kth_distance
@@ -116,26 +115,14 @@ def test_cell_view_fields_are_consistent():
     balls = a.registry.instance.balls
     live = [i for i in range(a.tree.size) if not (a.flags[i] & 1)]
     for i in live[:60]:
-        cv = cell_view(a, i)
-        assert cv.cell.contains_point(cv.rep_point)
-        truth = exact_kth_distance(balls, cv.rep_point, a.k).value
-        assert truth - 1e-12 <= cv.kdist_at_rep <= (1.0 + a.eps / 4.0) * truth + 1e-12
-        assert 0 <= cv.kdist_witness < len(balls)
-        # rep_cluster mirrors the owning cluster; cluster_witness is the ball
-        # inside that cluster recorded as its witness.
+        rep = tuple(float(x) for x in a.rep[i])
+        assert a.tree.node_cube(i).contains_point(rep)
+        truth = exact_kth_distance(balls, rep, a.k).value
+        assert truth - 1e-12 <= a.kdist[i] <= (1.0 + a.eps / 4.0) * truth + 1e-12
+        assert 0 <= a.kdist_witness[i] < len(balls)
+        # The owning cluster's witness is a ball assigned to that cluster.
         cl = a.clusters[int(a.site[i])]
-        assert cv.rep_cluster.spatial == tuple(float(x) for x in np.asarray(cl.center))
-        assert cv.rep_cluster.last == cl.radius
-        assert cv.cluster_witness == cl.witness
-        assert cv.cluster_witness in cl.assigned.tolist()
-
-
-def test_cell_view_rejects_split_parents():
-    a = _build(64, 1, 32, 8, 0.5)
-    dead = [i for i in range(a.tree.size) if a.flags[i] & 1]
-    if dead:
-        with pytest.raises(InputError):
-            cell_view(a, dead[0])
+        assert cl.witness in cl.assigned.tolist()
 
 
 def test_audit_cells_clean_on_standard_build():

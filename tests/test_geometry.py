@@ -20,11 +20,9 @@ from ballann.geometry import (
     grid_footprint,
     grid_index_box,
     grid_level_for_diameter,
-    lift,
     max_level_for_dim,
     normalize,
     packing_constant,
-    product_dist,
     product_norm,
 )
 
@@ -267,8 +265,6 @@ def test_packing_constant_values():
 
 def test_product_norm_hand_values():
     assert product_norm((3.0, 4.0, 2.0)) == pytest.approx(7.0)  # 5 + 2
-    a, b = lift(Ball((0.0, 0.0), 1.0)), lift(Ball((3.0, 4.0), 3.0))
-    assert product_dist(a, b) == pytest.approx(7.0)
 
 
 @given(st.lists(finite, min_size=2, max_size=5))

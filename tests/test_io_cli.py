@@ -277,6 +277,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "integrity: FAIL" in capsys.readouterr().out
 
 
+def test_cli_build_refuses_overlapping_balls(tmp_path, capsys):
+    ballfile = tmp_path / "x.balls"
+    ballfile.write_text("2 3\n0 0 1\n5 5 1\n0.5 0 1\n")
+    for extra in ([], ["--k", "2", "--eps", "0.5"]):
+        assert _run(["build", str(ballfile), *extra, "--out", str(tmp_path / "i")]) == 1
+        assert "balls 0 and 2 overlap" in capsys.readouterr().err
+    assert not (tmp_path / "i").exists()
+    # Tangent balls are disjoint and build.
+    ballfile.write_text("2 2\n0 0 1\n2 0 1\n")
+    assert _run(["build", str(ballfile), "--out", str(tmp_path / "i")]) == 0
+
+
 def test_cli_gen_deterministic_bytes(tmp_path):
     a = tmp_path / "a.balls"
     b = tmp_path / "b.balls"
@@ -327,9 +339,13 @@ def test_cli_bench_csv_shape(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("dim,n,k,eps,mode")
     assert len(lines) == 1 + 4  # 2 sizes x 2 k specs x 1 eps
+    cols = lines[0].split(",")
+    assert "uncertified" in cols
     for row in lines[1:]:
-        cells = row.split(",")
-        assert int(cells[1]) in (64, 128)
+        cells = dict(zip(cols, row.split(",")))
+        assert int(cells["n"]) in (64, 128)
+        # Every row here builds a cell index (k > 2*c_d = 6 at d=1).
+        assert int(cells["cells"]) > 0 and int(cells["uncertified"]) >= 0
 
 
 def test_module_entry_point(tmp_path):

@@ -266,6 +266,31 @@ def test_query_two_sided_and_interval(dim):
         assert not ans.out_of_domain
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_query_outside_unit_cube_is_flagged_and_certified(dim):
+    reg = make_registry(90 + dim, dim, 60)
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        q = rng.random(dim)
+        j = int(rng.integers(dim))
+        q[j] = float(rng.choice([-1.0, 1.0, 2.0, 6.0])) + (0.0 if rng.random() < 0.3 else float(rng.random()))
+        if 0.0 <= q[j] < 1.0:
+            q[j] = 1.0  # the closed upper face is outside [0,1)^d
+        q = tuple(float(x) for x in q)
+        k = int(rng.integers(1, reg.n + 1))
+        eps = float(rng.choice([0.5, 0.2]))
+        ans = query(reg, q, k, eps)
+        assert ans.out_of_domain
+        truth = _truth(reg, q, k)
+        tol = 1e-12 * max(1.0, truth)
+        lo, hi = ans.certified_interval
+        assert lo - tol <= truth <= hi + tol
+        assert (1.0 - eps) * truth - tol <= ans.distance <= (1.0 + eps) * truth + tol
+        assert ans.distance == pytest.approx(
+            dist_point_ball(q, reg.instance.balls[ans.ball_id]), rel=1e-12, abs=1e-12
+        )
+
+
 def test_query_k_edges():
     reg = make_registry(4, 2, 25)
     rng = np.random.default_rng(31)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballann.geometry import Ball
+from ballann.datasets import PROFILES, generate_instance
+from ballann.geometry import Ball, find_overlap
 from ballann.oracle import (
     check_disjoint,
     covering_radius_of_l_balls,
@@ -160,3 +161,39 @@ def test_check_disjoint_allows_tangency():
 def test_check_disjoint_rejects_coincident_points():
     ok, _ = check_disjoint([Ball((0.3, 0.3), 0.0), Ball((0.3, 0.3), 0.0)])
     assert not ok
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("profile", PROFILES)
+def test_find_overlap_agrees_with_check_disjoint(dim, profile):
+    balls = generate_instance(7, dim, 120, profile)
+    assert check_disjoint(balls) == (True, None)
+    assert find_overlap(balls) is None
+    rng = np.random.default_rng(dim)
+    for _ in range(20):
+        # Grow one ball until it meets others, or drop a copy of a center
+        # (a coincident pair), and compare the first bad pair.
+        bad = list(balls)
+        i = int(rng.integers(len(bad)))
+        if rng.random() < 0.5:
+            grow = float(rng.random()) * max(b.radius for b in balls)
+            bad[i] = Ball(bad[i].center, bad[i].radius + grow)
+        else:
+            bad.append(Ball(bad[i].center, 0.0))
+        ok, pair = check_disjoint(bad)
+        assert find_overlap(bad) == (None if ok else pair)
+
+
+def test_find_overlap_hand_cases():
+    assert find_overlap([Ball((0.0, 0.0), 1.0), Ball((0.5, 0.0), 1.0)]) == (0, 1)
+    assert find_overlap([Ball((0.0,), 1.0), Ball((2.0,), 1.0)]) is None  # tangent
+    assert find_overlap([Ball((0.3, 0.3), 0.0), Ball((0.3, 0.3), 0.0)]) == (0, 1)
+    # The first pair in (i, j) order, though (1, 2) comes first along axis 0.
+    far = [Ball((5.0, 0.0), 1.0), Ball((0.0, 0.0), 1.0), Ball((1.0, 0.0), 1.0), Ball((5.5, 0.0), 1.0)]
+    assert find_overlap(far) == check_disjoint(far)[1] == (0, 3)
+    # Points on one vertical line: the sweep runs along axis 1.
+    line = [Ball((0.0, float(i)), 0.25) for i in range(50)]
+    assert find_overlap(line) is None
+    assert find_overlap(line + [Ball((0.0, 20.3), 0.1)]) == (20, 50)
+    assert find_overlap([Ball((0.0,), 1.0)]) is None
+

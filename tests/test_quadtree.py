@@ -280,43 +280,6 @@ def test_overlay_back_pointers_match_top_down_sweep(dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_cell_query_matches_brute_force(dim):
-    rng = np.random.default_rng(80 + dim)
-    tree = build_from_cubes(_cubes_sharing_corners(rng, dim, 30, max_level=6), dim=dim)
-    stored = [tree.node_cube(i) for i in range(tree.size)]
-    for q in _random_cubes(rng, dim, 300, max_level=9):
-        status, u, v = tree.cell_query(q)
-        if q in stored:
-            assert (status, u, v) == ("node", stored.index(q), None)
-            continue
-        ancestors = [i for i, c in enumerate(stored) if c.contains_cube(q)]
-        want_u = max(ancestors, key=lambda i: stored[i].level)
-        inside = [i for i in tree.children(want_u).tolist() if q.contains_cube(stored[i])]
-        assert u == want_u
-        assert len(inside) <= 1
-        if inside:
-            assert (status, v) == ("edge", inside[0])
-        else:
-            assert (status, v) == ("outside", None)
-
-
-def test_cell_query_reports_node_edge_outside():
-    a = CanonicalCube(1, (0,))
-    b = CanonicalCube(4, (3,))
-    tree = build_from_cubes([a, b], dim=1)
-    status, i, _ = tree.cell_query(a)
-    assert status == "node"
-    # A cube between a and b on the same branch is bracketed by the edge.
-    status, u, v = tree.cell_query(CanonicalCube(2, (0,)))
-    assert status == "edge"
-    assert key_to_cube(int(tree.z[u]), int(tree.level[u]), 1) == a
-    assert key_to_cube(int(tree.z[v]), int(tree.level[v]), 1) == b
-    # A cube below a with no refinement under it is outside.
-    status, u, _ = tree.cell_query(CanonicalCube(4, (7,)))
-    assert status == "outside"
-
-
-@pytest.mark.parametrize("dim", [1, 2])
 def test_point_counts_match_brute_force(dim):
     rng = np.random.default_rng(17 + dim)
     pts = rng.random((120, dim))
@@ -329,21 +292,25 @@ def test_point_counts_match_brute_force(dim):
         brute = sum(1 for p in pts if cube.contains_point(p))
         got = tree.count_points_in_cubes(np.array([z]), level)[0]
         assert got == brute
-        ids = tree.point_ids_in_cube(z, level)
+        ids = tree.point_ids_in_cubes(np.array([z]), level)
         assert len(ids) == brute
         assert all(cube.contains_point(pts[i]) for i in ids)
 
 
 def test_count_in_node_and_witness():
+    # The k-th center frontier reads a node's count as span_hi - span_lo and
+    # its witness as point_perm[span_lo].
     rng = np.random.default_rng(5)
     pts = rng.random((50, 2))
     tree = build_from_points(pts, dim=2)
+    assert sorted(tree.point_perm.tolist()) == list(range(50))
     for i in range(tree.size):
         cube = tree.node_cube(i)
-        brute = sum(1 for p in pts if cube.contains_point(p))
-        assert tree.count_in_node(i) == brute
+        brute = {j for j, p in enumerate(pts) if cube.contains_point(p)}
+        ids = tree.point_perm[tree.span_lo[i] : tree.span_hi[i]]
+        assert set(ids.tolist()) == brute and len(ids) == len(brute)
         if brute:
-            assert cube.contains_point(pts[tree.witness_in_node(i)])
+            assert cube.contains_point(pts[tree.point_perm[tree.span_lo[i]]])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])

@@ -5,7 +5,7 @@ import pytest
 
 from ballann.geometry import InputError, dist_points_balls
 from ballann.oracle import smallest_enclosing_ball_of_l_points
-from ballann.quorum import XI, ball_quorum, dump_clusters, point_quorum, verify_quorum
+from ballann.quorum import XI, ball_quorum, point_quorum, verify_quorum
 
 from conftest import make_registry
 
@@ -135,10 +135,3 @@ def test_ball_quorum_deterministic():
     for ca, cb in zip(a, b):
         assert np.array_equal(ca.assigned, cb.assigned)
         assert ca.radius == cb.radius and ca.witness == cb.witness
-
-
-def test_dump_clusters_mentions_every_cluster():
-    reg = make_registry(3, 1, 20)
-    clusters = ball_quorum(reg, 7)
-    text = dump_clusters(clusters)
-    assert len(text.strip().splitlines()) >= len(clusters)
