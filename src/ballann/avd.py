@@ -221,54 +221,23 @@ def _assign_sites(
 def _block_reps(
     dim: int, max_level: int, keys: list[tuple[int, int]], childmap: dict[tuple[int, int], list[tuple[int, int]]]
 ) -> list[np.ndarray | None]:
-    """Representative point per cell of one sweep block (see _region_rep).
+    """Representative point per cell of one sweep block: the center of its
+    cube, or None when its stored children tile the cube, so that no query
+    lands in the cell.
 
-    A cell without stored children is its own region, represented by its
-    center; those centers come from one full-depth decode of their keys.
+    The sweep's bounds and the query branches hold for any point of the
+    cube, and the center is within half the cube's diameter of all of it.
+    The centers come from one full-depth decode of the block's keys.
     """
-    reps: list[np.ndarray | None] = [None] * len(keys)
-    leaves = [i for i, key in enumerate(keys) if not childmap[key]]
-    if leaves:
-        z = np.array([keys[i][0] for i in leaves], dtype=np.int64)
-        lev = np.array([keys[i][1] for i in leaves], dtype=np.int64)
-        coords = morton_decode(z, max_level, dim) >> (max_level - lev)[:, None]
-        centers = (coords.astype(np.float64) + 0.5) * np.ldexp(1.0, -lev)[:, None]
-        for i, c in zip(leaves, centers):
-            reps[i] = c
-    for i, key in enumerate(keys):
-        if childmap[key]:
-            reps[i] = _region_rep(dim, max_level, key, childmap[key])
+    z = np.array([key[0] for key in keys], dtype=np.int64)
+    lev = np.array([key[1] for key in keys], dtype=np.int64)
+    coords = morton_decode(z, max_level, dim) >> (max_level - lev)[:, None]
+    centers = (coords.astype(np.float64) + 0.5) * np.ldexp(1.0, -lev)[:, None]
+    reps: list[np.ndarray | None] = []
+    for key, center in zip(keys, centers):
+        cover = sum(1 << (dim * (max_level - kl)) for _, kl in childmap[key])
+        reps.append(None if cover >= 1 << (dim * (max_level - key[1])) else center)
     return reps
-
-
-def _region_rep(dim: int, max_level: int, key: tuple[int, int], kids: list[tuple[int, int]]) -> np.ndarray | None:
-    """Center of the largest child-free dyadic sub-cube of a cell with stored
-    children, or None when the children tile the cube exactly.  Breadth-first
-    by level, scanning quadrants in key order, so the choice is deterministic."""
-    z, lev = key
-    cover = sum(1 << (dim * (max_level - kl)) for _, kl in kids)
-    if cover >= 1 << (dim * (max_level - lev)):
-        return None
-    frontier: list[tuple[int, int, list[tuple[int, int]]]] = [(z, lev, kids)]
-    while frontier:
-        nxt: list[tuple[int, int, list[tuple[int, int]]]] = []
-        for fz, fl, fkids in frontier:
-            s = dim * (max_level - fl - 1)
-            buckets: dict[int, list[tuple[int, int]]] = {}
-            for kz, kl in fkids:
-                buckets.setdefault((kz >> s) << s, []).append((kz, kl))
-            for off in range(1 << dim):
-                qz = fz + (off << s)
-                got = buckets.get(qz)
-                if got is None:
-                    coords = morton_decode(np.array([qz], dtype=np.int64), fl + 1, dim)[0]
-                    return (coords.astype(np.float64) + 0.5) * (2.0 ** (-(fl + 1)))
-                if any(kl == fl + 1 for _, kl in got):
-                    continue
-                if sum(1 << (dim * (max_level - kl)) for _, kl in got) < 1 << s:
-                    nxt.append((qz, fl + 1, got))
-        frontier = nxt
-    raise InternalInvariantError("no free sub-cube despite partial coverage")
 
 
 def _warm_x(p: np.ndarray, hint: tuple[np.ndarray, float], sandwich: float) -> float | None:

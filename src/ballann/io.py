@@ -21,8 +21,15 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .avd import AVDIndex, XI
-from .geometry import Ball, InputError, NormalizedInstance, packing_constant
+from .avd import _EMPTY, AVDIndex, XI
+from .geometry import (
+    Ball,
+    InputError,
+    InternalInvariantError,
+    NormalizedInstance,
+    max_level_for_dim,
+    packing_constant,
+)
 from .quadtree import CompressedQuadtree
 from .quorum import QuorumCluster
 from .registry import Registry, build_registry
@@ -322,8 +329,12 @@ def _load_avd(payload: bytes) -> AVDIndex:
     stat_vals = r.unpack("10Q")
     if r.pos != len(r.buf):
         raise InputError("index payload has trailing bytes")
+    _check_cells(d, n, clusters, z, level, kdist_witness, site, flags)
+    try:
+        tree = CompressedQuadtree(d, z, level)
+    except InternalInvariantError as exc:
+        raise InputError(f"index cell table is malformed: {exc}") from exc
     reg = build_registry(inst)
-    tree = CompressedQuadtree(d, z, level)
     mode = _MODE_NAME[mode_code]
     stats = {"n": n, "dim": d, "k": k, "eps": eps, "mode": mode, "zeta1": zeta1, "loaded": True}
     stats.update(dict(zip(_STAT_FIELDS, (int(v) for v in stat_vals))))
@@ -342,6 +353,45 @@ def _load_avd(payload: bytes) -> AVDIndex:
         zeta1=float(zeta1),
         stats=stats,
     )
+
+
+def _check_cells(
+    d: int,
+    n: int,
+    clusters: list[QuorumCluster],
+    z: np.ndarray,
+    level: np.ndarray,
+    kdist_witness: np.ndarray,
+    site: np.ndarray,
+    flags: np.ndarray,
+) -> None:
+    """Reject a BAVD payload whose ids or cubes point outside what it holds:
+    a file can pass its CRC and still be wrong, and a query would then fail
+    deep inside the structure instead of at load time.
+
+    Cubes must be canonical (level at most max_level_for_dim(d), key inside
+    the unit cube and aligned to the level) and listed in strictly
+    increasing (key, level) order; closure under least common ancestors is
+    checked when the tree is built.  Ball ids must lie in [0, n), except
+    that a cell whose children tile it may carry witness -1, and sites must
+    name a stored cluster.
+    """
+    for c in clusters:
+        if not 0 <= c.witness < n or (c.assigned.size and not (0 <= c.assigned.min() and c.assigned.max() < n)):
+            raise InputError(f"index cluster holds a ball id outside [0, {n})")
+    top = max_level_for_dim(d)
+    if level.size and not (0 <= level.min() and level.max() <= top):
+        raise InputError(f"index cell levels must lie in [0, {top}]")
+    shift = (top - level) * d
+    if z.size and (z.min() < 0 or int(z.max()) >> (d * top) or np.any((z >> shift) << shift != z)):
+        raise InputError("index cell keys are not canonical cubes")
+    if np.any((z[1:] < z[:-1]) | ((z[1:] == z[:-1]) & (level[1:] <= level[:-1]))):
+        raise InputError("index cell table is not in strictly increasing (key, level) order")
+    tiled = (flags & _EMPTY) != 0
+    if np.any((kdist_witness < np.where(tiled, -1, 0)) | (kdist_witness >= n)):
+        raise InputError(f"index cell witness outside [0, {n}) (-1 only on tiled cells)")
+    if site.size and not (0 <= site.min() and site.max() < len(clusters)):
+        raise InputError(f"index cell site outside [0, {len(clusters)})")
 
 
 def save_index(path: str, obj) -> None:

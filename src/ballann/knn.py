@@ -16,11 +16,12 @@ cell meets the closed ball(q, r_snap); the center lies in that cell, so it
 is within r_snap plus the cell diameter side*sqrt(d) of q.  A row with no
 other center that close has no small candidate: its candidates are its
 large balls, each of weight 1, and its answer is their k-th (distance, id)
-pair, found by partition.  On the other rows the exact closed cell test
-of `Registry.small_center_ids` runs on the centers that pass the prefilter
-only (`Registry.center_cells_meeting`), and the cell grouping follows.  The
-prefilter's reach is padded by the relative PREFILTER_SLACK, so float
-rounding cannot drop a center the exact test would keep.
+pair, found by partition.  On the other rows the exact closed cell test,
+the one `Registry.small_center_count` counts by, runs on the centers that
+pass the prefilter only (`Registry.center_cells_meeting`), and the cell
+grouping follows.  The prefilter's reach is padded by the relative
+PREFILTER_SLACK, so float rounding cannot drop a center the exact test
+would keep.
 """
 
 from __future__ import annotations

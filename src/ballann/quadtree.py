@@ -21,7 +21,6 @@ from .geometry import (
     CanonicalCube,
     InputError,
     InternalInvariantError,
-    concat_ranges,
     max_level_for_dim,
 )
 
@@ -306,39 +305,15 @@ class CompressedQuadtree:
             j = int(parent[j])
         return j
 
-    def locate_cells(self, z: np.ndarray, level: int) -> np.ndarray:
-        """Deepest stored ancestor-or-self, vectorized over cubes of one level:
-        the search of point_location, every walk one step at a time."""
-        zz = np.asarray(z, dtype=np.int64)
-        out = np.searchsorted(self.z, zz, side="right") - 1
-        todo = np.flatnonzero((self.z_hi[out] < zz) | (self.level[out] > level))
-        while todo.size:
-            up = self.parent[out[todo]]
-            out[todo] = up
-            todo = todo[(self.z_hi[up] < zz[todo]) | (self.level[up] > level)]
-        return out
-
-    def _point_spans(self, z, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """[lo, hi) positions in point_codes of the stored points of each cube."""
+    def count_points_in_cubes(self, z: np.ndarray, level: int) -> np.ndarray:
+        """Exact stored-point count per queried cube (any canonical cube)."""
         if not self.has_points:
             raise InputError("tree holds no points")
         zz = np.asarray(z, dtype=np.int64)
         hi = range_hi_inclusive(zz, self.dim * (self.max_level - level))
-        return (
-            np.searchsorted(self.point_codes, zz, side="left"),
-            np.searchsorted(self.point_codes, hi, side="right"),
+        return np.searchsorted(self.point_codes, hi, side="right") - np.searchsorted(
+            self.point_codes, zz, side="left"
         )
-
-    def count_points_in_cubes(self, z: np.ndarray, level: int) -> np.ndarray:
-        """Exact stored-point count per queried cube (any canonical cube)."""
-        lo, hi = self._point_spans(z, level)
-        return hi - lo
-
-    def point_ids_in_cubes(self, z: np.ndarray, level: int) -> np.ndarray:
-        """Ids of the stored points in the given disjoint cubes of one level,
-        cube after cube."""
-        lo, hi = self._point_spans(z, level)
-        return self.point_perm[concat_ranges(lo, hi - lo)]
 
 
 def encode_points(points: np.ndarray, dim: int) -> np.ndarray:

@@ -5,18 +5,21 @@ registers to (plus ancestors closing the tree), `centers_tree` stores the
 ball centers as points.  On top of them sit the four query primitives:
 
   * exact retrieval of the balls, with a diameter floor, that meet a query
-    ball,
-  * 2-approximate k-th nearest center distance,
-  * the ids of the centers whose grid cell meets a query ball, which both
-    the approximate ball count and the eps refinement of `knn` build on
-    (the refinement runs the same cell test on the centers its prefilter
-    keeps, through `center_cells_meeting`),
-  * the delta-monotone approximate count of balls meeting a query ball.
+    ball: a walk down the ball tree,
+  * 2-approximate k-th nearest center distance: a frontier over the centers
+    tree,
+  * the number of centers whose grid cell meets a query ball: a walk down
+    the centers tree, counting whole subtrees where it can (the eps
+    refinement of `knn` runs the same cell test on the centers its
+    prefilter keeps, through `center_cells_meeting`),
+  * the delta-monotone approximate count of balls meeting a query ball,
+    built from the first and the third.
 
-The two grid primitives share one cost rule: they enumerate the grid cells
-around the query only while those cells (`grid_footprint`) are at most n,
-and otherwise test all n balls or centers directly; both paths return the
-same ids.
+Every walk tests node cubes against the query ball with `_box_dists`, and
+pads the radius by the relative WALK_MARGIN, so float rounding can neither
+drop a node that holds an answer nor decide a node the exact test would
+split.  Like the k-th center frontier, a walk finishes with the exact test
+on all that is left once its frontier holds few items.
 
 Everything here works in normalized coordinates; the structure is immutable
 once built and all queries are pure.
@@ -35,10 +38,8 @@ from .geometry import (
     NormalizedInstance,
     concat_ranges,
     dist_points_balls,
-    enumerate_grid_cells_ball,
     enumerate_grid_cells_balls,
     grid_coords,
-    grid_footprint,
     grid_level_for_diameter,
     max_level_for_dim,
 )
@@ -52,9 +53,34 @@ from .quadtree import (
 from .geometry import grid_approx  # noqa: F401
 from .quadtree import cube_to_key  # noqa: F401
 
-# Exact-finish threshold for the k-th center distance frontier.
+# Exact-finish threshold of the frontier and the walks over the trees.
 EXACT_FINISH_COUNT = 256
 FRONTIER_MAX_ROUNDS = 400
+
+# Relative pad on the radius in the walks' box tests, far above the few
+# ulps by which a float box distance can be off.
+WALK_MARGIN = 1e-9
+
+
+def _box_dists(low: np.ndarray, level: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Min and max distance from q to each closed cube, given by its low
+    corner and level, the squares summed over the axes in order."""
+    side = 2.0 ** (-level.astype(np.float64))
+    below = low - q
+    above = q - (low + side[:, None])
+    near = np.maximum(np.maximum(below, above), 0.0) ** 2
+    far = np.maximum(np.abs(below), np.abs(above)) ** 2
+    near_sum, far_sum = near[:, 0], far[:, 0]
+    for j in range(1, low.shape[1]):
+        near_sum = near_sum + near[:, j]
+        far_sum = far_sum + far[:, j]
+    return np.sqrt(near_sum), np.sqrt(far_sum)
+
+
+def _children(tree, nodes: np.ndarray) -> np.ndarray:
+    """The children of the given nodes, node after node."""
+    start = tree.child_off[nodes]
+    return tree.child_idx[concat_ranges(start, tree.child_off[nodes + 1] - start)]
 
 
 class Registry:
@@ -75,9 +101,11 @@ class Registry:
         reg_lv = self.reg_level[reg_ball]
         t1 = time.perf_counter()
 
-        # (2) Ball tree over the registration cells, and the registered lists
-        # in CSR form indexed by ball_tree node, ball ids ascending per node.
+        # (2) Ball tree over the registration cells, its node boxes, and the
+        # registered lists in CSR form indexed by ball_tree node, ball ids
+        # ascending per node.
         self.ball_tree = build_from_cubes((reg_z, reg_lv, self.dim))
+        self._ball_low = self.ball_tree.low_corners()
         node_of_cube = self.ball_tree.find_keys(reg_z, reg_lv)
         if node_of_cube.size and node_of_cube.min() < 0:
             raise InternalInvariantError("a registration cell is missing from the tree")
@@ -87,29 +115,22 @@ class Registry:
         np.cumsum(counts, out=self._reg_off[1:])
         t2 = time.perf_counter()
 
-        # (3) Associated lists.
-        self._assoc_off, self._assoc_ids = self._associated_lists()
-        t3 = time.perf_counter()
-
-        # (4) Centers tree with exact subtree counts and witnesses, and its
-        # node boxes for the k-th center distance frontier.
+        # (3) Centers tree with exact subtree counts and witnesses, and its
+        # node boxes.
         self.centers_tree = build_from_points(self.centers, dim=self.dim)
         self._center_low = self.centers_tree.low_corners()
-        t4 = time.perf_counter()
+        t3 = time.perf_counter()
 
-        lens = np.diff(self._assoc_off)
         self.stats = {
             "n": self.n,
             "dim": self.dim,
             "ball_tree_nodes": self.ball_tree.size,
             "centers_tree_nodes": self.centers_tree.size,
             "registration_entries": int(self._reg_off[-1]),
-            "max_associated_len": int(lens.max()) if lens.size else 0,
             "registration_s": t1 - t0,
             "ball_tree_s": t2 - t1,
-            "associated_s": t3 - t2,
-            "centers_tree_s": t4 - t3,
-            "build_seconds": t4 - t0,
+            "centers_tree_s": t3 - t2,
+            "build_seconds": t3 - t0,
         }
 
     def _registration_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,102 +161,61 @@ class Registry:
             ball_parts.append(ids[owner])
         return levels, np.concatenate(z_parts), np.concatenate(ball_parts)
 
-    def _associated_lists(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR (offsets, ids) of each node's associated list.
-
-        A node's list holds the balls that meet its closed cell and are at
-        least as coarse (registration level <= node level).  One top-down
-        pass is exact: a qualifying ball either qualified at the parent or is
-        registered right here (its registration cell would otherwise be a
-        stored node strictly between parent and child, contradicting the
-        compressed parent relation).  The pass runs one tree layer at a time:
-        every node of a layer tests its parent's list followed by its own
-        registered ids, and keeps the survivors in that order.
-        """
-        tree = self.ball_tree
-        node_lo = tree.low_corners()
-        node_side = 2.0 ** (-tree.level.astype(np.float64))
-        lens = np.zeros(tree.size, dtype=np.int64)
-        pos = np.zeros(tree.size, dtype=np.int64)  # node -> index in its layer
-        layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        nodes = np.zeros(1, dtype=np.int64)
-        prev_off = np.zeros(1, dtype=np.int64)
-        prev_ids = np.empty(0, dtype=np.int64)
-        while nodes.size:
-            width = np.arange(nodes.size, dtype=np.int64)
-            if layers:
-                up = pos[tree.parent[nodes]]
-                par_len = prev_off[up + 1] - prev_off[up]
-                par_ids = prev_ids[concat_ranges(prev_off[up], par_len)]
-            else:
-                par_len = np.zeros(1, dtype=np.int64)
-                par_ids = prev_ids
-            reg_len = self._reg_off[nodes + 1] - self._reg_off[nodes]
-            reg_ids = self._reg_sorted_ids[concat_ranges(self._reg_off[nodes], reg_len)]
-            tot = par_len + reg_len
-            start = np.cumsum(tot) - tot
-            cand = np.empty(int(tot.sum()), dtype=np.int64)
-            cand[concat_ranges(start, par_len)] = par_ids
-            cand[concat_ranges(start + par_len, reg_len)] = reg_ids
-            row = np.repeat(width, tot)
-            lo = node_lo[nodes[row]]
-            hi = lo + node_side[nodes[row], None]
-            c = self.centers[cand]
-            gap = np.maximum(lo - c, 0.0) + np.maximum(c - hi, 0.0)
-            keep = np.einsum("ij,ij->i", gap, gap) <= self.radii[cand] ** 2
-            prev_ids = cand[keep]
-            kept = np.bincount(row[keep], minlength=nodes.size)
-            prev_off = np.zeros(nodes.size + 1, dtype=np.int64)
-            np.cumsum(kept, out=prev_off[1:])
-            lens[nodes] = kept
-            pos[nodes] = width
-            layers.append((nodes, kept, prev_ids))
-            nodes = tree.child_idx[
-                concat_ranges(tree.child_off[nodes], tree.child_off[nodes + 1] - tree.child_off[nodes])
-            ]
-        off = np.zeros(tree.size + 1, dtype=np.int64)
-        np.cumsum(lens, out=off[1:])
-        ids = np.empty(int(off[-1]), dtype=np.int64)
-        for nodes, kept, layer_ids in layers:
-            ids[concat_ranges(off[nodes], kept)] = layer_ids
-        return off, ids
-
     # -- side-table access ---------------------------------------------------
 
     def registered_ids(self, node: int) -> np.ndarray:
         return self._reg_sorted_ids[self._reg_off[node] : self._reg_off[node + 1]]
 
-    def associated_ids(self, node: int) -> np.ndarray:
-        return self._assoc_ids[self._assoc_off[node] : self._assoc_off[node + 1]]
-
     # -- exact large-ball retrieval -------------------------------------------
 
     def large_balls_intersecting(self, q, radius: float, min_diameter: float) -> np.ndarray:
         """Ids, ascending, of the balls that meet the closed ball(q, radius)
-        and whose diameter is at least `min_diameter` (ties count as large)."""
-        qa = np.asarray(q, dtype=np.float64)
-        cand = self._large_candidates(qa, radius, min_diameter)
-        cand = cand[2.0 * self.radii[cand] >= min_diameter]
-        return np.sort(cand[dist_points_balls(qa, self.centers[cand], self.radii[cand]) <= radius])
+        and whose diameter is at least `min_diameter` (ties count as large).
 
-    def _large_candidates(self, q: np.ndarray, radius: float, min_diameter: float) -> np.ndarray:
-        """Superset of the qualifying balls: the associated lists of the
-        grid cells around the ball when they are at most n, else all ids."""
-        everything = np.arange(self.n, dtype=np.int64)
-        if min_diameter <= 0.0:
-            return everything
-        level, clamped = grid_level_for_diameter(min_diameter, 1.0, self.dim)
-        if clamped or grid_footprint(q - radius, q + radius, level) > self.n:
-            return everything
-        coords = enumerate_grid_cells_ball(q, radius, level)
-        if coords.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        tree = self.ball_tree
-        nodes = tree.locate_cells(morton_encode(coords, level, self.dim), level)
-        nodes = np.unique(np.concatenate([nodes, tree.parent[nodes]]))
-        nodes = nodes[nodes >= 0]
-        start = self._assoc_off[nodes]
-        return np.unique(self._assoc_ids[concat_ranges(start, self._assoc_off[nodes + 1] - start)])
+        A walk down the ball tree keeps the nodes no deeper than L, the
+        registration level of a ball of diameter `min_diameter` (the deepest
+        level when the floor is 0), whose closed cube meets
+        ball(q, radius * (1 + WALK_MARGIN)); the balls registered at the
+        kept nodes are then filtered exactly.  No qualifying ball is missed:
+        its registration level is at most L, since the level falls as the
+        diameter grows, and it registers at every cell of that level its
+        closed body meets, so at the cell holding a point p it shares with
+        the query ball.  That cell and all its ancestors contain p, so each
+        meets the query ball, and the walk reaches the cell.  Once the
+        subtrees of the frontier hold at most EXACT_FINISH_COUNT * 2^d
+        registrations (a ball usually registers at 2^d cells or more), the
+        walk takes them all instead of splitting further, which only adds
+        candidates for the exact filter.
+        """
+        qa = np.asarray(q, dtype=np.float64)
+        t = self.ball_tree
+        if min_diameter > 0.0:
+            deepest = grid_level_for_diameter(min_diameter, 1.0, self.dim)[0]
+        else:
+            deepest = t.max_level
+        reach = radius * (1.0 + WALK_MARGIN)
+        finish = EXACT_FINISH_COUNT << self.dim
+        # CSR ranges of _reg_sorted_ids to gather: the registered lists of the
+        # kept nodes, then the whole subtrees of the frontier that ends the walk.
+        starts, stops = [], []
+        nodes = np.zeros(1, dtype=np.int64)
+        while nodes.size:
+            # A subtree is the run of nodes up to the last key inside its cube.
+            end = np.searchsorted(t.z, t.z_hi[nodes], side="right")
+            if (self._reg_off[end] - self._reg_off[nodes]).sum() <= finish:
+                starts.append(self._reg_off[nodes])
+                stops.append(self._reg_off[end])
+                break
+            near, _ = _box_dists(self._ball_low[nodes], t.level[nodes], qa)
+            nodes = nodes[near <= reach]
+            starts.append(self._reg_off[nodes])
+            stops.append(self._reg_off[nodes + 1])
+            kids = _children(t, nodes)
+            nodes = kids[t.level[kids] <= deepest]
+        start = np.concatenate(starts)
+        cand = np.unique(self._reg_sorted_ids[concat_ranges(start, np.concatenate(stops) - start)])
+        cand = cand[2.0 * self.radii[cand] >= min_diameter]
+        return cand[dist_points_balls(qa, self.centers[cand], self.radii[cand]) <= radius]
 
     # -- 2-approximate k-th center distance ------------------------------------
 
@@ -261,7 +241,7 @@ class Registry:
         t = self.centers_tree
         qa = np.asarray(q, dtype=np.float64)
         nodes = np.zeros(1, dtype=np.int64)
-        lo, hi = self._center_box_dists(nodes, qa)
+        lo, hi = _box_dists(self._center_low[nodes], t.level[nodes], qa)
         cnt = t.span_hi[nodes] - t.span_lo[nodes]
         results: dict[int, float] = {}
         pending = np.array(ks, dtype=np.int64)
@@ -282,13 +262,13 @@ class Registry:
                 break
             par = nodes[split]
             n_kids = t.child_off[par + 1] - t.child_off[par]
-            kids = t.child_idx[concat_ranges(t.child_off[par], n_kids)]
+            kids = _children(t, par)
             kid_cnt = t.span_hi[kids] - t.span_lo[kids]
             run = np.concatenate([[0], np.cumsum(kid_cnt)])
             ends = np.cumsum(n_kids)
             if not np.array_equal(run[ends] - run[ends - n_kids], cnt[split]):
                 raise InternalInvariantError("child counts must add up to the parent")
-            kid_lo, kid_hi = self._center_box_dists(kids, qa)
+            kid_lo, kid_hi = _box_dists(self._center_low[kids], t.level[kids], qa)
             nodes = np.concatenate([nodes[~split], kids])
             lo = np.concatenate([lo[~split], kid_lo])
             hi = np.concatenate([hi[~split], kid_hi])
@@ -301,20 +281,6 @@ class Registry:
         dist = np.partition(np.sqrt(np.einsum("ij,ij->i", diff, diff)), pending - 1)
         results.update(zip(pending.tolist(), dist[pending - 1].tolist()))
         return results
-
-    def _center_box_dists(self, nodes: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Min and max distance from q to each node's closed cube in the
-        centers tree, summed over the axes in order."""
-        lo = self._center_low[nodes]
-        side = 2.0 ** (-self.centers_tree.level[nodes].astype(np.float64))
-        near = np.zeros(nodes.size)
-        far = np.zeros(nodes.size)
-        for j in range(self.dim):
-            below = lo[:, j] - q[j]
-            above = q[j] - (lo[:, j] + side)
-            near += np.maximum(np.maximum(below, above), 0.0) ** 2
-            far += np.maximum(np.abs(below), np.abs(above)) ** 2
-        return np.sqrt(near), np.sqrt(far)
 
     # -- approximate ball-intersection count ------------------------------------
 
@@ -339,46 +305,70 @@ class Registry:
         )
         if clamped:
             return self.exact_intersection_count(qt, x)
-        return int(large.size) + int(self.small_center_ids(qt, inflated, level, large).size)
+        return int(large.size) + self.small_center_count(qt, inflated, level, large)
 
-    def small_center_ids(self, q, radius: float, level: int, large: np.ndarray) -> np.ndarray:
-        """Ids, ascending and minus `large`, of the centers whose own
+    def small_center_count(self, q, radius: float, level: int, large: np.ndarray) -> int:
+        """Number of centers, ids in `large` left out, whose own
         level-`level` cell meets the closed ball(q, radius).
 
-        Enumerates the cells around q when they are at most n, else tests
-        the cell of every center with the closed-body test of
-        enumerate_grid_cells_ball; both paths return the same ids.
+        A walk down the centers tree.  A node shallower than `level` is
+        counted whole when its cube lies inside ball(q, radius *
+        (1 - WALK_MARGIN)), dropped when its cube misses ball(q, radius *
+        (1 + WALK_MARGIN)), and split otherwise: the level cells of its
+        centers lie in its cube, so the per-center test (_cells_meet) would
+        keep, or drop, every one of them.  A node at least `level` deep lies
+        in one level cell, which holds its low corner and all its centers,
+        so _cells_meet on that corner decides its centers exactly as on each
+        center.  Once the frontier holds at most EXACT_FINISH_COUNT centers,
+        the per-center test runs on them directly.  The large ids whose
+        cells meet the ball are subtracted at the end (`large` holds
+        distinct ids).
         """
         qa = np.asarray(q, dtype=np.float64)
-        if grid_footprint(qa - radius, qa + radius, level) > self.n:
-            meets = self._cells_meet(self.centers, qa, radius, level)
-            meets[large] = False
-            return np.flatnonzero(meets)
-        coords = enumerate_grid_cells_ball(qa, radius, level)
-        ids = self.centers_tree.point_ids_in_cubes(morton_encode(coords, level, self.dim), level)
-        if large.size:
-            ids = ids[~np.isin(ids, large)]
-        return np.sort(ids)
+        t = self.centers_tree
+        count = 0
+        nodes = np.zeros(1, dtype=np.int64)
+        while nodes.size:
+            cnt = t.span_hi[nodes] - t.span_lo[nodes]
+            if cnt.sum() <= EXACT_FINISH_COUNT:
+                ids = t.point_perm[concat_ranges(t.span_lo[nodes], cnt)]
+                count += int(np.count_nonzero(self._cells_meet(self.centers[ids], qa, radius, level)))
+                break
+            deep = t.level[nodes] >= level
+            whole = nodes[deep][self._cells_meet(self._center_low[nodes[deep]], qa, radius, level)]
+            nodes = nodes[~deep]
+            near, far = _box_dists(self._center_low[nodes], t.level[nodes], qa)
+            inside = far <= radius * (1.0 - WALK_MARGIN)
+            whole = np.concatenate([whole, nodes[inside]])
+            count += int((t.span_hi[whole] - t.span_lo[whole]).sum())
+            nodes = _children(t, nodes[~inside & (near <= radius * (1.0 + WALK_MARGIN))])
+        return count - int(np.count_nonzero(self._cells_meet(self.centers[large], qa, radius, level)))
 
     def center_cells_meeting(self, ids: np.ndarray, q: np.ndarray, radius: float, level: int) -> np.ndarray:
         """The ids, in their given order, whose center's own level-`level`
-        cell meets the closed ball(q, radius): the test of small_center_ids
-        on those centers only."""
+        cell meets the closed ball(q, radius): the test small_center_count
+        counts by."""
         return ids[self._cells_meet(self.centers[ids], q, radius, level)]
 
     @staticmethod
-    def _cells_meet(centers: np.ndarray, q: np.ndarray, radius: float, level: int) -> np.ndarray:
-        """Whether each center's level-`level` cell meets the closed
+    def _cells_meet(points: np.ndarray, q: np.ndarray, radius: float, level: int) -> np.ndarray:
+        """Whether the level-`level` cell of each point meets the closed
         ball(q, radius), by the closed-body test of enumerate_grid_cells_ball."""
         side = 2.0 ** (-level)
-        lo = grid_coords(centers, level) * side
+        lo = grid_coords(points, level) * side
         gap = np.maximum(lo - q, 0.0) + np.maximum(q - (lo + side), 0.0)
         return np.einsum("ij,ij->i", gap, gap) <= radius * radius
 
     # -- exact helpers -----------------------------------------------------------
 
     def balls_containing_point(self, q) -> np.ndarray:
-        """Ids of balls whose closed body contains q, via the stored path of q."""
+        """Ids, ascending, of the balls whose closed body contains q.
+
+        A ball holding q registers at the cell of its registration level
+        that holds q, since its closed body meets that cell; the cell is
+        stored, so it is on the chain from q's deepest stored cube up to the
+        root, and the registered lists along that chain hold every answer.
+        """
         qa = np.asarray(q, dtype=np.float64)
         if np.any(qa < 0.0) or np.any(qa >= 1.0):
             # Outside the root cell; balls live inside it, so nothing contains q
@@ -389,7 +379,7 @@ class Registry:
         node = self.ball_tree.point_location(tuple(qa))
         parts = []
         while node >= 0:
-            parts.append(self.associated_ids(node))
+            parts.append(self.registered_ids(node))
             node = int(self.ball_tree.parent[node])
         cand = np.unique(np.concatenate(parts))
         if cand.size == 0:

@@ -3,6 +3,7 @@ import math
 import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -159,6 +160,59 @@ def test_index_integrity_rejects_damage(tmp_path):
     tiny.write_bytes(b"BRE")
     with pytest.raises(InputError):
         load_index(str(tiny))
+
+    # A cell index whose columns point outside what it holds, with a valid
+    # CRC: the load rejects it, and `ballann query` exits 1.
+    a = build_avd(build_registry(normalize(generate_instance(9, 1, 60), 0.5)), 15, 0.5)
+    save_avd(str(path), a)
+    blob = path.read_bytes()
+    n, size, d = a.registry.n, a.tree.size, 1
+    # Cell columns, counted back from the 80 stat bytes that end the payload.
+    flags_at = len(blob) - 4 - 80 - size
+    site_at = flags_at - 8 * size
+    witness_at = site_at - 8 * size
+    level_at = witness_at - 8 * size - 8 * size - 8 * size * d
+    z_at = level_at - 8 * size
+    # Cluster 0's witness: after the mode block, the instance block, the
+    # cluster count, the cluster's center and its three radii.
+    cluster_witness_at = 8 + 36 + 28 + 8 * d + 8 * n * (d + 1) + 8 + 8 * d + 24
+    live = int(np.flatnonzero((a.flags & 1) == 0)[-1])
+    tiled = np.flatnonzero(a.kdist_witness == -1)
+    assert tiled.size and np.all(a.flags[tiled] & 1)  # -1 on tiled cells loads fine
+    last = size - 1
+    queries = tmp_path / "q.txt"
+    queries.write_text("0.5\n")
+    cases = [
+        ("site", site_at + 8 * live, len(a.clusters)),
+        ("site", site_at + 8 * live, -1),
+        ("witness", witness_at + 8 * live, n),
+        ("witness", witness_at + 8 * live, -1),
+        ("ball id", cluster_witness_at, n),
+        ("levels", level_at + 8 * last, 53),
+        ("canonical", z_at + 8 * last, int(a.tree.z[last]) + 1),
+        ("increasing", z_at + 8 * last, int(a.tree.z[last - 1])),
+    ]
+    damaged_files = []
+    for match, at, value in cases:
+        damaged = bytearray(blob)
+        struct.pack_into("<q", damaged, at, value)
+        damaged_files.append((match, damaged))
+    # Drop a cell with two children from every column: their least common
+    # ancestor is then missing.
+    gone = next(v for v in range(1, size) if a.tree.children(v).size >= 2)
+    damaged = bytearray(blob[: z_at - 8]) + struct.pack("<Q", size - 1)
+    at = z_at
+    for width in (8, 8, 8 * d, 8, 8, 8, 1):
+        damaged += blob[at : at + width * gone] + blob[at + width * (gone + 1) : at + width * size]
+        at += width * size
+    damaged += blob[at:]
+    damaged_files.append(("least common ancestors", damaged))
+    for match, damaged in damaged_files:
+        struct.pack_into("<I", damaged, len(damaged) - 4, zlib.crc32(damaged[8:-4]) & 0xFFFFFFFF)
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(InputError, match=match):
+            load_index(str(path))
+        assert main(["query", str(path), str(queries)]) == 1
 
 
 # -- CLI ---------------------------------------------------------------------------

@@ -132,7 +132,8 @@ def _refine_reference(reg, q, k, x, eps):
     large = reg.large_balls_intersecting(q, r_q, 2.0 * ehat * x)
     est = list(zip(dist_points_balls(q, reg.centers[large], reg.radii[large]).tolist(), large.tolist()))
     weight = [1] * len(est)
-    small = reg.small_center_ids(q, r_q + ehat * x, level, large)
+    rest = np.setdiff1d(np.arange(reg.n), large)
+    small = reg.center_cells_meeting(rest, np.asarray(q, dtype=np.float64), r_q + ehat * x, level)
     cells = {}
     for i in small.tolist():
         cells.setdefault(tuple(grid_coords(reg.centers[i : i + 1], level)[0].tolist()), []).append(i)

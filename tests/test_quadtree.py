@@ -292,9 +292,6 @@ def test_point_counts_match_brute_force(dim):
         brute = sum(1 for p in pts if cube.contains_point(p))
         got = tree.count_points_in_cubes(np.array([z]), level)[0]
         assert got == brute
-        ids = tree.point_ids_in_cubes(np.array([z]), level)
-        assert len(ids) == brute
-        assert all(cube.contains_point(pts[i]) for i in ids)
 
 
 def test_count_in_node_and_witness():

@@ -12,9 +12,9 @@ from ballann.geometry import (
     Ball,
     InputError,
     dist_point_ball,
+    dist_points_balls,
     grid_approx,
     grid_cell,
-    grid_footprint,
     grid_level_for_diameter,
 )
 from ballann.quadtree import cube_to_key
@@ -177,45 +177,22 @@ def test_center_range_sandwich(seed):
     # lies within (1 + delta) x of q.
     level, clamped = grid_level_for_diameter(x, delta, dim)
     assert not clamped
-    count = reg.small_center_ids(q, x, level, np.empty(0, dtype=np.int64)).size
+    count = reg.small_center_count(q, x, level, np.empty(0, dtype=np.int64))
     dist = np.linalg.norm(reg.centers - q, axis=1)
     assert int((dist <= x).sum()) <= count
     assert count <= int((dist <= (1.0 + delta) * x).sum())
 
 
-def _count_enumerations(monkeypatch) -> list[int]:
-    """Count the registry's calls of enumerate_grid_cells_ball from now on:
-    the grid path of a query primitive makes one, its scan path none."""
-    calls = [0]
-    enumerate_cells = registry_module.enumerate_grid_cells_ball
-
-    def counted(*args):
-        calls[0] += 1
-        return enumerate_cells(*args)
-
-    monkeypatch.setattr(registry_module, "enumerate_grid_cells_ball", counted)
-    return calls
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_small_center_ids_scan_matches_enumeration(dim, monkeypatch):
+def test_small_center_count_matches_brute_force(dim):
     reg = make_registry(60 + dim, dim, 60, profile="clustered")
-    calls = _count_enumerations(monkeypatch)
     rng = np.random.default_rng(dim)
-    paths = set()
     for _ in range(40):
         q = rng.uniform(-0.1, 1.1, size=dim)
-        # A fixed level with radii over two decades puts the footprint on
-        # both sides of n.
         level = int(rng.integers(1, 10))
         radius = float(10.0 ** rng.uniform(-2.3, -0.3))
         some = np.sort(rng.choice(reg.n, size=reg.n // 4, replace=False))
         for large in (np.empty(0, dtype=np.int64), some):
-            before = calls[0]
-            ids = reg.small_center_ids(q, radius, level, large)
-            enumerated = calls[0] > before
-            assert enumerated == (grid_footprint(q - radius, q + radius, level) <= reg.n)
-            paths.add(enumerated)
             # Brute force: each center's closed cell against the closed ball.
             skip = set(large.tolist())
             want = [
@@ -223,26 +200,17 @@ def test_small_center_ids_scan_matches_enumeration(dim, monkeypatch):
                 for i in range(reg.n)
                 if i not in skip and grid_cell(level, reg.centers[i]).min_dist_to_point(q) <= radius
             ]
-            assert ids.tolist() == want
+            assert reg.small_center_count(q, radius, level, large) == len(want)
             # The same test on a given set of centers.
             rest = np.setdiff1d(np.arange(reg.n), large)
             assert reg.center_cells_meeting(rest, q, radius, level).tolist() == want
-            assert np.all(np.diff(ids) > 0)
-            assert not np.isin(ids, large).any()
-            # Every center inside the ball is there unless it is large.
-            dist = np.linalg.norm(reg.centers - q, axis=1)
-            inside = np.setdiff1d(np.flatnonzero(dist <= radius), large)
-            assert np.isin(inside, ids).all()
-    assert paths == {True, False}
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_large_balls_intersecting_matches_brute_force(dim, monkeypatch):
+def test_large_balls_intersecting_matches_brute_force(dim):
     reg = make_registry(70 + dim, dim, 60, profile="clustered")
-    calls = _count_enumerations(monkeypatch)
     balls = reg.instance.balls
     rng = np.random.default_rng(dim)
-    paths = set()
     ties = 0
     for _ in range(60):
         # Around a random ball, often reaching outside the unit cube.
@@ -250,15 +218,7 @@ def test_large_balls_intersecting_matches_brute_force(dim, monkeypatch):
         q = reg.centers[b] + rng.uniform(-0.6, 0.6, size=dim)
         radius = float(10.0 ** rng.uniform(-2.5, 0.0))
         for min_diameter in (0.0, balls[b].diameter):
-            before = calls[0]
             got = reg.large_balls_intersecting(q, radius, min_diameter)
-            if min_diameter > 0.0:
-                level, clamped = grid_level_for_diameter(min_diameter, 1.0, dim)
-                enumerated = calls[0] > before
-                assert enumerated == (
-                    not clamped and grid_footprint(q - radius, q + radius, level) <= reg.n
-                )
-                paths.add(enumerated)
             want = [
                 i
                 for i, ball in enumerate(balls)
@@ -266,7 +226,6 @@ def test_large_balls_intersecting_matches_brute_force(dim, monkeypatch):
             ]
             assert got.tolist() == want
             ties += int(min_diameter > 0.0 and b in want)
-    assert paths == {True, False}
     assert ties > 0  # the ball at the floor itself was retrieved
 
 
@@ -274,7 +233,7 @@ def test_stats_present():
     reg = make_registry(0, 2, 30)
     assert reg.stats["n"] == 30
     assert reg.stats["dim"] == 2
-    phases = ("registration_s", "ball_tree_s", "associated_s", "centers_tree_s")
+    phases = ("registration_s", "ball_tree_s", "centers_tree_s")
     for name in phases:
         assert reg.stats[name] >= 0.0
     assert sum(reg.stats[name] for name in phases) == pytest.approx(
@@ -309,14 +268,161 @@ def test_registry_structure_matches_definitions(dim):
     for v in range(tree.size):
         assert reg.registered_ids(v).tolist() == registered_at.get(v, [])
 
-    # Associated lists: balls at least as coarse as the node that meet its cell.
-    for v in range(tree.size):
-        cube = tree.node_cube(v)
-        want = [
-            b
-            for b, ball in enumerate(reg.instance.balls)
-            if reg.reg_level[b] <= cube.level and cube.intersects_ball(ball)
-        ]
-        got = reg.associated_ids(v)
-        assert got.size == len(want)
-        assert np.sort(got).tolist() == want
+
+
+# -- the walks at their edges -------------------------------------------------------
+
+_UNIT = 2.0**-7  # every coordinate and radius below is a multiple: float math stays exact
+
+
+def _edge_registry(rng, dim: int) -> Registry:
+    """Pairwise disjoint balls in the unit cube on a dyadic grid, with tangent
+    pairs, radius-0 balls and balls touching the cube's walls."""
+    inst = normalize(generate_instance(0, dim, 2), 0.5)
+    top = int(1 / _UNIT)
+    balls: list[Ball] = []
+
+    def fits(c, r):
+        inside = all(x - r >= 0.0 and x + r <= 1.0 and x < 1.0 for x in c)
+        return inside and all(
+            c != b.center and sum((x - y) ** 2 for x, y in zip(c, b.center)) >= (r + b.radius) ** 2
+            for b in balls
+        )
+
+    for _ in range(60):
+        kind = int(rng.integers(4))
+        r = _UNIT * int(rng.integers(0, 9))
+        c = [_UNIT * int(rng.integers(0, top)) for _ in range(dim)]
+        j = int(rng.integers(dim))
+        if kind == 1:  # touching a wall
+            c[j] = r if rng.random() < 0.5 else 1.0 - r
+        elif kind == 2 and balls:  # tangent to an earlier ball
+            b = balls[int(rng.integers(len(balls)))]
+            c = list(b.center)
+            c[j] += (b.radius + r) * (1.0 if rng.random() < 0.5 else -1.0)
+        elif kind == 3:  # a point
+            r = 0.0
+        if fits(tuple(c), r):
+            balls.append(Ball(tuple(c), r))
+    return Registry(replace(inst, balls=tuple(balls)))
+
+
+def _edge_queries(rng, reg: Registry) -> list[np.ndarray]:
+    """Points on dyadic faces, on ball surfaces, outside [0,1)^d, and anywhere."""
+    dim, out = reg.dim, []
+    for b in rng.integers(reg.n, size=6).tolist():
+        p = reg.centers[b].copy()  # on the surface, or the point itself
+        p[int(rng.integers(dim))] += reg.radii[b] * (1.0 if rng.random() < 0.5 else -1.0)
+        out.append(p)
+    for _ in range(4):
+        step = 2.0 ** -int(rng.integers(0, 8))  # on the faces of that level's cells
+        out.append(step * rng.integers(0, int(1 / step) + 1, size=dim))
+    for _ in range(3):
+        p = rng.random(dim)
+        p[int(rng.integers(dim))] = float(rng.choice([-_UNIT, 1.0, 1.0 + _UNIT, -0.5, 1.75]))
+        out.append(p)
+    out.extend(rng.uniform(-0.2, 1.2, size=(3, dim)))
+    return out
+
+
+@given(st.integers(1, 4), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_walks_match_brute_force_at_edges(dim, seed):
+    rng = np.random.default_rng(seed)
+    reg = _edge_registry(rng, dim)
+    balls = reg.instance.balls
+    everyone = np.arange(reg.n)
+    for q in _edge_queries(rng, reg):
+        # Brute force over all balls with the float distance the registry
+        # filters by; it can differ from math.dist in the last bit, and the
+        # radii below include exact tangencies.
+        d_balls = dist_points_balls(q, reg.centers, reg.radii)
+        assert reg.balls_containing_point(q).tolist() == np.flatnonzero(d_balls == 0.0).tolist()
+        radii = [0.0, _UNIT * int(rng.integers(1, 64)), float(rng.choice(d_balls)), float(rng.random())]
+        for radius in radii:
+            for min_diameter in (0.0, balls[int(rng.integers(reg.n))].diameter, _UNIT * int(rng.integers(1, 8))):
+                got = reg.large_balls_intersecting(q, radius, min_diameter)
+                want = np.flatnonzero((2.0 * reg.radii >= min_diameter) & (d_balls <= radius))
+                assert got.tolist() == want.tolist()
+            level = int(rng.integers(0, 11))
+            for large in (np.empty(0, dtype=np.int64), got):
+                # The per-center cell test on every center but the large ones.
+                want_count = reg.center_cells_meeting(np.setdiff1d(everyone, large), q, radius, level).size
+                assert reg.small_center_count(q, radius, level, large) == want_count
+            for delta in (1.0, 0.5, 0.25):
+                approx = reg.approx_ball_count(q, delta, radius)
+                assert reg.exact_intersection_count(q, radius) <= approx
+                assert approx <= reg.exact_intersection_count(q, (1.0 + delta) * radius)
+
+
+def _cell_instance(rng, dim: int, n: int, clustered: bool):
+    """n disjoint balls, one in each of n distinct cells of a grid with about
+    4n cells, the cells uniform or drawn around n/12 anchors; normalized."""
+    top = math.ceil((4 * n) ** (1.0 / dim))
+    if clustered:
+        anchors = rng.random((n // 12, dim))
+        cells = np.empty((0, dim), dtype=np.int64)
+        while cells.shape[0] < n:
+            pts = anchors[rng.integers(len(anchors), size=2 * n)] + rng.normal(0.0, 0.04, size=(2 * n, dim))
+            pool = np.concatenate([cells, np.clip(np.floor(pts * top), 0, top - 1).astype(np.int64)])
+            _, first = np.unique(pool, axis=0, return_index=True)
+            cells = pool[np.sort(first)]
+        cells = cells[:n]
+    else:
+        cells = np.stack(np.unravel_index(rng.choice(top**dim, n, replace=False), (top,) * dim), axis=1)
+    centers = (cells + 0.5) / top
+    radii = rng.uniform(0.05, 0.4, size=n) / top
+    return normalize([Ball(tuple(c), float(r)) for c, r in zip(centers.tolist(), radii.tolist())], 0.25)
+
+
+@pytest.mark.parametrize("dim, clustered", [(2, False), (3, True)])
+def test_walk_cost_grows_slowly_with_n(dim, clustered, monkeypatch):
+    """Rows the two walks test per call, at n = 1,024 and 16,384: node boxes
+    (_box_dists), center cells (_cells_meet) and candidate balls
+    (dist_points_balls), in the count and the retrieval of approx_ball_count
+    at probe radii holding a fixed number of centers, from points among the
+    balls."""
+    rows = {"small_center_count": 0, "large_balls_intersecting": 0}
+    current = [None]
+
+    def counted(test, rows_arg):
+        def run(*args):
+            if current[0] is not None:
+                rows[current[0]] += len(args[rows_arg])
+            return test(*args)
+
+        return run
+
+    def attributed(name):
+        walk = getattr(Registry, name)
+
+        def run(self, *args):
+            current[0] = name
+            try:
+                return walk(self, *args)
+            finally:
+                current[0] = None
+
+        return run
+
+    monkeypatch.setattr(registry_module, "_box_dists", counted(registry_module._box_dists, 0))
+    monkeypatch.setattr(Registry, "_cells_meet", staticmethod(counted(Registry._cells_meet, 0)))
+    monkeypatch.setattr(registry_module, "dist_points_balls", counted(registry_module.dist_points_balls, 1))
+    for name in rows:
+        monkeypatch.setattr(Registry, name, attributed(name))
+    per_call = {}
+    probes = 200
+    for n in (1024, 16384):
+        rng = np.random.default_rng(dim)
+        reg = build_registry(_cell_instance(rng, dim, n, clustered))
+        lo, hi = reg.centers.min(axis=0), reg.centers.max(axis=0)
+        for name in rows:
+            rows[name] = 0
+        for i in range(probes):
+            q = rng.uniform(lo, hi)
+            x = reg.approx_kth_center_distance(q, (1, 4, 16, 64)[i % 4])
+            reg.approx_ball_count(q, (1.0, 0.5, 0.25)[i % 3], x)
+        per_call[n] = {name: count / probes for name, count in rows.items()}
+    for name in rows:
+        assert per_call[1024][name] >= 1.0
+        assert per_call[16384][name] <= 2.0 * per_call[1024][name], (name, per_call)
