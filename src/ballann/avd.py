@@ -11,14 +11,14 @@ ball realizing it, and the cluster owning the cell's far-field region.
 A certification sweep follows construction: cells whose stored data cannot
 yet guarantee a (1 +- eps) answer for every query inside them are split
 until the guarantee holds, the tree bottoms out, or the cell budget runs
-dry.  The sweep takes its first-in-first-out queue a block of cells at a
-time.  A cell that a split makes carries its parent's estimate as a warm
-start, known when the cell joins the queue, so a block's cells get their
-representatives in one pass and their warm estimates from one batched
-refinement; the block's certify/split/budget decisions then run in queue
-order.  The overlay's own cells have no parent: each is warm-started from
-the overlay cell before it, so they are estimated one at a time.  The
-index is the one a cell-by-cell sweep would build.
+dry.  The sweep runs breadth first, one layer of cells at a time, each
+layer a set of parallel arrays.  A cell that a split makes carries its
+parent's estimate as a warm start, so a block of a layer's cells gets its
+representatives from one decode, its warm estimates from one batched
+refinement, and its certify/split/budget decisions from array operations
+in queue order.  The overlay's own cells have no parent: each is
+warm-started from the overlay cell before it, so they are estimated one
+at a time.  The index is the one a cell-by-cell sweep would build.
 
 Queries answer from per-cell data alone; each answer branch re-checks
 its own sufficient condition at query time, so answers are correct even in
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,61 +217,50 @@ def _assign_sites(
     return site
 
 
-def _block_reps(
-    dim: int, max_level: int, keys: list[tuple[int, int]], childmap: dict[tuple[int, int], list[tuple[int, int]]]
-) -> list[np.ndarray | None]:
-    """Representative point per cell of one sweep block: the center of its
-    cube, or None when its stored children tile the cube, so that no query
-    lands in the cell.
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean length of each row, by one BLAS dot per row.
 
-    The sweep's bounds and the query branches hold for any point of the
-    cube, and the center is within half the cube's diameter of all of it.
-    The centers come from one full-depth decode of the block's keys.
+    That is how np.linalg.norm measures a single vector; a summed einsum
+    can differ from it in the last bit, and a last bit can move a split.
     """
-    z = np.array([key[0] for key in keys], dtype=np.int64)
-    lev = np.array([key[1] for key in keys], dtype=np.int64)
-    coords = morton_decode(z, max_level, dim) >> (max_level - lev)[:, None]
-    centers = (coords.astype(np.float64) + 0.5) * np.ldexp(1.0, -lev)[:, None]
-    reps: list[np.ndarray | None] = []
-    for key, center in zip(keys, centers):
-        cover = sum(1 << (dim * (max_level - kl)) for _, kl in childmap[key])
-        reps.append(None if cover >= 1 << (dim * (max_level - key[1])) else center)
-    return reps
+    return np.sqrt((v[:, None, :] @ v[:, :, None]).reshape(-1))
 
 
-def _warm_x(p: np.ndarray, hint: tuple[np.ndarray, float], sandwich: float) -> float | None:
-    """The 4-factor estimate at p that a hint certifies, or None.
+def _warm_xs(p: np.ndarray, hp: np.ndarray, hv: np.ndarray | float, sandwich: float) -> np.ndarray:
+    """The 4-factor estimate at each row of p that its hint certifies, or NaN.
 
     A valid hint (point h, value v) with d_B(h,k) <= v <= sandwich*d_B(h,k)
     brackets d_B(p,k) inside [v/sandwich - delta, v + delta] by the
     Lipschitz property; x = (v + delta)/4 is a 4-factor estimate when the
     bracket's low end is at least x/4.
     """
-    hp, hv = hint
-    delta = float(np.linalg.norm(p - hp))
+    delta = _norms(p - hp)
     lo = hv / sandwich - delta
     x = (hv + delta) / 4.0
-    return x if x > 0.0 and lo >= x / 4.0 else None
+    return np.where((x > 0.0) & (lo >= x / 4.0), x, np.nan)
 
 
-def _kdist_at(
+def _estimates(
     reg: Registry,
-    p: np.ndarray,
+    reps: np.ndarray,
+    live: np.ndarray,
+    hints: tuple[np.ndarray, np.ndarray] | None,
     k: int,
     eps_in: float,
     sandwich: float,
-    hint: tuple[np.ndarray, float] | None,
-) -> tuple[KnnAnswer, bool]:
-    """Estimate at one point, warm-started from a nearby estimated point.
+    rolling: tuple[np.ndarray, float] | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, float] | None]:
+    """Estimate d_B(rep, k) at every live row: the distances and witness
+    ids (0 and -1 on the other rows), which rows were warm-started, and the
+    rolling hint after the rows.
 
-    When the hint certifies a 4-factor estimate (_warm_x), the refinement
-    stage runs directly and the estimation descent is skipped; otherwise
-    the full registry query runs.  Results carry the same accuracy either
-    way.  The sweep estimates the overlay's cells this way, one at a time,
-    because each one's hint is the estimate of the cell before it; the
-    cells that splits make are hinted by their parents and go through
-    _block_kdists, which decides warm or cold the same way per cell and
-    refines a block's warm cells in one refine_many call.
+    A row whose hint certifies a 4-factor estimate (_warm_xs) goes straight
+    to the refinement stage; the others run the full registry query.
+    Results carry the same accuracy either way.  Rows hinted by their
+    parents' (rep, kdist), hints = (points, values), are refined together
+    by one refine_many call.  The overlay's cells (hints None) have no
+    parent: each is hinted by the estimate of the overlay cell before it,
+    the rolling hint, so they run one at a time.
 
     The rolling hint is load-bearing.  Warm-starting each overlay cell from
     its overlay parent instead leaves the cells, the splits and the answers
@@ -280,48 +268,27 @@ def _kdist_at(
     the cold estimates from 23/21/22 to 532/445/478, and single builds took
     1.3-1.9x as long.
     """
-    x = None if hint is None else _warm_x(p, hint, sandwich)
-    if x is not None:
-        return refine(reg, p, k, x, eps_in), True
-    return query(reg, p, k, eps_in), False
-
-
-def _block_kdists(
-    reg: Registry,
-    reps: list[np.ndarray | None],
-    hints: list[tuple[np.ndarray, float] | None],
-    k: int,
-    eps_in: float,
-    sandwich: float,
-    rolling: tuple[np.ndarray, float] | None,
-) -> tuple[list[tuple[KnnAnswer, bool] | None], tuple[np.ndarray, float] | None]:
-    """_kdist_at for every cell of a sweep block that has a representative,
-    and the rolling hint after the block.
-
-    A cell without a hint is an overlay cell: it takes the rolling hint,
-    the estimate of the overlay cell before it.
-    """
-    out: list[tuple[KnnAnswer, bool] | None] = [None] * len(reps)
-    warm: list[int] = []
-    xs: list[float] = []
-    for i, (rep, hint) in enumerate(zip(reps, hints)):
-        if rep is None:
-            continue
-        if hint is None:
-            out[i] = _kdist_at(reg, rep, k, eps_in, sandwich, rolling)
-            rolling = (rep, out[i][0].distance / (1.0 - eps_in))
-            continue
-        x = _warm_x(rep, hint, sandwich)
-        if x is None:
-            out[i] = (query(reg, rep, k, eps_in), False)
-        else:
-            warm.append(i)
-            xs.append(x)
-    if warm:
-        answers = refine_many(reg, np.stack([reps[i] for i in warm]), k, xs, eps_in)
-        for i, ans in zip(warm, answers):
-            out[i] = (ans, True)
-    return out, rolling
+    dist = np.zeros(live.size, dtype=np.float64)
+    wid = np.full(live.size, -1, dtype=np.int64)
+    warm = np.zeros(live.size, dtype=bool)
+    if hints is None:
+        for i in np.flatnonzero(live):
+            x = np.nan if rolling is None else _warm_xs(reps[i : i + 1], *rolling, sandwich)[0]
+            warm[i] = not np.isnan(x)
+            ans = refine(reg, reps[i], k, x, eps_in) if warm[i] else query(reg, reps[i], k, eps_in)
+            dist[i], wid[i] = ans.distance, ans.ball_id
+            rolling = (reps[i], ans.distance / (1.0 - eps_in))
+        return dist, wid, warm, rolling
+    xs = _warm_xs(reps, *hints, sandwich)
+    warm = live & ~np.isnan(xs)
+    for i in np.flatnonzero(live & ~warm):
+        ans = query(reg, reps[i], k, eps_in)
+        dist[i], wid[i] = ans.distance, ans.ball_id
+    if warm.any():
+        answers = refine_many(reg, reps[warm], k, xs[warm], eps_in)
+        dist[warm] = [ans.distance for ans in answers]
+        wid[warm] = [ans.ball_id for ans in answers]
+    return dist, wid, warm, rolling
 
 
 def build_avd(
@@ -375,20 +342,15 @@ def build_avd(
     near_tree = build_from_cubes((near_z, near_l, dim))
     t_fields = time.perf_counter()
     w_tree, _, back_far = overlay(near_tree, far_tree)
-
-    max_level = w_tree.max_level
-    childmap: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    sitemap: dict[tuple[int, int], int] = {}
-    w_keys: list[tuple[int, int]] = []
     far_node = far_tree.find_keys(w_tree.z[back_far], w_tree.level[back_far])
     if (far_node < 0).any():
         raise InternalInvariantError("overlay back pointer lost its source cube")
-    w_site = far_node_site[far_node].tolist()
-    for v in range(w_tree.size):
-        key = (int(w_tree.z[v]), int(w_tree.level[v]))
-        w_keys.append(key)
-        childmap[key] = [(int(w_tree.z[c]), int(w_tree.level[c])) for c in w_tree.children(v)]
-        sitemap[key] = w_site[v]
+    # In an LCA-closed tree no quadrant of a cell holds two of its children,
+    # so the children tile the cell exactly when all 2^d quadrants are
+    # children one level down.
+    kids = w_tree.parent[1:]
+    deeper = w_tree.level[1:] == w_tree.level[kids] + 1
+    w_tiled = np.bincount(kids[deeper], minlength=w_tree.size) == 1 << dim
     overlay_pre_split = w_tree.size
     t_overlay = time.perf_counter()
 
@@ -397,90 +359,78 @@ def build_avd(
     # A cell is certified when one query branch (small cell, near the
     # representative, owning cluster; the query-time order) answers every
     # point of it within (1 +- eps); the others are split while the tree
-    # depth and the cell budget allow.  The queue is first in, first out,
-    # so the sweep runs breadth first: the overlay's cells, then the
-    # quadrants their splits made, and so on.  It takes the queue a block
-    # at a time.  A block's estimates are all computed before its
-    # decisions, which then run in queue order; every hint a block needs
-    # is known when the block starts, so the cells, splits and budget cut
-    # are those of a cell-by-cell sweep.
+    # depth and the cell budget allow.  The sweep runs breadth first: the
+    # overlay's cells, then the quadrants their splits made, and so on.  A
+    # layer is parallel arrays (keys, levels, owning clusters, tile flags,
+    # the parents' (rep, kdist) hints), decided a block at a time in queue
+    # order.  Every hint a block needs is known when it starts, so the
+    # cells, splits and budget cut are those of a cell-by-cell sweep.
     sandwich = 1.0 + eps / 4.0
     eps_in = eps / _KDIST_SHRINK
-    rows: dict[tuple[int, int], tuple[np.ndarray | None, float, int, int]] = {}
-    # Queue entries: cell key, its parent's (rep, kdist) or None for an
-    # overlay cell, and its breadth-first layer.
-    queue: deque[tuple[tuple[int, int], tuple[np.ndarray, float] | None, int]] = deque(
-        (key, None, 0) for key in w_keys
-    )
+    max_level = w_tree.max_level
+    offsets = np.arange(1 << dim, dtype=np.int64)
+    lz, ll, lsite, ltiled = w_tree.z, w_tree.level, far_node_site[far_node], w_tiled
+    hints: tuple[np.ndarray, np.ndarray] | None = None
     rolling: tuple[np.ndarray, float] | None = None
+    cols: list[tuple[np.ndarray, ...]] = []  # per block: z, level, rep, kdist, witness, site, flags
+    cells = w_tree.size
     splits = uncertified = warm_calls = cold_calls = layers = 0
-    while queue:
-        block = [queue.popleft() for _ in range(min(_SWEEP_BLOCK, len(queue)))]
-        keys = [key for key, _, _ in block]
-        reps = _block_reps(dim, max_level, keys, childmap)
-        kdists, rolling = _block_kdists(reg, reps, [hint for _, hint, _ in block], k, eps_in, sandwich, rolling)
-        for (key, _, layer), rep, got_kd in zip(block, reps, kdists):
-            layers = max(layers, layer + 1)
-            if rep is None:
-                rows[key] = (None, 0.0, -1, int(_EMPTY))
-                continue
-            ans, warm = got_kd
-            warm_calls += int(warm)
-            cold_calls += int(not warm)
-            kd = ans.distance / (1.0 - eps_in)
-            j = sitemap[key]
-            lev = key[1]
-            diam = (2.0 ** (-lev)) * math.sqrt(dim)
-            lm = max(0.0, kd / sandwich - diam)
-            lam1 = float(np.linalg.norm(rep - centers[j])) + float(radii[j])
-            certified = (
-                diam <= (eps / 4.0) * lm
-                or (2.0 * float(radii[j]) <= eps * lm and lam1 + diam <= (1.0 + eps) * lm)
+    while lz.size:
+        layers += 1
+        made: list[tuple[np.ndarray, ...]] = []  # per block: the next layer's arrays
+        for lo in range(0, lz.size, _SWEEP_BLOCK):
+            b = slice(lo, lo + _SWEEP_BLOCK)
+            z, lev, site, live = lz[b], ll[b], lsite[b], ~ltiled[b]
+            # Representatives: cube centers, from one full-depth decode; the
+            # bounds and the query branches hold for any point of the cube.
+            # A tiled cell keeps zeros, as no query lands in it.
+            coords = morton_decode(z, max_level, dim) >> (max_level - lev)[:, None]
+            side = np.ldexp(1.0, -lev)
+            rep = (coords.astype(np.float64) + 0.5) * side[:, None]
+            rep[~live] = 0.0
+            got = None if hints is None else (hints[0][b], hints[1][b])
+            dist, wid, warm, rolling = _estimates(reg, rep, live, got, k, eps_in, sandwich, rolling)
+            kd = dist / (1.0 - eps_in)
+            warm_calls += int(warm.sum())
+            cold_calls += int(live.sum() - warm.sum())
+
+            diam = side * math.sqrt(dim)
+            lm = np.maximum(0.0, kd / sandwich - diam)
+            lam1 = _norms(rep - centers[site]) + radii[site]
+            certified = (diam <= (eps / 4.0) * lm) | (
+                (2.0 * radii[site] <= eps * lm) & (lam1 + diam <= (1.0 + eps) * lm)
             )
-            if certified or lev >= max_level or len(childmap) + (1 << dim) > cell_budget:
-                rows[key] = (rep, kd, ans.ball_id, 0)
-                uncertified += int(not certified)
-                continue
-            splits += 1
-            s = dim * (max_level - lev - 1)
-            buckets: dict[int, list[tuple[int, int]]] = {}
-            for kz, kl in childmap[key]:
-                buckets.setdefault((kz >> s) << s, []).append((kz, kl))
-            quadrants: list[tuple[int, int]] = []
-            for off in range(1 << dim):
-                qkey = (key[0] + (off << s), lev + 1)
-                quadrants.append(qkey)
-                got = buckets.get(qkey[0], [])
-                if any(kl == lev + 1 and kz == qkey[0] for kz, kl in got):
-                    continue  # the quadrant is already a stored node
-                childmap[qkey] = got
-                sitemap[qkey] = j
-                queue.append((qkey, (rep, kd), layer + 1))
-            childmap[key] = quadrants
-            rows[key] = (rep, kd, ans.ball_id, int(_EMPTY))
+            cand = np.flatnonzero(live & ~certified & (lev < max_level))
+            s = dim * (max_level - lev[cand] - 1)
+            qz = z[cand, None] + (offsets[None, :] << s[:, None])
+            # A quadrant is already stored exactly when it is an overlay node.
+            new = (w_tree.find_keys(qz.ravel(), np.repeat(lev[cand] + 1, offsets.size)) < 0).reshape(qz.shape)
+            # The cell count only grows, so the splits the budget allows are
+            # a prefix of the candidates, in queue order.
+            grow = new.sum(axis=1)
+            split = cells + np.cumsum(grow) - grow + (1 << dim) <= cell_budget
+            cells += int(grow[split].sum())
+            splits += int(split.sum())
+            uncertified += int(np.count_nonzero(live & ~certified)) - int(split.sum())
+            empty = ~live
+            empty[cand[split]] = True
+            cols.append((z, lev, rep, kd, wid, site, np.where(empty, _EMPTY, np.uint8(0))))
+
+            parent = np.repeat(cand[split], new[split].sum(axis=1))
+            made.append((qz[split][new[split]], lev[parent] + 1, site[parent], rep[parent], kd[parent]))
+        lz, ll, lsite, hrep, hkd = (np.concatenate(c) for c in zip(*made))
+        ltiled = np.zeros(lz.size, dtype=bool)  # a split's quadrant holds one stored cube at most
+        hints = (hrep, hkd)
     t_sweep = time.perf_counter()
 
-    all_z = np.array([key[0] for key in rows], dtype=np.int64)
-    all_l = np.array([key[1] for key in rows], dtype=np.int64)
+    # One sort puts the cells in tree order; the tree built from their keys
+    # must list exactly those keys, or the keys were not closed under LCAs.
+    all_z, all_l, rep_arr, kdist, kwit, site, flag_arr = (np.concatenate(c) for c in zip(*cols))
     tree = build_from_cubes((all_z, all_l, dim))
-    if tree.size != len(rows):
+    order = np.lexsort((all_l, all_z))
+    if not (np.array_equal(tree.z, all_z[order]) and np.array_equal(tree.level, all_l[order])):
         raise InternalInvariantError("cell keys were not closed under ancestors")
-
-    size = tree.size
-    rep_arr = np.zeros((size, dim), dtype=np.float64)
-    kdist = np.zeros(size, dtype=np.float64)
-    kwit = np.full(size, -1, dtype=np.int64)
-    site = np.zeros(size, dtype=np.int64)
-    flag_arr = np.zeros(size, dtype=np.uint8)
-    for v in range(size):
-        key = (int(tree.z[v]), int(tree.level[v]))
-        rep_v, kd, wit, fl = rows[key]
-        if rep_v is not None:
-            rep_arr[v] = rep_v
-        kdist[v] = kd
-        kwit[v] = wit
-        site[v] = sitemap[key]
-        flag_arr[v] = fl
+    rep_arr, kdist, kwit, site, flag_arr = (c[order] for c in (rep_arr, kdist, kwit, site, flag_arr))
     t_end = time.perf_counter()
 
     stats = {
@@ -493,7 +443,7 @@ def build_avd(
         "clusters": len(clusters),
         "I": int(near_z.size),
         "S": int(far_z.size),
-        "W": int(size),
+        "W": int(tree.size),
         "overlay_pre_split": int(overlay_pre_split),
         "splits": splits,
         "uncertified": uncertified,

@@ -161,8 +161,9 @@ def test_index_integrity_rejects_damage(tmp_path):
     with pytest.raises(InputError):
         load_index(str(tiny))
 
-    # A cell index whose columns point outside what it holds, with a valid
-    # CRC: the load rejects it, and `ballann query` exits 1.
+    # A cell index whose columns point outside what it holds, or whose sizes
+    # disagree with its arrays, with a valid CRC: the load rejects it, and
+    # `ballann query` exits 1.
     a = build_avd(build_registry(normalize(generate_instance(9, 1, 60), 0.5)), 15, 0.5)
     save_avd(str(path), a)
     blob = path.read_bytes()
@@ -197,6 +198,33 @@ def test_index_integrity_rejects_damage(tmp_path):
         damaged = bytearray(blob)
         struct.pack_into("<q", damaged, at, value)
         damaged_files.append((match, damaged))
+    # Sizes that disagree with the arrays they count: the cell count, the
+    # cluster count, cluster 0's assigned length, the instance's n and d.
+    instance_at = 8 + 36
+    clusters_at = instance_at + 28 + 8 * d + 8 * n * (d + 1)
+    assigned_len_at = clusters_at + 8 + 8 * d + 48
+    sizes = [
+        ("<Q", z_at - 8, size + 1),
+        ("<Q", z_at - 8, size - 1),
+        ("<Q", z_at - 8, 2**62),
+        ("<Q", clusters_at, len(a.clusters) + 1),
+        ("<Q", clusters_at, 2**63),
+        ("<Q", assigned_len_at, a.clusters[0].assigned.size - 1),
+        ("<Q", assigned_len_at, 2**61),
+        ("<Q", instance_at + 4, n + 1),
+        ("<I", instance_at, 0),
+        ("<I", instance_at, 7),
+    ]
+    assert struct.unpack_from("<Q", blob, assigned_len_at)[0] == a.clusters[0].assigned.size
+    truncated = "malformed|ended early|trailing bytes"
+    for fmt, at, value in sizes:
+        damaged = bytearray(blob)
+        struct.pack_into(fmt, damaged, at, value)
+        damaged_files.append((truncated, damaged))
+    # The payload cut in the middle of the key column, and a payload with
+    # bytes after its stats; the last four bytes hold the recomputed CRC.
+    damaged_files.append((truncated, bytearray(blob[: z_at + 4 * size]) + bytes(4)))
+    damaged_files.append((truncated, bytearray(blob[:-4]) + bytes(8 + 4)))
     # Drop a cell with two children from every column: their least common
     # ancestor is then missing.
     gone = next(v for v in range(1, size) if a.tree.children(v).size >= 2)

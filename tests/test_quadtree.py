@@ -256,6 +256,37 @@ def test_parents_and_children_match_stack_sweep(dim):
     )
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_children_tile_a_cube_iff_all_quadrants_are_children(dim):
+    """In an LCA-closed tree no quadrant of a cube holds two of its children,
+    so the children tile the cube exactly when 2^d of them sit one level
+    down: the test the certification sweep makes with one bincount."""
+    rng = np.random.default_rng(60 + dim)
+    M = max_level_for_dim(dim)
+    nodes = tiled_nodes = 0
+    for _ in range(25):
+        cubes = _cubes_sharing_corners(rng, dim, int(rng.integers(1, 40)))
+        for c in cubes[: len(cubes) // 2]:  # full quadrant sets, some under other cubes
+            cubes += [
+                CanonicalCube(c.level + 1, tuple(2 * x + ((off >> j) & 1) for j, x in enumerate(c.coords)))
+                for off in range(1 << dim)
+            ]
+        tree = build_from_cubes(cubes, dim=dim)
+        kids = tree.parent[1:]
+        deeper = tree.level[1:] == tree.level[kids] + 1
+        tiled = np.bincount(kids[deeper], minlength=tree.size) == 1 << dim
+        z, lev = tree.z.tolist(), tree.level.tolist()
+        for v in range(tree.size):
+            children = tree.children(v).tolist()
+            cover = sum(1 << dim * (M - lev[c]) for c in children)
+            assert (cover >= 1 << dim * (M - lev[v])) == tiled[v]
+            quadrants = [z[c] >> dim * (M - lev[v] - 1) for c in children]
+            assert len(set(quadrants)) == len(quadrants)
+        nodes += tree.size
+        tiled_nodes += int(tiled.sum())
+    assert 0 < tiled_nodes < nodes
+
+
 def test_tree_without_its_lcas_is_refused():
     # Two sibling cubes at level 5 whose parent (level 4) is not stored.
     z = np.array([0, 0, 1 << (max_level_for_dim(1) - 5)], dtype=np.int64)
