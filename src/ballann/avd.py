@@ -1,24 +1,45 @@
 """Sublinear-space cell decomposition answering k-th nearest ball queries.
 
 The structure fixes (k, eps) at build time.  It wraps the input in quorum
-clusters, surrounds every cluster with exponential grids of canonical cubes
-(the near field I), covers the unit cube with a nearest-cluster
-decomposition under the lifted product norm (the far field S), and overlays
-both cube families into one compressed quadtree W.  Every cell stores a
-representative point, an estimate of the k-th ball distance there with the
-ball realizing it, and the cluster owning the cell's far-field region.
+clusters and stores a compressed quadtree W of cells, each with a
+representative point (its cube's center), an estimate of the k-th ball
+distance there with the ball realizing it, and the cluster that owns it.
 
-A certification sweep follows construction: cells whose stored data cannot
-yet guarantee a (1 +- eps) answer for every query inside them are split
-until the guarantee holds, the tree bottoms out, or the cell budget runs
-dry.  The sweep runs breadth first, one layer of cells at a time, each
-layer a set of parallel arrays.  A cell that a split makes carries its
-parent's estimate as a warm start, so a block of a layer's cells gets its
-representatives from one decode, its warm estimates from one batched
-refinement, and its certify/split/budget decisions from array operations
-in queue order.  The overlay's own cells have no parent: each is
-warm-started from the overlay cell before it, so they are estimated one
-at a time.  The index is the one a cell-by-cell sweep would build.
+A certification sweep splits every cell whose stored data cannot yet
+guarantee a (1 +- eps) answer for every query inside it, until the
+guarantee holds, the tree bottoms out, or the cell budget runs dry; this is
+adaptive quadtree subdivision (Har-Peled, FOCS 2001; Arya, Malamatos &
+Mount, JACM 2009).  Practical mode starts it from the root cube.  Strict
+mode starts it from the paper's construction: the overlay of exponential
+grids around the clusters (the near field I, at fineness zeta1) and a
+nearest-cluster decomposition under the lifted product norm (the far field
+S).  The sweep runs breadth first.  The first layer is estimated one cell
+at a time, each warm-started from the cell before it; every later cell is
+warm-started from its parent, a block of cells by one batched refinement,
+and decided by array operations in queue order.  The root and each cell a
+split makes own the cluster of least lifted distance |rep - center| +
+radius; an overlay cell keeps its far-field cluster.
+
+Certification.  A query q in a cell lies within h, half the cell's
+diameter, of the representative; kdist lies in [d_k(rep), (1 + eps/4)
+d_k(rep)] and d_k is 1-Lipschitz, so lm = kdist/(1 + eps/4) - h <= d_k(q)
+in the whole cell.  The near branch answers with the stored witness w when
+offset = |q - rep| <= c * lower, lower = kdist/(1 + eps/4) - offset <=
+d_k(q).  As |rep - w| lies in (1 +- eps/9) d_k(rep), c = 3*eps/8 keeps
+|q - w| in (1 +- eps) d_k(q): the upper side needs (1 + eps/9)(1 + c) + c
+= 1 + (31/36) eps + eps^2/24 <= 1 + eps, the lower side (2 - eps/9) c =
+(3/4) eps - eps^2/24 <= (8/9) eps, each with a margin of about 0.1 * eps
+for every eps in (0, 1).  The sweep certifies a cell when h <= c * lm, or
+when every q in it passes the small or the cluster test, by the same
+bounds with h.
+
+Size.  A cell is split only when h > c * lm, so a leaf's diameter is at
+least about c/(1 + 2c) * d_k at each of its points, and counting leaves by
+volume gives W of order (sqrt(d)/eps)^d times the integral of d_k(q)^-d
+over the unit cube.  For point sites the set where d_k <= r has volume at
+most n V_d r^d / k, so the integral is O((n/k)(1 + log(1/delta))), delta
+the least d_k in the cube; for balls of every size a bound in n/k alone
+needs the clusters, as in the paper.
 
 Queries answer from per-cell data alone; each answer branch re-checks
 its own sufficient condition at query time, so answers are correct even in
@@ -39,7 +60,6 @@ from .geometry import (
     InternalInvariantError,
     dist_point_ball,
     enumerate_grid_cells_ball,
-    grid_footprint,
     grid_level_for_diameter,
 )
 from .knn import KnnAnswer, query, refine, refine_many
@@ -62,10 +82,9 @@ __all__ = [
     "build_avd",
 ]
 
-# Grid fineness constant for the near-field environs of the clusters.  The
-# strict value makes the smallest-cell argument go through on paper; the
-# practical value keeps desk-scale builds affordable and leans on the
-# certification sweep plus the end-to-end audit instead.
+# Grid fineness constant for the near field, which only strict mode builds.
+# The strict value makes the smallest-cell argument go through on paper; a
+# practical index records the practical value.
 ZETA1_STRICT = 256.0 * XI
 ZETA1_PRACTICAL = 16.0 * XI
 
@@ -74,14 +93,7 @@ ZETA1_PRACTICAL = 16.0 * XI
 # side needs (1+e)/(1-e) <= 1+eps/4, i.e. e <= eps/9 for every eps < 1.
 _KDIST_SHRINK = 9.0
 
-# Per-annulus / per-ring cell caps for practical mode; grids whose
-# enumeration would overflow the cap are coarsened (level lowered) until
-# they fit, and the sweep re-refines wherever certification needs it.
-# Strict mode never coarsens.
-_NEAR_CAP = {1: 512}
-_NEAR_CAP_DEFAULT = 192
-_FAR_CAP = {1: 1024}
-_FAR_CAP_DEFAULT = 768
+_NEAR = 3.0 / 8.0  # near branch: offset <= _NEAR * eps * lower (module docstring)
 
 _EMPTY = np.uint8(1)  # flags bit: children tile the cube, no query lands here
 
@@ -110,50 +122,32 @@ class AVDIndex:
     stats: dict
 
     def __post_init__(self) -> None:
-        self.query_counts = {
-            "small": 0,
-            "near": 0,
-            "cluster": 0,
-            "fallback": 0,
-            "out_of_domain": 0,
-        }
-
-
-def _capped_level(center: np.ndarray, radius: float, level: int, cap: int | None) -> tuple[int, bool]:
-    """Lower the level until the enumeration footprint fits under cap."""
-    coarsened = False
-    while level > 0 and cap is not None and grid_footprint(center - radius, center + radius, level) > cap:
-        level -= 1
-        coarsened = True
-    return level, coarsened
+        self.query_counts = dict.fromkeys(("small", "near", "cluster", "fallback", "out_of_domain"), 0)
 
 
 def _near_field(
-    centers: np.ndarray, radii: np.ndarray, eps: float, zeta1: float, dim: int, cap: int | None
-) -> tuple[np.ndarray, np.ndarray, int]:
+    centers: np.ndarray, radii: np.ndarray, eps: float, zeta1: float, dim: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Exponential grids around each cluster: balls 2^j x out to 32*XI/eps."""
     top_j = math.ceil(math.log2(32.0 * XI / eps))
     zs: list[np.ndarray] = []
     ls: list[np.ndarray] = []
-    coarsened = 0
     for i in range(centers.shape[0]):
         for j in range(top_j + 1):
             radius = (2.0**j) * float(radii[i])
             level, _ = grid_level_for_diameter(2.0 * radius, eps / zeta1, dim)
-            level, co = _capped_level(centers[i], radius, level, cap)
-            coarsened += int(co)
             coords = enumerate_grid_cells_ball(centers[i], radius, level)
             if coords.shape[0]:
                 zs.append(morton_encode(coords, level, dim))
                 ls.append(np.full(coords.shape[0], level, dtype=np.int64))
     if not zs:
-        return np.empty(0, np.int64), np.empty(0, np.int64), coarsened
-    return np.concatenate(zs), np.concatenate(ls), coarsened
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    return np.concatenate(zs), np.concatenate(ls)
 
 
 def _far_field(
-    centers: np.ndarray, radii: np.ndarray, eps: float, dim: int, cap: int | None
-) -> tuple[np.ndarray, np.ndarray, int]:
+    centers: np.ndarray, radii: np.ndarray, eps: float, dim: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Rings of cells around each site, fine enough that the smallest cube
     containing any point q has diameter at most (eps/8) times the lifted
     distance from q to its nearest site.
@@ -167,7 +161,6 @@ def _far_field(
     sqd = math.sqrt(dim)
     zs: list[np.ndarray] = []
     ls: list[np.ndarray] = []
-    coarsened = 0
     for i in range(centers.shape[0]):
         w = centers[i]
         ring_r = float(radii[i])
@@ -175,8 +168,6 @@ def _far_field(
         while True:
             target = (eps / 8.0) * floor
             level, _ = grid_level_for_diameter(2.0 * ring_r, target / (2.0 * ring_r), dim)
-            level, co = _capped_level(w, ring_r, level, cap)
-            coarsened += int(co)
             coords = enumerate_grid_cells_ball(w, ring_r, level)
             if coords.shape[0]:
                 if floor < ring_r:
@@ -193,7 +184,7 @@ def _far_field(
             ring_r *= 2.0
     zs.append(np.zeros(1, dtype=np.int64))  # the root cube anchors assignment
     ls.append(np.zeros(1, dtype=np.int64))
-    return np.concatenate(zs), np.concatenate(ls), coarsened
+    return np.concatenate(zs), np.concatenate(ls)
 
 
 def _assign_sites(
@@ -209,12 +200,44 @@ def _assign_sites(
     pts = tree.low_corners()[nodes] + 0.5 * 2.0 ** (-lev.astype(np.float64))[:, None]
     site = np.full(tree.size, -1, dtype=np.int64)
     for lo in range(0, z.size, 65536):
-        hi = min(lo + 65536, z.size)
-        dmat = np.linalg.norm(pts[lo:hi, None, :] - centers[None, :, :], axis=2)
-        site[nodes[lo:hi]] = np.argmin(dmat + radii[None, :], axis=1)
+        site[nodes[lo : lo + 65536]] = _nearest_sites(pts[lo : lo + 65536], centers, radii)
     for v in np.flatnonzero(site < 0):
         site[v] = site[tree.parent[v]]
     return site
+
+
+def _nearest_sites(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """The cluster of least lifted distance |p - center| + radius, per row of pts."""
+    dmat = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2)
+    return np.argmin(dmat + radii[None, :], axis=1)
+
+
+def _paper_cells(
+    centers: np.ndarray, radii: np.ndarray, eps: float, zeta1: float, dim: int
+) -> tuple[CompressedQuadtree, np.ndarray, np.ndarray, int, int, float]:
+    """Strict mode's first layer: the overlay W of the near field I and the
+    far field S, with each W node's far-field cluster and whether its
+    children tile it, plus |I|, |S| and the time the fields were done."""
+    near_z, near_l = _near_field(centers, radii, eps, zeta1, dim)
+    far_z, far_l = _far_field(centers, radii, eps, dim)
+    far_keys = np.unique(np.stack([far_z, far_l], axis=1), axis=0)
+    far_z, far_l = far_keys[:, 0], far_keys[:, 1]
+
+    far_tree = build_from_cubes((far_z, far_l, dim))
+    far_node_site = _assign_sites(far_tree, far_z, far_l, centers, radii)
+    near_tree = build_from_cubes((near_z, near_l, dim))
+    t_fields = time.perf_counter()
+    w_tree, _, back_far = overlay(near_tree, far_tree)
+    far_node = far_tree.find_keys(w_tree.z[back_far], w_tree.level[back_far])
+    if (far_node < 0).any():
+        raise InternalInvariantError("overlay back pointer lost its source cube")
+    # In an LCA-closed tree no quadrant of a cell holds two of its children,
+    # so the children tile the cell exactly when all 2^d quadrants are
+    # children one level down.
+    kids = w_tree.parent[1:]
+    deeper = w_tree.level[1:] == w_tree.level[kids] + 1
+    tiled = np.bincount(kids[deeper], minlength=w_tree.size) == 1 << dim
+    return w_tree, far_node_site[far_node], tiled, int(near_z.size), int(far_z.size), t_fields
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -258,15 +281,11 @@ def _estimates(
     to the refinement stage; the others run the full registry query.
     Results carry the same accuracy either way.  Rows hinted by their
     parents' (rep, kdist), hints = (points, values), are refined together
-    by one refine_many call.  The overlay's cells (hints None) have no
-    parent: each is hinted by the estimate of the overlay cell before it,
-    the rolling hint, so they run one at a time.
-
-    The rolling hint is load-bearing.  Warm-starting each overlay cell from
-    its overlay parent instead leaves the cells, the splits and the answers
-    unchanged, but on the `cell-d2` benchmark inputs (seeds 1-3) it raises
-    the cold estimates from 23/21/22 to 532/445/478, and single builds took
-    1.3-1.9x as long.
+    by one refine_many call.  The first layer's cells (hints None), the
+    root or the overlay's cells, have no parent: each is hinted by the
+    estimate of the cell before it, the rolling hint, so they run one at a
+    time.  Hinting each overlay cell from its overlay parent instead made
+    about 20x the cold estimates.
     """
     dist = np.zeros(live.size, dtype=np.float64)
     wid = np.full(live.size, -1, dtype=np.int64)
@@ -304,9 +323,9 @@ def build_avd(
 
     Requires k > 2 * c_d: smaller k is already served well by querying the
     registry directly, and the cluster machinery needs batches of k - c_d.
-    Strict mode uses the full near-field fineness and no coarsening caps;
-    practical mode caps per-grid enumeration and relies on the
-    certification sweep, which both modes run.
+    Practical mode runs the certification sweep from the root cube; strict
+    mode runs it over the paper's near field, far field and overlay, the
+    near field at fineness zeta1, which only strict mode reads.
     """
     t0 = time.perf_counter()
     n, dim = reg.n, reg.dim
@@ -324,52 +343,31 @@ def build_avd(
         raise InputError(f"mode must be 'practical' or 'strict', got {mode!r}")
     strict = mode == "strict"
     z1 = float(zeta1) if zeta1 is not None else (ZETA1_STRICT if strict else ZETA1_PRACTICAL)
-    near_cap = None if strict else _NEAR_CAP.get(dim, _NEAR_CAP_DEFAULT)
-    far_cap = None if strict else _FAR_CAP.get(dim, _FAR_CAP_DEFAULT)
 
     clusters = ball_quorum(reg, k)
     centers = np.stack([np.asarray(c.center, dtype=np.float64) for c in clusters])
     radii = np.array([c.radius for c in clusters], dtype=np.float64)
     t_quorum = time.perf_counter()
 
-    near_z, near_l, co_near = _near_field(centers, radii, eps, z1, dim, near_cap)
-    far_z, far_l, co_far = _far_field(centers, radii, eps, dim, far_cap)
-    far_keys = np.unique(np.stack([far_z, far_l], axis=1), axis=0)
-    far_z, far_l = far_keys[:, 0], far_keys[:, 1]
-
-    far_tree = build_from_cubes((far_z, far_l, dim))
-    far_node_site = _assign_sites(far_tree, far_z, far_l, centers, radii)
-    near_tree = build_from_cubes((near_z, near_l, dim))
-    t_fields = time.perf_counter()
-    w_tree, _, back_far = overlay(near_tree, far_tree)
-    far_node = far_tree.find_keys(w_tree.z[back_far], w_tree.level[back_far])
-    if (far_node < 0).any():
-        raise InternalInvariantError("overlay back pointer lost its source cube")
-    # In an LCA-closed tree no quadrant of a cell holds two of its children,
-    # so the children tile the cell exactly when all 2^d quadrants are
-    # children one level down.
-    kids = w_tree.parent[1:]
-    deeper = w_tree.level[1:] == w_tree.level[kids] + 1
-    w_tiled = np.bincount(kids[deeper], minlength=w_tree.size) == 1 << dim
-    overlay_pre_split = w_tree.size
+    if strict:
+        w_tree, lsite, ltiled, n_near, n_far, t_fields = _paper_cells(centers, radii, eps, z1, dim)
+    else:  # the root cube alone, whose cluster the sweep picks (site -1)
+        w_tree = build_from_cubes((np.zeros(1, np.int64), np.zeros(1, np.int64), dim))
+        lsite, ltiled = np.full(1, -1, dtype=np.int64), np.zeros(1, dtype=bool)
+        n_near = n_far = 0
+        t_fields = time.perf_counter()
     t_overlay = time.perf_counter()
 
-    # Certification sweep.  lm lower-bounds d_B(q, k) for every q in the
-    # cube: kdist/sandwich <= d_B(rep, k), and d_B is 1-Lipschitz in q.
-    # A cell is certified when one query branch (small cell, near the
-    # representative, owning cluster; the query-time order) answers every
-    # point of it within (1 +- eps); the others are split while the tree
-    # depth and the cell budget allow.  The sweep runs breadth first: the
-    # overlay's cells, then the quadrants their splits made, and so on.  A
-    # layer is parallel arrays (keys, levels, owning clusters, tile flags,
-    # the parents' (rep, kdist) hints), decided a block at a time in queue
-    # order.  Every hint a block needs is known when it starts, so the
-    # cells, splits and budget cut are those of a cell-by-cell sweep.
+    # Certification sweep (see the module docstring).  A layer is parallel
+    # arrays (keys, levels, owning clusters, tile flags, the parents' (rep,
+    # kdist) hints), decided a block at a time in queue order.  Every hint a
+    # block needs is known when it starts, so the cells, splits and budget
+    # cut are those of a cell-by-cell sweep.
     sandwich = 1.0 + eps / 4.0
     eps_in = eps / _KDIST_SHRINK
     max_level = w_tree.max_level
     offsets = np.arange(1 << dim, dtype=np.int64)
-    lz, ll, lsite, ltiled = w_tree.z, w_tree.level, far_node_site[far_node], w_tiled
+    lz, ll = w_tree.z, w_tree.level
     hints: tuple[np.ndarray, np.ndarray] | None = None
     rolling: tuple[np.ndarray, float] | None = None
     cols: list[tuple[np.ndarray, ...]] = []  # per block: z, level, rep, kdist, witness, site, flags
@@ -380,30 +378,29 @@ def build_avd(
         made: list[tuple[np.ndarray, ...]] = []  # per block: the next layer's arrays
         for lo in range(0, lz.size, _SWEEP_BLOCK):
             b = slice(lo, lo + _SWEEP_BLOCK)
-            z, lev, site, live = lz[b], ll[b], lsite[b], ~ltiled[b]
-            # Representatives: cube centers, from one full-depth decode; the
-            # bounds and the query branches hold for any point of the cube.
-            # A tiled cell keeps zeros, as no query lands in it.
+            z, lev, site, live = lz[b], ll[b], lsite[b].copy(), ~ltiled[b]
+            # Representatives: cube centers, from one full-depth decode.
             coords = morton_decode(z, max_level, dim) >> (max_level - lev)[:, None]
             side = np.ldexp(1.0, -lev)
             rep = (coords.astype(np.float64) + 0.5) * side[:, None]
-            rep[~live] = 0.0
+            fresh = site < 0
+            site[fresh] = _nearest_sites(rep[fresh], centers, radii)
             got = None if hints is None else (hints[0][b], hints[1][b])
             dist, wid, warm, rolling = _estimates(reg, rep, live, got, k, eps_in, sandwich, rolling)
             kd = dist / (1.0 - eps_in)
             warm_calls += int(warm.sum())
             cold_calls += int(live.sum() - warm.sum())
 
-            diam = side * math.sqrt(dim)
-            lm = np.maximum(0.0, kd / sandwich - diam)
+            half = side * (0.5 * math.sqrt(dim))
+            lm = np.maximum(0.0, kd / sandwich - half)
             lam1 = _norms(rep - centers[site]) + radii[site]
-            certified = (diam <= (eps / 4.0) * lm) | (
-                (2.0 * radii[site] <= eps * lm) & (lam1 + diam <= (1.0 + eps) * lm)
+            certified = (half <= (_NEAR * eps) * lm) | (
+                (2.0 * radii[site] <= eps * lm) & (lam1 + half <= (1.0 + eps) * lm)
             )
             cand = np.flatnonzero(live & ~certified & (lev < max_level))
             s = dim * (max_level - lev[cand] - 1)
             qz = z[cand, None] + (offsets[None, :] << s[:, None])
-            # A quadrant is already stored exactly when it is an overlay node.
+            # A quadrant is already stored exactly when it is a first-layer node.
             new = (w_tree.find_keys(qz.ravel(), np.repeat(lev[cand] + 1, offsets.size)) < 0).reshape(qz.shape)
             # The cell count only grows, so the splits the budget allows are
             # a prefix of the candidates, in queue order.
@@ -412,13 +409,15 @@ def build_avd(
             cells += int(grow[split].sum())
             splits += int(split.sum())
             uncertified += int(np.count_nonzero(live & ~certified)) - int(split.sum())
+            parent = np.repeat(cand[split], new[split].sum(axis=1))
+            made.append((qz[split][new[split]], lev[parent] + 1, rep[parent], kd[parent]))
+            # No query lands in an empty cell, so it stores a blank row.
             empty = ~live
             empty[cand[split]] = True
+            rep[empty], kd[empty], wid[empty] = 0.0, 0.0, -1
             cols.append((z, lev, rep, kd, wid, site, np.where(empty, _EMPTY, np.uint8(0))))
-
-            parent = np.repeat(cand[split], new[split].sum(axis=1))
-            made.append((qz[split][new[split]], lev[parent] + 1, site[parent], rep[parent], kd[parent]))
-        lz, ll, lsite, hrep, hkd = (np.concatenate(c) for c in zip(*made))
+        lz, ll, hrep, hkd = (np.concatenate(c) for c in zip(*made))
+        lsite = np.full(lz.size, -1, dtype=np.int64)
         ltiled = np.zeros(lz.size, dtype=bool)  # a split's quadrant holds one stored cube at most
         hints = (hrep, hkd)
     t_sweep = time.perf_counter()
@@ -441,14 +440,14 @@ def build_avd(
         "mode": mode,
         "zeta1": z1,
         "clusters": len(clusters),
-        "I": int(near_z.size),
-        "S": int(far_z.size),
+        "I": n_near,
+        "S": n_far,
         "W": int(tree.size),
-        "overlay_pre_split": int(overlay_pre_split),
+        "overlay_pre_split": int(w_tree.size),
         "splits": splits,
         "uncertified": uncertified,
-        "coarsened_near": co_near,
-        "coarsened_far": co_far,
+        "coarsened_near": 0,  # a slot of the BAVD stats block; nothing coarsens
+        "coarsened_far": 0,
         "empty_cells": int(np.count_nonzero(flag_arr & _EMPTY)),
         "knn_calls_warm": warm_calls,
         "knn_calls_cold": cold_calls,
@@ -512,7 +511,7 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
     if diam <= (eps / 8.0) * lam_star:
         chosen = int(a.kdist_witness[v])
         a.query_counts["small"] += 1
-    elif lower > 0.0 and offset <= (eps / 4.0) * lower:
+    elif lower > 0.0 and offset <= (_NEAR * eps) * lower:
         chosen = int(a.kdist_witness[v])
         a.query_counts["near"] += 1
     elif lower > 0.0 and 2.0 * xj <= eps * lower and lam1 <= (1.0 + eps) * lower:
@@ -559,7 +558,7 @@ def audit_cells(a: AVDIndex, samples: int = 200, seed: int = 0) -> dict:
     avd_query.  Also counts, as a diagnostic rather than a violation, how
     often the bare two-branch rule (stored witness on small cells, cluster
     ball otherwise, no runtime re-checks) would miss the (1 +- eps)
-    window; building with a too-small zeta1 shows up here.
+    window; an index whose sweep ran out of budget shows up here.
     """
     from .oracle import exact_kth_distance
 

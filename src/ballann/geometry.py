@@ -31,7 +31,6 @@ __all__ = [
     "grid_level_for_diameter",
     "grid_approx",
     "grid_index_box",
-    "grid_footprint",
     "enumerate_grid_cells_ball",
     "enumerate_grid_cells_balls",
     "enumerate_grid_cells_box",
@@ -226,6 +225,8 @@ def concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     )
 
 
+# (ball, candidate cell) rows enumerate_grid_cells_balls tests at once.
+_ENUM_CHUNK_ROWS = 1 << 20
 # Candidate pairs find_overlap tests at once; bounds its memory.
 _OVERLAP_CHUNK = 1 << 18
 # Absolute slack of find_overlap's test, oracle.check_disjoint's default tol.
@@ -396,12 +397,6 @@ def grid_index_box(
     return box
 
 
-def grid_footprint(lo: Sequence[float], hi: Sequence[float], level: int) -> int:
-    """Number of cells in grid_index_box(lo, hi, level), the cost of enumerating them."""
-    box = grid_index_box(lo, hi, level)
-    return 0 if box is None else math.prod(b - a + 1 for a, b in box)
-
-
 def enumerate_grid_cells_ball(
     center: Sequence[float], radius: float, level: int
 ) -> np.ndarray:
@@ -421,7 +416,8 @@ def enumerate_grid_cells_balls(
 
     Each ball's candidates are its grid_index_box, computed with the same
     float operations, in C order; the closed-body test keeps the cells within
-    the radius of the center.
+    the radius of the center.  The balls go in chunks of at most about
+    _ENUM_CHUNK_ROWS (ball, widest-box offset) rows, which bounds the memory.
     """
     n, d = centers.shape
     top = 1 << level
@@ -431,21 +427,26 @@ def enumerate_grid_cells_balls(
     span = b - a + 1
     # Offsets over the widest box in C order; each ball keeps those in its own.
     offsets = np.indices(np.maximum(span.max(axis=0, initial=0), 0)).reshape(d, -1).T
-    in_box = (offsets[None, :, :] < span[:, None, :]).all(axis=2)
-    count = in_box.sum(axis=1)
-    coords = np.repeat(a, count, axis=0) + offsets[np.nonzero(in_box)[1]]
-    # Exact closed-body filter: distance from the center to each cell box,
-    # computed in place to hold fewer (m, d) temporaries.
+    step = max(1, _ENUM_CHUNK_ROWS // max(offsets.shape[0], 1))
     side = 2.0 ** (-level)
-    c = np.repeat(centers, count, axis=0)
-    below = coords * side
-    above = below + side
-    np.maximum(np.subtract(below, c, out=below), 0.0, out=below)
-    np.maximum(np.subtract(c, above, out=above), 0.0, out=above)
-    gap = np.add(below, above, out=below)
-    r = np.repeat(radii, count)
-    keep = np.einsum("ij,ij->i", gap, gap) <= r * r
-    return coords[keep], np.repeat(np.arange(n, dtype=np.int64), count)[keep]
+    parts = [(np.empty((0, d), dtype=np.int64), np.empty(0, dtype=np.int64))]
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        in_box = (offsets[None, :, :] < span[lo:hi, None, :]).all(axis=2)
+        count = in_box.sum(axis=1)
+        coords = np.repeat(a[lo:hi], count, axis=0) + offsets[np.nonzero(in_box)[1]]
+        # Exact closed-body filter: distance from the center to each cell box,
+        # computed in place to hold fewer (m, d) temporaries.
+        c = np.repeat(centers[lo:hi], count, axis=0)
+        below = coords * side
+        above = below + side
+        np.maximum(np.subtract(below, c, out=below), 0.0, out=below)
+        np.maximum(np.subtract(c, above, out=above), 0.0, out=above)
+        gap = np.add(below, above, out=below)
+        r = np.repeat(radii[lo:hi], count)
+        keep = np.einsum("ij,ij->i", gap, gap) <= r * r
+        parts.append((coords[keep], np.repeat(np.arange(lo, hi, dtype=np.int64), count)[keep]))
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 def enumerate_grid_cells_box(

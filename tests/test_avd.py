@@ -5,6 +5,8 @@ import pytest
 
 from ballann import build_registry, generate_instance, normalize
 from ballann.avd import (
+    _NEAR,
+    _KDIST_SHRINK,
     ZETA1_PRACTICAL,
     ZETA1_STRICT,
     AVDIndex,
@@ -57,6 +59,63 @@ def test_avd_two_sided_sweeps(seed, dim, n, k, eps):
     a = _build(seed, dim, n, k, eps)
     assert a.stats["uncertified"] == 0
     _check_queries(a, 300, seed + 1)
+
+
+def test_d3_practical_build_certifies_every_cell():
+    a = _build(55, 3, 256, 64, 0.5)
+    assert a.stats["uncertified"] == 0
+    assert a.stats["I"] == a.stats["S"] == 0 and a.stats["overlay_pre_split"] == 1
+    _check_queries(a, 300, 56, require_no_fallback=True)
+
+
+def test_near_branch_constant_meets_both_sides_of_the_chain():
+    """c = 3/8 eps keeps the stored witness inside (1 +- eps) for queries at
+    offset <= c * lower, with estimates at eps/9 and the eps/4 sandwich."""
+    assert _KDIST_SHRINK == 9.0
+    for eps in np.linspace(1e-4, 1.0, 10_001)[:-1]:
+        c, e = _NEAR * eps, eps / _KDIST_SHRINK
+        assert (1.0 + e) * (1.0 + c) + c <= 1.0 + eps - 0.09 * eps
+        assert (2.0 - e) * c <= (1.0 - e) - (1.0 - eps) - 0.1 * eps
+        # The stored estimate (1 + e)/(1 - e) * d_k stays inside the sandwich.
+        assert (1.0 + e) / (1.0 - e) <= 1.0 + eps / 4.0
+
+
+def test_queries_at_the_near_boundary_stay_in_the_window():
+    """Around each live cell's representative, points just inside and just
+    outside offset = c * lower: the stored witness is in the window inside,
+    and avd_query answers in the window on both sides.  Each cell's low
+    corner, its farthest point from the representative, takes the near or
+    small branch."""
+    a = _build(57, 2, 100, 25, 0.5)
+    balls = a.registry.instance.balls
+    sandwich = 1.0 + a.eps / 4.0
+    c = _NEAR * a.eps
+    rng = np.random.default_rng(58)
+    live = np.flatnonzero((a.flags & 1) == 0)
+    inside = 0
+    for v in live[rng.permutation(live.size)[:120]]:
+        rep, kd = a.rep[v], float(a.kdist[v])
+        # offset = c * (kd/sandwich - offset) at the boundary.
+        edge = c * (kd / sandwich) / (1.0 + c)
+        u = rng.normal(size=2)
+        u /= np.linalg.norm(u)
+        for scale in (1.0 - 1e-6, 1.0 + 1e-3):
+            q = rep + scale * edge * u
+            truth = exact_kth_distance(balls, q, a.k).value
+            lo, hi = (1.0 - a.eps) * truth - 1e-12, (1.0 + a.eps) * truth + 1e-12
+            offset = float(np.linalg.norm(q - rep))
+            if offset <= c * (kd / sandwich - offset):
+                inside += 1
+                assert lo <= dist_point_ball(q, balls[int(a.kdist_witness[v])]) <= hi
+            if np.all((0.0 <= q) & (q < 1.0)):
+                assert lo <= avd_query(a, q).distance <= hi
+        corner = rep - 0.5 * 2.0 ** (-float(a.tree.level[v]))
+        before = dict(a.query_counts)
+        ans = avd_query(a, corner)
+        truth = exact_kth_distance(balls, corner, a.k).value
+        assert (1.0 - a.eps) * truth - 1e-12 <= ans.distance <= (1.0 + a.eps) * truth + 1e-12
+        assert a.query_counts["near"] + a.query_counts["small"] == before["near"] + before["small"] + 1
+    assert inside >= 100
 
 
 def test_avd_query_at_stored_representative_uses_stored_witness():
@@ -221,7 +280,7 @@ def test_stats_inventory():
     [
         (74, 1, 64, 16, 0.25, 8.0, 400_000),
         (75, 2, 100, 25, 0.5, None, 400_000),
-        (75, 2, 100, 25, 0.5, None, 4_000),
+        (75, 2, 100, 25, 0.5, None, 1_000),
         (76, 3, 60, 56, 0.5, None, 6_000),
     ],
 )
@@ -269,7 +328,7 @@ def test_far_field_assignment_quality(centers, radii, eps):
     centers = np.asarray(centers, dtype=np.float64)
     radii = np.asarray(radii, dtype=np.float64)
     dim = centers.shape[1]
-    z, lev, _ = _far_field(centers, radii, eps, dim, None)
+    z, lev = _far_field(centers, radii, eps, dim)
     tree = build_from_cubes((z, lev, dim))
     site = _assign_sites(tree, z, lev, centers, radii)
     assert site.shape == (tree.size,) and site.min() >= 0

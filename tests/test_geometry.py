@@ -13,11 +13,9 @@ from ballann.geometry import (
     dist_points_balls,
     enumerate_grid_cells_ball,
     enumerate_grid_cells_balls,
-    enumerate_grid_cells_box,
     floor_log2,
     grid_approx,
     grid_cell,
-    grid_footprint,
     grid_index_box,
     grid_level_for_diameter,
     max_level_for_dim,
@@ -202,27 +200,6 @@ def test_grid_approx_zero_diameter_registers_deepest_cell():
     assert cell.contains_point((0.3, 0.7))
 
 
-@given(st.integers(1, 4), st.integers(0, 6), st.integers(0, 10_000))
-@settings(max_examples=150, deadline=None)
-def test_grid_footprint_bounds_enumeration(d, level, seed):
-    rng = np.random.default_rng(seed)
-    # Centers and boxes reach past the unit cube on purpose.
-    center = rng.uniform(-0.3, 1.3, size=d)
-    radius = float(rng.uniform(0.0, 0.4))
-    footprint = grid_footprint(center - radius, center + radius, level)
-    cells = enumerate_grid_cells_ball(center, radius, level)
-    assert len(cells) <= footprint
-    box = grid_index_box(center - radius, center + radius, level)
-    assert (box is None) == (footprint == 0)
-    if box is not None:
-        for j, (a, b) in enumerate(box):
-            assert 0 <= a <= b < 1 << level
-            assert np.all((a <= cells[:, j]) & (cells[:, j] <= b))
-    lo = rng.uniform(-0.3, 1.3, size=d)
-    hi = lo + rng.uniform(0.0, 0.5, size=d)
-    assert len(enumerate_grid_cells_box(lo, hi, level)) <= grid_footprint(lo, hi, level)
-
-
 def _cells_meeting_ball_reference(center, radius, level):
     """Per-ball meshgrid over grid_index_box plus the closed-body test: the
     reference the batched enumeration must reproduce, row for row."""
@@ -252,6 +229,25 @@ def test_batched_ball_enumeration_matches_per_ball(d):
         assert ball.tolist() == [i for i, w in enumerate(want) for _ in range(len(w))]
         for c, r, w in zip(centers, radii, want):
             assert np.array_equal(enumerate_grid_cells_ball(c, float(r), level), w)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_chunked_ball_enumeration_matches_one_shot(monkeypatch, d):
+    """Enumerating the balls a chunk at a time returns the one-shot arrays."""
+    import ballann.geometry as geometry
+
+    rng = np.random.default_rng(190 + d)
+    for level in (0, 2, 4, 6):
+        centers = rng.uniform(-0.2, 1.2, size=(30, d))
+        radii = rng.uniform(0.0, 3.0, size=30) * 2.0 ** (-level)
+        radii[rng.random(30) < 0.2] = 0.0
+        whole = enumerate_grid_cells_balls(centers, radii, level)
+        for rows in (1, 5**d, 3 * 6**d):
+            monkeypatch.setattr(geometry, "_ENUM_CHUNK_ROWS", rows)
+            chunked = enumerate_grid_cells_balls(centers, radii, level)
+            for got, want in zip(chunked, whole):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        monkeypatch.undo()
 
 
 # -- lifting and packing ---------------------------------------------------------
