@@ -3,7 +3,8 @@
 Generates disjoint balls, builds the registry and a (k, eps) cell index,
 answers a few queries through both, and prints each answer next to the
 brute-force k-th distance so the certified bounds are visible.  Finishes
-with the cluster audit and the index's branch counters.
+with an audit of the quorum clustering (which only strict cell indexes
+store) and the index's branch counters.
 
     python3 scripts/demo.py --dim 2 --n 100 --k 25 --eps 0.5
 """
@@ -18,7 +19,7 @@ from ballann import build_registry, generate_instance, normalize
 from ballann.avd import avd_query, build_avd
 from ballann.knn import query
 from ballann.oracle import exact_kth_distance
-from ballann.quorum import verify_quorum
+from ballann.quorum import ball_quorum, verify_quorum
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ def run(cfg: DemoConfig) -> None:
         label = "(" + ", ".join(f"{v:.3f}" for v in q) + ")"
         print(f"{label:<28} {truth:>12.6f} {r_ans.distance:>12.6f} {a_ans.distance:>12.6f} {ratio:>7.3f}")
 
-    rep = verify_quorum(reg, a.clusters, cfg.k)
+    rep = verify_quorum(reg, ball_quorum(reg, cfg.k), cfg.k)
     full = [r["ratio"] for r in rep["ratios"] if not r["is_remainder"]]
     print(
         f"\ncluster audit: ok={rep['ok']} clusters={rep['clusters']} "

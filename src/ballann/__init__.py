@@ -2,7 +2,8 @@
 
 Two query paths share the same guarantees: a registry-backed structure that
 answers (1+eps)-approximate k-th nearest ball queries in polylogarithmic time,
-and a sublinear-space Voronoi-style subdivision built on quorum clustering.
+and a sublinear-space Voronoi-style subdivision for one fixed (k, eps),
+certified cell by cell (quorum clustering only in its strict mode).
 """
 
 from .avd import AVDIndex, audit_cells, avd_query, build_avd

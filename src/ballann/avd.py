@@ -1,9 +1,11 @@
 """Sublinear-space cell decomposition answering k-th nearest ball queries.
 
-The structure fixes (k, eps) at build time.  It wraps the input in quorum
-clusters and stores a compressed quadtree W of cells, each with a
-representative point (its cube's center), an estimate of the k-th ball
-distance there with the ball realizing it, and the cluster that owns it.
+The structure fixes (k, eps) at build time.  It stores a compressed
+quadtree W of cells, each with a representative point (its cube's center)
+and an estimate of the k-th ball distance there with the ball realizing
+it.  A strict index also wraps the input in quorum clusters (Carmi et al.,
+Algorithmica 2005) and records the cluster that owns each cell; a
+practical index holds no clusters and stores site -1 on every cell.
 
 A certification sweep splits every cell whose stored data cannot yet
 guarantee a (1 +- eps) answer for every query inside it, until the
@@ -16,9 +18,9 @@ nearest-cluster decomposition under the lifted product norm (the far field
 S).  The sweep runs breadth first.  The first layer is estimated one cell
 at a time, each warm-started from the cell before it; every later cell is
 warm-started from its parent, a block of cells by one batched refinement,
-and decided by array operations in queue order.  The root and each cell a
-split makes own the cluster of least lifted distance |rep - center| +
-radius; an overlay cell keeps its far-field cluster.
+and decided by array operations in queue order.  In strict mode the root
+and each cell a split makes own the cluster of least lifted distance
+|rep - center| + radius; an overlay cell keeps its far-field cluster.
 
 Certification.  A query q in a cell lies within h, half the cell's
 diameter, of the representative; kdist lies in [d_k(rep), (1 + eps/4)
@@ -29,9 +31,21 @@ d_k(q).  As |rep - w| lies in (1 +- eps/9) d_k(rep), c = 3*eps/8 keeps
 |q - w| in (1 +- eps) d_k(q): the upper side needs (1 + eps/9)(1 + c) + c
 = 1 + (31/36) eps + eps^2/24 <= 1 + eps, the lower side (2 - eps/9) c =
 (3/4) eps - eps^2/24 <= (8/9) eps, each with a margin of about 0.1 * eps
-for every eps in (0, 1).  The sweep certifies a cell when h <= c * lm, or
-when every q in it passes the small or the cluster test, by the same
-bounds with h.
+for every eps in (0, 1).  A practical cell is certified when h <= c * lm,
+which puts every q in it on the near branch.  A strict cell is also
+certified when every q in it passes the cluster test, by the same bounds
+with h.
+
+No small-cell branch.  The paper also answers with the stored witness when
+diam <= (eps/8) lam*, lam* <= kdist + offset.  That condition implies the
+near one: with offset <= diam it gives offset <= (eps/8)(kdist + offset),
+so offset <= eps * kdist/(8 - eps), while the near branch holds for offset
+<= c * kdist/((1 + eps/4)(1 + c)), and eps/(8 - eps) is the smaller bound
+exactly when (1 + eps/4)(1 + 3 eps/8) <= 3 - 3 eps/8, that is 0.75 eps^2 +
+8 eps - 16 <= 0, true for every eps in (0, 1).  (kdist = 0 would need
+diam <= (eps/8) offset <= (eps/8) diam, so kdist > 0 and lower > 0.)  Both
+return the stored witness, so the near branch answers every such query
+alike.
 
 Size.  A cell is split only when h > c * lm, so a leaf's diameter is at
 least about c/(1 + 2c) * d_k at each of its points, and counting leaves by
@@ -111,9 +125,9 @@ class AVDIndex:
     rep: np.ndarray  # (size, d) representative points
     kdist: np.ndarray  # (size,) estimate of d_B(rep, k), two-sided sandwich
     kdist_witness: np.ndarray  # (size,) ball realizing the estimate
-    site: np.ndarray  # (size,) owning cluster per cell
+    site: np.ndarray  # (size,) owning cluster per cell; -1 when there are no clusters
     flags: np.ndarray  # (size,) bit 1: empty region
-    clusters: list[QuorumCluster]
+    clusters: list[QuorumCluster]  # empty in a practical index
     registry: Registry
     k: int
     eps: float
@@ -122,7 +136,7 @@ class AVDIndex:
     stats: dict
 
     def __post_init__(self) -> None:
-        self.query_counts = dict.fromkeys(("small", "near", "cluster", "fallback", "out_of_domain"), 0)
+        self.query_counts = dict.fromkeys(("near", "cluster", "fallback", "out_of_domain"), 0)
 
 
 def _near_field(
@@ -323,9 +337,12 @@ def build_avd(
 
     Requires k > 2 * c_d: smaller k is already served well by querying the
     registry directly, and the cluster machinery needs batches of k - c_d.
-    Practical mode runs the certification sweep from the root cube; strict
-    mode runs it over the paper's near field, far field and overlay, the
-    near field at fineness zeta1, which only strict mode reads.
+    Practical mode runs the certification sweep from the root cube and
+    certifies by the near test alone, with no quorum: the index holds no
+    clusters and site -1 on every cell.  Strict mode builds the quorum and
+    runs the sweep over the paper's near field, far field and overlay, the
+    near field at fineness zeta1, which only strict mode reads; its cells
+    certify by the near test or the cluster test.
     """
     t0 = time.perf_counter()
     n, dim = reg.n, reg.dim
@@ -344,14 +361,15 @@ def build_avd(
     strict = mode == "strict"
     z1 = float(zeta1) if zeta1 is not None else (ZETA1_STRICT if strict else ZETA1_PRACTICAL)
 
-    clusters = ball_quorum(reg, k)
-    centers = np.stack([np.asarray(c.center, dtype=np.float64) for c in clusters])
-    radii = np.array([c.radius for c in clusters], dtype=np.float64)
-    t_quorum = time.perf_counter()
-
     if strict:
+        clusters = ball_quorum(reg, k)
+        centers = np.stack([np.asarray(c.center, dtype=np.float64) for c in clusters])
+        radii = np.array([c.radius for c in clusters], dtype=np.float64)
+        t_quorum = time.perf_counter()
         w_tree, lsite, ltiled, n_near, n_far, t_fields = _paper_cells(centers, radii, eps, z1, dim)
-    else:  # the root cube alone, whose cluster the sweep picks (site -1)
+    else:  # the root cube alone; no clusters, so every site stays -1
+        clusters = []
+        t_quorum = time.perf_counter()
         w_tree = build_from_cubes((np.zeros(1, np.int64), np.zeros(1, np.int64), dim))
         lsite, ltiled = np.full(1, -1, dtype=np.int64), np.zeros(1, dtype=bool)
         n_near = n_far = 0
@@ -383,8 +401,9 @@ def build_avd(
             coords = morton_decode(z, max_level, dim) >> (max_level - lev)[:, None]
             side = np.ldexp(1.0, -lev)
             rep = (coords.astype(np.float64) + 0.5) * side[:, None]
-            fresh = site < 0
-            site[fresh] = _nearest_sites(rep[fresh], centers, radii)
+            if strict:
+                fresh = site < 0
+                site[fresh] = _nearest_sites(rep[fresh], centers, radii)
             got = None if hints is None else (hints[0][b], hints[1][b])
             dist, wid, warm, rolling = _estimates(reg, rep, live, got, k, eps_in, sandwich, rolling)
             kd = dist / (1.0 - eps_in)
@@ -393,10 +412,10 @@ def build_avd(
 
             half = side * (0.5 * math.sqrt(dim))
             lm = np.maximum(0.0, kd / sandwich - half)
-            lam1 = _norms(rep - centers[site]) + radii[site]
-            certified = (half <= (_NEAR * eps) * lm) | (
-                (2.0 * radii[site] <= eps * lm) & (lam1 + half <= (1.0 + eps) * lm)
-            )
+            certified = half <= (_NEAR * eps) * lm
+            if strict:
+                lam1 = _norms(rep - centers[site]) + radii[site]
+                certified |= (2.0 * radii[site] <= eps * lm) & (lam1 + half <= (1.0 + eps) * lm)
             cand = np.flatnonzero(live & ~certified & (lev < max_level))
             s = dim * (max_level - lev[cand] - 1)
             qz = z[cand, None] + (offsets[None, :] << s[:, None])
@@ -482,11 +501,13 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
     Points outside the unit cube have no cell: the registry search answers
     them, with its certified interval, and the answer is flagged out of
     domain.  In-domain queries walk to their cell and try, in order: the
-    small-cell stored witness, the stored witness again when the query sits
-    close enough to the representative, and the owning cluster's contained
-    ball.  Each branch re-checks its own sufficient condition on the live
-    query point, so a hit is correct regardless of what held at build time;
-    if nothing fires the query falls back to the registry search.
+    stored witness when the query sits close enough to the representative
+    (the near branch, which also covers the paper's small-cell branch; see
+    the module docstring), then, in a cell with an owning cluster (site >=
+    0, strict indexes only), the cluster's contained ball.  Each branch
+    re-checks its own sufficient condition on the live query point, so a
+    hit is correct regardless of what held at build time; if nothing fires
+    the query falls back to the registry search.
     """
     qt = np.asarray(q, dtype=np.float64).reshape(-1)
     if qt.size != a.registry.dim:
@@ -498,25 +519,18 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
     v = a.tree.point_location(qt)
     if a.flags[v] & _EMPTY:
         raise InternalInvariantError("point location landed in a tiled cell")
-    rep = a.rep[v]
-    j = int(a.site[v])
-    cl = a.clusters[j]
-    xj = cl.radius
-    offset = float(np.linalg.norm(qt - rep))
-    lam1 = float(np.linalg.norm(qt - np.asarray(cl.center))) + xj
-    lam_star = min(lam1, float(a.kdist[v]) + offset)
-    diam = (2.0 ** (-int(a.tree.level[v]))) * math.sqrt(a.registry.dim)
+    offset = float(np.linalg.norm(qt - a.rep[v]))
     lower = float(a.kdist[v]) / (1.0 + eps / 4.0) - offset
     chosen = -1
-    if diam <= (eps / 8.0) * lam_star:
-        chosen = int(a.kdist_witness[v])
-        a.query_counts["small"] += 1
-    elif lower > 0.0 and offset <= (_NEAR * eps) * lower:
+    if lower > 0.0 and offset <= (_NEAR * eps) * lower:
         chosen = int(a.kdist_witness[v])
         a.query_counts["near"] += 1
-    elif lower > 0.0 and 2.0 * xj <= eps * lower and lam1 <= (1.0 + eps) * lower:
-        chosen = int(cl.witness)
-        a.query_counts["cluster"] += 1
+    elif lower > 0.0 and a.site[v] >= 0:
+        cl = a.clusters[int(a.site[v])]
+        lam1 = float(np.linalg.norm(qt - np.asarray(cl.center))) + cl.radius
+        if 2.0 * cl.radius <= eps * lower and lam1 <= (1.0 + eps) * lower:
+            chosen = int(cl.witness)
+            a.query_counts["cluster"] += 1
     if chosen < 0:
         a.query_counts["fallback"] += 1
         return query(a.registry, qt, k, eps)
@@ -548,17 +562,20 @@ def _region_sample(a: AVDIndex, node: int, rng: np.random.Generator, tries: int 
 def audit_cells(a: AVDIndex, samples: int = 200, seed: int = 0) -> dict:
     """Per-cell checks against the brute-force reference.
 
-    On sampled cells and random in-region points, verifies: the per-query
-    threshold really upper-bounds the true k-th distance, the small-cell
-    branch whenever its condition holds, the cluster branch whenever its
-    condition holds, existence of an anchor cluster (radius at most 3*XI
-    and center distance at most 4*XI times the true k-th distance), the
-    stored estimate's two-sided sandwich at the representative, witness
-    containment in the owning cluster, and end-to-end agreement of
-    avd_query.  Also counts, as a diagnostic rather than a violation, how
-    often the bare two-branch rule (stored witness on small cells, cluster
-    ball otherwise, no runtime re-checks) would miss the (1 +- eps)
-    window; an index whose sweep ran out of budget shows up here.
+    On up to `samples` cells and about 2 * samples random in-region points
+    (two a cell at least), verifies: the per-query threshold really
+    upper-bounds the true k-th distance, the small-cell condition's stored
+    witness whenever that condition holds, the stored estimate's two-sided
+    sandwich at the representative, and end-to-end agreement of avd_query.  An index with clusters (strict, or a file
+    written before practical builds dropped them) also gets the cluster
+    checks: the cluster branch whenever its condition holds, existence of
+    an anchor cluster (radius at most 3*XI and center distance at most
+    4*XI times the true k-th distance), and witness containment in the
+    owning cluster.  Also counts, as a diagnostic rather than a violation,
+    how often the bare two-branch rule (stored witness on small cells, the
+    cluster ball otherwise, or the stored witness again without clusters;
+    no runtime re-checks) would miss the (1 +- eps) window; an index whose
+    sweep ran out of budget shows up here.
     """
     from .oracle import exact_kth_distance
 
@@ -578,30 +595,37 @@ def audit_cells(a: AVDIndex, samples: int = 200, seed: int = 0) -> dict:
         "kdist_spot": 0,
         "else_branch_misses": 0,
     }
-    wc = np.stack([np.asarray(c.center) for c in a.clusters])
-    wx = np.array([c.radius for c in a.clusters])
+    # With fewer live cells than samples, the rest of the budget goes to
+    # more points per cell (two at least).
+    per_cell = max(2, 2 * samples // max(int(live.size), 1))
+    clustered = bool(a.clusters)
+    if clustered:
+        wc = np.stack([np.asarray(c.center) for c in a.clusters])
+        wx = np.array([c.radius for c in a.clusters])
     for v in live:
         v = int(v)
         rep = a.rep[v]
-        j = int(a.site[v])
         dk_rep = exact_kth_distance(balls, rep, k).value
         counts["kdist_spot"] += 1
         if not (dk_rep * (1 - 1e-9) <= a.kdist[v] <= (1 + eps / 4.0) * dk_rep * (1 + 1e-9)):
             violations.append(
                 f"node {v}: stored estimate {a.kdist[v]:.6g} outside the sandwich of {dk_rep:.6g}"
             )
-        wit_ball = balls[int(a.clusters[j].witness)]
-        span = float(np.linalg.norm(np.asarray(wit_ball.center) - wc[j])) + wit_ball.radius
-        if span > wx[j] * (1 + 1e-9):
-            violations.append(f"node {v}: cluster witness ball sticks out of cluster {j}")
+        if clustered:
+            j = int(a.site[v])
+            wit_ball = balls[int(a.clusters[j].witness)]
+            span = float(np.linalg.norm(np.asarray(wit_ball.center) - wc[j])) + wit_ball.radius
+            if span > wx[j] * (1 + 1e-9):
+                violations.append(f"node {v}: cluster witness ball sticks out of cluster {j}")
         diam = (2.0 ** (-int(a.tree.level[v]))) * math.sqrt(a.registry.dim)
-        for _ in range(2):
+        for _ in range(per_cell):
             q = _region_sample(a, v, rng)
             counts["points"] += 1
             dk = exact_kth_distance(balls, q, k).value
-            lam1 = float(np.linalg.norm(q - wc[j])) + wx[j]
-            lam2 = float(a.kdist[v]) + float(np.linalg.norm(q - rep))
-            lam_star = min(lam1, lam2)
+            lam_star = float(a.kdist[v]) + float(np.linalg.norm(q - rep))
+            if clustered:
+                lam1 = float(np.linalg.norm(q - wc[j])) + wx[j]
+                lam_star = min(lam1, lam_star)
             if lam_star < dk * (1 - 1e-9):
                 violations.append(f"node {v}: threshold {lam_star:.6g} below exact {dk:.6g}")
 
@@ -609,24 +633,24 @@ def audit_cells(a: AVDIndex, samples: int = 200, seed: int = 0) -> dict:
                 return (1 - eps) * dk * (1 - 1e-9) <= dist <= (1 + eps) * dk * (1 + 1e-9)
 
             d_small = dist_point_ball(q, balls[int(a.kdist_witness[v])])
-            d_clus = dist_point_ball(q, balls[int(a.clusters[j].witness)])
+            d_else = dist_point_ball(q, balls[int(a.clusters[j].witness)]) if clustered else d_small
             if diam <= (eps / 8.0) * lam_star:
                 counts["small_branch"] += 1
                 if not in_window(d_small):
                     violations.append(f"node {v}: small-cell witness off ({d_small:.6g} vs {dk:.6g})")
-            elif not in_window(d_clus):
+            elif not in_window(d_else):
                 counts["else_branch_misses"] += 1
-            lower = float(a.kdist[v]) / (1.0 + eps / 4.0) - float(np.linalg.norm(q - rep))
-            if lower > 0.0 and 2.0 * wx[j] <= eps * lower and lam1 <= (1.0 + eps) * lower:
-                counts["cluster_branch"] += 1
-                if not in_window(d_clus):
-                    violations.append(f"node {v}: cluster witness off ({d_clus:.6g} vs {dk:.6g})")
-            near = np.linalg.norm(wc - q, axis=1)
-            anchored = np.any((wx <= 3.0 * XI * dk + 1e-12) & (near <= 4.0 * XI * dk + 1e-12))
-            if anchored:
-                counts["anchor"] += 1
-            else:
-                violations.append(f"node {v}: no anchor cluster at scale {dk:.6g}")
+            if clustered:
+                lower = float(a.kdist[v]) / (1.0 + eps / 4.0) - float(np.linalg.norm(q - rep))
+                if lower > 0.0 and 2.0 * wx[j] <= eps * lower and lam1 <= (1.0 + eps) * lower:
+                    counts["cluster_branch"] += 1
+                    if not in_window(d_else):
+                        violations.append(f"node {v}: cluster witness off ({d_else:.6g} vs {dk:.6g})")
+                near = np.linalg.norm(wc - q, axis=1)
+                if np.any((wx <= 3.0 * XI * dk + 1e-12) & (near <= 4.0 * XI * dk + 1e-12)):
+                    counts["anchor"] += 1
+                else:
+                    violations.append(f"node {v}: no anchor cluster at scale {dk:.6g}")
             ans = avd_query(a, q)
             d_ans = dist_point_ball(q, balls[ans.ball_id])
             if not in_window(d_ans):

@@ -137,11 +137,6 @@ class CanonicalCube:
         shift = other.level - self.level
         return all((oc >> shift) == c for oc, c in zip(other.coords, self.coords))
 
-    def parent(self) -> "CanonicalCube":
-        if self.level == 0:
-            raise InputError("root cube has no parent")
-        return CanonicalCube(self.level - 1, tuple(c >> 1 for c in self.coords))
-
     def ancestor(self, level: int) -> "CanonicalCube":
         if level > self.level:
             raise InputError("ancestor level must not exceed cube level")

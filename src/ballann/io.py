@@ -8,9 +8,9 @@ before any structure is touched.
 A registry file (magic BREG) stores only the inputs; the structure is
 rebuilt on load, which is deterministic and cheap.  An approximate-Voronoi
 file (magic BAVD) stores the full cell decomposition: cube table, per-cell
-representative/estimate/witness/site/flags, and the cluster list, plus the
-inputs needed to rebuild the fallback registry.  Each magic has its own
-format version.
+representative/estimate/witness/site/flags, and the cluster list (empty,
+with site -1 on every cell, for a practical index), plus the inputs needed
+to rebuild the fallback registry.  Each magic has its own format version.
 """
 
 from __future__ import annotations
@@ -373,8 +373,9 @@ def _check_cells(
     the unit cube and aligned to the level) and listed in strictly
     increasing (key, level) order; closure under least common ancestors is
     checked when the tree is built.  Ball ids must lie in [0, n), except
-    that a cell whose children tile it may carry witness -1, and sites must
-    name a stored cluster.
+    that a cell whose children tile it may carry witness -1.  Sites must
+    name a stored cluster, or be -1 on every cell of a file that holds no
+    clusters (a practical index).
     """
     for c in clusters:
         if not 0 <= c.witness < n or (c.assigned.size and not (0 <= c.assigned.min() and c.assigned.max() < n)):
@@ -390,7 +391,10 @@ def _check_cells(
     tiled = (flags & _EMPTY) != 0
     if np.any((kdist_witness < np.where(tiled, -1, 0)) | (kdist_witness >= n)):
         raise InputError(f"index cell witness outside [0, {n}) (-1 only on tiled cells)")
-    if site.size and not (0 <= site.min() and site.max() < len(clusters)):
+    if not clusters:
+        if np.any(site != -1):
+            raise InputError("index cell site must be -1 in a file with no clusters")
+    elif site.size and not (0 <= site.min() and site.max() < len(clusters)):
         raise InputError(f"index cell site outside [0, {len(clusters)})")
 
 

@@ -19,6 +19,7 @@ from ballann.avd import (
 from ballann.geometry import InputError, dist_point_ball
 from ballann.oracle import exact_kth_distance
 from ballann.quadtree import build_from_cubes
+from ballann.quorum import ball_quorum
 
 from conftest import make_registry
 
@@ -84,8 +85,8 @@ def test_queries_at_the_near_boundary_stay_in_the_window():
     """Around each live cell's representative, points just inside and just
     outside offset = c * lower: the stored witness is in the window inside,
     and avd_query answers in the window on both sides.  Each cell's low
-    corner, its farthest point from the representative, takes the near or
-    small branch."""
+    corner, its farthest point from the representative, takes the near
+    branch."""
     a = _build(57, 2, 100, 25, 0.5)
     balls = a.registry.instance.balls
     sandwich = 1.0 + a.eps / 4.0
@@ -114,7 +115,7 @@ def test_queries_at_the_near_boundary_stay_in_the_window():
         ans = avd_query(a, corner)
         truth = exact_kth_distance(balls, corner, a.k).value
         assert (1.0 - a.eps) * truth - 1e-12 <= ans.distance <= (1.0 + a.eps) * truth + 1e-12
-        assert a.query_counts["near"] + a.query_counts["small"] == before["near"] + before["small"] + 1
+        assert a.query_counts["near"] == before["near"] + 1
     assert inside >= 100
 
 
@@ -139,7 +140,7 @@ def test_avd_branch_mix_and_counts():
     for _ in range(500):
         avd_query(a, tuple(rng.random(1)))
     c = a.query_counts
-    assert c["small"] + c["near"] + c["cluster"] > 0
+    assert c["near"] + c["cluster"] > 0
     assert c["fallback"] == 0
     assert sum(c.values()) == 500
 
@@ -171,16 +172,21 @@ def test_avd_dimension_mismatch_rejected():
 
 def test_cell_view_fields_are_consistent():
     a = _build(64, 1, 32, 8, 0.5)
-    balls = a.registry.instance.balls
-    live = [i for i in range(a.tree.size) if not (a.flags[i] & 1)]
-    for i in live[:60]:
-        rep = tuple(float(x) for x in a.rep[i])
-        assert a.tree.node_cube(i).contains_point(rep)
-        truth = exact_kth_distance(balls, rep, a.k).value
-        assert truth - 1e-12 <= a.kdist[i] <= (1.0 + a.eps / 4.0) * truth + 1e-12
-        assert 0 <= a.kdist_witness[i] < len(balls)
-        # The owning cluster's witness is a ball assigned to that cluster.
-        cl = a.clusters[int(a.site[i])]
+    s = _build(69, 1, 8, 7, 0.5, mode="strict")
+    assert a.clusters == [] and np.all(a.site == -1)
+    for b in (a, s):
+        balls = b.registry.instance.balls
+        live = [i for i in range(b.tree.size) if not (b.flags[i] & 1)]
+        for i in live[:60]:
+            rep = tuple(float(x) for x in b.rep[i])
+            assert b.tree.node_cube(i).contains_point(rep)
+            truth = exact_kth_distance(balls, rep, b.k).value
+            assert truth - 1e-12 <= b.kdist[i] <= (1.0 + b.eps / 4.0) * truth + 1e-12
+            assert 0 <= b.kdist_witness[i] < len(balls)
+    # In the strict index, each cell's owning cluster's witness is a ball
+    # assigned to that cluster.
+    for i in np.flatnonzero((s.flags & 1) == 0)[:60]:
+        cl = s.clusters[int(s.site[i])]
         assert cl.witness in cl.assigned.tolist()
 
 
@@ -196,6 +202,16 @@ def test_audit_cells_clean_at_d2():
     a = _build(66, 2, 60, 20, 0.5)
     rep = audit_cells(a, samples=80, seed=6)
     assert rep["ok"], rep["violations"]
+
+
+def test_audit_cells_clean_on_strict_build():
+    """Criterion 6's strict instance: the cluster checks (anchor, cluster
+    witness containment, cluster branch) run on every sampled point."""
+    reg = build_registry(normalize(generate_instance(6025, 1, 8), 0.5))
+    a = build_avd(reg, 7, 0.5, mode="strict")
+    rep = audit_cells(a, samples=150, seed=8)
+    assert rep["ok"], rep["violations"]
+    assert rep["cells"] > 0 and rep["anchor"] == rep["points"] > 0
 
 
 # -- degraded and degenerate configurations ----------------------------------------
@@ -217,9 +233,50 @@ def test_adversarial_window_stays_correct_and_honest():
 def test_k_equals_n_degenerate_cluster_count():
     a = _build(68, 1, 16, 16, 0.5)
     # ell = k - c_d < n always, so one full batch plus a remainder appear.
-    assert len(a.clusters) == 2
-    assert a.clusters[-1].is_remainder
+    clusters = ball_quorum(a.registry, 16)
+    assert len(clusters) == 2
+    assert clusters[-1].is_remainder
     _check_queries(a, 150, 9)
+
+
+def test_practical_build_runs_no_quorum(monkeypatch):
+    import ballann.avd as avd
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a practical build called ball_quorum")
+
+    monkeypatch.setattr(avd, "ball_quorum", refuse)
+    a = _build(54, 2, 100, 25, 0.5)
+    assert a.clusters == [] and a.stats["clusters"] == 0
+    assert a.site.shape == (a.tree.size,) and np.all(a.site == -1)
+    assert a.stats["uncertified"] == 0
+    _check_queries(a, 200, 55, require_no_fallback=True)
+    with pytest.raises(AssertionError, match="ball_quorum"):
+        _build(69, 1, 8, 7, 0.5, mode="strict")
+
+
+def test_small_condition_implies_near():
+    """The deleted small-cell branch: diam <= (eps/8)(kdist + offset) with
+    offset <= diam puts the query on the near branch, lower > 0 and offset
+    <= c * lower, at every eps in (0, 1)."""
+    rng = np.random.default_rng(77)
+    eps = np.concatenate([np.linspace(1e-4, 1.0, 2_001)[:-1], rng.uniform(0.0, 1.0, 20_000)])
+    eps = eps[(eps > 0.0) & (eps < 1.0)]
+    kdist = 10.0 ** rng.uniform(-9.0, 1.0, eps.size)
+    # Offsets at a fraction of the diameter, and diameters up to the largest
+    # one the small condition admits there, eps*kdist/(8 - eps*frac).
+    for frac in (np.ones(eps.size), rng.uniform(0.0, 1.0, eps.size)):
+        diam = eps * kdist / (8.0 - eps * frac) * rng.uniform(0.0, 1.0, eps.size) ** 0.1
+        offset = frac * diam
+        small = diam <= (eps / 8.0) * (kdist + offset)
+        assert small.mean() > 0.99
+        lower = kdist / (1.0 + eps / 4.0) - offset
+        near = (lower > 0.0) & (offset <= (_NEAR * eps) * lower)
+        assert np.all(near[small])
+    # The margin: eps/(8 - eps) stays below c/((1 + eps/4)(1 + c)).
+    c = _NEAR * eps
+    assert np.all(eps / (8.0 - eps) < c / ((1.0 + eps / 4.0) * (1.0 + c)))
+    assert np.all(0.75 * eps**2 + 8.0 * eps - 16.0 < 0.0)
 
 
 def test_strict_mode_d1():

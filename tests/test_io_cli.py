@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from ballann import generate_instance, normalize, build_registry
-from ballann.avd import AVDIndex, avd_query, build_avd
+from ballann.avd import AVDIndex, _nearest_sites, audit_cells, avd_query, build_avd
 from ballann.cli import main
 from ballann.geometry import Ball, InputError, dist_point_ball
 from ballann.io import (
@@ -21,6 +22,7 @@ from ballann.io import (
     write_balls,
 )
 from ballann.oracle import exact_kth_distance
+from ballann.quorum import ball_quorum
 
 
 # -- ball files -------------------------------------------------------------------
@@ -132,6 +134,32 @@ def test_avd_version_1_file_is_rejected(tmp_path):
             load_index(str(old))
 
 
+def test_practical_file_with_clusters_still_loads(tmp_path):
+    """Practical files written while practical builds still ran the quorum
+    carry clusters and a site per cell: they load, answer alike and audit
+    clean."""
+    reg = build_registry(normalize(generate_instance(8, 1, 48), 0.5))
+    a = build_avd(reg, 12, 0.5)
+    clusters = ball_quorum(reg, 12)
+    centers = np.stack([np.asarray(c.center) for c in clusters])
+    radii = np.array([c.radius for c in clusters])
+    old = dataclasses.replace(a, clusters=clusters, site=_nearest_sites(a.rep, centers, radii))
+    path = tmp_path / "old.idx"
+    save_avd(str(path), old)
+    b = load_index(str(path))
+    assert b.mode == "practical" and len(b.clusters) == len(clusters) > 0
+    assert np.array_equal(b.site, old.site)
+    balls = reg.instance.balls
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        q = tuple(rng.random(1))
+        ans = avd_query(b, q)
+        assert ans == avd_query(old, q)
+        truth = exact_kth_distance(balls, q, 12).value
+        assert 0.5 * truth - 1e-12 <= ans.distance <= 1.5 * truth + 1e-12
+    assert audit_cells(b, samples=60, seed=4)["ok"]
+
+
 def test_index_integrity_rejects_damage(tmp_path):
     balls = generate_instance(9, 1, 16)
     reg = build_registry(normalize(balls, 0.5))
@@ -163,77 +191,74 @@ def test_index_integrity_rejects_damage(tmp_path):
 
     # A cell index whose columns point outside what it holds, or whose sizes
     # disagree with its arrays, with a valid CRC: the load rejects it, and
-    # `ballann query` exits 1.
+    # `ballann query` exits 1.  A practical file holds no clusters and site
+    # -1 on every cell; the cluster cases use a strict file.
     a = build_avd(build_registry(normalize(generate_instance(9, 1, 60), 0.5)), 15, 0.5)
+    s = build_avd(build_registry(normalize(generate_instance(6025, 1, 8), 0.5)), 7, 0.5, "strict")
+    assert a.clusters == [] and s.clusters
     save_avd(str(path), a)
     blob = path.read_bytes()
-    n, size, d = a.registry.n, a.tree.size, 1
-    # Cell columns, counted back from the 80 stat bytes that end the payload.
-    flags_at = len(blob) - 4 - 80 - size
-    site_at = flags_at - 8 * size
-    witness_at = site_at - 8 * size
-    level_at = witness_at - 8 * size - 8 * size - 8 * size * d
-    z_at = level_at - 8 * size
-    # Cluster 0's witness: after the mode block, the instance block, the
-    # cluster count, the cluster's center and its three radii.
-    cluster_witness_at = 8 + 36 + 28 + 8 * d + 8 * n * (d + 1) + 8 + 8 * d + 24
+    save_avd(str(path), s)
+    strict_blob = path.read_bytes()
+    at, size, n = _bavd_layout(a, blob), a.tree.size, a.registry.n
+    sat = _bavd_layout(s, strict_blob)
     live = int(np.flatnonzero((a.flags & 1) == 0)[-1])
+    slive = int(np.flatnonzero((s.flags & 1) == 0)[-1])
     tiled = np.flatnonzero(a.kdist_witness == -1)
     assert tiled.size and np.all(a.flags[tiled] & 1)  # -1 on tiled cells loads fine
     last = size - 1
     queries = tmp_path / "q.txt"
     queries.write_text("0.5\n")
     cases = [
-        ("site", site_at + 8 * live, len(a.clusters)),
-        ("site", site_at + 8 * live, -1),
-        ("witness", witness_at + 8 * live, n),
-        ("witness", witness_at + 8 * live, -1),
-        ("ball id", cluster_witness_at, n),
-        ("levels", level_at + 8 * last, 53),
-        ("canonical", z_at + 8 * last, int(a.tree.z[last]) + 1),
-        ("increasing", z_at + 8 * last, int(a.tree.z[last - 1])),
+        (blob, "site", at["site"] + 8 * live, 0),
+        (strict_blob, "site", sat["site"] + 8 * slive, len(s.clusters)),
+        (strict_blob, "site", sat["site"] + 8 * slive, -1),
+        (blob, "witness", at["witness"] + 8 * live, n),
+        (blob, "witness", at["witness"] + 8 * live, -1),
+        (strict_blob, "ball id", sat["cluster_witness"], s.registry.n),
+        (blob, "levels", at["level"] + 8 * last, 53),
+        (blob, "canonical", at["z"] + 8 * last, int(a.tree.z[last]) + 1),
+        (blob, "increasing", at["z"] + 8 * last, int(a.tree.z[last - 1])),
     ]
     damaged_files = []
-    for match, at, value in cases:
-        damaged = bytearray(blob)
-        struct.pack_into("<q", damaged, at, value)
+    for source, match, pos, value in cases:
+        damaged = bytearray(source)
+        struct.pack_into("<q", damaged, pos, value)
         damaged_files.append((match, damaged))
     # Sizes that disagree with the arrays they count: the cell count, the
     # cluster count, cluster 0's assigned length, the instance's n and d.
-    instance_at = 8 + 36
-    clusters_at = instance_at + 28 + 8 * d + 8 * n * (d + 1)
-    assigned_len_at = clusters_at + 8 + 8 * d + 48
     sizes = [
-        ("<Q", z_at - 8, size + 1),
-        ("<Q", z_at - 8, size - 1),
-        ("<Q", z_at - 8, 2**62),
-        ("<Q", clusters_at, len(a.clusters) + 1),
-        ("<Q", clusters_at, 2**63),
-        ("<Q", assigned_len_at, a.clusters[0].assigned.size - 1),
-        ("<Q", assigned_len_at, 2**61),
-        ("<Q", instance_at + 4, n + 1),
-        ("<I", instance_at, 0),
-        ("<I", instance_at, 7),
+        (blob, "<Q", at["z"] - 8, size + 1),
+        (blob, "<Q", at["z"] - 8, size - 1),
+        (blob, "<Q", at["z"] - 8, 2**62),
+        (strict_blob, "<Q", sat["clusters"], len(s.clusters) + 1),
+        (strict_blob, "<Q", sat["clusters"], 2**63),
+        (strict_blob, "<Q", sat["assigned_len"], s.clusters[0].assigned.size - 1),
+        (strict_blob, "<Q", sat["assigned_len"], 2**61),
+        (blob, "<Q", at["instance"] + 4, n + 1),
+        (blob, "<I", at["instance"], 0),
+        (blob, "<I", at["instance"], 7),
     ]
-    assert struct.unpack_from("<Q", blob, assigned_len_at)[0] == a.clusters[0].assigned.size
+    assert struct.unpack_from("<Q", strict_blob, sat["assigned_len"])[0] == s.clusters[0].assigned.size
+    assert struct.unpack_from("<Q", blob, at["clusters"])[0] == 0
     truncated = "malformed|ended early|trailing bytes"
-    for fmt, at, value in sizes:
-        damaged = bytearray(blob)
-        struct.pack_into(fmt, damaged, at, value)
+    for source, fmt, pos, value in sizes:
+        damaged = bytearray(source)
+        struct.pack_into(fmt, damaged, pos, value)
         damaged_files.append((truncated, damaged))
     # The payload cut in the middle of the key column, and a payload with
     # bytes after its stats; the last four bytes hold the recomputed CRC.
-    damaged_files.append((truncated, bytearray(blob[: z_at + 4 * size]) + bytes(4)))
+    damaged_files.append((truncated, bytearray(blob[: at["z"] + 4 * size]) + bytes(4)))
     damaged_files.append((truncated, bytearray(blob[:-4]) + bytes(8 + 4)))
     # Drop a cell with two children from every column: their least common
     # ancestor is then missing.
     gone = next(v for v in range(1, size) if a.tree.children(v).size >= 2)
-    damaged = bytearray(blob[: z_at - 8]) + struct.pack("<Q", size - 1)
-    at = z_at
-    for width in (8, 8, 8 * d, 8, 8, 8, 1):
-        damaged += blob[at : at + width * gone] + blob[at + width * (gone + 1) : at + width * size]
-        at += width * size
-    damaged += blob[at:]
+    damaged = bytearray(blob[: at["z"] - 8]) + struct.pack("<Q", size - 1)
+    pos = at["z"]
+    for width in (8, 8, 8 * a.registry.dim, 8, 8, 8, 1):
+        damaged += blob[pos : pos + width * gone] + blob[pos + width * (gone + 1) : pos + width * size]
+        pos += width * size
+    damaged += blob[pos:]
     damaged_files.append(("least common ancestors", damaged))
     for match, damaged in damaged_files:
         struct.pack_into("<I", damaged, len(damaged) - 4, zlib.crc32(damaged[8:-4]) & 0xFFFFFFFF)
@@ -241,6 +266,25 @@ def test_index_integrity_rejects_damage(tmp_path):
         with pytest.raises(InputError, match=match):
             load_index(str(path))
         assert main(["query", str(path), str(queries)]) == 1
+
+
+def _bavd_layout(a, blob):
+    """Byte offsets in a saved BAVD file of index a: the instance block, the
+    cluster count, cluster 0's witness and assigned length (when there is a
+    cluster 0), and the cell columns, counted back from the 80 stat bytes
+    that end the payload."""
+    n, size, d = a.registry.n, a.tree.size, a.registry.dim
+    at = {"instance": 8 + 36}
+    at["clusters"] = at["instance"] + 28 + 8 * d + 8 * n * (d + 1)
+    # Cluster 0: its center, three radii, then witness and round index.
+    at["cluster_witness"] = at["clusters"] + 8 + 8 * d + 24
+    at["assigned_len"] = at["clusters"] + 8 + 8 * d + 48
+    at["flags"] = len(blob) - 4 - 80 - size
+    at["site"] = at["flags"] - 8 * size
+    at["witness"] = at["site"] - 8 * size
+    at["level"] = at["witness"] - 8 * size - 8 * size - 8 * size * d
+    at["z"] = at["level"] - 8 * size
+    return at
 
 
 # -- CLI ---------------------------------------------------------------------------
