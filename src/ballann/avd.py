@@ -340,9 +340,12 @@ def build_avd(
     Practical mode runs the certification sweep from the root cube and
     certifies by the near test alone, with no quorum: the index holds no
     clusters and site -1 on every cell.  Strict mode builds the quorum and
-    runs the sweep over the paper's near field, far field and overlay, the
-    near field at fineness zeta1, which only strict mode reads; its cells
-    certify by the near test or the cluster test.
+    runs the sweep over the paper's near field, far field and overlay; its
+    cells certify by the near test or the cluster test.
+
+    zeta1 is the fineness of strict mode's near field and is read in strict
+    mode only: a practical build records it in `AVDIndex.zeta1`, and any
+    value gives the same practical index.
     """
     t0 = time.perf_counter()
     n, dim = reg.n, reg.dim

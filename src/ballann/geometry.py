@@ -348,7 +348,7 @@ def grid_coords(points: np.ndarray, level: int) -> np.ndarray:
     clipped to the nearest cell instead of rejected.
     """
     top = 1 << level
-    return np.clip(np.floor(points * top).astype(np.int64), 0, top - 1)
+    return np.minimum(np.maximum(np.floor(points * top).astype(np.int64), 0), top - 1)
 
 
 def floor_log2(y: float) -> int:

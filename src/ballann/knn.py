@@ -16,12 +16,15 @@ cell meets the closed ball(q, r_snap); the center lies in that cell, so it
 is within r_snap plus the cell diameter side*sqrt(d) of q.  A row with no
 other center that close has no small candidate: its candidates are its
 large balls, each of weight 1, and its answer is their k-th (distance, id)
-pair, found by partition.  On the other rows the exact closed cell test,
-the one `Registry.small_center_count` counts by, runs on the centers that
-pass the prefilter only (`Registry.center_cells_meeting`), and the cell
-grouping follows.  The prefilter's reach is padded by the relative
-PREFILTER_SLACK, so float rounding cannot drop a center the exact test
-would keep.
+pair, found by partition.  On the other rows the centers that pass the
+prefilter are snapped to the row's grid once, and those cell coords feed
+both the exact closed cell test, the one `Registry.small_center_count`
+counts by (`Registry._cells_meet`), and the selection.  The selection takes
+the k-th smallest estimate with each small center counted once at its
+cell's, by partition; only the candidates at exactly that estimate are
+grouped by cell and ordered by key.  The prefilter's reach
+is padded by the relative PREFILTER_SLACK, so float rounding cannot drop a
+center the exact test would keep.
 """
 
 from __future__ import annotations
@@ -234,8 +237,11 @@ def _refine_chunk(
         wids[plain] = np.argmax(ties >= rank[:, None], axis=1)
     for r in np.flatnonzero(maybe_small).tolist():
         ids = np.flatnonzero(large[r])
-        small = reg.center_cells_meeting(np.flatnonzero(near[r]), qs[r], float(r_snap[r]), levels[r])
-        wids[r] = _select_with_cells(reg, qs[r], k, levels[r], ids, dist[r, ids], small)
+        # One grid snap of the near centers feeds the cell test and the selection.
+        near_ids = np.flatnonzero(near[r])
+        cells = grid_coords(reg.centers[near_ids], levels[r])
+        meet = reg._cells_meet(cells, qs[r], float(r_snap[r]), levels[r])
+        wids[r] = _select_with_cells(qs[r], k, levels[r], ids, dist[r, ids], near_ids[meet], cells[meet])
     answers = []
     for r in range(m):
         wid = int(wids[r])
@@ -245,34 +251,51 @@ def _refine_chunk(
 
 
 def _select_with_cells(
-    reg: Registry, q: np.ndarray, k: int, level: int, large: np.ndarray, d_large: np.ndarray, small: np.ndarray
+    q: np.ndarray,
+    k: int,
+    level: int,
+    large: np.ndarray,
+    d_large: np.ndarray,
+    small: np.ndarray,
+    cells: np.ndarray,
 ) -> int:
     """The k-th candidate's id, given the large balls with their distances
-    and the small centers, ascending, whose cells meet ball(q, r_snap)."""
-    est, w, keys = d_large, np.ones(large.size, dtype=np.int64), large
-    if small.size:
-        # One candidate per grid cell at the cell center, weighted by its
-        # small centers and keyed by the smallest of their ids.
-        coords = grid_coords(reg.centers[small], level)
-        # Row-major cell codes: dim * level <= 63 bits, so they fit.
-        codes = coords[:, 0]
-        for j in range(1, reg.dim):
-            codes = codes * (1 << level) + coords[:, j]
-        order = np.argsort(codes, kind="stable")
-        codes = codes[order]
-        first = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-        cc = (coords[order[first]] + 0.5) * 2.0 ** (-level)
-        d_cells = np.sqrt(np.einsum("ij,ij->i", cc - q, cc - q))
-        est = np.concatenate([est, d_cells])
-        w = np.concatenate([w, np.diff(np.append(first, codes.size))])
-        keys = np.concatenate([keys, small[order[first]]])
-    order = np.lexsort((keys, est))
-    cum = np.cumsum(w[order])
-    j = int(np.searchsorted(cum, k))
-    if j >= order.size:
+    and the small centers, ascending, with their level-`level` cells, which
+    meet ball(q, r_snap).
+
+    The candidates are the large balls, each of weight 1, and one per grid
+    cell at the cell center, weighted by its small centers and keyed by the
+    smallest of their ids; the answer is the k-th in (estimate, key) order.
+    Count each small center once, at its cell's estimate: the k-th smallest
+    of these unit estimates, t, is then the answer's estimate, since the
+    candidates below t weigh less than k and those up to t at least k.  So
+    no cell is sorted: only the candidates at exactly t are grouped, and
+    they follow the weight below t in key order.
+    """
+    cc = (cells + 0.5) * 2.0 ** (-level)
+    d_small = np.sqrt(np.einsum("ij,ij->i", cc - q, cc - q))
+    units = np.concatenate([d_large, d_small])
+    if units.size < k:
         raise InternalInvariantError(
             "selection ran out of candidates; the 4-factor estimate must be wrong"
         )
+    t = np.partition(units, k - 1)[k - 1]
+    below = int(np.count_nonzero(units < t))
+    tied = d_large == t
+    keys, w = large[tied], np.ones(np.count_nonzero(tied), dtype=np.int64)
+    at = np.flatnonzero(d_small == t)
+    if at.size:
+        # Row-major cell codes: dim * level <= 63 bits, so they fit.
+        codes = cells[at, 0]
+        for j in range(1, cells.shape[1]):
+            codes = codes * (1 << level) + cells[at, j]
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        first = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+        keys = np.concatenate([keys, small[at[order[first]]]])
+        w = np.concatenate([w, np.diff(np.append(first, codes.size))])
+    order = np.argsort(keys)
+    j = int(np.searchsorted(below + np.cumsum(w[order]), k))
     return int(keys[order[j]])
 
 

@@ -5,13 +5,13 @@ registers to (plus ancestors closing the tree), `centers_tree` stores the
 ball centers as points.  On top of them sit the four query primitives:
 
   * exact retrieval of the balls, with a diameter floor, that meet a query
-    ball: a walk down the ball tree,
+    ball: a walk down the ball tree, skipped when no ball reaches the floor,
   * 2-approximate k-th nearest center distance: a frontier over the centers
     tree,
   * the number of centers whose grid cell meets a query ball: a walk down
     the centers tree, counting whole subtrees where it can (the eps
-    refinement of `knn` runs the same cell test on the centers its
-    prefilter keeps, through `center_cells_meeting`),
+    refinement of `knn` runs the same cell test, `_cells_meet`, on the
+    cells of the centers its prefilter keeps),
   * the delta-monotone approximate count of balls meeting a query ball,
     built from the first and the third.
 
@@ -64,12 +64,16 @@ WALK_MARGIN = 1e-9
 
 def _box_dists(low: np.ndarray, level: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Min and max distance from q to each closed cube, given by its low
-    corner and level, the squares summed over the axes in order."""
-    side = 2.0 ** (-level.astype(np.float64))
+    corner and level, the squares summed over the axes in order.  On each
+    axis the far gap max(q - low, high - q) is -min(below, above), exactly."""
+    side = np.ldexp(1.0, -level)
     below = low - q
     above = q - (low + side[:, None])
-    near = np.maximum(np.maximum(below, above), 0.0) ** 2
-    far = np.maximum(np.abs(below), np.abs(above)) ** 2
+    near = np.maximum(below, above)
+    np.maximum(near, 0.0, out=near)
+    far = np.minimum(below, above)
+    near *= near
+    far *= far
     near_sum, far_sum = near[:, 0], far[:, 0]
     for j in range(1, low.shape[1]):
         near_sum = near_sum + near[:, j]
@@ -93,6 +97,14 @@ class Registry:
         self.centers = instance.centers_array()
         self.radii = instance.radii_array()
         self.c_d = instance.c_d
+        # The largest diameter 2r, for large_balls_intersecting, and the box
+        # that holds every ball, padded by WALK_MARGIN, for
+        # balls_containing_point.
+        self._largest_diameter = 2.0 * float(self.radii.max())
+        lo = (self.centers - self.radii[:, None]).min(axis=0)
+        hi = (self.centers + self.radii[:, None]).max(axis=0)
+        pad = WALK_MARGIN * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+        self._box_lo, self._box_hi = lo - pad, hi + pad
         t0 = time.perf_counter()
 
         # (1) Registration cells: the cells of grid_approx(b, 1) for every
@@ -172,9 +184,10 @@ class Registry:
         """Ids, ascending, of the balls that meet the closed ball(q, radius)
         and whose diameter is at least `min_diameter` (ties count as large).
 
-        A walk down the ball tree keeps the nodes no deeper than L, the
-        registration level of a ball of diameter `min_diameter` (the deepest
-        level when the floor is 0), whose closed cube meets
+        When the largest diameter is under the floor, the answer is empty at
+        once.  Otherwise a walk down the ball tree keeps the nodes no deeper
+        than L, the registration level of a ball of diameter `min_diameter`
+        (the deepest level when the floor is 0), whose closed cube meets
         ball(q, radius * (1 + WALK_MARGIN)); the balls registered at the
         kept nodes are then filtered exactly.  No qualifying ball is missed:
         its registration level is at most L, since the level falls as the
@@ -187,6 +200,8 @@ class Registry:
         walk takes them all instead of splitting further, which only adds
         candidates for the exact filter.
         """
+        if self._largest_diameter < min_diameter:
+            return np.empty(0, dtype=np.int64)
         qa = np.asarray(q, dtype=np.float64)
         t = self.ball_tree
         if min_diameter > 0.0:
@@ -332,30 +347,28 @@ class Registry:
             cnt = t.span_hi[nodes] - t.span_lo[nodes]
             if cnt.sum() <= EXACT_FINISH_COUNT:
                 ids = t.point_perm[concat_ranges(t.span_lo[nodes], cnt)]
-                count += int(np.count_nonzero(self._cells_meet(self.centers[ids], qa, radius, level)))
+                cells = grid_coords(self.centers[ids], level)
+                count += int(np.count_nonzero(self._cells_meet(cells, qa, radius, level)))
                 break
             deep = t.level[nodes] >= level
-            whole = nodes[deep][self._cells_meet(self._center_low[nodes[deep]], qa, radius, level)]
+            corners = grid_coords(self._center_low[nodes[deep]], level)
+            whole = nodes[deep][self._cells_meet(corners, qa, radius, level)]
             nodes = nodes[~deep]
             near, far = _box_dists(self._center_low[nodes], t.level[nodes], qa)
             inside = far <= radius * (1.0 - WALK_MARGIN)
             whole = np.concatenate([whole, nodes[inside]])
             count += int((t.span_hi[whole] - t.span_lo[whole]).sum())
             nodes = _children(t, nodes[~inside & (near <= radius * (1.0 + WALK_MARGIN))])
-        return count - int(np.count_nonzero(self._cells_meet(self.centers[large], qa, radius, level)))
-
-    def center_cells_meeting(self, ids: np.ndarray, q: np.ndarray, radius: float, level: int) -> np.ndarray:
-        """The ids, in their given order, whose center's own level-`level`
-        cell meets the closed ball(q, radius): the test small_center_count
-        counts by."""
-        return ids[self._cells_meet(self.centers[ids], q, radius, level)]
+        large_cells = grid_coords(self.centers[large], level)
+        return count - int(np.count_nonzero(self._cells_meet(large_cells, qa, radius, level)))
 
     @staticmethod
-    def _cells_meet(points: np.ndarray, q: np.ndarray, radius: float, level: int) -> np.ndarray:
-        """Whether the level-`level` cell of each point meets the closed
-        ball(q, radius), by the closed-body test of enumerate_grid_cells_ball."""
+    def _cells_meet(coords: np.ndarray, q: np.ndarray, radius: float, level: int) -> np.ndarray:
+        """Whether each level-`level` cell, given by its integer coords
+        (grid_coords of a point in it), meets the closed ball(q, radius), by
+        the closed-body test of enumerate_grid_cells_ball."""
         side = 2.0 ** (-level)
-        lo = grid_coords(points, level) * side
+        lo = coords * side
         gap = np.maximum(lo - q, 0.0) + np.maximum(q - (lo + side), 0.0)
         return np.einsum("ij,ij->i", gap, gap) <= radius * radius
 
@@ -364,15 +377,19 @@ class Registry:
     def balls_containing_point(self, q) -> np.ndarray:
         """Ids, ascending, of the balls whose closed body contains q.
 
+        No ball holds a point outside the box that holds every ball, padded
+        far beyond rounding, so such a point gets the empty answer at once.
         A ball holding q registers at the cell of its registration level
         that holds q, since its closed body meets that cell; the cell is
         stored, so it is on the chain from q's deepest stored cube up to the
         root, and the registered lists along that chain hold every answer.
         """
         qa = np.asarray(q, dtype=np.float64)
+        if np.any(qa < self._box_lo) or np.any(qa > self._box_hi):
+            return np.empty(0, dtype=np.int64)
         if np.any(qa < 0.0) or np.any(qa >= 1.0):
-            # Outside the root cell; balls live inside it, so nothing contains q
-            # unless the caller built an unnormalized instance: scan directly.
+            # In the ball box but outside the root cell, which only an
+            # unnormalized instance allows: scan directly.
             diff = self.centers - qa
             dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
             return np.flatnonzero(dist <= self.radii)

@@ -218,9 +218,10 @@ def test_audit_cells_clean_on_strict_build():
 
 
 def test_adversarial_window_stays_correct_and_honest():
-    # A deliberately undersized zeta1 with no split budget: the index must
-    # report uncertified cells and missed stored-path windows while every
-    # answer stays inside (1 +- eps) through the fallback.
+    # No split budget (cell_budget=0) keeps the index at the root cell alone;
+    # zeta1 is not read by a practical build.  The index must report
+    # uncertified cells and missed stored-path windows while every answer
+    # stays inside (1 +- eps) through the fallback.
     reg = make_registry(51, 1, 8, eps=0.5)
     a = build_avd(reg, 7, 0.5, zeta1=4.0, cell_budget=0)
     assert a.stats["uncertified"] > 0

@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,7 +135,8 @@ def _refine_reference(reg, q, k, x, eps):
     est = list(zip(dist_points_balls(q, reg.centers[large], reg.radii[large]).tolist(), large.tolist()))
     weight = [1] * len(est)
     rest = np.setdiff1d(np.arange(reg.n), large)
-    small = reg.center_cells_meeting(rest, np.asarray(q, dtype=np.float64), r_q + ehat * x, level)
+    snapped = grid_coords(reg.centers[rest], level)
+    small = rest[Registry._cells_meet(snapped, np.asarray(q, dtype=np.float64), r_q + ehat * x, level)]
     cells = {}
     for i in small.tolist():
         cells.setdefault(tuple(grid_coords(reg.centers[i : i + 1], level)[0].tolist()), []).append(i)
@@ -158,13 +161,13 @@ def test_refine_many_matches_one_row_refine(monkeypatch, dim):
     reg = make_registry(90 + dim, dim, 40, profile="nested-huge" if dim % 2 else "uniform")
     monkeypatch.setattr(knn, "REFINE_CHUNK_PAIRS", 7 * reg.n)  # 7 rows a chunk
     cells = []
-    real_cells = Registry.center_cells_meeting
+    real_select = knn._select_with_cells
 
-    def counted(self, *args):
+    def counted(*args):
         cells.append(1)
-        return real_cells(self, *args)
+        return real_select(*args)
 
-    monkeypatch.setattr(Registry, "center_cells_meeting", counted)
+    monkeypatch.setattr(knn, "_select_with_cells", counted)
     rng = np.random.default_rng(41 + dim)
     eps = 0.25
     rows = cell_rows = zero_rows = 0
@@ -208,6 +211,50 @@ def test_refine_many_matches_one_row_refine(monkeypatch, dim):
     assert zero_rows >= 3
     # The cell selection ran on some rows, the large-only selection on others.
     assert 0 < cell_rows < rows - zero_rows - 3
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_refine_breaks_tied_cell_estimates_by_id(monkeypatch, dim):
+    """Rings of tiny balls about q = (1/2, ..., 1/2), each ring every sign
+    flip and axis order of one offset, so mirror centers fall in mirror grid
+    cells and a ring's cell estimates tie exactly; then 2d large balls on the
+    axes, their exact distances tied too.  Ids go ring by ring, so with
+    every ball in the net, each its own cell of weight 1, the k-th witness
+    is ball k - 1: k = 1, the candidate count, and ks in between."""
+    u, v = 2.0**-9, 2.0**-30  # v keeps every center off the grid lines
+    inst = normalize(generate_instance(0, dim, 2), 0.5)
+    balls = []
+    for base in ((3, 1, 2), (5, 2, 4), (7, 4, 1)):
+        ring = set()
+        for perm in itertools.permutations(base[:dim]):
+            for signs in itertools.product((-1, 1), repeat=dim):
+                ring.add(tuple(s * (m * u + v) for s, m in zip(signs, perm)))
+        balls += [Ball(tuple(0.5 + o for o in off), u / 64) for off in sorted(ring)]
+    group = len(balls) // 3
+    for j in range(dim):
+        for s in (-1, 1):
+            c = [0.5] * dim
+            c[j] += s * 12 * u
+            balls.append(Ball(tuple(c), 2 * u))
+    reg = Registry(replace(inst, balls=tuple(balls)))
+    calls = []
+    real_select = knn._select_with_cells
+
+    def counted(*args):
+        calls.append(1)
+        return real_select(*args)
+
+    monkeypatch.setattr(knn, "_select_with_cells", counted)
+    q = np.full(dim, 0.5)
+    eps = 0.5
+    for k in sorted({1, group // 2 + 1, group + 3, reg.n}):
+        truth = _truth(reg, q, k)
+        for x in (truth, 3.0 * truth):
+            del calls[:]
+            ans = refine(reg, q, k, x, eps)
+            assert calls  # the row took the cell selection
+            assert ans.ball_id == _refine_reference(reg, q, k, x, eps) == k - 1
+            assert (1.0 - eps) * truth <= ans.distance <= (1.0 + eps) * truth
 
 
 def test_refine_many_breaks_distance_ties_by_id():

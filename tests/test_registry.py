@@ -15,6 +15,7 @@ from ballann.geometry import (
     dist_points_balls,
     grid_approx,
     grid_cell,
+    grid_coords,
     grid_level_for_diameter,
 )
 from ballann.quadtree import cube_to_key
@@ -53,27 +54,44 @@ def test_exact_intersection_count_matches_oracle(dim):
         assert reg.exact_intersection_count(q, x) == exact_counts(balls, q, x)[0]
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_balls_containing_point_matches_brute(dim):
-    reg = make_registry(9 + dim, dim, 60)
-    rng = np.random.default_rng(5)
-    hits = 0
-    for _ in range(400):
-        if rng.random() < 0.5:
-            q = rng.random(dim)
-        else:
-            b = reg.instance.balls[int(rng.integers(reg.n))]
-            q = np.array(b.center) + rng.normal(size=dim) * b.radius * 0.5
-            q = np.clip(q, 0.0, math.nextafter(1.0, 0.0))
-        got = set(reg.balls_containing_point(tuple(q)).tolist())
-        brute = {
-            i
-            for i, b in enumerate(reg.instance.balls)
-            if math.dist(q, b.center) <= b.radius
-        }
-        assert got == brute
-        hits += bool(brute)
-    assert hits > 0  # the sampler actually exercised interior points
+    """Against brute force, on a normalized instance and on the same balls
+    scaled about the cube's center until the outermost center lies on a
+    face, so that ball reaches outside the unit cube: at points in the
+    cube, in or next to balls, and outside the cube near and far from the
+    balls."""
+    inst = normalize(generate_instance(30 + dim, dim, 80, "clustered"), 0.25)
+    scale = 0.5 / np.abs(inst.centers_array() - 0.5).max()
+    scaled = tuple(
+        Ball(tuple(0.5 + (np.array(b.center) - 0.5) * scale), b.radius * scale) for b in inst.balls
+    )
+    rng = np.random.default_rng(dim)
+    for reg in (Registry(inst), Registry(replace(inst, balls=scaled))):
+        lo = (reg.centers - reg.radii[:, None]).min(axis=0)
+        hi = (reg.centers + reg.radii[:, None]).max(axis=0)
+        # The balls reaching outside the cube, and the axis they reach out on.
+        poking = np.flatnonzero(np.any(np.abs(reg.centers - 0.5) + reg.radii[:, None] > 0.5, axis=1))
+        held = outside = 0
+        for i in range(400):
+            if i % 4 == 0:
+                q = rng.uniform(lo - 0.05, hi + 0.05)
+            elif i % 4 == 1:
+                b = int(rng.integers(reg.n))
+                q = reg.centers[b] + rng.normal(size=dim) * reg.radii[b] * 0.7
+            elif i % 4 == 2 and poking.size:
+                b = int(rng.choice(poking))
+                j = int(np.argmax(np.abs(reg.centers[b] - 0.5)))
+                q = reg.centers[b].copy()
+                q[j] += np.sign(q[j] - 0.5) * reg.radii[b] * rng.uniform(0.5, 1.0)
+            else:
+                q = rng.uniform(-1.0, 2.0, size=dim)
+            got = reg.balls_containing_point(q).tolist()
+            assert got == np.flatnonzero(dist_points_balls(q, reg.centers, reg.radii) == 0.0).tolist()
+            held += bool(got)
+            outside += bool(got) and not np.all((q >= 0.0) & (q < 1.0))
+        assert held > 0
+    assert outside > 0  # some ball was found from a point outside the cube
 
 
 # -- approximate counters ---------------------------------------------------------
@@ -203,11 +221,12 @@ def test_small_center_count_matches_brute_force(dim):
             assert reg.small_center_count(q, radius, level, large) == len(want)
             # The same test on a given set of centers.
             rest = np.setdiff1d(np.arange(reg.n), large)
-            assert reg.center_cells_meeting(rest, q, radius, level).tolist() == want
+            meet = Registry._cells_meet(grid_coords(reg.centers[rest], level), q, radius, level)
+            assert rest[meet].tolist() == want
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_large_balls_intersecting_matches_brute_force(dim):
+def test_large_balls_intersecting_matches_brute_force(dim, monkeypatch):
     reg = make_registry(70 + dim, dim, 60, profile="clustered")
     balls = reg.instance.balls
     rng = np.random.default_rng(dim)
@@ -227,6 +246,36 @@ def test_large_balls_intersecting_matches_brute_force(dim):
             assert got.tolist() == want
             ties += int(min_diameter > 0.0 and b in want)
     assert ties > 0  # the ball at the floor itself was retrieved
+
+    # Floors on 512 balls that leave 0, 1, EXACT_FINISH_COUNT and
+    # EXACT_FINISH_COUNT + 1 of them (each floor but the first the exact
+    # diameter 2r of a ball, a tie), and the floor 0.  The tree is walked,
+    # and its candidates filtered, exactly when some ball reaches the floor.
+    reg = make_registry(80 + dim, dim, 2 * EXACT_FINISH_COUNT, profile="clustered")
+    filtered = []
+    monkeypatch.setattr(
+        registry_module, "dist_points_balls", lambda *args: filtered.append(1) or dist_points_balls(*args)
+    )
+    diam = np.sort(2.0 * reg.radii)
+    assert np.unique(diam).size == reg.n  # so each floor leaves its count exactly
+    floors = {0: math.nextafter(diam[-1], math.inf), reg.n: 0.0}
+    for count in (1, EXACT_FINISH_COUNT, EXACT_FINISH_COUNT + 1):
+        floors[count] = float(diam[reg.n - count])
+    hits = 0
+    for count, min_diameter in floors.items():
+        assert int((2.0 * reg.radii >= min_diameter).sum()) == count
+        for _ in range(15):
+            b = int(rng.integers(reg.n))
+            q = reg.centers[b] + rng.uniform(-0.2, 0.2, size=dim)
+            radius = float(10.0 ** rng.uniform(-2.5, -0.5))
+            del filtered[:]
+            got = reg.large_balls_intersecting(q, radius, min_diameter)
+            d_balls = dist_points_balls(q, reg.centers, reg.radii)
+            want = np.flatnonzero((2.0 * reg.radii >= min_diameter) & (d_balls <= radius))
+            assert got.tolist() == want.tolist()
+            assert bool(filtered) == (count > 0)
+            hits += want.size
+    assert hits > 0
 
 
 def test_stats_present():
@@ -347,7 +396,9 @@ def test_walks_match_brute_force_at_edges(dim, seed):
             level = int(rng.integers(0, 11))
             for large in (np.empty(0, dtype=np.int64), got):
                 # The per-center cell test on every center but the large ones.
-                want_count = reg.center_cells_meeting(np.setdiff1d(everyone, large), q, radius, level).size
+                rest = np.setdiff1d(everyone, large)
+                cells = grid_coords(reg.centers[rest], level)
+                want_count = int(Registry._cells_meet(cells, q, radius, level).sum())
                 assert reg.small_center_count(q, radius, level, large) == want_count
             for delta in (1.0, 0.5, 0.25):
                 approx = reg.approx_ball_count(q, delta, radius)
