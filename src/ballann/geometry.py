@@ -64,11 +64,11 @@ class Ball:
     radius: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        object.__setattr__(self, "center", tuple(map(float, self.center)))
         object.__setattr__(self, "radius", float(self.radius))
         if self.radius < 0:
             raise InputError(f"ball radius must be nonnegative, got {self.radius}")
-        if not all(math.isfinite(c) for c in self.center) or not math.isfinite(self.radius):
+        if not all(map(math.isfinite, self.center)) or not math.isfinite(self.radius):
             raise InputError("ball coordinates must be finite")
 
     @property
@@ -137,12 +137,6 @@ class CanonicalCube:
         shift = other.level - self.level
         return all((oc >> shift) == c for oc, c in zip(other.coords, self.coords))
 
-    def ancestor(self, level: int) -> "CanonicalCube":
-        if level > self.level:
-            raise InputError("ancestor level must not exceed cube level")
-        shift = self.level - level
-        return CanonicalCube(level, tuple(c >> shift for c in self.coords))
-
     def min_dist_to_point(self, p: Sequence[float]) -> float:
         # Distance from p to the closed cube body.
         s = self.side
@@ -155,19 +149,6 @@ class CanonicalCube:
             elif x > hi:
                 acc += (x - hi) ** 2
         return math.sqrt(acc)
-
-    def max_dist_to_point(self, p: Sequence[float]) -> float:
-        s = self.side
-        acc = 0.0
-        for c, x in zip(self.coords, p):
-            lo = c * s
-            hi = lo + s
-            acc += max(abs(x - lo), abs(x - hi)) ** 2
-        return math.sqrt(acc)
-
-    def intersects_ball(self, b: Ball) -> bool:
-        # Closed-body semantics: tangency counts as intersection.
-        return self.min_dist_to_point(b.center) <= b.radius
 
 
 @dataclass(frozen=True)
@@ -220,8 +201,13 @@ def concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     )
 
 
-# (ball, candidate cell) rows enumerate_grid_cells_balls tests at once.
+# Cells of the per-ball offset blocks enumerate_grid_cells_balls tests at
+# once; bounds its memory.
 _ENUM_CHUNK_ROWS = 1 << 20
+# Relative distance to r^2 within which enumerate_grid_cells_balls re-sums a
+# cell's squared gaps in the per-ball test's order; far above the few ulps
+# by which two orders of the same d additions can differ.
+_ENUM_TIE_REL = 1e-12
 # Candidate pairs find_overlap tests at once; bounds its memory.
 _OVERLAP_CHUNK = 1 << 18
 # Absolute slack of find_overlap's test, oracle.check_disjoint's default tol.
@@ -311,12 +297,12 @@ def normalize(balls: Sequence[Ball], eps: float) -> NormalizedInstance:
     mid = (lo + hi) / 2.0
     offset = tuple(0.5 - scale * m for m in mid)
 
-    norm_balls = tuple(
-        Ball(tuple(scale * c + o for c, o in zip(b.center, offset)), scale * b.radius)
-        for b in balls
-    )
+    # scale * c + o and scale * r, rounded once per operation as in scalar
+    # code.
+    unit = centers * scale + np.array(offset)
+    rad = radii * scale
     inst = NormalizedInstance(
-        balls=norm_balls,
+        balls=tuple(Ball(tuple(c), r) for c, r in zip(unit.tolist(), rad.tolist())),
         scale=scale,
         offset=offset,
         epsilon_floor=eps,
@@ -324,10 +310,10 @@ def normalize(balls: Sequence[Ball], eps: float) -> NormalizedInstance:
         c_d=packing_constant(d),
     )
     pad = 1e-9
-    for b in norm_balls:
-        for c in b.center:
-            if not (0.5 - delta - b.radius - pad <= c <= 0.5 + delta + b.radius + pad):
-                raise InternalInvariantError("normalized ball escaped the target cube")
+    low = (0.5 - delta - rad - pad)[:, None]
+    high = (0.5 + delta + rad + pad)[:, None]
+    if not np.all((low <= unit) & (unit <= high)):
+        raise InternalInvariantError("normalized ball escaped the target cube")
     return inst
 
 
@@ -410,9 +396,17 @@ def enumerate_grid_cells_balls(
     meets each ball, ball after ball.
 
     Each ball's candidates are its grid_index_box, computed with the same
-    float operations, in C order; the closed-body test keeps the cells within
-    the radius of the center.  The balls go in chunks of at most about
-    _ENUM_CHUNK_ROWS (ball, widest-box offset) rows, which bounds the memory.
+    float operations, in C order.  A cell is kept when its squared distance
+    to the center, the sum over the axes of the squared gap between the
+    center and the cell's extent on that axis, is at most r^2.  That test is
+    separable: each axis's squared gap is computed once per (ball, offset
+    along the axis), and the axes are broadcast-added into one block of the
+    widest box's offsets per ball, with the offsets outside the ball's own
+    box at inf.  A cell whose sum lies within rounding of r^2 is decided
+    again by one einsum over its gaps, the per-ball test's sum, so the
+    answer does not depend on the order of the additions.  The balls go in
+    chunks of at most about _ENUM_CHUNK_ROWS block cells, which bounds the
+    memory.
     """
     n, d = centers.shape
     top = 1 << level
@@ -420,27 +414,38 @@ def enumerate_grid_cells_balls(
     a = np.maximum(np.floor((centers - rad) * top).astype(np.int64) - 1, 0)
     b = np.minimum(np.floor((centers + rad) * top).astype(np.int64) + 1, top - 1)
     span = b - a + 1
-    # Offsets over the widest box in C order; each ball keeps those in its own.
-    offsets = np.indices(np.maximum(span.max(axis=0, initial=0), 0)).reshape(d, -1).T
-    step = max(1, _ENUM_CHUNK_ROWS // max(offsets.shape[0], 1))
+    width = max(int(span.max(initial=0)), 0)
+    off = np.arange(width, dtype=np.int64)[:, None]
+    block = width**d
+    step = max(1, _ENUM_CHUNK_ROWS // max(block, 1))
     side = 2.0 ** (-level)
     parts = [(np.empty((0, d), dtype=np.int64), np.empty(0, dtype=np.int64))]
     for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        in_box = (offsets[None, :, :] < span[lo:hi, None, :]).all(axis=2)
-        count = in_box.sum(axis=1)
-        coords = np.repeat(a[lo:hi], count, axis=0) + offsets[np.nonzero(in_box)[1]]
-        # Exact closed-body filter: distance from the center to each cell box,
-        # computed in place to hold fewer (m, d) temporaries.
-        c = np.repeat(centers[lo:hi], count, axis=0)
-        below = coords * side
-        above = below + side
-        np.maximum(np.subtract(below, c, out=below), 0.0, out=below)
-        np.maximum(np.subtract(c, above, out=above), 0.0, out=above)
-        gap = np.add(below, above, out=below)
-        r = np.repeat(radii[lo:hi], count)
-        keep = np.einsum("ij,ij->i", gap, gap) <= r * r
-        parts.append((coords[keep], np.repeat(np.arange(lo, hi, dtype=np.int64), count)[keep]))
+        m = min(step, n - lo)
+        ab, r = a[lo : lo + m], radii[lo : lo + m]
+        r2 = r * r
+        # Gap per (axis, offset, ball), with the per-ball test's floats; the
+        # ball is the last axis, so every broadcast runs along it.
+        cell = (ab.T[:, None, :] + off) * side
+        c = centers[lo : lo + m].T[:, None, :]
+        gap = np.maximum(cell - c, 0.0) + np.maximum(c - (cell + side), 0.0)
+        sq = gap * gap
+        sq[off >= span[lo : lo + m].T[:, None, :]] = np.inf
+        total = sq[0].reshape((width,) + (1,) * (d - 1) + (m,))
+        for j in range(1, d):
+            total = total + sq[j].reshape((1,) * j + (width,) + (1,) * (d - 1 - j) + (m,))
+        keep = total <= r2 * (1.0 + _ENUM_TIE_REL)
+        # Kept cells ball after ball, the offsets in C order within a ball.
+        kept = np.flatnonzero(keep.transpose((d,) + tuple(range(d))))
+        ball, rest = np.divmod(kept, block)
+        near = total.reshape(-1)[rest * m + ball] >= r2[ball] * (1.0 - _ENUM_TIE_REL)
+        cols = np.stack(np.unravel_index(rest, (width,) * d), axis=1)
+        if near.any():
+            edge = np.flatnonzero(near)
+            g = gap[np.arange(d), cols[edge], ball[edge, None]]
+            drop = edge[np.einsum("ij,ij->i", g, g) > r2[ball[edge]]]
+            ball, cols = np.delete(ball, drop), np.delete(cols, drop, axis=0)
+        parts.append((np.take(ab, ball, axis=0) + cols, ball + lo))
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 

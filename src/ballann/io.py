@@ -233,7 +233,7 @@ def _read_instance_block(r: _Reader) -> NormalizedInstance:
         raise InputError("index instance block is malformed")
     offset = tuple(float(x) for x in r.array("f8", d))
     flat = r.array("f8", n * (d + 1)).reshape(n, d + 1)
-    balls = tuple(Ball(tuple(float(x) for x in row[:-1]), float(row[-1])) for row in flat)
+    balls = tuple(Ball(tuple(row[:-1]), row[-1]) for row in flat.tolist())
     return NormalizedInstance(
         balls=balls,
         scale=float(scale),

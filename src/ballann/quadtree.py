@@ -172,21 +172,36 @@ def range_hi_inclusive(z, shift):
 
 
 def _bit_length_i64(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.int64).copy()
-    out = np.zeros_like(x)
-    for s in (32, 16, 8, 4, 2, 1):
-        m = x >= (np.int64(1) << np.int64(s))
-        out[m] += s
-        x[m] >>= np.int64(s)
-    out += (x > 0).astype(np.int64)
-    return out
+    """int.bit_length of each nonnegative int64, from the float exponents of
+    its high and low 32-bit halves; each half converts to float64 exactly."""
+    x = np.asarray(x, dtype=np.int64)
+    hi = np.frexp((x >> np.int64(32)).astype(np.float64))[1]
+    lo = np.frexp((x & np.int64(0xFFFFFFFF)).astype(np.float64))[1]
+    return np.where(hi > 0, hi + 32, lo).astype(np.int64)
 
 
 def _dedupe_keys(z: np.ndarray, level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort((level, z))
-    z, level = z[order], level[order]
+    """The distinct (z, level) pairs, sorted by z and then level.
+
+    The keys' shared trailing zero bits, t of them, usually leave room for
+    the level: each pair then packs into one int64, (z >> t) << b | level,
+    and one sort of those values orders and dedupes the pairs.  A tree
+    with cubes at the deepest level (points) has no such room and takes a
+    two-key lexsort.
+    """
+    z = np.asarray(z, dtype=np.int64)
+    level = np.asarray(level, dtype=np.int64)
     if z.size == 0:
         return z, level
+    bits = int(level.max()).bit_length()
+    zbits = int(np.bitwise_or.reduce(z))
+    t = (zbits & -zbits).bit_length() - 1 if zbits else 0
+    if int(z.max()).bit_length() - t + bits <= 63:
+        key = np.sort(((z >> np.int64(t)) << np.int64(bits)) | level)
+        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+        return (key >> np.int64(bits)) << np.int64(t), key & np.int64((1 << bits) - 1)
+    order = np.lexsort((level, z))
+    z, level = z[order], level[order]
     keep = np.ones(z.size, dtype=bool)
     keep[1:] = (z[1:] != z[:-1]) | (level[1:] != level[:-1])
     return z[keep], level[keep]
@@ -207,7 +222,6 @@ class CompressedQuadtree:
         self.shift = (self.max_level - self.level) * dim  # low bits owned per node
         self.z_hi = range_hi_inclusive(self.z, self.shift)
         self.parent = np.full(self.size, -1, dtype=np.int64)
-        self._level_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # Point attachment (present when built over points).
         self.has_points = False
         self.point_codes = np.empty(0, dtype=np.int64)
@@ -219,7 +233,7 @@ class CompressedQuadtree:
     # -- construction ------------------------------------------------------
 
     def _finalize(self) -> None:
-        """Level tables, parent links and the child CSR, all from the sorted keys.
+        """Parent links and the child CSR, both from the sorted keys.
 
         Node i - 1 either contains node i, and is then its parent, or lies
         before it in z order outside it; then the smallest cube holding both
@@ -228,9 +242,6 @@ class CompressedQuadtree:
         """
         if self.size == 0 or self.z[0] != 0 or self.level[0] != 0:
             raise InternalInvariantError("tree must start at the root cube")
-        for lev in np.unique(self.level).tolist():
-            idx = np.flatnonzero(self.level == lev)
-            self._level_tables[lev] = (self.z[idx], idx)
         lca_z, lca_l = _pair_lcas(self.z[:-1], self.level[:-1], self.z[1:], self.level[1:], self.dim)
         self.parent[1:] = self.find_keys(lca_z, lca_l)
         if (self.parent[1:] < 0).any():
@@ -273,18 +284,25 @@ class CompressedQuadtree:
         return int(self.find_keys(np.array([z], dtype=np.int64), np.array([level], dtype=np.int64))[0])
 
     def find_keys(self, z: np.ndarray, level: np.ndarray) -> np.ndarray:
-        """find_key over arrays of cubes: node index per exactly stored cube, or -1."""
+        """find_key over arrays of cubes: node index per exactly stored cube, or -1.
+
+        The nodes that share a key form one run, levels ascending: one search
+        finds where each cube's run starts, and a few steps along the runs
+        find the level.
+        """
         zz = np.asarray(z, dtype=np.int64)
         lv = np.asarray(level, dtype=np.int64)
         out = np.full(zz.size, -1, dtype=np.int64)
-        for lev in np.unique(lv).tolist():
-            if lev not in self._level_tables:
-                continue
-            table_z, table_idx = self._level_tables[lev]
-            sel = np.flatnonzero(lv == lev)
-            pos = np.minimum(np.searchsorted(table_z, zz[sel]), table_z.size - 1)
-            hit = table_z[pos] == zz[sel]
-            out[sel[hit]] = table_idx[pos[hit]]
+        pos = np.searchsorted(self.z, zz)
+        todo = np.flatnonzero(pos < self.size)
+        while todo.size:
+            at = pos[todo]
+            same = self.z[at] == zz[todo]
+            hit = same & (self.level[at] == lv[todo])
+            out[todo[hit]] = at[hit]
+            todo = todo[same & (self.level[at] < lv[todo])]
+            pos[todo] += 1
+            todo = todo[pos[todo] < self.size]
         return out
 
     def point_location(self, p: Sequence[float]) -> int:

