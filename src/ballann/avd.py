@@ -1,11 +1,11 @@
 """Sublinear-space cell decomposition answering k-th nearest ball queries.
 
 The structure fixes (k, eps) at build time.  It stores a compressed
-quadtree W of cells, each with a representative point (its cube's center)
-and an estimate of the k-th ball distance there with the ball realizing
-it.  A strict index also wraps the input in quorum clusters (Carmi et al.,
+quadtree W of cells, each with an estimate of the k-th ball distance at its
+representative point, the cube's center, and the ball realizing it.  A
+strict index also wraps the input in quorum clusters (Carmi et al.,
 Algorithmica 2005) and records the cluster that owns each cell; a
-practical index holds no clusters and stores site -1 on every cell.
+practical index holds no clusters and site -1 on every cell.
 
 A certification sweep splits every cell whose stored data cannot yet
 guarantee a (1 +- eps) answer for every query inside it, until the
@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,6 +75,7 @@ from .geometry import (
     dist_point_ball,
     enumerate_grid_cells_ball,
     grid_level_for_diameter,
+    max_level_for_dim,
 )
 from .knn import KnnAnswer, query, refine, refine_many
 from .quadtree import (
@@ -122,7 +123,7 @@ class AVDIndex:
     """Frozen query structure; query_counts is the only mutable part."""
 
     tree: CompressedQuadtree
-    rep: np.ndarray  # (size, d) representative points
+    rep: np.ndarray = field(init=False)  # (size, d) cube centers, from the tree's keys
     kdist: np.ndarray  # (size,) estimate of d_B(rep, k), two-sided sandwich
     kdist_witness: np.ndarray  # (size,) ball realizing the estimate
     site: np.ndarray  # (size,) owning cluster per cell; -1 when there are no clusters
@@ -136,7 +137,15 @@ class AVDIndex:
     stats: dict
 
     def __post_init__(self) -> None:
+        self.rep = _cube_centers(self.tree.z, self.tree.level, self.tree.dim)
         self.query_counts = dict.fromkeys(("near", "cluster", "fallback", "out_of_domain"), 0)
+
+
+def _cube_centers(z: np.ndarray, level: np.ndarray, dim: int) -> np.ndarray:
+    """The centers of the cubes (z, level), from one full-depth decode."""
+    top = max_level_for_dim(dim)
+    coords = morton_decode(z, top, dim) >> (top - level)[:, None]
+    return (coords.astype(np.float64) + 0.5) * np.ldexp(1.0, -level)[:, None]
 
 
 def _near_field(
@@ -211,10 +220,10 @@ def _assign_sites(
     original ancestor (parents precede children in node order).
     """
     nodes = tree.find_keys(z, lev)
-    pts = tree.low_corners()[nodes] + 0.5 * 2.0 ** (-lev.astype(np.float64))[:, None]
     site = np.full(tree.size, -1, dtype=np.int64)
     for lo in range(0, z.size, 65536):
-        site[nodes[lo : lo + 65536]] = _nearest_sites(pts[lo : lo + 65536], centers, radii)
+        pts = _cube_centers(z[lo : lo + 65536], lev[lo : lo + 65536], tree.dim)
+        site[nodes[lo : lo + 65536]] = _nearest_sites(pts, centers, radii)
     for v in np.flatnonzero(site < 0):
         site[v] = site[tree.parent[v]]
     return site
@@ -335,8 +344,12 @@ def build_avd(
 ) -> AVDIndex:
     """Build the fixed-(k, eps) cell decomposition over a registry.
 
-    Requires k > 2 * c_d: smaller k is already served well by querying the
-    registry directly, and the cluster machinery needs batches of k - c_d.
+    Requires k > 2 * c_d; smaller k is served by querying the registry
+    directly.  Strict mode needs the floor for its quorum, whose clusters
+    take batches of k - c_d balls.  Practical mode makes no clusters, and
+    keeps the floor only because no oracle check covers its answers at
+    k <= 2 * c_d yet.
+
     Practical mode runs the certification sweep from the root cube and
     certifies by the near test alone, with no quorum: the index holds no
     clusters and site -1 on every cell.  Strict mode builds the quorum and
@@ -354,8 +367,9 @@ def build_avd(
         raise InputError(f"k must lie in [1, {n}], got {k}")
     if k <= 2 * c_d:
         raise InputError(
-            f"this structure needs k > 2*c_d = {2 * c_d} in dimension {dim}; "
-            "query the registry directly for smaller k"
+            f"k={k} is not above 2*c_d = {2 * c_d} in dimension {dim}, which the "
+            "cell index needs; for smaller k build a registry index (omit "
+            "--k/--eps) and query it directly"
         )
     if not 0.0 < eps < 1.0:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
@@ -391,7 +405,7 @@ def build_avd(
     lz, ll = w_tree.z, w_tree.level
     hints: tuple[np.ndarray, np.ndarray] | None = None
     rolling: tuple[np.ndarray, float] | None = None
-    cols: list[tuple[np.ndarray, ...]] = []  # per block: z, level, rep, kdist, witness, site, flags
+    cols: list[tuple[np.ndarray, ...]] = []  # per block: z, level, kdist, witness, site, flags
     cells = w_tree.size
     splits = uncertified = warm_calls = cold_calls = layers = 0
     while lz.size:
@@ -400,10 +414,7 @@ def build_avd(
         for lo in range(0, lz.size, _SWEEP_BLOCK):
             b = slice(lo, lo + _SWEEP_BLOCK)
             z, lev, site, live = lz[b], ll[b], lsite[b].copy(), ~ltiled[b]
-            # Representatives: cube centers, from one full-depth decode.
-            coords = morton_decode(z, max_level, dim) >> (max_level - lev)[:, None]
-            side = np.ldexp(1.0, -lev)
-            rep = (coords.astype(np.float64) + 0.5) * side[:, None]
+            rep = _cube_centers(z, lev, dim)
             if strict:
                 fresh = site < 0
                 site[fresh] = _nearest_sites(rep[fresh], centers, radii)
@@ -413,7 +424,7 @@ def build_avd(
             warm_calls += int(warm.sum())
             cold_calls += int(live.sum() - warm.sum())
 
-            half = side * (0.5 * math.sqrt(dim))
+            half = np.ldexp(0.5 * math.sqrt(dim), -lev)
             lm = np.maximum(0.0, kd / sandwich - half)
             certified = half <= (_NEAR * eps) * lm
             if strict:
@@ -433,11 +444,11 @@ def build_avd(
             uncertified += int(np.count_nonzero(live & ~certified)) - int(split.sum())
             parent = np.repeat(cand[split], new[split].sum(axis=1))
             made.append((qz[split][new[split]], lev[parent] + 1, rep[parent], kd[parent]))
-            # No query lands in an empty cell, so it stores a blank row.
+            # No query lands in an empty cell, so it stores a blank estimate.
             empty = ~live
             empty[cand[split]] = True
-            rep[empty], kd[empty], wid[empty] = 0.0, 0.0, -1
-            cols.append((z, lev, rep, kd, wid, site, np.where(empty, _EMPTY, np.uint8(0))))
+            kd[empty], wid[empty] = 0.0, -1
+            cols.append((z, lev, kd, wid, site, np.where(empty, _EMPTY, np.uint8(0))))
         lz, ll, hrep, hkd = (np.concatenate(c) for c in zip(*made))
         lsite = np.full(lz.size, -1, dtype=np.int64)
         ltiled = np.zeros(lz.size, dtype=bool)  # a split's quadrant holds one stored cube at most
@@ -446,12 +457,12 @@ def build_avd(
 
     # One sort puts the cells in tree order; the tree built from their keys
     # must list exactly those keys, or the keys were not closed under LCAs.
-    all_z, all_l, rep_arr, kdist, kwit, site, flag_arr = (np.concatenate(c) for c in zip(*cols))
+    all_z, all_l, kdist, kwit, site, flag_arr = (np.concatenate(c) for c in zip(*cols))
     tree = build_from_cubes((all_z, all_l, dim))
     order = np.lexsort((all_l, all_z))
     if not (np.array_equal(tree.z, all_z[order]) and np.array_equal(tree.level, all_l[order])):
         raise InternalInvariantError("cell keys were not closed under ancestors")
-    rep_arr, kdist, kwit, site, flag_arr = (c[order] for c in (rep_arr, kdist, kwit, site, flag_arr))
+    kdist, kwit, site, flag_arr = (c[order] for c in (kdist, kwit, site, flag_arr))
     t_end = time.perf_counter()
 
     stats = {
@@ -468,8 +479,6 @@ def build_avd(
         "overlay_pre_split": int(w_tree.size),
         "splits": splits,
         "uncertified": uncertified,
-        "coarsened_near": 0,  # a slot of the BAVD stats block; nothing coarsens
-        "coarsened_far": 0,
         "empty_cells": int(np.count_nonzero(flag_arr & _EMPTY)),
         "knn_calls_warm": warm_calls,
         "knn_calls_cold": cold_calls,
@@ -483,7 +492,6 @@ def build_avd(
     }
     return AVDIndex(
         tree=tree,
-        rep=rep_arr,
         kdist=kdist,
         kdist_witness=kwit,
         site=site,
@@ -569,8 +577,8 @@ def audit_cells(a: AVDIndex, samples: int = 200, seed: int = 0) -> dict:
     (two a cell at least), verifies: the per-query threshold really
     upper-bounds the true k-th distance, the small-cell condition's stored
     witness whenever that condition holds, the stored estimate's two-sided
-    sandwich at the representative, and end-to-end agreement of avd_query.  An index with clusters (strict, or a file
-    written before practical builds dropped them) also gets the cluster
+    sandwich at the representative, and end-to-end agreement of avd_query.
+    An index with clusters (strict builds make them) also gets the cluster
     checks: the cluster branch whenever its condition holds, existence of
     an anchor cluster (radius at most 3*XI and center distance at most
     4*XI times the true k-th distance), and witness containment in the

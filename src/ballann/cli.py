@@ -91,16 +91,6 @@ def _cmd_build(args) -> int:
     if (args.k is None) != (args.eps is None) and args.k is not None:
         raise InputError("--k without --eps: an approximate-Voronoi build needs both")
     if args.k is not None:
-        d = balls[0].dimension
-        cd = packing_constant(d)
-        if args.k <= 2 * cd:
-            raise InputError(
-                f"k={args.k} is not above 2*c_d={2 * cd} at d={d}; the cell "
-                "decomposition needs k > 2*c_d.  Build a registry index "
-                "(omit --k/--eps) and answer through its k-NN queries instead."
-            )
-        if not (args.k <= len(balls)):
-            raise InputError(f"k={args.k} exceeds n={len(balls)}")
         reg = build_registry(normalize(balls, args.eps))
         t0 = time.perf_counter()
         a = build_avd(reg, args.k, args.eps, args.mode)
@@ -142,7 +132,7 @@ def _cmd_query(args) -> int:
     with _out_stream(args.out) as out:
         for i, ln in enumerate(lines):
             try:
-                q, k, eps = bio.parse_query_line(ln, inst.dimension, fixed_k, fixed_eps)
+                q, k, eps = bio.parse_query_line(ln, inst.dimension, len(inst.balls), fixed_k, fixed_eps)
             except InputError as exc:
                 out.write(f"{i} error {exc}\n")
                 continue

@@ -7,10 +7,13 @@ before any structure is touched.
 
 A registry file (magic BREG) stores only the inputs; the structure is
 rebuilt on load, which is deterministic and cheap.  An approximate-Voronoi
-file (magic BAVD) stores the full cell decomposition: cube table, per-cell
-representative/estimate/witness/site/flags, and the cluster list (empty,
-with site -1 on every cell, for a practical index), plus the inputs needed
-to rebuild the fallback registry.  Each magic has its own format version.
+file (magic BAVD) stores the cell decomposition: the cube table and each
+cell's estimate, witness and flags, plus the cluster list with each cell's
+owning cluster when it holds clusters, and the inputs needed to rebuild
+the fallback registry.  It stores nothing the loader can derive: a cell's
+representative is its cube's center, and a file with no clusters (a
+practical index) gets site -1 on every cell.  Each magic has its own format
+version.
 """
 
 from __future__ import annotations
@@ -34,9 +37,8 @@ from .quadtree import CompressedQuadtree
 from .quorum import QuorumCluster
 from .registry import Registry, build_registry
 
-# Format version per magic.  BAVD 2 dropped the per-cell certificate byte
-# that version 1 stored after the site column.
-_VERSION = {b"BREG": 1, b"BAVD": 2}
+# Format version per magic; older versions are refused (README, "File formats").
+_VERSION = {b"BREG": 1, b"BAVD": 3}
 _MODE_CODE = {"practical": 0, "strict": 1}
 _MODE_NAME = {v: k for k, v in _MODE_CODE.items()}
 
@@ -50,8 +52,6 @@ _STAT_FIELDS = (
     "overlay_pre_split",
     "splits",
     "uncertified",
-    "coarsened_near",
-    "coarsened_far",
     "empty_cells",
 )
 
@@ -115,13 +115,13 @@ def read_balls(path: str) -> list[Ball]:
 
 
 def parse_query_line(
-    line: str, dim: int, k: int | None, eps: float | None
+    line: str, dim: int, n: int, k: int | None, eps: float | None
 ) -> tuple[tuple[float, ...], int, float]:
     """One query row: d coordinates, then k and eps unless fixed by the caller.
 
     When k or eps is fixed, the column may still appear; it must then agree
     with the fixed value, since an index built for one (k, eps) cannot answer
-    another.
+    another.  k must lie in [1, n] for an instance of n balls.
     """
     toks = line.split()
     want_min = dim
@@ -157,8 +157,8 @@ def parse_query_line(
         raise InputError("no k on the line and none fixed by the index or flags")
     if out_eps is None:
         raise InputError("no eps on the line and none fixed by the index or flags")
-    if out_k < 1:
-        raise InputError(f"k must be >= 1, got {out_k}")
+    if not 1 <= out_k <= n:
+        raise InputError(f"k must lie in [1, {n}], got {out_k}")
     if not (0.0 < out_eps < 1.0):
         raise InputError(f"eps must lie in (0, 1), got {out_eps}")
     return q, out_k, out_eps
@@ -179,10 +179,10 @@ def _open_container(path: str, blob: bytes) -> tuple[bytes, bytes]:
     version, _ = struct.unpack_from("<HH", blob, 4)
     if magic not in _VERSION:
         raise InputError(f"index file {path!r} has unknown magic {magic!r}")
-    if magic == b"BAVD" and version == 1:
+    if 1 <= version < _VERSION[magic]:
         raise InputError(
-            f"cell index file {path!r} predates format 2 and must be rebuilt "
-            "from its ball file"
+            f"index file {path!r} predates format {_VERSION[magic]} and must be "
+            "rebuilt from its ball file"
         )
     if version != _VERSION[magic]:
         raise InputError(f"index file {path!r} has unsupported version {version}")
@@ -233,7 +233,10 @@ def _read_instance_block(r: _Reader) -> NormalizedInstance:
         raise InputError("index instance block is malformed")
     offset = tuple(float(x) for x in r.array("f8", d))
     flat = r.array("f8", n * (d + 1)).reshape(n, d + 1)
-    balls = tuple(Ball(tuple(row[:-1]), row[-1]) for row in flat.tolist())
+    try:
+        balls = tuple(Ball(tuple(row[:-1]), row[-1]) for row in flat.tolist())
+    except InputError as exc:
+        raise InputError(f"index instance block is malformed: {exc}") from exc
     return NormalizedInstance(
         balls=balls,
         scale=float(scale),
@@ -265,7 +268,6 @@ def _load_registry(payload: bytes) -> Registry:
 
 def save_avd(path: str, a: AVDIndex) -> None:
     inst = a.registry.instance
-    d = inst.dimension
     payload = bytearray()
     payload += struct.pack("<BxxxQddd", _MODE_CODE[a.mode], a.k, a.eps, a.zeta1, XI)
     payload += _instance_block(inst)
@@ -280,12 +282,12 @@ def save_avd(path: str, a: AVDIndex) -> None:
     payload += struct.pack("<Q", tree.size)
     payload += tree.z.astype("<i8").tobytes()
     payload += tree.level.astype("<i8").tobytes()
-    payload += a.rep.astype("<f8").tobytes()
     payload += a.kdist.astype("<f8").tobytes()
     payload += a.kdist_witness.astype("<i8").tobytes()
-    payload += a.site.astype("<i8").tobytes()
+    if a.clusters:
+        payload += a.site.astype("<i8").tobytes()
     payload += a.flags.astype("u1").tobytes()
-    payload += struct.pack("<10Q", *(int(a.stats.get(f, 0)) for f in _STAT_FIELDS))
+    payload += struct.pack("<8Q", *(int(a.stats.get(f, 0)) for f in _STAT_FIELDS))
     with open(path, "wb") as fh:
         fh.write(_container(b"BAVD", bytes(payload)))
 
@@ -308,25 +310,24 @@ def _load_avd(payload: bytes) -> AVDIndex:
         assigned = r.array("i8", a_len)
         clusters.append(
             QuorumCluster(
-                center=center.copy(),
+                center=center,
                 radius=radius,
                 rho=rho,
                 gamma=gamma,
-                assigned=assigned.copy(),
+                assigned=assigned,
                 witness=int(witness),
                 round_index=int(round_index),
                 is_remainder=bool(is_rem),
             )
         )
     size = r.unpack("Q")[0]
-    z = r.array("i8", size).copy()
-    level = r.array("i8", size).copy()
-    rep = r.array("f8", size * d).reshape(size, d).copy()
-    kdist = r.array("f8", size).copy()
-    kdist_witness = r.array("i8", size).copy()
-    site = r.array("i8", size).copy()
-    flags = r.array("u1", size).copy()
-    stat_vals = r.unpack("10Q")
+    z = r.array("i8", size)
+    level = r.array("i8", size)
+    kdist = r.array("f8", size)
+    kdist_witness = r.array("i8", size)
+    site = r.array("i8", size) if m else np.full(size, -1, dtype=np.int64)
+    flags = r.array("u1", size)
+    stat_vals = r.unpack("8Q")
     if r.pos != len(r.buf):
         raise InputError("index payload has trailing bytes")
     _check_cells(d, n, clusters, z, level, kdist_witness, site, flags)
@@ -340,7 +341,6 @@ def _load_avd(payload: bytes) -> AVDIndex:
     stats.update(dict(zip(_STAT_FIELDS, (int(v) for v in stat_vals))))
     return AVDIndex(
         tree=tree,
-        rep=rep,
         kdist=kdist,
         kdist_witness=kdist_witness,
         site=site,
@@ -373,9 +373,8 @@ def _check_cells(
     the unit cube and aligned to the level) and listed in strictly
     increasing (key, level) order; closure under least common ancestors is
     checked when the tree is built.  Ball ids must lie in [0, n), except
-    that a cell whose children tile it may carry witness -1.  Sites must
-    name a stored cluster, or be -1 on every cell of a file that holds no
-    clusters (a practical index).
+    that a cell whose children tile it may carry witness -1.  In a file that
+    holds clusters, sites must name one of them.
     """
     for c in clusters:
         if not 0 <= c.witness < n or (c.assigned.size and not (0 <= c.assigned.min() and c.assigned.max() < n)):
@@ -391,10 +390,7 @@ def _check_cells(
     tiled = (flags & _EMPTY) != 0
     if np.any((kdist_witness < np.where(tiled, -1, 0)) | (kdist_witness >= n)):
         raise InputError(f"index cell witness outside [0, {n}) (-1 only on tiled cells)")
-    if not clusters:
-        if np.any(site != -1):
-            raise InputError("index cell site must be -1 in a file with no clusters")
-    elif site.size and not (0 <= site.min() and site.max() < len(clusters)):
+    if clusters and site.size and not (0 <= site.min() and site.max() < len(clusters)):
         raise InputError(f"index cell site outside [0, {len(clusters)})")
 
 

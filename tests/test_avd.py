@@ -284,7 +284,6 @@ def test_strict_mode_d1():
     a = _build(69, 1, 8, 7, 0.5, mode="strict")
     assert a.mode == "strict"
     assert a.zeta1 == ZETA1_STRICT == 3072.0
-    assert a.stats["coarsened_near"] == 0 and a.stats["coarsened_far"] == 0
     _check_queries(a, 200, 10, require_no_fallback=True)
 
 
@@ -321,8 +320,8 @@ def test_stats_inventory():
     phases = ("quorum_s", "fields_s", "overlay_s", "sweep_s", "assemble_s")
     for key in (
         "n", "dim", "k", "eps", "mode", "zeta1", "clusters", "I", "S", "W",
-        "overlay_pre_split", "splits", "uncertified", "coarsened_near",
-        "coarsened_far", "empty_cells", "sweep_layers", "build_seconds", *phases,
+        "overlay_pre_split", "splits", "uncertified", "empty_cells",
+        "sweep_layers", "build_seconds", *phases,
     ):
         assert key in a.stats
     assert a.stats["W"] == a.tree.size

@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from ballann.io import (
 )
 from ballann.oracle import exact_kth_distance
 from ballann.quorum import ball_quorum
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # -- ball files -------------------------------------------------------------------
@@ -59,28 +62,31 @@ def test_ball_file_header_and_rows_validated(tmp_path):
 
 
 def test_parse_query_line_arms():
-    q, k, eps = parse_query_line("0.5 0.25 7 0.2", 2, None, None)
+    q, k, eps = parse_query_line("0.5 0.25 7 0.2", 2, 50, None, None)
     assert q == (0.5, 0.25) and k == 7 and eps == 0.2
-    q, k, eps = parse_query_line("0.5 0.25", 2, 3, 0.5)
+    q, k, eps = parse_query_line("0.5 0.25", 2, 50, 3, 0.5)
     assert k == 3 and eps == 0.5
-    q, k, eps = parse_query_line("0.5 0.25 9", 2, None, 0.5)
+    q, k, eps = parse_query_line("0.5 0.25 9", 2, 50, None, 0.5)
     assert k == 9 and eps == 0.5
     # Matching explicit columns are fine; conflicting ones are not.
-    parse_query_line("0.5 0.25 3 0.5", 2, 3, 0.5)
+    parse_query_line("0.5 0.25 3 0.5", 2, 50, 3, 0.5)
     with pytest.raises(InputError):
-        parse_query_line("0.5 0.25 4 0.5", 2, 3, 0.5)
+        parse_query_line("0.5 0.25 4 0.5", 2, 50, 3, 0.5)
     with pytest.raises(InputError):
-        parse_query_line("0.5 0.25 3 0.1", 2, 3, 0.5)
+        parse_query_line("0.5 0.25 3 0.1", 2, 50, 3, 0.5)
     with pytest.raises(InputError):
-        parse_query_line("0.5", 2, 3, 0.5)  # not enough coordinates
+        parse_query_line("0.5", 2, 50, 3, 0.5)  # not enough coordinates
     with pytest.raises(InputError):
-        parse_query_line("0.5 0.25", 2, None, 0.5)  # k unresolved
+        parse_query_line("0.5 0.25", 2, 50, None, 0.5)  # k unresolved
     with pytest.raises(InputError):
-        parse_query_line("0.5 0.25 0 0.5", 2, None, None)  # k < 1
+        parse_query_line("0.5 0.25 0 0.5", 2, 50, None, None)  # k < 1
     with pytest.raises(InputError):
-        parse_query_line("0.5 0.25 3 1.5", 2, None, None)  # eps out of range
+        parse_query_line("0.5 0.25 3 1.5", 2, 50, None, None)  # eps out of range
+    with pytest.raises(InputError, match=r"k must lie in \[1, 50\], got 51"):
+        parse_query_line("0.5 0.25 51 0.5", 2, 50, None, None)  # k > n
+    parse_query_line("0.5 0.25 50 0.5", 2, 50, None, None)
     with pytest.raises(InputError):
-        parse_query_line("0.5 x", 2, 3, 0.5)
+        parse_query_line("0.5 x", 2, 50, 3, 0.5)
 
 
 # -- index round trips ---------------------------------------------------------------
@@ -118,26 +124,73 @@ def test_avd_save_load_equal_arrays_and_answers(tmp_path):
     for _ in range(200):
         q = tuple(rng.random(1))
         assert avd_query(a, q) == avd_query(b, q)
+    # A strict index keeps its site column and clusters.
+    s = build_avd(build_registry(normalize(generate_instance(6025, 1, 8), 0.5)), 7, 0.5, "strict")
+    assert s.clusters
+    save_avd(str(path), s)
+    t = load_index(str(path))
+    assert (t.mode, t.stats["clusters"]) == ("strict", len(s.clusters))
+    assert np.array_equal(s.tree.z, t.tree.z) and np.array_equal(s.tree.level, t.tree.level)
+    for name in ("rep", "kdist", "kdist_witness", "site", "flags"):
+        assert np.array_equal(getattr(s, name), getattr(t, name)), name
+    assert len(t.clusters) == len(s.clusters)
+    for cs, ct in zip(s.clusters, t.clusters):
+        assert np.array_equal(cs.center, ct.center) and np.array_equal(cs.assigned, ct.assigned)
+        assert (cs.radius, cs.rho, cs.gamma, cs.witness, cs.round_index, cs.is_remainder) == (
+            ct.radius, ct.rho, ct.gamma, ct.witness, ct.round_index, ct.is_remainder
+        )
+    for _ in range(200):
+        q = tuple(rng.random(1))
+        assert avd_query(s, q) == avd_query(t, q)
+
+
+def test_avd_practical_file_size(tmp_path, monkeypatch):
+    """A practical file holds the container head, the BAVD header, the
+    instance, the cluster and cell counts, per cell a key, a level, an
+    estimate, a witness and a flags byte, the stats and the CRC: no
+    representative, no site."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    w = workloads.WORKLOADS["cell-d2"]
+    centers, radii, _, _, _ = workloads.make_inputs(w, 1)
+    balls = [Ball(tuple(c), float(r)) for c, r in zip(centers.tolist(), radii)]
+    a = build_avd(build_registry(normalize(balls, w.floor)), w.cell_k, w.cell_eps)
+    n, d, s = a.registry.n, a.registry.dim, a.tree.size
+    instance = 28 + 8 * d + 8 * n * (d + 1)
+    expect = 8 + 36 + instance + 8 + 8 + s * (8 + 8 + 8 + 8 + 1) + 64 + 4
+    assert len(_saved_bytes(a, tmp_path)) == expect == 76_525
+
+
+def _saved_bytes(a, tmp_path):
+    path = tmp_path / "saved.idx"
+    save_avd(str(path), a)
+    return path.read_bytes()
 
 
 def test_avd_version_1_file_is_rejected(tmp_path):
     balls = generate_instance(8, 1, 48)
     a = build_avd(build_registry(normalize(balls, 0.5)), 12, 0.5)
-    path = tmp_path / "a.idx"
-    save_avd(str(path), a)
-    blob = path.read_bytes()
-    assert blob[:4] == b"BAVD" and struct.unpack_from("<H", blob, 4)[0] == 2
-    for version, match in ((1, "predates format 2 and must be rebuilt"), (3, "unsupported version")):
+    blob = _saved_bytes(a, tmp_path)
+    assert blob[:4] == b"BAVD" and struct.unpack_from("<H", blob, 4)[0] == 3
+    queries = tmp_path / "q.txt"
+    queries.write_text("0.5\n")
+    for version, match in (
+        (1, "predates format 3 and must be rebuilt"),
+        (2, "predates format 3 and must be rebuilt"),
+        (4, "unsupported version"),
+    ):
         old = tmp_path / f"v{version}.idx"
         old.write_bytes(blob[:4] + struct.pack("<H", version) + blob[6:])
         with pytest.raises(InputError, match=match):
             load_index(str(old))
+        assert main(["query", str(old), str(queries)]) == 1
 
 
 def test_practical_file_with_clusters_still_loads(tmp_path):
-    """Practical files written while practical builds still ran the quorum
-    carry clusters and a site per cell: they load, answer alike and audit
-    clean."""
+    """A practical index given clusters and a site per cell, as practical
+    builds once made, keeps them through a file: it loads, answers alike and
+    audits clean."""
     reg = build_registry(normalize(generate_instance(8, 1, 48), 0.5))
     a = build_avd(reg, 12, 0.5)
     clusters = ball_quorum(reg, 12)
@@ -191,8 +244,8 @@ def test_index_integrity_rejects_damage(tmp_path):
 
     # A cell index whose columns point outside what it holds, or whose sizes
     # disagree with its arrays, with a valid CRC: the load rejects it, and
-    # `ballann query` exits 1.  A practical file holds no clusters and site
-    # -1 on every cell; the cluster cases use a strict file.
+    # `ballann query` exits 1.  A practical file holds no clusters and no
+    # site column; the cluster and site cases use a strict file.
     a = build_avd(build_registry(normalize(generate_instance(9, 1, 60), 0.5)), 15, 0.5)
     s = build_avd(build_registry(normalize(generate_instance(6025, 1, 8), 0.5)), 7, 0.5, "strict")
     assert a.clusters == [] and s.clusters
@@ -202,6 +255,7 @@ def test_index_integrity_rejects_damage(tmp_path):
     strict_blob = path.read_bytes()
     at, size, n = _bavd_layout(a, blob), a.tree.size, a.registry.n
     sat = _bavd_layout(s, strict_blob)
+    assert "site" not in at
     live = int(np.flatnonzero((a.flags & 1) == 0)[-1])
     slive = int(np.flatnonzero((s.flags & 1) == 0)[-1])
     tiled = np.flatnonzero(a.kdist_witness == -1)
@@ -210,7 +264,6 @@ def test_index_integrity_rejects_damage(tmp_path):
     queries = tmp_path / "q.txt"
     queries.write_text("0.5\n")
     cases = [
-        (blob, "site", at["site"] + 8 * live, 0),
         (strict_blob, "site", sat["site"] + 8 * slive, len(s.clusters)),
         (strict_blob, "site", sat["site"] + 8 * slive, -1),
         (blob, "witness", at["witness"] + 8 * live, n),
@@ -255,7 +308,7 @@ def test_index_integrity_rejects_damage(tmp_path):
     gone = next(v for v in range(1, size) if a.tree.children(v).size >= 2)
     damaged = bytearray(blob[: at["z"] - 8]) + struct.pack("<Q", size - 1)
     pos = at["z"]
-    for width in (8, 8, 8 * a.registry.dim, 8, 8, 8, 1):
+    for width in (8, 8, 8, 8, 1):
         damaged += blob[pos : pos + width * gone] + blob[pos + width * (gone + 1) : pos + width * size]
         pos += width * size
     damaged += blob[pos:]
@@ -271,18 +324,20 @@ def test_index_integrity_rejects_damage(tmp_path):
 def _bavd_layout(a, blob):
     """Byte offsets in a saved BAVD file of index a: the instance block, the
     cluster count, cluster 0's witness and assigned length (when there is a
-    cluster 0), and the cell columns, counted back from the 80 stat bytes
-    that end the payload."""
+    cluster 0), and the cell columns, counted back from the 64 stat bytes
+    that end the payload.  The site column is there only when the file
+    holds clusters."""
     n, size, d = a.registry.n, a.tree.size, a.registry.dim
     at = {"instance": 8 + 36}
     at["clusters"] = at["instance"] + 28 + 8 * d + 8 * n * (d + 1)
     # Cluster 0: its center, three radii, then witness and round index.
     at["cluster_witness"] = at["clusters"] + 8 + 8 * d + 24
     at["assigned_len"] = at["clusters"] + 8 + 8 * d + 48
-    at["flags"] = len(blob) - 4 - 80 - size
-    at["site"] = at["flags"] - 8 * size
-    at["witness"] = at["site"] - 8 * size
-    at["level"] = at["witness"] - 8 * size - 8 * size - 8 * size * d
+    at["flags"] = len(blob) - 4 - 64 - size
+    if a.clusters:
+        at["site"] = at["flags"] - 8 * size
+    at["witness"] = at.get("site", at["flags"]) - 8 * size
+    at["level"] = at["witness"] - 8 * size - 8 * size
     at["z"] = at["level"] - 8 * size
     return at
 
@@ -360,6 +415,26 @@ def test_cli_registry_query_needs_k_eps(tmp_path):
     assert _run(["query", regfile, str(qfile), "--k", "4", "--eps", "0.5", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert not lines[0].startswith("0 error")
+
+
+def test_cli_query_k_above_n_is_a_line_error(tmp_path):
+    ballfile = str(tmp_path / "x.balls")
+    regfile = str(tmp_path / "reg.idx")
+    qfile = tmp_path / "q.txt"
+    out = tmp_path / "res.txt"
+    assert _run(["gen", "--dim", "2", "--n", "50", "--seed", "4", "--out", ballfile]) == 0
+    assert _run(["build", ballfile, "--out", regfile]) == 0
+    qfile.write_text("0.5 0.5 3 0.5\n0.5 0.5 99 0.5\n0.25 0.75 2 0.5\n")
+    assert _run(["query", regfile, str(qfile), "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == 3
+    assert lines[1] == "1 error k must lie in [1, 50], got 99"
+    balls = read_balls(ballfile)
+    for i, (q, k) in ((0, ((0.5, 0.5), 3)), (2, ((0.25, 0.75), 2))):
+        idx, ball_id, dist, _ = lines[i].split()
+        assert int(idx) == i
+        truth = exact_kth_distance(balls, q, k).value
+        assert 0.5 * truth - 1e-9 <= float(dist) <= 1.5 * truth + 1e-9
 
 
 def test_cli_registry_query_out_of_domain_is_certified(tmp_path):
