@@ -14,7 +14,8 @@ from .geometry import (
     InputError,
     InternalInvariantError,
     NormalizedInstance,
-    dist_point_ball,
+    ball_distance,
+    ball_distances,
     normalize,
     packing_constant,
 )
@@ -37,11 +38,12 @@ __all__ = [
     "Registry",
     "audit_cells",
     "avd_query",
+    "ball_distance",
+    "ball_distances",
     "ball_quorum",
     "build_avd",
     "build_registry",
     "constant_factor_kth",
-    "dist_point_ball",
     "exact_counts",
     "exact_kth_distance",
     "generate_instance",

@@ -72,7 +72,8 @@ import numpy as np
 from .geometry import (
     InputError,
     InternalInvariantError,
-    dist_point_ball,
+    ball_distance,
+    ball_distances,
     enumerate_grid_cells_ball,
     grid_level_for_diameter,
     max_level_for_dim,
@@ -250,7 +251,7 @@ def _paper_cells(
     far_node_site = _assign_sites(far_tree, far_z, far_l, centers, radii)
     near_tree = build_from_cubes((near_z, near_l, dim))
     t_fields = time.perf_counter()
-    w_tree, _, back_far = overlay(near_tree, far_tree)
+    w_tree, back_far = overlay(near_tree, far_tree)
     far_node = far_tree.find_keys(w_tree.z[back_far], w_tree.level[back_far])
     if (far_node < 0).any():
         raise InternalInvariantError("overlay back pointer lost its source cube")
@@ -545,33 +546,27 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
     if chosen < 0:
         a.query_counts["fallback"] += 1
         return query(a.registry, qt, k, eps)
-    dist = dist_point_ball(qt, a.registry.instance.balls[chosen])
+    reg = a.registry
+    dist = ball_distance(qt.tolist(), reg.centers[chosen].tolist(), float(reg.radii[chosen]))
     return KnnAnswer(chosen, dist, (dist / (1.0 + eps), dist / (1.0 - eps)))
 
 
 def _region_sample(a: AVDIndex, node: int, rng: np.random.Generator, tries: int = 64) -> np.ndarray:
     """A point of the node's region: inside its cube, outside child cubes."""
-    cube = a.tree.node_cube(node)
-    side = 2.0 ** (-cube.level)
-    lo = np.array(cube.coords, dtype=np.float64) * side
     kids = a.tree.children(node)
+    half = np.ldexp(0.5, -a.tree.level[kids])[:, None]
+    klo, khi = a.rep[kids] - half, a.rep[kids] + half
+    side = np.ldexp(1.0, -int(a.tree.level[node]))
+    lo = a.rep[node] - side / 2.0
     for _ in range(tries):
         p = lo + rng.random(a.registry.dim) * side
-        hit = False
-        for c in kids:
-            ck = a.tree.node_cube(int(c))
-            cs = 2.0 ** (-ck.level)
-            clo = np.array(ck.coords, dtype=np.float64) * cs
-            if np.all(p >= clo) and np.all(p < clo + cs):
-                hit = True
-                break
-        if not hit:
+        if not np.any(np.all((klo <= p) & (p < khi), axis=1)):
             return p
     return a.rep[node].copy()
 
 
 def audit_cells(a: AVDIndex, samples: int = 200, seed: int = 0) -> dict:
-    """Per-cell checks against the brute-force reference.
+    """Per-cell checks against brute force, the k-th of all ball distances.
 
     On up to `samples` cells and about 2 * samples random in-region points
     (two a cell at least), verifies: the per-query threshold really
@@ -588,10 +583,8 @@ def audit_cells(a: AVDIndex, samples: int = 200, seed: int = 0) -> dict:
     no runtime re-checks) would miss the (1 +- eps) window; an index whose
     sweep ran out of budget shows up here.
     """
-    from .oracle import exact_kth_distance
-
     rng = np.random.default_rng(seed)
-    balls = a.registry.instance.balls
+    reg = a.registry
     eps, k = a.eps, a.k
     live = np.flatnonzero((a.flags & _EMPTY) == 0)
     if live.size > samples:
@@ -616,7 +609,7 @@ def audit_cells(a: AVDIndex, samples: int = 200, seed: int = 0) -> dict:
     for v in live:
         v = int(v)
         rep = a.rep[v]
-        dk_rep = exact_kth_distance(balls, rep, k).value
+        dk_rep = np.partition(ball_distances(rep, reg.centers, reg.radii), k - 1)[k - 1]
         counts["kdist_spot"] += 1
         if not (dk_rep * (1 - 1e-9) <= a.kdist[v] <= (1 + eps / 4.0) * dk_rep * (1 + 1e-9)):
             violations.append(
@@ -624,15 +617,16 @@ def audit_cells(a: AVDIndex, samples: int = 200, seed: int = 0) -> dict:
             )
         if clustered:
             j = int(a.site[v])
-            wit_ball = balls[int(a.clusters[j].witness)]
-            span = float(np.linalg.norm(np.asarray(wit_ball.center) - wc[j])) + wit_ball.radius
+            w = int(a.clusters[j].witness)
+            span = float(np.linalg.norm(reg.centers[w] - wc[j])) + float(reg.radii[w])
             if span > wx[j] * (1 + 1e-9):
                 violations.append(f"node {v}: cluster witness ball sticks out of cluster {j}")
         diam = (2.0 ** (-int(a.tree.level[v]))) * math.sqrt(a.registry.dim)
         for _ in range(per_cell):
             q = _region_sample(a, v, rng)
             counts["points"] += 1
-            dk = exact_kth_distance(balls, q, k).value
+            dq = ball_distances(q, reg.centers, reg.radii)
+            dk = np.partition(dq, k - 1)[k - 1]
             lam_star = float(a.kdist[v]) + float(np.linalg.norm(q - rep))
             if clustered:
                 lam1 = float(np.linalg.norm(q - wc[j])) + wx[j]
@@ -643,8 +637,8 @@ def audit_cells(a: AVDIndex, samples: int = 200, seed: int = 0) -> dict:
             def in_window(dist: float) -> bool:
                 return (1 - eps) * dk * (1 - 1e-9) <= dist <= (1 + eps) * dk * (1 + 1e-9)
 
-            d_small = dist_point_ball(q, balls[int(a.kdist_witness[v])])
-            d_else = dist_point_ball(q, balls[int(a.clusters[j].witness)]) if clustered else d_small
+            d_small = dq[a.kdist_witness[v]]
+            d_else = dq[a.clusters[j].witness] if clustered else d_small
             if diam <= (eps / 8.0) * lam_star:
                 counts["small_branch"] += 1
                 if not in_window(d_small):
@@ -663,7 +657,7 @@ def audit_cells(a: AVDIndex, samples: int = 200, seed: int = 0) -> dict:
                 else:
                     violations.append(f"node {v}: no anchor cluster at scale {dk:.6g}")
             ans = avd_query(a, q)
-            d_ans = dist_point_ball(q, balls[ans.ball_id])
+            d_ans = dq[ans.ball_id]
             if not in_window(d_ans):
                 violations.append(f"node {v}: end-to-end answer off ({d_ans:.6g} vs {dk:.6g})")
     return {"ok": not violations, "violations": violations, **counts}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +24,9 @@ __all__ = [
     "CanonicalCube",
     "max_level_for_dim",
     "concat_ranges",
-    "dist_point_ball",
+    "ball_distance",
+    "ball_distances",
+    "center_distances",
     "find_overlap",
     "normalize",
     "grid_cell",
@@ -151,20 +154,34 @@ class CanonicalCube:
         return math.sqrt(acc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizedInstance:
     """A ball set scaled into [1/2 - delta, 1/2 + delta]^d with delta = eps/4.
 
-    transform maps original coordinates x to scale * x + offset; radii map to
-    scale * r.  The same scale in every axis keeps distance order intact.
+    centers (n, d) and radii (n,) are read-only float64 arrays in the unit
+    frame.  transform maps original coordinates x to scale * x + offset;
+    radii map to scale * r.  The same scale in every axis keeps distance
+    order intact.
     """
 
-    balls: tuple[Ball, ...]
+    centers: np.ndarray
+    radii: np.ndarray
     scale: float
     offset: tuple[float, ...]
     epsilon_floor: float
     dimension: int
     c_d: int
+
+    def __post_init__(self) -> None:
+        for name in ("centers", "radii"):
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @cached_property
+    def balls(self) -> tuple[Ball, ...]:
+        """The balls as `Ball` objects, for the oracle."""
+        return tuple(Ball(tuple(c), r) for c, r in zip(self.centers.tolist(), self.radii.tolist()))
 
     def to_unit(self, p: Sequence[float]) -> tuple[float, ...]:
         return tuple(self.scale * float(x) + o for x, o in zip(p, self.offset))
@@ -172,25 +189,39 @@ class NormalizedInstance:
     def to_original(self, p: Sequence[float]) -> tuple[float, ...]:
         return tuple((float(x) - o) / self.scale for x, o in zip(p, self.offset))
 
-    def centers_array(self) -> np.ndarray:
-        return np.array([b.center for b in self.balls], dtype=np.float64)
 
-    def radii_array(self) -> np.ndarray:
-        return np.array([b.radius for b in self.balls], dtype=np.float64)
+def center_distances(q, centers: np.ndarray) -> np.ndarray:
+    """|q - c| for every row c of centers (n, d): shape (n,) for one point
+    q, (m, n) for points q (m, d).  The squares, taken as products, are
+    summed over the axes in order 0..d-1, the one order of every ball
+    distance d(q, b) = max(|q - c| - r, 0) in the package."""
+    q = np.asarray(q, dtype=np.float64)
+    t = centers[:, 0] - q[..., 0, None]
+    acc = t * t
+    for j in range(1, centers.shape[1]):
+        t = centers[:, j] - q[..., j, None]
+        acc += t * t
+    return np.sqrt(acc, out=acc)
 
 
-def dist_point_ball(q: Sequence[float], b: Ball) -> float:
-    """Distance from q to the closed ball b: max(||q - c|| - r, 0)."""
-    if len(q) != b.dimension:
-        raise InputError(f"dimension mismatch: point has {len(q)}, ball has {b.dimension}")
-    gap = math.dist(tuple(q), b.center) - b.radius
+def ball_distances(q, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """d(q, b) for every ball b of (centers, radii), shaped as
+    center_distances."""
+    dist = center_distances(q, centers)
+    return np.maximum(np.subtract(dist, radii, out=dist), 0.0, out=dist)
+
+
+def ball_distance(q: Sequence[float], center: Sequence[float], radius: float) -> float:
+    """d(q, b) for one ball, equal bit for bit to ball_distances: a plain
+    loop in the same order (math.dist and sum() round differently)."""
+    if len(q) != len(center):
+        raise InputError(f"dimension mismatch: point has {len(q)}, ball has {len(center)}")
+    acc = 0.0
+    for x, c in zip(q, center):
+        t = c - x
+        acc += t * t
+    gap = math.sqrt(acc) - radius
     return gap if gap > 0.0 else 0.0
-
-
-def dist_points_balls(q: Sequence[float], centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Vectorized dist_point_ball against every ball in (centers, radii)."""
-    diff = centers - np.asarray(q, dtype=np.float64)
-    return np.maximum(np.sqrt(np.einsum("ij,ij->i", diff, diff)) - radii, 0.0)
 
 
 def concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -301,20 +332,20 @@ def normalize(balls: Sequence[Ball], eps: float) -> NormalizedInstance:
     # code.
     unit = centers * scale + np.array(offset)
     rad = radii * scale
-    inst = NormalizedInstance(
-        balls=tuple(Ball(tuple(c), r) for c, r in zip(unit.tolist(), rad.tolist())),
+    pad = 1e-9
+    low = (0.5 - delta - rad - pad)[:, None]
+    high = (0.5 + delta + rad + pad)[:, None]
+    if not np.all((low <= unit) & (unit <= high)):
+        raise InternalInvariantError("normalized ball escaped the target cube")
+    return NormalizedInstance(
+        centers=unit,
+        radii=rad,
         scale=scale,
         offset=offset,
         epsilon_floor=eps,
         dimension=d,
         c_d=packing_constant(d),
     )
-    pad = 1e-9
-    low = (0.5 - delta - rad - pad)[:, None]
-    high = (0.5 + delta + rad + pad)[:, None]
-    if not np.all((low <= unit) & (unit <= high)):
-        raise InternalInvariantError("normalized ball escaped the target cube")
-    return inst
 
 
 def grid_cell(width_level: int, p: Sequence[float]) -> CanonicalCube:

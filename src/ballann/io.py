@@ -221,10 +221,9 @@ def _instance_block(inst: NormalizedInstance) -> bytes:
     Persisting the normalized form (instead of re-deriving originals) keeps a
     save/load/save cycle byte-stable and reproduces the structure bit for bit.
     """
-    out = struct.pack("<IQdd", inst.dimension, len(inst.balls), inst.epsilon_floor, inst.scale)
+    out = struct.pack("<IQdd", inst.dimension, inst.radii.size, inst.epsilon_floor, inst.scale)
     out += np.asarray(inst.offset, dtype="<f8").tobytes()
-    arr = np.array([tuple(b.center) + (b.radius,) for b in inst.balls], dtype="<f8")
-    return out + arr.tobytes()
+    return out + np.column_stack((inst.centers, inst.radii)).astype("<f8").tobytes()
 
 
 def _read_instance_block(r: _Reader) -> NormalizedInstance:
@@ -233,12 +232,11 @@ def _read_instance_block(r: _Reader) -> NormalizedInstance:
         raise InputError("index instance block is malformed")
     offset = tuple(float(x) for x in r.array("f8", d))
     flat = r.array("f8", n * (d + 1)).reshape(n, d + 1)
-    try:
-        balls = tuple(Ball(tuple(row[:-1]), row[-1]) for row in flat.tolist())
-    except InputError as exc:
-        raise InputError(f"index instance block is malformed: {exc}") from exc
+    if not (np.isfinite(flat).all() and (flat[:, -1] >= 0.0).all()):
+        raise InputError("index instance block is malformed: non-finite value or negative radius")
     return NormalizedInstance(
-        balls=balls,
+        centers=flat[:, :-1],
+        radii=flat[:, -1],
         scale=float(scale),
         offset=offset,
         epsilon_floor=float(eps),
@@ -301,25 +299,14 @@ def _load_avd(payload: bytes) -> AVDIndex:
         raise InputError(f"index was built with xi={xi}, this build uses {XI}")
     inst = _read_instance_block(r)
     d = inst.dimension
-    n = len(inst.balls)
+    n = inst.radii.size
     m = r.unpack("Q")[0]
     clusters = []
     for _ in range(m):
         center = r.array("f8", d)
         radius, rho, gamma, witness, round_index, is_rem, a_len = r.unpack("dddqqBxxxxxxxQ")
         assigned = r.array("i8", a_len)
-        clusters.append(
-            QuorumCluster(
-                center=center,
-                radius=radius,
-                rho=rho,
-                gamma=gamma,
-                assigned=assigned,
-                witness=int(witness),
-                round_index=int(round_index),
-                is_remainder=bool(is_rem),
-            )
-        )
+        clusters.append(QuorumCluster(center, radius, rho, gamma, assigned, witness, round_index, bool(is_rem)))
     size = r.unpack("Q")[0]
     z = r.array("i8", size)
     level = r.array("i8", size)

@@ -37,8 +37,8 @@ import numpy as np
 from .geometry import (
     InputError,
     InternalInvariantError,
-    dist_point_ball,
-    dist_points_balls,
+    ball_distances,
+    center_distances,
     grid_coords,
     grid_level_for_diameter,
 )
@@ -128,9 +128,8 @@ def constant_factor_kth(reg: Registry, q, k: int) -> float:
 
 
 def _exact_answer(reg: Registry, q, k: int, eps: float) -> KnnAnswer:
-    dists = dist_points_balls(q, reg.centers, reg.radii)
-    order = np.lexsort((np.arange(reg.n), dists))
-    wid = int(order[k - 1])
+    dists = ball_distances(q, reg.centers, reg.radii)
+    wid = int(np.argsort(dists, kind="stable")[k - 1])  # ties by id
     w = float(dists[wid])
     return KnnAnswer(wid, w, (w / (1.0 + eps), w / (1.0 - eps) if w else 0.0))
 
@@ -197,7 +196,7 @@ def _refine_chunk(
     reg: Registry, qs: np.ndarray, xs: np.ndarray, levels: list[int], k: int, eps: float
 ) -> list[KnnAnswer]:
     """refine_many on rows with x > 0 and an exact grid level."""
-    m, n = xs.size, reg.n
+    m = xs.size
     ehat = eps / EPS_HAT_SHRINK
     r_q = 4.0 * xs * (1.0 + ehat)
     # Small candidates: every center whose own cell meets the padded ball
@@ -205,16 +204,14 @@ def _refine_chunk(
     # inside the net, while anything farther sits strictly above the
     # selection threshold.
     r_snap = r_q + ehat * xs
-    diff = (reg.centers[None, :, :] - qs[:, None, :]).reshape(m * n, reg.dim)
-    dist = np.einsum("ij,ij->i", diff, diff).reshape(m, n)
-    del diff
-    np.sqrt(dist, out=dist)
+    dist = center_distances(qs, reg.centers)
     # A small candidate's center lies in its own cell, which meets
     # ball(q, r_snap); so it lies within r_snap plus the cell diameter.
     side = np.ldexp(1.0, -np.array(levels, dtype=np.int64))
     reach = (r_snap + side * math.sqrt(reg.dim)) * (1.0 + PREFILTER_SLACK)
     near = dist <= reach[:, None]
-    # From here on dist holds ball distances, in place of center distances.
+    # From here on dist holds ball distances, by ball_distances' own last
+    # two steps in place, so dist[r] is ball_distances(qs[r], ...).
     np.maximum(np.subtract(dist, reg.radii, out=dist), 0.0, out=dist)
     # The large set of large_balls_intersecting(q, r_q, 2*ehat*x), ties in.
     large = (2.0 * reg.radii >= (2.0 * ehat * xs)[:, None]) & (dist <= r_q[:, None])
@@ -242,12 +239,11 @@ def _refine_chunk(
         cells = grid_coords(reg.centers[near_ids], levels[r])
         meet = reg._cells_meet(cells, qs[r], float(r_snap[r]), levels[r])
         wids[r] = _select_with_cells(qs[r], k, levels[r], ids, dist[r, ids], near_ids[meet], cells[meet])
-    answers = []
-    for r in range(m):
-        wid = int(wids[r])
-        wdist = dist_point_ball(tuple(qs[r].tolist()), reg.instance.balls[wid])
-        answers.append(KnnAnswer(wid, wdist, (wdist / (1.0 + eps), wdist / (1.0 - eps))))
-    return answers
+    wdists = dist[np.arange(m), wids].tolist()
+    return [
+        KnnAnswer(wid, w, (w / (1.0 + eps), w / (1.0 - eps)))
+        for wid, w in zip(wids.tolist(), wdists)
+    ]
 
 
 def _select_with_cells(
@@ -272,8 +268,7 @@ def _select_with_cells(
     no cell is sorted: only the candidates at exactly t are grouped, and
     they follow the weight below t in key order.
     """
-    cc = (cells + 0.5) * 2.0 ** (-level)
-    d_small = np.sqrt(np.einsum("ij,ij->i", cc - q, cc - q))
+    d_small = center_distances(q, (cells + 0.5) * 2.0 ** (-level))
     units = np.concatenate([d_large, d_small])
     if units.size < k:
         raise InternalInvariantError(

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Ball, InputError, dist_points_balls
+from .geometry import Ball, InputError, ball_distances
 
 __all__ = [
     "OracleReport",
@@ -58,7 +58,7 @@ def exact_kth_distance(balls: Sequence[Ball], q: Sequence[float], k: int) -> Ora
     if not (1 <= k <= n):
         raise InputError(f"k must lie in [1, {n}], got {k}")
     centers, radii = _as_arrays(balls)
-    dists = dist_points_balls(q, centers, radii)
+    dists = ball_distances(q, centers, radii)
     order = np.argsort(dists, kind="stable")
     idx = int(order[k - 1])
     return OracleReport(value=float(dists[idx]), witness=idx, method="sort")
@@ -92,7 +92,7 @@ def exact_counts(
     if x < 0:
         raise InputError(f"range radius must be nonnegative, got {x}")
     centers, radii = _as_arrays(balls)
-    bd = dist_points_balls(q, centers, radii)
+    bd = ball_distances(q, centers, radii)
     cd = np.linalg.norm(centers - np.asarray(q, dtype=np.float64), axis=1)
     return int(np.count_nonzero(bd <= x)), int(np.count_nonzero(cd <= x))
 

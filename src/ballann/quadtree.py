@@ -419,13 +419,11 @@ def build_from_points(points: np.ndarray, dim: int | None = None) -> CompressedQ
     return tree
 
 
-def overlay(t1: CompressedQuadtree, t2: CompressedQuadtree) -> tuple[
-    CompressedQuadtree, np.ndarray, np.ndarray
-]:
-    """Union tree plus, per node, the smallest containing cube from each source.
+def overlay(t1: CompressedQuadtree, t2: CompressedQuadtree) -> tuple[CompressedQuadtree, np.ndarray]:
+    """Union tree plus, per node, the smallest containing cube from t2.
 
-    Returns (tree, back1, back2); back_i[j] is the deepest ancestor-or-self
-    of overlay node j whose key belongs to t_i.
+    Returns (tree, back); back[j] is the deepest ancestor-or-self of overlay
+    node j whose key belongs to t2.
     """
     if t1.dim != t2.dim:
         raise InputError("overlay requires trees of one dimension")
@@ -433,16 +431,14 @@ def overlay(t1: CompressedQuadtree, t2: CompressedQuadtree) -> tuple[
     level = np.concatenate([t1.level, t2.level])
     z, level = _dedupe_keys(z, level)
     tree = build_from_cubes((z, level, t1.dim))
-    back1 = _nearest_marked_ancestor(tree.parent, t1.find_keys(tree.z, tree.level) >= 0)
-    back2 = _nearest_marked_ancestor(tree.parent, t2.find_keys(tree.z, tree.level) >= 0)
-    return tree, back1, back2
+    return tree, _nearest_marked_ancestor(tree.parent, t2.find_keys(tree.z, tree.level) >= 0)
 
 
 def _nearest_marked_ancestor(parent: np.ndarray, marked: np.ndarray) -> np.ndarray:
     """Per node, its deepest marked ancestor-or-self, by pointer jumping up
     the parent links; the root must be marked."""
     if not marked[0]:
-        raise InternalInvariantError("source trees must both contain the root")
+        raise InternalInvariantError("the source tree must contain the root")
     up = np.where(marked, np.arange(parent.size, dtype=np.int64), parent)
     while True:
         nxt = up[up]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import InputError, dist_points_balls
+from .geometry import InputError, ball_distances
 from .knn import query
 from .oracle import optimal_quorum_radius_bound
 from .registry import Registry
@@ -200,7 +200,7 @@ def verify_quorum(
             )
         hits = int(
             np.count_nonzero(
-                dist_points_balls(c.center, reg.centers, reg.radii)
+                ball_distances(c.center, reg.centers, reg.radii)
                 <= c.radius * (1.0 + tol)
             )
         )

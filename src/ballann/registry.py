@@ -36,8 +36,9 @@ from .geometry import (
     InputError,
     InternalInvariantError,
     NormalizedInstance,
+    ball_distances,
+    center_distances,
     concat_ranges,
-    dist_points_balls,
     enumerate_grid_cells_balls,
     grid_coords,
     grid_level_for_diameter,
@@ -93,9 +94,9 @@ class Registry:
     def __init__(self, instance: NormalizedInstance) -> None:
         self.instance = instance
         self.dim = instance.dimension
-        self.n = len(instance.balls)
-        self.centers = instance.centers_array()
-        self.radii = instance.radii_array()
+        self.n = instance.radii.size
+        self.centers = instance.centers
+        self.radii = instance.radii
         self.c_d = instance.c_d
         # The largest diameter 2r, for large_balls_intersecting, and the box
         # that holds every ball, padded by WALK_MARGIN, for
@@ -231,7 +232,7 @@ class Registry:
         start = np.concatenate(starts)
         cand = np.unique(self._reg_sorted_ids[concat_ranges(start, np.concatenate(stops) - start)])
         cand = cand[2.0 * self.radii[cand] >= min_diameter]
-        return cand[dist_points_balls(qa, self.centers[cand], self.radii[cand]) <= radius]
+        return cand[ball_distances(qa, self.centers[cand], self.radii[cand]) <= radius]
 
     # -- 2-approximate k-th center distance ------------------------------------
 
@@ -290,8 +291,7 @@ class Registry:
         ids = t.point_perm[concat_ranges(t.span_lo[nodes], cnt)]
         if ids.size < pending[-1]:
             raise InternalInvariantError("frontier lost candidates it still needed")
-        diff = self.centers[ids] - qa
-        dist = np.partition(np.sqrt(np.einsum("ij,ij->i", diff, diff)), pending - 1)
+        dist = np.partition(center_distances(qa, self.centers[ids]), pending - 1)
         results.update(zip(pending.tolist(), dist[pending - 1].tolist()))
         return results
 
@@ -388,9 +388,7 @@ class Registry:
         if np.any(qa < 0.0) or np.any(qa >= 1.0):
             # In the ball box but outside the root cell, which only an
             # unnormalized instance allows: scan directly.
-            diff = self.centers - qa
-            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            return np.flatnonzero(dist <= self.radii)
+            return np.flatnonzero(ball_distances(qa, self.centers, self.radii) == 0.0)
         node = self.ball_tree.point_location(tuple(qa))
         parts = []
         while node >= 0:
@@ -399,13 +397,11 @@ class Registry:
         cand = np.unique(np.concatenate(parts))
         if cand.size == 0:
             return cand
-        diff = self.centers[cand] - qa
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        return cand[dist <= self.radii[cand]]
+        return cand[ball_distances(qa, self.centers[cand], self.radii[cand]) == 0.0]
 
     def exact_intersection_count(self, q, x: float) -> int:
         """Exact N(x): balls whose closed body meets closed ball(q, x)."""
-        return int((dist_points_balls(q, self.centers, self.radii) <= x).sum())
+        return int((ball_distances(q, self.centers, self.radii) <= x).sum())
 
 
 def build_registry(instance: NormalizedInstance) -> Registry:

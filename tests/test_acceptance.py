@@ -104,8 +104,8 @@ def test_c1_two_sided_knn_over_seeded_sweep():
             for n in SWEEP_SIZES:
                 reg, _ = _sweep_registry(dim, seed, n)
                 inst = reg.instance
-                centers = inst.centers_array()
-                radii = inst.radii_array()
+                centers = inst.centers
+                radii = inst.radii
                 n_instances += 1
                 for t in range(300):
                     q = _sample_query(rng, centers, radii, dim, near=t % 2 == 1)
@@ -154,8 +154,8 @@ def test_c2_constant_factor_sandwich_and_descent():
             for n in SWEEP_SIZES:
                 reg, profile = _sweep_registry(dim, seed, n)
                 inst = reg.instance
-                centers = inst.centers_array()
-                radii = inst.radii_array()
+                centers = inst.centers
+                radii = inst.radii
                 for t in range(100):
                     q = _sample_query(rng, centers, radii, dim, near=t % 2 == 1)
                     check(reg, centers, radii, q, int(rng.integers(1, n + 1)))
@@ -194,7 +194,7 @@ def test_c3_count_sandwich_and_monotonicity():
         _sweep_registry(3, 0, 50)[0],
         _sweep_registry(3, 7, 200)[0],
     ]
-    arrays = [(r, r.instance.centers_array(), r.instance.radii_array()) for r in regs]
+    arrays = [(r, r.instance.centers, r.instance.radii) for r in regs]
     triples = 10_000
     miss = 0
     for i in range(triples):
@@ -344,7 +344,7 @@ def test_c5_cluster_guarantees_and_radius_chain():
         for seed in range(10):
             for n in (32, 48, 64):
                 balls = generate_instance(730 + seed, dim, n, PROFILE_CYCLE[seed % 3])
-                pts = normalize(balls, 0.5).centers_array()
+                pts = normalize(balls, 0.5).centers
                 for ell in sorted({3, 9, 21, n // 2}):
                     rounds = point_quorum(pts, ell)
                     pairs += 1
@@ -402,8 +402,8 @@ def test_c6_cell_index_practical_and_strict():
         reg = build_registry(normalize(balls, 0.25))
         a = build_avd(reg, k, eps, mode="practical")
         assert a.zeta1 == ZETA1_PRACTICAL
-        centers = reg.instance.centers_array()
-        radii = reg.instance.radii_array()
+        centers = reg.instance.centers
+        radii = reg.instance.radii
         miss += _avd_query_sweep(a, centers, radii, dim, 1000, rng)
         total += 1000
 
@@ -414,7 +414,7 @@ def test_c6_cell_index_practical_and_strict():
     a = build_avd(reg, 7, 0.5, mode="strict")
     assert a.zeta1 == ZETA1_STRICT
     strict_unc = int(a.stats["uncertified"])
-    miss += _avd_query_sweep(a, reg.instance.centers_array(), reg.instance.radii_array(), 1, 1000, rng)
+    miss += _avd_query_sweep(a, reg.instance.centers, reg.instance.radii, 1, 1000, rng)
     total += 1000
     ok = miss == 0 and strict_unc == 0
     return ok, (
@@ -523,7 +523,7 @@ def _tree_suite(rng) -> tuple[int, int]:
 
     for tree, _ in trees:
         partner = build_from_points(rng.random((150, tree.dim)), dim=tree.dim)
-        union, _, _ = overlay(tree, partner)
+        union, _ = overlay(tree, partner)
         for _ in range(250):
             p = tuple(rng.random(tree.dim))
             cu = union.node_cube(union.point_location(p))
@@ -553,8 +553,8 @@ def _lipschitz_suite(rng) -> tuple[int, int]:
     checks = bad = 0
     for dim in (1, 2, 3):
         reg, _ = _sweep_registry(dim, 0, 200)
-        centers = reg.instance.centers_array()
-        radii = reg.instance.radii_array()
+        centers = reg.instance.centers
+        radii = reg.instance.radii
         for _ in range(10):
             m = 334
             k = int(rng.integers(1, 201))
@@ -574,8 +574,8 @@ def _packing_suite(rng) -> tuple[int, int, int]:
     checks = bad = seen = 0
     for dim in (1, 2, 3):
         reg, _ = _sweep_registry(dim, 1, 200)
-        centers = reg.instance.centers_array()
-        radii = reg.instance.radii_array()
+        centers = reg.instance.centers
+        radii = reg.instance.radii
         span = centers.max(axis=0) - centers.min(axis=0)
         lo = centers.min(axis=0) - 0.1 * span
         m = 3334

@@ -16,7 +16,7 @@ from ballann.avd import (
     avd_query,
     build_avd,
 )
-from ballann.geometry import InputError, dist_point_ball
+from ballann.geometry import InputError, ball_distance, ball_distances
 from ballann.oracle import exact_kth_distance
 from ballann.quadtree import build_from_cubes
 from ballann.quorum import ball_quorum
@@ -41,8 +41,10 @@ def _check_queries(a, n_q, seed, require_no_fallback=False):
         assert (1.0 - a.eps) * truth - tol <= ans.distance <= (1.0 + a.eps) * truth + tol
         lo, hi = ans.certified_interval
         assert lo - tol <= truth <= hi + tol
-        real = dist_point_ball(q, balls[ans.ball_id])
-        assert ans.distance == pytest.approx(real, rel=1e-12, abs=1e-12)
+        # The reported distance is the distance of the reported ball, bit
+        # for bit.
+        reg = a.registry
+        assert ans.distance == ball_distances(q, reg.centers, reg.radii)[ans.ball_id]
     counted = sum(a.query_counts.values()) - sum(before.values())
     assert counted == n_q
     if require_no_fallback:
@@ -107,7 +109,8 @@ def test_queries_at_the_near_boundary_stay_in_the_window():
             offset = float(np.linalg.norm(q - rep))
             if offset <= c * (kd / sandwich - offset):
                 inside += 1
-                assert lo <= dist_point_ball(q, balls[int(a.kdist_witness[v])]) <= hi
+                w = balls[int(a.kdist_witness[v])]
+                assert lo <= ball_distance(q, w.center, w.radius) <= hi
             if np.all((0.0 <= q) & (q < 1.0)):
                 assert lo <= avd_query(a, q).distance <= hi
         corner = rep - 0.5 * 2.0 ** (-float(a.tree.level[v]))
@@ -157,7 +160,7 @@ def test_avd_out_of_domain_is_certified():
         lo, hi = ans.certified_interval
         assert lo - tol <= truth <= hi + tol
         assert (1.0 - a.eps) * truth - tol <= ans.distance <= (1.0 + a.eps) * truth + tol
-        assert ans.distance == pytest.approx(dist_point_ball(q, balls[ans.ball_id]), abs=1e-12)
+        assert ans.distance == ball_distances(q, a.registry.centers, a.registry.radii)[ans.ball_id]
     assert a.query_counts["out_of_domain"] == len(queries)
 
 

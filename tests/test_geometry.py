@@ -9,8 +9,8 @@ from ballann.geometry import (
     Ball,
     CanonicalCube,
     InputError,
-    dist_point_ball,
-    dist_points_balls,
+    ball_distance,
+    ball_distances,
     enumerate_grid_cells_ball,
     enumerate_grid_cells_balls,
     floor_log2,
@@ -36,30 +36,45 @@ def test_ball_rejects_negative_radius():
         Ball((0.0, 0.0), -1.0)
 
 
-def test_dist_point_ball_hand_values():
-    b = Ball((3.0,), 1.0)
-    assert dist_point_ball((0.0,), b) == 2.0
-    assert dist_point_ball((3.5,), b) == 0.0  # interior
-    assert dist_point_ball((4.0,), b) == 0.0  # surface
-    assert dist_point_ball((0.0, 0.0), Ball((3.0, 4.0), 2.0)) == 3.0
+def test_ball_distance_hand_values():
+    assert ball_distance((0.0,), (3.0,), 1.0) == 2.0
+    assert ball_distance((3.5,), (3.0,), 1.0) == 0.0  # interior
+    assert ball_distance((4.0,), (3.0,), 1.0) == 0.0  # surface
+    assert ball_distance((0.0, 0.0), (3.0, 4.0), 2.0) == 3.0
+    assert ball_distances((0.0, 0.0), np.array([[3.0, 4.0], [0.0, 1.0]]), np.array([2.0, 1.0])).tolist() == [3.0, 0.0]
 
 
-def test_dist_point_ball_dimension_mismatch():
+def test_ball_distance_dimension_mismatch():
     with pytest.raises(InputError):
-        dist_point_ball((0.0,), Ball((0.0, 0.0), 1.0))
+        ball_distance((0.0,), (0.0, 0.0), 1.0)
 
 
-@given(st.integers(1, 4), st.data())
+@given(st.integers(1, 5), st.data())
 @settings(max_examples=60, deadline=None)
 def test_vectorized_distance_matches_scalar(d, data):
     m = data.draw(st.integers(1, 6))
     centers = np.array([data.draw(st.lists(finite, min_size=d, max_size=d)) for _ in range(m)])
     radii = np.array([data.draw(st.floats(0, 10)) for _ in range(m)])
     q = data.draw(st.lists(finite, min_size=d, max_size=d))
-    vec = dist_points_balls(q, centers, radii)
-    for i in range(m):
-        one = dist_point_ball(q, Ball(tuple(centers[i]), float(radii[i])))
-        assert vec[i] == pytest.approx(one, rel=1e-12, abs=1e-12)
+    vec = ball_distances(q, centers, radii)
+    assert vec.tolist() == [ball_distance(q, c, r) for c, r in zip(centers.tolist(), radii.tolist())]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_one_ball_and_batched_distances_agree_bit_for_bit(d):
+    """ball_distance equals ball_distances, and each row of the (m, n)
+    block equals the one-point call, bit for bit, on points in the unit
+    cube and outside it, near and far."""
+    rng = np.random.default_rng(40 + d)
+    centers = rng.random((300, d))
+    radii = rng.uniform(0.0, 0.05, 300)
+    points = np.concatenate([rng.random((200, d)), rng.uniform(-3.0, 4.0, (200, d)), rng.uniform(-1e3, 1e3, (50, d))])
+    block = ball_distances(points, centers, radii)
+    assert block.shape == (points.shape[0], 300)
+    for i, q in enumerate(points.tolist()):
+        row = ball_distances(q, centers, radii)
+        assert np.array_equal(row, block[i])
+        assert row.tolist() == [ball_distance(q, c, r) for c, r in zip(centers.tolist(), radii.tolist())]
 
 
 # -- normalization -------------------------------------------------------------
@@ -118,6 +133,8 @@ def test_normalize_matches_per_ball_formula(d, n):
 
     assert bits(inst.balls) == bits(want)
     assert all(type(b) is Ball and type(b.center) is tuple for b in inst.balls)
+    assert inst.centers.shape == (n, d) and inst.radii.shape == (n,)
+    assert not (inst.centers.flags.writeable or inst.radii.flags.writeable)
 
 
 def test_normalize_rejects_bad_eps_and_empty():

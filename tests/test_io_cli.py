@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from ballann import generate_instance, normalize, build_registry
-from ballann.avd import AVDIndex, _nearest_sites, audit_cells, avd_query, build_avd
+from ballann.avd import AVDIndex, audit_cells, avd_query, build_avd
 from ballann.cli import main
-from ballann.geometry import Ball, InputError, dist_point_ball
+from ballann.geometry import Ball, InputError, ball_distance
 from ballann.io import (
     load_index,
     parse_query_line,
@@ -23,7 +23,6 @@ from ballann.io import (
     write_balls,
 )
 from ballann.oracle import exact_kth_distance
-from ballann.quorum import ball_quorum
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -98,7 +97,10 @@ def test_registry_save_load_replays_queries(tmp_path):
     path = tmp_path / "reg.idx"
     save_registry(str(path), reg)
     reg2 = load_index(str(path))
-    assert reg2.instance == reg.instance
+    # Every field of the instance, its arrays bit for bit.
+    for f in dataclasses.fields(reg.instance):
+        got, want = getattr(reg2.instance, f.name), getattr(reg.instance, f.name)
+        assert type(got) is type(want) and np.array_equal(got, want), f.name
     from ballann.knn import query
 
     rng = np.random.default_rng(0)
@@ -187,32 +189,6 @@ def test_avd_version_1_file_is_rejected(tmp_path):
         assert main(["query", str(old), str(queries)]) == 1
 
 
-def test_practical_file_with_clusters_still_loads(tmp_path):
-    """A practical index given clusters and a site per cell, as practical
-    builds once made, keeps them through a file: it loads, answers alike and
-    audits clean."""
-    reg = build_registry(normalize(generate_instance(8, 1, 48), 0.5))
-    a = build_avd(reg, 12, 0.5)
-    clusters = ball_quorum(reg, 12)
-    centers = np.stack([np.asarray(c.center) for c in clusters])
-    radii = np.array([c.radius for c in clusters])
-    old = dataclasses.replace(a, clusters=clusters, site=_nearest_sites(a.rep, centers, radii))
-    path = tmp_path / "old.idx"
-    save_avd(str(path), old)
-    b = load_index(str(path))
-    assert b.mode == "practical" and len(b.clusters) == len(clusters) > 0
-    assert np.array_equal(b.site, old.site)
-    balls = reg.instance.balls
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        q = tuple(rng.random(1))
-        ans = avd_query(b, q)
-        assert ans == avd_query(old, q)
-        truth = exact_kth_distance(balls, q, 12).value
-        assert 0.5 * truth - 1e-12 <= ans.distance <= 1.5 * truth + 1e-12
-    assert audit_cells(b, samples=60, seed=4)["ok"]
-
-
 def test_index_integrity_rejects_damage(tmp_path):
     balls = generate_instance(9, 1, 16)
     reg = build_registry(normalize(balls, 0.5))
@@ -299,6 +275,12 @@ def test_index_integrity_rejects_damage(tmp_path):
         damaged = bytearray(source)
         struct.pack_into(fmt, damaged, pos, value)
         damaged_files.append((truncated, damaged))
+    # An instance block whose ball 0 has a NaN coordinate, or a negative
+    # radius: the checks the loader makes on every ball row.
+    for pos, value in ((at["balls"], math.nan), (at["balls"] + 8 * a.registry.dim, -0.5)):
+        damaged = bytearray(blob)
+        struct.pack_into("<d", damaged, pos, value)
+        damaged_files.append(("instance block is malformed", damaged))
     # The payload cut in the middle of the key column, and a payload with
     # bytes after its stats; the last four bytes hold the recomputed CRC.
     damaged_files.append((truncated, bytearray(blob[: at["z"] + 4 * size]) + bytes(4)))
@@ -322,14 +304,15 @@ def test_index_integrity_rejects_damage(tmp_path):
 
 
 def _bavd_layout(a, blob):
-    """Byte offsets in a saved BAVD file of index a: the instance block, the
-    cluster count, cluster 0's witness and assigned length (when there is a
+    """Byte offsets in a saved BAVD file of index a: the instance block and
+    its ball rows, the cluster count, cluster 0's witness and assigned length (when there is a
     cluster 0), and the cell columns, counted back from the 64 stat bytes
     that end the payload.  The site column is there only when the file
     holds clusters."""
     n, size, d = a.registry.n, a.tree.size, a.registry.dim
     at = {"instance": 8 + 36}
-    at["clusters"] = at["instance"] + 28 + 8 * d + 8 * n * (d + 1)
+    at["balls"] = at["instance"] + 28 + 8 * d  # ball 0's center, then its radius
+    at["clusters"] = at["balls"] + 8 * n * (d + 1)
     # Cluster 0: its center, three radii, then witness and round index.
     at["cluster_witness"] = at["clusters"] + 8 + 8 * d + 24
     at["assigned_len"] = at["clusters"] + 8 + 8 * d + 48
@@ -373,7 +356,8 @@ def test_cli_gen_build_query_audit_flow(tmp_path, capsys):
         assert 0.5 * truth - 1e-9 <= float(dist) <= 1.5 * truth + 1e-9
         # Reported distance is the true original-unit distance of that ball.
         q = (float(qfile.read_text().splitlines()[i].split()[0]),)
-        assert float(dist) == pytest.approx(dist_point_ball(q, balls[int(ball_id)]), rel=1e-9)
+        b = balls[int(ball_id)]
+        assert float(dist) == pytest.approx(ball_distance(q, b.center, b.radius), rel=1e-9)
         assert int(t_ns) >= 0
     assert lines[2].startswith("2 error")
     assert lines[3].endswith("out_of_domain")
@@ -454,7 +438,8 @@ def test_cli_registry_query_out_of_domain_is_certified(tmp_path):
     truth = exact_kth_distance(balls, q, 10).value
     assert truth == pytest.approx(6.073, abs=5e-4)
     assert 0.75 * truth <= float(dist) <= 1.25 * truth
-    assert float(dist) == pytest.approx(dist_point_ball(q, balls[int(ball_id)]), rel=1e-9)
+    b = balls[int(ball_id)]
+    assert float(dist) == pytest.approx(ball_distance(q, b.center, b.radius), rel=1e-9)
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -525,7 +510,8 @@ def test_cli_unit_round_trip_far_from_origin(tmp_path):
     assert _run(["query", avdfile, str(qfile), "--out", str(out)]) == 0
     for line, q in zip(out.read_text().strip().splitlines(), queries):
         _, ball_id, dist, _ = line.split()
-        real = dist_point_ball((q,), balls[int(ball_id)])
+        b = balls[int(ball_id)]
+        real = ball_distance((q,), b.center, b.radius)
         assert float(dist) == pytest.approx(real, rel=1e-9)
         truth = exact_kth_distance(balls, (q,), 7).value
         assert 0.5 * truth - 1e-9 <= float(dist) <= 1.5 * truth + 1e-9
@@ -534,19 +520,24 @@ def test_cli_unit_round_trip_far_from_origin(tmp_path):
 def test_cli_bench_csv_shape(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert _run([
-        "bench", "--dim", "1", "--n", "64,128", "--k", "sqrt,quarter",
+        "bench", "--dim", "1", "--n", "64,128", "--k", "sqrt,quarter,5",
         "--eps", "0.5", "--trials", "20", "--seed", "4", "--out", str(out),
     ]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("dim,n,k,eps,mode")
-    assert len(lines) == 1 + 4  # 2 sizes x 2 k specs x 1 eps
+    assert len(lines) == 1 + 6  # 2 sizes x 3 k specs x 1 eps
     cols = lines[0].split(",")
     assert "uncertified" in cols
     for row in lines[1:]:
         cells = dict(zip(cols, row.split(",")))
         assert int(cells["n"]) in (64, 128)
-        # Every row here builds a cell index (k > 2*c_d = 6 at d=1).
-        assert int(cells["cells"]) > 0 and int(cells["uncertified"]) >= 0
+        assert int(cells["registry_median_ns"]) > 0
+        if int(cells["k"]) > 6:  # above 2*c_d = 6 at d=1: a cell index
+            assert int(cells["cells"]) > 0 and int(cells["uncertified"]) >= 0
+            assert float(cells["build_avd_s"]) > 0.0 and int(cells["avd_median_ns"]) > 0
+        else:  # build_avd refuses k = 5: the cell-index columns stay empty
+            assert cells["cells"] == "0"
+            assert cells["uncertified"] == cells["build_avd_s"] == cells["avd_median_ns"] == ""
 
 
 def test_module_entry_point(tmp_path):

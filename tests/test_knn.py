@@ -9,8 +9,8 @@ from ballann import build_registry, generate_instance, normalize
 from ballann.geometry import (
     Ball,
     InputError,
-    dist_point_ball,
-    dist_points_balls,
+    ball_distance,
+    ball_distances,
     grid_coords,
     grid_level_for_diameter,
 )
@@ -118,7 +118,7 @@ def test_refine_zero_x_answers_inside_queries():
     b = reg.instance.balls[3]
     ans = refine(reg, b.center, 1, 0.0, 0.5)
     assert ans.distance == 0.0
-    assert dist_point_ball(b.center, reg.instance.balls[ans.ball_id]) == 0.0
+    assert ball_distances(b.center, reg.centers, reg.radii)[ans.ball_id] == 0.0
 
 
 def _refine_reference(reg, q, k, x, eps):
@@ -129,10 +129,10 @@ def _refine_reference(reg, q, k, x, eps):
     r_q = 4.0 * x * (1.0 + ehat)
     level, clamped = grid_level_for_diameter(2.0 * r_q, ehat / 16.0, reg.dim)
     if clamped:  # the grid would be too fine: exact k-th (distance, id)
-        d = dist_points_balls(q, reg.centers, reg.radii).tolist()
+        d = ball_distances(q, reg.centers, reg.radii).tolist()
         return sorted(range(reg.n), key=lambda i: (d[i], i))[k - 1]
     large = reg.large_balls_intersecting(q, r_q, 2.0 * ehat * x)
-    est = list(zip(dist_points_balls(q, reg.centers[large], reg.radii[large]).tolist(), large.tolist()))
+    est = list(zip(ball_distances(q, reg.centers[large], reg.radii[large]).tolist(), large.tolist()))
     weight = [1] * len(est)
     rest = np.setdiff1d(np.arange(reg.n), large)
     snapped = grid_coords(reg.centers[rest], level)
@@ -142,7 +142,7 @@ def _refine_reference(reg, q, k, x, eps):
         cells.setdefault(tuple(grid_coords(reg.centers[i : i + 1], level)[0].tolist()), []).append(i)
     for coords, ids in cells.items():
         cc = (np.array(coords) + 0.5) * 2.0 ** (-level)
-        est.append((float(np.sqrt(np.einsum("i,i->", cc - q, cc - q))), min(ids)))
+        est.append((ball_distance(list(q), cc.tolist(), 0.0), min(ids)))
         weight.append(len(ids))
     order = sorted(range(len(est)), key=lambda j: est[j])
     total = 0
@@ -236,7 +236,7 @@ def test_refine_breaks_tied_cell_estimates_by_id(monkeypatch, dim):
             c = [0.5] * dim
             c[j] += s * 12 * u
             balls.append(Ball(tuple(c), 2 * u))
-    reg = Registry(replace(inst, balls=tuple(balls)))
+    reg = Registry(replace(inst, centers=[b.center for b in balls], radii=[b.radius for b in balls]))
     calls = []
     real_select = knn._select_with_cells
 
@@ -308,9 +308,9 @@ def test_query_two_sided_and_interval(dim):
         assert lo - tol <= ans.distance <= hi + tol
         if lo > 0.0:
             assert hi / lo <= (1.0 + eps) / (1.0 - eps) + 1e-9
-        # The reported distance is the true distance of the reported ball.
-        real = dist_point_ball(q, reg.instance.balls[ans.ball_id])
-        assert ans.distance == pytest.approx(real, rel=1e-12, abs=1e-12)
+        # The reported distance is the distance of the reported ball, bit
+        # for bit.
+        assert ans.distance == ball_distances(q, reg.centers, reg.radii)[ans.ball_id]
         assert not ans.out_of_domain
 
 
@@ -334,9 +334,7 @@ def test_query_outside_unit_cube_is_flagged_and_certified(dim):
         lo, hi = ans.certified_interval
         assert lo - tol <= truth <= hi + tol
         assert (1.0 - eps) * truth - tol <= ans.distance <= (1.0 + eps) * truth + tol
-        assert ans.distance == pytest.approx(
-            dist_point_ball(q, reg.instance.balls[ans.ball_id]), rel=1e-12, abs=1e-12
-        )
+        assert ans.distance == ball_distances(q, reg.centers, reg.radii)[ans.ball_id]
 
 
 def test_query_k_edges():

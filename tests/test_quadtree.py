@@ -370,8 +370,9 @@ def test_overlay_back_pointers_match_top_down_sweep(dim):
     for _ in range(6):
         ta = build_from_cubes(_cubes_sharing_corners(rng, dim, 20), dim=dim)
         tb = build_from_cubes(_cubes_sharing_corners(rng, dim, 20), dim=dim)
-        tree, back_a, back_b = overlay(ta, tb)
-        for src, back in ((ta, back_a), (tb, back_b)):
+        # overlay points back into its second tree; both orders cover both.
+        for first, src in ((ta, tb), (tb, ta)):
+            tree, back = overlay(first, src)
             keys = _keys(src)
             want = [-1] * tree.size
             for j in range(tree.size):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ballann.geometry import InputError, dist_points_balls
+from ballann.geometry import InputError, ball_distances
 from ballann.oracle import smallest_enclosing_ball_of_l_points
 from ballann.quorum import XI, ball_quorum, point_quorum, verify_quorum
 
@@ -101,7 +101,7 @@ def test_ball_quorum_defining_guarantees(dim, n, k):
         reach = np.linalg.norm(reg.centers[c.assigned] - c.center, axis=1) + reg.radii[c.assigned]
         assert float(reach.max()) <= c.radius * (1 + 1e-9)
         # (B) the cluster ball meets at least k input balls
-        hits = int((dist_points_balls(c.center, reg.centers, reg.radii) <= c.radius * (1 + 1e-9)).sum())
+        hits = int((ball_distances(c.center, reg.centers, reg.radii) <= c.radius * (1 + 1e-9)).sum())
         assert hits >= k
         # The witness is assigned and is the closest assigned center.
         assert c.witness in c.assigned.tolist()

@@ -11,8 +11,8 @@ from ballann import registry as registry_module
 from ballann.geometry import (
     Ball,
     InputError,
-    dist_point_ball,
-    dist_points_balls,
+    ball_distance,
+    ball_distances,
     grid_approx,
     grid_cell,
     grid_coords,
@@ -62,12 +62,10 @@ def test_balls_containing_point_matches_brute(dim):
     cube, in or next to balls, and outside the cube near and far from the
     balls."""
     inst = normalize(generate_instance(30 + dim, dim, 80, "clustered"), 0.25)
-    scale = 0.5 / np.abs(inst.centers_array() - 0.5).max()
-    scaled = tuple(
-        Ball(tuple(0.5 + (np.array(b.center) - 0.5) * scale), b.radius * scale) for b in inst.balls
-    )
+    scale = 0.5 / np.abs(inst.centers - 0.5).max()
+    scaled = replace(inst, centers=0.5 + (inst.centers - 0.5) * scale, radii=inst.radii * scale)
     rng = np.random.default_rng(dim)
-    for reg in (Registry(inst), Registry(replace(inst, balls=scaled))):
+    for reg in (Registry(inst), Registry(scaled)):
         lo = (reg.centers - reg.radii[:, None]).min(axis=0)
         hi = (reg.centers + reg.radii[:, None]).max(axis=0)
         # The balls reaching outside the cube, and the axis they reach out on.
@@ -87,7 +85,7 @@ def test_balls_containing_point_matches_brute(dim):
             else:
                 q = rng.uniform(-1.0, 2.0, size=dim)
             got = reg.balls_containing_point(q).tolist()
-            assert got == np.flatnonzero(dist_points_balls(q, reg.centers, reg.radii) == 0.0).tolist()
+            assert got == np.flatnonzero(ball_distances(q, reg.centers, reg.radii) == 0.0).tolist()
             held += bool(got)
             outside += bool(got) and not np.all((q >= 0.0) & (q < 1.0))
         assert held > 0
@@ -241,7 +239,7 @@ def test_large_balls_intersecting_matches_brute_force(dim, monkeypatch):
             want = [
                 i
                 for i, ball in enumerate(balls)
-                if ball.diameter >= min_diameter and dist_point_ball(q, ball) <= radius
+                if ball.diameter >= min_diameter and ball_distance(q, ball.center, ball.radius) <= radius
             ]
             assert got.tolist() == want
             ties += int(min_diameter > 0.0 and b in want)
@@ -254,7 +252,7 @@ def test_large_balls_intersecting_matches_brute_force(dim, monkeypatch):
     reg = make_registry(80 + dim, dim, 2 * EXACT_FINISH_COUNT, profile="clustered")
     filtered = []
     monkeypatch.setattr(
-        registry_module, "dist_points_balls", lambda *args: filtered.append(1) or dist_points_balls(*args)
+        registry_module, "ball_distances", lambda *args: filtered.append(1) or ball_distances(*args)
     )
     diam = np.sort(2.0 * reg.radii)
     assert np.unique(diam).size == reg.n  # so each floor leaves its count exactly
@@ -270,12 +268,28 @@ def test_large_balls_intersecting_matches_brute_force(dim, monkeypatch):
             radius = float(10.0 ** rng.uniform(-2.5, -0.5))
             del filtered[:]
             got = reg.large_balls_intersecting(q, radius, min_diameter)
-            d_balls = dist_points_balls(q, reg.centers, reg.radii)
+            d_balls = ball_distances(q, reg.centers, reg.radii)
             want = np.flatnonzero((2.0 * reg.radii >= min_diameter) & (d_balls <= radius))
             assert got.tolist() == want.tolist()
             assert bool(filtered) == (count > 0)
             hits += want.size
     assert hits > 0
+
+
+def test_tangent_ball_kept_at_its_own_distance():
+    """A query ball whose radius is the distance to a ball meets that ball.
+    At this q, math.dist gives 0.6861632868332991 and the package's one
+    distance 0.6861632868332992, so a filter by one and a radius by the
+    other would lose the tangent ball."""
+    inst = normalize(generate_instance(0, 2, 2), 0.5)
+    centers = [(0.5703125, 0.25), (0.25, 0.75), (0.75, 0.75)]
+    reg = Registry(replace(inst, centers=centers, radii=[0.0, 0.125, 0.0625]))
+    q = (-0.021635787331531153, -0.09701193253711517)
+    d = ball_distance(q, centers[0], 0.0)
+    assert math.dist(q, centers[0]) < d
+    assert d == ball_distances(q, reg.centers, reg.radii)[0]
+    assert 0 in reg.large_balls_intersecting(q, d, 0.0).tolist()
+    assert reg.exact_intersection_count(q, d) == 1
 
 
 def test_stats_present():
@@ -303,7 +317,13 @@ def test_registry_structure_matches_definitions(dim):
         Ball((0.875,) + rest, 0.125),  # touches the wall x = 1
         Ball((0.125,) * dim, 0.125),  # touches the walls x_j = 0
     )
-    reg = Registry(replace(inst, balls=inst.balls + extra))
+    reg = Registry(
+        replace(
+            inst,
+            centers=np.vstack([inst.centers, [b.center for b in extra]]),
+            radii=np.append(inst.radii, [b.radius for b in extra]),
+        )
+    )
     tree = reg.ball_tree
     node_of_key = {(int(z), int(l)): v for v, (z, l) in enumerate(zip(tree.z, tree.level))}
 
@@ -353,7 +373,7 @@ def _edge_registry(rng, dim: int) -> Registry:
             r = 0.0
         if fits(tuple(c), r):
             balls.append(Ball(tuple(c), r))
-    return Registry(replace(inst, balls=tuple(balls)))
+    return Registry(replace(inst, centers=[b.center for b in balls], radii=[b.radius for b in balls]))
 
 
 def _edge_queries(rng, reg: Registry) -> list[np.ndarray]:
@@ -382,10 +402,9 @@ def test_walks_match_brute_force_at_edges(dim, seed):
     balls = reg.instance.balls
     everyone = np.arange(reg.n)
     for q in _edge_queries(rng, reg):
-        # Brute force over all balls with the float distance the registry
-        # filters by; it can differ from math.dist in the last bit, and the
-        # radii below include exact tangencies.
-        d_balls = dist_points_balls(q, reg.centers, reg.radii)
+        # Brute force over all balls with the package's one ball distance;
+        # the radii below include exact tangencies.
+        d_balls = ball_distances(q, reg.centers, reg.radii)
         assert reg.balls_containing_point(q).tolist() == np.flatnonzero(d_balls == 0.0).tolist()
         radii = [0.0, _UNIT * int(rng.integers(1, 64)), float(rng.choice(d_balls)), float(rng.random())]
         for radius in radii:
@@ -430,7 +449,7 @@ def _cell_instance(rng, dim: int, n: int, clustered: bool):
 def test_walk_cost_grows_slowly_with_n(dim, clustered, monkeypatch):
     """Rows the two walks test per call, at n = 1,024 and 16,384: node boxes
     (_box_dists), center cells (_cells_meet) and candidate balls
-    (dist_points_balls), in the count and the retrieval of approx_ball_count
+    (ball_distances), in the count and the retrieval of approx_ball_count
     at probe radii holding a fixed number of centers, from points among the
     balls."""
     rows = {"small_center_count": 0, "large_balls_intersecting": 0}
@@ -458,7 +477,7 @@ def test_walk_cost_grows_slowly_with_n(dim, clustered, monkeypatch):
 
     monkeypatch.setattr(registry_module, "_box_dists", counted(registry_module._box_dists, 0))
     monkeypatch.setattr(Registry, "_cells_meet", staticmethod(counted(Registry._cells_meet, 0)))
-    monkeypatch.setattr(registry_module, "dist_points_balls", counted(registry_module.dist_points_balls, 1))
+    monkeypatch.setattr(registry_module, "ball_distances", counted(registry_module.ball_distances, 1))
     for name in rows:
         monkeypatch.setattr(Registry, name, attributed(name))
     per_call = {}
