@@ -2,10 +2,11 @@
 
 For each benchmark workload and seed, digests the normalized balls, every
 registry array (both trees' keys, levels, parent links and child CSR, the
-centers tree's point order, the registered lists and the node boxes) and
-the answers to its first 2,000 queries; for the cell index, also its arrays
-(the stored estimates apart from the rest), once as built and once after a
-save_index/load_index round trip, with the saved file's byte count.  A last
+centers tree's point order, the registered lists, the node boxes and the
+centers tree's node tables) and the answers to its first 2,000 queries;
+for the cell index, also its arrays (the stored estimates apart from the
+rest), once as built and once after a save_index/load_index round trip,
+with the saved file's byte count.  A last
 line does the same for the strict cell index of acceptance criterion 6
 (d=1, n=8, k=7, eps=0.5), its clusters included, on 2,000 uniform queries.
 Answer ids and answer distances are digested apart, so that a distance
@@ -20,9 +21,15 @@ format changes.
 
 REPO_ROOT defaults to the checkout holding this script; its `src/` and
 `perfbench/` are imported.  --dump also writes each line's answers and
-estimates to DIR, one .npz per digest; --compare reads two such dumps and
-lists every answer id and every distance that differs, with the
-distance's shift in ulps.
+estimates to DIR, one .npz per digest, and for a registry workload each
+query's eps and exact k-th distance d_k (`oracle.exact_kth_distance`).
+--compare reads two such dumps and lists every answer id and every
+distance that differs, with the distance's shift in ulps; on a registry
+workload, whose answers may move to any ball inside the window, it counts
+the moved answers instead and lists only those that fail the checks of
+the second dump: the distance in [(1 - eps) d_k, (1 + eps) d_k] and the
+interval around d_k, each up to a relative 1e-9.  The exit status is 1
+when a cell-index answer moved or a moved registry answer fails.
 """
 
 import argparse
@@ -51,18 +58,27 @@ def registry_arrays(reg) -> list:
     c = reg.centers_tree
     out += [c.point_perm, c.span_lo, c.span_hi]
     out += [reg.reg_level, reg._reg_sorted_ids, reg._reg_off, reg._ball_low, reg._center_low]
+    out += [reg._node_lo, reg._node_hi, reg._node_rmin, reg._node_rmax, reg._node_first]
     return out + [reg.centers, reg.radii]
 
 
-def answer_digest(answers, dump: str | None, label: str) -> str:
+# Relative slack of the --compare checks, as in perfbench/check.py.
+REL = 1e-9
+
+
+def answer_digest(answers, dump: str | None, label: str, **extra) -> str:
     """Digests of the answers' ids and of their distances and intervals,
-    written to dump/label.npz as well when dump is set."""
+    written to dump/label.npz as well when dump is set, with the arrays
+    of extra."""
     import numpy as np
 
     ids = np.array([(a.ball_id, a.out_of_domain) for a in answers], dtype=np.int64)
     dists = np.array([(a.distance, *a.certified_interval) for a in answers], dtype=np.float64)
     if dump:
-        np.savez(os.path.join(dump, label + ".npz"), ids=ids[:, 0], dists=dists[:, 0])
+        np.savez(
+            os.path.join(dump, label + ".npz"),
+            ids=ids[:, 0], dists=dists[:, 0], lo=dists[:, 1], hi=dists[:, 2], **extra,
+        )
     return f"ids {digest([ids])} dists {digest([dists])}"
 
 
@@ -114,6 +130,9 @@ def compare(dir_a: str, dir_b: str) -> int:
     for name in sorted(os.listdir(dir_a)):
         a, b = np.load(os.path.join(dir_a, name)), np.load(os.path.join(dir_b, name))
         label = name[: -len(".npz")]
+        if "truth" in b.files:
+            moved += check_moved(label, a, b)
+            continue
         if "ids" in a.files:
             for i in np.flatnonzero(a["ids"] != b["ids"]).tolist():
                 print(f"{label} answer {i}: id {a['ids'][i]} -> {b['ids'][i]}")
@@ -133,6 +152,29 @@ def compare(dir_a: str, dir_b: str) -> int:
     return 1 if moved else 0
 
 
+def check_moved(label: str, a, b) -> int:
+    """Count the registry answers that differ between dumps a and b, check
+    each moved one of b against its exact d_k, print the failures and a
+    summary line, and return the number of failures."""
+    import numpy as np
+
+    dist, truth, eps = b["dists"], b["truth"], b["eps"]
+    moved = np.flatnonzero((a["ids"] != b["ids"]) | (a["dists"].view(np.int64) != dist.view(np.int64)))
+    outside = (dist < (1.0 - eps) * truth * (1.0 - REL)) | (dist > (1.0 + eps) * truth * (1.0 + REL))
+    unbracketed = (b["lo"] > truth * (1.0 + REL)) | (b["hi"] < truth * (1.0 - REL))
+    failed = [i for i in moved.tolist() if outside[i] or unbracketed[i]]
+    for i in failed:
+        print(
+            f"{label} answer {i}: id {a['ids'][i]} -> {b['ids'][i]}, distance {dist[i]!r}, "
+            f"interval ({b['lo'][i]!r}, {b['hi'][i]!r}), d_k {truth[i]!r}, eps {eps[i]}"
+        )
+    print(
+        f"{label}: {dist.size} answers, {moved.size} moved, {len(failed)} of them "
+        "outside the oracle window or with an interval that misses d_k"
+    )
+    return len(failed)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("root", nargs="?", default=str(Path(__file__).resolve().parents[1]))
@@ -147,7 +189,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(Path(args.root) / "src"), str(Path(args.root) / "perfbench")]
     import numpy as np
     import workloads
-    from ballann import avd, datasets, geometry, knn, registry
+    from ballann import avd, datasets, geometry, knn, oracle, registry
 
     for name, w in workloads.WORKLOADS.items():
         for seed in args.seeds:
@@ -160,9 +202,13 @@ def main(argv=None) -> int:
             if w.cell:
                 line += cell_line(avd.build_avd(reg, w.cell_k, w.cell_eps), points, args.dump, label)
             else:
-                rows = zip(points[:2000].tolist(), ks.tolist(), epss.tolist())
+                rows = list(zip(points[:2000].tolist(), ks.tolist(), epss.tolist()))
                 answers = [knn.query(reg, tuple(q), k, e) for q, k, e in rows]
-                line += f" answers {answer_digest(answers, args.dump, label)}"
+                extra = {}
+                if args.dump:
+                    truth = [oracle.exact_kth_distance(inst, q, k).value for q, k, _ in rows]
+                    extra = {"truth": np.array(truth), "eps": np.array([e for _, _, e in rows])}
+                line += f" answers {answer_digest(answers, args.dump, label, **extra)}"
             print(line, flush=True)
     reg = registry.build_registry(geometry.normalize(datasets.generate_instance(6025, 1, 8), 0.5))
     points = np.random.default_rng(0).random((2000, 1))

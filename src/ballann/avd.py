@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,7 +78,11 @@ from .geometry import (
     grid_level_for_diameter,
     max_level_for_dim,
 )
-from .knn import KnnAnswer, query, refine, refine_many
+from .knn import KnnAnswer, refine, refine_many
+# Every registry search here takes the two stages, not knn.query's certified
+# exit (see _estimates); bound as `query` because perfbench/tracing.py wraps
+# that name.
+from .knn import two_stage_query as query
 from .quadtree import (
     CompressedQuadtree,
     build_from_cubes,
@@ -302,13 +306,15 @@ def _estimates(
     rolling hint after the rows.
 
     A row whose hint certifies a 4-factor estimate (_warm_xs) goes straight
-    to the refinement stage; the others run the full registry query.
-    Results carry the same accuracy either way.  Rows hinted by their
-    parents' (rep, kdist), hints = (points, values), are refined together
-    by one refine_many call.  The first layer's cells (hints None), the
-    root or the overlay's cells, have no parent: each is hinted by the
-    estimate of the cell before it, the rolling hint, so they run one at a
-    time.  Hinting each overlay cell from its overlay parent instead made
+    to the refinement stage; the others run both stages
+    (`knn.two_stage_query`), not the certified exit of `knn.query`: the
+    exit's witness may sit anywhere in the (1 +- eps) window, and looser
+    estimates cost cells.  Results carry the same accuracy either way.
+    Rows hinted by their parents' (rep, kdist), hints = (points, values),
+    are refined together by one refine_many call.  The first layer's cells
+    (hints None), the root or the overlay's cells, have no parent: each is
+    hinted by the estimate of the cell before it, the rolling hint, so they
+    run one at a time.  Hinting each overlay cell from its overlay parent instead made
     about 20x the cold estimates.
     """
     dist = np.zeros(live.size, dtype=np.float64)
@@ -348,8 +354,11 @@ def build_avd(
     Requires k > 2 * c_d; smaller k is served by querying the registry
     directly.  Strict mode needs the floor for its quorum, whose clusters
     take batches of k - c_d balls.  Practical mode makes no clusters, and
-    keeps the floor only because no oracle check covers its answers at
-    k <= 2 * c_d yet.
+    keeps the floor because of size: below it, oracle-checked practical
+    answers were right (0 misses in 26 configurations), but the near test
+    needs cells that shrink with d_k, which tends to 0 near a ball's surface
+    when k is small, and at the smallest k the sweep ran out of the default
+    cell budget.
 
     Practical mode runs the certification sweep from the root cube and
     certifies by the near test alone, with no quorum: the index holds no
@@ -368,9 +377,9 @@ def build_avd(
         raise InputError(f"k must lie in [1, {n}], got {k}")
     if k <= 2 * c_d:
         raise InputError(
-            f"k={k} is not above 2*c_d = {2 * c_d} in dimension {dim}, which the "
-            "cell index needs; for smaller k build a registry index (omit "
-            "--k/--eps) and query it directly"
+            f"k={k} is not above 2*c_d = {2 * c_d} in dimension {dim}: below that "
+            "the cell index's cells outgrow its budget; for smaller k build a "
+            "registry index (omit --k/--eps) and query it directly"
         )
     if not 0.0 < eps < 1.0:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
@@ -527,7 +536,7 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
     eps, k = a.eps, a.k
     if not all(0.0 <= x < 1.0 for x in qt):
         a.query_counts["out_of_domain"] += 1
-        return query(a.registry, qt, k, eps)
+        return replace(query(a.registry, qt, k, eps), out_of_domain=True)
     v = a.tree.point_location(qt)
     if a.flags[v] & _EMPTY:
         raise InternalInvariantError("point location landed in a tiled cell")

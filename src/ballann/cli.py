@@ -170,12 +170,12 @@ def _suite_counter(reg: Registry, trials: int, rng) -> tuple[bool, str]:
 
 def _suite_constant_factor(reg: Registry, trials: int, rng) -> tuple[bool, str]:
     bad = 0
-    balls = reg.instance.balls
+    inst = reg.instance
     for _ in range(trials):
         q = tuple(rng.random(reg.dim))
         k = int(rng.integers(1, reg.n + 1))
         x = knn.constant_factor_kth(reg, q, k)
-        truth = exact_kth_distance(balls, q, k).value
+        truth = exact_kth_distance(inst, q, k).value
         if not (x / 4.0 - 1e-9 <= truth <= 4.0 * x + 1e-9):
             bad += 1
     return bad == 0, f"{trials} trials, {bad} outside [x/4, 4x]"
@@ -183,13 +183,13 @@ def _suite_constant_factor(reg: Registry, trials: int, rng) -> tuple[bool, str]:
 
 def _suite_knn(reg: Registry, trials: int, rng) -> tuple[bool, str]:
     bad = 0
-    balls = reg.instance.balls
+    inst = reg.instance
     for _ in range(trials):
         q = tuple(rng.random(reg.dim))
         k = int(rng.integers(1, reg.n + 1))
         eps = float(rng.choice([0.5, 0.2, 0.1]))
         ans = knn.query(reg, q, k, eps)
-        truth = exact_kth_distance(balls, q, k).value
+        truth = exact_kth_distance(inst, q, k).value
         lo, hi = ans.certified_interval
         tol = 1e-9 * max(1.0, truth)
         if not ((1.0 - eps) * truth - tol <= ans.distance <= (1.0 + eps) * truth + tol):
@@ -210,12 +210,12 @@ def _suite_quorum(reg: Registry, rng) -> tuple[bool, str]:
 
 
 def _suite_avd(a: AVDIndex, trials: int, rng) -> tuple[bool, str]:
-    balls = a.registry.instance.balls
+    inst = a.registry.instance
     bad = 0
     for _ in range(trials):
         q = tuple(rng.random(a.registry.dim))
         ans = avd_query(a, q)
-        truth = exact_kth_distance(balls, q, a.k).value
+        truth = exact_kth_distance(inst, q, a.k).value
         tol = 1e-9 * max(1.0, truth)
         if not ((1.0 - a.eps) * truth - tol <= ans.distance <= (1.0 + a.eps) * truth + tol):
             bad += 1

@@ -1,12 +1,36 @@
 """Approximate k-th nearest ball queries against a Registry.
 
-Two stages: a constant-factor estimate of the k-th ball distance (probe the
-k-th center distances, count intersecting balls, then walk a dyadic chain
-downward in the hard case), and a refinement stage that snaps small balls to
-a fine grid and runs a weighted selection to land within (1 +- eps).
+`query` first tries a certified exit, and runs two stages when the exit
+declines (`two_stage_query`): a constant-factor estimate of the k-th ball
+distance (probe the k-th center distances, count intersecting balls, then
+walk a dyadic chain downward in the hard case), and a refinement stage that
+snaps small balls to a fine grid and runs a weighted selection to land
+within (1 +- eps).
 
 The returned distance is always the exact distance to a real input ball; the
 approximation lives in which ball gets picked.
+
+The certified exit (`Registry.certified_kth_ball`) is a frontier over the
+centers tree.  Each node bounds its balls' distances from q by [lo, hi]
+and knows how many balls it holds.  Let L and H be the k-th smallest lo
+and hi, each node counted as often as it has balls.  The k nearest balls
+all have lo <= d_k, so L <= d_k; at least k balls have hi <= H, so
+d_k <= H.  A ball at distance w in [(1 - eps) H, (1 + eps) L] then has
+
+    (1 - eps) d_k <= (1 - eps) H <= w <= (1 + eps) L <= (1 + eps) d_k,
+
+so w lies in the (1 +- eps) window, and w/(1 + eps) <= L <= d_k <= H <=
+w/(1 - eps), so (w/(1 + eps), w/(1 - eps)) is a certified interval.
+[L, H] itself is not one: w may lie outside it.  The root round is the far
+rule: one node holds all n >= k balls, so L and H are its own bounds near
+and far on every ball distance, and the root certifies exactly when far
+<= (1 + eps) near (which gives near >= far/(1 + eps) >= (1 - eps) far).
+Later rounds drop nodes beyond H and split the nodes that straddle [L, H],
+which raises L and lowers H.  The bounds are padded outward by the
+registry's WALK_MARGIN, far above the rounding of a box distance, so the
+float comparisons keep the argument.  When d_k = 0, L = 0 and no window
+certifies: the exit declines, as it does when its frontier grows past
+EXACT_FINISH_COUNT nodes, and the two stages answer unchanged.
 
 Refinement runs on rows (`refine_many`; `refine` is its one-row case), in
 chunks of at most about REFINE_CHUNK_PAIRS (row, ball) pairs.  One block of
@@ -37,6 +61,7 @@ import numpy as np
 from .geometry import (
     InputError,
     InternalInvariantError,
+    ball_distance,
     ball_distances,
     center_distances,
     grid_coords,
@@ -294,8 +319,21 @@ def _select_with_cells(
     return int(keys[order[j]])
 
 
+def two_stage_query(reg: Registry, q, k: int, eps: float) -> KnnAnswer:
+    """(1 +- eps)-approximate k-th nearest ball by the two stages alone:
+    estimate, then refine.  The answer is not flagged out_of_domain."""
+    if not 0.0 < eps < 1.0:
+        raise InputError(f"eps must lie in (0, 1), got {eps}")
+    x, step, wid = constant_factor_detail(reg, q, k)
+    if step == "zero":
+        return KnnAnswer(wid, 0.0, (0.0, 0.0))
+    return refine(reg, q, k, x, eps)
+
+
 def query(reg: Registry, q, k: int, eps: float) -> KnnAnswer:
-    """(1 +- eps)-approximate k-th nearest ball: estimate, then refine.
+    """(1 +- eps)-approximate k-th nearest ball: the certified exit, else
+    the two stages (`two_stage_query`).  An exit answer at distance w
+    carries the interval (w/(1 + eps), w/(1 - eps)) (module docstring).
 
     The guarantee is position-free: the distance bounds never assume q lies
     inside the unit cube, so arbitrary query points are certified too; the
@@ -303,11 +341,16 @@ def query(reg: Registry, q, k: int, eps: float) -> KnnAnswer:
     """
     if not 0.0 < eps < 1.0:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
-    x, step, wid = constant_factor_detail(reg, q, k)
-    if step == "zero":
-        ans = KnnAnswer(wid, 0.0, (0.0, 0.0))
+    _check_qk(reg, k)
+    qt = [float(v) for v in q]
+    if len(qt) != reg.dim:
+        raise InputError(f"query dimension {len(qt)} != registry dimension {reg.dim}")
+    wid = reg.certified_kth_ball(qt, int(k), eps)
+    if wid < 0:
+        ans = two_stage_query(reg, q, k, eps)
     else:
-        ans = refine(reg, q, k, x, eps)
-    if all(0.0 <= v < 1.0 for v in q):
+        w = ball_distance(qt, reg.centers[wid].tolist(), float(reg.radii[wid]))
+        ans = KnnAnswer(wid, w, (w / (1.0 + eps), w / (1.0 - eps)))
+    if all(0.0 <= v < 1.0 for v in qt):
         return ans
     return replace(ans, out_of_domain=True)

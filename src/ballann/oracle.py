@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Ball, InputError, ball_distances
+from .geometry import Ball, InputError, NormalizedInstance, ball_distances, center_distances
 
 __all__ = [
     "OracleReport",
@@ -46,18 +46,24 @@ class OracleReport:
     resolution: float | None = None
 
 
-def _as_arrays(balls: Sequence[Ball]) -> tuple[np.ndarray, np.ndarray]:
+def _as_arrays(balls: Sequence[Ball] | NormalizedInstance) -> tuple[np.ndarray, np.ndarray]:
+    """(centers, radii) of a ball sequence, or an instance's own arrays."""
+    if isinstance(balls, NormalizedInstance):
+        return balls.centers, balls.radii
     centers = np.array([b.center for b in balls], dtype=np.float64)
     radii = np.array([b.radius for b in balls], dtype=np.float64)
     return centers, radii
 
 
-def exact_kth_distance(balls: Sequence[Ball], q: Sequence[float], k: int) -> OracleReport:
-    """The k-th smallest of dist(q, b) over all balls, by full sort."""
-    n = len(balls)
+def exact_kth_distance(
+    balls: Sequence[Ball] | NormalizedInstance, q: Sequence[float], k: int
+) -> OracleReport:
+    """The k-th smallest of dist(q, b) over all balls, by full sort.  An
+    instance is read through its arrays."""
+    centers, radii = _as_arrays(balls)
+    n = radii.size
     if not (1 <= k <= n):
         raise InputError(f"k must lie in [1, {n}], got {k}")
-    centers, radii = _as_arrays(balls)
     dists = ball_distances(q, centers, radii)
     order = np.argsort(dists, kind="stable")
     idx = int(order[k - 1])
@@ -86,14 +92,15 @@ def kth_distance_by_selection(balls: Sequence[Ball], q: Sequence[float], k: int)
 
 
 def exact_counts(
-    balls: Sequence[Ball], q: Sequence[float], x: float
+    balls: Sequence[Ball] | NormalizedInstance, q: Sequence[float], x: float
 ) -> tuple[int, int]:
-    """(N(x), C(x)): balls meeting ball(q, x), and centers inside it, closed semantics."""
+    """(N(x), C(x)): balls meeting ball(q, x), and centers inside it, closed
+    semantics.  An instance is read through its arrays."""
     if x < 0:
         raise InputError(f"range radius must be nonnegative, got {x}")
     centers, radii = _as_arrays(balls)
     bd = ball_distances(q, centers, radii)
-    cd = np.linalg.norm(centers - np.asarray(q, dtype=np.float64), axis=1)
+    cd = center_distances(q, centers)
     return int(np.count_nonzero(bd <= x)), int(np.count_nonzero(cd <= x))
 
 

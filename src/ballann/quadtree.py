@@ -286,12 +286,25 @@ class CompressedQuadtree:
     def find_keys(self, z: np.ndarray, level: np.ndarray) -> np.ndarray:
         """find_key over arrays of cubes: node index per exactly stored cube, or -1.
 
-        The nodes that share a key form one run, levels ascending: one search
-        finds where each cube's run starts, and a few steps along the runs
-        find the level.
+        When the stored keys' shared trailing zero bits, t of them, leave
+        room for the level, every (z, level) packs into one int64, (z >> t)
+        << b | level, in node order, and one search finds each cube; a cube
+        with a bit set below t is not stored.  Otherwise (a tree with cubes
+        at the deepest level) the nodes that share a key form one run,
+        levels ascending: one search finds where each cube's run starts, and
+        a few steps along the runs find the level.
         """
         zz = np.asarray(z, dtype=np.int64)
         lv = np.asarray(level, dtype=np.int64)
+        zbits = int(np.bitwise_or.reduce(self.z))
+        t = (zbits & -zbits).bit_length() - 1 if zbits else 0
+        bits = self.max_level.bit_length()
+        if int(self.z[-1]).bit_length() - t + bits <= 63:
+            keys = ((self.z >> np.int64(t)) << np.int64(bits)) | self.level
+            packed = ((zz >> np.int64(t)) << np.int64(bits)) | lv
+            pos = np.minimum(keys.searchsorted(packed), self.size - 1)
+            hit = (keys[pos] == packed) & ((zz & np.int64((1 << t) - 1)) == 0) & (lv <= self.max_level)
+            return np.where(hit, pos, -1)
         out = np.full(zz.size, -1, dtype=np.int64)
         pos = np.searchsorted(self.z, zz)
         todo = np.flatnonzero(pos < self.size)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import InputError, ball_distances
-from .knn import query
+from .knn import two_stage_query
 from .oracle import optimal_quorum_radius_bound
 from .registry import Registry
 
@@ -137,7 +137,7 @@ def ball_quorum(reg: Registry, k: int) -> list[QuorumCluster]:
     clusters: list[QuorumCluster] = []
     for idx, rnd in enumerate(point_quorum(reg.centers, ell)):
         u = rnd.center
-        gamma = query(reg, u, k, 0.5).distance
+        gamma = two_stage_query(reg, u, k, 0.5).distance
         span = np.linalg.norm(reg.centers[rnd.assigned] - u, axis=1)
         containment = float(np.max(span + reg.radii[rnd.assigned]))
         wpos = int(np.lexsort((rnd.assigned, span))[0])

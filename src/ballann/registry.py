@@ -2,7 +2,10 @@
 
 Two trees share the work: `ball_tree` stores the grid cells every ball
 registers to (plus ancestors closing the tree), `centers_tree` stores the
-ball centers as points.  On top of them sit the four query primitives:
+ball centers as points.  Each centers-tree node also carries the tight box
+of its centers, its least and greatest radius and its smallest ball id
+(`_node_tables`); the root's row gives the largest radius and the box of
+all balls.  On top of them sit the five query primitives:
 
   * exact retrieval of the balls, with a diameter floor, that meet a query
     ball: a walk down the ball tree, skipped when no ball reaches the floor,
@@ -13,13 +16,17 @@ ball centers as points.  On top of them sit the four query primitives:
     refinement of `knn` runs the same cell test, `_cells_meet`, on the
     cells of the centers its prefilter keeps),
   * the delta-monotone approximate count of balls meeting a query ball,
-    built from the first and the third.
+    built from the first and the third,
+  * a ball certified to lie within (1 +- eps) of the k-th ball distance:
+    a frontier over the centers tree whose nodes bound their balls'
+    distances through the node tables, used by `knn.query` as its exit.
 
-Every walk tests node cubes against the query ball with `_box_dists`, and
+Every walk tests node cubes against the query ball with `_cube_dists`, and
 pads the radius by the relative WALK_MARGIN, so float rounding can neither
 drop a node that holds an answer nor decide a node the exact test would
-split.  Like the k-th center frontier, a walk finishes with the exact test
-on all that is left once its frontier holds few items.
+split; the certified frontier pads its distance bounds the same way.  Like
+the k-th center frontier, a walk finishes with the exact test on all that
+is left once its frontier holds few items.
 
 Everything here works in normalized coordinates; the structure is immutable
 once built and all queries are pure.
@@ -63,13 +70,12 @@ FRONTIER_MAX_ROUNDS = 400
 WALK_MARGIN = 1e-9
 
 
-def _box_dists(low: np.ndarray, level: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Min and max distance from q to each closed cube, given by its low
-    corner and level, the squares summed over the axes in order.  On each
-    axis the far gap max(q - low, high - q) is -min(below, above), exactly."""
-    side = np.ldexp(1.0, -level)
+def _box_dists(low: np.ndarray, high: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Min and max distance from q to each closed box, given by its low and
+    high corners, the squares summed over the axes in order.  On each axis
+    the far gap max(q - low, high - q) is -min(below, above), exactly."""
     below = low - q
-    above = q - (low + side[:, None])
+    above = q - high
     near = np.maximum(below, above)
     np.maximum(near, 0.0, out=near)
     far = np.minimum(below, above)
@@ -80,6 +86,21 @@ def _box_dists(low: np.ndarray, level: np.ndarray, q: np.ndarray) -> tuple[np.nd
         near_sum = near_sum + near[:, j]
         far_sum = far_sum + far[:, j]
     return np.sqrt(near_sum), np.sqrt(far_sum)
+
+
+def _cube_dists(low: np.ndarray, level: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_box_dists of the cubes given by their low corners and levels."""
+    return _box_dists(low, low + np.ldexp(1.0, -level)[:, None], q)
+
+
+def _kth_bounds(lo: np.ndarray, hi: np.ndarray, cnt: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The k-th count-weighted lower and upper bound, for each k of ks
+    (ascending): a frontier node stands for cnt items, each with a value
+    in [lo, hi], so the k-th smallest value lies between the two."""
+    o_lo = lo.argsort(kind="stable")
+    o_hi = hi.argsort(kind="stable")
+    k_lo = lo[o_lo[cnt[o_lo].cumsum().searchsorted(ks)]]
+    return k_lo, hi[o_hi[cnt[o_hi].cumsum().searchsorted(ks)]]
 
 
 def _children(tree, nodes: np.ndarray) -> np.ndarray:
@@ -98,14 +119,6 @@ class Registry:
         self.centers = instance.centers
         self.radii = instance.radii
         self.c_d = instance.c_d
-        # The largest diameter 2r, for large_balls_intersecting, and the box
-        # that holds every ball, padded by WALK_MARGIN, for
-        # balls_containing_point.
-        self._largest_diameter = 2.0 * float(self.radii.max())
-        lo = (self.centers - self.radii[:, None]).min(axis=0)
-        hi = (self.centers + self.radii[:, None]).max(axis=0)
-        pad = WALK_MARGIN * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
-        self._box_lo, self._box_hi = lo - pad, hi + pad
         t0 = time.perf_counter()
 
         # (1) Registration cells: the cells of grid_approx(b, 1) for every
@@ -129,10 +142,13 @@ class Registry:
         np.cumsum(counts, out=self._reg_off[1:])
         t2 = time.perf_counter()
 
-        # (3) Centers tree with exact subtree counts and witnesses, and its
-        # node boxes.
+        # (3) Centers tree with exact subtree counts and witnesses, its node
+        # cubes, and per node the tight box of its centers, its least and
+        # greatest radius and its smallest ball id (_node_tables).
         self.centers_tree = build_from_points(self.centers, dim=self.dim)
         self._center_low = self.centers_tree.low_corners()
+        tables = self._node_tables()
+        self._node_lo, self._node_hi, self._node_rmin, self._node_rmax, self._node_first = tables
         t3 = time.perf_counter()
 
         self.stats = {
@@ -146,6 +162,26 @@ class Registry:
             "centers_tree_s": t3 - t2,
             "build_seconds": t3 - t0,
         }
+
+    def _node_tables(self) -> tuple[np.ndarray, ...]:
+        """Per centers-tree node: the low and high corners of the tight box
+        of its centers, its least and greatest radius and its smallest ball
+        id.
+
+        A node's centers are the run span_lo..span_hi of point_perm, so
+        every table is one minimum.reduceat over the interleaved run bounds
+        (even slots; a sentinel row keeps span_hi = n in range), the maxima
+        as minima of negated columns.  Ids stay exact in float64.
+        """
+        t = self.centers_tree
+        perm = t.point_perm
+        c, r = self.centers[perm], self.radii[perm]
+        cols = np.column_stack([c, -c, r, -r, perm])
+        cols = np.concatenate([cols, cols[:1]])
+        bounds = np.column_stack([t.span_lo, t.span_hi]).ravel()
+        m = np.minimum.reduceat(cols, bounds, axis=0)[::2]
+        d = self.dim
+        return m[:, :d], -m[:, d : 2 * d], m[:, 2 * d], -m[:, 2 * d + 1], m[:, 2 * d + 2].astype(np.int64)
 
     def _registration_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(level per ball, key z per cell, ball per cell) of the registration.
@@ -202,7 +238,7 @@ class Registry:
         walk takes them all instead of splitting further, which only adds
         candidates for the exact filter.
         """
-        if self._largest_diameter < min_diameter:
+        if 2.0 * self._node_rmax[0] < min_diameter:
             return np.empty(0, dtype=np.int64)
         qa = np.asarray(q, dtype=np.float64)
         t = self.ball_tree
@@ -223,7 +259,7 @@ class Registry:
                 starts.append(self._reg_off[nodes])
                 stops.append(self._reg_off[end])
                 break
-            near, _ = _box_dists(self._ball_low[nodes], t.level[nodes], qa)
+            near, _ = _cube_dists(self._ball_low[nodes], t.level[nodes], qa)
             nodes = nodes[near <= reach]
             starts.append(self._reg_off[nodes])
             stops.append(self._reg_off[nodes + 1])
@@ -255,15 +291,12 @@ class Registry:
         t = self.centers_tree
         qa = np.asarray(q, dtype=np.float64)
         nodes = np.zeros(1, dtype=np.int64)
-        lo, hi = _box_dists(self._center_low[nodes], t.level[nodes], qa)
+        lo, hi = _cube_dists(self._center_low[nodes], t.level[nodes], qa)
         cnt = t.span_hi[nodes] - t.span_lo[nodes]
         results: dict[int, float] = {}
         pending = np.array(ks, dtype=np.int64)
         for _ in range(FRONTIER_MAX_ROUNDS):
-            o_lo = np.argsort(lo, kind="stable")
-            o_hi = np.argsort(hi, kind="stable")
-            t_lo = lo[o_lo[np.searchsorted(np.cumsum(cnt[o_lo]), pending)]]
-            t_hi = hi[o_hi[np.searchsorted(np.cumsum(cnt[o_hi]), pending)]]
+            t_lo, t_hi = _kth_bounds(lo, hi, cnt, pending)
             done = t_hi <= 2.0 * t_lo
             results.update(zip(pending[done].tolist(), t_hi[done].tolist()))
             pending, t_lo, t_hi = pending[~done], t_lo[~done], t_hi[~done]
@@ -282,7 +315,7 @@ class Registry:
             ends = np.cumsum(n_kids)
             if not np.array_equal(run[ends] - run[ends - n_kids], cnt[split]):
                 raise InternalInvariantError("child counts must add up to the parent")
-            kid_lo, kid_hi = _box_dists(self._center_low[kids], t.level[kids], qa)
+            kid_lo, kid_hi = _cube_dists(self._center_low[kids], t.level[kids], qa)
             nodes = np.concatenate([nodes[~split], kids])
             lo = np.concatenate([lo[~split], kid_lo])
             hi = np.concatenate([hi[~split], kid_hi])
@@ -294,6 +327,62 @@ class Registry:
         dist = np.partition(center_distances(qa, self.centers[ids]), pending - 1)
         results.update(zip(pending.tolist(), dist[pending - 1].tolist()))
         return results
+
+    # -- certified k-th ball ------------------------------------------------------
+
+    def _ball_bounds(self, nodes: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bounds on d(q, b) over the balls b of each node,
+        padded outward by WALK_MARGIN: every center lies in the node's box
+        and every radius between its least and greatest one."""
+        near, far = _box_dists(self._node_lo[nodes], self._node_hi[nodes], q)
+        lo = np.maximum(near - self._node_rmax[nodes], 0.0) * (1.0 - WALK_MARGIN)
+        hi = np.maximum(far - self._node_rmin[nodes], 0.0) * (1.0 + WALK_MARGIN)
+        return lo, hi
+
+    def certified_kth_ball(self, q, k: int, eps: float) -> int:
+        """Id of a ball whose distance provably lies in [(1 - eps) d_k,
+        (1 + eps) d_k], d_k the k-th smallest ball distance from q, or -1
+        when the frontier below cannot show one.
+
+        A frontier over the centers tree, from the root.  Each node carries
+        bounds [lo, hi] on its balls' distances (_ball_bounds) and its exact
+        count.  L and H, the k-th count-weighted lo and hi (_kth_bounds),
+        satisfy L <= d_k <= H.  A node whose every ball lies in [(1 - eps)
+        H, (1 + eps) L] certifies: the first such node answers with its
+        smallest ball id.  Otherwise the nodes with lo > H are dropped (their
+        balls lie beyond d_k, and the k-th bounds of the rest are the same)
+        and the nodes that straddle [L, H], lo < H and hi > L, are split.
+        The frontier gives up when H = 0 (q lies in k balls: d_k = 0, which
+        no window around it can certify), when after the drop it holds more
+        than EXACT_FINISH_COUNT nodes, or when no straddling node can be
+        split.
+        """
+        if not 1 <= k <= self.n:
+            raise InputError(f"k must lie in [1, {self.n}], got {k}")
+        t = self.centers_tree
+        qa = np.asarray(q, dtype=np.float64)
+        ks = np.array([k], dtype=np.int64)
+        nodes = np.zeros(1, dtype=np.int64)
+        lo, hi = self._ball_bounds(nodes, qa)
+        cnt = t.span_hi[nodes] - t.span_lo[nodes]
+        while True:
+            low, high = (float(v[0]) for v in _kth_bounds(lo, hi, cnt, ks))
+            if high == 0.0:
+                return -1
+            sure = (lo >= (1.0 - eps) * high) & (hi <= (1.0 + eps) * low)
+            if sure.any():
+                return int(self._node_first[nodes[sure.argmax()]])
+            keep = lo <= high
+            split = (lo < high) & (hi > low) & (t.level[nodes] < t.max_level)
+            if np.count_nonzero(keep) > EXACT_FINISH_COUNT or not split.any():
+                return -1
+            stay = keep & ~split
+            kids = _children(t, nodes[split])
+            kid_lo, kid_hi = self._ball_bounds(kids, qa)
+            nodes = np.concatenate([nodes[stay], kids])
+            lo = np.concatenate([lo[stay], kid_lo])
+            hi = np.concatenate([hi[stay], kid_hi])
+            cnt = np.concatenate([cnt[stay], t.span_hi[kids] - t.span_lo[kids]])
 
     # -- approximate ball-intersection count ------------------------------------
 
@@ -352,7 +441,7 @@ class Registry:
             corners = grid_coords(self._center_low[nodes[deep]], level)
             whole = nodes[deep][self._cells_meet(corners, qa, radius, level)]
             nodes = nodes[~deep]
-            near, far = _box_dists(self._center_low[nodes], t.level[nodes], qa)
+            near, far = _cube_dists(self._center_low[nodes], t.level[nodes], qa)
             inside = far <= radius * (1.0 - WALK_MARGIN)
             whole = np.concatenate([whole, nodes[inside]])
             count += int((t.span_hi[whole] - t.span_lo[whole]).sum())
@@ -383,7 +472,12 @@ class Registry:
         root, and the registered lists along that chain hold every answer.
         """
         qa = np.asarray(q, dtype=np.float64)
-        if np.any(qa < self._box_lo) or np.any(qa > self._box_hi):
+        # The box of all balls: the root's box of centers grown by the
+        # largest radius.
+        r = self._node_rmax[0]
+        lo, hi = self._node_lo[0] - r, self._node_hi[0] + r
+        pad = WALK_MARGIN * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+        if np.any(qa < lo - pad) or np.any(qa > hi + pad):
             return np.empty(0, dtype=np.int64)
         if np.any(qa < 0.0) or np.any(qa >= 1.0):
             # In the ball box but outside the root cell, which only an

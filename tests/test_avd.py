@@ -31,12 +31,12 @@ def _build(seed, dim, n, k, eps, mode="practical", **kw):
 
 def _check_queries(a, n_q, seed, require_no_fallback=False):
     rng = np.random.default_rng(seed)
-    balls = a.registry.instance.balls
+    inst = a.registry.instance
     before = dict(a.query_counts)
     for _ in range(n_q):
         q = tuple(rng.random(a.registry.dim))
         ans = avd_query(a, q)
-        truth = exact_kth_distance(balls, q, a.k).value
+        truth = exact_kth_distance(inst, q, a.k).value
         tol = 1e-12 * max(1.0, truth)
         assert (1.0 - a.eps) * truth - tol <= ans.distance <= (1.0 + a.eps) * truth + tol
         lo, hi = ans.certified_interval
@@ -150,12 +150,12 @@ def test_avd_branch_mix_and_counts():
 
 def test_avd_out_of_domain_is_certified():
     a = _build(62, 1, 16, 7, 0.5)
-    balls = a.registry.instance.balls
+    inst = a.registry.instance
     queries = [(1.5,), (1.0,), (-0.25,), (7.0,)]
     for q in queries:
         ans = avd_query(a, q)
         assert ans.out_of_domain
-        truth = exact_kth_distance(balls, q, a.k).value
+        truth = exact_kth_distance(inst, q, a.k).value
         tol = 1e-12 * max(1.0, truth)
         lo, hi = ans.certified_interval
         assert lo - tol <= truth <= hi + tol

@@ -30,7 +30,7 @@ from conftest import make_registry
 
 
 def _truth(reg, q, k):
-    return exact_kth_distance(reg.instance.balls, q, k).value
+    return exact_kth_distance(reg.instance, q, k).value
 
 
 # -- constant-factor stage -------------------------------------------------------
@@ -367,6 +367,8 @@ def test_query_validation():
         query(reg, (0.5,), 3, 0.0)
     with pytest.raises(InputError):
         query(reg, (0.5,), 3, 1.0)
+    with pytest.raises(InputError):
+        query(reg, (0.5, 0.5), 3, 0.5)
 
 
 def test_answer_type_is_frozen():

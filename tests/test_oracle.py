@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ballann.datasets import PROFILES, generate_instance
-from ballann.geometry import Ball, find_overlap
+from ballann.geometry import Ball, InputError, find_overlap, normalize
 from ballann.oracle import (
     check_disjoint,
     covering_radius_of_l_balls,
@@ -56,6 +56,21 @@ def test_exact_counts_hand_values():
     assert exact_counts(LINE, (0.0,), 3.0) == (2, 2)
     assert exact_counts(LINE, (0.0,), 8.0) == (3, 2)
     assert exact_counts(LINE, (0.0,), 10.0) == (3, 3)
+
+
+def test_instance_and_ball_sequence_agree():
+    """An instance is read through its arrays, with the same answers as its
+    balls bit for bit."""
+    inst = normalize(generate_instance(11, 2, 40), 0.5)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        q = tuple(rng.uniform(-0.2, 1.2, 2))
+        k = int(rng.integers(1, 41))
+        assert exact_kth_distance(inst, q, k) == exact_kth_distance(inst.balls, q, k)
+        x = float(rng.random())
+        assert exact_counts(inst, q, x) == exact_counts(inst.balls, q, x)
+    with pytest.raises(InputError):
+        exact_kth_distance(inst, (0.5, 0.5), 41)
 
 
 def test_exact_counts_closed_semantics():

@@ -175,17 +175,28 @@ def test_dedupe_keys_matches_lexsort(dim):
         assert one[0].tolist() == [z] and one[1].tolist() == [l]
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 5])
-def test_find_keys_matches_key_set(dim):
-    rng = np.random.default_rng(320 + dim)
-    z, lev = _shared_corner_keys(rng, dim, 300, min(10, max_level_for_dim(dim)))
-    tree = build_from_cubes((z, lev, dim))
+def _check_find_keys(tree):
     index = {key: i for i, key in enumerate(zip(tree.z.tolist(), tree.level.tolist()))}
     # Stored keys, their z at a deeper level, and a key past the last node.
     qz = np.concatenate([tree.z, tree.z, tree.z[-1:] + 1])
     ql = np.concatenate([tree.level, tree.level + 1, tree.level[-1:]])
     got = tree.find_keys(qz, ql)
     assert got.tolist() == [index.get(key, -1) for key in zip(qz.tolist(), ql.tolist())]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_find_keys_matches_key_set(dim):
+    rng = np.random.default_rng(320 + dim)
+    z, lev = _shared_corner_keys(rng, dim, 300, min(10, max_level_for_dim(dim)))
+    _check_find_keys(build_from_cubes((z, lev, dim)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_find_keys_on_point_trees(dim):
+    """A cube tree has room to pack (z, level) into one search key; a point
+    tree, whose leaves sit at the deepest level, has none at d >= 2 and
+    walks runs of equal z instead."""
+    _check_find_keys(build_from_points(np.random.default_rng(330 + dim).random((300, dim)), dim))
 
 
 # -- tree construction ------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ballann import build_registry, generate_instance, normalize
+from ballann import knn
 from ballann import registry as registry_module
 from ballann.geometry import (
     Ball,
@@ -20,7 +21,7 @@ from ballann.geometry import (
 )
 from ballann.quadtree import cube_to_key
 from ballann.registry import EXACT_FINISH_COUNT, Registry
-from ballann.oracle import exact_counts
+from ballann.oracle import exact_counts, exact_kth_distance
 
 from conftest import make_registry
 
@@ -337,6 +338,18 @@ def test_registry_structure_matches_definitions(dim):
     for v in range(tree.size):
         assert reg.registered_ids(v).tolist() == registered_at.get(v, [])
 
+    # The node tables of the centers tree: per node, over the balls whose
+    # centers lie in its cube, the tight box of the centers, the least and
+    # greatest radius and the smallest id.
+    ct = reg.centers_tree
+    cubes = zip(ct.low_corners(), np.ldexp(1.0, -ct.level))
+    for v, (low, side) in enumerate(cubes):
+        ids = np.flatnonzero(np.all((reg.centers >= low) & (reg.centers < low + side), axis=1))
+        assert np.array_equal(reg._node_lo[v], reg.centers[ids].min(axis=0))
+        assert np.array_equal(reg._node_hi[v], reg.centers[ids].max(axis=0))
+        assert reg._node_rmin[v] == reg.radii[ids].min() and reg._node_rmax[v] == reg.radii[ids].max()
+        assert reg._node_first[v] == ids[0]
+
 
 
 # -- the walks at their edges -------------------------------------------------------
@@ -425,6 +438,36 @@ def test_walks_match_brute_force_at_edges(dim, seed):
                 assert approx <= reg.exact_intersection_count(q, (1.0 + delta) * radius)
 
 
+@given(st.integers(1, 4), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_certified_exit_matches_oracle_at_edges(dim, seed):
+    """knn.query on the edge inputs above: every answer lies in the oracle
+    window with an interval around d_k and the distance of its ball, bit for
+    bit; where the certified exit declines, the answer is the two stages'
+    one, bit for bit."""
+    rng = np.random.default_rng(seed)
+    reg = _edge_registry(rng, dim)
+    for q in _edge_queries(rng, reg):
+        d_balls = ball_distances(q, reg.centers, reg.radii)
+        for k in sorted({1, min(2, reg.n), (reg.n + 1) // 2, reg.n}):
+            truth = exact_kth_distance(reg.instance, q, k).value
+            for eps in (0.5, 0.1, 0.01):
+                ans = knn.query(reg, q, k, eps)
+                assert (1.0 - eps) * truth <= ans.distance <= (1.0 + eps) * truth
+                lo, hi = ans.certified_interval
+                assert lo <= truth <= hi
+                assert ans.distance == d_balls[ans.ball_id]
+                wid = reg.certified_kth_ball(q, k, eps)
+                if wid >= 0:
+                    assert ans.ball_id == wid
+                    assert ans.certified_interval == (ans.distance / (1.0 + eps), ans.distance / (1.0 - eps))
+                else:
+                    two = knn.two_stage_query(reg, q, k, eps)
+                    assert (ans.ball_id, ans.distance, ans.certified_interval) == (
+                        two.ball_id, two.distance, two.certified_interval,
+                    )
+
+
 def _cell_instance(rng, dim: int, n: int, clustered: bool):
     """n disjoint balls, one in each of n distinct cells of a grid with about
     4n cells, the cells uniform or drawn around n/12 anchors; normalized."""
@@ -497,3 +540,31 @@ def test_walk_cost_grows_slowly_with_n(dim, clustered, monkeypatch):
     for name in rows:
         assert per_call[1024][name] >= 1.0
         assert per_call[16384][name] <= 2.0 * per_call[1024][name], (name, per_call)
+
+
+@pytest.mark.parametrize("dim, clustered", [(2, False), (3, True)])
+def test_exit_frontier_grows_slowly_with_n(dim, clustered, monkeypatch):
+    """Frontier nodes the certified exit bounds per query (rows of
+    _box_dists) at n = 1,024 and 16,384, from points among the balls: they
+    grow far slower than n, and the exit answers nearly every query."""
+    rows = [0]
+
+    def counted(low, high, q):
+        rows[0] += len(low)
+        return box_dists(low, high, q)
+
+    box_dists = registry_module._box_dists
+    monkeypatch.setattr(registry_module, "_box_dists", counted)
+    per_query, answered = {}, {}
+    probes = 200
+    for n in (1024, 16384):
+        rng = np.random.default_rng(dim)
+        reg = build_registry(_cell_instance(rng, dim, n, clustered))
+        lo, hi = reg.centers.min(axis=0), reg.centers.max(axis=0)
+        rows[0] = exits = 0
+        for i in range(probes):
+            q = rng.uniform(lo, hi)
+            exits += reg.certified_kth_ball(q, (1, 4, 16, 64)[i % 4], (0.5, 0.25, 0.1)[i % 3]) >= 0
+        per_query[n], answered[n] = rows[0] / probes, exits / probes
+    assert min(answered.values()) >= 0.95, answered
+    assert per_query[16384] <= 3.0 * per_query[1024], per_query
