@@ -4,8 +4,9 @@ For each benchmark workload and seed, digests the normalized balls, every
 registry array (both trees' keys, levels, parent links and child CSR, the
 centers tree's point order, the registered lists, the node boxes and the
 centers tree's node tables) and the answers to its first 2,000 queries;
-for the cell index, also its arrays (the stored estimates apart from the
-rest), once as built and once after a save_index/load_index round trip,
+for the cell index, also its tree (keys, levels and parent links), its
+stored estimates and its witnesses, each apart, and the rest of its
+arrays, once as built and once after a save_index/load_index round trip,
 with the saved file's byte count.  A last
 line does the same for the strict cell index of acceptance criterion 6
 (d=1, n=8, k=7, eps=0.5), its clusters included, on 2,000 uniform queries.
@@ -21,15 +22,18 @@ format changes.
 
 REPO_ROOT defaults to the checkout holding this script; its `src/` and
 `perfbench/` are imported.  --dump also writes each line's answers and
-estimates to DIR, one .npz per digest, and for a registry workload each
+cells to DIR, one .npz per digest, and for a registry workload each
 query's eps and exact k-th distance d_k (`oracle.exact_kth_distance`).
 --compare reads two such dumps and lists every answer id and every
-distance that differs, with the distance's shift in ulps; on a registry
+distance that differs, with the distance's shift in ulps; on a cell
+index whose tree stayed, it lists every cell whose estimate or witness
+moved, and otherwise reports the cell counts W of both; on a registry
 workload, whose answers may move to any ball inside the window, it counts
 the moved answers instead and lists only those that fail the checks of
 the second dump: the distance in [(1 - eps) d_k, (1 + eps) d_k] and the
 interval around d_k, each up to a relative 1e-9.  The exit status is 1
-when a cell-index answer moved or a moved registry answer fails.
+when a cell-index answer, tree, estimate or witness moved or a moved
+registry answer fails.
 """
 
 import argparse
@@ -89,16 +93,19 @@ def cell_digest(index, points, dump: str | None, label: str) -> str:
 
     t = index.tree
     live = (index.flags & 1) == 0
-    arrays = [t.z, t.level, t.parent, index.rep[live], index.kdist_witness]
-    arrays += [index.site, index.flags]
+    arrays = [index.rep[live], index.site, index.flags]
     for c in index.clusters:
         scalars = [c.radius, c.rho, c.gamma, c.witness, c.round_index, c.is_remainder]
         arrays += [np.asarray(c.center), np.asarray(c.assigned), np.array(scalars, dtype=np.float64)]
     if dump:
-        np.savez(os.path.join(dump, label + "-kdist.npz"), dists=index.kdist)
+        np.savez(
+            os.path.join(dump, label + "-cells.npz"),
+            z=t.z, level=t.level, kdist=index.kdist, witness=index.kdist_witness,
+        )
     answers = [avd.avd_query(index, tuple(q)) for q in points[:2000].tolist()]
     return (
-        f"cells {digest(arrays)} kdist {digest([index.kdist])} "
+        f"tree {digest([t.z, t.level, t.parent])} cells {digest(arrays)} "
+        f"kdist {digest([index.kdist])} witness {digest([index.kdist_witness])} "
         f"answers {answer_digest(answers, dump, label)}"
     )
 
@@ -133,6 +140,9 @@ def compare(dir_a: str, dir_b: str) -> int:
         if "truth" in b.files:
             moved += check_moved(label, a, b)
             continue
+        if "witness" in a.files:
+            moved += cell_moves(label, a, b)
+            continue
         if "ids" in a.files:
             for i in np.flatnonzero(a["ids"] != b["ids"]).tolist():
                 print(f"{label} answer {i}: id {a['ids'][i]} -> {b['ids'][i]}")
@@ -150,6 +160,32 @@ def compare(dir_a: str, dir_b: str) -> int:
             moved += 1
         print(f"{label}: {da.size} distances, {np.count_nonzero(ulps)} moved, at most {int(np.abs(ulps).max(initial=0))} ulp")
     return 1 if moved else 0
+
+
+def cell_moves(label: str, a, b) -> int:
+    """Print every cell whose estimate or witness differs between dumps a
+    and b of one cell index, or the cell counts when the tree itself moved,
+    and a summary line; return the number of moved cells (1 for a moved
+    tree)."""
+    import numpy as np
+
+    z, level = a["z"], a["level"]
+    if not (np.array_equal(z, b["z"]) and np.array_equal(level, b["level"])):
+        print(f"{label}: the tree moved, W {z.size} -> {b['z'].size}")
+        return 1
+    ka, kb, wa, wb = a["kdist"], b["kdist"], a["witness"], b["witness"]
+    ulps = kb.view(np.int64) - ka.view(np.int64)
+    moved = np.flatnonzero((ulps != 0) | (wa != wb))
+    for i in moved.tolist():
+        print(
+            f"{label} cell {i} (z {z[i]}, level {level[i]}): kdist {ka[i]!r} -> {kb[i]!r} "
+            f"({int(ulps[i]):+d} ulp), witness {wa[i]} -> {wb[i]}"
+        )
+    print(
+        f"{label}: {z.size} cells, same tree, {np.count_nonzero(ulps)} estimates "
+        f"and {np.count_nonzero(wa != wb)} witnesses moved"
+    )
+    return moved.size
 
 
 def check_moved(label: str, a, b) -> int:

@@ -15,20 +15,25 @@ Mount, JACM 2009).  Practical mode starts it from the root cube.  Strict
 mode starts it from the paper's construction: the overlay of exponential
 grids around the clusters (the near field I, at fineness zeta1) and a
 nearest-cluster decomposition under the lifted product norm (the far field
-S).  The sweep runs breadth first.  The first layer is estimated one cell
-at a time, each warm-started from the cell before it; every later cell is
-warm-started from its parent, a block of cells by one batched refinement,
-and decided by array operations in queue order.  In strict mode the root
-and each cell a split makes own the cluster of least lifted distance
-|rep - center| + radius; an overlay cell keeps its far-field cluster.
+S).  The sweep runs breadth first, one layer at a time, and decides a
+layer by array operations in queue order.  Every live cell of a layer gets
+the exact k-th ball distance d_k at its representative and, as its
+witness, the k-th ball in (distance, id) order, from one block of ball
+distances and one partition per chunk of cells; the sweep makes no
+registry search.  The cell stores kdist = d_k/(1 - e), e = eps/9, which
+lies in the sandwich [d_k, (1 + eps/4) d_k] because 1/(1 - e) <= (1 + e)/(1
+- e) <= 1 + eps/4 for every eps in (0, 1).  In strict mode the root and
+each cell a split makes own the cluster of least lifted distance |rep -
+center| + radius; an overlay cell keeps its far-field cluster.
 
 Certification.  A query q in a cell lies within h, half the cell's
 diameter, of the representative; kdist lies in [d_k(rep), (1 + eps/4)
 d_k(rep)] and d_k is 1-Lipschitz, so lm = kdist/(1 + eps/4) - h <= d_k(q)
 in the whole cell.  The near branch answers with the stored witness w when
 offset = |q - rep| <= c * lower, lower = kdist/(1 + eps/4) - offset <=
-d_k(q).  As |rep - w| lies in (1 +- eps/9) d_k(rep), c = 3*eps/8 keeps
-|q - w| in (1 +- eps) d_k(q): the upper side needs (1 + eps/9)(1 + c) + c
+d_k(q).  The witness lies at d_k(rep) from rep; the bound allows it
+anywhere in (1 +- eps/9) d_k(rep).  Then c = 3*eps/8 keeps |q - w| in
+(1 +- eps) d_k(q): the upper side needs (1 + eps/9)(1 + c) + c
 = 1 + (31/36) eps + eps^2/24 <= 1 + eps, the lower side (2 - eps/9) c =
 (3/4) eps - eps^2/24 <= (8/9) eps, each with a margin of about 0.1 * eps
 for every eps in (0, 1).  A practical cell is certified when h <= c * lm,
@@ -78,11 +83,13 @@ from .geometry import (
     grid_level_for_diameter,
     max_level_for_dim,
 )
-from .knn import KnnAnswer, refine, refine_many
-# Every registry search here takes the two stages, not knn.query's certified
-# exit (see _estimates); bound as `query` because perfbench/tracing.py wraps
-# that name.
+from .knn import KnnAnswer, kth_by_value_id
+# avd_query's registry searches take the two stages, not knn.query's
+# certified exit; bound as `query` because perfbench/tracing.py wraps that name.
 from .knn import two_stage_query as query
+
+# Not used by the build; bound here because perfbench/tracing.py wraps this name.
+from .knn import refine  # noqa: F401
 from .quadtree import (
     CompressedQuadtree,
     build_from_cubes,
@@ -109,18 +116,18 @@ ZETA1_STRICT = 256.0 * XI
 ZETA1_PRACTICAL = 16.0 * XI
 
 # Stored estimates must satisfy d_B(rep,k) <= kdist <= (1+eps/4)*d_B(rep,k).
-# A query at internal accuracy e returns dist in (1 +- e)*d_B, so the upper
-# side needs (1+e)/(1-e) <= 1+eps/4, i.e. e <= eps/9 for every eps < 1.
+# The sweep stores kdist = d_B/(1-e), e = eps/_KDIST_SHRINK, and the near
+# branch's constant allows a witness anywhere in (1 +- e)*d_B; both hold
+# while (1+e)/(1-e) <= 1+eps/4, i.e. e <= eps/9 for every eps < 1.
 _KDIST_SHRINK = 9.0
 
 _NEAR = 3.0 / 8.0  # near branch: offset <= _NEAR * eps * lower (module docstring)
 
 _EMPTY = np.uint8(1)  # flags bit: children tile the cube, no query lands here
 
-# Queue cells the certification sweep estimates before deciding them, the
-# warm ones by one refine_many call.  The block bounds the per-cell objects
-# that wait for their decisions.
-_SWEEP_BLOCK = 256
+# The sweep's selections work on chunks of rows holding at most about this
+# many (row, ball) pairs, which bounds the memory of their distance blocks.
+_KTH_CHUNK_PAIRS = 1 << 16
 
 
 @dataclass(eq=False)
@@ -277,67 +284,16 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None]).reshape(-1))
 
 
-def _warm_xs(p: np.ndarray, hp: np.ndarray, hv: np.ndarray | float, sandwich: float) -> np.ndarray:
-    """The 4-factor estimate at each row of p that its hint certifies, or NaN.
-
-    A valid hint (point h, value v) with d_B(h,k) <= v <= sandwich*d_B(h,k)
-    brackets d_B(p,k) inside [v/sandwich - delta, v + delta] by the
-    Lipschitz property; x = (v + delta)/4 is a 4-factor estimate when the
-    bracket's low end is at least x/4.
-    """
-    delta = _norms(p - hp)
-    lo = hv / sandwich - delta
-    x = (hv + delta) / 4.0
-    return np.where((x > 0.0) & (lo >= x / 4.0), x, np.nan)
-
-
-def _estimates(
-    reg: Registry,
-    reps: np.ndarray,
-    live: np.ndarray,
-    hints: tuple[np.ndarray, np.ndarray] | None,
-    k: int,
-    eps_in: float,
-    sandwich: float,
-    rolling: tuple[np.ndarray, float] | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, float] | None]:
-    """Estimate d_B(rep, k) at every live row: the distances and witness
-    ids (0 and -1 on the other rows), which rows were warm-started, and the
-    rolling hint after the rows.
-
-    A row whose hint certifies a 4-factor estimate (_warm_xs) goes straight
-    to the refinement stage; the others run both stages
-    (`knn.two_stage_query`), not the certified exit of `knn.query`: the
-    exit's witness may sit anywhere in the (1 +- eps) window, and looser
-    estimates cost cells.  Results carry the same accuracy either way.
-    Rows hinted by their parents' (rep, kdist), hints = (points, values),
-    are refined together by one refine_many call.  The first layer's cells
-    (hints None), the root or the overlay's cells, have no parent: each is
-    hinted by the estimate of the cell before it, the rolling hint, so they
-    run one at a time.  Hinting each overlay cell from its overlay parent instead made
-    about 20x the cold estimates.
-    """
-    dist = np.zeros(live.size, dtype=np.float64)
-    wid = np.full(live.size, -1, dtype=np.int64)
-    warm = np.zeros(live.size, dtype=bool)
-    if hints is None:
-        for i in np.flatnonzero(live):
-            x = np.nan if rolling is None else _warm_xs(reps[i : i + 1], *rolling, sandwich)[0]
-            warm[i] = not np.isnan(x)
-            ans = refine(reg, reps[i], k, x, eps_in) if warm[i] else query(reg, reps[i], k, eps_in)
-            dist[i], wid[i] = ans.distance, ans.ball_id
-            rolling = (reps[i], ans.distance / (1.0 - eps_in))
-        return dist, wid, warm, rolling
-    xs = _warm_xs(reps, *hints, sandwich)
-    warm = live & ~np.isnan(xs)
-    for i in np.flatnonzero(live & ~warm):
-        ans = query(reg, reps[i], k, eps_in)
-        dist[i], wid[i] = ans.distance, ans.ball_id
-    if warm.any():
-        answers = refine_many(reg, reps[warm], k, xs[warm], eps_in)
-        dist[warm] = [ans.distance for ans in answers]
-        wid[warm] = [ans.ball_id for ans in answers]
-    return dist, wid, warm, rolling
+def _kth_balls(reg: Registry, pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exact k-th ball distance d_k at each row of pts and the k-th ball
+    in (distance, id) order, from one block of ball distances per chunk."""
+    dist = np.empty(pts.shape[0], dtype=np.float64)
+    wid = np.empty(pts.shape[0], dtype=np.int64)
+    step = max(1, _KTH_CHUNK_PAIRS // reg.n)
+    for lo in range(0, pts.shape[0], step):
+        block = ball_distances(pts[lo : lo + step], reg.centers, reg.radii)
+        dist[lo : lo + step], wid[lo : lo + step] = kth_by_value_id(block, k)
+    return dist, wid
 
 
 def build_avd(
@@ -364,7 +320,11 @@ def build_avd(
     certifies by the near test alone, with no quorum: the index holds no
     clusters and site -1 on every cell.  Strict mode builds the quorum and
     runs the sweep over the paper's near field, far field and overlay; its
-    cells certify by the near test or the cluster test.
+    cells certify by the near test or the cluster test.  Either sweep
+    stores at each live cell the exact k-th ball distance at its
+    representative, scaled by 1/(1 - eps/9), and the k-th ball in
+    (distance, id) order (module docstring); it costs one row of n ball
+    distances per live cell and no registry search.
 
     zeta1 is the fineness of strict mode's near field and is read in strict
     mode only: a practical build records it in `AVDIndex.zeta1`, and any
@@ -393,76 +353,64 @@ def build_avd(
         centers = np.stack([np.asarray(c.center, dtype=np.float64) for c in clusters])
         radii = np.array([c.radius for c in clusters], dtype=np.float64)
         t_quorum = time.perf_counter()
-        w_tree, lsite, ltiled, n_near, n_far, t_fields = _paper_cells(centers, radii, eps, z1, dim)
+        w_tree, site, tiled, n_near, n_far, t_fields = _paper_cells(centers, radii, eps, z1, dim)
     else:  # the root cube alone; no clusters, so every site stays -1
         clusters = []
         t_quorum = time.perf_counter()
         w_tree = build_from_cubes((np.zeros(1, np.int64), np.zeros(1, np.int64), dim))
-        lsite, ltiled = np.full(1, -1, dtype=np.int64), np.zeros(1, dtype=bool)
+        site, tiled = np.full(1, -1, dtype=np.int64), np.zeros(1, dtype=bool)
         n_near = n_far = 0
         t_fields = time.perf_counter()
     t_overlay = time.perf_counter()
 
     # Certification sweep (see the module docstring).  A layer is parallel
-    # arrays (keys, levels, owning clusters, tile flags, the parents' (rep,
-    # kdist) hints), decided a block at a time in queue order.  Every hint a
-    # block needs is known when it starts, so the cells, splits and budget
-    # cut are those of a cell-by-cell sweep.
+    # arrays (keys, levels, owning clusters, tile flags), decided in one pass
+    # in queue order.
     sandwich = 1.0 + eps / 4.0
-    eps_in = eps / _KDIST_SHRINK
     max_level = w_tree.max_level
     offsets = np.arange(1 << dim, dtype=np.int64)
-    lz, ll = w_tree.z, w_tree.level
-    hints: tuple[np.ndarray, np.ndarray] | None = None
-    rolling: tuple[np.ndarray, float] | None = None
-    cols: list[tuple[np.ndarray, ...]] = []  # per block: z, level, kdist, witness, site, flags
+    z, lev, live = w_tree.z, w_tree.level, ~tiled
+    cols: list[tuple[np.ndarray, ...]] = []  # per layer: z, level, kdist, witness, site, flags
     cells = w_tree.size
-    splits = uncertified = warm_calls = cold_calls = layers = 0
-    while lz.size:
+    splits = uncertified = layers = 0
+    while z.size:
         layers += 1
-        made: list[tuple[np.ndarray, ...]] = []  # per block: the next layer's arrays
-        for lo in range(0, lz.size, _SWEEP_BLOCK):
-            b = slice(lo, lo + _SWEEP_BLOCK)
-            z, lev, site, live = lz[b], ll[b], lsite[b].copy(), ~ltiled[b]
-            rep = _cube_centers(z, lev, dim)
-            if strict:
-                fresh = site < 0
-                site[fresh] = _nearest_sites(rep[fresh], centers, radii)
-            got = None if hints is None else (hints[0][b], hints[1][b])
-            dist, wid, warm, rolling = _estimates(reg, rep, live, got, k, eps_in, sandwich, rolling)
-            kd = dist / (1.0 - eps_in)
-            warm_calls += int(warm.sum())
-            cold_calls += int(live.sum() - warm.sum())
+        rep = _cube_centers(z, lev, dim)
+        if strict:
+            fresh = site < 0
+            site[fresh] = _nearest_sites(rep[fresh], centers, radii)
+        kd = np.zeros(z.size, dtype=np.float64)
+        wid = np.full(z.size, -1, dtype=np.int64)
+        dist, wid[live] = _kth_balls(reg, rep[live], k)
+        kd[live] = dist / (1.0 - eps / _KDIST_SHRINK)
 
-            half = np.ldexp(0.5 * math.sqrt(dim), -lev)
-            lm = np.maximum(0.0, kd / sandwich - half)
-            certified = half <= (_NEAR * eps) * lm
-            if strict:
-                lam1 = _norms(rep - centers[site]) + radii[site]
-                certified |= (2.0 * radii[site] <= eps * lm) & (lam1 + half <= (1.0 + eps) * lm)
-            cand = np.flatnonzero(live & ~certified & (lev < max_level))
-            s = dim * (max_level - lev[cand] - 1)
-            qz = z[cand, None] + (offsets[None, :] << s[:, None])
-            # A quadrant is already stored exactly when it is a first-layer node.
-            new = (w_tree.find_keys(qz.ravel(), np.repeat(lev[cand] + 1, offsets.size)) < 0).reshape(qz.shape)
-            # The cell count only grows, so the splits the budget allows are
-            # a prefix of the candidates, in queue order.
-            grow = new.sum(axis=1)
-            split = cells + np.cumsum(grow) - grow + (1 << dim) <= cell_budget
-            cells += int(grow[split].sum())
-            splits += int(split.sum())
-            uncertified += int(np.count_nonzero(live & ~certified)) - int(split.sum())
-            parent = np.repeat(cand[split], new[split].sum(axis=1))
-            made.append((qz[split][new[split]], lev[parent] + 1, rep[parent], kd[parent]))
-            # No query lands in an empty cell, so it stores a blank estimate.
-            empty = ~live
-            empty[cand[split]] = True
-            kd[empty], wid[empty] = 0.0, -1
-            cols.append((z, lev, kd, wid, site, np.where(empty, _EMPTY, np.uint8(0))))
-        lz, ll, hrep, hkd = (np.concatenate(c) for c in zip(*made))
-        lsite = np.full(lz.size, -1, dtype=np.int64)
-        ltiled = np.zeros(lz.size, dtype=bool)  # a split's quadrant holds one stored cube at most
-        hints = (hrep, hkd)
+        half = np.ldexp(0.5 * math.sqrt(dim), -lev)
+        lm = np.maximum(0.0, kd / sandwich - half)
+        certified = half <= (_NEAR * eps) * lm
+        if strict:
+            lam1 = _norms(rep - centers[site]) + radii[site]
+            certified |= (2.0 * radii[site] <= eps * lm) & (lam1 + half <= (1.0 + eps) * lm)
+        cand = np.flatnonzero(live & ~certified & (lev < max_level))
+        s = dim * (max_level - lev[cand] - 1)
+        qz = z[cand, None] + (offsets[None, :] << s[:, None])
+        # A quadrant is already stored exactly when it is a first-layer node.
+        new = (w_tree.find_keys(qz.ravel(), np.repeat(lev[cand] + 1, offsets.size)) < 0).reshape(qz.shape)
+        # The cell count only grows, so the splits the budget allows are
+        # a prefix of the candidates, in queue order.
+        grow = new.sum(axis=1)
+        split = cells + np.cumsum(grow) - grow + (1 << dim) <= cell_budget
+        cells += int(grow[split].sum())
+        splits += int(split.sum())
+        uncertified += int(np.count_nonzero(live & ~certified)) - int(split.sum())
+        # No query lands in an empty cell, so it stores a blank estimate.
+        empty = ~live
+        empty[cand[split]] = True
+        kd[empty], wid[empty] = 0.0, -1
+        cols.append((z, lev, kd, wid, site, np.where(empty, _EMPTY, np.uint8(0))))
+        parent = np.repeat(cand[split], new[split].sum(axis=1))
+        z, lev = qz[split][new[split]], lev[parent] + 1
+        site = np.full(z.size, -1, dtype=np.int64)
+        live = np.ones(z.size, dtype=bool)  # a split's quadrant holds one stored cube at most
     t_sweep = time.perf_counter()
 
     # One sort puts the cells in tree order; the tree built from their keys
@@ -490,8 +438,6 @@ def build_avd(
         "splits": splits,
         "uncertified": uncertified,
         "empty_cells": int(np.count_nonzero(flag_arr & _EMPTY)),
-        "knn_calls_warm": warm_calls,
-        "knn_calls_cold": cold_calls,
         "sweep_layers": layers,
         "quorum_s": t_quorum - t0,
         "fields_s": t_fields - t_quorum,

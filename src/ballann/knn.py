@@ -5,7 +5,9 @@ declines (`two_stage_query`): a constant-factor estimate of the k-th ball
 distance (probe the k-th center distances, count intersecting balls, then
 walk a dyadic chain downward in the hard case), and a refinement stage that
 snaps small balls to a fine grid and runs a weighted selection to land
-within (1 +- eps).
+within (1 +- eps).  The two stages alone also answer the cell index's
+registry fallback and out-of-domain queries (`avd.avd_query`) and set the
+quorum's gamma (`quorum.ball_quorum`).
 
 The returned distance is always the exact distance to a real input ball; the
 approximation lives in which ball gets picked.
@@ -152,10 +154,19 @@ def constant_factor_kth(reg: Registry, q, k: int) -> float:
     return constant_factor_detail(reg, q, k)[0]
 
 
+def kth_by_value_id(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of values (m, n), the k-th smallest value and its column,
+    the k-th in (value, column) order: one partition finds the value, and
+    the ties at it are ranked by column."""
+    kth = np.partition(values, k - 1, axis=1)[:, k - 1]
+    rank = k - np.count_nonzero(values < kth[:, None], axis=1)
+    ties = np.cumsum(values == kth[:, None], axis=1, dtype=np.int32)
+    return kth, np.argmax(ties >= rank[:, None], axis=1)
+
+
 def _exact_answer(reg: Registry, q, k: int, eps: float) -> KnnAnswer:
-    dists = ball_distances(q, reg.centers, reg.radii)
-    wid = int(np.argsort(dists, kind="stable")[k - 1])  # ties by id
-    w = float(dists[wid])
+    kth, wids = kth_by_value_id(ball_distances(q, reg.centers, reg.radii)[None, :], k)
+    wid, w = int(wids[0]), float(kth[0])
     return KnnAnswer(wid, w, (w / (1.0 + eps), w / (1.0 - eps) if w else 0.0))
 
 
@@ -248,15 +259,11 @@ def _refine_chunk(
     if plain.size:
         # Only large candidates, each of weight 1: the k-th (distance, id).
         sub = slice(None) if plain.size == m else plain
-        est = np.where(large[sub], dist[sub], np.inf)
-        kth = np.partition(est, k - 1, axis=1)[:, k - 1].copy()
+        kth, wids[plain] = kth_by_value_id(np.where(large[sub], dist[sub], np.inf), k)
         if not np.all(np.isfinite(kth)):
             raise InternalInvariantError(
                 "selection ran out of candidates; the 4-factor estimate must be wrong"
             )
-        rank = k - np.count_nonzero(est < kth[:, None], axis=1)
-        ties = np.cumsum(est == kth[:, None], axis=1, dtype=np.int32)
-        wids[plain] = np.argmax(ties >= rank[:, None], axis=1)
     for r in np.flatnonzero(maybe_small).tolist():
         ids = np.flatnonzero(large[r])
         # One grid snap of the near centers feeds the cell test and the selection.

@@ -180,24 +180,37 @@ def _bit_length_i64(x: np.ndarray) -> np.ndarray:
     return np.where(hi > 0, hi + 32, lo).astype(np.int64)
 
 
+def _pack_shift(z: np.ndarray, bits: int) -> int | None:
+    """t, the trailing zero bits that every key of z shares, when each cube
+    (z, level) with a level of at most `bits` bits packs into one int64 as
+    _pack(z, level, t, bits); None when the keys leave no room for the
+    level (cubes at the deepest level do not).  z must not be empty."""
+    zbits = int(np.bitwise_or.reduce(z))
+    t = (zbits & -zbits).bit_length() - 1 if zbits else 0
+    return t if int(z.max()).bit_length() - t + bits <= 63 else None
+
+
+def _pack(z: np.ndarray, level: np.ndarray, t: int, bits: int) -> np.ndarray:
+    """(z >> t) << bits | level: one int64 per cube, ordered as the (z,
+    level) pairs are."""
+    return ((z >> np.int64(t)) << np.int64(bits)) | level
+
+
 def _dedupe_keys(z: np.ndarray, level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct (z, level) pairs, sorted by z and then level.
 
-    The keys' shared trailing zero bits, t of them, usually leave room for
-    the level: each pair then packs into one int64, (z >> t) << b | level,
-    and one sort of those values orders and dedupes the pairs.  A tree
-    with cubes at the deepest level (points) has no such room and takes a
-    two-key lexsort.
+    When the keys leave room for the level (_pack_shift), one sort of the
+    packed values orders and dedupes the pairs; otherwise a two-key
+    lexsort does.
     """
     z = np.asarray(z, dtype=np.int64)
     level = np.asarray(level, dtype=np.int64)
     if z.size == 0:
         return z, level
     bits = int(level.max()).bit_length()
-    zbits = int(np.bitwise_or.reduce(z))
-    t = (zbits & -zbits).bit_length() - 1 if zbits else 0
-    if int(z.max()).bit_length() - t + bits <= 63:
-        key = np.sort(((z >> np.int64(t)) << np.int64(bits)) | level)
+    t = _pack_shift(z, bits)
+    if t is not None:
+        key = np.sort(_pack(z, level, t, bits))
         key = key[np.concatenate(([True], key[1:] != key[:-1]))]
         return (key >> np.int64(bits)) << np.int64(t), key & np.int64((1 << bits) - 1)
     order = np.lexsort((level, z))
@@ -286,22 +299,21 @@ class CompressedQuadtree:
     def find_keys(self, z: np.ndarray, level: np.ndarray) -> np.ndarray:
         """find_key over arrays of cubes: node index per exactly stored cube, or -1.
 
-        When the stored keys' shared trailing zero bits, t of them, leave
-        room for the level, every (z, level) packs into one int64, (z >> t)
-        << b | level, in node order, and one search finds each cube; a cube
-        with a bit set below t is not stored.  Otherwise (a tree with cubes
-        at the deepest level) the nodes that share a key form one run,
+        When the stored keys leave room for the level (_pack_shift), every
+        (z, level) packs into one int64 in node order, and one search finds
+        each cube; a cube with a bit set below the stored keys' shared
+        trailing zeros, t of them, is not stored.  Otherwise (a tree with
+        cubes at the deepest level) the nodes that share a key form one run,
         levels ascending: one search finds where each cube's run starts, and
         a few steps along the runs find the level.
         """
         zz = np.asarray(z, dtype=np.int64)
         lv = np.asarray(level, dtype=np.int64)
-        zbits = int(np.bitwise_or.reduce(self.z))
-        t = (zbits & -zbits).bit_length() - 1 if zbits else 0
         bits = self.max_level.bit_length()
-        if int(self.z[-1]).bit_length() - t + bits <= 63:
-            keys = ((self.z >> np.int64(t)) << np.int64(bits)) | self.level
-            packed = ((zz >> np.int64(t)) << np.int64(bits)) | lv
+        t = _pack_shift(self.z, bits)
+        if t is not None:
+            keys = _pack(self.z, self.level, t, bits)
+            packed = _pack(zz, lv, t, bits)
             pos = np.minimum(keys.searchsorted(packed), self.size - 1)
             hit = (keys[pos] == packed) & ((zz & np.int64((1 << t) - 1)) == 0) & (lv <= self.max_level)
             return np.where(hit, pos, -1)

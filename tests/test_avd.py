@@ -346,13 +346,11 @@ def test_stats_inventory():
 )
 def test_block_sweep_matches_cell_by_cell_sweep(monkeypatch, seed, dim, n, k, eps, zeta1, budget):
     """The block sweep builds the index a cell-by-cell sweep builds: one
-    cell per block and one refine_many row per chunk change nothing."""
+    row per selection chunk changes nothing."""
     import ballann.avd as avd
-    import ballann.knn as knn
 
     a = _build(seed, dim, n, k, eps, zeta1=zeta1, cell_budget=budget)
-    monkeypatch.setattr(knn, "REFINE_CHUNK_PAIRS", 1)
-    monkeypatch.setattr(avd, "_SWEEP_BLOCK", 1)
+    monkeypatch.setattr(avd, "_KTH_CHUNK_PAIRS", 1)
     b = _build(seed, dim, n, k, eps, zeta1=zeta1, cell_budget=budget)
     assert a.stats["splits"] > 0 and a.stats["sweep_layers"] >= 2
     if budget < 400_000:
@@ -363,8 +361,42 @@ def test_block_sweep_matches_cell_by_cell_sweep(monkeypatch, seed, dim, n, k, ep
     assert np.array_equal(a.tree.level, b.tree.level)
     for name in ("rep", "kdist", "kdist_witness", "site", "flags"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    for key in ("splits", "uncertified", "knn_calls_warm", "knn_calls_cold", "sweep_layers"):
+    for key in ("splits", "uncertified", "sweep_layers"):
         assert a.stats[key] == b.stats[key], key
+
+
+def _cell_d2_index(monkeypatch):
+    """The `cell-d2` benchmark index of seed 1."""
+    from pathlib import Path
+
+    from ballann.geometry import Ball
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    w = workloads.WORKLOADS["cell-d2"]
+    centers, radii, _, _, _ = workloads.make_inputs(w, 1)
+    balls = [Ball(tuple(c), float(r)) for c, r in zip(centers.tolist(), radii)]
+    return build_avd(build_registry(normalize(balls, w.floor)), w.cell_k, w.cell_eps)
+
+
+@pytest.mark.parametrize("config", ["cell-d2", "strict-d1", "practical-d3"])
+def test_stored_estimates_are_exact(monkeypatch, config):
+    """Every live cell stores d_k(rep)/(1 - eps/9), bit for bit, and a
+    witness at distance d_k(rep)."""
+    if config == "cell-d2":
+        a = _cell_d2_index(monkeypatch)
+    elif config == "strict-d1":
+        a = build_avd(build_registry(normalize(generate_instance(6025, 1, 8), 0.5)), 7, 0.5, "strict")
+    else:
+        a = _build(55, 3, 256, 64, 0.5)
+    reg = a.registry
+    live = np.flatnonzero((a.flags & 1) == 0)
+    assert live.size > 0
+    for v in live.tolist():
+        d_k = exact_kth_distance(a.registry.instance, a.rep[v], a.k).value
+        assert a.kdist[v] == d_k / (1.0 - a.eps / _KDIST_SHRINK), v
+        assert ball_distances(a.rep[v], reg.centers, reg.radii)[a.kdist_witness[v]] == d_k, v
 
 
 # -- far-field quality property ------------------------------------------------------

@@ -37,7 +37,9 @@ import ballann.io as bio
 
 with tracer.span("setup"):
     index = avd.build_avd(build_registry(normalize(generate_instance(3, 1, 40), 0.5)), 10, 0.5)
-assert tracer.calls("setup", "avd.query", "avd.build") >= 1, dict(tracer.totals)
+# The sweep selects exact k-th distances itself: no registry search.
+for name in ("avd.query", "avd.refine"):
+    assert tracer.calls("setup", name, "avd.build") == 0, (name, dict(tracer.totals))
 # A practical build runs no quorum; only a strict build clusters the balls
 # and lays down the fields and their overlay.
 assert tracer.calls("setup", "quorum.ball_quorum") == 0, dict(tracer.totals)
