@@ -27,8 +27,10 @@ w/(1 - eps), so (w/(1 + eps), w/(1 - eps)) is a certified interval.
 rule: one node holds all n >= k balls, so L and H are its own bounds near
 and far on every ball distance, and the root certifies exactly when far
 <= (1 + eps) near (which gives near >= far/(1 + eps) >= (1 - eps) far).
-Later rounds drop nodes beyond H and split the nodes that straddle [L, H],
-which raises L and lowers H.  The bounds are padded outward by the
+That round runs as an O(d) test in plain floats on the root's box and
+radii, kept on the registry at build, and a root that splits leaves its
+children as the first frontier on arrays.  Later rounds drop nodes beyond
+H and split the nodes that straddle [L, H], which raises L and lowers H.  The bounds are padded outward by the
 registry's WALK_MARGIN, far above the rounding of a box distance, so the
 float comparisons keep the argument.  When d_k = 0, L = 0 and no window
 certifies: the exit declines, as it does when its frontier grows past

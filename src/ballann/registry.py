@@ -4,8 +4,9 @@ Two trees share the work: `ball_tree` stores the grid cells every ball
 registers to (plus ancestors closing the tree), `centers_tree` stores the
 ball centers as points.  Each centers-tree node also carries the tight box
 of its centers, its least and greatest radius and its smallest ball id
-(`_node_tables`); the root's row gives the largest radius and the box of
-all balls.  On top of them sit the five query primitives:
+(`_node_tables`); the root's row, kept as plain floats too, gives the
+largest radius and the box of all balls.  On top of them sit the five query
+primitives:
 
   * exact retrieval of the balls, with a diameter floor, that meet a query
     ball: a walk down the ball tree, skipped when no ball reaches the floor,
@@ -19,7 +20,8 @@ all balls.  On top of them sit the five query primitives:
     built from the first and the third,
   * a ball certified to lie within (1 +- eps) of the k-th ball distance:
     a frontier over the centers tree whose nodes bound their balls'
-    distances through the node tables, used by `knn.query` as its exit.
+    distances through the node tables, used by `knn.query` as its exit;
+    its root round, the far rule, is an O(d) test in plain floats.
 
 Every walk tests node cubes against the query ball with `_cube_dists`, and
 pads the radius by the relative WALK_MARGIN, so float rounding can neither
@@ -88,6 +90,22 @@ def _box_dists(low: np.ndarray, high: np.ndarray, q: np.ndarray) -> tuple[np.nda
     return np.sqrt(near_sum), np.sqrt(far_sum)
 
 
+def _box_dist(low, high, q) -> tuple[float, float]:
+    """_box_dists of one box, in plain floats, equal to it bit for bit: the
+    same operations on each axis, summed over the axes in the same order."""
+    near_sum = far_sum = 0.0
+    for lo, hi, x in zip(low, high, q):
+        below = lo - x
+        above = x - hi
+        near = below if below > above else above
+        if near < 0.0:
+            near = 0.0
+        far = below if below < above else above
+        near_sum += near * near
+        far_sum += far * far
+    return math.sqrt(near_sum), math.sqrt(far_sum)
+
+
 def _cube_dists(low: np.ndarray, level: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_box_dists of the cubes given by their low corners and levels."""
     return _box_dists(low, low + np.ldexp(1.0, -level)[:, None], q)
@@ -149,6 +167,15 @@ class Registry:
         self._center_low = self.centers_tree.low_corners()
         tables = self._node_tables()
         self._node_lo, self._node_hi, self._node_rmin, self._node_rmax, self._node_first = tables
+        # The root's row as plain floats, for the exit's root round and the
+        # box of all balls, and the frontier that a root split leaves.
+        ct = self.centers_tree
+        self._root_lo, self._root_hi = self._node_lo[0].tolist(), self._node_hi[0].tolist()
+        self._root_rmin, self._root_rmax = float(self._node_rmin[0]), float(self._node_rmax[0])
+        self._root_first = int(self._node_first[0])
+        self._root_splits = bool(ct.level[0] < ct.max_level)
+        self._root_kids = _children(ct, np.zeros(1, dtype=np.int64))
+        self._root_kid_cnt = ct.span_hi[self._root_kids] - ct.span_lo[self._root_kids]
         t3 = time.perf_counter()
 
         self.stats = {
@@ -339,6 +366,14 @@ class Registry:
         hi = np.maximum(far - self._node_rmin[nodes], 0.0) * (1.0 + WALK_MARGIN)
         return lo, hi
 
+    def _root_bounds(self, q) -> tuple[float, float]:
+        """_ball_bounds of the root, from its row as plain floats, equal to
+        it bit for bit: the bounds near and far on every ball distance."""
+        near, far = _box_dist(self._root_lo, self._root_hi, q)
+        lo = near - self._root_rmax
+        hi = far - self._root_rmin
+        return (lo if lo > 0.0 else 0.0) * (1.0 - WALK_MARGIN), (hi if hi > 0.0 else 0.0) * (1.0 + WALK_MARGIN)
+
     def certified_kth_ball(self, q, k: int, eps: float) -> int:
         """Id of a ball whose distance provably lies in [(1 - eps) d_k,
         (1 + eps) d_k], d_k the k-th smallest ball distance from q, or -1
@@ -356,15 +391,30 @@ class Registry:
         no window around it can certify), when after the drop it holds more
         than EXACT_FINISH_COUNT nodes, or when no straddling node can be
         split.
+
+        The root round, the far rule, is one node holding all n >= k balls,
+        so L and H are its own bounds: it runs as an O(d) test in plain
+        floats (_root_bounds), with the same comparisons in the same order,
+        and a root that splits leaves its children, the stored _root_kids,
+        as the frontier of the next round, on arrays.
         """
         if not 1 <= k <= self.n:
             raise InputError(f"k must lie in [1, {self.n}], got {k}")
+        qt = [float(v) for v in q]
+        if len(qt) != self.dim:
+            raise InputError(f"query dimension {len(qt)} != registry dimension {self.dim}")
+        low, high = self._root_bounds(qt)
+        if high == 0.0:
+            return -1
+        if low >= (1.0 - eps) * high and high <= (1.0 + eps) * low:
+            return self._root_first
+        if not (low < high and self._root_splits):
+            return -1
         t = self.centers_tree
-        qa = np.asarray(q, dtype=np.float64)
+        qa = np.array(qt)
         ks = np.array([k], dtype=np.int64)
-        nodes = np.zeros(1, dtype=np.int64)
+        nodes, cnt = self._root_kids, self._root_kid_cnt
         lo, hi = self._ball_bounds(nodes, qa)
-        cnt = t.span_hi[nodes] - t.span_lo[nodes]
         while True:
             low, high = (float(v[0]) for v in _kth_bounds(lo, hi, cnt, ks))
             if high == 0.0:
@@ -473,12 +523,13 @@ class Registry:
         """
         qa = np.asarray(q, dtype=np.float64)
         # The box of all balls: the root's box of centers grown by the
-        # largest radius.
-        r = self._node_rmax[0]
-        lo, hi = self._node_lo[0] - r, self._node_hi[0] + r
-        pad = WALK_MARGIN * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
-        if np.any(qa < lo - pad) or np.any(qa > hi + pad):
-            return np.empty(0, dtype=np.int64)
+        # largest radius, axis by axis in plain floats.
+        r = self._root_rmax
+        for x, lo, hi in zip(qa.tolist(), self._root_lo, self._root_hi):
+            lo, hi = lo - r, hi + r
+            pad = WALK_MARGIN * (1.0 + max(abs(lo), abs(hi)))
+            if x < lo - pad or x > hi + pad:
+                return np.empty(0, dtype=np.int64)
         if np.any(qa < 0.0) or np.any(qa >= 1.0):
             # In the ball box but outside the root cell, which only an
             # unnormalized instance allows: scan directly.

@@ -468,6 +468,52 @@ def test_certified_exit_matches_oracle_at_edges(dim, seed):
                     )
 
 
+def _root_box_queries(rng, reg: Registry) -> list[np.ndarray]:
+    """Points up to 10^3 outside the cube, and on the faces and at the
+    corners of the root's box of centers and of the box of all balls."""
+    dim, out = reg.dim, []
+    for scale in (1.0, 10.0, 100.0, 1000.0):
+        u = rng.normal(size=dim)
+        out.append(0.5 + scale * u / np.linalg.norm(u))
+    r = reg._node_rmax[0]
+    for lo, hi in ((reg._node_lo[0], reg._node_hi[0]), (reg._node_lo[0] - r, reg._node_hi[0] + r)):
+        corners = rng.integers(0, 2, size=(3, dim)).astype(bool)
+        out.extend(np.where(corners, hi, lo))
+        for _ in range(3):
+            p = rng.uniform(lo, hi)
+            j = int(rng.integers(dim))
+            p[j] = (lo if rng.random() < 0.5 else hi)[j]
+            out.append(p)
+    return out
+
+
+@given(st.integers(1, 4), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_root_round_bounds_are_exact(dim, seed):
+    """The exit's root round in plain floats (_root_bounds) gives the root's
+    _ball_bounds bit for bit; where the far rule holds, the exit answers
+    with the root's smallest ball id, and knn.query's answer lies in the
+    oracle window."""
+    rng = np.random.default_rng(seed)
+    reg = _edge_registry(rng, dim)
+    root = np.zeros(1, dtype=np.int64)
+    far_rule = 0
+    for q in _edge_queries(rng, reg) + _root_box_queries(rng, reg):
+        lo, hi = reg._root_bounds(q.tolist())
+        want = np.concatenate(reg._ball_bounds(root, q))
+        assert np.array([lo, hi]).tobytes() == want.tobytes()
+        for eps in (0.5, 0.1, 0.01):
+            if not (hi > 0.0 and lo >= (1.0 - eps) * hi and hi <= (1.0 + eps) * lo):
+                continue
+            far_rule += 1
+            for k in sorted({1, (reg.n + 1) // 2, reg.n}):
+                assert reg.certified_kth_ball(q, k, eps) == reg._node_first[0]
+                truth = exact_kth_distance(reg.instance, q, k).value
+                ans = knn.query(reg, q, k, eps)
+                assert (1.0 - eps) * truth <= ans.distance <= (1.0 + eps) * truth
+    assert far_rule >= 1
+
+
 def _cell_instance(rng, dim: int, n: int, clustered: bool):
     """n disjoint balls, one in each of n distinct cells of a grid with about
     4n cells, the cells uniform or drawn around n/12 anchors; normalized."""
@@ -544,16 +590,22 @@ def test_walk_cost_grows_slowly_with_n(dim, clustered, monkeypatch):
 
 @pytest.mark.parametrize("dim, clustered", [(2, False), (3, True)])
 def test_exit_frontier_grows_slowly_with_n(dim, clustered, monkeypatch):
-    """Frontier nodes the certified exit bounds per query (rows of
-    _box_dists) at n = 1,024 and 16,384, from points among the balls: they
-    grow far slower than n, and the exit answers nearly every query."""
+    """Frontier nodes the certified exit bounds per query at n = 1,024 and
+    16,384, from points among the balls: the root, bounded by _box_dist,
+    and the rows of _box_dists.  They grow far slower than n, and the exit
+    answers nearly every query."""
     rows = [0]
+
+    def counted_one(low, high, q):
+        rows[0] += 1
+        return box_dist(low, high, q)
 
     def counted(low, high, q):
         rows[0] += len(low)
         return box_dists(low, high, q)
 
-    box_dists = registry_module._box_dists
+    box_dist, box_dists = registry_module._box_dist, registry_module._box_dists
+    monkeypatch.setattr(registry_module, "_box_dist", counted_one)
     monkeypatch.setattr(registry_module, "_box_dists", counted)
     per_query, answered = {}, {}
     probes = 200
@@ -567,4 +619,5 @@ def test_exit_frontier_grows_slowly_with_n(dim, clustered, monkeypatch):
             exits += reg.certified_kth_ball(q, (1, 4, 16, 64)[i % 4], (0.5, 0.25, 0.1)[i % 3]) >= 0
         per_query[n], answered[n] = rows[0] / probes, exits / probes
     assert min(answered.values()) >= 0.95, answered
+    assert per_query[1024] >= 1.0, per_query
     assert per_query[16384] <= 3.0 * per_query[1024], per_query
