@@ -10,6 +10,8 @@ arrays, once as built and once after a save_index/load_index round trip,
 with the saved file's byte count.  A last
 line does the same for the strict cell index of acceptance criterion 6
 (d=1, n=8, k=7, eps=0.5), its clusters included, on 2,000 uniform queries.
+After each cell-index line, an out-of-domain line digests the cell
+index's answers to 500 seeded points in [-1, 2]^d outside the unit cube.
 Answer ids and answer distances are digested apart, so that a distance
 that moves in its last bit does not hide ids that stay.  A representative
 is digested on live cells only: an empty cell's row is never read.  Run it
@@ -31,9 +33,10 @@ moved, and otherwise reports the cell counts W of both; on a registry
 workload, whose answers may move to any ball inside the window, it counts
 the moved answers instead and lists only those that fail the checks of
 the second dump: the distance in [(1 - eps) d_k, (1 + eps) d_k] and the
-interval around d_k, each up to a relative 1e-9.  The exit status is 1
-when a cell-index answer, tree, estimate or witness moved or a moved
-registry answer fails.
+interval around d_k, each up to a relative 1e-9.  Out-of-domain answers
+are checked the same way, and every moved one is listed.  The exit status
+is 1 when an in-domain cell-index answer, tree, estimate or witness moved
+or a moved registry or out-of-domain answer fails.
 """
 
 import argparse
@@ -110,6 +113,25 @@ def cell_digest(index, points, dump: str | None, label: str) -> str:
     )
 
 
+def ood_line(index, seed: int, dump: str | None, label: str) -> str:
+    """Digests of the cell index's answers to 500 points outside the unit
+    cube, drawn from [-1, 2]^d with the given seed, and, when dumping, each
+    point's exact d_k for --compare."""
+    import numpy as np
+
+    from ballann import avd, oracle
+
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 2.0, (2000, index.registry.dim))
+    pts = pts[((pts < 0.0) | (pts >= 1.0)).any(axis=1)][:500].tolist()
+    answers = [avd.avd_query(index, tuple(q)) for q in pts]
+    extra = {}
+    if dump:
+        truth = [oracle.exact_kth_distance(index.registry.instance, q, index.k).value for q in pts]
+        extra = {"truth": np.array(truth), "eps": np.full(len(pts), index.eps)}
+    return f" out-of-domain: answers {answer_digest(answers, dump, label + '-ood', **extra)}"
+
+
 def round_trip(index) -> tuple:
     """The index after save_index/load_index, and the saved byte count."""
     from ballann import io
@@ -138,7 +160,7 @@ def compare(dir_a: str, dir_b: str) -> int:
         a, b = np.load(os.path.join(dir_a, name)), np.load(os.path.join(dir_b, name))
         label = name[: -len(".npz")]
         if "truth" in b.files:
-            moved += check_moved(label, a, b)
+            moved += check_moved(label, a, b, list_moved=label.endswith("-ood"))
             continue
         if "witness" in a.files:
             moved += cell_moves(label, a, b)
@@ -188,10 +210,11 @@ def cell_moves(label: str, a, b) -> int:
     return moved.size
 
 
-def check_moved(label: str, a, b) -> int:
-    """Count the registry answers that differ between dumps a and b, check
-    each moved one of b against its exact d_k, print the failures and a
-    summary line, and return the number of failures."""
+def check_moved(label: str, a, b, list_moved: bool = False) -> int:
+    """Count the answers that differ between dumps a and b, check each moved
+    one of b against its exact d_k, print the failures (every moved answer
+    with list_moved) and a summary line, and return the number of
+    failures."""
     import numpy as np
 
     dist, truth, eps = b["dists"], b["truth"], b["eps"]
@@ -199,10 +222,11 @@ def check_moved(label: str, a, b) -> int:
     outside = (dist < (1.0 - eps) * truth * (1.0 - REL)) | (dist > (1.0 + eps) * truth * (1.0 + REL))
     unbracketed = (b["lo"] > truth * (1.0 + REL)) | (b["hi"] < truth * (1.0 - REL))
     failed = [i for i in moved.tolist() if outside[i] or unbracketed[i]]
-    for i in failed:
+    for i in moved.tolist() if list_moved else failed:
         print(
             f"{label} answer {i}: id {a['ids'][i]} -> {b['ids'][i]}, distance {dist[i]!r}, "
             f"interval ({b['lo'][i]!r}, {b['hi'][i]!r}), d_k {truth[i]!r}, eps {eps[i]}"
+            + (" FAILS" if outside[i] or unbracketed[i] else "")
         )
     print(
         f"{label}: {dist.size} answers, {moved.size} moved, {len(failed)} of them "
@@ -236,7 +260,9 @@ def main(argv=None) -> int:
             label = f"{name}-seed{seed}"
             line = f"{name} seed {seed}: scale {inst.scale.hex()} registry {digest(registry_arrays(reg))}"
             if w.cell:
-                line += cell_line(avd.build_avd(reg, w.cell_k, w.cell_eps), points, args.dump, label)
+                index = avd.build_avd(reg, w.cell_k, w.cell_eps)
+                line += cell_line(index, points, args.dump, label)
+                line += f"\n{name} seed {seed}{ood_line(index, seed, args.dump, label)}"
             else:
                 rows = list(zip(points[:2000].tolist(), ks.tolist(), epss.tolist()))
                 answers = [knn.query(reg, tuple(q), k, e) for q, k, e in rows]
@@ -248,7 +274,9 @@ def main(argv=None) -> int:
             print(line, flush=True)
     reg = registry.build_registry(geometry.normalize(datasets.generate_instance(6025, 1, 8), 0.5))
     points = np.random.default_rng(0).random((2000, 1))
-    print("strict c6:" + cell_line(avd.build_avd(reg, 7, 0.5, "strict"), points, args.dump, "strict-c6"), flush=True)
+    index = avd.build_avd(reg, 7, 0.5, "strict")
+    print("strict c6:" + cell_line(index, points, args.dump, "strict-c6"), flush=True)
+    print("strict c6" + ood_line(index, 0, args.dump, "strict-c6"), flush=True)
     return 0
 
 

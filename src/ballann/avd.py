@@ -19,12 +19,13 @@ S).  The sweep runs breadth first, one layer at a time, and decides a
 layer by array operations in queue order.  Every live cell of a layer gets
 the exact k-th ball distance d_k at its representative and, as its
 witness, the k-th ball in (distance, id) order, from one block of ball
-distances and one partition per chunk of cells; the sweep makes no
-registry search.  The cell stores kdist = d_k/(1 - e), e = eps/9, which
-lies in the sandwich [d_k, (1 + eps/4) d_k] because 1/(1 - e) <= (1 + e)/(1
-- e) <= 1 + eps/4 for every eps in (0, 1).  In strict mode the root and
-each cell a split makes own the cluster of least lifted distance |rep -
-center| + radius; an overlay cell keeps its far-field cluster.
+distances and one partition per chunk of cells (`knn.kth_balls`); the
+sweep makes no registry search.  The cell stores kdist = d_k/(1 - e),
+e = eps/9, which lies in the sandwich [d_k, (1 + eps/4) d_k] because
+1/(1 - e) <= (1 + e)/(1 - e) <= 1 + eps/4 for every eps in (0, 1).  In
+strict mode the root and each cell a split makes own the cluster of least
+lifted distance |rep - center| + radius; an overlay cell keeps its
+far-field cluster.
 
 Certification.  A query q in a cell lies within h, half the cell's
 diameter, of the representative; kdist lies in [d_k(rep), (1 + eps/4)
@@ -63,14 +64,15 @@ needs the clusters, as in the paper.
 Queries answer from per-cell data alone; each answer branch re-checks
 its own sufficient condition at query time, so answers are correct even in
 cells the sweep left uncertified, where the structure falls back to the
-full registry search.
+registry search (`knn.query`, certified exit first).  Points outside the
+unit cube have no cell and go to the registry search as well.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,10 +85,7 @@ from .geometry import (
     grid_level_for_diameter,
     max_level_for_dim,
 )
-from .knn import KnnAnswer, kth_by_value_id
-# avd_query's registry searches take the two stages, not knn.query's
-# certified exit; bound as `query` because perfbench/tracing.py wraps that name.
-from .knn import two_stage_query as query
+from .knn import KnnAnswer, kth_balls, query
 
 # Not used by the build; bound here because perfbench/tracing.py wraps this name.
 from .knn import refine  # noqa: F401
@@ -124,10 +123,6 @@ _KDIST_SHRINK = 9.0
 _NEAR = 3.0 / 8.0  # near branch: offset <= _NEAR * eps * lower (module docstring)
 
 _EMPTY = np.uint8(1)  # flags bit: children tile the cube, no query lands here
-
-# The sweep's selections work on chunks of rows holding at most about this
-# many (row, ball) pairs, which bounds the memory of their distance blocks.
-_KTH_CHUNK_PAIRS = 1 << 16
 
 
 @dataclass(eq=False)
@@ -284,18 +279,6 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None]).reshape(-1))
 
 
-def _kth_balls(reg: Registry, pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The exact k-th ball distance d_k at each row of pts and the k-th ball
-    in (distance, id) order, from one block of ball distances per chunk."""
-    dist = np.empty(pts.shape[0], dtype=np.float64)
-    wid = np.empty(pts.shape[0], dtype=np.int64)
-    step = max(1, _KTH_CHUNK_PAIRS // reg.n)
-    for lo in range(0, pts.shape[0], step):
-        block = ball_distances(pts[lo : lo + step], reg.centers, reg.radii)
-        dist[lo : lo + step], wid[lo : lo + step] = kth_by_value_id(block, k)
-    return dist, wid
-
-
 def build_avd(
     reg: Registry,
     k: int,
@@ -381,7 +364,7 @@ def build_avd(
             site[fresh] = _nearest_sites(rep[fresh], centers, radii)
         kd = np.zeros(z.size, dtype=np.float64)
         wid = np.full(z.size, -1, dtype=np.int64)
-        dist, wid[live] = _kth_balls(reg, rep[live], k)
+        dist, wid[live] = kth_balls(reg, rep[live], k)
         kd[live] = dist / (1.0 - eps / _KDIST_SHRINK)
 
         half = np.ldexp(0.5 * math.sqrt(dim), -lev)
@@ -465,16 +448,16 @@ def build_avd(
 def avd_query(a: AVDIndex, q) -> KnnAnswer:
     """Answer a fixed-(k, eps) query from per-cell data.
 
-    Points outside the unit cube have no cell: the registry search answers
-    them, with its certified interval, and the answer is flagged out of
-    domain.  In-domain queries walk to their cell and try, in order: the
-    stored witness when the query sits close enough to the representative
-    (the near branch, which also covers the paper's small-cell branch; see
-    the module docstring), then, in a cell with an owning cluster (site >=
-    0, strict indexes only), the cluster's contained ball.  Each branch
-    re-checks its own sufficient condition on the live query point, so a
-    hit is correct regardless of what held at build time; if nothing fires
-    the query falls back to the registry search.
+    Points outside the unit cube have no cell: `knn.query` answers them as
+    it answers the registry's own queries, with its certified interval and
+    the out_of_domain flag.  In-domain queries walk to their cell and try,
+    in order: the stored witness when the query sits close enough to the
+    representative (the near branch, which also covers the paper's
+    small-cell branch; see the module docstring), then, in a cell with an
+    owning cluster (site >= 0, strict indexes only), the cluster's
+    contained ball.  Each branch re-checks its own sufficient condition on
+    the live query point, so a hit is correct regardless of what held at
+    build time; if nothing fires the query falls back to `knn.query`.
     """
     qt = np.asarray(q, dtype=np.float64).reshape(-1)
     if qt.size != a.registry.dim:
@@ -482,7 +465,7 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
     eps, k = a.eps, a.k
     if not all(0.0 <= x < 1.0 for x in qt):
         a.query_counts["out_of_domain"] += 1
-        return replace(query(a.registry, qt, k, eps), out_of_domain=True)
+        return query(a.registry, qt, k, eps)
     v = a.tree.point_location(qt)
     if a.flags[v] & _EMPTY:
         raise InternalInvariantError("point location landed in a tiled cell")

@@ -1,13 +1,16 @@
 """Approximate k-th nearest ball queries against a Registry.
 
-`query` first tries a certified exit, and runs two stages when the exit
-declines (`two_stage_query`): a constant-factor estimate of the k-th ball
-distance (probe the k-th center distances, count intersecting balls, then
-walk a dyadic chain downward in the hard case), and a refinement stage that
-snaps small balls to a fine grid and runs a weighted selection to land
-within (1 +- eps).  The two stages alone also answer the cell index's
-registry fallback and out-of-domain queries (`avd.avd_query`) and set the
-quorum's gamma (`quorum.ball_quorum`).
+`query` is the package's one registry search.  It first tries a certified
+exit, and runs two stages when the exit declines (`two_stage_query`): a
+constant-factor estimate of the k-th ball distance (probe the k-th center
+distances, count intersecting balls, then walk a dyadic chain downward in
+the hard case), and a refinement stage (`refine`) that snaps small balls
+to a fine grid and runs a weighted selection to land within (1 +- eps).
+The cell index's registry fallback and out-of-domain points
+(`avd.avd_query`) call `query` too.  `kth_balls` is the one exact k-th
+selection: the cell index's sweep, the quorum's gamma
+(`quorum.ball_quorum`) and refine's exact scan take their k-th ball
+distances from it.
 
 The returned distance is always the exact distance to a real input ball; the
 approximation lives in which ball gets picked.
@@ -36,29 +39,27 @@ float comparisons keep the argument.  When d_k = 0, L = 0 and no window
 certifies: the exit declines, as it does when its frontier grows past
 EXACT_FINISH_COUNT nodes, and the two stages answer unchanged.
 
-Refinement runs on rows (`refine_many`; `refine` is its one-row case), in
-chunks of at most about REFINE_CHUNK_PAIRS (row, ball) pairs.  One block of
-center distances per chunk yields every row's large balls and a prefilter
-for its small candidates.  A small candidate is a center whose own grid
-cell meets the closed ball(q, r_snap); the center lies in that cell, so it
-is within r_snap plus the cell diameter side*sqrt(d) of q.  A row with no
-other center that close has no small candidate: its candidates are its
-large balls, each of weight 1, and its answer is their k-th (distance, id)
-pair, found by partition.  On the other rows the centers that pass the
-prefilter are snapped to the row's grid once, and those cell coords feed
-both the exact closed cell test, the one `Registry.small_center_count`
-counts by (`Registry._cells_meet`), and the selection.  The selection takes
-the k-th smallest estimate with each small center counted once at its
-cell's, by partition; only the candidates at exactly that estimate are
-grouped by cell and ordered by key.  The prefilter's reach
-is padded by the relative PREFILTER_SLACK, so float rounding cannot drop a
-center the exact test would keep.
+Refinement takes one row of center distances at q, which yields the large
+balls and a prefilter for the small candidates.  A small candidate is a
+center whose own grid cell meets the closed ball(q, r_snap); the center
+lies in that cell, so it is within r_snap plus the cell diameter
+side*sqrt(d) of q.  With no other center that close there is no small
+candidate: the candidates are the large balls, each of weight 1, and the
+answer is their k-th (distance, id) pair, found by partition.  Otherwise
+the centers that pass the prefilter are snapped to the grid once, and
+those cell coords feed both the exact closed cell test, the one
+`Registry.small_center_count` counts by (`Registry._cells_meet`), and the
+selection.  The selection takes the k-th smallest estimate with each small
+center counted once at its cell's, by partition; only the candidates at
+exactly that estimate are grouped by cell and ordered by key.  The
+prefilter's reach is padded by the relative PREFILTER_SLACK, so float
+rounding cannot drop a center the exact test would keep.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,9 +80,9 @@ from .registry import Registry
 # overshoot the stated bound while /16 leaves margin.
 EPS_HAT_SHRINK = 16.0
 
-# refine_many works on chunks of rows holding at most about this many
+# kth_balls works on chunks of rows holding at most about this many
 # (row, ball) pairs, which bounds the memory of its distance blocks.
-REFINE_CHUNK_PAIRS = 1 << 16
+_KTH_CHUNK_PAIRS = 1 << 16
 
 # Relative pad on the small-candidate prefilter's reach, far above the few
 # ulps by which a float center distance or cell test can be off.
@@ -166,118 +167,88 @@ def kth_by_value_id(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     return kth, np.argmax(ties >= rank[:, None], axis=1)
 
 
-def _exact_answer(reg: Registry, q, k: int, eps: float) -> KnnAnswer:
-    kth, wids = kth_by_value_id(ball_distances(q, reg.centers, reg.radii)[None, :], k)
+def kth_balls(reg: Registry, pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exact k-th ball distance d_k at each row of pts (m, d) and the
+    k-th ball in (distance, id) order, from one block of ball distances per
+    chunk of rows."""
+    dist = np.empty(pts.shape[0], dtype=np.float64)
+    wid = np.empty(pts.shape[0], dtype=np.int64)
+    step = max(1, _KTH_CHUNK_PAIRS // reg.n)
+    for lo in range(0, pts.shape[0], step):
+        block = ball_distances(pts[lo : lo + step], reg.centers, reg.radii)
+        dist[lo : lo + step], wid[lo : lo + step] = kth_by_value_id(block, k)
+    return dist, wid
+
+
+def _exact_answer(reg: Registry, q: np.ndarray, k: int, eps: float) -> KnnAnswer:
+    kth, wids = kth_balls(reg, q[None, :], k)
     wid, w = int(wids[0]), float(kth[0])
     return KnnAnswer(wid, w, (w / (1.0 + eps), w / (1.0 - eps) if w else 0.0))
 
 
 def refine(reg: Registry, q, k: int, x: float, eps: float) -> KnnAnswer:
-    """Sharpen a 4-factor estimate x into a (1 +- eps) witness ball: the
-    one-row case of `refine_many`."""
-    return refine_many(reg, [q], k, [x], eps)[0]
-
-
-def refine_many(reg: Registry, points, k: int, xs, eps: float) -> list[KnnAnswer]:
-    """Sharpen the 4-factor estimate xs[i] at points[i] into a (1 +- eps)
-    witness ball, for every row i.
+    """Sharpen the 4-factor estimate x at q into a (1 +- eps) witness ball.
 
     Large balls (diameter >= 2*ehat*x) that meet ball(q, r_q) enter exactly;
     the rest enter as their centers snapped to a grid cell, weighted by how
     many centers share the cell.  A weighted selection picks the k-th
     candidate; ties order by the candidate's id key so reruns reproduce.
-    A row with x = 0 must lie inside at least k balls, and a row whose grid
-    would be deeper than the exact levels gets an exact scan.
+    x = 0 needs q inside at least k balls, and a grid that would be deeper
+    than the exact levels gets an exact scan.
     """
     _check_qk(reg, k)
     if not 0.0 < eps < 1.0:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     k = int(k)
-    pts = np.asarray(points, dtype=np.float64)
-    xa = np.asarray(xs, dtype=np.float64).reshape(-1)
-    if pts.ndim != 2 or pts.shape != (xa.size, reg.dim):
-        raise InputError(
-            f"expected {xa.size} points of dimension {reg.dim}, got shape {pts.shape}"
-        )
-    if not np.all(xa >= 0.0):
-        raise InputError(f"estimate must be nonnegative, got {xa[~(xa >= 0.0)][0]}")
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != (reg.dim,):
+        raise InputError(f"expected a point of dimension {reg.dim}, got shape {q.shape}")
+    x = float(x)
+    if not x >= 0.0:
+        raise InputError(f"estimate must be nonnegative, got {x}")
+    if x == 0.0:
+        inside = reg.balls_containing_point(q)
+        if inside.size < k:
+            raise InternalInvariantError("x=0 requires q to lie inside at least k balls")
+        return KnnAnswer(int(inside.min()), 0.0, (0.0, 0.0))
     ehat = eps / EPS_HAT_SHRINK
-    out: list[KnnAnswer | None] = [None] * xa.size
-    rows: list[int] = []
-    levels: list[int] = []
-    for i, x in enumerate(xa.tolist()):
-        if x == 0.0:
-            inside = reg.balls_containing_point(pts[i])
-            if inside.size < k:
-                raise InternalInvariantError(
-                    "x=0 requires q to lie inside at least k balls"
-                )
-            out[i] = KnnAnswer(int(inside.min()), 0.0, (0.0, 0.0))
-            continue
-        r_q = 4.0 * x * (1.0 + ehat)
-        level, clamped = grid_level_for_diameter(2.0 * r_q, ehat / 16.0, reg.dim)
-        if clamped:
-            out[i] = _exact_answer(reg, pts[i], k, eps)
-            continue
-        rows.append(i)
-        levels.append(level)
-    qs, xs_rows = pts[rows], xa[rows]
-    step = max(1, REFINE_CHUNK_PAIRS // reg.n)
-    for lo in range(0, len(rows), step):
-        hi = lo + step
-        for i, ans in zip(rows[lo:hi], _refine_chunk(reg, qs[lo:hi], xs_rows[lo:hi], levels[lo:hi], k, eps)):
-            out[i] = ans
-    return out
-
-
-def _refine_chunk(
-    reg: Registry, qs: np.ndarray, xs: np.ndarray, levels: list[int], k: int, eps: float
-) -> list[KnnAnswer]:
-    """refine_many on rows with x > 0 and an exact grid level."""
-    m = xs.size
-    ehat = eps / EPS_HAT_SHRINK
-    r_q = 4.0 * xs * (1.0 + ehat)
+    r_q = 4.0 * x * (1.0 + ehat)
+    level, clamped = grid_level_for_diameter(2.0 * r_q, ehat / 16.0, reg.dim)
+    if clamped:
+        return _exact_answer(reg, q, k, eps)
     # Small candidates: every center whose own cell meets the padded ball
     # (q, r_snap).  The pad keeps every ball that could still be the k-th
     # inside the net, while anything farther sits strictly above the
     # selection threshold.
-    r_snap = r_q + ehat * xs
-    dist = center_distances(qs, reg.centers)
+    r_snap = r_q + ehat * x
+    dist = center_distances(q, reg.centers)
     # A small candidate's center lies in its own cell, which meets
     # ball(q, r_snap); so it lies within r_snap plus the cell diameter.
-    side = np.ldexp(1.0, -np.array(levels, dtype=np.int64))
-    reach = (r_snap + side * math.sqrt(reg.dim)) * (1.0 + PREFILTER_SLACK)
-    near = dist <= reach[:, None]
+    reach = (r_snap + math.ldexp(1.0, -level) * math.sqrt(reg.dim)) * (1.0 + PREFILTER_SLACK)
+    near = dist <= reach
     # From here on dist holds ball distances, by ball_distances' own last
-    # two steps in place, so dist[r] is ball_distances(qs[r], ...).
+    # two steps in place.
     np.maximum(np.subtract(dist, reg.radii, out=dist), 0.0, out=dist)
     # The large set of large_balls_intersecting(q, r_q, 2*ehat*x), ties in.
-    large = (2.0 * reg.radii >= (2.0 * ehat * xs)[:, None]) & (dist <= r_q[:, None])
+    large = (2.0 * reg.radii >= 2.0 * ehat * x) & (dist <= r_q)
     near &= ~large
-    maybe_small = near.any(axis=1)
-
-    wids = np.empty(m, dtype=np.int64)
-    plain = np.flatnonzero(~maybe_small)
-    if plain.size:
+    if near.any():
+        ids = np.flatnonzero(large)
+        # One grid snap of the near centers feeds the cell test and the selection.
+        near_ids = np.flatnonzero(near)
+        cells = grid_coords(reg.centers[near_ids], level)
+        meet = reg._cells_meet(cells, q, r_snap, level)
+        wid = _select_with_cells(q, k, level, ids, dist[ids], near_ids[meet], cells[meet])
+    else:
         # Only large candidates, each of weight 1: the k-th (distance, id).
-        sub = slice(None) if plain.size == m else plain
-        kth, wids[plain] = kth_by_value_id(np.where(large[sub], dist[sub], np.inf), k)
-        if not np.all(np.isfinite(kth)):
+        kth, wids = kth_by_value_id(np.where(large, dist, np.inf)[None, :], k)
+        if not math.isfinite(kth[0]):
             raise InternalInvariantError(
                 "selection ran out of candidates; the 4-factor estimate must be wrong"
             )
-    for r in np.flatnonzero(maybe_small).tolist():
-        ids = np.flatnonzero(large[r])
-        # One grid snap of the near centers feeds the cell test and the selection.
-        near_ids = np.flatnonzero(near[r])
-        cells = grid_coords(reg.centers[near_ids], levels[r])
-        meet = reg._cells_meet(cells, qs[r], float(r_snap[r]), levels[r])
-        wids[r] = _select_with_cells(qs[r], k, levels[r], ids, dist[r, ids], near_ids[meet], cells[meet])
-    wdists = dist[np.arange(m), wids].tolist()
-    return [
-        KnnAnswer(wid, w, (w / (1.0 + eps), w / (1.0 - eps)))
-        for wid, w in zip(wids.tolist(), wdists)
-    ]
+        wid = int(wids[0])
+    w = float(dist[wid])
+    return KnnAnswer(wid, w, (w / (1.0 + eps), w / (1.0 - eps)))
 
 
 def _select_with_cells(
@@ -357,9 +328,8 @@ def query(reg: Registry, q, k: int, eps: float) -> KnnAnswer:
     wid = reg.certified_kth_ball(qt, int(k), eps)
     if wid < 0:
         ans = two_stage_query(reg, q, k, eps)
+        wid, w, interval = ans.ball_id, ans.distance, ans.certified_interval
     else:
         w = ball_distance(qt, reg.centers[wid].tolist(), float(reg.radii[wid]))
-        ans = KnnAnswer(wid, w, (w / (1.0 + eps), w / (1.0 - eps)))
-    if all(0.0 <= v < 1.0 for v in qt):
-        return ans
-    return replace(ans, out_of_domain=True)
+        interval = (w / (1.0 + eps), w / (1.0 - eps))
+    return KnnAnswer(wid, w, interval, out_of_domain=not all(0.0 <= v < 1.0 for v in qt))

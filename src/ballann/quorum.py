@@ -4,8 +4,10 @@ The point stage repeatedly grabs the cheapest batch of ``ell`` remaining
 centers: a 2-approximate smallest ell-enclosing ball constrained to be
 centered at one of the points.  The ball stage then inflates each batch ball
 until it provably meets at least k input balls and contains its whole batch,
-and finally orders the clusters by radius.  A short last batch, when n is
-not divisible by ell, stays pinned at the end of the order.
+and finally orders the clusters by radius.  Its k-reach gamma, the k-th ball
+distance at each batch center, is exact: one block selection
+(`knn.kth_balls`) for all rounds, and no registry search.  A short last
+batch, when n is not divisible by ell, stays pinned at the end of the order.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import InputError, ball_distances
-from .knn import two_stage_query
+from .knn import kth_balls
 from .oracle import optimal_quorum_radius_bound
 from .registry import Registry
 
@@ -31,7 +33,9 @@ __all__ = [
 
 # Approximation factor of the cluster radius against the smallest feasible
 # ball at its turn.  The chain behind it: the point stage is a 2-approximation,
-# wrapping centers costs 3x, and the k-reach estimate is a 3/2-approximation.
+# wrapping centers costs 3x, and the k-reach estimate may be a
+# 3/2-approximation; ball_quorum takes the exact k-th ball distance, a
+# 1-approximation.
 XI = 12.0
 
 
@@ -48,16 +52,16 @@ class PointQuorumBall:
 class QuorumCluster:
     """A batch of input balls plus the inflated ball that swallowed it.
 
-    radius is the final value: at least twice the approximate k-th ball
-    distance at the center (so the cluster meets k input balls), at least
-    three times the point-stage radius, and large enough to contain every
-    assigned ball outright.
+    radius is the final value: at least twice the k-th ball distance at
+    the center (so the cluster meets k input balls), at least three times
+    the point-stage radius, and large enough to contain every assigned ball
+    outright.
     """
 
     center: np.ndarray
     radius: float
     rho: float  # point-stage radius over the assigned centers
-    gamma: float  # approximate k-th ball distance at the center
+    gamma: float  # exact k-th ball distance at the center
     assigned: np.ndarray  # ball ids, ascending
     witness: int  # assigned ball whose center is nearest the cluster center
     round_index: int  # point-stage round that produced this cluster
@@ -135,9 +139,10 @@ def ball_quorum(reg: Registry, k: int) -> list[QuorumCluster]:
         )
     ell = k - c_d
     clusters: list[QuorumCluster] = []
-    for idx, rnd in enumerate(point_quorum(reg.centers, ell)):
+    rounds = point_quorum(reg.centers, ell)
+    gammas, _ = kth_balls(reg, np.stack([rnd.center for rnd in rounds]), k)
+    for idx, (rnd, gamma) in enumerate(zip(rounds, gammas.tolist())):
         u = rnd.center
-        gamma = two_stage_query(reg, u, k, 0.5).distance
         span = np.linalg.norm(reg.centers[rnd.assigned] - u, axis=1)
         containment = float(np.max(span + reg.radii[rnd.assigned]))
         wpos = int(np.lexsort((rnd.assigned, span))[0])

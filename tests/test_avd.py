@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import ballann.knn as knn
 from ballann import build_registry, generate_instance, normalize
 from ballann.avd import (
     _NEAR,
@@ -162,6 +164,32 @@ def test_avd_out_of_domain_is_certified():
         assert (1.0 - a.eps) * truth - tol <= ans.distance <= (1.0 + a.eps) * truth + tol
         assert ans.distance == ball_distances(q, a.registry.centers, a.registry.radii)[ans.ball_id]
     assert a.query_counts["out_of_domain"] == len(queries)
+
+
+@pytest.mark.parametrize("dim,seed,n,k", [(1, 62, 16, 7), (2, 75, 100, 25), (3, 76, 60, 56)])
+def test_avd_out_of_domain_answers_are_knn_query(dim, seed, n, k):
+    """A point outside the cube gets knn.query's answer bit for bit, inside
+    the oracle window and flagged: just outside every face, edge and corner,
+    and at distance 10 and 1,000 from the cube's center."""
+    a = _build(seed, dim, n, k, 0.5, cell_budget=6_000)
+    reg, inst = a.registry, a.registry.instance
+    # -1e-9 and 1.0 lie just outside [0, 1); 0.5 keeps a coordinate inside.
+    points = [p for p in itertools.product((-1e-9, 0.5, 1.0), repeat=dim) if p != (0.5,) * dim]
+    rng = np.random.default_rng(dim)
+    for far in (10.0, 1000.0):
+        for u in rng.normal(size=(4, dim)):
+            points.append(tuple(0.5 + far * u / np.linalg.norm(u)))
+    before = dict(a.query_counts)
+    for q in points:
+        ans = avd_query(a, q)
+        assert ans == knn.query(reg, q, a.k, a.eps)
+        assert ans.out_of_domain
+        truth = exact_kth_distance(inst, q, a.k).value
+        tol = 1e-12 * max(1.0, truth)
+        lo, hi = ans.certified_interval
+        assert lo - tol <= truth <= hi + tol
+        assert (1.0 - a.eps) * truth - tol <= ans.distance <= (1.0 + a.eps) * truth + tol
+    assert a.query_counts == {**before, "out_of_domain": before["out_of_domain"] + len(points)}
 
 
 def test_avd_dimension_mismatch_rejected():
@@ -347,10 +375,8 @@ def test_stats_inventory():
 def test_block_sweep_matches_cell_by_cell_sweep(monkeypatch, seed, dim, n, k, eps, zeta1, budget):
     """The block sweep builds the index a cell-by-cell sweep builds: one
     row per selection chunk changes nothing."""
-    import ballann.avd as avd
-
     a = _build(seed, dim, n, k, eps, zeta1=zeta1, cell_budget=budget)
-    monkeypatch.setattr(avd, "_KTH_CHUNK_PAIRS", 1)
+    monkeypatch.setattr(knn, "_KTH_CHUNK_PAIRS", 1)
     b = _build(seed, dim, n, k, eps, zeta1=zeta1, cell_budget=budget)
     assert a.stats["splits"] > 0 and a.stats["sweep_layers"] >= 2
     if budget < 400_000:

@@ -21,7 +21,6 @@ from ballann.knn import (
     constant_factor_kth,
     query,
     refine,
-    refine_many,
 )
 from ballann.registry import Registry
 from ballann.oracle import exact_kth_distance
@@ -122,9 +121,9 @@ def test_refine_zero_x_answers_inside_queries():
 
 
 def _refine_reference(reg, q, k, x, eps):
-    """Witness id of the refinement one row at a time, without the
-    prefilter: every row runs the registry's large-ball retrieval and its
-    exact small-center cell test, then the weighted selection."""
+    """Witness id of the refinement without the prefilter: the registry's
+    large-ball retrieval and its exact small-center cell test, then the
+    weighted selection."""
     ehat = eps / knn.EPS_HAT_SHRINK
     r_q = 4.0 * x * (1.0 + ehat)
     level, clamped = grid_level_for_diameter(2.0 * r_q, ehat / 16.0, reg.dim)
@@ -154,12 +153,12 @@ def _refine_reference(reg, q, k, x, eps):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_refine_many_matches_one_row_refine(monkeypatch, dim):
-    """Row for row, refine_many answers as refine does, on chunks of a few
-    rows, picks the reference's witness, and every answer is within
-    (1 +- eps) of the true k-th distance."""
+def test_refine_picks_the_reference_witness(monkeypatch, dim):
+    """refine picks the reference's witness, and every answer is within
+    (1 +- eps) of the true k-th distance with an interval around it, on
+    points inside a ball, outside the cube, among the balls and uniform,
+    and on one whose grid would be deeper than the exact levels."""
     reg = make_registry(90 + dim, dim, 40, profile="nested-huge" if dim % 2 else "uniform")
-    monkeypatch.setattr(knn, "REFINE_CHUNK_PAIRS", 7 * reg.n)  # 7 rows a chunk
     cells = []
     real_select = knn._select_with_cells
 
@@ -172,8 +171,7 @@ def test_refine_many_matches_one_row_refine(monkeypatch, dim):
     eps = 0.25
     rows = cell_rows = zero_rows = 0
     for k in (1, int(rng.integers(2, reg.n)), reg.n):
-        pts, xs = [], []
-        for i in range(24):
+        for i in range(25):
             if i < 3:
                 q = np.array(reg.instance.balls[i].center)  # inside >= 1 ball
             elif i < 9:
@@ -183,33 +181,22 @@ def test_refine_many_matches_one_row_refine(monkeypatch, dim):
             else:
                 q = rng.random(dim)
             truth = _truth(reg, q, k)
-            pts.append(q)
-            xs.append(truth * float(rng.uniform(0.26, 3.9)))
-        # A row whose grid would be deeper than the exact levels.
-        pts.append(rng.random(dim))
-        xs.append(1e-20)
-        del cells[:]
-        many = refine_many(reg, np.array(pts), k, xs, eps)
-        cell_rows += len(cells)
-        zero_rows += xs.count(0.0)
-        assert len(many) == len(pts)
-        for q, x, ans in zip(pts, xs, many):
+            # The last point's grid would be deeper than the exact levels.
+            x = 1e-20 if i == 24 else truth * float(rng.uniform(0.26, 3.9))
+            del cells[:]
+            ans = refine(reg, q, k, x, eps)
+            rows += 1
+            cell_rows += bool(cells)
+            zero_rows += x == 0.0
             if x > 0.0:
                 assert ans.ball_id == _refine_reference(reg, q, k, x, eps)
-            one = refine(reg, q, k, x, eps)
-            assert (ans.ball_id, ans.distance, ans.certified_interval) == (
-                one.ball_id,
-                one.distance,
-                one.certified_interval,
-            )
-            truth = _truth(reg, q, k)
             tol = 1e-12 * max(1.0, truth)
             assert (1.0 - eps) * truth - tol <= ans.distance <= (1.0 + eps) * truth + tol
             lo, hi = ans.certified_interval
             assert lo - tol <= truth <= hi + tol
-        rows += len(pts)
     assert zero_rows >= 3
-    # The cell selection ran on some rows, the large-only selection on others.
+    # The cell selection ran on some points, the large-only selection on
+    # others; neither runs at x = 0 or on the three deepest grids.
     assert 0 < cell_rows < rows - zero_rows - 3
 
 
@@ -257,35 +244,33 @@ def test_refine_breaks_tied_cell_estimates_by_id(monkeypatch, dim):
             assert (1.0 - eps) * truth <= ans.distance <= (1.0 + eps) * truth
 
 
-def test_refine_many_breaks_distance_ties_by_id():
-    # Five coincident balls and one apart: every ball is large, so the rows
-    # take the large-only selection, and equal distances order by id.
+def test_refine_breaks_distance_ties_by_id():
+    # Five coincident balls and one apart: every ball is large, so refine
+    # takes the large-only selection, and equal distances order by id.
     balls = [Ball((0.0, 0.0), 1.0)] * 5 + [Ball((6.0, 0.0), 1.0)]
     reg = build_registry(normalize(balls, 0.5))
     q = reg.instance.to_unit((0.0, 1.5))
     truth = _truth(reg, q, 3)
-    answers = refine_many(reg, [q] * 5, 3, [truth] * 5, 0.5)
-    assert {a.ball_id for a in answers} == {2}
-    ans = refine_many(reg, [q], 5, [truth], 0.5)[0]
+    assert refine(reg, q, 3, truth, 0.5).ball_id == 2
+    ans = refine(reg, q, 5, truth, 0.5)
     assert ans.ball_id == 4 and ans.distance == pytest.approx(truth)
 
 
-def test_refine_many_validation():
+def test_refine_validation():
     reg = make_registry(3, 2, 20)
-    pts = [(0.3, 0.4), (0.6, 0.1)]
+    q = (0.3, 0.4)
     with pytest.raises(InputError):
-        refine_many(reg, pts, 0, [0.1, 0.1], 0.5)
+        refine(reg, q, 0, 0.1, 0.5)
     with pytest.raises(InputError):
-        refine_many(reg, pts, 3, [0.1, 0.1], 1.0)
+        refine(reg, q, 3, 0.1, 1.0)
     with pytest.raises(InputError):
-        refine_many(reg, pts, 3, [0.1, -0.1], 0.5)
+        refine(reg, q, 3, -0.1, 0.5)
     with pytest.raises(InputError):
-        refine_many(reg, pts, 3, [0.1, float("nan")], 0.5)
+        refine(reg, q, 3, float("nan"), 0.5)
     with pytest.raises(InputError):
-        refine_many(reg, pts, 3, [0.1], 0.5)
+        refine(reg, [q], 3, 0.1, 0.5)
     with pytest.raises(InputError):
-        refine_many(reg, [(0.3, 0.4, 0.5)], 3, [0.1], 0.5)
-    assert refine_many(reg, np.empty((0, 2)), 3, [], 0.5) == []
+        refine(reg, (0.3, 0.4, 0.5), 3, 0.1, 0.5)
 
 
 # -- full query ----------------------------------------------------------------------

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import ballann.knn as knn
 from ballann.geometry import InputError, ball_distances
-from ballann.oracle import smallest_enclosing_ball_of_l_points
+from ballann.oracle import exact_kth_distance, smallest_enclosing_ball_of_l_points
 from ballann.quorum import XI, ball_quorum, point_quorum, verify_quorum
 
 from conftest import make_registry
@@ -105,6 +106,26 @@ def test_ball_quorum_defining_guarantees(dim, n, k):
         assert hits >= k
         # The witness is assigned and is the closest assigned center.
         assert c.witness in c.assigned.tolist()
+
+
+@pytest.mark.parametrize("dim,n,k", [(1, 48, 11), (2, 100, 25), (3, 200, 60)])
+def test_ball_quorum_gamma_is_the_exact_kth_distance(monkeypatch, dim, n, k):
+    """Every cluster's gamma is the exact k-th ball distance at its center,
+    bit for bit, and one row per selection chunk gives the same clusters."""
+    reg = make_registry(300 + dim, dim, n)
+    clusters = ball_quorum(reg, k)
+    assert len(clusters) >= 3
+    for c in clusters:
+        assert c.gamma == exact_kth_distance(reg.instance, c.center, k).value
+        assert c.radius >= 2.0 * c.gamma
+    monkeypatch.setattr(knn, "_KTH_CHUNK_PAIRS", 1)
+    rows = ball_quorum(reg, k)
+    assert len(rows) == len(clusters)
+    for ca, cb in zip(clusters, rows):
+        assert np.array_equal(ca.center, cb.center)
+        assert np.array_equal(ca.assigned, cb.assigned)
+        for name in ("radius", "rho", "gamma", "witness", "round_index", "is_remainder"):
+            assert getattr(ca, name) == getattr(cb, name), name
 
 
 @pytest.mark.parametrize("dim,n,k", [(1, 24, 8), (2, 40, 20)])
