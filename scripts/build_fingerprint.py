@@ -1,9 +1,11 @@
 """Print a SHA-256 digest of everything the benchmark's builds produce.
 
 For each benchmark workload and seed, digests the normalized balls, every
-registry array (both trees' keys, levels, parent links and child CSR, the
-centers tree's point order, the registered lists, the node boxes and the
-centers tree's node tables) and the answers to its first 2,000 queries;
+registry array (the centers tree's keys, levels, parent links, child CSR,
+point order, node boxes and node tables), the answers of the registry's
+two retrieval walks, `large_balls_intersecting` and
+`balls_containing_point`, on seeded points (walk_digest), and the answers
+to its first 2,000 queries;
 for the cell index, also its tree (keys, levels and parent links), its
 stored estimates and its witnesses, each apart, and the rest of its
 arrays, once as built and once after a save_index/load_index round trip,
@@ -34,9 +36,11 @@ workload, whose answers may move to any ball inside the window, it counts
 the moved answers instead and lists only those that fail the checks of
 the second dump: the distance in [(1 - eps) d_k, (1 + eps) d_k] and the
 interval around d_k, each up to a relative 1e-9.  Out-of-domain answers
-are checked the same way, and every moved one is listed.  The exit status
-is 1 when an in-domain cell-index answer, tree, estimate or witness moved
-or a moved registry or out-of-domain answer fails.
+are checked the same way, and every moved one is listed.  Walk answers
+are exact sets, so every call whose answer differs is listed.  The exit
+status is 1 when an in-domain cell-index answer, tree, estimate or
+witness moved, a walk answer differs, or a moved registry or
+out-of-domain answer fails.
 """
 
 import argparse
@@ -59,14 +63,52 @@ def digest(arrays) -> str:
 
 
 def registry_arrays(reg) -> list:
-    out = []
-    for t in (reg.ball_tree, reg.centers_tree):
-        out += [t.z, t.level, t.parent, t.child_off, t.child_idx]
     c = reg.centers_tree
-    out += [c.point_perm, c.span_lo, c.span_hi]
-    out += [reg.reg_level, reg._reg_sorted_ids, reg._reg_off, reg._ball_low, reg._center_low]
-    out += [reg._node_lo, reg._node_hi, reg._node_rmin, reg._node_rmax, reg._node_first]
+    out = [c.z, c.level, c.parent, c.child_off, c.child_idx, c.point_perm, c.span_lo, c.span_hi]
+    out += [reg._center_low, reg._node_lo, reg._node_hi, reg._node_rmin, reg._node_rmax, reg._node_first]
     return out + [reg.centers, reg.radii]
+
+
+# Grid step of the walks' radii and floors, as in tests/test_registry.py.
+UNIT = 2.0**-7
+
+
+def walk_digest(reg, seed: int, dump: str | None, label: str) -> str:
+    """Digest of the answers of large_balls_intersecting and
+    balls_containing_point on 200 seeded points, half in [-0.2, 1.2]^d and
+    half on ball surfaces.  Each point has one containment call and
+    retrievals at four radii (0, a multiple of UNIT, one of its ball
+    distances, a uniform one) by four floors (0, a random ball's diameter,
+    a multiple of UNIT, the largest diameter), drawn as in the registry's
+    edge test.  With dump, writes the answers to dump/label-walks.npz."""
+    import numpy as np
+
+    from ballann.geometry import ball_distances
+
+    rng = np.random.default_rng(seed)
+    large, inside = [], []
+    largest = float(2.0 * reg.radii.max())
+    for i in range(200):
+        if i % 2:
+            b = int(rng.integers(reg.n))
+            q = reg.centers[b].copy()
+            q[int(rng.integers(reg.dim))] += reg.radii[b] * (1.0 if rng.random() < 0.5 else -1.0)
+        else:
+            q = rng.uniform(-0.2, 1.2, size=reg.dim)
+        inside.append(reg.balls_containing_point(q))
+        d_balls = ball_distances(q, reg.centers, reg.radii)
+        radii = [0.0, UNIT * int(rng.integers(1, 64)), float(rng.choice(d_balls)), float(rng.random())]
+        for radius in radii:
+            floors = (0.0, float(2.0 * reg.radii[int(rng.integers(reg.n))]), UNIT * int(rng.integers(1, 8)), largest)
+            for min_diameter in floors:
+                large.append(reg.large_balls_intersecting(q, radius, min_diameter))
+    arrays = {}
+    for name, answers in (("large", large), ("inside", inside)):
+        arrays[name] = np.concatenate(answers).astype(np.int64)
+        arrays[name + "_off"] = np.cumsum([0] + [a.size for a in answers]).astype(np.int64)
+    if dump:
+        np.savez(os.path.join(dump, label + "-walks.npz"), **arrays)
+    return digest(arrays.values())
 
 
 # Relative slack of the --compare checks, as in perfbench/check.py.
@@ -159,6 +201,9 @@ def compare(dir_a: str, dir_b: str) -> int:
     for name in sorted(os.listdir(dir_a)):
         a, b = np.load(os.path.join(dir_a, name)), np.load(os.path.join(dir_b, name))
         label = name[: -len(".npz")]
+        if "large" in a.files:
+            moved += walk_moves(label, a, b)
+            continue
         if "truth" in b.files:
             moved += check_moved(label, a, b, list_moved=label.endswith("-ood"))
             continue
@@ -182,6 +227,26 @@ def compare(dir_a: str, dir_b: str) -> int:
             moved += 1
         print(f"{label}: {da.size} distances, {np.count_nonzero(ulps)} moved, at most {int(np.abs(ulps).max(initial=0))} ulp")
     return 1 if moved else 0
+
+
+def walk_moves(label: str, a, b) -> int:
+    """Print every walk call whose answer differs between dumps a and b,
+    and a summary line; return the number of such calls."""
+    import numpy as np
+
+    moved = 0
+    for name in ("large", "inside"):
+        off_a, off_b = a[name + "_off"], b[name + "_off"]
+        calls = off_a.size - 1
+        for i in range(calls):
+            got_a = a[name][off_a[i] : off_a[i + 1]]
+            got_b = b[name][off_b[i] : off_b[i + 1]]
+            if not np.array_equal(got_a, got_b):
+                print(f"{label} {name} call {i}: {got_a.tolist()} -> {got_b.tolist()}")
+                moved += 1
+        print(f"{label} {name}: {calls} calls, {off_a[-1]} ids")
+    print(f"{label}: {moved} walk answers differ")
+    return moved
 
 
 def cell_moves(label: str, a, b) -> int:
@@ -259,6 +324,7 @@ def main(argv=None) -> int:
             reg = registry.build_registry(inst)
             label = f"{name}-seed{seed}"
             line = f"{name} seed {seed}: scale {inst.scale.hex()} registry {digest(registry_arrays(reg))}"
+            line += f" walks {walk_digest(reg, seed, args.dump, label)}"
             if w.cell:
                 index = avd.build_avd(reg, w.cell_k, w.cell_eps)
                 line += cell_line(index, points, args.dump, label)

@@ -102,7 +102,7 @@ def _cmd_build(args) -> int:
         floor = args.eps if args.eps is not None else _DEFAULT_FLOOR
         reg = build_registry(normalize(balls, floor))
         bio.save_registry(args.out, reg)
-        print(f"index: registry n={reg.n} dim={reg.dim} nodes={reg.ball_tree.size}")
+        print(f"index: registry n={reg.n} dim={reg.dim} nodes={reg.centers_tree.size}")
         print(json.dumps(reg.stats))
     return 0
 

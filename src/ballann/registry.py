@@ -1,15 +1,15 @@
-"""Ball registration structure over compressed quadtrees.
+"""Ball registry over one compressed quadtree.
 
-Two trees share the work: `ball_tree` stores the grid cells every ball
-registers to (plus ancestors closing the tree), `centers_tree` stores the
-ball centers as points.  Each centers-tree node also carries the tight box
-of its centers, its least and greatest radius and its smallest ball id
-(`_node_tables`); the root's row, kept as plain floats too, gives the
-largest radius and the box of all balls.  On top of them sit the five query
-primitives:
+`centers_tree` stores the ball centers as points.  Each node also carries
+the tight box of its centers, its least and greatest radius and its
+smallest ball id (`_node_tables`); the root's row, kept as plain floats
+too, gives the largest radius and the box of all balls.  On top of it sit
+the query primitives:
 
   * exact retrieval of the balls, with a diameter floor, that meet a query
-    ball: a walk down the ball tree, skipped when no ball reaches the floor,
+    ball (skipped when no ball reaches the floor), and of the balls whose
+    body holds a point, the same retrieval at radius 0: one walk down the
+    centers tree (`_walk`),
   * 2-approximate k-th nearest center distance: a frontier over the centers
     tree,
   * the number of centers whose grid cell meets a query ball: a walk down
@@ -23,12 +23,28 @@ primitives:
     distances through the node tables, used by `knn.query` as its exit;
     its root round, the far rule, is an O(d) test in plain floats.
 
-Every walk tests node cubes against the query ball with `_cube_dists`, and
-pads the radius by the relative WALK_MARGIN, so float rounding can neither
-drop a node that holds an answer nor decide a node the exact test would
-split; the certified frontier pads its distance bounds the same way.  Like
-the k-th center frontier, a walk finishes with the exact test on all that
-is left once its frontier holds few items.
+The retrieval walk keeps exact answer sets: it drops a node only when the
+node tables show that none of its balls can be an answer, and the balls it
+keeps go through the exact filter.  What it loses is the paper's
+registration bound.  There each ball is stored at the O(1) grid cells of
+grid_approx(b, 1), on the level of its own diameter, which bounds the cells
+a retrieval visits.  A centers-tree node that holds one giant ball among
+small ones has the giant's radius as its greatest radius and cannot prune
+by it, so the walk follows every giant down to its leaf, and a point's
+walk starts at the root, since a giant's center may lie far from the
+point.  With 3 giant balls among 12,692 uniform small ones at d = 2 (best
+of 3 calls per query, 300 queries, on a 2-core host), the median retrieval
+took 162 us, against 88 us without the giants and 186 us on the ball tree
+that held the registration; the median containment took 149 us, against
+36 us without the giants and 24 us on the ball tree.
+
+The count walk tests node cubes against the query ball with `_cube_dists`,
+and pads the radius by the relative WALK_MARGIN, so float rounding can
+neither drop a node that holds an answer nor decide a node the exact test
+would split; the retrieval walk and the certified frontier bound ball
+distances through the node tables (`_ball_bounds`), padded the same way.
+Like the k-th center frontier, a walk finishes with the exact test on all
+that is left once its frontier holds few items.
 
 Everything here works in normalized coordinates; the structure is immutable
 once built and all queries are pure.
@@ -48,22 +64,16 @@ from .geometry import (
     ball_distances,
     center_distances,
     concat_ranges,
-    enumerate_grid_cells_balls,
     grid_coords,
     grid_level_for_diameter,
-    max_level_for_dim,
 )
-from .quadtree import (
-    build_from_cubes,
-    build_from_points,
-    morton_encode,
-)
+from .quadtree import build_from_points, encode_point
 
 # Not used by the build; bound here because perfbench/tracing.py wraps these names.
 from .geometry import grid_approx  # noqa: F401
-from .quadtree import cube_to_key  # noqa: F401
+from .quadtree import build_from_cubes, cube_to_key  # noqa: F401
 
-# Exact-finish threshold of the frontier and the walks over the trees.
+# Exact-finish threshold of the frontiers and the walks over the tree.
 EXACT_FINISH_COUNT = 256
 FRONTIER_MAX_ROUNDS = 400
 
@@ -128,7 +138,7 @@ def _children(tree, nodes: np.ndarray) -> np.ndarray:
 
 
 class Registry:
-    """Frozen registration structure; build via `build_registry`."""
+    """Frozen registry; build via `build_registry`."""
 
     def __init__(self, instance: NormalizedInstance) -> None:
         self.instance = instance
@@ -139,32 +149,14 @@ class Registry:
         self.c_d = instance.c_d
         t0 = time.perf_counter()
 
-        # (1) Registration cells: the cells of grid_approx(b, 1) for every
-        # ball b, as Morton keys, all on the ball's own level reg_level[b].
-        self.reg_level, reg_z, reg_ball = self._registration_cells()
-        reg_lv = self.reg_level[reg_ball]
-        t1 = time.perf_counter()
-
-        # (2) Ball tree over the registration cells, its node boxes, and the
-        # registered lists in CSR form indexed by ball_tree node, ball ids
-        # ascending per node.
-        self.ball_tree = build_from_cubes((reg_z, reg_lv, self.dim))
-        self._ball_low = self.ball_tree.low_corners()
-        node_of_cube = self.ball_tree.find_keys(reg_z, reg_lv)
-        if node_of_cube.size and node_of_cube.min() < 0:
-            raise InternalInvariantError("a registration cell is missing from the tree")
-        # node * n + ball sorts the entries by node, then by ball.
-        self._reg_sorted_ids = np.sort(node_of_cube * self.n + reg_ball) % self.n
-        counts = np.bincount(node_of_cube, minlength=self.ball_tree.size)
-        self._reg_off = np.zeros(self.ball_tree.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._reg_off[1:])
-        t2 = time.perf_counter()
-
-        # (3) Centers tree with exact subtree counts and witnesses, its node
-        # cubes, and per node the tight box of its centers, its least and
-        # greatest radius and its smallest ball id (_node_tables).
+        # The centers tree with exact subtree counts and witnesses, and its
+        # node cubes.
         self.centers_tree = build_from_points(self.centers, dim=self.dim)
         self._center_low = self.centers_tree.low_corners()
+        t1 = time.perf_counter()
+
+        # Per node the tight box of its centers, its least and greatest
+        # radius and its smallest ball id (_node_tables).
         tables = self._node_tables()
         self._node_lo, self._node_hi, self._node_rmin, self._node_rmax, self._node_first = tables
         # The root's row as plain floats, for the exit's root round and the
@@ -176,18 +168,19 @@ class Registry:
         self._root_splits = bool(ct.level[0] < ct.max_level)
         self._root_kids = _children(ct, np.zeros(1, dtype=np.int64))
         self._root_kid_cnt = ct.span_hi[self._root_kids] - ct.span_lo[self._root_kids]
-        t3 = time.perf_counter()
+        t2 = time.perf_counter()
 
         self.stats = {
             "n": self.n,
             "dim": self.dim,
-            "ball_tree_nodes": self.ball_tree.size,
             "centers_tree_nodes": self.centers_tree.size,
-            "registration_entries": int(self._reg_off[-1]),
-            "registration_s": t1 - t0,
-            "ball_tree_s": t2 - t1,
-            "centers_tree_s": t3 - t2,
-            "build_seconds": t3 - t0,
+            # perfbench/tracing.py reads these two; no ball tree and no
+            # registration cells are built, so they read 0.
+            "ball_tree_nodes": 0,
+            "registration_entries": 0,
+            "centers_tree_s": t1 - t0,
+            "node_tables_s": t2 - t1,
+            "build_seconds": t2 - t0,
         }
 
     def _node_tables(self) -> tuple[np.ndarray, ...]:
@@ -210,90 +203,63 @@ class Registry:
         d = self.dim
         return m[:, :d], -m[:, d : 2 * d], m[:, 2 * d], -m[:, 2 * d + 1], m[:, 2 * d + 2].astype(np.int64)
 
-    def _registration_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(level per ball, key z per cell, ball per cell) of the registration.
+    # -- exact retrieval -------------------------------------------------------
 
-        Ball b registers to the cells of grid_approx(b, 1): the cells of one
-        level that its closed body meets, or, when its radius is 0, the
-        deepest cell holding its center.  The level is that of
-        grid_level_for_diameter(2 r, 1, d), in array form, and the cells of
-        all balls on one level come from one enumerate_grid_cells_balls.
+    def _start_node(self, q: list[float], reach: float) -> int:
+        """The deepest centers-tree node whose cube holds the box q +- reach,
+        padded for rounding and clipped to the cube as encode_point clips:
+        its run of point_perm holds every center within reach of q on each
+        axis.  The node is the deepest stored cube holding both corners of
+        the box, found as point_location finds the cube of one point."""
+        t = self.centers_tree
+        pads = [reach + WALK_MARGIN * (1.0 + abs(x)) for x in q]
+        lo = encode_point([x - p for x, p in zip(q, pads)], self.dim)
+        hi = encode_point([x + p for x, p in zip(q, pads)], self.dim)
+        j = int(t.z.searchsorted(lo, side="right")) - 1
+        while t.z_hi[j] < hi:
+            j = int(t.parent[j])
+        return j
+
+    def _walk(self, q: np.ndarray, radius: float, min_diameter: float) -> np.ndarray:
+        """Ids, ascending, of a superset of the balls that meet the closed
+        ball(q, radius) and whose diameter is at least `min_diameter`.
+
+        A walk down the centers tree from _start_node(q, (radius + rmax)
+        * (1 + WALK_MARGIN)), rmax the greatest radius: such a ball, of
+        radius r, has its center within radius + r of q.  A node is dropped
+        when its _ball_bounds lower bound, at most the distance of each of
+        its balls, exceeds radius * (1 + WALK_MARGIN), or when its greatest
+        diameter is under the floor; a leaf is taken whole.  Once the
+        frontier holds at most EXACT_FINISH_COUNT balls, the walk takes
+        them all.
         """
-        d = self.dim
-        deepest = max_level_for_dim(d)
-        top = 1 << deepest
-        point = self.radii == 0.0
-        _, exp = np.frexp(2.0 * self.radii / math.sqrt(d))
-        levels = np.where(point, deepest, np.clip(1 - exp, 0, deepest)).astype(np.int64)
-        pts = np.flatnonzero(point)
-        p = np.clip(self.centers[pts], 0.0, math.nextafter(1.0, 0.0))
-        z_parts = [morton_encode(np.minimum(np.floor(p * top), top - 1).astype(np.int64), deepest, d)]
-        ball_parts = [pts]
-        for lev in np.unique(levels[~point]).tolist():
-            ids = np.flatnonzero(~point & (levels == lev))
-            coords, owner = enumerate_grid_cells_balls(self.centers[ids], self.radii[ids], lev)
-            if np.bincount(owner, minlength=ids.size).min() == 0:
-                raise InternalInvariantError("a ball has no registration cell")
-            z_parts.append(morton_encode(coords, lev, d))
-            ball_parts.append(ids[owner])
-        return levels, np.concatenate(z_parts), np.concatenate(ball_parts)
-
-    # -- side-table access ---------------------------------------------------
-
-    def registered_ids(self, node: int) -> np.ndarray:
-        return self._reg_sorted_ids[self._reg_off[node] : self._reg_off[node + 1]]
-
-    # -- exact large-ball retrieval -------------------------------------------
+        t = self.centers_tree
+        reach = radius * (1.0 + WALK_MARGIN)
+        start = self._start_node(q.tolist(), (radius + self._root_rmax) * (1.0 + WALK_MARGIN))
+        nodes = np.array([start], dtype=np.int64)
+        taken = []
+        while (t.span_hi[nodes] - t.span_lo[nodes]).sum() > EXACT_FINISH_COUNT:
+            lo, _ = self._ball_bounds(nodes, q)
+            nodes = nodes[(lo <= reach) & (2.0 * self._node_rmax[nodes] >= min_diameter)]
+            if (t.span_hi[nodes] - t.span_lo[nodes]).sum() <= EXACT_FINISH_COUNT:
+                break
+            leaf = t.child_off[nodes + 1] == t.child_off[nodes]
+            taken.append(nodes[leaf])
+            nodes = _children(t, nodes[~leaf])
+        nodes = np.concatenate([nodes, *taken])
+        return np.sort(t.point_perm[concat_ranges(t.span_lo[nodes], t.span_hi[nodes] - t.span_lo[nodes])])
 
     def large_balls_intersecting(self, q, radius: float, min_diameter: float) -> np.ndarray:
         """Ids, ascending, of the balls that meet the closed ball(q, radius)
         and whose diameter is at least `min_diameter` (ties count as large).
 
         When the largest diameter is under the floor, the answer is empty at
-        once.  Otherwise a walk down the ball tree keeps the nodes no deeper
-        than L, the registration level of a ball of diameter `min_diameter`
-        (the deepest level when the floor is 0), whose closed cube meets
-        ball(q, radius * (1 + WALK_MARGIN)); the balls registered at the
-        kept nodes are then filtered exactly.  No qualifying ball is missed:
-        its registration level is at most L, since the level falls as the
-        diameter grows, and it registers at every cell of that level its
-        closed body meets, so at the cell holding a point p it shares with
-        the query ball.  That cell and all its ancestors contain p, so each
-        meets the query ball, and the walk reaches the cell.  Once the
-        subtrees of the frontier hold at most EXACT_FINISH_COUNT * 2^d
-        registrations (a ball usually registers at 2^d cells or more), the
-        walk takes them all instead of splitting further, which only adds
-        candidates for the exact filter.
+        once.  Otherwise the candidates of _walk are filtered exactly.
         """
-        if 2.0 * self._node_rmax[0] < min_diameter:
+        if 2.0 * self._root_rmax < min_diameter:
             return np.empty(0, dtype=np.int64)
         qa = np.asarray(q, dtype=np.float64)
-        t = self.ball_tree
-        if min_diameter > 0.0:
-            deepest = grid_level_for_diameter(min_diameter, 1.0, self.dim)[0]
-        else:
-            deepest = t.max_level
-        reach = radius * (1.0 + WALK_MARGIN)
-        finish = EXACT_FINISH_COUNT << self.dim
-        # CSR ranges of _reg_sorted_ids to gather: the registered lists of the
-        # kept nodes, then the whole subtrees of the frontier that ends the walk.
-        starts, stops = [], []
-        nodes = np.zeros(1, dtype=np.int64)
-        while nodes.size:
-            # A subtree is the run of nodes up to the last key inside its cube.
-            end = np.searchsorted(t.z, t.z_hi[nodes], side="right")
-            if (self._reg_off[end] - self._reg_off[nodes]).sum() <= finish:
-                starts.append(self._reg_off[nodes])
-                stops.append(self._reg_off[end])
-                break
-            near, _ = _cube_dists(self._ball_low[nodes], t.level[nodes], qa)
-            nodes = nodes[near <= reach]
-            starts.append(self._reg_off[nodes])
-            stops.append(self._reg_off[nodes + 1])
-            kids = _children(t, nodes)
-            nodes = kids[t.level[kids] <= deepest]
-        start = np.concatenate(starts)
-        cand = np.unique(self._reg_sorted_ids[concat_ranges(start, np.concatenate(stops) - start)])
+        cand = self._walk(qa, radius, min_diameter)
         cand = cand[2.0 * self.radii[cand] >= min_diameter]
         return cand[ball_distances(qa, self.centers[cand], self.radii[cand]) <= radius]
 
@@ -516,10 +482,8 @@ class Registry:
 
         No ball holds a point outside the box that holds every ball, padded
         far beyond rounding, so such a point gets the empty answer at once.
-        A ball holding q registers at the cell of its registration level
-        that holds q, since its closed body meets that cell; the cell is
-        stored, so it is on the chain from q's deepest stored cube up to the
-        root, and the registered lists along that chain hold every answer.
+        Otherwise the candidates of _walk at radius 0 and floor 0 are
+        filtered exactly.
         """
         qa = np.asarray(q, dtype=np.float64)
         # The box of all balls: the root's box of centers grown by the
@@ -534,14 +498,7 @@ class Registry:
             # In the ball box but outside the root cell, which only an
             # unnormalized instance allows: scan directly.
             return np.flatnonzero(ball_distances(qa, self.centers, self.radii) == 0.0)
-        node = self.ball_tree.point_location(tuple(qa))
-        parts = []
-        while node >= 0:
-            parts.append(self.registered_ids(node))
-            node = int(self.ball_tree.parent[node])
-        cand = np.unique(np.concatenate(parts))
-        if cand.size == 0:
-            return cand
+        cand = self._walk(qa, 0.0, 0.0)
         return cand[ball_distances(qa, self.centers[cand], self.radii[cand]) == 0.0]
 
     def exact_intersection_count(self, q, x: float) -> int:
@@ -550,6 +507,6 @@ class Registry:
 
 
 def build_registry(instance: NormalizedInstance) -> Registry:
-    """Build the registration structure over balls the caller has checked
+    """Build the registry over balls the caller has checked
     to be pairwise disjoint (`geometry.find_overlap`)."""
     return Registry(instance)

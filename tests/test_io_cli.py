@@ -374,7 +374,10 @@ def test_cli_build_prints_stats_as_json(tmp_path, capsys):
     assert _run(["gen", "--dim", "1", "--n", "32", "--seed", "5", "--out", ballfile]) == 0
     capsys.readouterr()
     assert _run(["build", ballfile, "--out", str(tmp_path / "reg.idx")]) == 0
-    reg_stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    lines = capsys.readouterr().out.strip().splitlines()
+    reg = load_index(str(tmp_path / "reg.idx"))
+    assert lines[0] == f"index: registry n=32 dim=1 nodes={reg.centers_tree.size}"
+    reg_stats = json.loads(lines[-1])
     assert reg_stats["n"] == 32 and "build_seconds" in reg_stats
     assert _run(["build", ballfile, "--k", "8", "--eps", "0.5", "--out", str(tmp_path / "avd.idx")]) == 0
     avd_stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])

@@ -14,12 +14,11 @@ from ballann.geometry import (
     InputError,
     ball_distance,
     ball_distances,
-    grid_approx,
     grid_cell,
     grid_coords,
     grid_level_for_diameter,
+    max_level_for_dim,
 )
-from ballann.quadtree import cube_to_key
 from ballann.registry import EXACT_FINISH_COUNT, Registry
 from ballann.oracle import exact_counts, exact_kth_distance
 
@@ -29,16 +28,7 @@ from conftest import make_registry
 def test_build_registry_needs_normalized_instance():
     reg = make_registry(0, 2, 30)
     assert reg.n == 30 and reg.dim == 2
-    assert reg.ball_tree.size >= 1
     assert reg.centers_tree.has_points
-
-
-def test_registered_cells_cover_every_ball():
-    reg = make_registry(1, 2, 40)
-    # Every ball must be registered somewhere: the per-ball registration level
-    # is recorded, and the ball's center cell at that level is stored.
-    assert reg.reg_level.shape == (reg.n,)
-    assert np.all(reg.reg_level >= 0)
 
 
 # -- exact routes agree with the oracle -----------------------------------------
@@ -276,6 +266,46 @@ def test_large_balls_intersecting_matches_brute_force(dim, monkeypatch):
             hits += want.size
     assert hits > 0
 
+    # Two equal giant balls among many small ones, where no node on a
+    # giant's path prunes by its greatest radius.  The giants reach outside
+    # the cube on axis 0, and the floor 0.5, the largest diameter, keeps
+    # both as ties.  Three balls share the center of a small one, so one
+    # leaf holds them all.  Queries lie on the giants' surfaces outside the
+    # cube, among the balls, and anywhere.
+    monkeypatch.undo()
+    small = _cell_instance(rng, dim, 3 * EXACT_FINISH_COUNT, clustered=False)
+    giants = np.full((2, dim), 0.5)
+    giants[:, 0] = (0.125, 0.875)
+    apart = np.linalg.norm(small.centers[:, None, :] - giants[None], axis=2) - small.radii[:, None]
+    keep = np.all(apart > 0.25, axis=1)
+    shared = np.repeat(small.centers[np.flatnonzero(keep)[:1]], 3, axis=0)
+    reg = Registry(
+        replace(
+            small,
+            centers=np.vstack([small.centers[keep], giants, shared]),
+            radii=np.concatenate([small.radii[keep], [0.25, 0.25], small.radii[keep][0] * np.array([2.0, 3.0, 4.0])]),
+        )
+    )
+    assert reg.n > EXACT_FINISH_COUNT
+    giant_ids = np.flatnonzero(reg.radii == 0.25)
+    surface = giants.copy()
+    surface[:, 0] += (-0.25, 0.25)  # (-0.125, ...) and (1.125, ...), exactly
+    queries = list(surface) + [reg.centers[int(b)] + rng.uniform(-0.1, 0.1, size=dim) for b in rng.integers(reg.n, size=20)]
+    queries += list(rng.uniform(-0.2, 1.2, size=(10, dim)))
+    tied = 0
+    for q in queries:
+        d_balls = ball_distances(q, reg.centers, reg.radii)
+        assert reg.balls_containing_point(q).tolist() == np.flatnonzero(d_balls == 0.0).tolist()
+        for radius in (0.0, float(10.0 ** rng.uniform(-2.5, 0.0)), float(rng.choice(d_balls))):
+            for min_diameter in (0.0, float(2.0 * reg.radii[int(rng.integers(reg.n))]), 0.5):
+                got = reg.large_balls_intersecting(q, radius, min_diameter)
+                want = np.flatnonzero((2.0 * reg.radii >= min_diameter) & (d_balls <= radius))
+                assert got.tolist() == want.tolist()
+                tied += min_diameter == 0.5 and set(got.tolist()) == set(giant_ids.tolist())
+    for b, q in zip(giant_ids, surface):
+        assert int(b) in reg.balls_containing_point(q).tolist()
+    assert tied > 0  # both giants, tied at the floor, retrieved together
+
 
 def test_tangent_ball_kept_at_its_own_distance():
     """A query ball whose radius is the distance to a ball meets that ball.
@@ -297,12 +327,14 @@ def test_stats_present():
     reg = make_registry(0, 2, 30)
     assert reg.stats["n"] == 30
     assert reg.stats["dim"] == 2
-    phases = ("registration_s", "ball_tree_s", "centers_tree_s")
+    phases = ("centers_tree_s", "node_tables_s")
     for name in phases:
         assert reg.stats[name] >= 0.0
     assert sum(reg.stats[name] for name in phases) == pytest.approx(
         reg.stats["build_seconds"], abs=1e-6
     )
+    # No ball tree is built; its keys stay in the stats, reading 0.
+    assert reg.stats["ball_tree_nodes"] == reg.stats["registration_entries"] == 0
 
 
 # -- built structure against its definitions -------------------------------------
@@ -313,7 +345,7 @@ def test_registry_structure_matches_definitions(dim):
     inst = normalize(generate_instance(50 + dim, dim, 20, "clustered"), 0.5)
     rest = (0.5,) * (dim - 1)
     extra = (
-        Ball((0.0625,) + rest, 0.0),  # radius 0: the deepest cell holding it
+        Ball((0.0625,) + rest, 0.0),  # radius 0
         Ball((0.25,) * dim, 0.0),  # radius 0 on a cell corner
         Ball((0.875,) + rest, 0.125),  # touches the wall x = 1
         Ball((0.125,) * dim, 0.125),  # touches the walls x_j = 0
@@ -325,19 +357,6 @@ def test_registry_structure_matches_definitions(dim):
             radii=np.append(inst.radii, [b.radius for b in extra]),
         )
     )
-    tree = reg.ball_tree
-    node_of_key = {(int(z), int(l)): v for v, (z, l) in enumerate(zip(tree.z, tree.level))}
-
-    # Registration cells are exactly grid_approx(b, 1), all on level reg_level[b].
-    registered_at: dict[int, list[int]] = {}
-    for b, ball in enumerate(reg.instance.balls):
-        cells = grid_approx(ball, 1.0)
-        assert {c.level for c in cells} == {int(reg.reg_level[b])}
-        for c in cells:
-            registered_at.setdefault(node_of_key[cube_to_key(c)], []).append(b)
-    for v in range(tree.size):
-        assert reg.registered_ids(v).tolist() == registered_at.get(v, [])
-
     # The node tables of the centers tree: per node, over the balls whose
     # centers lie in its cube, the tight box of the centers, the least and
     # greatest radius and the smallest id.
@@ -407,21 +426,77 @@ def _edge_queries(rng, reg: Registry) -> list[np.ndarray]:
     return out
 
 
+def _crowded_registry(rng, dim: int) -> tuple[Registry, list[np.ndarray]]:
+    """The walks' hard cases on the dyadic grid, and points on the surfaces
+    of its balls outside the unit cube.  More than EXACT_FINISH_COUNT small
+    balls make the walks split nodes; two equal giant balls among them keep
+    every node on their paths from pruning by its greatest radius; leaves
+    hold several balls, concentric ones and ones whose centers lie apart by
+    less than the deepest cell; and some balls reach outside the cube.  The
+    balls may overlap: the walks' answers are defined on any balls."""
+    top = int(1 / _UNIT)
+    deepest = max_level_for_dim(dim)
+    n_small = EXACT_FINISH_COUNT + 64
+    centers = list(_UNIT * rng.integers(0, top, size=(n_small, dim)))
+    radii = list(_UNIT / 4 * rng.integers(0, 2, size=n_small))
+    out = []
+
+    def add(c, r, surface_axis=None):
+        centers.append(np.asarray(c, dtype=np.float64))
+        radii.append(r)
+        if surface_axis is not None:  # the surface point outward on that axis
+            p = centers[-1].copy()
+            p[surface_axis] += r if p[surface_axis] + r >= 1.0 else -r
+            out.append(p)
+
+    for _ in range(2):
+        c = _UNIT * rng.integers(0, top, size=dim)
+        j = int(rng.integers(dim))
+        c[j] = float(rng.choice([0.125, 0.875]))
+        add(c, 0.375, j)
+    for b in rng.integers(n_small, size=3).tolist():
+        add(centers[b], _UNIT)  # concentric
+        add(centers[b], 2 * _UNIT)
+        nudged = centers[b].copy()
+        nudged[0] += 2.0 ** -(deepest + 1)  # a different point in the same deepest cell
+        add(nudged, 0.0)
+    for _ in range(4):
+        j = int(rng.integers(dim))
+        c = _UNIT * rng.integers(0, top, size=dim)
+        a = int(rng.integers(1, 4))
+        c[j] = _UNIT * a if rng.random() < 0.5 else 1.0 - _UNIT * a
+        add(c, _UNIT * 4, j)
+    inst = normalize(generate_instance(0, dim, 2), 0.5)
+    return Registry(replace(inst, centers=np.array(centers), radii=np.array(radii))), out
+
+
 @given(st.integers(1, 4), st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_walks_match_brute_force_at_edges(dim, seed):
+    """The walks against brute force on the edge inputs and on the crowded
+    ones, at floors that include the largest diameter, so that ties count
+    as large, and from points on ball surfaces outside the cube."""
     rng = np.random.default_rng(seed)
-    reg = _edge_registry(rng, dim)
+    crowded, outside = _crowded_registry(rng, dim)
+    for reg, extra in ((_edge_registry(rng, dim), []), (crowded, outside)):
+        assert all(not np.all((q >= 0.0) & (q < 1.0)) for q in extra)
+        assert all(reg.balls_containing_point(q).size for q in extra)
+        _check_walks(rng, reg, _edge_queries(rng, reg) + extra)
+
+
+def _check_walks(rng, reg: Registry, queries) -> None:
     balls = reg.instance.balls
     everyone = np.arange(reg.n)
-    for q in _edge_queries(rng, reg):
+    largest = float(2.0 * reg.radii.max())
+    for q in queries:
         # Brute force over all balls with the package's one ball distance;
         # the radii below include exact tangencies.
         d_balls = ball_distances(q, reg.centers, reg.radii)
         assert reg.balls_containing_point(q).tolist() == np.flatnonzero(d_balls == 0.0).tolist()
         radii = [0.0, _UNIT * int(rng.integers(1, 64)), float(rng.choice(d_balls)), float(rng.random())]
         for radius in radii:
-            for min_diameter in (0.0, balls[int(rng.integers(reg.n))].diameter, _UNIT * int(rng.integers(1, 8))):
+            floors = (0.0, balls[int(rng.integers(reg.n))].diameter, _UNIT * int(rng.integers(1, 8)), largest)
+            for min_diameter in floors:
                 got = reg.large_balls_intersecting(q, radius, min_diameter)
                 want = np.flatnonzero((2.0 * reg.radii >= min_diameter) & (d_balls <= radius))
                 assert got.tolist() == want.tolist()
@@ -621,3 +696,21 @@ def test_exit_frontier_grows_slowly_with_n(dim, clustered, monkeypatch):
     assert min(answered.values()) >= 0.95, answered
     assert per_query[1024] >= 1.0, per_query
     assert per_query[16384] <= 3.0 * per_query[1024], per_query
+
+
+def test_d5_registry_answers_in_the_oracle_window():
+    """A uniform d=5 registry of n = 4,096 balls, which the centers tree
+    alone serves: knn.query, by the certified exit where it answers, and
+    the two stages, whose retrieval and containment walk the same tree,
+    both answer inside the oracle window."""
+    rng = np.random.default_rng(5)
+    reg = build_registry(_cell_instance(rng, 5, 4096, clustered=False))
+    assert reg.stats["ball_tree_nodes"] == 0
+    lo, hi = reg.centers.min(axis=0), reg.centers.max(axis=0)
+    for i in range(60):
+        q = rng.uniform(lo, hi) if i % 3 else rng.uniform(-0.5, 1.5, size=5)
+        k, eps = (1, 4, 32, 256, 4096)[i % 5], (0.5, 0.1)[i % 2]
+        truth = exact_kth_distance(reg.instance, q, k).value
+        for ans in (knn.query(reg, q, k, eps), knn.two_stage_query(reg, q, k, eps)):
+            assert (1.0 - eps) * truth <= ans.distance <= (1.0 + eps) * truth
+            assert ans.certified_interval[0] <= truth <= ans.certified_interval[1]
