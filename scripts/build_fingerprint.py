@@ -4,8 +4,10 @@ For each benchmark workload and seed, digests the normalized balls, every
 registry array (the centers tree's keys, levels, parent links, child CSR,
 point order, node boxes and node tables), the answers of the registry's
 two retrieval walks, `large_balls_intersecting` and
-`balls_containing_point`, on seeded points (walk_digest), and the answers
-to its first 2,000 queries;
+`balls_containing_point`, on seeded points (walk_digest), the answers
+to its first 2,000 queries, and the answers of `knn.two_stage_query`, the
+stages behind the certified exit, to the first 1,000 of them
+(two_stage_line);
 for the cell index, also its tree (keys, levels and parent links), its
 stored estimates and its witnesses, each apart, and the rest of its
 arrays, once as built and once after a save_index/load_index round trip,
@@ -26,20 +28,22 @@ format changes.
 
 REPO_ROOT defaults to the checkout holding this script; its `src/` and
 `perfbench/` are imported.  --dump also writes each line's answers and
-cells to DIR, one .npz per digest, and for a registry workload each
-query's eps and exact k-th distance d_k (`oracle.exact_kth_distance`).
+cells to DIR, one .npz per digest, and for a registry workload and every
+two-stage line each query's eps and exact k-th distance d_k
+(`oracle.exact_kth_distance`).
 --compare reads two such dumps and lists every answer id and every
 distance that differs, with the distance's shift in ulps; on a cell
 index whose tree stayed, it lists every cell whose estimate or witness
 moved, and otherwise reports the cell counts W of both; on a registry
-workload, whose answers may move to any ball inside the window, it counts
-the moved answers instead and lists only those that fail the checks of
-the second dump: the distance in [(1 - eps) d_k, (1 + eps) d_k] and the
-interval around d_k, each up to a relative 1e-9.  Out-of-domain answers
+workload and on a two-stage line, whose answers may move to any ball
+inside the window, it counts the moved answers instead and lists only
+those that fail the checks of the second dump: the distance in
+[(1 - eps) d_k, (1 + eps) d_k] and the interval around d_k, each up to a
+relative 1e-9.  Out-of-domain answers
 are checked the same way, and every moved one is listed.  Walk answers
 are exact sets, so every call whose answer differs is listed.  The exit
 status is 1 when an in-domain cell-index answer, tree, estimate or
-witness moved, a walk answer differs, or a moved registry or
+witness moved, a walk answer differs, or a moved registry, two-stage or
 out-of-domain answer fails.
 """
 
@@ -65,7 +69,7 @@ def digest(arrays) -> str:
 def registry_arrays(reg) -> list:
     c = reg.centers_tree
     out = [c.z, c.level, c.parent, c.child_off, c.child_idx, c.point_perm, c.span_lo, c.span_hi]
-    out += [reg._center_low, reg._node_lo, reg._node_hi, reg._node_rmin, reg._node_rmax, reg._node_first]
+    out += [reg._node_lo, reg._node_hi, reg._node_rmin, reg._node_rmax, reg._node_first]
     return out + [reg.centers, reg.radii]
 
 
@@ -172,6 +176,23 @@ def ood_line(index, seed: int, dump: str | None, label: str) -> str:
         truth = [oracle.exact_kth_distance(index.registry.instance, q, index.k).value for q in pts]
         extra = {"truth": np.array(truth), "eps": np.full(len(pts), index.eps)}
     return f" out-of-domain: answers {answer_digest(answers, dump, label + '-ood', **extra)}"
+
+
+def two_stage_line(reg, rows, dump: str | None, label: str) -> str:
+    """Digests of knn.two_stage_query's answers to the first 1,000 rows
+    (point, k, eps), and, when dumping, each row's exact d_k for
+    --compare."""
+    import numpy as np
+
+    from ballann import knn, oracle
+
+    rows = rows[:1000]
+    answers = [knn.two_stage_query(reg, tuple(q), k, e) for q, k, e in rows]
+    extra = {}
+    if dump:
+        truth = [oracle.exact_kth_distance(reg.instance, q, k).value for q, k, _ in rows]
+        extra = {"truth": np.array(truth), "eps": np.array([e for _, _, e in rows])}
+    return f" two-stage: answers {answer_digest(answers, dump, label + '-two-stage', **extra)}"
 
 
 def round_trip(index) -> tuple:
@@ -325,19 +346,20 @@ def main(argv=None) -> int:
             label = f"{name}-seed{seed}"
             line = f"{name} seed {seed}: scale {inst.scale.hex()} registry {digest(registry_arrays(reg))}"
             line += f" walks {walk_digest(reg, seed, args.dump, label)}"
+            rows = list(zip(points.tolist(), ks.tolist(), epss.tolist()))
             if w.cell:
                 index = avd.build_avd(reg, w.cell_k, w.cell_eps)
                 line += cell_line(index, points, args.dump, label)
                 line += f"\n{name} seed {seed}{ood_line(index, seed, args.dump, label)}"
             else:
-                rows = list(zip(points[:2000].tolist(), ks.tolist(), epss.tolist()))
-                answers = [knn.query(reg, tuple(q), k, e) for q, k, e in rows]
+                answers = [knn.query(reg, tuple(q), k, e) for q, k, e in rows[:2000]]
                 extra = {}
                 if args.dump:
-                    truth = [oracle.exact_kth_distance(inst, q, k).value for q, k, _ in rows]
-                    extra = {"truth": np.array(truth), "eps": np.array([e for _, _, e in rows])}
+                    truth = [oracle.exact_kth_distance(inst, q, k).value for q, k, _ in rows[:2000]]
+                    extra = {"truth": np.array(truth), "eps": np.array([e for _, _, e in rows[:2000]])}
                 line += f" answers {answer_digest(answers, args.dump, label, **extra)}"
             print(line, flush=True)
+            print(f"{name} seed {seed}{two_stage_line(reg, rows, args.dump, label)}", flush=True)
     reg = registry.build_registry(geometry.normalize(datasets.generate_instance(6025, 1, 8), 0.5))
     points = np.random.default_rng(0).random((2000, 1))
     index = avd.build_avd(reg, 7, 0.5, "strict")

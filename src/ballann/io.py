@@ -18,6 +18,7 @@ version.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from typing import Sequence, TextIO
@@ -234,6 +235,12 @@ def _read_instance_block(r: _Reader) -> NormalizedInstance:
     flat = r.array("f8", n * (d + 1)).reshape(n, d + 1)
     if not (np.isfinite(flat).all() and (flat[:, -1] >= 0.0).all()):
         raise InputError("index instance block is malformed: non-finite value or negative radius")
+    # The registry's grids and tree cover [0, 1)^d, and query answers are
+    # divided by the scale to give original units.
+    if not ((flat[:, :-1] >= 0.0).all() and (flat[:, :-1] < 1.0).all()):
+        raise InputError("index instance block is malformed: a center outside the unit cube")
+    if not (math.isfinite(scale) and scale > 0.0 and 0.0 < eps < 1.0):
+        raise InputError("index instance block is malformed: scale not positive or floor outside (0, 1)")
     return NormalizedInstance(
         centers=flat[:, :-1],
         radii=flat[:, -1],

@@ -47,13 +47,12 @@ side*sqrt(d) of q.  With no other center that close there is no small
 candidate: the candidates are the large balls, each of weight 1, and the
 answer is their k-th (distance, id) pair, found by partition.  Otherwise
 the centers that pass the prefilter are snapped to the grid once, and
-those cell coords feed both the exact closed cell test, the one
-`Registry.small_center_count` counts by (`Registry._cells_meet`), and the
-selection.  The selection takes the k-th smallest estimate with each small
-center counted once at its cell's, by partition; only the candidates at
-exactly that estimate are grouped by cell and ordered by key.  The
-prefilter's reach is padded by the relative PREFILTER_SLACK, so float
-rounding cannot drop a center the exact test would keep.
+those cell coords feed both the exact closed cell test (`_cells_meet`)
+and the selection.  The selection takes the k-th smallest estimate with
+each small center counted once at its cell's, by partition; only the
+candidates at exactly that estimate are grouped by cell and ordered by
+key.  The prefilter's reach is padded by the relative PREFILTER_SLACK, so
+float rounding cannot drop a center the exact test would keep.
 """
 
 from __future__ import annotations
@@ -237,7 +236,7 @@ def refine(reg: Registry, q, k: int, x: float, eps: float) -> KnnAnswer:
         # One grid snap of the near centers feeds the cell test and the selection.
         near_ids = np.flatnonzero(near)
         cells = grid_coords(reg.centers[near_ids], level)
-        meet = reg._cells_meet(cells, q, r_snap, level)
+        meet = _cells_meet(cells, q, r_snap, level)
         wid = _select_with_cells(q, k, level, ids, dist[ids], near_ids[meet], cells[meet])
     else:
         # Only large candidates, each of weight 1: the k-th (distance, id).
@@ -249,6 +248,16 @@ def refine(reg: Registry, q, k: int, x: float, eps: float) -> KnnAnswer:
         wid = int(wids[0])
     w = float(dist[wid])
     return KnnAnswer(wid, w, (w / (1.0 + eps), w / (1.0 - eps)))
+
+
+def _cells_meet(coords: np.ndarray, q: np.ndarray, radius: float, level: int) -> np.ndarray:
+    """Whether each level-`level` cell, given by its integer coords
+    (grid_coords of a point in it), meets the closed ball(q, radius), by
+    the closed-body test of enumerate_grid_cells_ball."""
+    side = 2.0 ** (-level)
+    lo = coords * side
+    gap = np.maximum(lo - q, 0.0) + np.maximum(q - (lo + side), 0.0)
+    return np.einsum("ij,ij->i", gap, gap) <= radius * radius
 
 
 def _select_with_cells(

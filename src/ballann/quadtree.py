@@ -281,14 +281,6 @@ class CompressedQuadtree:
     def node_cube(self, i: int) -> CanonicalCube:
         return key_to_cube(int(self.z[i]), int(self.level[i]), self.dim)
 
-    def low_corners(self) -> np.ndarray:
-        """Low corner (size, d) of every node's cube; the side is 2^-level.
-
-        A key is its cube's low corner at full depth, so one decode at the
-        maximum level serves every node, exactly (coordinates stay below 2^52).
-        """
-        return morton_decode(self.z, self.max_level, self.dim) * 2.0 ** (-self.max_level)
-
     def children(self, i: int) -> np.ndarray:
         return self.child_idx[self.child_off[i] : self.child_off[i + 1]]
 

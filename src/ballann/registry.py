@@ -8,43 +8,42 @@ the query primitives:
 
   * exact retrieval of the balls, with a diameter floor, that meet a query
     ball (skipped when no ball reaches the floor), and of the balls whose
-    body holds a point, the same retrieval at radius 0: one walk down the
-    centers tree (`_walk`),
-  * 2-approximate k-th nearest center distance: a frontier over the centers
-    tree,
-  * the number of centers whose grid cell meets a query ball: a walk down
-    the centers tree, counting whole subtrees where it can (the eps
-    refinement of `knn` runs the same cell test, `_cells_meet`, on the
-    cells of the centers its prefilter keeps),
+    body holds a point, the same retrieval at radius 0,
   * the delta-monotone approximate count of balls meeting a query ball,
-    built from the first and the third,
+  * 2-approximate k-th nearest center distance: a frontier over the centers
+    tree, on the node boxes,
   * a ball certified to lie within (1 +- eps) of the k-th ball distance:
     a frontier over the centers tree whose nodes bound their balls'
     distances through the node tables, used by `knn.query` as its exit;
     its root round, the far rule, is an O(d) test in plain floats.
 
-The retrieval walk keeps exact answer sets: it drops a node only when the
-node tables show that none of its balls can be an answer, and the balls it
-keeps go through the exact filter.  What it loses is the paper's
-registration bound.  There each ball is stored at the O(1) grid cells of
-grid_approx(b, 1), on the level of its own diameter, which bounds the cells
-a retrieval visits.  A centers-tree node that holds one giant ball among
-small ones has the giant's radius as its greatest radius and cannot prune
-by it, so the walk follows every giant down to its leaf, and a point's
-walk starts at the root, since a giant's center may lie far from the
-point.  With 3 giant balls among 12,692 uniform small ones at d = 2 (best
-of 3 calls per query, 300 queries, on a 2-core host), the median retrieval
-took 162 us, against 88 us without the giants and 186 us on the ball tree
-that held the registration; the median containment took 149 us, against
-36 us without the giants and 24 us on the ball tree.
+Retrieval, containment and the count are one walk down the centers tree
+(`_walk`), after Arya and Mount's approximate range counting: a node whose
+balls all lie within a "sure" radius is taken whole, a node none of whose
+balls can meet the query ball is dropped, and any other node is split.
+Retrieval takes whole the nodes inside its own radius, containment only
+the nodes whose balls all hold the point, and the count the nodes inside
+(1 + delta) x.  The walk keeps exact answer sets: the balls it neither
+takes whole nor drops go through the exact filter.  What it loses is the
+paper's registration bound.  There each ball is stored at the O(1) grid
+cells of grid_approx(b, 1), on the level of its own diameter, which bounds
+the cells a retrieval visits.  A centers-tree node that holds one giant
+ball among small ones has the giant's radius as its greatest radius and
+cannot prune by it, so the walk follows every giant down to its leaf, and
+a point's walk starts at the root, since a giant's center may lie far from
+the point.  With 3 giant balls among 12,692 uniform small ones at d = 2
+(best of 3 calls per query, 300 queries, on a 2-core host), the median
+retrieval took 162 us, against 88 us without the giants and 186 us on the
+ball tree that held the registration; the median containment took 149 us,
+against 36 us without the giants and 24 us on the ball tree.
 
-The count walk tests node cubes against the query ball with `_cube_dists`,
-and pads the radius by the relative WALK_MARGIN, so float rounding can
-neither drop a node that holds an answer nor decide a node the exact test
-would split; the retrieval walk and the certified frontier bound ball
-distances through the node tables (`_ball_bounds`), padded the same way.
-Like the k-th center frontier, a walk finishes with the exact test on all
-that is left once its frontier holds few items.
+The walk and both frontiers bound distances through the node boxes
+(`_box_dists`), whose far corner is taken with the same operations as
+`geometry.center_distances`, so a bound is never beaten by the distance it
+bounds; the ball bounds (`_ball_bounds`) are padded outward by the
+relative WALK_MARGIN besides.  A walk finishes with the exact test on all
+that is left once its frontier holds few items, as the k-th center
+frontier finishes with an exact selection.
 
 Everything here works in normalized coordinates; the structure is immutable
 once built and all queries are pure.
@@ -64,8 +63,6 @@ from .geometry import (
     ball_distances,
     center_distances,
     concat_ranges,
-    grid_coords,
-    grid_level_for_diameter,
 )
 from .quadtree import build_from_points, encode_point
 
@@ -116,11 +113,6 @@ def _box_dist(low, high, q) -> tuple[float, float]:
     return math.sqrt(near_sum), math.sqrt(far_sum)
 
 
-def _cube_dists(low: np.ndarray, level: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_box_dists of the cubes given by their low corners and levels."""
-    return _box_dists(low, low + np.ldexp(1.0, -level)[:, None], q)
-
-
 def _kth_bounds(lo: np.ndarray, hi: np.ndarray, cnt: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The k-th count-weighted lower and upper bound, for each k of ks
     (ascending): a frontier node stands for cnt items, each with a value
@@ -149,10 +141,8 @@ class Registry:
         self.c_d = instance.c_d
         t0 = time.perf_counter()
 
-        # The centers tree with exact subtree counts and witnesses, and its
-        # node cubes.
+        # The centers tree with exact subtree counts and witnesses.
         self.centers_tree = build_from_points(self.centers, dim=self.dim)
-        self._center_low = self.centers_tree.low_corners()
         t1 = time.perf_counter()
 
         # Per node the tight box of its centers, its least and greatest
@@ -220,48 +210,61 @@ class Registry:
             j = int(t.parent[j])
         return j
 
-    def _walk(self, q: np.ndarray, radius: float, min_diameter: float) -> np.ndarray:
-        """Ids, ascending, of a superset of the balls that meet the closed
-        ball(q, radius) and whose diameter is at least `min_diameter`.
+    def _walk(self, q: np.ndarray, radius: float, floor: float, sure: float) -> tuple[np.ndarray, np.ndarray]:
+        """Two disjoint id sets: balls within `sure` of q whose diameter is
+        at least `floor`, and candidates, which with them hold every ball
+        that meets the closed ball(q, radius) and reaches the floor.
 
         A walk down the centers tree from _start_node(q, (radius + rmax)
         * (1 + WALK_MARGIN)), rmax the greatest radius: such a ball, of
         radius r, has its center within radius + r of q.  A node is dropped
         when its _ball_bounds lower bound, at most the distance of each of
         its balls, exceeds radius * (1 + WALK_MARGIN), or when its greatest
-        diameter is under the floor; a leaf is taken whole.  Once the
-        frontier holds at most EXACT_FINISH_COUNT balls, the walk takes
-        them all.
+        diameter is under the floor.  A node is taken whole as sure when
+        its upper bound, at least the float ball distance of each of its
+        balls, is at most `sure` and its least diameter reaches the floor;
+        a leaf is taken whole as candidates.  Once the frontier holds at
+        most EXACT_FINISH_COUNT balls, the walk takes them all as
+        candidates.
         """
         t = self.centers_tree
         reach = radius * (1.0 + WALK_MARGIN)
         start = self._start_node(q.tolist(), (radius + self._root_rmax) * (1.0 + WALK_MARGIN))
         nodes = np.array([start], dtype=np.int64)
-        taken = []
+        whole, taken = [np.empty(0, dtype=np.int64)], []
         while (t.span_hi[nodes] - t.span_lo[nodes]).sum() > EXACT_FINISH_COUNT:
-            lo, _ = self._ball_bounds(nodes, q)
-            nodes = nodes[(lo <= reach) & (2.0 * self._node_rmax[nodes] >= min_diameter)]
+            lo, hi = self._ball_bounds(nodes, q)
+            keep = (lo <= reach) & (2.0 * self._node_rmax[nodes] >= floor)
+            inside = keep & (hi <= sure) & (2.0 * self._node_rmin[nodes] >= floor)
+            whole.append(nodes[inside])
+            nodes = nodes[keep & ~inside]
             if (t.span_hi[nodes] - t.span_lo[nodes]).sum() <= EXACT_FINISH_COUNT:
                 break
             leaf = t.child_off[nodes + 1] == t.child_off[nodes]
             taken.append(nodes[leaf])
             nodes = _children(t, nodes[~leaf])
-        nodes = np.concatenate([nodes, *taken])
-        return np.sort(t.point_perm[concat_ranges(t.span_lo[nodes], t.span_hi[nodes] - t.span_lo[nodes])])
+
+        def ids(parts):
+            v = np.concatenate(parts)
+            return t.point_perm[concat_ranges(t.span_lo[v], t.span_hi[v] - t.span_lo[v])]
+
+        return ids(whole), ids([nodes, *taken])
 
     def large_balls_intersecting(self, q, radius: float, min_diameter: float) -> np.ndarray:
         """Ids, ascending, of the balls that meet the closed ball(q, radius)
         and whose diameter is at least `min_diameter` (ties count as large).
 
         When the largest diameter is under the floor, the answer is empty at
-        once.  Otherwise the candidates of _walk are filtered exactly.
+        once.  Otherwise _walk takes whole the nodes inside the query ball,
+        and its candidates are filtered exactly.
         """
         if 2.0 * self._root_rmax < min_diameter:
             return np.empty(0, dtype=np.int64)
         qa = np.asarray(q, dtype=np.float64)
-        cand = self._walk(qa, radius, min_diameter)
+        sure, cand = self._walk(qa, radius, min_diameter, radius)
         cand = cand[2.0 * self.radii[cand] >= min_diameter]
-        return cand[ball_distances(qa, self.centers[cand], self.radii[cand]) <= radius]
+        cand = cand[ball_distances(qa, self.centers[cand], self.radii[cand]) <= radius]
+        return np.sort(np.concatenate([sure, cand]))
 
     # -- 2-approximate k-th center distance ------------------------------------
 
@@ -269,12 +272,13 @@ class Registry:
         """Certified values x(k) with d_C(q,k) <= x(k) <= 2 d_C(q,k).
 
         Frontier refinement over the centers tree: keep an antichain of nodes
-        with distance bounds [lo, hi] and exact counts, certify a k once the
-        k-th cumulative hi is within twice the k-th cumulative lo, and fall
-        back to exact selection over a small candidate set when the frontier
-        stops helping (ties, coincident centers, q on a center).  The
-        frontier is parallel arrays, and each round splits all its chosen
-        nodes at once.
+        with distance bounds [lo, hi], the near and far distances of their
+        boxes of centers (_box_dists, which no center distance beats), and
+        exact counts, certify a k once the k-th cumulative hi is within
+        twice the k-th cumulative lo, and fall back to exact selection over
+        a small candidate set when the frontier stops helping (ties,
+        coincident centers, q on a center).  The frontier is parallel
+        arrays, and each round splits all its chosen nodes at once.
         """
         ks = sorted({int(k) for k in ks})
         if ks[0] < 1:
@@ -284,7 +288,7 @@ class Registry:
         t = self.centers_tree
         qa = np.asarray(q, dtype=np.float64)
         nodes = np.zeros(1, dtype=np.int64)
-        lo, hi = _cube_dists(self._center_low[nodes], t.level[nodes], qa)
+        lo, hi = _box_dists(self._node_lo[nodes], self._node_hi[nodes], qa)
         cnt = t.span_hi[nodes] - t.span_lo[nodes]
         results: dict[int, float] = {}
         pending = np.array(ks, dtype=np.int64)
@@ -308,7 +312,7 @@ class Registry:
             ends = np.cumsum(n_kids)
             if not np.array_equal(run[ends] - run[ends - n_kids], cnt[split]):
                 raise InternalInvariantError("child counts must add up to the parent")
-            kid_lo, kid_hi = _cube_dists(self._center_low[kids], t.level[kids], qa)
+            kid_lo, kid_hi = _box_dists(self._node_lo[kids], self._node_hi[kids], qa)
             nodes = np.concatenate([nodes[~split], kids])
             lo = np.concatenate([lo[~split], kid_lo])
             hi = np.concatenate([hi[~split], kid_hi])
@@ -405,75 +409,20 @@ class Registry:
     def approx_ball_count(self, q, delta: float, x: float) -> int:
         """N with N(x) <= N <= N((1+delta)x); N(y) counts balls meeting ball(q,y).
 
-        Large balls (radius >= delta*x/4, ties large) are retrieved exactly;
-        the rest are counted through their center cells on a grid fine enough
-        that the overshoot stays within the (1+delta) slack.
+        One _walk that takes whole the nodes within (1 + delta) x: N is
+        their balls plus the candidates within x.  No ball within x is
+        dropped, so N(x) <= N; a ball taken whole lies within (1 + delta)
+        x and a counted candidate within x, so N <= N((1 + delta) x).
         """
         if not (0.0 < delta <= 1.0):
             raise InputError(f"delta must lie in (0, 1], got {delta}")
         if x < 0.0:
             raise InputError(f"radius must be nonnegative, got {x}")
-        qt = tuple(float(v) for v in q)
         if x == 0.0:
-            return int(self.balls_containing_point(qt).size)
-        large = self.large_balls_intersecting(qt, x, delta * x / 2.0)
-        inflated = x * (1.0 + delta / 4.0)
-        level, clamped = grid_level_for_diameter(
-            2.0 * inflated, delta / 4.0, self.dim
-        )
-        if clamped:
-            return self.exact_intersection_count(qt, x)
-        return int(large.size) + self.small_center_count(qt, inflated, level, large)
-
-    def small_center_count(self, q, radius: float, level: int, large: np.ndarray) -> int:
-        """Number of centers, ids in `large` left out, whose own
-        level-`level` cell meets the closed ball(q, radius).
-
-        A walk down the centers tree.  A node shallower than `level` is
-        counted whole when its cube lies inside ball(q, radius *
-        (1 - WALK_MARGIN)), dropped when its cube misses ball(q, radius *
-        (1 + WALK_MARGIN)), and split otherwise: the level cells of its
-        centers lie in its cube, so the per-center test (_cells_meet) would
-        keep, or drop, every one of them.  A node at least `level` deep lies
-        in one level cell, which holds its low corner and all its centers,
-        so _cells_meet on that corner decides its centers exactly as on each
-        center.  Once the frontier holds at most EXACT_FINISH_COUNT centers,
-        the per-center test runs on them directly.  The large ids whose
-        cells meet the ball are subtracted at the end (`large` holds
-        distinct ids).
-        """
+            return int(self.balls_containing_point(q).size)
         qa = np.asarray(q, dtype=np.float64)
-        t = self.centers_tree
-        count = 0
-        nodes = np.zeros(1, dtype=np.int64)
-        while nodes.size:
-            cnt = t.span_hi[nodes] - t.span_lo[nodes]
-            if cnt.sum() <= EXACT_FINISH_COUNT:
-                ids = t.point_perm[concat_ranges(t.span_lo[nodes], cnt)]
-                cells = grid_coords(self.centers[ids], level)
-                count += int(np.count_nonzero(self._cells_meet(cells, qa, radius, level)))
-                break
-            deep = t.level[nodes] >= level
-            corners = grid_coords(self._center_low[nodes[deep]], level)
-            whole = nodes[deep][self._cells_meet(corners, qa, radius, level)]
-            nodes = nodes[~deep]
-            near, far = _cube_dists(self._center_low[nodes], t.level[nodes], qa)
-            inside = far <= radius * (1.0 - WALK_MARGIN)
-            whole = np.concatenate([whole, nodes[inside]])
-            count += int((t.span_hi[whole] - t.span_lo[whole]).sum())
-            nodes = _children(t, nodes[~inside & (near <= radius * (1.0 + WALK_MARGIN))])
-        large_cells = grid_coords(self.centers[large], level)
-        return count - int(np.count_nonzero(self._cells_meet(large_cells, qa, radius, level)))
-
-    @staticmethod
-    def _cells_meet(coords: np.ndarray, q: np.ndarray, radius: float, level: int) -> np.ndarray:
-        """Whether each level-`level` cell, given by its integer coords
-        (grid_coords of a point in it), meets the closed ball(q, radius), by
-        the closed-body test of enumerate_grid_cells_ball."""
-        side = 2.0 ** (-level)
-        lo = coords * side
-        gap = np.maximum(lo - q, 0.0) + np.maximum(q - (lo + side), 0.0)
-        return np.einsum("ij,ij->i", gap, gap) <= radius * radius
+        sure, cand = self._walk(qa, x, 0.0, (1.0 + delta) * x)
+        return sure.size + int(np.count_nonzero(ball_distances(qa, self.centers[cand], self.radii[cand]) <= x))
 
     # -- exact helpers -----------------------------------------------------------
 
@@ -482,8 +431,8 @@ class Registry:
 
         No ball holds a point outside the box that holds every ball, padded
         far beyond rounding, so such a point gets the empty answer at once.
-        Otherwise the candidates of _walk at radius 0 and floor 0 are
-        filtered exactly.
+        Otherwise _walk at radius 0 and floor 0 takes whole the nodes whose
+        balls all hold q, and its candidates are filtered exactly.
         """
         qa = np.asarray(q, dtype=np.float64)
         # The box of all balls: the root's box of centers grown by the
@@ -494,12 +443,9 @@ class Registry:
             pad = WALK_MARGIN * (1.0 + max(abs(lo), abs(hi)))
             if x < lo - pad or x > hi + pad:
                 return np.empty(0, dtype=np.int64)
-        if np.any(qa < 0.0) or np.any(qa >= 1.0):
-            # In the ball box but outside the root cell, which only an
-            # unnormalized instance allows: scan directly.
-            return np.flatnonzero(ball_distances(qa, self.centers, self.radii) == 0.0)
-        cand = self._walk(qa, 0.0, 0.0)
-        return cand[ball_distances(qa, self.centers[cand], self.radii[cand]) == 0.0]
+        sure, cand = self._walk(qa, 0.0, 0.0, 0.0)
+        cand = cand[ball_distances(qa, self.centers[cand], self.radii[cand]) == 0.0]
+        return np.sort(np.concatenate([sure, cand]))
 
     def exact_intersection_count(self, q, x: float) -> int:
         """Exact N(x): balls whose closed body meets closed ball(q, x)."""

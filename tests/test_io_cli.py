@@ -275,9 +275,15 @@ def test_index_integrity_rejects_damage(tmp_path):
         damaged = bytearray(source)
         struct.pack_into(fmt, damaged, pos, value)
         damaged_files.append((truncated, damaged))
-    # An instance block whose ball 0 has a NaN coordinate, or a negative
-    # radius: the checks the loader makes on every ball row.
-    for pos, value in ((at["balls"], math.nan), (at["balls"] + 8 * a.registry.dim, -0.5)):
+    # An instance block whose ball 0 has a NaN coordinate, a negative
+    # radius or a center outside [0, 1)^d: the checks the loader makes on
+    # every ball row; and one whose scale is not positive and finite, or
+    # whose floor lies outside (0, 1).
+    rows = [(at["balls"], math.nan), (at["balls"] + 8 * a.registry.dim, -0.5)]
+    rows += [(at["balls"], 1.0), (at["balls"], -0.25)]
+    rows += [(at["instance"] + 20, v) for v in (0.0, -1.0, math.inf, math.nan)]
+    rows += [(at["instance"] + 12, v) for v in (0.0, 1.0, -0.5, math.nan)]
+    for pos, value in rows:
         damaged = bytearray(blob)
         struct.pack_into("<d", damaged, pos, value)
         damaged_files.append(("instance block is malformed", damaged))

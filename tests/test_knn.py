@@ -11,6 +11,7 @@ from ballann.geometry import (
     InputError,
     ball_distance,
     ball_distances,
+    grid_cell,
     grid_coords,
     grid_level_for_diameter,
 )
@@ -135,7 +136,7 @@ def _refine_reference(reg, q, k, x, eps):
     weight = [1] * len(est)
     rest = np.setdiff1d(np.arange(reg.n), large)
     snapped = grid_coords(reg.centers[rest], level)
-    small = rest[Registry._cells_meet(snapped, np.asarray(q, dtype=np.float64), r_q + ehat * x, level)]
+    small = rest[knn._cells_meet(snapped, np.asarray(q, dtype=np.float64), r_q + ehat * x, level)]
     cells = {}
     for i in small.tolist():
         cells.setdefault(tuple(grid_coords(reg.centers[i : i + 1], level)[0].tolist()), []).append(i)
@@ -150,6 +151,25 @@ def _refine_reference(reg, q, k, x, eps):
         if total >= k:
             return est[j][1]
     raise AssertionError("ran out of candidates")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_cells_meet_matches_brute_force(dim):
+    """refine's cell test against brute force: each center's closed
+    level cell (geometry.grid_cell) against the closed ball, from points
+    inside and just outside the cube."""
+    reg = make_registry(60 + dim, dim, 60, profile="clustered")
+    rng = np.random.default_rng(dim)
+    hits = 0
+    for _ in range(40):
+        q = rng.uniform(-0.1, 1.1, size=dim)
+        level = int(rng.integers(1, 10))
+        radius = float(10.0 ** rng.uniform(-2.3, -0.3))
+        want = [i for i in range(reg.n) if grid_cell(level, reg.centers[i]).min_dist_to_point(q) <= radius]
+        meet = knn._cells_meet(grid_coords(reg.centers, level), q, radius, level)
+        assert np.flatnonzero(meet).tolist() == want
+        hits += 0 < len(want) < reg.n
+    assert hits > 0  # some ball met some cells and missed others
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])

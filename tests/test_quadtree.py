@@ -423,19 +423,6 @@ def test_count_in_node_and_witness():
             assert cube.contains_point(pts[tree.point_perm[tree.span_lo[i]]])
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_low_corners_match_node_cubes(dim):
-    rng = np.random.default_rng(31 + dim)
-    deep = max_level_for_dim(dim)
-    cubes = _random_cubes(rng, dim, 30)
-    cubes.append(CanonicalCube(deep, tuple(int(c) for c in rng.integers(0, 1 << deep, dim))))
-    tree = build_from_cubes(cubes, dim=dim)
-    low = tree.low_corners()
-    assert low.shape == (tree.size, dim)
-    for i in range(tree.size):
-        assert tuple(low[i]) == tree.node_cube(i).low
-
-
 def test_overlay_contains_both_trees():
     rng = np.random.default_rng(23)
     ca = _random_cubes(rng, 2, 25)

@@ -14,9 +14,6 @@ from ballann.geometry import (
     InputError,
     ball_distance,
     ball_distances,
-    grid_cell,
-    grid_coords,
-    grid_level_for_diameter,
     max_level_for_dim,
 )
 from ballann.registry import EXACT_FINISH_COUNT, Registry
@@ -80,6 +77,39 @@ def test_balls_containing_point_matches_brute(dim):
             held += bool(got)
             outside += bool(got) and not np.all((q >= 0.0) & (q < 1.0))
         assert held > 0
+    assert outside > 0  # some ball was found from a point outside the cube
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_walks_on_centers_outside_the_cube(dim):
+    """A registry whose centers spread over [-0.5, 1.5]^d, which the centers
+    tree clips into the cube as encode_points does, with more than
+    EXACT_FINISH_COUNT balls so that the walk splits nodes: containment,
+    retrieval and the count against brute force, from points inside and
+    outside the cube."""
+    rng = np.random.default_rng(90 + dim)
+    n = 2 * EXACT_FINISH_COUNT
+    inst = normalize(generate_instance(0, dim, 2), 0.5)
+    reg = Registry(
+        replace(inst, centers=rng.uniform(-0.5, 1.5, size=(n, dim)), radii=rng.uniform(0.0, 0.2, size=n))
+    )
+    outside = 0
+    for i in range(200):
+        if i % 2:
+            b = int(rng.integers(n))
+            q = reg.centers[b] + rng.normal(size=dim) * reg.radii[b] * 0.7
+        else:
+            q = rng.uniform(-0.7, 1.7, size=dim)
+        d_balls = ball_distances(q, reg.centers, reg.radii)
+        got = reg.balls_containing_point(q).tolist()
+        assert got == np.flatnonzero(d_balls == 0.0).tolist()
+        outside += bool(got) and not np.all((q >= 0.0) & (q < 1.0))
+        radius = float(rng.uniform(0.0, 0.3))
+        for min_diameter in (0.0, float(2.0 * reg.radii[int(rng.integers(n))])):
+            want = np.flatnonzero((2.0 * reg.radii >= min_diameter) & (d_balls <= radius))
+            assert reg.large_balls_intersecting(q, radius, min_diameter).tolist() == want.tolist()
+        count = reg.approx_ball_count(q, 0.5, radius)
+        assert reg.exact_intersection_count(q, radius) <= count <= reg.exact_intersection_count(q, 1.5 * radius)
     assert outside > 0  # some ball was found from a point outside the cube
 
 
@@ -166,52 +196,6 @@ def test_kth_center_distance_rejects_bad_k():
         reg.approx_kth_center_distances((0.5,), [0])
     with pytest.raises(InputError):
         reg.approx_kth_center_distances((0.5,), [11])
-
-
-# -- center cells ------------------------------------------------------------------
-
-
-@given(st.integers(0, 1_000))
-@settings(max_examples=60, deadline=None)
-def test_center_range_sandwich(seed):
-    rng = np.random.default_rng(seed)
-    dim = int(rng.integers(1, 3))
-    reg = make_registry(int(rng.integers(100)), dim, 40)
-    q = rng.random(dim)
-    x = float(rng.random() * 0.5 + 1e-3)
-    delta = float(rng.choice([1.0, 0.5, 0.25]))
-    # Cells of diameter <= delta * x: a center whose cell meets ball(q, x)
-    # lies within (1 + delta) x of q.
-    level, clamped = grid_level_for_diameter(x, delta, dim)
-    assert not clamped
-    count = reg.small_center_count(q, x, level, np.empty(0, dtype=np.int64))
-    dist = np.linalg.norm(reg.centers - q, axis=1)
-    assert int((dist <= x).sum()) <= count
-    assert count <= int((dist <= (1.0 + delta) * x).sum())
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_small_center_count_matches_brute_force(dim):
-    reg = make_registry(60 + dim, dim, 60, profile="clustered")
-    rng = np.random.default_rng(dim)
-    for _ in range(40):
-        q = rng.uniform(-0.1, 1.1, size=dim)
-        level = int(rng.integers(1, 10))
-        radius = float(10.0 ** rng.uniform(-2.3, -0.3))
-        some = np.sort(rng.choice(reg.n, size=reg.n // 4, replace=False))
-        for large in (np.empty(0, dtype=np.int64), some):
-            # Brute force: each center's closed cell against the closed ball.
-            skip = set(large.tolist())
-            want = [
-                i
-                for i in range(reg.n)
-                if i not in skip and grid_cell(level, reg.centers[i]).min_dist_to_point(q) <= radius
-            ]
-            assert reg.small_center_count(q, radius, level, large) == len(want)
-            # The same test on a given set of centers.
-            rest = np.setdiff1d(np.arange(reg.n), large)
-            meet = Registry._cells_meet(grid_coords(reg.centers[rest], level), q, radius, level)
-            assert rest[meet].tolist() == want
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -361,8 +345,9 @@ def test_registry_structure_matches_definitions(dim):
     # centers lie in its cube, the tight box of the centers, the least and
     # greatest radius and the smallest id.
     ct = reg.centers_tree
-    cubes = zip(ct.low_corners(), np.ldexp(1.0, -ct.level))
-    for v, (low, side) in enumerate(cubes):
+    for v in range(ct.size):
+        cube = ct.node_cube(v)
+        low, side = np.array(cube.low), cube.side
         ids = np.flatnonzero(np.all((reg.centers >= low) & (reg.centers < low + side), axis=1))
         assert np.array_equal(reg._node_lo[v], reg.centers[ids].min(axis=0))
         assert np.array_equal(reg._node_hi[v], reg.centers[ids].max(axis=0))
@@ -486,7 +471,6 @@ def test_walks_match_brute_force_at_edges(dim, seed):
 
 def _check_walks(rng, reg: Registry, queries) -> None:
     balls = reg.instance.balls
-    everyone = np.arange(reg.n)
     largest = float(2.0 * reg.radii.max())
     for q in queries:
         # Brute force over all balls with the package's one ball distance;
@@ -500,13 +484,6 @@ def _check_walks(rng, reg: Registry, queries) -> None:
                 got = reg.large_balls_intersecting(q, radius, min_diameter)
                 want = np.flatnonzero((2.0 * reg.radii >= min_diameter) & (d_balls <= radius))
                 assert got.tolist() == want.tolist()
-            level = int(rng.integers(0, 11))
-            for large in (np.empty(0, dtype=np.int64), got):
-                # The per-center cell test on every center but the large ones.
-                rest = np.setdiff1d(everyone, large)
-                cells = grid_coords(reg.centers[rest], level)
-                want_count = int(Registry._cells_meet(cells, q, radius, level).sum())
-                assert reg.small_center_count(q, radius, level, large) == want_count
             for delta in (1.0, 0.5, 0.25):
                 approx = reg.approx_ball_count(q, delta, radius)
                 assert reg.exact_intersection_count(q, radius) <= approx
@@ -611,12 +588,11 @@ def _cell_instance(rng, dim: int, n: int, clustered: bool):
 
 @pytest.mark.parametrize("dim, clustered", [(2, False), (3, True)])
 def test_walk_cost_grows_slowly_with_n(dim, clustered, monkeypatch):
-    """Rows the two walks test per call, at n = 1,024 and 16,384: node boxes
-    (_box_dists), center cells (_cells_meet) and candidate balls
-    (ball_distances), in the count and the retrieval of approx_ball_count
-    at probe radii holding a fixed number of centers, from points among the
-    balls."""
-    rows = {"small_center_count": 0, "large_balls_intersecting": 0}
+    """Rows the walk tests per call, at n = 1,024 and 16,384: node boxes
+    (_box_dists) and candidate balls (ball_distances), in approx_ball_count
+    and in large_balls_intersecting at the floor delta x / 2, at probe radii
+    x holding a fixed number of centers, from points among the balls."""
+    rows = {"approx_ball_count": 0, "large_balls_intersecting": 0}
     current = [None]
 
     def counted(test, rows_arg):
@@ -631,16 +607,15 @@ def test_walk_cost_grows_slowly_with_n(dim, clustered, monkeypatch):
         walk = getattr(Registry, name)
 
         def run(self, *args):
-            current[0] = name
+            outer, current[0] = current[0], name
             try:
                 return walk(self, *args)
             finally:
-                current[0] = None
+                current[0] = outer
 
         return run
 
     monkeypatch.setattr(registry_module, "_box_dists", counted(registry_module._box_dists, 0))
-    monkeypatch.setattr(Registry, "_cells_meet", staticmethod(counted(Registry._cells_meet, 0)))
     monkeypatch.setattr(registry_module, "ball_distances", counted(registry_module.ball_distances, 1))
     for name in rows:
         monkeypatch.setattr(Registry, name, attributed(name))
@@ -656,11 +631,42 @@ def test_walk_cost_grows_slowly_with_n(dim, clustered, monkeypatch):
             q = rng.uniform(lo, hi)
             k = (1, 4, 16, 64)[i % 4]
             x = reg.approx_kth_center_distances(q, [k])[k]
-            reg.approx_ball_count(q, (1.0, 0.5, 0.25)[i % 3], x)
+            delta = (1.0, 0.5, 0.25)[i % 3]
+            reg.approx_ball_count(q, delta, x)
+            reg.large_balls_intersecting(q, x, delta * x / 2.0)
         per_call[n] = {name: count / probes for name, count in rows.items()}
     for name in rows:
         assert per_call[1024][name] >= 1.0
         assert per_call[16384][name] <= 2.0 * per_call[1024][name], (name, per_call)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ball_count_sandwich_at_scale(dim):
+    """approx_ball_count at n = 4,096, where its walk takes nodes whole,
+    drops them and splits them, with three giant balls among the small
+    ones: N(x) <= N <= N((1 + delta) x) and N(x / (1 + delta)) <= N(x),
+    for delta in {1, 0.5, 0.25, 0.05}, at k-th center distances and at
+    ball distances."""
+    rng = np.random.default_rng(40 + dim)
+    small = _cell_instance(rng, dim, 4096, clustered=dim == 3)
+    giants = rng.uniform(0.25, 0.75, size=(3, dim))
+    reg = Registry(
+        replace(small, centers=np.vstack([small.centers, giants]), radii=np.append(small.radii, [0.05, 0.1, 0.2]))
+    )
+    lo, hi = reg.centers.min(axis=0), reg.centers.max(axis=0)
+    whole = 0
+    for _ in range(40):
+        q = rng.uniform(lo - 0.05, hi + 0.05)
+        got = reg.approx_kth_center_distances(q, [1, 16, 256, 2048])
+        xs = list(got.values()) + [float(rng.choice(ball_distances(q, reg.centers, reg.radii)))]
+        for x in xs:
+            for delta in (1.0, 0.5, 0.25, 0.05):
+                count = reg.approx_ball_count(q, delta, x)
+                assert reg.exact_intersection_count(q, x) <= count
+                assert count <= reg.exact_intersection_count(q, (1.0 + delta) * x)
+                assert reg.approx_ball_count(q, delta, x / (1.0 + delta)) <= count
+                whole += reg._walk(q, x, 0.0, (1.0 + delta) * x)[0].size > 0
+    assert whole > 0  # some count took nodes whole
 
 
 @pytest.mark.parametrize("dim, clustered", [(2, False), (3, True)])
