@@ -285,7 +285,6 @@ def build_avd(
     eps: float,
     mode: str = "practical",
     *,
-    zeta1: float | None = None,
     cell_budget: int = 400_000,
 ) -> AVDIndex:
     """Build the fixed-(k, eps) cell decomposition over a registry.
@@ -309,9 +308,8 @@ def build_avd(
     (distance, id) order (module docstring); it costs one row of n ball
     distances per live cell and no registry search.
 
-    zeta1 is the fineness of strict mode's near field and is read in strict
-    mode only: a practical build records it in `AVDIndex.zeta1`, and any
-    value gives the same practical index.
+    Strict mode's near field has fineness ZETA1_STRICT; a practical build
+    records ZETA1_PRACTICAL in `AVDIndex.zeta1` and reads it nowhere.
     """
     t0 = time.perf_counter()
     n, dim = reg.n, reg.dim
@@ -329,7 +327,7 @@ def build_avd(
     if mode not in ("practical", "strict"):
         raise InputError(f"mode must be 'practical' or 'strict', got {mode!r}")
     strict = mode == "strict"
-    z1 = float(zeta1) if zeta1 is not None else (ZETA1_STRICT if strict else ZETA1_PRACTICAL)
+    z1 = ZETA1_STRICT if strict else ZETA1_PRACTICAL
 
     if strict:
         clusters = ball_quorum(reg, k)

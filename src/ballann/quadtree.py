@@ -8,6 +8,12 @@ those sorted arrays: a node's parent is the stored LCA of it and the node
 before it, and the deepest stored cube holding a key is found by one
 `searchsorted` and a short walk up the parent links.  All keys fit in a
 signed 64-bit integer because d * M <= 63.
+
+One rule builds the keys in every dimension: a coordinate's M bits spread
+to every d-th bit in one shift-or-mask round per power of two below M,
+each moving blocks of that many bits, and compact back by the same rounds
+in reverse; _morton_rounds derives them from d.  Trees take their cubes
+as key arrays; cube_to_key and key_to_cube convert single CanonicalCubes.
 """
 
 from __future__ import annotations
@@ -38,66 +44,56 @@ __all__ = [
 _I64_MAX = np.iinfo(np.int64).max
 
 
-# Parallel bit spread/compact: move one coordinate's bits to every 2nd or
-# 3rd position and back.  All masks stay below 2^63, so int64 is safe.
-_SPREAD2 = (
-    (16, np.int64(0x0000FFFF0000FFFF)),
-    (8, np.int64(0x00FF00FF00FF00FF)),
-    (4, np.int64(0x0F0F0F0F0F0F0F0F)),
-    (2, np.int64(0x3333333333333333)),
-    (1, np.int64(0x5555555555555555)),
-)
-_COMPACT2 = (
-    (1, np.int64(0x3333333333333333)),
-    (2, np.int64(0x0F0F0F0F0F0F0F0F)),
-    (4, np.int64(0x00FF00FF00FF00FF)),
-    (8, np.int64(0x0000FFFF0000FFFF)),
-    (16, np.int64(0x00000000FFFFFFFF)),
-)
-_SPREAD3 = (
-    (32, np.int64(0x001F00000000FFFF)),
-    (16, np.int64(0x001F0000FF0000FF)),
-    (8, np.int64(0x100F00F00F00F00F)),
-    (4, np.int64(0x10C30C30C30C30C3)),
-    (2, np.int64(0x1249249249249249)),
-)
-_COMPACT3 = (
-    (2, np.int64(0x10C30C30C30C30C3)),
-    (4, np.int64(0x100F00F00F00F00F)),
-    (8, np.int64(0x001F0000FF0000FF)),
-    (16, np.int64(0x001F00000000FFFF)),
-    (32, np.int64(0x00000000001FFFFF)),
-)
+def _morton_rounds(dim: int) -> tuple[list, int, list]:
+    """(spread, low, compact): the (shift, mask) rounds that move bit j of a
+    coordinate to bit j*dim, and back.
+
+    Bits move in blocks: after the round of block size b, bit j sits at
+    (j // b)*b*dim + j % b, so the round moves the odd blocks of size b up
+    by b*(dim - 1), and its mask keeps those positions for j < M.  The
+    spread runs b over the powers of two below M, largest first; the
+    compact keeps the bits at j*dim (`low`) and runs the same rounds in
+    reverse, shifting down into the masks of block size 2b.  At d = 1 no
+    round moves a bit, and there are none.
+    """
+    M = max_level_for_dim(dim)
+
+    def mask(b: int) -> int:
+        return sum(1 << (j // b) * b * dim + j % b for j in range(M))
+
+    blocks = [1 << i for i in range(M.bit_length()) if 1 << i < M and dim > 1]
+    spread = [(b * (dim - 1), mask(b)) for b in reversed(blocks)]
+    compact = [(b * (dim - 1), mask(2 * b)) for b in blocks]
+    return spread, mask(1), compact
 
 
-def _spread_bits(x: np.ndarray, dim: int) -> np.ndarray:
-    for shift, mask in _SPREAD2 if dim == 2 else _SPREAD3:
-        x = (x | (x << np.int64(shift))) & mask
+class _RoundsByDim(dict):
+    """_morton_rounds per dimension, filled on first use."""
+
+    def __missing__(self, dim: int) -> tuple[list, int, list]:
+        rounds = self[dim] = _morton_rounds(dim)
+        return rounds
+
+
+_ROUNDS = _RoundsByDim()
+
+
+def _spread_bits(x, dim: int):
+    """Bit j of x moves to bit j*dim, for j < M; x is an int64 array or a
+    Python int.  No mask reaches bit 63, so int64 is safe."""
+    for shift, mask in _ROUNDS[dim][0]:
+        x = (x | (x << shift)) & mask
     return x
 
 
-def _compact_bits(x: np.ndarray, dim: int) -> np.ndarray:
-    x = x & (_SPREAD2 if dim == 2 else _SPREAD3)[-1][1]
-    for shift, mask in _COMPACT2 if dim == 2 else _COMPACT3:
-        x = (x | (x >> np.int64(shift))) & mask
+def _compact_bits(x, dim: int):
+    """Inverse of _spread_bits: bit j*dim of x moves back to bit j; the
+    other bits drop."""
+    _, low, compact = _ROUNDS[dim]
+    x = x & low
+    for shift, mask in compact:
+        x = (x | (x >> shift)) & mask
     return x
-
-
-_SPREAD_INT = {2: [(s, int(m)) for s, m in _SPREAD2], 3: [(s, int(m)) for s, m in _SPREAD3]}
-
-
-def _spread_int(x: int, dim: int) -> int:
-    """_spread_bits on one Python int: bit b of x moves to bit b * dim."""
-    if dim == 1:
-        return x
-    if dim <= 3:
-        for shift, mask in _SPREAD_INT[dim]:
-            x = (x | (x << shift)) & mask
-        return x
-    out = 0
-    for bit in range(x.bit_length()):
-        out |= ((x >> bit) & 1) << (bit * dim)
-    return out
 
 
 def encode_point(p: Sequence[float], dim: int) -> int:
@@ -107,7 +103,7 @@ def encode_point(p: Sequence[float], dim: int) -> int:
     code = 0
     for j, x in enumerate(p):
         c = min(max(math.floor(x * top), 0), top - 1)
-        code |= _spread_int(c, dim) << (dim - 1 - j)
+        code |= _spread_bits(c, dim) << (dim - 1 - j)
     return code
 
 
@@ -117,35 +113,19 @@ def morton_encode(coords: np.ndarray, level: int, dim: int) -> np.ndarray:
     if level > M:
         raise InputError(f"level {level} exceeds maximum {M} for dimension {dim}")
     c = np.asarray(coords, dtype=np.int64).reshape(-1, dim)
-    if dim == 1:
-        return c[:, 0] << np.int64(M - level)
-    if dim <= 3:
-        z = np.zeros(c.shape[0], dtype=np.int64)
-        for j in range(dim):
-            z |= _spread_bits(c[:, j], dim) << np.int64(dim - 1 - j)
-        return z << np.int64(dim * (M - level))
     z = np.zeros(c.shape[0], dtype=np.int64)
-    for bit in range(level):
-        for j in range(dim):
-            z |= ((c[:, j] >> np.int64(bit)) & np.int64(1)) << np.int64(bit * dim + (dim - 1 - j))
+    for j in range(dim):
+        z |= _spread_bits(c[:, j], dim) << np.int64(dim - 1 - j)
     return z << np.int64(dim * (M - level))
 
 
 def morton_decode(z: np.ndarray, level: int, dim: int) -> np.ndarray:
     """Integer coords (m, d) at `level` of the cubes with the given keys."""
     M = max_level_for_dim(dim)
-    zz = np.asarray(z, dtype=np.int64).reshape(-1)
-    if dim == 1:
-        return (zz >> np.int64(M - level)).reshape(-1, 1)
-    zz = zz >> np.int64(dim * (M - level))
-    out = np.zeros((zz.shape[0], dim), dtype=np.int64)
-    if dim <= 3:
-        for j in range(dim):
-            out[:, j] = _compact_bits(zz >> np.int64(dim - 1 - j), dim)
-        return out
-    for bit in range(level):
-        for j in range(dim):
-            out[:, j] |= ((zz >> np.int64(bit * dim + (dim - 1 - j))) & np.int64(1)) << np.int64(bit)
+    zz = np.asarray(z, dtype=np.int64).reshape(-1) >> np.int64(dim * (M - level))
+    out = np.empty((zz.shape[0], dim), dtype=np.int64)
+    for j in range(dim):
+        out[:, j] = _compact_bits(zz >> np.int64(dim - 1 - j), dim)
     return out
 
 
@@ -162,10 +142,6 @@ def key_to_cube(z: int, level: int, dim: int) -> CanonicalCube:
 
 def range_hi_inclusive(z, shift):
     """Largest key inside the cube starting at z with d*(M-level) = shift low bits."""
-    if np.isscalar(shift) or isinstance(shift, int):
-        if shift >= 63:
-            return np.int64(_I64_MAX)
-        return z + ((np.int64(1) << np.int64(shift)) - np.int64(1))
     safe = np.minimum(shift, 62).astype(np.int64)
     size = np.where(shift >= 63, np.int64(_I64_MAX) - z, (np.int64(1) << safe) - np.int64(1))
     return z + size
@@ -383,35 +359,14 @@ def _lca_closure(z: np.ndarray, level: np.ndarray, dim: int) -> tuple[np.ndarray
     return _dedupe_keys(all_z, all_l)
 
 
-def build_from_cubes(cubes, dim: int | None = None) -> CompressedQuadtree:
-    """Tree over a cube collection: CanonicalCube iterable or (z (m,), level (m,)) arrays.
+def build_from_cubes(cubes: tuple[np.ndarray, np.ndarray, int]) -> CompressedQuadtree:
+    """Tree over the cubes with keys (z (m,), level (m,), dim).
 
     The root is always included; the node set is the input closed under LCAs.
     """
-    if isinstance(cubes, tuple) and len(cubes) == 3 and not isinstance(cubes[0], CanonicalCube):
-        z, level, dim = cubes
-        z = np.asarray(z, dtype=np.int64)
-        level = np.asarray(level, dtype=np.int64)
-    else:
-        cubes = list(cubes)
-        if dim is None:
-            if not cubes:
-                raise InputError("cannot infer dimension from an empty cube set")
-            dim = cubes[0].dimension
-        if cubes:
-            lv = np.array([c.level for c in cubes], dtype=np.int64)
-            coords = [c.coords for c in cubes]
-            z = np.empty(len(cubes), dtype=np.int64)
-            for lev in np.unique(lv):
-                mask = lv == lev
-                sel = np.array([coords[i] for i in np.flatnonzero(mask)], dtype=np.int64)
-                z[mask] = morton_encode(sel, int(lev), dim)
-            level = lv
-        else:
-            z = np.empty(0, dtype=np.int64)
-            level = np.empty(0, dtype=np.int64)
-    z = np.concatenate([z, [np.int64(0)]])
-    level = np.concatenate([level, [np.int64(0)]])
+    z, level, dim = cubes
+    z = np.concatenate([np.asarray(z, dtype=np.int64), [np.int64(0)]])
+    level = np.concatenate([np.asarray(level, dtype=np.int64), [np.int64(0)]])
     z, level = _dedupe_keys(z, level)
     z, level = _lca_closure(z, level, dim)
     return CompressedQuadtree(dim, z, level)

@@ -454,5 +454,13 @@ class Registry:
 
 def build_registry(instance: NormalizedInstance) -> Registry:
     """Build the registry over balls the caller has checked
-    to be pairwise disjoint (`geometry.find_overlap`)."""
+    to be pairwise disjoint (`geometry.find_overlap`).
+
+    The centers must lie in [0, 1)^d, as `normalize` puts them: refine
+    snaps centers to grid cells of the unit cube and would clip any
+    outside it, and answer wrongly.
+    """
+    c = instance.centers
+    if not ((c >= 0.0).all() and (c < 1.0).all()):
+        raise InputError("instance centers must lie in [0, 1)^d; normalize the balls first")
     return Registry(instance)

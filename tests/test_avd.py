@@ -249,12 +249,11 @@ def test_audit_cells_clean_on_strict_build():
 
 
 def test_adversarial_window_stays_correct_and_honest():
-    # No split budget (cell_budget=0) keeps the index at the root cell alone;
-    # zeta1 is not read by a practical build.  The index must report
-    # uncertified cells and missed stored-path windows while every answer
-    # stays inside (1 +- eps) through the fallback.
+    # No split budget (cell_budget=0) keeps the index at the root cell alone.
+    # The index must report uncertified cells and missed stored-path windows
+    # while every answer stays inside (1 +- eps) through the fallback.
     reg = make_registry(51, 1, 8, eps=0.5)
-    a = build_avd(reg, 7, 0.5, zeta1=4.0, cell_budget=0)
+    a = build_avd(reg, 7, 0.5, cell_budget=0)
     assert a.stats["uncertified"] > 0
     rep = audit_cells(a, samples=120, seed=7)
     assert rep["ok"], rep["violations"]  # a valid index has zero violations
@@ -364,20 +363,20 @@ def test_stats_inventory():
 
 
 @pytest.mark.parametrize(
-    "seed,dim,n,k,eps,zeta1,budget",
+    "seed,dim,n,k,eps,budget",
     [
-        (74, 1, 64, 16, 0.25, 8.0, 400_000),
-        (75, 2, 100, 25, 0.5, None, 400_000),
-        (75, 2, 100, 25, 0.5, None, 1_000),
-        (76, 3, 60, 56, 0.5, None, 6_000),
+        (74, 1, 64, 16, 0.25, 400_000),
+        (75, 2, 100, 25, 0.5, 400_000),
+        (75, 2, 100, 25, 0.5, 1_000),
+        (76, 3, 60, 56, 0.5, 6_000),
     ],
 )
-def test_block_sweep_matches_cell_by_cell_sweep(monkeypatch, seed, dim, n, k, eps, zeta1, budget):
+def test_block_sweep_matches_cell_by_cell_sweep(monkeypatch, seed, dim, n, k, eps, budget):
     """The block sweep builds the index a cell-by-cell sweep builds: one
     row per selection chunk changes nothing."""
-    a = _build(seed, dim, n, k, eps, zeta1=zeta1, cell_budget=budget)
+    a = _build(seed, dim, n, k, eps, cell_budget=budget)
     monkeypatch.setattr(knn, "_KTH_CHUNK_PAIRS", 1)
-    b = _build(seed, dim, n, k, eps, zeta1=zeta1, cell_budget=budget)
+    b = _build(seed, dim, n, k, eps, cell_budget=budget)
     assert a.stats["splits"] > 0 and a.stats["sweep_layers"] >= 2
     if budget < 400_000:
         # The budget stopped the splitting partway through a layer.

@@ -70,10 +70,12 @@ def test_morton_exhaustive_small():
         assert np.array_equal(z, reference_encode(coords, level, dim))
 
 
-@pytest.mark.parametrize("dim", [4, 5, 6])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 32, 64])
 def test_morton_round_trip_bit_loop_dims(dim):
-    # d >= 4 runs the bit-at-a-time path; take every level up to the deepest,
-    # with coordinates 0, 2^level - 1 and random values in between.
+    # Against the bit-at-a-time reference at every level up to the deepest,
+    # with coordinates 0, 2^level - 1, one axis at its top and random values
+    # in between; d = 32 has one level below the root (M = 1) and d = 64
+    # none (M = 0).
     rng = np.random.default_rng(dim)
     for level in range(max_level_for_dim(dim) + 1):
         top = 1 << level
@@ -89,6 +91,18 @@ def test_morton_round_trip_bit_loop_dims(dim):
         assert np.array_equal(z, reference_encode(coords, level, dim))
         assert np.array_equal(morton_decode(z, level, dim), coords)
         assert z.min() >= 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 32, 64])
+def test_encode_point_matches_encode_points_on_faces_and_corners(dim):
+    # Dyadic faces, the domain's corners from both sides, and points outside
+    # the cube, which both encoders clip to its boundary cells.
+    rng = np.random.default_rng(400 + dim)
+    values = [0.0, 0.5, 0.25, 0.375, math.nextafter(0.5, 0.0), math.nextafter(1.0, 0.0), 1.0, -0.25, 1.5]
+    points = rng.choice(values, size=(60, dim))
+    points = np.concatenate([points, rng.random((20, dim)), np.full((1, dim), math.nextafter(1.0, 0.0))])
+    want = encode_points(points, dim)
+    assert [encode_point(tuple(float(x) for x in p), dim) for p in points] == want.tolist()
 
 
 def test_morton_order_is_hierarchical():
@@ -210,6 +224,12 @@ def _random_cubes(rng, dim, m, max_level=8):
     return out
 
 
+def _cube_tree(cubes, dim):
+    """build_from_cubes over CanonicalCubes, through their keys."""
+    keys = np.array([cube_to_key(c) for c in cubes], dtype=np.int64).reshape(-1, 2)
+    return build_from_cubes((keys[:, 0], keys[:, 1], dim))
+
+
 def _keys(tree):
     return set(zip(tree.z.tolist(), tree.level.tolist()))
 
@@ -230,7 +250,7 @@ def test_point_location_matches_brute_force(dim):
     # but outside the next starts its search at the deepest, the longest walk.
     chain = min(12, max_level_for_dim(dim))
     cubes += [CanonicalCube(lev, (0,) * dim) for lev in range(1, chain + 1)]
-    tree = build_from_cubes(cubes, dim=dim)
+    tree = _cube_tree(cubes, dim)
     stored = [key_to_cube(int(z), int(l), dim) for z, l in zip(tree.z, tree.level)]
     for c in cubes:
         assert (cube_to_key(c)) in {(int(z), int(l)) for z, l in zip(tree.z, tree.level)}
@@ -255,7 +275,7 @@ def test_point_location_matches_brute_force(dim):
 
 def test_tree_orders_parents_before_children():
     rng = np.random.default_rng(7)
-    tree = build_from_cubes(_random_cubes(rng, 2, 60), dim=2)
+    tree = _cube_tree(_random_cubes(rng, 2, 60), 2)
     cubes = [key_to_cube(int(z), int(l), 2) for z, l in zip(tree.z, tree.level)]
     for i in range(1, tree.size):
         par = int(tree.parent[i])
@@ -274,7 +294,7 @@ def test_lca_closure_makes_sibling_fork_nodes():
     # Two deep cubes whose common ancestor is shallow: the fork must be stored.
     a = CanonicalCube(5, (0,))
     b = CanonicalCube(5, (31,))
-    tree = build_from_cubes([a, b], dim=1)
+    tree = _cube_tree([a, b], 1)
     keys = _keys(tree)
     assert cube_to_key(a) in keys and cube_to_key(b) in keys
     assert (0, 0) in keys  # root is the fork here
@@ -324,7 +344,7 @@ def test_parents_and_children_match_stack_sweep(dim):
     rng = np.random.default_rng(40 + dim)
     most_levels = 0
     for _ in range(12):
-        tree = build_from_cubes(_cubes_sharing_corners(rng, dim, int(rng.integers(1, 60))), dim=dim)
+        tree = _cube_tree(_cubes_sharing_corners(rng, dim, int(rng.integers(1, 60))), dim)
         most_levels = max(most_levels, int(np.unique(tree.z, return_counts=True)[1].max()))
         parent, child_off, child_idx = _stack_sweep(tree)
         assert tree.parent.tolist() == parent
@@ -352,7 +372,7 @@ def test_children_tile_a_cube_iff_all_quadrants_are_children(dim):
                 CanonicalCube(c.level + 1, tuple(2 * x + ((off >> j) & 1) for j, x in enumerate(c.coords)))
                 for off in range(1 << dim)
             ]
-        tree = build_from_cubes(cubes, dim=dim)
+        tree = _cube_tree(cubes, dim)
         kids = tree.parent[1:]
         deeper = tree.level[1:] == tree.level[kids] + 1
         tiled = np.bincount(kids[deeper], minlength=tree.size) == 1 << dim
@@ -379,8 +399,8 @@ def test_tree_without_its_lcas_is_refused():
 def test_overlay_back_pointers_match_top_down_sweep(dim):
     rng = np.random.default_rng(60 + dim)
     for _ in range(6):
-        ta = build_from_cubes(_cubes_sharing_corners(rng, dim, 20), dim=dim)
-        tb = build_from_cubes(_cubes_sharing_corners(rng, dim, 20), dim=dim)
+        ta = _cube_tree(_cubes_sharing_corners(rng, dim, 20), dim)
+        tb = _cube_tree(_cubes_sharing_corners(rng, dim, 20), dim)
         # overlay points back into its second tree; both orders cover both.
         for first, src in ((ta, tb), (tb, ta)):
             tree, back = overlay(first, src)
@@ -427,8 +447,8 @@ def test_overlay_contains_both_trees():
     rng = np.random.default_rng(23)
     ca = _random_cubes(rng, 2, 25)
     cb = _random_cubes(rng, 2, 25)
-    ta = build_from_cubes(ca, dim=2)
-    tb = build_from_cubes(cb, dim=2)
+    ta = _cube_tree(ca, 2)
+    tb = _cube_tree(cb, 2)
     za = np.concatenate([ta.z, tb.z])
     la = np.concatenate([ta.level, tb.level])
     overlay = build_from_cubes((za, la, 2))
@@ -445,7 +465,7 @@ def test_overlay_contains_both_trees():
 
 
 def test_point_location_rejects_outside_domain():
-    tree = build_from_cubes([CanonicalCube(1, (0,))], dim=1)
+    tree = _cube_tree([CanonicalCube(1, (0,))], 1)
     with pytest.raises(InputError):
         tree.point_location((1.0,))
     with pytest.raises(InputError):

@@ -28,6 +28,16 @@ def test_build_registry_needs_normalized_instance():
     assert reg.centers_tree.has_points
 
 
+def test_build_registry_refuses_centers_outside_the_cube():
+    # refine snaps centers to grid cells of [0, 1)^d and would clip these.
+    inst = normalize(generate_instance(0, 2, 30), 0.5)
+    for bad in (-0.25, 1.0, 1.5, math.nan):
+        centers = np.array(inst.centers)
+        centers[3, 1] = bad
+        with pytest.raises(InputError, match=r"\[0, 1\)\^d"):
+            build_registry(replace(inst, centers=centers))
+
+
 # -- exact routes agree with the oracle -----------------------------------------
 
 
