@@ -16,6 +16,9 @@ line does the same for the strict cell index of acceptance criterion 6
 (d=1, n=8, k=7, eps=0.5), its clusters included, on 2,000 uniform queries.
 After each cell-index line, an out-of-domain line digests the cell
 index's answers to 500 seeded points in [-1, 2]^d outside the unit cube.
+A grid-cover line per seed digests the grid cells that
+`geometry.enumerate_grid_cells_ball` and `geometry.grid_approx` list for
+seeded balls and boxes at d = 1..5 (grid_cover_line).
 Answer ids and answer distances are digested apart, so that a distance
 that moves in its last bit does not hide ids that stay.  A representative
 is digested on live cells only: an empty cell's row is never read.  Run it
@@ -41,10 +44,10 @@ those that fail the checks of the second dump: the distance in
 [(1 - eps) d_k, (1 + eps) d_k] and the interval around d_k, each up to a
 relative 1e-9.  Out-of-domain answers
 are checked the same way, and every moved one is listed.  Walk answers
-are exact sets, so every call whose answer differs is listed.  The exit
-status is 1 when an in-domain cell-index answer, tree, estimate or
-witness moved, a walk answer differs, or a moved registry, two-stage or
-out-of-domain answer fails.
+and grid covers are exact sets, so every call whose answer differs is
+listed.  The exit status is 1 when an in-domain cell-index answer, tree,
+estimate or witness moved, a walk answer or grid cover differs, or a
+moved registry, two-stage or out-of-domain answer fails.
 """
 
 import argparse
@@ -77,6 +80,18 @@ def registry_arrays(reg) -> list:
 UNIT = 2.0**-7
 
 
+def set_arrays(**answers) -> dict:
+    """Each list of integer answer arrays as one flat concatenation and the
+    offsets of its answers."""
+    import numpy as np
+
+    arrays = {}
+    for name, got in answers.items():
+        arrays[name] = np.concatenate([np.ravel(a) for a in got]).astype(np.int64)
+        arrays[name + "_off"] = np.cumsum([0] + [np.size(a) for a in got]).astype(np.int64)
+    return arrays
+
+
 def walk_digest(reg, seed: int, dump: str | None, label: str) -> str:
     """Digest of the answers of large_balls_intersecting and
     balls_containing_point on 200 seeded points, half in [-0.2, 1.2]^d and
@@ -106,13 +121,66 @@ def walk_digest(reg, seed: int, dump: str | None, label: str) -> str:
             floors = (0.0, float(2.0 * reg.radii[int(rng.integers(reg.n))]), UNIT * int(rng.integers(1, 8)), largest)
             for min_diameter in floors:
                 large.append(reg.large_balls_intersecting(q, radius, min_diameter))
-    arrays = {}
-    for name, answers in (("large", large), ("inside", inside)):
-        arrays[name] = np.concatenate(answers).astype(np.int64)
-        arrays[name + "_off"] = np.cumsum([0] + [a.size for a in answers]).astype(np.int64)
+    arrays = set_arrays(large=large, inside=inside)
     if dump:
         np.savez(os.path.join(dump, label + "-walks.npz"), **arrays)
     return digest(arrays.values())
+
+
+def grid_cover_line(seed: int, dump: str | None) -> str:
+    """Digests of geometry.enumerate_grid_cells_ball and of
+    geometry.grid_approx on seeded shapes at d = 1..5: per dimension, 60
+    balls at levels 0-7 (0-4 at d >= 4), a quarter each of zero radius, of
+    a whole number of cells, tangent to a nearby cell (r^2 equal to the
+    cell's squared gap sum where a float allows it) and uniform up to 2.5
+    cells; grid_approx of the ball (radius capped at 0.3) and of a box
+    with its low corner at the center, some of its widths zero and some
+    one cell.  Each
+    cover is digested as its sorted (level, coords) rows.  With dump,
+    writes the answers to dump/grid-cover-seedS.npz."""
+    import math
+
+    import numpy as np
+
+    from ballann import geometry
+
+    def rows(cells) -> np.ndarray:
+        return np.array(sorted((c.level, *c.coords) for c in cells), dtype=np.int64)
+
+    rng = np.random.default_rng(seed)
+    enum, approx = [], []
+    for d in range(1, 6):
+        for i in range(60):
+            level = int(rng.integers(0, 8 if d < 4 else 5))
+            side = 2.0**-level
+            c = rng.uniform(-0.1, 1.1, size=d)
+            if i % 4 == 0:
+                r = 0.0
+            elif i % 4 == 1:
+                r = side * int(rng.integers(1, 3))
+            elif i % 4 == 2:
+                lo = (np.floor(c / side) + rng.integers(-2, 3, size=d)) * side
+                gap = np.maximum(lo - c, 0.0) + np.maximum(c - (lo + side), 0.0)
+                s = float(np.einsum("ij,ij->i", gap[None], gap[None])[0])
+                r = math.sqrt(s)
+                r = next((t for t in (r, math.nextafter(r, 0.0), math.nextafter(r, 1.0)) if t * t == s), r)
+            else:
+                r = float(rng.uniform(0.0, 2.5)) * side
+            enum.append(geometry.enumerate_grid_cells_ball(c, r, level))
+            delta = float(rng.choice([1.0, 0.5] if d >= 4 else [1.0, 0.5, 0.25]))
+            center = tuple(c.tolist())
+            approx.append(rows(geometry.grid_approx(geometry.Ball(center, min(r, 0.3)), delta)))
+            width = rng.uniform(0.0, 0.3, size=d)
+            width[rng.random(d) < 0.3] = 0.0
+            width[rng.random(d) < 0.3] = side
+            approx.append(rows(geometry.grid_approx((center, tuple((c + width).tolist())), delta)))
+    arrays = set_arrays(enum=enum, approx=approx)
+    if dump:
+        np.savez(os.path.join(dump, f"grid-cover-seed{seed}.npz"), **arrays)
+    return (
+        f"grid-cover seed {seed}: enumerate {digest([arrays['enum'], arrays['enum_off']])}"
+        f" grid_approx {digest([arrays['approx'], arrays['approx_off']])}"
+    )
 
 
 # Relative slack of the --compare checks, as in perfbench/check.py.
@@ -222,7 +290,7 @@ def compare(dir_a: str, dir_b: str) -> int:
     for name in sorted(os.listdir(dir_a)):
         a, b = np.load(os.path.join(dir_a, name)), np.load(os.path.join(dir_b, name))
         label = name[: -len(".npz")]
-        if "large" in a.files:
+        if any(f.endswith("_off") for f in a.files):
             moved += walk_moves(label, a, b)
             continue
         if "truth" in b.files:
@@ -251,12 +319,12 @@ def compare(dir_a: str, dir_b: str) -> int:
 
 
 def walk_moves(label: str, a, b) -> int:
-    """Print every walk call whose answer differs between dumps a and b,
-    and a summary line; return the number of such calls."""
+    """Print every walk or grid-cover call whose answer differs between
+    dumps a and b, and a summary line; return the number of such calls."""
     import numpy as np
 
     moved = 0
-    for name in ("large", "inside"):
+    for name in [f[: -len("_off")] for f in a.files if f.endswith("_off")]:
         off_a, off_b = a[name + "_off"], b[name + "_off"]
         calls = off_a.size - 1
         for i in range(calls):
@@ -265,8 +333,8 @@ def walk_moves(label: str, a, b) -> int:
             if not np.array_equal(got_a, got_b):
                 print(f"{label} {name} call {i}: {got_a.tolist()} -> {got_b.tolist()}")
                 moved += 1
-        print(f"{label} {name}: {calls} calls, {off_a[-1]} ids")
-    print(f"{label}: {moved} walk answers differ")
+        print(f"{label} {name}: {calls} calls, {off_a[-1]} values")
+    print(f"{label}: {moved} answers differ")
     return moved
 
 
@@ -365,6 +433,8 @@ def main(argv=None) -> int:
     index = avd.build_avd(reg, 7, 0.5, "strict")
     print("strict c6:" + cell_line(index, points, args.dump, "strict-c6"), flush=True)
     print("strict c6" + ood_line(index, 0, args.dump, "strict-c6"), flush=True)
+    for seed in args.seeds:
+        print(grid_cover_line(seed, args.dump), flush=True)
     return 0
 
 

@@ -91,6 +91,7 @@ from .knn import KnnAnswer, kth_balls, query
 from .knn import refine  # noqa: F401
 from .quadtree import (
     CompressedQuadtree,
+    _nearest_marked_ancestor,
     build_from_cubes,
     morton_decode,
     morton_encode,
@@ -224,16 +225,15 @@ def _assign_sites(
 
     Each original cube takes the exact nearest lifted site of its center
     under the product norm; closure nodes inherit from their nearest
-    original ancestor (parents precede children in node order).
+    original ancestor, by the overlay's pointer jumping (the root cube is
+    always original).
     """
     nodes = tree.find_keys(z, lev)
     site = np.full(tree.size, -1, dtype=np.int64)
     for lo in range(0, z.size, 65536):
         pts = _cube_centers(z[lo : lo + 65536], lev[lo : lo + 65536], tree.dim)
         site[nodes[lo : lo + 65536]] = _nearest_sites(pts, centers, radii)
-    for v in np.flatnonzero(site < 0):
-        site[v] = site[tree.parent[v]]
-    return site
+    return site[_nearest_marked_ancestor(tree.parent, site >= 0)]
 
 
 def _nearest_sites(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -448,12 +448,12 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
 
     Points outside the unit cube have no cell: `knn.query` answers them as
     it answers the registry's own queries, with its certified interval and
-    the out_of_domain flag.  In-domain queries walk to their cell and try,
-    in order: the stored witness when the query sits close enough to the
-    representative (the near branch, which also covers the paper's
-    small-cell branch; see the module docstring), then, in a cell with an
-    owning cluster (site >= 0, strict indexes only), the cluster's
-    contained ball.  Each branch re-checks its own sufficient condition on
+    the out_of_domain flag, and refuses a point that is not finite.
+    In-domain queries walk to their cell and try, in order: the stored
+    witness when the query sits close enough to the representative (the
+    near branch, which also covers the paper's small-cell branch; see the
+    module docstring), then, in a cell with an owning cluster (site >= 0,
+    strict indexes only), the cluster's contained ball.  Each branch re-checks its own sufficient condition on
     the live query point, so a hit is correct regardless of what held at
     build time; if nothing fires the query falls back to `knn.query`.
     """
@@ -462,8 +462,10 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
         raise InputError(f"query dimension {qt.size} != index dimension {a.registry.dim}")
     eps, k = a.eps, a.k
     if not all(0.0 <= x < 1.0 for x in qt):
+        # Counted once answered: query refuses a point that is not finite.
+        ans = query(a.registry, qt, k, eps)
         a.query_counts["out_of_domain"] += 1
-        return query(a.registry, qt, k, eps)
+        return ans
     v = a.tree.point_location(qt)
     if a.flags[v] & _EMPTY:
         raise InternalInvariantError("point location landed in a tiled cell")

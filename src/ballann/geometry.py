@@ -5,6 +5,11 @@ All index structures in this package operate on instances normalized into
 the unit cube.  Cube identities are exact integers (level plus integer grid
 coordinates) so tree topology never depends on floating-point rounding;
 only distances are computed in floats.
+
+Grid covers (`grid_approx`) list the cells of one shape at a time: the
+cells of its padded bounding box (`grid_index_box`), in C order, that meet
+the shape's closed body.  For a ball that test is `cells_meet_ball`, the
+package's one closed-body cell test, which `knn.refine` applies as well.
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ __all__ = [
     "grid_level_for_diameter",
     "grid_approx",
     "grid_index_box",
+    "cells_meet_ball",
     "enumerate_grid_cells_ball",
-    "enumerate_grid_cells_balls",
     "enumerate_grid_cells_box",
     "product_norm",
     "packing_constant",
@@ -232,13 +237,6 @@ def concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     )
 
 
-# Cells of the per-ball offset blocks enumerate_grid_cells_balls tests at
-# once; bounds its memory.
-_ENUM_CHUNK_ROWS = 1 << 20
-# Relative distance to r^2 within which enumerate_grid_cells_balls re-sums a
-# cell's squared gaps in the per-ball test's order; far above the few ulps
-# by which two orders of the same d additions can differ.
-_ENUM_TIE_REL = 1e-12
 # Candidate pairs find_overlap tests at once; bounds its memory.
 _OVERLAP_CHUNK = 1 << 18
 # Absolute slack of find_overlap's test, oracle.check_disjoint's default tol.
@@ -409,95 +407,51 @@ def grid_index_box(
     return box
 
 
+def cells_meet_ball(coords: np.ndarray, q: np.ndarray, radius: float, level: int) -> np.ndarray:
+    """Whether each level-`level` cell, given by its integer coords (m, d),
+    meets the closed ball(q, radius): the package's one closed-body cell
+    test.  A cell meets the ball when the squared gaps between q and the
+    cell's extent, summed over the axes by one einsum, are at most r^2."""
+    side = 2.0 ** (-level)
+    lo = coords * side
+    gap = np.maximum(lo - q, 0.0) + np.maximum(q - (lo + side), 0.0)
+    return np.einsum("ij,ij->i", gap, gap) <= radius * radius
+
+
+def _box_cells(lo, hi, level: int) -> np.ndarray:
+    """Integer coords (m, d) of the cells of grid_index_box(lo, hi, level),
+    in C order; none when the box misses the grid."""
+    box = grid_index_box(lo, hi, level)
+    if box is None:
+        return np.empty((0, len(lo)), dtype=np.int64)
+    grids = np.meshgrid(*[np.arange(a, b + 1, dtype=np.int64) for a, b in box], indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
 def enumerate_grid_cells_ball(
     center: Sequence[float], radius: float, level: int
 ) -> np.ndarray:
-    """Integer coords (m, d) of level-`level` cells whose closed body meets the ball.
+    """Integer coords (m, d), in C order, of the level-`level` cells whose
+    closed body meets the ball: the cells of its bounding box that
+    cells_meet_ball accepts.
 
     The ball is clipped to [0,1]^d; cells outside the unit cube do not exist.
     """
-    c = np.asarray(center, dtype=np.float64).reshape(1, -1)
-    return enumerate_grid_cells_balls(c, np.array([radius], dtype=np.float64), level)[0]
-
-
-def enumerate_grid_cells_balls(
-    centers: np.ndarray, radii: np.ndarray, level: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(coords (m, d), ball (m,)) of the level-`level` cells whose closed body
-    meets each ball, ball after ball.
-
-    Each ball's candidates are its grid_index_box, computed with the same
-    float operations, in C order.  A cell is kept when its squared distance
-    to the center, the sum over the axes of the squared gap between the
-    center and the cell's extent on that axis, is at most r^2.  That test is
-    separable: each axis's squared gap is computed once per (ball, offset
-    along the axis), and the axes are broadcast-added into one block of the
-    widest box's offsets per ball, with the offsets outside the ball's own
-    box at inf.  A cell whose sum lies within rounding of r^2 is decided
-    again by one einsum over its gaps, the per-ball test's sum, so the
-    answer does not depend on the order of the additions.  The balls go in
-    chunks of at most about _ENUM_CHUNK_ROWS block cells, which bounds the
-    memory.
-    """
-    n, d = centers.shape
-    top = 1 << level
-    rad = radii[:, None]
-    a = np.maximum(np.floor((centers - rad) * top).astype(np.int64) - 1, 0)
-    b = np.minimum(np.floor((centers + rad) * top).astype(np.int64) + 1, top - 1)
-    span = b - a + 1
-    width = max(int(span.max(initial=0)), 0)
-    off = np.arange(width, dtype=np.int64)[:, None]
-    block = width**d
-    step = max(1, _ENUM_CHUNK_ROWS // max(block, 1))
-    side = 2.0 ** (-level)
-    parts = [(np.empty((0, d), dtype=np.int64), np.empty(0, dtype=np.int64))]
-    for lo in range(0, n, step):
-        m = min(step, n - lo)
-        ab, r = a[lo : lo + m], radii[lo : lo + m]
-        r2 = r * r
-        # Gap per (axis, offset, ball), with the per-ball test's floats; the
-        # ball is the last axis, so every broadcast runs along it.
-        cell = (ab.T[:, None, :] + off) * side
-        c = centers[lo : lo + m].T[:, None, :]
-        gap = np.maximum(cell - c, 0.0) + np.maximum(c - (cell + side), 0.0)
-        sq = gap * gap
-        sq[off >= span[lo : lo + m].T[:, None, :]] = np.inf
-        total = sq[0].reshape((width,) + (1,) * (d - 1) + (m,))
-        for j in range(1, d):
-            total = total + sq[j].reshape((1,) * j + (width,) + (1,) * (d - 1 - j) + (m,))
-        keep = total <= r2 * (1.0 + _ENUM_TIE_REL)
-        # Kept cells ball after ball, the offsets in C order within a ball.
-        kept = np.flatnonzero(keep.transpose((d,) + tuple(range(d))))
-        ball, rest = np.divmod(kept, block)
-        near = total.reshape(-1)[rest * m + ball] >= r2[ball] * (1.0 - _ENUM_TIE_REL)
-        cols = np.stack(np.unravel_index(rest, (width,) * d), axis=1)
-        if near.any():
-            edge = np.flatnonzero(near)
-            g = gap[np.arange(d), cols[edge], ball[edge, None]]
-            drop = edge[np.einsum("ij,ij->i", g, g) > r2[ball[edge]]]
-            ball, cols = np.delete(ball, drop), np.delete(cols, drop, axis=0)
-        parts.append((np.take(ab, ball, axis=0) + cols, ball + lo))
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    c = np.asarray(center, dtype=np.float64)
+    coords = _box_cells(c - radius, c + radius, level)
+    return coords[cells_meet_ball(coords, c, radius, level)]
 
 
 def enumerate_grid_cells_box(
     lo: Sequence[float], hi: Sequence[float], level: int
 ) -> np.ndarray:
-    """Integer coords (m, d) of level-`level` cells meeting the closed box [lo, hi]."""
-    d = len(lo)
-    box = grid_index_box(lo, hi, level)
-    if box is None:
-        return np.empty((0, d), dtype=np.int64)
+    """Integer coords (m, d), in C order, of the level-`level` cells meeting
+    the closed box [lo, hi]: on every axis, the cell's extent meets the
+    box's."""
+    coords = _box_cells(lo, hi, level)
     side = 2.0 ** (-level)
-    ranges = []
-    for (a, b), l, h in zip(box, lo, hi):
-        cells = np.arange(a, b + 1, dtype=np.int64)
-        cells = cells[(cells * side <= h) & ((cells + 1) * side >= l)]
-        if cells.size == 0:
-            return np.empty((0, d), dtype=np.int64)
-        ranges.append(cells)
-    grids = np.meshgrid(*ranges, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    return coords[((coords * side <= hi) & ((coords + 1) * side >= lo)).all(axis=1)]
 
 
 def _extent_of(X) -> tuple[Sequence[float], float, str]:

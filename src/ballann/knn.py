@@ -47,7 +47,8 @@ side*sqrt(d) of q.  With no other center that close there is no small
 candidate: the candidates are the large balls, each of weight 1, and the
 answer is their k-th (distance, id) pair, found by partition.  Otherwise
 the centers that pass the prefilter are snapped to the grid once, and
-those cell coords feed both the exact closed cell test (`_cells_meet`)
+those cell coords feed both the exact closed cell test
+(`geometry.cells_meet_ball`, the one `enumerate_grid_cells_ball` applies)
 and the selection.  The selection takes the k-th smallest estimate with
 each small center counted once at its cell's, by partition; only the
 candidates at exactly that estimate are grouped by cell and ordered by
@@ -67,6 +68,7 @@ from .geometry import (
     InternalInvariantError,
     ball_distance,
     ball_distances,
+    cells_meet_ball,
     center_distances,
     grid_coords,
     grid_level_for_diameter,
@@ -106,6 +108,18 @@ class KnnAnswer:
 def _check_qk(reg: Registry, k: int) -> None:
     if not 1 <= int(k) <= reg.n:
         raise InputError(f"k must lie in [1, {reg.n}], got {k}")
+
+
+def _check_point(reg: Registry, q) -> list[float]:
+    """q as a list of dim floats, or InputError when it has another length
+    or a coordinate that is not a finite number."""
+    try:
+        qt = [float(v) for v in q]
+    except (TypeError, ValueError):
+        qt = []
+    if len(qt) != reg.dim or not all(map(math.isfinite, qt)):
+        raise InputError(f"expected a point of {reg.dim} finite coordinates, got {q!r}")
+    return qt
 
 
 def constant_factor_detail(reg: Registry, q, k: int) -> tuple[float, str, int]:
@@ -199,9 +213,7 @@ def refine(reg: Registry, q, k: int, x: float, eps: float) -> KnnAnswer:
     if not 0.0 < eps < 1.0:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     k = int(k)
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (reg.dim,):
-        raise InputError(f"expected a point of dimension {reg.dim}, got shape {q.shape}")
+    q = np.array(_check_point(reg, q))
     x = float(x)
     if not x >= 0.0:
         raise InputError(f"estimate must be nonnegative, got {x}")
@@ -236,7 +248,7 @@ def refine(reg: Registry, q, k: int, x: float, eps: float) -> KnnAnswer:
         # One grid snap of the near centers feeds the cell test and the selection.
         near_ids = np.flatnonzero(near)
         cells = grid_coords(reg.centers[near_ids], level)
-        meet = _cells_meet(cells, q, r_snap, level)
+        meet = cells_meet_ball(cells, q, r_snap, level)
         wid = _select_with_cells(q, k, level, ids, dist[ids], near_ids[meet], cells[meet])
     else:
         # Only large candidates, each of weight 1: the k-th (distance, id).
@@ -248,16 +260,6 @@ def refine(reg: Registry, q, k: int, x: float, eps: float) -> KnnAnswer:
         wid = int(wids[0])
     w = float(dist[wid])
     return KnnAnswer(wid, w, (w / (1.0 + eps), w / (1.0 - eps)))
-
-
-def _cells_meet(coords: np.ndarray, q: np.ndarray, radius: float, level: int) -> np.ndarray:
-    """Whether each level-`level` cell, given by its integer coords
-    (grid_coords of a point in it), meets the closed ball(q, radius), by
-    the closed-body test of enumerate_grid_cells_ball."""
-    side = 2.0 ** (-level)
-    lo = coords * side
-    gap = np.maximum(lo - q, 0.0) + np.maximum(q - (lo + side), 0.0)
-    return np.einsum("ij,ij->i", gap, gap) <= radius * radius
 
 
 def _select_with_cells(
@@ -313,6 +315,7 @@ def two_stage_query(reg: Registry, q, k: int, eps: float) -> KnnAnswer:
     estimate, then refine.  The answer is not flagged out_of_domain."""
     if not 0.0 < eps < 1.0:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
+    q = _check_point(reg, q)
     x, step, wid = constant_factor_detail(reg, q, k)
     if step == "zero":
         return KnnAnswer(wid, 0.0, (0.0, 0.0))
@@ -326,17 +329,17 @@ def query(reg: Registry, q, k: int, eps: float) -> KnnAnswer:
 
     The guarantee is position-free: the distance bounds never assume q lies
     inside the unit cube, so arbitrary query points are certified too; the
-    answer to a point outside [0,1)^d is flagged out_of_domain.
+    answer to a point outside [0,1)^d is flagged out_of_domain.  A point
+    needs dim finite coordinates, here as in two_stage_query and refine,
+    else InputError.
     """
     if not 0.0 < eps < 1.0:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     _check_qk(reg, k)
-    qt = [float(v) for v in q]
-    if len(qt) != reg.dim:
-        raise InputError(f"query dimension {len(qt)} != registry dimension {reg.dim}")
+    qt = _check_point(reg, q)
     wid = reg.certified_kth_ball(qt, int(k), eps)
     if wid < 0:
-        ans = two_stage_query(reg, q, k, eps)
+        ans = two_stage_query(reg, qt, k, eps)
         wid, w, interval = ans.ball_id, ans.distance, ans.certified_interval
     else:
         w = ball_distance(qt, reg.centers[wid].tolist(), float(reg.radii[wid]))

@@ -429,20 +429,15 @@ class Registry:
     def balls_containing_point(self, q) -> np.ndarray:
         """Ids, ascending, of the balls whose closed body contains q.
 
-        No ball holds a point outside the box that holds every ball, padded
-        far beyond rounding, so such a point gets the empty answer at once.
+        When the root's lower bound on every ball distance (_root_bounds,
+        the exit's root round) is positive, no ball holds q, since that
+        bound never exceeds a ball distance: the answer is empty at once.
         Otherwise _walk at radius 0 and floor 0 takes whole the nodes whose
         balls all hold q, and its candidates are filtered exactly.
         """
         qa = np.asarray(q, dtype=np.float64)
-        # The box of all balls: the root's box of centers grown by the
-        # largest radius, axis by axis in plain floats.
-        r = self._root_rmax
-        for x, lo, hi in zip(qa.tolist(), self._root_lo, self._root_hi):
-            lo, hi = lo - r, hi + r
-            pad = WALK_MARGIN * (1.0 + max(abs(lo), abs(hi)))
-            if x < lo - pad or x > hi + pad:
-                return np.empty(0, dtype=np.int64)
+        if self._root_bounds(qa.tolist())[0] > 0.0:
+            return np.empty(0, dtype=np.int64)
         sure, cand = self._walk(qa, 0.0, 0.0, 0.0)
         cand = cand[ball_distances(qa, self.centers[cand], self.radii[cand]) == 0.0]
         return np.sort(np.concatenate([sure, cand]))

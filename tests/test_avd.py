@@ -193,9 +193,13 @@ def test_avd_out_of_domain_answers_are_knn_query(dim, seed, n, k):
 
 
 def test_avd_dimension_mismatch_rejected():
+    """A point of the wrong dimension, or with a coordinate that is not
+    finite, is the caller's error, and no branch counts it."""
     a = _build(63, 1, 16, 7, 0.5)
-    with pytest.raises(InputError):
-        avd_query(a, (0.5, 0.5))
+    for q in ((0.5, 0.5), (float("nan"),), (float("inf"),), (-float("inf"),)):
+        with pytest.raises(InputError):
+            avd_query(a, q)
+    assert not any(a.query_counts.values())
 
 
 # -- cells and audit --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from ballann.geometry import (
     ball_distance,
     ball_distances,
     enumerate_grid_cells_ball,
-    enumerate_grid_cells_balls,
     floor_log2,
     grid_approx,
     grid_cell,
@@ -234,9 +234,45 @@ def test_grid_approx_zero_diameter_registers_deepest_cell():
     assert cell.contains_point((0.3, 0.7))
 
 
+def _brute_box_cells(lo, hi, delta):
+    """grid_approx of the box [lo, hi] written out: its level, then on each
+    axis every cell of the grid whose extent meets the box's, crossed."""
+    d = len(lo)
+    level, _ = grid_level_for_diameter(math.dist(lo, hi), delta, d)
+    side = 2.0 ** (-level)
+    axes = [[i for i in range(1 << level) if i * side <= h and (i + 1) * side >= l] for l, h in zip(lo, hi)]
+    return {CanonicalCube(level, idx) for idx in itertools.product(*axes)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_grid_approx_boxes_at_edges(d):
+    """grid_approx on boxes with faces on grid lines (multiples of 1/8,
+    lines of every level it picks here), with zero width on some axes, and
+    partly outside the unit cube, against the brute filter over the whole
+    grid; a box of zero width on every axis takes the deepest cell of its
+    point clipped into the cube."""
+    rng = np.random.default_rng(800 + d)
+    delta = 0.5 if d >= 4 else 0.25
+    for case in range(60):
+        lo = rng.uniform(-0.3, 1.0, size=d)
+        width = rng.uniform(0.05, 0.5, size=d)
+        width[rng.random(d) < 0.3] = 0.0
+        if case % 3 == 0:
+            lo, width = np.round(lo * 8.0) / 8.0, np.round(width * 8.0) / 8.0
+        if not width.any():
+            width[0] = 0.125
+        lo, hi = tuple(lo.tolist()), tuple((lo + width).tolist())
+        assert grid_approx((lo, hi), delta) == _brute_box_cells(lo, hi, delta)
+    point = tuple([1.2] + [0.5] * (d - 1))
+    cells = grid_approx((point, point), delta)
+    clipped = (math.nextafter(1.0, 0.0),) + point[1:]
+    assert cells == {grid_cell(max_level_for_dim(d), clipped)}
+
+
 def _cells_meeting_ball_reference(center, radius, level):
-    """Per-ball meshgrid over grid_index_box plus the closed-body test: the
-    reference the batched enumeration must reproduce, row for row."""
+    """Per-ball meshgrid over grid_index_box plus the closed-body test,
+    written out: the reference the enumeration must reproduce, row for
+    row."""
     box = grid_index_box([x - radius for x in center], [x + radius for x in center], level)
     if box is None:
         return np.empty((0, len(center)), dtype=np.int64)
@@ -247,8 +283,14 @@ def _cells_meeting_ball_reference(center, radius, level):
     return coords[np.einsum("ij,ij->i", gap, gap) <= radius * radius]
 
 
+def _assert_same_cells(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_batched_ball_enumeration_matches_per_ball(d):
+    """enumerate_grid_cells_ball, ball by ball, returns the reference's
+    cells, from centers inside and outside the cube and from tuples."""
     rng = np.random.default_rng(90 + d)
     for level in range(0, 9):
         n = int(rng.integers(1, 40))
@@ -257,43 +299,22 @@ def test_batched_ball_enumeration_matches_per_ball(d):
         radii = rng.uniform(0.0, 3.0, size=n) * 2.0 ** (-level)
         radii[rng.random(n) < 0.2] = 0.0
         radii[rng.random(n) < 0.2] = 2.0 ** (-level)
-        coords, ball = enumerate_grid_cells_balls(centers, radii, level)
-        want = [_cells_meeting_ball_reference(c, r, level) for c, r in zip(centers, radii)]
-        assert np.array_equal(coords, np.concatenate(want))
-        assert ball.tolist() == [i for i, w in enumerate(want) for _ in range(len(w))]
-        for c, r, w in zip(centers, radii, want):
-            assert np.array_equal(enumerate_grid_cells_ball(c, float(r), level), w)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-def test_chunked_ball_enumeration_matches_one_shot(monkeypatch, d):
-    """Enumerating the balls a chunk at a time returns the one-shot arrays."""
-    import ballann.geometry as geometry
-
-    rng = np.random.default_rng(190 + d)
-    for level in (0, 2, 4, 6):
-        centers = rng.uniform(-0.2, 1.2, size=(30, d))
-        radii = rng.uniform(0.0, 3.0, size=30) * 2.0 ** (-level)
-        radii[rng.random(30) < 0.2] = 0.0
-        whole = enumerate_grid_cells_balls(centers, radii, level)
-        for rows in (1, 5**d, 3 * 6**d):
-            monkeypatch.setattr(geometry, "_ENUM_CHUNK_ROWS", rows)
-            chunked = enumerate_grid_cells_balls(centers, radii, level)
-            for got, want in zip(chunked, whole):
-                assert got.dtype == want.dtype and np.array_equal(got, want)
-        monkeypatch.undo()
+        for c, r in zip(centers, radii):
+            want = _cells_meeting_ball_reference(c, r, level)
+            _assert_same_cells(enumerate_grid_cells_ball(c, float(r), level), want)
+            _assert_same_cells(enumerate_grid_cells_ball(tuple(c.tolist()), float(r), level), want)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_tangent_cells_follow_the_per_ball_sum(d):
     """Balls whose r^2 equals one cell's squared gap sum as the per-ball
-    test adds it: the batched enumeration keeps that cell, and returns the
-    reference's cells, whatever order it adds the axes in itself."""
+    test adds it: the enumeration keeps that cell, and returns the
+    reference's cells."""
     rng = np.random.default_rng(400 + d)
     level = 6
     side = 2.0 ** (-level)
-    centers, radii = [], []
-    while len(radii) < 60:
+    kept = 0
+    while kept < 60:
         c = rng.uniform(0.3, 0.7, size=d)
         cell = np.floor(c / side).astype(np.int64) + rng.choice([-2, -1, 1, 2], size=d)
         lo = cell * side
@@ -302,14 +323,11 @@ def test_tangent_cells_follow_the_per_ball_sum(d):
         r = math.sqrt(s)
         for cand in (r, math.nextafter(r, 0.0), math.nextafter(r, 1.0)):
             if cand * cand == s:
-                centers.append(c)
-                radii.append(cand)
+                got = enumerate_grid_cells_ball(c, cand, level)
+                _assert_same_cells(got, _cells_meeting_ball_reference(c, cand, level))
+                assert (got == cell).all(axis=1).any()
+                kept += 1
                 break
-    centers, radii = np.array(centers), np.array(radii)
-    coords, ball = enumerate_grid_cells_balls(centers, radii, level)
-    want = [_cells_meeting_ball_reference(c, r, level) for c, r in zip(centers, radii)]
-    assert np.array_equal(coords, np.concatenate(want))
-    assert ball.tolist() == [i for i, w in enumerate(want) for _ in range(len(w))]
 
 
 # -- lifting and packing ---------------------------------------------------------

@@ -11,6 +11,7 @@ from ballann.geometry import (
     InputError,
     ball_distance,
     ball_distances,
+    cells_meet_ball,
     grid_cell,
     grid_coords,
     grid_level_for_diameter,
@@ -136,7 +137,7 @@ def _refine_reference(reg, q, k, x, eps):
     weight = [1] * len(est)
     rest = np.setdiff1d(np.arange(reg.n), large)
     snapped = grid_coords(reg.centers[rest], level)
-    small = rest[knn._cells_meet(snapped, np.asarray(q, dtype=np.float64), r_q + ehat * x, level)]
+    small = rest[cells_meet_ball(snapped, np.asarray(q, dtype=np.float64), r_q + ehat * x, level)]
     cells = {}
     for i in small.tolist():
         cells.setdefault(tuple(grid_coords(reg.centers[i : i + 1], level)[0].tolist()), []).append(i)
@@ -155,9 +156,9 @@ def _refine_reference(reg, q, k, x, eps):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_cells_meet_matches_brute_force(dim):
-    """refine's cell test against brute force: each center's closed
-    level cell (geometry.grid_cell) against the closed ball, from points
-    inside and just outside the cube."""
+    """refine's cell test, geometry.cells_meet_ball, against brute force:
+    each center's closed level cell (geometry.grid_cell) against the closed
+    ball, from points inside and just outside the cube."""
     reg = make_registry(60 + dim, dim, 60, profile="clustered")
     rng = np.random.default_rng(dim)
     hits = 0
@@ -166,7 +167,7 @@ def test_cells_meet_matches_brute_force(dim):
         level = int(rng.integers(1, 10))
         radius = float(10.0 ** rng.uniform(-2.3, -0.3))
         want = [i for i in range(reg.n) if grid_cell(level, reg.centers[i]).min_dist_to_point(q) <= radius]
-        meet = knn._cells_meet(grid_coords(reg.centers, level), q, radius, level)
+        meet = cells_meet_ball(grid_coords(reg.centers, level), q, radius, level)
         assert np.flatnonzero(meet).tolist() == want
         hits += 0 < len(want) < reg.n
     assert hits > 0  # some ball met some cells and missed others
@@ -291,6 +292,9 @@ def test_refine_validation():
         refine(reg, [q], 3, 0.1, 0.5)
     with pytest.raises(InputError):
         refine(reg, (0.3, 0.4, 0.5), 3, 0.1, 0.5)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InputError):
+            refine(reg, (bad, 0.4), 3, 0.1, 0.5)
 
 
 # -- full query ----------------------------------------------------------------------
@@ -374,6 +378,11 @@ def test_query_validation():
         query(reg, (0.5,), 3, 1.0)
     with pytest.raises(InputError):
         query(reg, (0.5, 0.5), 3, 0.5)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InputError):
+            query(reg, (bad,), 3, 0.5)
+        with pytest.raises(InputError):
+            knn.two_stage_query(reg, (bad,), 3, 0.5)
 
 
 def test_answer_type_is_frozen():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -87,6 +88,25 @@ def test_balls_containing_point_matches_brute(dim):
             held += bool(got)
             outside += bool(got) and not np.all((q >= 0.0) & (q < 1.0))
         assert held > 0
+        # The extreme balls' surfaces on each axis, and the corners of the
+        # box of all balls, on the bound and one ulp to either side: where
+        # the empty answer of the root test meets the walk.
+        edge = []
+        for j in range(dim):
+            low, high = reg.centers[:, j] - reg.radii, reg.centers[:, j] + reg.radii
+            for b, sign in ((int(np.argmin(low)), -1.0), (int(np.argmax(high)), 1.0)):
+                q = reg.centers[b].copy()
+                q[j] += sign * reg.radii[b]
+                edge.append(q)
+        edge += [np.array(c) for c in itertools.product(*zip(lo, hi))]
+        edge_held = 0
+        for q in edge:
+            for to in (-np.inf, None, np.inf):
+                p = q if to is None else np.nextafter(q, to)
+                want = np.flatnonzero(ball_distances(p, reg.centers, reg.radii) == 0.0).tolist()
+                assert reg.balls_containing_point(p).tolist() == want
+                edge_held += bool(want)
+        assert edge_held > 0
     assert outside > 0  # some ball was found from a point outside the cube
 
 
