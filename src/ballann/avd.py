@@ -81,6 +81,7 @@ from .geometry import (
     InternalInvariantError,
     ball_distance,
     ball_distances,
+    check_point,
     enumerate_grid_cells_ball,
     grid_level_for_diameter,
     max_level_for_dim,
@@ -446,38 +447,43 @@ def build_avd(
 def avd_query(a: AVDIndex, q) -> KnnAnswer:
     """Answer a fixed-(k, eps) query from per-cell data.
 
-    Points outside the unit cube have no cell: `knn.query` answers them as
-    it answers the registry's own queries, with its certified interval and
-    the out_of_domain flag, and refuses a point that is not finite.
-    In-domain queries walk to their cell and try, in order: the stored
-    witness when the query sits close enough to the representative (the
-    near branch, which also covers the paper's small-cell branch; see the
-    module docstring), then, in a cell with an owning cluster (site >= 0,
-    strict indexes only), the cluster's contained ball.  Each branch re-checks its own sufficient condition on
-    the live query point, so a hit is correct regardless of what held at
-    build time; if nothing fires the query falls back to `knn.query`.
+    q needs dim finite coordinates (`geometry.check_point`), else
+    InputError.  Points outside the unit cube have no cell: `knn.query`
+    answers them as it answers the registry's own queries, with its
+    certified interval and the out_of_domain flag.  In-domain queries walk
+    to their cell and try, in order: the stored witness when the query
+    sits close enough to the representative (the near branch, which also
+    covers the paper's small-cell branch; see the module docstring), then,
+    in a cell with an owning cluster (site >= 0, strict indexes only), the
+    cluster's contained ball.  Each branch re-checks its own sufficient
+    condition on the live query point, so a hit is correct regardless of
+    what held at build time; if nothing fires the query falls back to
+    `knn.query`.
+
+    An in-domain query runs in plain floats except for the one search of
+    point location: it reads its cell's row as Python numbers and measures
+    the offset with `ball_distance`'s loop, which can differ from
+    np.linalg.norm in the last bit; only the strict cluster branch uses
+    numpy.
     """
-    qt = np.asarray(q, dtype=np.float64).reshape(-1)
-    if qt.size != a.registry.dim:
-        raise InputError(f"query dimension {qt.size} != index dimension {a.registry.dim}")
+    qt = check_point(q, a.registry.dim)
     eps, k = a.eps, a.k
-    if not all(0.0 <= x < 1.0 for x in qt):
-        # Counted once answered: query refuses a point that is not finite.
+    if not (min(qt) >= 0.0 and max(qt) < 1.0):  # qt holds no NaN
         ans = query(a.registry, qt, k, eps)
         a.query_counts["out_of_domain"] += 1
         return ans
     v = a.tree.point_location(qt)
-    if a.flags[v] & _EMPTY:
+    if a.flags.item(v) & _EMPTY:
         raise InternalInvariantError("point location landed in a tiled cell")
-    offset = float(np.linalg.norm(qt - a.rep[v]))
-    lower = float(a.kdist[v]) / (1.0 + eps / 4.0) - offset
+    offset = ball_distance(qt, a.rep[v].tolist(), 0.0)
+    lower = a.kdist.item(v) / (1.0 + eps / 4.0) - offset
     chosen = -1
     if lower > 0.0 and offset <= (_NEAR * eps) * lower:
-        chosen = int(a.kdist_witness[v])
+        chosen = a.kdist_witness.item(v)
         a.query_counts["near"] += 1
-    elif lower > 0.0 and a.site[v] >= 0:
-        cl = a.clusters[int(a.site[v])]
-        lam1 = float(np.linalg.norm(qt - np.asarray(cl.center))) + cl.radius
+    elif lower > 0.0 and a.site.item(v) >= 0:
+        cl = a.clusters[a.site.item(v)]
+        lam1 = float(np.linalg.norm(np.array(qt) - np.asarray(cl.center))) + cl.radius
         if 2.0 * cl.radius <= eps * lower and lam1 <= (1.0 + eps) * lower:
             chosen = int(cl.witness)
             a.query_counts["cluster"] += 1
@@ -485,7 +491,7 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
         a.query_counts["fallback"] += 1
         return query(a.registry, qt, k, eps)
     reg = a.registry
-    dist = ball_distance(qt.tolist(), reg.centers[chosen].tolist(), float(reg.radii[chosen]))
+    dist = ball_distance(qt, reg.centers[chosen].tolist(), reg.radii.item(chosen))
     return KnnAnswer(chosen, dist, (dist / (1.0 + eps), dist / (1.0 - eps)))
 
 

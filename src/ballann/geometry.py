@@ -29,6 +29,7 @@ __all__ = [
     "CanonicalCube",
     "max_level_for_dim",
     "concat_ranges",
+    "check_point",
     "ball_distance",
     "ball_distances",
     "center_distances",
@@ -214,6 +215,19 @@ def ball_distances(q, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
     center_distances."""
     dist = center_distances(q, centers)
     return np.maximum(np.subtract(dist, radii, out=dist), 0.0, out=dist)
+
+
+def check_point(q, dim: int) -> list[float]:
+    """q as a list of dim floats, or InputError when it has another length
+    or a coordinate that is not a finite number: the package's one check
+    of a query point."""
+    try:
+        qt = [float(v) for v in q]
+    except (TypeError, ValueError):
+        qt = []
+    if len(qt) != dim or not all(map(math.isfinite, qt)):
+        raise InputError(f"expected a point of {dim} finite coordinates, got {q!r}")
+    return qt
 
 
 def ball_distance(q: Sequence[float], center: Sequence[float], radius: float) -> float:

@@ -70,6 +70,7 @@ from .geometry import (
     ball_distances,
     cells_meet_ball,
     center_distances,
+    check_point,
     grid_coords,
     grid_level_for_diameter,
 )
@@ -110,18 +111,6 @@ def _check_qk(reg: Registry, k: int) -> None:
         raise InputError(f"k must lie in [1, {reg.n}], got {k}")
 
 
-def _check_point(reg: Registry, q) -> list[float]:
-    """q as a list of dim floats, or InputError when it has another length
-    or a coordinate that is not a finite number."""
-    try:
-        qt = [float(v) for v in q]
-    except (TypeError, ValueError):
-        qt = []
-    if len(qt) != reg.dim or not all(map(math.isfinite, qt)):
-        raise InputError(f"expected a point of {reg.dim} finite coordinates, got {q!r}")
-    return qt
-
-
 def constant_factor_detail(reg: Registry, q, k: int) -> tuple[float, str, int]:
     """(x, step, witness) with x/4 <= d_B(q,k) <= 4x; witness >= 0 only at x=0.
 
@@ -132,7 +121,7 @@ def constant_factor_detail(reg: Registry, q, k: int) -> tuple[float, str, int]:
     """
     _check_qk(reg, k)
     k = int(k)
-    qt = tuple(float(v) for v in q)
+    qt = check_point(q, reg.dim)
     inside = reg.balls_containing_point(qt)
     if inside.size >= k:
         return 0.0, "zero", int(inside.min())
@@ -213,7 +202,7 @@ def refine(reg: Registry, q, k: int, x: float, eps: float) -> KnnAnswer:
     if not 0.0 < eps < 1.0:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     k = int(k)
-    q = np.array(_check_point(reg, q))
+    q = np.array(check_point(q, reg.dim))
     x = float(x)
     if not x >= 0.0:
         raise InputError(f"estimate must be nonnegative, got {x}")
@@ -315,7 +304,7 @@ def two_stage_query(reg: Registry, q, k: int, eps: float) -> KnnAnswer:
     estimate, then refine.  The answer is not flagged out_of_domain."""
     if not 0.0 < eps < 1.0:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
-    q = _check_point(reg, q)
+    q = check_point(q, reg.dim)
     x, step, wid = constant_factor_detail(reg, q, k)
     if step == "zero":
         return KnnAnswer(wid, 0.0, (0.0, 0.0))
@@ -336,7 +325,7 @@ def query(reg: Registry, q, k: int, eps: float) -> KnnAnswer:
     if not 0.0 < eps < 1.0:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     _check_qk(reg, k)
-    qt = _check_point(reg, q)
+    qt = check_point(q, reg.dim)
     wid = reg.certified_kth_ball(qt, int(k), eps)
     if wid < 0:
         ans = two_stage_query(reg, qt, k, eps)

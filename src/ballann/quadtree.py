@@ -9,15 +9,20 @@ before it, and the deepest stored cube holding a key is found by one
 `searchsorted` and a short walk up the parent links.  All keys fit in a
 signed 64-bit integer because d * M <= 63.
 
-One rule builds the keys in every dimension: a coordinate's M bits spread
-to every d-th bit in one shift-or-mask round per power of two below M,
-each moving blocks of that many bits, and compact back by the same rounds
-in reverse; _morton_rounds derives them from d.  Trees take their cubes
-as key arrays; cube_to_key and key_to_cube convert single CanonicalCubes.
+One rule builds the keys in every dimension: a coordinate's bits spread
+to every d-th bit in one shift-or-mask round per power of two below their
+count, each moving blocks of that many bits, and compact back by the same
+rounds in reverse; _morton_rounds derives them from d and the bit count.
+A point's key at a coarser level (`encode_point`) spreads only that
+level's bits, so a tree locates a point by its key at the tree's deepest
+stored level, which orders it among the stored cubes as its full-depth key
+does (`CompressedQuadtree.point_location`).  Trees take their cubes as key
+arrays; cube_to_key and key_to_cube convert single CanonicalCubes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -44,67 +49,78 @@ __all__ = [
 _I64_MAX = np.iinfo(np.int64).max
 
 
-def _morton_rounds(dim: int) -> tuple[list, int, list]:
+@functools.cache
+def _morton_rounds(dim: int, bits: int) -> tuple[tuple, int, tuple]:
     """(spread, low, compact): the (shift, mask) rounds that move bit j of a
-    coordinate to bit j*dim, and back.
+    coordinate to bit j*dim, and back, for the bits j < `bits`.
 
     Bits move in blocks: after the round of block size b, bit j sits at
     (j // b)*b*dim + j % b, so the round moves the odd blocks of size b up
-    by b*(dim - 1), and its mask keeps those positions for j < M.  The
-    spread runs b over the powers of two below M, largest first; the
-    compact keeps the bits at j*dim (`low`) and runs the same rounds in
-    reverse, shifting down into the masks of block size 2b.  At d = 1 no
-    round moves a bit, and there are none.
+    by b*(dim - 1), and its mask keeps those positions for j < bits.  The
+    spread runs b over the powers of two below `bits`, largest first; before
+    its first round every bit already sits where a block as wide as all the
+    bits puts it, so fewer bits need fewer rounds.  The compact keeps the
+    bits at j*dim (`low`) and runs the same rounds in reverse, shifting down
+    into the masks of block size 2b.  At d = 1, or with one bit, no round
+    moves a bit, and there are none.  Cached per (dim, bits): encode_point
+    spreads the bits of one level, morton_encode and morton_decode all M.
     """
-    M = max_level_for_dim(dim)
 
     def mask(b: int) -> int:
-        return sum(1 << (j // b) * b * dim + j % b for j in range(M))
+        return sum(1 << (j // b) * b * dim + j % b for j in range(bits))
 
-    blocks = [1 << i for i in range(M.bit_length()) if 1 << i < M and dim > 1]
-    spread = [(b * (dim - 1), mask(b)) for b in reversed(blocks)]
-    compact = [(b * (dim - 1), mask(2 * b)) for b in blocks]
+    blocks = [1 << i for i in range(bits.bit_length()) if 1 << i < bits and dim > 1]
+    spread = tuple((b * (dim - 1), mask(b)) for b in reversed(blocks))
+    compact = tuple((b * (dim - 1), mask(2 * b)) for b in blocks)
     return spread, mask(1), compact
 
 
-class _RoundsByDim(dict):
-    """_morton_rounds per dimension, filled on first use."""
-
-    def __missing__(self, dim: int) -> tuple[list, int, list]:
-        rounds = self[dim] = _morton_rounds(dim)
-        return rounds
-
-
-_ROUNDS = _RoundsByDim()
-
-
-def _spread_bits(x, dim: int):
-    """Bit j of x moves to bit j*dim, for j < M; x is an int64 array or a
+def _spread_bits(x, spread: tuple):
+    """Bit j of x moves to bit j*dim, by the `spread` rounds of
+    _morton_rounds(dim, bits), for the j < bits; x is an int64 array or a
     Python int.  No mask reaches bit 63, so int64 is safe."""
-    for shift, mask in _ROUNDS[dim][0]:
+    for shift, mask in spread:
         x = (x | (x << shift)) & mask
     return x
 
 
 def _compact_bits(x, dim: int):
-    """Inverse of _spread_bits: bit j*dim of x moves back to bit j; the
-    other bits drop."""
-    _, low, compact = _ROUNDS[dim]
+    """Inverse of _spread_bits over all M bits: bit j*dim of x moves back
+    to bit j; the other bits drop."""
+    _, low, compact = _morton_rounds(dim, max_level_for_dim(dim))
     x = x & low
     for shift, mask in compact:
         x = (x | (x >> shift)) & mask
     return x
 
 
-def encode_point(p: Sequence[float], dim: int) -> int:
-    """encode_points for one point, as a Python int: the same floor and clip,
-    with no numpy call."""
-    top = 1 << max_level_for_dim(dim)
+def encode_point(p: Sequence[float], dim: int, level: int | None = None) -> int:
+    """Full-depth key of the level-`level` cube holding p (level M when not
+    given), as a Python int: encode_points' floor and clip at that level,
+    with no numpy call.
+
+    It equals p's level-M key with its low dim*(M - level) bits cleared:
+    for x in [0, 1), x * 2^M is exact, so floor(x * 2^level) is the top
+    `level` bits of floor(x * 2^M), and a point outside the cube clips to
+    the same boundary cell at either level.  Only the level's bits are
+    spread, with only the rounds they need.
+    """
+    M = max_level_for_dim(dim)
+    if level is None:
+        level = M
+    top = 1 << level
+    spread = _morton_rounds(dim, level)[0]
     code = 0
-    for j, x in enumerate(p):
-        c = min(max(math.floor(x * top), 0), top - 1)
-        code |= _spread_bits(c, dim) << (dim - 1 - j)
-    return code
+    for x in p:
+        c = math.floor(x * top)
+        if c < 0:
+            c = 0
+        elif c >= top:
+            c = top - 1
+        for shift, mask in spread:  # _spread_bits inlined: a call costs as much as the rounds
+            c = (c | (c << shift)) & mask
+        code = code << 1 | c
+    return code << dim * (M - level)
 
 
 def morton_encode(coords: np.ndarray, level: int, dim: int) -> np.ndarray:
@@ -114,8 +130,9 @@ def morton_encode(coords: np.ndarray, level: int, dim: int) -> np.ndarray:
         raise InputError(f"level {level} exceeds maximum {M} for dimension {dim}")
     c = np.asarray(coords, dtype=np.int64).reshape(-1, dim)
     z = np.zeros(c.shape[0], dtype=np.int64)
+    spread = _morton_rounds(dim, M)[0]
     for j in range(dim):
-        z |= _spread_bits(c[:, j], dim) << np.int64(dim - 1 - j)
+        z |= _spread_bits(c[:, j], spread) << np.int64(dim - 1 - j)
     return z << np.int64(dim * (M - level))
 
 
@@ -211,6 +228,7 @@ class CompressedQuadtree:
         self.shift = (self.max_level - self.level) * dim  # low bits owned per node
         self.z_hi = range_hi_inclusive(self.z, self.shift)
         self.parent = np.full(self.size, -1, dtype=np.int64)
+        self.deepest_level = int(self.level.max(initial=0))  # L, where point_location encodes
         # Point attachment (present when built over points).
         self.has_points = False
         self.point_codes = np.empty(0, dtype=np.int64)
@@ -301,15 +319,22 @@ class CompressedQuadtree:
     def point_location(self, p: Sequence[float]) -> int:
         """Node index of the smallest stored cube containing p; p in [0,1)^d.
 
-        The last node whose key is at most p's full-depth key lies inside
-        that cube (or is it), so the walk up its parent links from there
-        stops at the answer; the root always matches.
+        The last node whose key is at most p's key lies inside that cube
+        (or is it), so the walk up its parent links from there stops at the
+        answer; the root always matches.  p's key is taken at the tree's
+        deepest stored level L (encode_point), p's full-depth key with its
+        low d*(M - L) bits cleared, and both tests decide as they would on
+        the full-depth key: every stored key z is a multiple of
+        2^(d*(M - L)), and every z_hi one less than such a multiple, so z <=
+        code and z_hi < code hold for the cleared key exactly when they
+        hold for the full one.
         """
         if len(p) != self.dim:
             raise InputError(f"point dimension {len(p)} != tree dimension {self.dim}")
-        if any(not (0.0 <= x < 1.0) for x in p):
-            raise InputError(f"point {tuple(p)} outside [0,1)^d")
-        code = encode_point(p, self.dim)
+        for x in p:
+            if not 0.0 <= x < 1.0:
+                raise InputError(f"point {tuple(p)} outside [0,1)^d")
+        code = encode_point(p, self.dim, self.deepest_level)
         j = int(self.z.searchsorted(code, side="right")) - 1
         z_hi, parent = self.z_hi, self.parent
         while z_hi[j] < code:

@@ -46,7 +46,9 @@ that is left once its frontier holds few items, as the k-th center
 frontier finishes with an exact selection.
 
 Everything here works in normalized coordinates; the structure is immutable
-once built and all queries are pure.
+once built and all queries are pure.  Each query primitive takes q through
+`geometry.check_point`, so a point of another dimension or with a
+coordinate that is not finite raises InputError.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from .geometry import (
     NormalizedInstance,
     ball_distances,
     center_distances,
+    check_point,
     concat_ranges,
 )
 from .quadtree import build_from_points, encode_point
@@ -258,9 +261,9 @@ class Registry:
         once.  Otherwise _walk takes whole the nodes inside the query ball,
         and its candidates are filtered exactly.
         """
+        qa = np.array(check_point(q, self.dim))
         if 2.0 * self._root_rmax < min_diameter:
             return np.empty(0, dtype=np.int64)
-        qa = np.asarray(q, dtype=np.float64)
         sure, cand = self._walk(qa, radius, min_diameter, radius)
         cand = cand[2.0 * self.radii[cand] >= min_diameter]
         cand = cand[ball_distances(qa, self.centers[cand], self.radii[cand]) <= radius]
@@ -280,13 +283,13 @@ class Registry:
         coincident centers, q on a center).  The frontier is parallel
         arrays, and each round splits all its chosen nodes at once.
         """
+        qa = np.array(check_point(q, self.dim))
         ks = sorted({int(k) for k in ks})
         if ks[0] < 1:
             raise InputError(f"k must be positive, got {ks[0]}")
         if ks[-1] > self.n:
             raise InputError(f"k={ks[-1]} exceeds the number of balls {self.n}")
         t = self.centers_tree
-        qa = np.asarray(q, dtype=np.float64)
         nodes = np.zeros(1, dtype=np.int64)
         lo, hi = _box_dists(self._node_lo[nodes], self._node_hi[nodes], qa)
         cnt = t.span_hi[nodes] - t.span_lo[nodes]
@@ -370,9 +373,7 @@ class Registry:
         """
         if not 1 <= k <= self.n:
             raise InputError(f"k must lie in [1, {self.n}], got {k}")
-        qt = [float(v) for v in q]
-        if len(qt) != self.dim:
-            raise InputError(f"query dimension {len(qt)} != registry dimension {self.dim}")
+        qt = check_point(q, self.dim)
         low, high = self._root_bounds(qt)
         if high == 0.0:
             return -1
@@ -414,13 +415,14 @@ class Registry:
         dropped, so N(x) <= N; a ball taken whole lies within (1 + delta)
         x and a counted candidate within x, so N <= N((1 + delta) x).
         """
+        qt = check_point(q, self.dim)
         if not (0.0 < delta <= 1.0):
             raise InputError(f"delta must lie in (0, 1], got {delta}")
         if x < 0.0:
             raise InputError(f"radius must be nonnegative, got {x}")
         if x == 0.0:
-            return int(self.balls_containing_point(q).size)
-        qa = np.asarray(q, dtype=np.float64)
+            return int(self.balls_containing_point(qt).size)
+        qa = np.array(qt)
         sure, cand = self._walk(qa, x, 0.0, (1.0 + delta) * x)
         return sure.size + int(np.count_nonzero(ball_distances(qa, self.centers[cand], self.radii[cand]) <= x))
 
@@ -435,9 +437,10 @@ class Registry:
         Otherwise _walk at radius 0 and floor 0 takes whole the nodes whose
         balls all hold q, and its candidates are filtered exactly.
         """
-        qa = np.asarray(q, dtype=np.float64)
-        if self._root_bounds(qa.tolist())[0] > 0.0:
+        qt = check_point(q, self.dim)
+        if self._root_bounds(qt)[0] > 0.0:
             return np.empty(0, dtype=np.int64)
+        qa = np.array(qt)
         sure, cand = self._walk(qa, 0.0, 0.0, 0.0)
         cand = cand[ball_distances(qa, self.centers[cand], self.radii[cand]) == 0.0]
         return np.sort(np.concatenate([sure, cand]))

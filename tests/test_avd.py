@@ -192,6 +192,30 @@ def test_avd_out_of_domain_answers_are_knn_query(dim, seed, n, k):
     assert a.query_counts == {**before, "out_of_domain": before["out_of_domain"] + len(points)}
 
 
+@pytest.mark.parametrize(
+    "seed,dim,n,k,mode,budget",
+    [(54, 2, 100, 25, "practical", 400_000), (54, 2, 100, 25, "practical", 20), (69, 1, 8, 7, "strict", 400_000)],
+    ids=["practical", "practical_fallback", "strict"],
+)
+def test_avd_query_input_forms_agree(seed, dim, n, k, mode, budget):
+    """One point as a tuple, a list, a 1-d float64 array or float32
+    coordinates gets one answer: on the near branch, on the fallback of a
+    build cut short by its cell budget, and outside the cube."""
+    a = _build(seed, dim, n, k, 0.5, mode=mode, cell_budget=budget)
+    rng = np.random.default_rng(5)
+    points32 = np.concatenate([rng.random((40, dim)), rng.uniform(-0.5, 1.5, size=(10, dim))]).astype(np.float32)
+    for p32 in points32:
+        p = [float(x) for x in p32]
+        want = avd_query(a, tuple(p))
+        assert avd_query(a, p) == want
+        assert avd_query(a, np.array(p)) == want
+        assert avd_query(a, p32) == want
+        assert avd_query(a, tuple(p32)) == want
+    assert sum(a.query_counts.values()) == 5 * len(points32)
+    assert a.query_counts["near"] > 0 and a.query_counts["out_of_domain"] > 0
+    assert (a.query_counts["fallback"] > 0) == (budget == 20)
+
+
 def test_avd_dimension_mismatch_rejected():
     """A point of the wrong dimension, or with a coordinate that is not
     finite, is the caller's error, and no branch counts it."""

@@ -12,6 +12,7 @@ from ballann.geometry import (
     InputError,
     ball_distance,
     ball_distances,
+    check_point,
     enumerate_grid_cells_ball,
     floor_log2,
     grid_approx,
@@ -47,6 +48,30 @@ def test_ball_distance_hand_values():
 def test_ball_distance_dimension_mismatch():
     with pytest.raises(InputError):
         ball_distance((0.0,), (0.0, 0.0), 1.0)
+
+
+def test_check_point_accepts_every_form_of_one_point():
+    want = [0.25, 0.5, 1.5]
+    for q in (tuple(want), want, np.array(want), np.array(want, dtype=np.float32), (0.25, 0.5, np.float64(1.5))):
+        got = check_point(q, 3)
+        assert got == want and all(type(x) is float for x in got)
+    assert check_point((0, 1), 2) == [0.0, 1.0]
+
+
+def test_check_point_refuses_bad_points():
+    for q in (
+        (math.nan, 0.5),
+        (0.5, math.inf),
+        (-math.inf, 0.5),
+        (0.5,),
+        (0.5, 0.5, 0.5),
+        np.zeros((1, 2)),
+        ("a", 0.5),
+        0.5,
+        None,
+    ):
+        with pytest.raises(InputError, match="2 finite coordinates"):
+            check_point(q, 2)
 
 
 @given(st.integers(1, 5), st.data())

@@ -378,11 +378,15 @@ def test_query_validation():
         query(reg, (0.5,), 3, 1.0)
     with pytest.raises(InputError):
         query(reg, (0.5, 0.5), 3, 0.5)
+    with pytest.raises(InputError):
+        constant_factor_detail(reg, (0.5, 0.5), 3)
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(InputError):
             query(reg, (bad,), 3, 0.5)
         with pytest.raises(InputError):
             knn.two_stage_query(reg, (bad,), 3, 0.5)
+        with pytest.raises(InputError):
+            constant_factor_detail(reg, (bad,), 3)
 
 
 def test_answer_type_is_frozen():

@@ -273,6 +273,69 @@ def test_point_location_matches_brute_force(dim):
         assert encode_point(p, dim) == int(encode_points(np.array([p]), dim)[0])
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_encode_point_at_a_level_clears_the_low_bits(dim):
+    """encode_point at each level is the full-depth key with its low
+    dim*(M - level) bits cleared, and that key decodes at the level to the
+    clipped floor of p * 2^level: on dyadic faces from both sides, the
+    cube's far corner, points outside the cube and random points."""
+    M = max_level_for_dim(dim)
+    rng = np.random.default_rng(600 + dim)
+    values = [0.0, math.nextafter(1.0, 0.0), 1.0, -0.25, -1e-300, 1.5, 7.0]
+    for lev in (1, 2, 3, M // 2, M - 1, M):
+        for j in rng.integers(0, 1 << lev, size=3).tolist():
+            face = j * 2.0**-lev
+            values += [face, math.nextafter(face, 0.0), math.nextafter(face, 1.0)]
+    points = [tuple(float(x) for x in p) for p in rng.choice(values, size=(60, dim))]
+    points += [tuple(rng.random(dim).tolist()) for _ in range(20)]
+    points.append((math.nextafter(1.0, 0.0),) * dim)
+    for p in points:
+        full = encode_point(p, dim)
+        assert full == int(encode_points(np.array([p]), dim)[0])
+        for level in range(M + 1):
+            got = encode_point(p, dim, level)
+            assert got == full & ~((1 << dim * (M - level)) - 1), (p, level)
+            top = 1 << level
+            want = [min(max(math.floor(x * top), 0), top - 1) for x in p]
+            assert morton_decode(np.array([got]), level, dim)[0].tolist() == want
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("depth", ["root", "one", "mid", "max"])
+def test_point_location_at_every_tree_depth(dim, depth):
+    """point_location encodes at the tree's deepest stored level L and
+    still finds the deepest stored cube: trees whose deepest level is 0,
+    1, about M/2 and M, probed at random points, on the faces of the
+    deepest cubes from both sides, and on dyadic faces finer than L."""
+    M = max_level_for_dim(dim)
+    L = {"root": 0, "one": 1, "mid": M // 2, "max": M}[depth]
+    rng = np.random.default_rng(700 + 10 * dim + L)
+
+    def cube(lev):
+        return CanonicalCube(lev, tuple(int(c) for c in rng.integers(0, 1 << lev, size=dim)))
+
+    deepest = [cube(L) for _ in range(6)]
+    # A cube at L with the far corner of the unit cube, and a chain down to it.
+    deepest.append(CanonicalCube(L, ((1 << L) - 1,) * dim))
+    cubes = deepest + [cube(int(lev)) for lev in rng.integers(0, L + 1, size=30)]
+    cubes += [CanonicalCube(lev, (((1 << L) - 1) >> (L - lev),) * dim) for lev in range(L)]
+    tree = _cube_tree(cubes, dim)
+    assert tree.deepest_level == L
+    stored = [key_to_cube(int(z), int(l), dim) for z, l in zip(tree.z, tree.level)]
+    points = [tuple(rng.random(dim).tolist()) for _ in range(150)]
+    for c in deepest:
+        lo, hi = c.low, c.high
+        points.append(lo)
+        points.append(tuple(math.nextafter(x, 0.0) for x in hi))
+        points.append(tuple(math.nextafter(x, 0.0) for x in lo))
+        points.append(tuple(min(x, math.nextafter(1.0, 0.0)) for x in hi))
+    for lev in (L + 1, M):
+        for j in rng.integers(0, 1 << lev, size=(10, dim)).tolist():
+            points.append(tuple(x * 2.0**-lev for x in j))
+    for p in points:
+        assert stored[tree.point_location(p)] == _brute_deepest(stored, p), p
+
+
 def test_tree_orders_parents_before_children():
     rng = np.random.default_rng(7)
     tree = _cube_tree(_random_cubes(rng, 2, 60), 2)

@@ -187,6 +187,34 @@ def test_counter_input_validation():
         reg.approx_ball_count((0.5,), 0.5, -1.0)
 
 
+# Each query primitive, called as the query path calls it; the early exits
+# (containment at radius 0, retrieval above the largest diameter) too.
+_PRIMITIVES = {
+    "balls_containing_point": lambda reg, q: reg.balls_containing_point(q),
+    "approx_ball_count": lambda reg, q: reg.approx_ball_count(q, 1.0, 0.1),
+    "approx_ball_count_x0": lambda reg, q: reg.approx_ball_count(q, 1.0, 0.0),
+    "approx_kth_center_distances": lambda reg, q: reg.approx_kth_center_distances(q, [3]),
+    "large_balls_intersecting": lambda reg, q: reg.large_balls_intersecting(q, 0.1, 0.0),
+    "large_balls_intersecting_above_floor": lambda reg, q: reg.large_balls_intersecting(q, 0.1, 10.0),
+    "certified_kth_ball": lambda reg, q: reg.certified_kth_ball(q, 3, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRIMITIVES))
+@pytest.mark.parametrize(
+    "q",
+    [(math.nan, 0.5), (math.inf, 0.5), (0.5, -math.inf), (0.5,), (0.5, 0.5, 0.5)],
+    ids=["nan", "inf", "minus_inf", "dim1", "dim3"],
+)
+def test_query_primitives_refuse_bad_points(name, q):
+    """A point with a coordinate that is not finite, or of another
+    dimension, is the caller's error in every query primitive: no bare
+    ValueError or IndexError, and no answer."""
+    reg = make_registry(0, 2, 50)
+    with pytest.raises(InputError, match="finite coordinates"):
+        _PRIMITIVES[name](reg, q)
+
+
 # -- center-distance estimates ----------------------------------------------------
 
 

@@ -56,6 +56,10 @@ with tracer.span("query"):
     for q in (0.1, 0.5, 0.9):
         avd.avd_query(index, (q,))
 branches = Counter(index.query_counts) - before
+# One point location per in-domain query, directly under the phase: that
+# call is what quadtree.point_location_us times.
+assert tracer.calls("query", "quadtree.point_location") == 3, dict(tracer.totals)
+assert tracer.calls("query", "quadtree.point_location", "query") == 3, dict(tracer.totals)
 print(json.dumps(sorted(tracing.layer_metrics(tracer, index, True, 1, 3, branches))))
 """
 
