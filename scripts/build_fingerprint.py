@@ -31,23 +31,20 @@ format changes.
 
 REPO_ROOT defaults to the checkout holding this script; its `src/` and
 `perfbench/` are imported.  --dump also writes each line's answers and
-cells to DIR, one .npz per digest, and for a registry workload and every
-two-stage line each query's eps and exact k-th distance d_k
-(`oracle.exact_kth_distance`).
---compare reads two such dumps and lists every answer id and every
-distance that differs, with the distance's shift in ulps; on a cell
-index whose tree stayed, it lists every cell whose estimate or witness
-moved, and otherwise reports the cell counts W of both; on a registry
-workload and on a two-stage line, whose answers may move to any ball
-inside the window, it counts the moved answers instead and lists only
+cells to DIR, one .npz per digest, and with every answer list each
+query's eps and exact k-th distance d_k (`oracle.exact_kth_distance`).
+--compare reads two such dumps.  On a cell index whose tree stayed, it
+lists every cell whose estimate or witness moved, and otherwise reports
+the cell counts W of both.  It counts the answers that moved and lists
 those that fail the checks of the second dump: the distance in
 [(1 - eps) d_k, (1 + eps) d_k] and the interval around d_k, each up to a
-relative 1e-9.  Out-of-domain answers
-are checked the same way, and every moved one is listed.  Walk answers
+relative 1e-9; every moved out-of-domain answer is listed.  Walk answers
 and grid covers are exact sets, so every call whose answer differs is
-listed.  The exit status is 1 when an in-domain cell-index answer, tree,
-estimate or witness moved, a walk answer or grid cover differs, or a
-moved registry, two-stage or out-of-domain answer fails.
+listed.  A dump without d_k gets every answer id and every distance that
+differs listed, with the distance's shift in ulps.  The exit status is 1
+when an in-domain cell-index answer, tree, estimate or witness moved, a
+walk answer or grid cover differs, or a moved registry, two-stage or
+out-of-domain answer fails.
 """
 
 import argparse
@@ -203,6 +200,19 @@ def answer_digest(answers, dump: str | None, label: str, **extra) -> str:
     return f"ids {digest([ids])} dists {digest([dists])}"
 
 
+def oracle_arrays(inst, rows) -> dict:
+    """Each row's exact d_k (`oracle.exact_kth_distance`) and eps, for
+    --compare; rows are (point, k, eps)."""
+    import numpy as np
+
+    from ballann import oracle
+
+    return {
+        "truth": np.array([oracle.exact_kth_distance(inst, q, k).value for q, k, _ in rows]),
+        "eps": np.array([e for _, _, e in rows], dtype=np.float64),
+    }
+
+
 def cell_digest(index, points, dump: str | None, label: str) -> str:
     import numpy as np
 
@@ -219,11 +229,13 @@ def cell_digest(index, points, dump: str | None, label: str) -> str:
             os.path.join(dump, label + "-cells.npz"),
             z=t.z, level=t.level, kdist=index.kdist, witness=index.kdist_witness,
         )
-    answers = [avd.avd_query(index, tuple(q)) for q in points[:2000].tolist()]
+    pts = points[:2000].tolist()
+    answers = [avd.avd_query(index, tuple(q)) for q in pts]
+    extra = oracle_arrays(index.registry.instance, [(q, index.k, index.eps) for q in pts]) if dump else {}
     return (
         f"tree {digest([t.z, t.level, t.parent])} cells {digest(arrays)} "
         f"kdist {digest([index.kdist])} witness {digest([index.kdist_witness])} "
-        f"answers {answer_digest(answers, dump, label)}"
+        f"answers {answer_digest(answers, dump, label, **extra)}"
     )
 
 
@@ -233,16 +245,13 @@ def ood_line(index, seed: int, dump: str | None, label: str) -> str:
     point's exact d_k for --compare."""
     import numpy as np
 
-    from ballann import avd, oracle
+    from ballann import avd
 
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.0, 2.0, (2000, index.registry.dim))
     pts = pts[((pts < 0.0) | (pts >= 1.0)).any(axis=1)][:500].tolist()
     answers = [avd.avd_query(index, tuple(q)) for q in pts]
-    extra = {}
-    if dump:
-        truth = [oracle.exact_kth_distance(index.registry.instance, q, index.k).value for q in pts]
-        extra = {"truth": np.array(truth), "eps": np.full(len(pts), index.eps)}
+    extra = oracle_arrays(index.registry.instance, [(q, index.k, index.eps) for q in pts]) if dump else {}
     return f" out-of-domain: answers {answer_digest(answers, dump, label + '-ood', **extra)}"
 
 
@@ -250,16 +259,11 @@ def two_stage_line(reg, rows, dump: str | None, label: str) -> str:
     """Digests of knn.two_stage_query's answers to the first 1,000 rows
     (point, k, eps), and, when dumping, each row's exact d_k for
     --compare."""
-    import numpy as np
-
-    from ballann import knn, oracle
+    from ballann import knn
 
     rows = rows[:1000]
     answers = [knn.two_stage_query(reg, tuple(q), k, e) for q, k, e in rows]
-    extra = {}
-    if dump:
-        truth = [oracle.exact_kth_distance(reg.instance, q, k).value for q, k, _ in rows]
-        extra = {"truth": np.array(truth), "eps": np.array([e for _, _, e in rows])}
+    extra = oracle_arrays(reg.instance, rows) if dump else {}
     return f" two-stage: answers {answer_digest(answers, dump, label + '-two-stage', **extra)}"
 
 
@@ -294,7 +298,10 @@ def compare(dir_a: str, dir_b: str) -> int:
             moved += walk_moves(label, a, b)
             continue
         if "truth" in b.files:
-            moved += check_moved(label, a, b, list_moved=label.endswith("-ood"))
+            n_moved, n_failed = check_moved(label, a, b, list_moved=label.endswith("-ood"))
+            # A cell index keeps its in-domain answers bit for bit, so any move counts.
+            cell = os.path.exists(os.path.join(dir_a, label + "-cells.npz"))
+            moved += n_moved if cell else n_failed
             continue
         if "witness" in a.files:
             moved += cell_moves(label, a, b)
@@ -364,11 +371,11 @@ def cell_moves(label: str, a, b) -> int:
     return moved.size
 
 
-def check_moved(label: str, a, b, list_moved: bool = False) -> int:
+def check_moved(label: str, a, b, list_moved: bool = False) -> tuple[int, int]:
     """Count the answers that differ between dumps a and b, check each moved
     one of b against its exact d_k, print the failures (every moved answer
-    with list_moved) and a summary line, and return the number of
-    failures."""
+    with list_moved) and a summary line, and return the numbers of moved
+    answers and of failures."""
     import numpy as np
 
     dist, truth, eps = b["dists"], b["truth"], b["eps"]
@@ -386,7 +393,7 @@ def check_moved(label: str, a, b, list_moved: bool = False) -> int:
         f"{label}: {dist.size} answers, {moved.size} moved, {len(failed)} of them "
         "outside the oracle window or with an interval that misses d_k"
     )
-    return len(failed)
+    return int(moved.size), len(failed)
 
 
 def main(argv=None) -> int:
@@ -403,7 +410,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(Path(args.root) / "src"), str(Path(args.root) / "perfbench")]
     import numpy as np
     import workloads
-    from ballann import avd, datasets, geometry, knn, oracle, registry
+    from ballann import avd, datasets, geometry, knn, registry
 
     for name, w in workloads.WORKLOADS.items():
         for seed in args.seeds:
@@ -421,10 +428,7 @@ def main(argv=None) -> int:
                 line += f"\n{name} seed {seed}{ood_line(index, seed, args.dump, label)}"
             else:
                 answers = [knn.query(reg, tuple(q), k, e) for q, k, e in rows[:2000]]
-                extra = {}
-                if args.dump:
-                    truth = [oracle.exact_kth_distance(inst, q, k).value for q, k, _ in rows[:2000]]
-                    extra = {"truth": np.array(truth), "eps": np.array([e for _, _, e in rows[:2000]])}
+                extra = oracle_arrays(inst, rows[:2000]) if args.dump else {}
                 line += f" answers {answer_digest(answers, args.dump, label, **extra)}"
             print(line, flush=True)
             print(f"{name} seed {seed}{two_stage_line(reg, rows, args.dump, label)}", flush=True)

@@ -1,7 +1,7 @@
 """Sublinear-space cell decomposition answering k-th nearest ball queries.
 
 The structure fixes (k, eps) at build time.  It stores a compressed
-quadtree W of cells, each with an estimate of the k-th ball distance at its
+quadtree W of cells, each with the exact k-th ball distance d_k at its
 representative point, the cube's center, and the ball realizing it.  A
 strict index also wraps the input in quorum clusters (Carmi et al.,
 Algorithmica 2005) and records the cluster that owns each cell; a
@@ -20,41 +20,55 @@ layer by array operations in queue order.  Every live cell of a layer gets
 the exact k-th ball distance d_k at its representative and, as its
 witness, the k-th ball in (distance, id) order, from one block of ball
 distances and one partition per chunk of cells (`knn.kth_balls`); the
-sweep makes no registry search.  The cell stores kdist = d_k/(1 - e),
-e = eps/9, which lies in the sandwich [d_k, (1 + eps/4) d_k] because
-1/(1 - e) <= (1 + e)/(1 - e) <= 1 + eps/4 for every eps in (0, 1).  In
-strict mode the root and each cell a split makes own the cluster of least
-lifted distance |rep - center| + radius; an overlay cell keeps its
-far-field cluster.
+sweep makes no registry search.  The cell stores kdist = d_k itself, which
+meets the paper's sandwich [d_k, (1 + eps/4) d_k] trivially.  In strict
+mode the root and each cell a split makes own the cluster of least lifted
+distance |rep - center| + radius; an overlay cell keeps its far-field
+cluster.
 
-Certification.  A query q in a cell lies within h, half the cell's
-diameter, of the representative; kdist lies in [d_k(rep), (1 + eps/4)
-d_k(rep)] and d_k is 1-Lipschitz, so lm = kdist/(1 + eps/4) - h <= d_k(q)
-in the whole cell.  The near branch answers with the stored witness w when
-offset = |q - rep| <= c * lower, lower = kdist/(1 + eps/4) - offset <=
-d_k(q).  The witness lies at d_k(rep) from rep; the bound allows it
-anywhere in (1 +- eps/9) d_k(rep).  Then c = 3*eps/8 keeps |q - w| in
-(1 +- eps) d_k(q): the upper side needs (1 + eps/9)(1 + c) + c
-= 1 + (31/36) eps + eps^2/24 <= 1 + eps, the lower side (2 - eps/9) c =
-(3/4) eps - eps^2/24 <= (8/9) eps, each with a margin of about 0.1 * eps
-for every eps in (0, 1).  A practical cell is certified when h <= c * lm,
-which puts every q in it on the near branch.  A strict cell is also
-certified when every q in it passes the cluster test, by the same bounds
-with h.
+Certification.  A query q in a cell lies at offset = |q - rep| <= h from
+the representative, h half the cell's diameter.  Write D = d_k(rep) and t
+= d(q, w) for the stored witness w, which lies at exactly D from rep.  Both
+d_k and a ball distance are 1-Lipschitz, so
+
+    D - offset <= d_k(q) <= D + offset,    D - offset <= t <= D + offset.
+
+The near branch answers with w when t <= (1 + eps)(D - offset) and t >=
+(1 - eps)(D + offset); then (1 - eps) d_k(q) <= t <= (1 + eps) d_k(q), and
+(t/(1 + eps), t/(1 - eps)) brackets d_k(q).  The test reads only t, which
+is also the answer's distance, so it costs no extra ball distance.  At the
+worst point of a cell, t = D + h (upper side) or t = D - h (lower side) at
+offset h, the test holds exactly when h <= eps/(2 + eps) D and h <= eps/(2
+- eps) D; the first implies the second.  A practical cell is certified
+when the near test holds at those worst points, which puts every q in it
+on the near branch.  Both float tests are padded by the relative
+NEAR_MARGIN: the query shrinks its window by it, and the sweep certifies
+only with twice that room, so rounding in t or the offset can neither
+accept a witness outside the window nor send a certified cell's query to
+the fallback.
+
+Strict mode adds the cluster test.  Its cluster ball B(c, x) contains the
+cluster's witness ball w' and has x >= 2 gamma, gamma = d_k(c), so k balls
+lie within x/2 of c and d_k(q) <= |q - c| + x/2.  Let lower = D - offset
+<= d_k(q).  When 2x <= eps * lower and lam1 = |q - c| + x <= (1 + eps)
+lower, then d(q, w') <= lam1 <= (1 + eps) d_k(q), and d(q, w') >= |q - c|
+- x >= d_k(q) - 3x/2 >= (1 - 3 eps/4) d_k(q).  A strict cell is also
+certified when every q in it passes: with lm = D - h <= lower, when 2x <=
+eps * lm and |rep - c| + x + h <= (1 + eps) lm.
 
 No small-cell branch.  The paper also answers with the stored witness when
-diam <= (eps/8) lam*, lam* <= kdist + offset.  That condition implies the
-near one: with offset <= diam it gives offset <= (eps/8)(kdist + offset),
-so offset <= eps * kdist/(8 - eps), while the near branch holds for offset
-<= c * kdist/((1 + eps/4)(1 + c)), and eps/(8 - eps) is the smaller bound
-exactly when (1 + eps/4)(1 + 3 eps/8) <= 3 - 3 eps/8, that is 0.75 eps^2 +
-8 eps - 16 <= 0, true for every eps in (0, 1).  (kdist = 0 would need
-diam <= (eps/8) offset <= (eps/8) diam, so kdist > 0 and lower > 0.)  Both
-return the stored witness, so the near branch answers every such query
-alike.
+diam <= (eps/8) lam*, lam* <= kdist + offset.  With offset <= h = diam/2
+that gives 2h <= (eps/8)(D + h), so offset <= h <= eps/(16 - eps) D, far
+below eps/(2 + eps) D: the near test holds at such a q, since t <= D +
+offset.  (D = 0 would need diam <= (eps/8) offset <= (eps/8) diam, which
+no cube meets.)  Both return the stored witness, so the near branch
+answers every such query alike.
 
-Size.  A cell is split only when h > c * lm, so a leaf's diameter is at
-least about c/(1 + 2c) * d_k at each of its points, and counting leaves by
+Size.  A cell is split only when the near test fails at its worst points,
+h > eps/(2 + eps) D up to the margin.  A leaf's parent, of half-diameter 2h,
+was split, and every point x of the leaf lies within 2h of the parent's
+representative, so d_k(x) <= 2h (2 + eps)/eps + 2h and a leaf's diameter
+is at least eps/(2 + 2 eps) d_k at each of its points.  Counting leaves by
 volume gives W of order (sqrt(d)/eps)^d times the integral of d_k(q)^-d
 over the unit cube.  For point sites the set where d_k <= r has volume at
 most n V_d r^d / k, so the integral is O((n/k)(1 + log(1/delta))), delta
@@ -116,13 +130,10 @@ __all__ = [
 ZETA1_STRICT = 256.0 * XI
 ZETA1_PRACTICAL = 16.0 * XI
 
-# Stored estimates must satisfy d_B(rep,k) <= kdist <= (1+eps/4)*d_B(rep,k).
-# The sweep stores kdist = d_B/(1-e), e = eps/_KDIST_SHRINK, and the near
-# branch's constant allows a witness anywhere in (1 +- e)*d_B; both hold
-# while (1+e)/(1-e) <= 1+eps/4, i.e. e <= eps/9 for every eps < 1.
-_KDIST_SHRINK = 9.0
-
-_NEAR = 3.0 / 8.0  # near branch: offset <= _NEAR * eps * lower (module docstring)
+# Relative pad of the near test (module docstring): the query shrinks its
+# window by it and the sweep certifies with twice that room, far above the
+# few ulps by which a float ball distance or offset can be off.
+NEAR_MARGIN = 1e-9
 
 _EMPTY = np.uint8(1)  # flags bit: children tile the cube, no query lands here
 
@@ -133,8 +144,8 @@ class AVDIndex:
 
     tree: CompressedQuadtree
     rep: np.ndarray = field(init=False)  # (size, d) cube centers, from the tree's keys
-    kdist: np.ndarray  # (size,) estimate of d_B(rep, k), two-sided sandwich
-    kdist_witness: np.ndarray  # (size,) ball realizing the estimate
+    kdist: np.ndarray  # (size,) exact d_k at rep; 0 on empty cells
+    kdist_witness: np.ndarray  # (size,) k-th ball at rep in (distance, id) order; -1 on empty cells
     site: np.ndarray  # (size,) owning cluster per cell; -1 when there are no clusters
     flags: np.ndarray  # (size,) bit 1: empty region
     clusters: list[QuorumCluster]  # empty in a practical index
@@ -304,9 +315,10 @@ def build_avd(
     clusters and site -1 on every cell.  Strict mode builds the quorum and
     runs the sweep over the paper's near field, far field and overlay; its
     cells certify by the near test or the cluster test.  Either sweep
-    stores at each live cell the exact k-th ball distance at its
-    representative, scaled by 1/(1 - eps/9), and the k-th ball in
-    (distance, id) order (module docstring); it costs one row of n ball
+    stores at each live cell the exact k-th ball distance d_k at its
+    representative and the k-th ball in (distance, id) order, and
+    certifies a cell when its half-diameter is at most eps/(2 + eps) d_k,
+    padded by NEAR_MARGIN (module docstring); it costs one row of n ball
     distances per live cell and no registry search.
 
     Strict mode's near field has fineness ZETA1_STRICT; a practical build
@@ -348,7 +360,6 @@ def build_avd(
     # Certification sweep (see the module docstring).  A layer is parallel
     # arrays (keys, levels, owning clusters, tile flags), decided in one pass
     # in queue order.
-    sandwich = 1.0 + eps / 4.0
     max_level = w_tree.max_level
     offsets = np.arange(1 << dim, dtype=np.int64)
     z, lev, live = w_tree.z, w_tree.level, ~tiled
@@ -363,13 +374,12 @@ def build_avd(
             site[fresh] = _nearest_sites(rep[fresh], centers, radii)
         kd = np.zeros(z.size, dtype=np.float64)
         wid = np.full(z.size, -1, dtype=np.int64)
-        dist, wid[live] = kth_balls(reg, rep[live], k)
-        kd[live] = dist / (1.0 - eps / _KDIST_SHRINK)
+        kd[live], wid[live] = kth_balls(reg, rep[live], k)
 
         half = np.ldexp(0.5 * math.sqrt(dim), -lev)
-        lm = np.maximum(0.0, kd / sandwich - half)
-        certified = half <= (_NEAR * eps) * lm
+        certified = near_certifies(kd, half, eps)
         if strict:
+            lm = np.maximum(0.0, kd - half)
             lam1 = _norms(rep - centers[site]) + radii[site]
             certified |= (2.0 * radii[site] <= eps * lm) & (lam1 + half <= (1.0 + eps) * lm)
         cand = np.flatnonzero(live & ~certified & (lev < max_level))
@@ -384,7 +394,7 @@ def build_avd(
         cells += int(grow[split].sum())
         splits += int(split.sum())
         uncertified += int(np.count_nonzero(live & ~certified)) - int(split.sum())
-        # No query lands in an empty cell, so it stores a blank estimate.
+        # No query lands in an empty cell, so it stores kdist 0 and witness -1.
         empty = ~live
         empty[cand[split]] = True
         kd[empty], wid[empty] = 0.0, -1
@@ -452,8 +462,9 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
     answers them as it answers the registry's own queries, with its
     certified interval and the out_of_domain flag.  In-domain queries walk
     to their cell and try, in order: the stored witness when the query
-    sits close enough to the representative (the near branch, which also
-    covers the paper's small-cell branch; see the module docstring), then,
+    sees it inside the window that the representative's exact d_k and the
+    offset give (the near branch, which also covers the paper's small-cell
+    branch; see the module docstring), then,
     in a cell with an owning cluster (site >= 0, strict indexes only), the
     cluster's contained ball.  Each branch re-checks its own sufficient
     condition on the live query point, so a hit is correct regardless of
@@ -475,24 +486,45 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
     v = a.tree.point_location(qt)
     if a.flags.item(v) & _EMPTY:
         raise InternalInvariantError("point location landed in a tiled cell")
+    reg = a.registry
     offset = ball_distance(qt, a.rep[v].tolist(), 0.0)
-    lower = a.kdist.item(v) / (1.0 + eps / 4.0) - offset
-    chosen = -1
-    if lower > 0.0 and offset <= (_NEAR * eps) * lower:
-        chosen = a.kdist_witness.item(v)
+    kd = a.kdist.item(v)
+    w = a.kdist_witness.item(v)
+    dist = ball_distance(qt, reg.centers[w].tolist(), reg.radii.item(w))
+    if near_test(dist, kd, offset, eps):
         a.query_counts["near"] += 1
-    elif lower > 0.0 and a.site.item(v) >= 0:
+        return KnnAnswer(w, dist, (dist / (1.0 + eps), dist / (1.0 - eps)))
+    lower = kd - offset
+    if lower > 0.0 and a.site.item(v) >= 0:
         cl = a.clusters[a.site.item(v)]
         lam1 = float(np.linalg.norm(np.array(qt) - np.asarray(cl.center))) + cl.radius
         if 2.0 * cl.radius <= eps * lower and lam1 <= (1.0 + eps) * lower:
-            chosen = int(cl.witness)
+            w = int(cl.witness)
+            dist = ball_distance(qt, reg.centers[w].tolist(), reg.radii.item(w))
             a.query_counts["cluster"] += 1
-    if chosen < 0:
-        a.query_counts["fallback"] += 1
-        return query(a.registry, qt, k, eps)
-    reg = a.registry
-    dist = ball_distance(qt, reg.centers[chosen].tolist(), reg.radii.item(chosen))
-    return KnnAnswer(chosen, dist, (dist / (1.0 + eps), dist / (1.0 - eps)))
+            return KnnAnswer(w, dist, (dist / (1.0 + eps), dist / (1.0 - eps)))
+    a.query_counts["fallback"] += 1
+    return query(reg, qt, k, eps)
+
+
+def near_certifies(kdist: np.ndarray, half: np.ndarray, eps: float) -> np.ndarray:
+    """Whether every query in a cell of half-diameter `half`, around a
+    representative whose d_k is kdist, passes the near test: the test at
+    the cell's worst points, distance kdist + half or kdist - half at
+    offset half, with twice the query's margin (module docstring)."""
+    lm = np.maximum(0.0, kdist - half)
+    pad = 1.0 - 2.0 * NEAR_MARGIN
+    return (kdist + half <= (1.0 + eps) * lm * pad) & (lm * pad >= (1.0 - eps) * (kdist + half))
+
+
+def near_test(dist: float, kdist: float, offset: float, eps: float) -> bool:
+    """The near branch's test: the stored witness, at distance dist from q,
+    answers a query at offset from a representative whose d_k is kdist
+    (module docstring), inside the window shrunk by NEAR_MARGIN."""
+    return (
+        dist <= (1.0 + eps) * (kdist - offset) * (1.0 - NEAR_MARGIN)
+        and dist * (1.0 - NEAR_MARGIN) >= (1.0 - eps) * (kdist + offset)
+    )
 
 
 def _region_sample(a: AVDIndex, node: int, rng: np.random.Generator, tries: int = 64) -> np.ndarray:
@@ -513,18 +545,19 @@ def audit_cells(a: AVDIndex, samples: int = 200, seed: int = 0) -> dict:
     """Per-cell checks against brute force, the k-th of all ball distances.
 
     On up to `samples` cells and about 2 * samples random in-region points
-    (two a cell at least), verifies: the per-query threshold really
-    upper-bounds the true k-th distance, the small-cell condition's stored
-    witness whenever that condition holds, the stored estimate's two-sided
-    sandwich at the representative, and end-to-end agreement of avd_query.
-    An index with clusters (strict builds make them) also gets the cluster
-    checks: the cluster branch whenever its condition holds, existence of
-    an anchor cluster (radius at most 3*XI and center distance at most
-    4*XI times the true k-th distance), and witness containment in the
-    owning cluster.  Also counts, as a diagnostic rather than a violation,
-    how often the bare two-branch rule (stored witness on small cells, the
-    cluster ball otherwise, or the stored witness again without clusters;
-    no runtime re-checks) would miss the (1 +- eps) window; an index whose
+    (two a cell at least), verifies: the stored kdist equals the exact d_k
+    at the representative, the per-query threshold kdist + offset
+    upper-bounds the true k-th distance, the stored witness lies in the
+    (1 +- eps) window wherever the query-time near test holds, and
+    end-to-end agreement of avd_query.  An index with clusters (strict
+    builds make them) also gets the cluster checks: the cluster branch
+    whenever its condition holds, existence of an anchor cluster (radius
+    at most 3*XI and center distance at most 4*XI times the true k-th
+    distance), and witness containment in the owning cluster.  Also
+    counts, as a diagnostic rather than a violation, how often the bare
+    two-branch rule (stored witness on the paper's small cells, the cluster
+    ball otherwise, or the stored witness again without clusters; no
+    runtime re-checks) would miss the (1 +- eps) window; an index whose
     sweep ran out of budget shows up here.
     """
     rng = np.random.default_rng(seed)
@@ -537,7 +570,7 @@ def audit_cells(a: AVDIndex, samples: int = 200, seed: int = 0) -> dict:
     counts = {
         "cells": int(live.size),
         "points": 0,
-        "small_branch": 0,
+        "near_branch": 0,
         "cluster_branch": 0,
         "anchor": 0,
         "kdist_spot": 0,
@@ -553,12 +586,11 @@ def audit_cells(a: AVDIndex, samples: int = 200, seed: int = 0) -> dict:
     for v in live:
         v = int(v)
         rep = a.rep[v]
+        kd = float(a.kdist[v])
         dk_rep = np.partition(ball_distances(rep, reg.centers, reg.radii), k - 1)[k - 1]
         counts["kdist_spot"] += 1
-        if not (dk_rep * (1 - 1e-9) <= a.kdist[v] <= (1 + eps / 4.0) * dk_rep * (1 + 1e-9)):
-            violations.append(
-                f"node {v}: stored estimate {a.kdist[v]:.6g} outside the sandwich of {dk_rep:.6g}"
-            )
+        if kd != dk_rep:
+            violations.append(f"node {v}: stored kdist {kd!r} is not the exact d_k {dk_rep!r}")
         if clustered:
             j = int(a.site[v])
             w = int(a.clusters[j].witness)
@@ -571,7 +603,8 @@ def audit_cells(a: AVDIndex, samples: int = 200, seed: int = 0) -> dict:
             counts["points"] += 1
             dq = ball_distances(q, reg.centers, reg.radii)
             dk = np.partition(dq, k - 1)[k - 1]
-            lam_star = float(a.kdist[v]) + float(np.linalg.norm(q - rep))
+            offset = ball_distance(q.tolist(), rep.tolist(), 0.0)
+            lam_star = kd + offset
             if clustered:
                 lam1 = float(np.linalg.norm(q - wc[j])) + wx[j]
                 lam_star = min(lam1, lam_star)
@@ -581,16 +614,16 @@ def audit_cells(a: AVDIndex, samples: int = 200, seed: int = 0) -> dict:
             def in_window(dist: float) -> bool:
                 return (1 - eps) * dk * (1 - 1e-9) <= dist <= (1 + eps) * dk * (1 + 1e-9)
 
-            d_small = dq[a.kdist_witness[v]]
-            d_else = dq[a.clusters[j].witness] if clustered else d_small
-            if diam <= (eps / 8.0) * lam_star:
-                counts["small_branch"] += 1
-                if not in_window(d_small):
-                    violations.append(f"node {v}: small-cell witness off ({d_small:.6g} vs {dk:.6g})")
-            elif not in_window(d_else):
+            d_near = dq[a.kdist_witness[v]]
+            d_else = dq[a.clusters[j].witness] if clustered else d_near
+            if near_test(float(d_near), kd, offset, eps):
+                counts["near_branch"] += 1
+                if not in_window(d_near):
+                    violations.append(f"node {v}: near-branch witness off ({d_near:.6g} vs {dk:.6g})")
+            if diam > (eps / 8.0) * lam_star and not in_window(d_else):
                 counts["else_branch_misses"] += 1
             if clustered:
-                lower = float(a.kdist[v]) / (1.0 + eps / 4.0) - float(np.linalg.norm(q - rep))
+                lower = kd - offset
                 if lower > 0.0 and 2.0 * wx[j] <= eps * lower and lam1 <= (1.0 + eps) * lower:
                     counts["cluster_branch"] += 1
                     if not in_window(d_else):

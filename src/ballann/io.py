@@ -8,12 +8,12 @@ before any structure is touched.
 A registry file (magic BREG) stores only the inputs; the structure is
 rebuilt on load, which is deterministic and cheap.  An approximate-Voronoi
 file (magic BAVD) stores the cell decomposition: the cube table and each
-cell's estimate, witness and flags, plus the cluster list with each cell's
-owning cluster when it holds clusters, and the inputs needed to rebuild
-the fallback registry.  It stores nothing the loader can derive: a cell's
-representative is its cube's center, and a file with no clusters (a
-practical index) gets site -1 on every cell.  Each magic has its own format
-version.
+cell's exact k-th ball distance, witness and flags, plus the cluster list
+with each cell's owning cluster when it holds clusters, and the inputs
+needed to rebuild the fallback registry.  It stores nothing the loader can
+derive: a cell's representative is its cube's center, and a file with no
+clusters (a practical index) gets site -1 on every cell.  Each magic has
+its own format version.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .quorum import QuorumCluster
 from .registry import Registry, build_registry
 
 # Format version per magic; older versions are refused (README, "File formats").
-_VERSION = {b"BREG": 1, b"BAVD": 3}
+_VERSION = {b"BREG": 1, b"BAVD": 4}
 _MODE_CODE = {"practical": 0, "strict": 1}
 _MODE_NAME = {v: k for k, v in _MODE_CODE.items()}
 

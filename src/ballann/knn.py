@@ -59,7 +59,7 @@ float rounding cannot drop a center the exact test would keep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,13 +91,13 @@ _KTH_CHUNK_PAIRS = 1 << 16
 PREFILTER_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class KnnAnswer:
+class KnnAnswer(NamedTuple):
     """A witness ball with its exact distance and a certified enclosure.
 
     certified_interval = (lo, hi) brackets the true k-th ball distance;
     lo <= distance <= hi and hi/lo <= (1+eps)/(1-eps).  out_of_domain marks
     a query outside the unit cube; its answer is certified all the same.
+    A named tuple, so it is immutable and cheap to build.
     """
 
     ball_id: int

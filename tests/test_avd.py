@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ballann.knn as knn
 from ballann import build_registry, generate_instance, normalize
 from ballann.avd import (
-    _NEAR,
-    _KDIST_SHRINK,
     ZETA1_PRACTICAL,
     ZETA1_STRICT,
     AVDIndex,
@@ -17,6 +17,8 @@ from ballann.avd import (
     audit_cells,
     avd_query,
     build_avd,
+    near_certifies,
+    near_test,
 )
 from ballann.geometry import InputError, ball_distance, ball_distances
 from ballann.oracle import exact_kth_distance
@@ -74,52 +76,60 @@ def test_d3_practical_build_certifies_every_cell():
 
 
 def test_near_branch_constant_meets_both_sides_of_the_chain():
-    """c = 3/8 eps keeps the stored witness inside (1 +- eps) for queries at
-    offset <= c * lower, with estimates at eps/9 and the eps/4 sandwich."""
-    assert _KDIST_SHRINK == 9.0
+    """h = eps/(2 + eps) d_k is where the near window closes at a cell's
+    worst points: t = d_k + h meets (1 + eps)(d_k - h) with equality, and t
+    = d_k - h clears (1 - eps)(d_k + h) by 2 eps^2/(2 + eps) d_k.  The
+    float test accepts both at a relative 1e-4 inside that bound, more than
+    NEAR_MARGIN costs there (about NEAR_MARGIN/eps), and refuses the upper
+    one 1e-7 outside it, at every eps from 1e-4 and across scales of d_k."""
     for eps in np.linspace(1e-4, 1.0, 10_001)[:-1]:
-        c, e = _NEAR * eps, eps / _KDIST_SHRINK
-        assert (1.0 + e) * (1.0 + c) + c <= 1.0 + eps - 0.09 * eps
-        assert (2.0 - e) * c <= (1.0 - e) - (1.0 - eps) - 0.1 * eps
-        # The stored estimate (1 + e)/(1 - e) * d_k stays inside the sandwich.
-        assert (1.0 + e) / (1.0 - e) <= 1.0 + eps / 4.0
+        h = eps / (2.0 + eps)
+        assert (1.0 + eps) * (1.0 - h) == pytest.approx(1.0 + h, rel=1e-14)
+        assert (1.0 - h) - (1.0 - eps) * (1.0 + h) == pytest.approx(2.0 * eps**2 / (2.0 + eps), rel=1e-9)
+        for d_k in (1e-9, 0.37, 3.0):
+            inside, outside = h * d_k * (1.0 - 1e-4), h * d_k * (1.0 + 1e-7)
+            assert near_test(d_k + inside, d_k, inside, eps)
+            assert near_test(d_k - inside, d_k, inside, eps)
+            assert not near_test(d_k + outside, d_k, outside, eps)
 
 
 def test_queries_at_the_near_boundary_stay_in_the_window():
     """Around each live cell's representative, points just inside and just
-    outside offset = c * lower: the stored witness is in the window inside,
-    and avd_query answers in the window on both sides.  Each cell's low
-    corner, its farthest point from the representative, takes the near
-    branch."""
+    outside offset = eps/(2 + eps) * kdist.  Just inside, in any direction,
+    the near test holds and the stored witness is in the window; just
+    outside, straight away from the witness, where its distance is kdist +
+    offset, the test fails.  avd_query answers in the window on both
+    sides, and each cell's low corner, its farthest point from the
+    representative, takes the near branch."""
     a = _build(57, 2, 100, 25, 0.5)
-    balls = a.registry.instance.balls
-    sandwich = 1.0 + a.eps / 4.0
-    c = _NEAR * a.eps
+    reg, balls = a.registry, a.registry.instance.balls
+    eps = a.eps
     rng = np.random.default_rng(58)
     live = np.flatnonzero((a.flags & 1) == 0)
     inside = 0
     for v in live[rng.permutation(live.size)[:120]]:
         rep, kd = a.rep[v], float(a.kdist[v])
-        # offset = c * (kd/sandwich - offset) at the boundary.
-        edge = c * (kd / sandwich) / (1.0 + c)
+        w = int(a.kdist_witness[v])
+        edge = eps / (2.0 + eps) * kd
         u = rng.normal(size=2)
-        u /= np.linalg.norm(u)
-        for scale in (1.0 - 1e-6, 1.0 + 1e-3):
-            q = rep + scale * edge * u
+        away = rep - reg.centers[w]
+        for q, expect in ((rep + (1.0 - 1e-6) * edge * u / np.linalg.norm(u), True),
+                          (rep + (1.0 + 1e-3) * edge * away / np.linalg.norm(away), False)):
             truth = exact_kth_distance(balls, q, a.k).value
-            lo, hi = (1.0 - a.eps) * truth - 1e-12, (1.0 + a.eps) * truth + 1e-12
-            offset = float(np.linalg.norm(q - rep))
-            if offset <= c * (kd / sandwich - offset):
+            lo, hi = (1.0 - eps) * truth - 1e-12, (1.0 + eps) * truth + 1e-12
+            offset = ball_distance(q.tolist(), rep.tolist(), 0.0)
+            t = ball_distance(q.tolist(), reg.centers[w].tolist(), float(reg.radii[w]))
+            assert near_test(t, kd, offset, eps) == expect
+            if expect:
                 inside += 1
-                w = balls[int(a.kdist_witness[v])]
-                assert lo <= ball_distance(q, w.center, w.radius) <= hi
+                assert lo <= t <= hi
             if np.all((0.0 <= q) & (q < 1.0)):
                 assert lo <= avd_query(a, q).distance <= hi
         corner = rep - 0.5 * 2.0 ** (-float(a.tree.level[v]))
         before = dict(a.query_counts)
         ans = avd_query(a, corner)
         truth = exact_kth_distance(balls, corner, a.k).value
-        assert (1.0 - a.eps) * truth - 1e-12 <= ans.distance <= (1.0 + a.eps) * truth + 1e-12
+        assert (1.0 - eps) * truth - 1e-12 <= ans.distance <= (1.0 + eps) * truth + 1e-12
         assert a.query_counts["near"] == before["near"] + 1
     assert inside >= 100
 
@@ -316,26 +326,86 @@ def test_practical_build_runs_no_quorum(monkeypatch):
 
 def test_small_condition_implies_near():
     """The deleted small-cell branch: diam <= (eps/8)(kdist + offset) with
-    offset <= diam puts the query on the near branch, lower > 0 and offset
-    <= c * lower, at every eps in (0, 1)."""
+    offset <= h = diam/2 gives h <= eps/(16 - eps) kdist, which puts the
+    query on the near branch whatever the witness's distance t in [kdist -
+    offset, kdist + offset], at every eps in (0, 1)."""
     rng = np.random.default_rng(77)
     eps = np.concatenate([np.linspace(1e-4, 1.0, 2_001)[:-1], rng.uniform(0.0, 1.0, 20_000)])
     eps = eps[(eps > 0.0) & (eps < 1.0)]
     kdist = 10.0 ** rng.uniform(-9.0, 1.0, eps.size)
-    # Offsets at a fraction of the diameter, and diameters up to the largest
-    # one the small condition admits there, eps*kdist/(8 - eps*frac).
+    # Offsets at a fraction of the half-diameter, and diameters up to the
+    # largest one the small condition admits there, 2 eps kdist/(16 - eps frac).
     for frac in (np.ones(eps.size), rng.uniform(0.0, 1.0, eps.size)):
-        diam = eps * kdist / (8.0 - eps * frac) * rng.uniform(0.0, 1.0, eps.size) ** 0.1
-        offset = frac * diam
+        diam = 2.0 * eps * kdist / (16.0 - eps * frac) * rng.uniform(0.0, 1.0, eps.size) ** 0.1
+        offset = frac * diam / 2.0
         small = diam <= (eps / 8.0) * (kdist + offset)
         assert small.mean() > 0.99
-        lower = kdist / (1.0 + eps / 4.0) - offset
-        near = (lower > 0.0) & (offset <= (_NEAR * eps) * lower)
-        assert np.all(near[small])
-    # The margin: eps/(8 - eps) stays below c/((1 + eps/4)(1 + c)).
-    c = _NEAR * eps
-    assert np.all(eps / (8.0 - eps) < c / ((1.0 + eps / 4.0) * (1.0 + c)))
-    assert np.all(0.75 * eps**2 + 8.0 * eps - 16.0 < 0.0)
+        for i in np.flatnonzero(small).tolist():
+            for t in (kdist[i] + offset[i], max(0.0, kdist[i] - offset[i])):
+                assert near_test(t, kdist[i], offset[i], eps[i])
+    # The margin: eps/(16 - eps) stays below eps/(2 + eps).
+    assert np.all(eps / (16.0 - eps) < 0.2 * eps / (2.0 + eps))
+
+
+@given(
+    st.integers(1, 3),
+    st.sampled_from([0.1, 0.25, 0.5]),
+    st.sampled_from(["uniform", "clustered"]),
+    st.integers(0, 10_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_near_test_matches_oracle_at_edges(dim, eps, profile, seed):
+    """avd_query against the oracle at the cell index's edges: at cell
+    corners (offset = h), on dyadic cell faces, on ball surfaces (some
+    outside the cube) and inside balls.  Every answer lies in the oracle
+    window with an interval around d_k and the distance of its ball, bit
+    for bit, and every query that lands in a cell the sweep certified takes
+    the near branch.  The cell budget cuts the largest builds short, so
+    their uncertified cells send queries to the fallback; an index of the
+    root cell alone (budget 0) answers the same points, so the near test
+    decides there at offsets up to the root's half-diameter."""
+    n, k = {1: (24, 8), 2: (60, 20), 3: (60, 56)}[dim]
+    rng = np.random.default_rng(seed)
+    reg = build_registry(normalize(generate_instance(seed, dim, n, profile), 0.5))
+    a = build_avd(reg, k, eps, cell_budget=20_000)
+    live = np.flatnonzero((a.flags & 1) == 0)
+    certified = near_certifies(a.kdist, np.ldexp(0.5 * math.sqrt(dim), -a.tree.level), eps)
+    assert a.stats["uncertified"] == np.count_nonzero(~certified[live])
+    points = []
+    for v in rng.choice(live, size=min(live.size, 12), replace=False).tolist():
+        side = 2.0 ** -float(a.tree.level[v])
+        lo = a.rep[v] - side / 2.0
+        # The low corner, and another corner pulled just inside the
+        # half-open cube on its high sides.
+        bits = rng.integers(0, 2, size=dim).astype(bool)
+        points += [lo, np.where(bits, np.nextafter(lo + side, -np.inf), lo)]
+        face = lo + rng.random(dim) * side
+        j = int(rng.integers(dim))
+        face[j] = lo[j] + side * int(rng.integers(0, 2))
+        points.append(face)
+    for b in rng.choice(n, size=8, replace=False).tolist():
+        c, r = reg.centers[b], float(reg.radii[b])
+        u = rng.normal(size=dim)
+        u /= np.linalg.norm(u)
+        axis = c.copy()
+        axis[int(rng.integers(dim))] += r
+        points += [c + r * u, axis, c + 0.5 * r * u, c.copy()]
+    root = build_avd(reg, k, eps, cell_budget=0)
+    near_hits = 0
+    for q in points:
+        truth = exact_kth_distance(reg.instance, q, k).value
+        tol = 1e-12 * max(1.0, truth)
+        before = a.query_counts["near"]
+        for index in (a, root):
+            ans = avd_query(index, q)
+            assert (1.0 - eps) * truth - tol <= ans.distance <= (1.0 + eps) * truth + tol
+            lo_i, hi_i = ans.certified_interval
+            assert lo_i - tol <= truth <= hi_i + tol
+            assert ans.distance == ball_distances(q, reg.centers, reg.radii)[ans.ball_id]
+        if np.all((0.0 <= q) & (q < 1.0)) and certified[a.tree.point_location(q.tolist())]:
+            assert a.query_counts["near"] == before + 1
+            near_hits += 1
+    assert near_hits > 0
 
 
 def test_strict_mode_d1():
@@ -395,8 +465,8 @@ def test_stats_inventory():
     [
         (74, 1, 64, 16, 0.25, 400_000),
         (75, 2, 100, 25, 0.5, 400_000),
-        (75, 2, 100, 25, 0.5, 1_000),
-        (76, 3, 60, 56, 0.5, 6_000),
+        (75, 2, 100, 25, 0.5, 400),
+        (76, 3, 60, 56, 0.5, 2_000),
     ],
 )
 def test_block_sweep_matches_cell_by_cell_sweep(monkeypatch, seed, dim, n, k, eps, budget):
@@ -435,8 +505,8 @@ def _cell_d2_index(monkeypatch):
 
 @pytest.mark.parametrize("config", ["cell-d2", "strict-d1", "practical-d3"])
 def test_stored_estimates_are_exact(monkeypatch, config):
-    """Every live cell stores d_k(rep)/(1 - eps/9), bit for bit, and a
-    witness at distance d_k(rep)."""
+    """Every live cell stores d_k(rep) itself, bit for bit, and a witness
+    at distance d_k(rep)."""
     if config == "cell-d2":
         a = _cell_d2_index(monkeypatch)
     elif config == "strict-d1":
@@ -448,7 +518,7 @@ def test_stored_estimates_are_exact(monkeypatch, config):
     assert live.size > 0
     for v in live.tolist():
         d_k = exact_kth_distance(a.registry.instance, a.rep[v], a.k).value
-        assert a.kdist[v] == d_k / (1.0 - a.eps / _KDIST_SHRINK), v
+        assert a.kdist[v] == d_k, v
         assert ball_distances(a.rep[v], reg.centers, reg.radii)[a.kdist_witness[v]] == d_k, v
 
 

@@ -161,7 +161,7 @@ def test_avd_practical_file_size(tmp_path, monkeypatch):
     n, d, s = a.registry.n, a.registry.dim, a.tree.size
     instance = 28 + 8 * d + 8 * n * (d + 1)
     expect = 8 + 36 + instance + 8 + 8 + s * (8 + 8 + 8 + 8 + 1) + 64 + 4
-    assert len(_saved_bytes(a, tmp_path)) == expect == 76_525
+    assert len(_saved_bytes(a, tmp_path)) == expect == 50_257
 
 
 def _saved_bytes(a, tmp_path):
@@ -174,13 +174,17 @@ def test_avd_version_1_file_is_rejected(tmp_path):
     balls = generate_instance(8, 1, 48)
     a = build_avd(build_registry(normalize(balls, 0.5)), 12, 0.5)
     blob = _saved_bytes(a, tmp_path)
-    assert blob[:4] == b"BAVD" and struct.unpack_from("<H", blob, 4)[0] == 3
+    assert blob[:4] == b"BAVD" and struct.unpack_from("<H", blob, 4)[0] == 4
     queries = tmp_path / "q.txt"
     queries.write_text("0.5\n")
+    # The header sits outside the payload, so each forged file keeps a
+    # valid CRC; a version 3 file stores a scaled kdist that format 4 would
+    # read as the exact d_k.
     for version, match in (
-        (1, "predates format 3 and must be rebuilt"),
-        (2, "predates format 3 and must be rebuilt"),
-        (4, "unsupported version"),
+        (1, "predates format 4 and must be rebuilt"),
+        (2, "predates format 4 and must be rebuilt"),
+        (3, "predates format 4 and must be rebuilt"),
+        (5, "unsupported version"),
     ):
         old = tmp_path / f"v{version}.idx"
         old.write_bytes(blob[:4] + struct.pack("<H", version) + blob[6:])
@@ -247,7 +251,8 @@ def test_index_integrity_rejects_damage(tmp_path):
         (strict_blob, "ball id", sat["cluster_witness"], s.registry.n),
         (blob, "levels", at["level"] + 8 * last, 53),
         (blob, "canonical", at["z"] + 8 * last, int(a.tree.z[last]) + 1),
-        (blob, "increasing", at["z"] + 8 * last, int(a.tree.z[last - 1])),
+        # The root's key 0 is canonical at every level and sorts first.
+        (blob, "increasing", at["z"] + 8 * last, 0),
     ]
     damaged_files = []
     for source, match, pos, value in cases:
