@@ -2,7 +2,9 @@
 
 For each benchmark workload and seed, digests the normalized balls, every
 registry array (the centers tree's keys, levels, parent links, child CSR,
-point order, node boxes and node tables), the answers of the registry's
+point order, node boxes and node tables), on a line of its own the
+certified exit's stored cut (its node ids and counts, and its copied
+table rows; cut_line), the answers of the registry's
 two retrieval walks, `large_balls_intersecting` and
 `balls_containing_point`, on seeded points (walk_digest), the answers
 to its first 2,000 queries, and the answers of `knn.two_stage_query`, the
@@ -71,6 +73,16 @@ def registry_arrays(reg) -> list:
     out = [c.z, c.level, c.parent, c.child_off, c.child_idx, c.point_perm, c.span_lo, c.span_hi]
     out += [reg._node_lo, reg._node_hi, reg._node_rmin, reg._node_rmax, reg._node_first]
     return out + [reg.centers, reg.radii]
+
+
+def cut_line(reg) -> str:
+    """Digests of the exit's stored cut: its node ids and counts, and its
+    copied rows of the node tables.  A checkout that predates the cut
+    prints "none stored", so that its other lines still compare."""
+    if not hasattr(reg, "_cut"):
+        return " cut: none stored"
+    rows = [reg._cut_lo, reg._cut_hi, reg._cut_rmin, reg._cut_rmax]
+    return f" cut: {reg._cut.size} nodes, ids {digest([reg._cut, reg._cut_cnt])} rows {digest(rows)}"
 
 
 # Grid step of the walks' radii and floors, as in tests/test_registry.py.
@@ -431,6 +443,7 @@ def main(argv=None) -> int:
                 extra = oracle_arrays(inst, rows[:2000]) if args.dump else {}
                 line += f" answers {answer_digest(answers, args.dump, label, **extra)}"
             print(line, flush=True)
+            print(f"{name} seed {seed}{cut_line(reg)}", flush=True)
             print(f"{name} seed {seed}{two_stage_line(reg, rows, args.dump, label)}", flush=True)
     reg = registry.build_registry(geometry.normalize(datasets.generate_instance(6025, 1, 8), 0.5))
     points = np.random.default_rng(0).random((2000, 1))

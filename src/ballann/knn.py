@@ -16,11 +16,13 @@ The returned distance is always the exact distance to a real input ball; the
 approximation lives in which ball gets picked.
 
 The certified exit (`Registry.certified_kth_ball`) is a frontier over the
-centers tree.  Each node bounds its balls' distances from q by [lo, hi]
+centers tree: an antichain of nodes whose balls together are every ball,
+each once.  Each node bounds its balls' distances from q by [lo, hi]
 and knows how many balls it holds.  Let L and H be the k-th smallest lo
 and hi, each node counted as often as it has balls.  The k nearest balls
 all have lo <= d_k, so L <= d_k; at least k balls have hi <= H, so
-d_k <= H.  A ball at distance w in [(1 - eps) H, (1 + eps) L] then has
+d_k <= H.  Neither step asks which antichain it is.  A ball at distance
+w in [(1 - eps) H, (1 + eps) L] then has
 
     (1 - eps) d_k <= (1 - eps) H <= w <= (1 + eps) L <= (1 + eps) d_k,
 
@@ -31,11 +33,17 @@ rule: one node holds all n >= k balls, so L and H are its own bounds near
 and far on every ball distance, and the root certifies exactly when far
 <= (1 + eps) near (which gives near >= far/(1 + eps) >= (1 - eps) far).
 That round runs as an O(d) test in plain floats on the root's box and
-radii, kept on the registry at build, and a root that splits leaves its
-children as the first frontier on arrays.  Later rounds drop nodes beyond
-H and split the nodes that straddle [L, H], which raises L and lowers H.  The bounds are padded outward by the
-registry's WALK_MARGIN, far above the rounding of a box distance, so the
-float comparisons keep the argument.  When d_k = 0, L = 0 and no window
+radii, kept on the registry at build.  When it declines, the first array
+round starts from a cut of the tree stored at build, not from the root's
+children: the nodes that hold at most m = n // 32 centers (or are leaves)
+and whose parent holds more (or is the root).  On every path from the
+root to a leaf exactly one node is in the cut, so the cut is an antichain
+that holds every ball once, and the argument above holds on it; being
+deeper, it certifies most queries in that one round.  Later rounds drop
+nodes beyond H and split the nodes that straddle [L, H], which raises L
+and lowers H.  The bounds are padded outward by the registry's
+WALK_MARGIN, far above the rounding of a box distance, so the float
+comparisons keep the argument.  When d_k = 0, L = 0 and no window
 certifies: the exit declines, as it does when its frontier grows past
 EXACT_FINISH_COUNT nodes, and the two stages answer unchanged.
 

@@ -15,7 +15,10 @@ the query primitives:
   * a ball certified to lie within (1 +- eps) of the k-th ball distance:
     a frontier over the centers tree whose nodes bound their balls'
     distances through the node tables, used by `knn.query` as its exit;
-    its root round, the far rule, is an O(d) test in plain floats.
+    its root round, the far rule, is an O(d) test in plain floats, and its
+    array rounds start from a cut of the tree stored at build: the nodes
+    that hold at most n // 32 centers (or are leaves) below a parent that
+    holds more (or is the root), with their table rows copied alongside.
 
 Retrieval, containment and the count are one walk down the centers tree
 (`_walk`), after Arya and Mount's approximate range counting: a node whose
@@ -126,6 +129,30 @@ def _kth_bounds(lo: np.ndarray, hi: np.ndarray, cnt: np.ndarray, ks: np.ndarray)
     return k_lo, hi[o_hi[cnt[o_hi].cumsum().searchsorted(ks)]]
 
 
+def _ball_bounds_of_rows(low, high, rmin, rmax, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on d(q, b) over the balls b of each node row,
+    padded outward by WALK_MARGIN: every center lies in the row's box and
+    every radius between its least and greatest one."""
+    near, far = _box_dists(low, high, q)
+    lo = np.maximum(near - rmax, 0.0) * (1.0 - WALK_MARGIN)
+    hi = np.maximum(far - rmin, 0.0) * (1.0 + WALK_MARGIN)
+    return lo, hi
+
+
+def _exit_cut(tree, m: int) -> np.ndarray:
+    """The non-root nodes that hold at most m centers or are leaves and
+    whose parent is the root or holds more than m, in node order.
+
+    Counts only shrink down the tree, so on the path from the root to any
+    leaf exactly one node qualifies: the first below the root that holds at
+    most m centers or is a leaf.  The cut is an antichain whose runs of
+    point_perm hold every center once."""
+    cnt = tree.span_hi - tree.span_lo
+    leaf = tree.child_off[1:] == tree.child_off[:-1]
+    par = tree.parent[1:]
+    return 1 + np.flatnonzero(((cnt[1:] <= m) | leaf[1:]) & ((par == 0) | (cnt[par] > m)))
+
+
 def _children(tree, nodes: np.ndarray) -> np.ndarray:
     """The children of the given nodes, node after node."""
     start = tree.child_off[nodes]
@@ -153,14 +180,18 @@ class Registry:
         tables = self._node_tables()
         self._node_lo, self._node_hi, self._node_rmin, self._node_rmax, self._node_first = tables
         # The root's row as plain floats, for the exit's root round and the
-        # box of all balls, and the frontier that a root split leaves.
+        # box of all balls.
         ct = self.centers_tree
         self._root_lo, self._root_hi = self._node_lo[0].tolist(), self._node_hi[0].tolist()
         self._root_rmin, self._root_rmax = float(self._node_rmin[0]), float(self._node_rmax[0])
         self._root_first = int(self._node_first[0])
         self._root_splits = bool(ct.level[0] < ct.max_level)
-        self._root_kids = _children(ct, np.zeros(1, dtype=np.int64))
-        self._root_kid_cnt = ct.span_hi[self._root_kids] - ct.span_lo[self._root_kids]
+        # The exit's first array frontier: the cut at m = n // 32 centers
+        # (_exit_cut), with its own contiguous copies of its table rows.
+        self._cut = _exit_cut(ct, max(1, self.n // 32))
+        self._cut_cnt = ct.span_hi[self._cut] - ct.span_lo[self._cut]
+        self._cut_lo, self._cut_hi = self._node_lo[self._cut], self._node_hi[self._cut]
+        self._cut_rmin, self._cut_rmax = self._node_rmin[self._cut], self._node_rmax[self._cut]
         t2 = time.perf_counter()
 
         self.stats = {
@@ -331,13 +362,10 @@ class Registry:
     # -- certified k-th ball ------------------------------------------------------
 
     def _ball_bounds(self, nodes: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper bounds on d(q, b) over the balls b of each node,
-        padded outward by WALK_MARGIN: every center lies in the node's box
-        and every radius between its least and greatest one."""
-        near, far = _box_dists(self._node_lo[nodes], self._node_hi[nodes], q)
-        lo = np.maximum(near - self._node_rmax[nodes], 0.0) * (1.0 - WALK_MARGIN)
-        hi = np.maximum(far - self._node_rmin[nodes], 0.0) * (1.0 + WALK_MARGIN)
-        return lo, hi
+        """_ball_bounds_of_rows on the given nodes' rows of the node tables."""
+        return _ball_bounds_of_rows(
+            self._node_lo[nodes], self._node_hi[nodes], self._node_rmin[nodes], self._node_rmax[nodes], q
+        )
 
     def _root_bounds(self, q) -> tuple[float, float]:
         """_ball_bounds of the root, from its row as plain floats, equal to
@@ -352,12 +380,12 @@ class Registry:
         (1 + eps) d_k], d_k the k-th smallest ball distance from q, or -1
         when the frontier below cannot show one.
 
-        A frontier over the centers tree, from the root.  Each node carries
-        bounds [lo, hi] on its balls' distances (_ball_bounds) and its exact
-        count.  L and H, the k-th count-weighted lo and hi (_kth_bounds),
-        satisfy L <= d_k <= H.  A node whose every ball lies in [(1 - eps)
-        H, (1 + eps) L] certifies: the first such node answers with its
-        smallest ball id.  Otherwise the nodes with lo > H are dropped (their
+        A frontier over the centers tree, from the root: an antichain whose
+        nodes hold every ball once.  Each node carries bounds [lo, hi] on
+        its balls' distances (_ball_bounds) and its exact count.  L and H,
+        the k-th count-weighted lo and hi (_kth_bounds), satisfy L <= d_k
+        <= H.  A node whose every ball lies in [(1 - eps) H, (1 + eps) L]
+        certifies: the first such node answers with its smallest ball id.  Otherwise the nodes with lo > H are dropped (their
         balls lie beyond d_k, and the k-th bounds of the rest are the same)
         and the nodes that straddle [L, H], lo < H and hi > L, are split.
         The frontier gives up when H = 0 (q lies in k balls: d_k = 0, which
@@ -367,9 +395,13 @@ class Registry:
 
         The root round, the far rule, is one node holding all n >= k balls,
         so L and H are its own bounds: it runs as an O(d) test in plain
-        floats (_root_bounds), with the same comparisons in the same order,
-        and a root that splits leaves its children, the stored _root_kids,
-        as the frontier of the next round, on arrays.
+        floats (_root_bounds), with the same comparisons in the same order.
+        A root that splits hands on the stored cut (_exit_cut, at m = n //
+        32 centers), not its own children: the argument holds on any
+        antichain that holds every ball once, and a cut that deep answers
+        most queries in one array round.  That round takes its bounds from
+        the cut's own copies of its table rows, with _ball_bounds'
+        operations, so it indexes no table.
         """
         if not 1 <= k <= self.n:
             raise InputError(f"k must lie in [1, {self.n}], got {k}")
@@ -384,8 +416,8 @@ class Registry:
         t = self.centers_tree
         qa = np.array(qt)
         ks = np.array([k], dtype=np.int64)
-        nodes, cnt = self._root_kids, self._root_kid_cnt
-        lo, hi = self._ball_bounds(nodes, qa)
+        nodes, cnt = self._cut, self._cut_cnt
+        lo, hi = _ball_bounds_of_rows(self._cut_lo, self._cut_hi, self._cut_rmin, self._cut_rmax, qa)
         while True:
             low, high = (float(v[0]) for v in _kth_bounds(lo, hi, cnt, ks))
             if high == 0.0:

@@ -762,6 +762,139 @@ def test_exit_frontier_grows_slowly_with_n(dim, clustered, monkeypatch):
     assert per_query[16384] <= 3.0 * per_query[1024], per_query
 
 
+# -- the exit's stored cut -------------------------------------------------------------
+
+
+def _check_cut(reg: Registry) -> None:
+    """The exit's stored cut against its definition: at m = n // 32 (at
+    least 1), the non-root nodes that hold at most m centers or are leaves
+    and whose parent is the root or holds more than m.  No cut node is an
+    ancestor of another, and their runs of point_perm hold every id once."""
+    t, m = reg.centers_tree, max(1, reg.n // 32)
+    cnt = (t.span_hi - t.span_lo).tolist()
+    parent = t.parent.tolist()
+    leaf = (t.child_off[1:] == t.child_off[:-1]).tolist()
+    cut = reg._cut.tolist()
+    want = [v for v in range(1, t.size) if (cnt[v] <= m or leaf[v]) and (parent[v] == 0 or cnt[parent[v]] > m)]
+    assert cut == want
+    members = set(cut)
+    for v in cut:
+        u = parent[v]
+        while u > 0:
+            assert u not in members, (u, v)
+            u = parent[u]
+    ids = np.concatenate([t.point_perm[t.span_lo[v] : t.span_hi[v]] for v in cut])
+    assert np.array_equal(np.sort(ids), np.arange(reg.n))
+    assert reg._cut_cnt.tolist() == [cnt[v] for v in cut]
+
+
+@given(st.integers(1, 4), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_exit_cut_matches_its_definition_at_edges(dim, seed):
+    _check_cut(_edge_registry(np.random.default_rng(seed), dim))
+
+
+@pytest.mark.parametrize("dim, clustered", [(2, False), (3, True)])
+def test_exit_cut_matches_its_definition_at_scale(dim, clustered):
+    """At n = 4,096 the cut lies below the root's children: m = 128."""
+    reg = build_registry(_cell_instance(np.random.default_rng(dim), dim, 4096, clustered))
+    _check_cut(reg)
+    assert reg._cut.size > 2**dim and reg._cut_cnt.max() > 1
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_one_ball_exit_cut_is_the_roots_children(dim):
+    """With one ball (n <= m) the cut is the root's children, and the exit
+    answers with the ball from outside it and declines inside it (d_1 = 0)."""
+    inst = normalize([Ball((0.5,) * dim, 0.125)], 0.5)
+    reg = build_registry(inst)
+    _check_cut(reg)
+    assert reg._cut.tolist() == reg.centers_tree.children(0).tolist()
+    c, r = reg.centers[0], float(reg.radii[0])
+    surface = c.copy()
+    surface[0] += r
+    for q, want in ((c, -1), (surface, -1), (c + 2.0 * r, 0), (np.full(dim, -3.0), 0), (np.full(dim, 1e3), 0)):
+        for eps in (0.5, 0.1, 0.01):
+            assert reg.certified_kth_ball(q, 1, eps) == want
+
+
+def _check_cut_round(rng, reg: Registry) -> None:
+    """The cut's stored rows are its rows of the node tables, and the exit's
+    first array round, on them, bounds the cut as _ball_bounds does, bit for
+    bit, with the cut's center counts, from the edge queries and the points
+    on and far outside the box of all balls."""
+    cut = reg._cut
+    for name in ("lo", "hi", "rmin", "rmax"):
+        assert getattr(reg, f"_cut_{name}").tobytes() == getattr(reg, f"_node_{name}")[cut].tobytes()
+    first = []
+    kth_bounds = registry_module._kth_bounds
+
+    def recorded(lo, hi, cnt, ks):
+        first.append((lo, hi, cnt))
+        return kth_bounds(lo, hi, cnt, ks)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(registry_module, "_kth_bounds", recorded)
+        for q in _edge_queries(rng, reg) + _root_box_queries(rng, reg):
+            want = np.concatenate(reg._ball_bounds(cut, q)).tobytes()
+            for k in sorted({1, (reg.n + 1) // 2, reg.n}):
+                for eps in (0.5, 0.1, 0.01):
+                    first.clear()
+                    reg.certified_kth_ball(q, k, eps)
+                    if first:  # the root round did not decide
+                        lo, hi, cnt = first[0]
+                        assert np.concatenate([lo, hi]).tobytes() == want
+                        assert cnt.tolist() == (reg.centers_tree.span_hi - reg.centers_tree.span_lo)[cut].tolist()
+
+
+@given(st.integers(1, 4), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_cut_round_bounds_are_exact_at_edges(dim, seed):
+    rng = np.random.default_rng(seed)
+    _check_cut_round(rng, _edge_registry(rng, dim))
+
+
+@pytest.mark.parametrize("dim, clustered", [(2, False), (3, True)])
+def test_cut_round_bounds_are_exact_at_scale(dim, clustered):
+    rng = np.random.default_rng(90 + dim)
+    _check_cut_round(rng, build_registry(_cell_instance(rng, dim, 4096, clustered)))
+
+
+@pytest.mark.parametrize("dim, clustered", [(2, False), (3, True)])
+def test_exit_through_a_deep_cut_matches_oracle(dim, clustered):
+    """knn.query at n = 4,096, where the exit's array rounds start below the
+    root's children, from points on ball surfaces, on dyadic faces, up to
+    10^3 outside the cube and on the box of all balls: every answer lies in
+    the oracle window with an interval around d_k, and where the exit
+    declines the answer is the two stages' one, bit for bit.  Some answers
+    come from the cut's rounds, not the root's far rule."""
+    rng = np.random.default_rng(80 + dim)
+    reg = build_registry(_cell_instance(rng, dim, 4096, clustered))
+    assert reg._cut_cnt.max() > 1
+    through_cut = 0
+    for q in _edge_queries(rng, reg) + _root_box_queries(rng, reg):
+        d_balls = ball_distances(q, reg.centers, reg.radii)
+        low, high = reg._root_bounds(q.tolist())
+        for k in (1, 4, 64, reg.n // 2, reg.n):
+            truth = exact_kth_distance(reg.instance, q, k).value
+            for eps in (0.5, 0.1, 0.01):
+                ans = knn.query(reg, q, k, eps)
+                assert (1.0 - eps) * truth <= ans.distance <= (1.0 + eps) * truth
+                lo, hi = ans.certified_interval
+                assert lo <= truth <= hi
+                assert ans.distance == d_balls[ans.ball_id]
+                wid = reg.certified_kth_ball(q, k, eps)
+                if wid < 0:
+                    two = knn.two_stage_query(reg, q, k, eps)
+                    assert (ans.ball_id, ans.distance, ans.certified_interval) == (
+                        two.ball_id, two.distance, two.certified_interval,
+                    )
+                else:
+                    assert ans.ball_id == wid
+                    through_cut += not (high > 0.0 and low >= (1.0 - eps) * high and high <= (1.0 + eps) * low)
+    assert through_cut > 0
+
+
 def test_d5_registry_answers_in_the_oracle_window():
     """A uniform d=5 registry of n = 4,096 balls, which the centers tree
     alone serves: knn.query, by the certified exit where it answers, and
