@@ -13,9 +13,12 @@ stages behind the certified exit, to the first 1,000 of them
 for the cell index, also its tree (keys, levels and parent links), its
 stored estimates and its witnesses, each apart, and the rest of its
 arrays, once as built and once after a save_index/load_index round trip,
-with the saved file's byte count.  A last
-line does the same for the strict cell index of acceptance criterion 6
-(d=1, n=8, k=7, eps=0.5), its clusters included, on 2,000 uniform queries.
+with the saved file's byte count.  A line does the same for a cell index
+whose sweep selects one row per chunk (uniform d=2, n=16,384, k=4,096,
+eps 0.5, from `perfbench/inputs.py` with seed 1, on 2,000 of its cell
+queries), and a last line for the strict cell index of acceptance
+criterion 6 (d=1, n=8, k=7, eps=0.5), its clusters included, on 2,000
+uniform queries.
 After each cell-index line, an out-of-domain line digests the cell
 index's answers to 500 seeded points in [-1, 2]^d outside the unit cube.
 A grid-cover line per seed digests the grid cells that
@@ -420,6 +423,7 @@ def main(argv=None) -> int:
     if args.dump:
         os.makedirs(args.dump, exist_ok=True)
     sys.path[:0] = [str(Path(args.root) / "src"), str(Path(args.root) / "perfbench")]
+    import inputs
     import numpy as np
     import workloads
     from ballann import avd, datasets, geometry, knn, registry
@@ -445,6 +449,14 @@ def main(argv=None) -> int:
             print(line, flush=True)
             print(f"{name} seed {seed}{cut_line(reg)}", flush=True)
             print(f"{name} seed {seed}{two_stage_line(reg, rows, args.dump, label)}", flush=True)
+    # A cell index whose sweep fills each selection chunk with one row: n is
+    # at least knn._KTH_CHUNK_PAIRS.
+    centers, radii = inputs.uniform_balls(1, 2, 16384)
+    balls = [geometry.Ball(tuple(c), float(r)) for c, r in zip(centers.tolist(), radii)]
+    index = avd.build_avd(registry.build_registry(geometry.normalize(balls, 0.5)), 4096, 0.5)
+    points = inputs.cell_queries(1, 2, 16384, 2000)
+    print("uniform n16384 k4096:" + cell_line(index, points, args.dump, "uniform-n16384"), flush=True)
+    print("uniform n16384 k4096" + ood_line(index, 1, args.dump, "uniform-n16384"), flush=True)
     reg = registry.build_registry(geometry.normalize(datasets.generate_instance(6025, 1, 8), 0.5))
     points = np.random.default_rng(0).random((2000, 1))
     index = avd.build_avd(reg, 7, 0.5, "strict")

@@ -19,8 +19,9 @@ S).  The sweep runs breadth first, one layer at a time, and decides a
 layer by array operations in queue order.  Every live cell of a layer gets
 the exact k-th ball distance d_k at its representative and, as its
 witness, the k-th ball in (distance, id) order, from one block of ball
-distances and one partition per chunk of cells (`knn.kth_balls`); the
-sweep makes no registry search.  The cell stores kdist = d_k itself, which
+distances and one partition per cache-sized chunk of cells, in blocks
+allocated once per layer (`knn.kth_balls`); the sweep makes no registry
+search.  The cell stores kdist = d_k itself, which
 meets the paper's sandwich [d_k, (1 + eps/4) d_k] trivially.  In strict
 mode the root and each cell a split makes own the cluster of least lifted
 distance |rep - center| + radius; an overlay cell keeps its far-field

@@ -196,24 +196,28 @@ class NormalizedInstance:
         return tuple((float(x) - o) / self.scale for x, o in zip(p, self.offset))
 
 
-def center_distances(q, centers: np.ndarray) -> np.ndarray:
+def center_distances(q, centers: np.ndarray, out=None, work=None) -> np.ndarray:
     """|q - c| for every row c of centers (n, d): shape (n,) for one point
     q, (m, n) for points q (m, d).  The squares, taken as products, are
     summed over the axes in order 0..d-1, the one order of every ball
-    distance d(q, b) = max(|q - c| - r, 0) in the package."""
+    distance d(q, b) = max(|q - c| - r, 0) in the package.
+
+    out, when given, receives the result, and work, an array of the same
+    shape, each axis's term after the first; both are fresh arrays when
+    None.  The values are the same bit for bit either way."""
     q = np.asarray(q, dtype=np.float64)
-    t = centers[:, 0] - q[..., 0, None]
-    acc = t * t
+    acc = np.subtract(centers[:, 0], q[..., 0, None], out=out)
+    np.multiply(acc, acc, out=acc)
     for j in range(1, centers.shape[1]):
-        t = centers[:, j] - q[..., j, None]
-        acc += t * t
+        work = np.subtract(centers[:, j], q[..., j, None], out=work)
+        acc += np.multiply(work, work, out=work)
     return np.sqrt(acc, out=acc)
 
 
-def ball_distances(q, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+def ball_distances(q, centers: np.ndarray, radii: np.ndarray, out=None, work=None) -> np.ndarray:
     """d(q, b) for every ball b of (centers, radii), shaped as
-    center_distances."""
-    dist = center_distances(q, centers)
+    center_distances, with its out and work."""
+    dist = center_distances(q, centers, out, work)
     return np.maximum(np.subtract(dist, radii, out=dist), 0.0, out=dist)
 
 

@@ -10,7 +10,14 @@ The cell index's registry fallback and out-of-domain points
 (`avd.avd_query`) call `query` too.  `kth_balls` is the one exact k-th
 selection: the cell index's sweep, the quorum's gamma
 (`quorum.ball_quorum`) and refine's exact scan take their k-th ball
-distances from it.
+distances from it.  It works through cache-sized chunks of rows (at most
+_KTH_CHUNK_PAIRS (row, ball) pairs, or one row), in two float64 blocks it
+allocates once per call: the chunk's ball distances, and the axis terms
+that then hold the copy `kth_by_value_id` partitions.  That selection
+finds the k-th value by partition and its column by one equality pass;
+only a row where more than one column holds that value ranks the ties by
+column.  Every value and column is the same bit for bit as one dense row
+of `ball_distances` ordered by (distance, id).
 
 The returned distance is always the exact distance to a real input ball; the
 approximation lives in which ball gets picked.
@@ -91,8 +98,11 @@ from .registry import Registry
 EPS_HAT_SHRINK = 16.0
 
 # kth_balls works on chunks of rows holding at most about this many
-# (row, ball) pairs, which bounds the memory of its distance blocks.
-_KTH_CHUNK_PAIRS = 1 << 16
+# (row, ball) pairs (one row when n is larger).  That bounds its cache
+# footprint: two float64 blocks of 128 KB and a 16 KB mask fit in a
+# core's L2.  On `cell-d2` (n = 1,024), 2^13 and 2^15 pairs built about
+# 10% slower, and 2^16 25% slower.
+_KTH_CHUNK_PAIRS = 1 << 14
 
 # Relative pad on the small-candidate prefilter's reach, far above the few
 # ulps by which a float center distance or cell test can be off.
@@ -167,26 +177,49 @@ def constant_factor_kth(reg: Registry, q, k: int) -> float:
     return constant_factor_detail(reg, q, k)[0]
 
 
-def kth_by_value_id(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def kth_by_value_id(values: np.ndarray, k: int, work=None) -> tuple[np.ndarray, np.ndarray]:
     """Per row of values (m, n), the k-th smallest value and its column,
-    the k-th in (value, column) order: one partition finds the value, and
-    the ties at it are ranked by column."""
-    kth = np.partition(values, k - 1, axis=1)[:, k - 1]
-    rank = k - np.count_nonzero(values < kth[:, None], axis=1)
-    ties = np.cumsum(values == kth[:, None], axis=1, dtype=np.int32)
-    return kth, np.argmax(ties >= rank[:, None], axis=1)
+    the k-th in (value, column) order.  A copy partitioned in place (in
+    work, an array of values' shape, when given) finds the value, and one
+    equality pass its column: the first column at that value, unless
+    another column holds it too.  Only on such rows are the ties at the
+    value ranked by column."""
+    if work is None:
+        work = values.copy()
+    else:
+        np.copyto(work, values)
+    work.partition(k - 1, axis=1)
+    kth = work[:, k - 1].copy()
+    at = values == kth[:, None]
+    col = np.argmax(at, axis=1)
+    # Every row holds its k-th value at least once; more than m in all
+    # means some row holds it twice.
+    if np.count_nonzero(at) > at.shape[0]:
+        tied = np.flatnonzero(np.count_nonzero(at, axis=1) > 1)
+        rank = k - np.count_nonzero(values[tied] < kth[tied, None], axis=1)
+        ties = np.cumsum(at[tied], axis=1, dtype=np.int32)
+        col[tied] = np.argmax(ties >= rank[:, None], axis=1)
+    return kth, col
 
 
 def kth_balls(reg: Registry, pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The exact k-th ball distance d_k at each row of pts (m, d) and the
     k-th ball in (distance, id) order, from one block of ball distances per
-    chunk of rows."""
-    dist = np.empty(pts.shape[0], dtype=np.float64)
-    wid = np.empty(pts.shape[0], dtype=np.int64)
+    chunk of rows.  The call allocates its two float64 blocks once, for the
+    distances and for the axis terms and partitioned copy, and every chunk
+    reuses them; it reads the centers from a column-major copy, so that
+    each axis is contiguous."""
+    m = pts.shape[0]
+    dist = np.empty(m, dtype=np.float64)
+    wid = np.empty(m, dtype=np.int64)
     step = max(1, _KTH_CHUNK_PAIRS // reg.n)
-    for lo in range(0, pts.shape[0], step):
-        block = ball_distances(pts[lo : lo + step], reg.centers, reg.radii)
-        dist[lo : lo + step], wid[lo : lo + step] = kth_by_value_id(block, k)
+    block = np.empty((min(step, m), reg.n), dtype=np.float64)
+    work = np.empty_like(block)
+    centers = np.asfortranarray(reg.centers)
+    for lo in range(0, m, step):
+        rows = min(step, m - lo)
+        b = ball_distances(pts[lo : lo + rows], centers, reg.radii, block[:rows], work[:rows])
+        dist[lo : lo + rows], wid[lo : lo + rows] = kth_by_value_id(b, k, work[:rows])
     return dist, wid
 
 

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ballann import build_registry, generate_instance, normalize
 from ballann.geometry import (
@@ -21,6 +23,8 @@ from ballann.knn import (
     KnnAnswer,
     constant_factor_detail,
     constant_factor_kth,
+    kth_balls,
+    kth_by_value_id,
     query,
     refine,
 )
@@ -393,3 +397,91 @@ def test_answer_type_is_frozen():
     ans = KnnAnswer(0, 1.0, (0.5, 2.0))
     with pytest.raises(Exception):
         ans.distance = 2.0
+
+
+# -- exact k-th selection ------------------------------------------------------------
+
+
+def _kth_reference(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the k-th entry in (value, column) order, by lexsort."""
+    cols = np.arange(values.shape[1])
+    wid = np.array([np.lexsort((cols, row))[k - 1] for row in values], dtype=np.int64)
+    return values[np.arange(values.shape[0]), wid], wid
+
+
+_ROW_KINDS = ("distinct", "few values", "all equal", "inf")
+
+
+@given(
+    st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=6),
+    st.integers(1, 40),
+    st.sampled_from(["1", "n", "any"]),
+    st.integers(0, 10_000),
+)
+@settings(max_examples=200, deadline=None)
+def test_kth_by_value_id_matches_lexsort(kinds, n, which, seed):
+    """The selection (a partitioned copy, one equality pass and argmax, and
+    the column ranking on rows with more than one value at the k-th) is
+    the k-th in (value, column) order: on rows of many equal values, on
+    all-equal rows and on rows with +inf entries, as refine's large-only
+    selection passes them, for k = 1, n and between.  A work array gives
+    the same answer, and values is left as it was."""
+    rng = np.random.default_rng(seed)
+    k = {"1": 1, "n": n, "any": int(rng.integers(1, n + 1))}[which]
+    rows = []
+    for kind in kinds:
+        if kind == "distinct":
+            rows.append(rng.random(n))
+        elif kind == "few values":
+            rows.append(rng.integers(0, 3, n) * 0.25)
+        elif kind == "all equal":
+            rows.append(np.full(n, float(rng.random())))
+        else:
+            rows.append(np.where(rng.random(n) < 0.5, rng.integers(0, 4, n) * 0.5, np.inf))
+    values = np.array(rows)
+    before = values.tobytes()
+    want_kth, want_col = _kth_reference(values, k)
+    for work in (None, np.empty_like(values)):
+        kth, col = kth_by_value_id(values, k, work)
+        assert kth.tobytes() == want_kth.tobytes()
+        assert col.tolist() == want_col.tolist()
+    assert values.tobytes() == before
+
+
+def _tied_registry() -> Registry:
+    """40 uniform balls at d=2 and a coincident copy of the first 8, so that
+    distances tie at every point, at 0 inside the copied balls."""
+    balls = generate_instance(91, 2, 40)
+    return build_registry(normalize(balls + balls[:8], 0.5))
+
+
+@pytest.mark.parametrize(
+    "regime,m",
+    [("below one chunk", 13), ("ragged last chunk", 13), ("n pairs", 9), ("below n pairs", 9), ("one pair", 9)],
+)
+def test_kth_balls_matches_a_dense_row_in_every_chunk_regime(monkeypatch, regime, m):
+    """kth_balls equals, bit for bit, one dense ball_distances row per point
+    and its k-th (distance, id) by lexsort, whether the rows fit in one
+    chunk, end in a short chunk, or fill a chunk one at a time because n is
+    at least the chunk's pairs."""
+    reg = _tied_registry()
+    n = reg.n
+    pairs = {
+        "below one chunk": knn._KTH_CHUNK_PAIRS,
+        "ragged last chunk": 5 * n,
+        "n pairs": n,
+        "below n pairs": n - 1,
+        "one pair": 1,
+    }[regime]
+    assert (pairs // n < m) == (regime != "below one chunk")
+    monkeypatch.setattr(knn, "_KTH_CHUNK_PAIRS", pairs)
+    rng = np.random.default_rng(m)
+    pts = np.concatenate([reg.centers[: m // 2], rng.uniform(-0.5, 1.5, (m - m // 2, 2))])
+    dense = np.stack([ball_distances(p, reg.centers, reg.radii) for p in pts])
+    for k in (1, 2, 9, n // 2, n):
+        want_kth, want_wid = _kth_reference(dense, k)
+        kth, wid = kth_balls(reg, pts, k)
+        assert kth.tobytes() == want_kth.tobytes()
+        assert wid.tolist() == want_wid.tolist()
+    kth, wid = kth_balls(reg, pts[:0], 1)
+    assert kth.shape == wid.shape == (0,)

@@ -818,6 +818,33 @@ def test_one_ball_exit_cut_is_the_roots_children(dim):
             assert reg.certified_kth_ball(q, 1, eps) == want
 
 
+def test_root_only_tree_answers_through_the_two_stages():
+    """At d >= 64 no grid level fits a key (max_level_for_dim(d) == 0), so
+    the centers tree is the root alone: the root does not split, the stored
+    cut is empty, and every query the root round cannot certify goes to the
+    two stages.  Every answer lies in the oracle window with an interval
+    around d_k."""
+    dim = 64
+    assert max_level_for_dim(dim) == 0
+    reg = build_registry(normalize(generate_instance(7, dim, 40), 0.5))
+    assert reg.centers_tree.size == 1 and not reg._root_splits
+    assert reg._cut.size == 0
+    rng = np.random.default_rng(64)
+    declined = 0
+    for k in (1, 5, 40):
+        for eps in (0.5, 0.1):
+            for i in range(8):
+                q = reg.centers[i] if i % 2 else rng.random(dim)
+                ans = knn.query(reg, q, k, eps)
+                truth = exact_kth_distance(reg.instance, q, k).value
+                assert (1.0 - eps) * truth <= ans.distance <= (1.0 + eps) * truth
+                assert ans.certified_interval[0] <= truth <= ans.certified_interval[1]
+                if reg.certified_kth_ball(q, k, eps) < 0:
+                    declined += 1
+                    assert ans == knn.two_stage_query(reg, q, k, eps)
+    assert declined > 0
+
+
 def _check_cut_round(rng, reg: Registry) -> None:
     """The cut's stored rows are its rows of the node tables, and the exit's
     first array round, on them, bounds the cut as _ball_bounds does, bit for
