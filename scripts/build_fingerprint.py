@@ -16,9 +16,11 @@ arrays, once as built and once after a save_index/load_index round trip,
 with the saved file's byte count.  A line does the same for a cell index
 whose sweep selects one row per chunk (uniform d=2, n=16,384, k=4,096,
 eps 0.5, from `perfbench/inputs.py` with seed 1, on 2,000 of its cell
-queries), and a last line for the strict cell index of acceptance
-criterion 6 (d=1, n=8, k=7, eps=0.5), its clusters included, on 2,000
-uniform queries.
+queries), a line for the strict cell index of acceptance criterion 6
+(d=1, n=8, k=7, eps=0.5), its clusters included, on 2,000 uniform
+queries, and a registry line at d = 5 (uniform n = 4,096, floor 0.5): its
+arrays, its stored cut, and the exit's answers and declines on 300
+seeded points (d5_line).
 After each cell-index line, an out-of-domain line digests the cell
 index's answers to 500 seeded points in [-1, 2]^d outside the unit cube.
 A grid-cover line per seed digests the grid cells that
@@ -282,6 +284,37 @@ def two_stage_line(reg, rows, dump: str | None, label: str) -> str:
     return f" two-stage: answers {answer_digest(answers, dump, label + '-two-stage', **extra)}"
 
 
+def d5_line(dump: str | None) -> str:
+    """The registry over uniform d=5, n=4,096 balls (`inputs.uniform_balls`,
+    seed 1, floor 0.5): digests of its arrays and its stored cut, and of
+    `certified_kth_ball`'s answers to 300 points uniform in [0, 1)^5, k
+    and eps cycled as `inputs.registry_queries` cycles them (which draws
+    points for d <= 3 only), with the count of declines, and of
+    `knn.query`'s answers to the same rows."""
+    import math
+
+    import inputs
+    import numpy as np
+
+    from ballann import geometry, knn, registry
+
+    d, n = 5, 4096
+    centers, radii = inputs.uniform_balls(1, d, n)
+    balls = [geometry.Ball(tuple(c), float(r)) for c, r in zip(centers.tolist(), radii)]
+    reg = registry.build_registry(geometry.normalize(balls, 0.5))
+    points = np.random.default_rng([1, d, n, 3]).random((300, d)).tolist()
+    k_cycle, eps_cycle = [1, 4, math.isqrt(n), n // 16, n // 4], [0.1, 0.25, 0.5]
+    rows = [(q, k_cycle[i % 5], eps_cycle[i % 3]) for i, q in enumerate(points)]
+    exits = np.array([reg.certified_kth_ball(q, k, e) for q, k, e in rows], dtype=np.int64)
+    answers = [knn.query(reg, tuple(q), k, e) for q, k, e in rows]
+    extra = oracle_arrays(reg.instance, rows) if dump else {}
+    return (
+        f"uniform d5 n4096: registry {digest(registry_arrays(reg))}{cut_line(reg)}"
+        f" exit {digest([exits])} declines {np.count_nonzero(exits < 0)} of {exits.size}"
+        f" answers {answer_digest(answers, dump, 'uniform-d5-n4096', **extra)}"
+    )
+
+
 def round_trip(index) -> tuple:
     """The index after save_index/load_index, and the saved byte count."""
     from ballann import io
@@ -462,6 +495,7 @@ def main(argv=None) -> int:
     index = avd.build_avd(reg, 7, 0.5, "strict")
     print("strict c6:" + cell_line(index, points, args.dump, "strict-c6"), flush=True)
     print("strict c6" + ood_line(index, 0, args.dump, "strict-c6"), flush=True)
+    print(d5_line(args.dump), flush=True)
     for seed in args.seeds:
         print(grid_cover_line(seed, args.dump), flush=True)
     return 0

@@ -96,6 +96,8 @@ from .geometry import (
     InternalInvariantError,
     ball_distance,
     ball_distances,
+    check_eps,
+    check_k,
     check_point,
     enumerate_grid_cells_ball,
     grid_level_for_diameter,
@@ -328,16 +330,14 @@ def build_avd(
     t0 = time.perf_counter()
     n, dim = reg.n, reg.dim
     c_d = reg.instance.c_d
-    if not 1 <= k <= n:
-        raise InputError(f"k must lie in [1, {n}], got {k}")
+    check_k(k, n)
     if k <= 2 * c_d:
         raise InputError(
             f"k={k} is not above 2*c_d = {2 * c_d} in dimension {dim}: below that "
             "the cell index's cells outgrow its budget; for smaller k build a "
             "registry index (omit --k/--eps) and query it directly"
         )
-    if not 0.0 < eps < 1.0:
-        raise InputError(f"eps must lie in (0, 1), got {eps}")
+    check_eps(eps)
     if mode not in ("practical", "strict"):
         raise InputError(f"mode must be 'practical' or 'strict', got {mode!r}")
     strict = mode == "strict"

@@ -30,6 +30,8 @@ __all__ = [
     "max_level_for_dim",
     "concat_ranges",
     "check_point",
+    "check_k",
+    "check_eps",
     "ball_distance",
     "ball_distances",
     "center_distances",
@@ -234,6 +236,22 @@ def check_point(q, dim: int) -> list[float]:
     return qt
 
 
+def check_k(k, n: int) -> int:
+    """k as an int, or InputError unless 1 <= k <= n: the package's one
+    check of a rank k among n balls."""
+    kk = int(k)
+    if not 1 <= kk <= n:
+        raise InputError(f"k must lie in [1, {n}], got {k}")
+    return kk
+
+
+def check_eps(eps) -> None:
+    """InputError unless 0 < eps < 1 (a NaN fails too): the package's one
+    check of an approximation eps."""
+    if not 0.0 < eps < 1.0:
+        raise InputError(f"eps must lie in (0, 1), got {eps}")
+
+
 def ball_distance(q: Sequence[float], center: Sequence[float], radius: float) -> float:
     """d(q, b) for one ball, equal bit for bit to ball_distances: a plain
     loop in the same order (math.dist and sum() round differently)."""
@@ -317,8 +335,7 @@ def normalize(balls: Sequence[Ball], eps: float) -> NormalizedInstance:
     """
     if len(balls) == 0:
         raise InputError("normalize requires at least one ball")
-    if not (0.0 < eps < 1.0):
-        raise InputError(f"eps must lie in (0, 1), got {eps}")
+    check_eps(eps)
     d = balls[0].dimension
     if d < 1:
         raise InputError("dimension must be at least 1")

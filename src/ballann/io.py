@@ -31,6 +31,8 @@ from .geometry import (
     InputError,
     InternalInvariantError,
     NormalizedInstance,
+    check_eps,
+    check_k,
     max_level_for_dim,
     packing_constant,
 )
@@ -158,10 +160,8 @@ def parse_query_line(
         raise InputError("no k on the line and none fixed by the index or flags")
     if out_eps is None:
         raise InputError("no eps on the line and none fixed by the index or flags")
-    if not 1 <= out_k <= n:
-        raise InputError(f"k must lie in [1, {n}], got {out_k}")
-    if not (0.0 < out_eps < 1.0):
-        raise InputError(f"eps must lie in (0, 1), got {out_eps}")
+    check_k(out_k, n)
+    check_eps(out_eps)
     return q, out_k, out_eps
 
 

@@ -42,13 +42,14 @@ and far on every ball distance, and the root certifies exactly when far
 That round runs as an O(d) test in plain floats on the root's box and
 radii, kept on the registry at build.  When it declines, the first array
 round starts from a cut of the tree stored at build, not from the root's
-children: the nodes that hold at most m = n // 32 centers (or are leaves)
-and whose parent holds more (or is the root).  On every path from the
-root to a leaf exactly one node is in the cut, so the cut is an antichain
-that holds every ball once, and the argument above holds on it; being
-deeper, it certifies most queries in that one round.  Later rounds drop
-nodes beyond H and split the nodes that straddle [L, H], which raises L
-and lowers H.  The bounds are padded outward by the registry's
+children: the nodes that hold at most m centers (or are leaves) and whose
+parent holds more (or is the root), m = n // 32 doubled while the cut
+holds more than EXACT_FINISH_COUNT nodes and m < n.  On every path from
+the root to a leaf exactly one node is in the cut, so the cut is an
+antichain that holds every ball once, and the argument above holds on it;
+being deeper, it certifies most queries in that one round.  Later rounds
+drop nodes beyond H and split the nodes that straddle [L, H], which raises
+L and lowers H.  The bounds are padded outward by the registry's
 WALK_MARGIN, far above the rounding of a box distance, so the float
 comparisons keep the argument.  When d_k = 0, L = 0 and no window
 certifies: the exit declines, as it does when its frontier grows past
@@ -58,17 +59,15 @@ Refinement takes one row of center distances at q, which yields the large
 balls and a prefilter for the small candidates.  A small candidate is a
 center whose own grid cell meets the closed ball(q, r_snap); the center
 lies in that cell, so it is within r_snap plus the cell diameter
-side*sqrt(d) of q.  With no other center that close there is no small
-candidate: the candidates are the large balls, each of weight 1, and the
-answer is their k-th (distance, id) pair, found by partition.  Otherwise
-the centers that pass the prefilter are snapped to the grid once, and
-those cell coords feed both the exact closed cell test
+side*sqrt(d) of q.  The centers that pass the prefilter are snapped to
+the grid once, and those cell coords feed both the exact closed cell test
 (`geometry.cells_meet_ball`, the one `enumerate_grid_cells_ball` applies)
 and the selection.  The selection takes the k-th smallest estimate with
-each small center counted once at its cell's, by partition; only the
-candidates at exactly that estimate are grouped by cell and ordered by
-key.  The prefilter's reach is padded by the relative PREFILTER_SLACK, so
-float rounding cannot drop a center the exact test would keep.
+each large ball counted once at its distance and each small center once
+at its cell's, by partition; only the candidates at exactly that estimate
+are grouped by cell and ordered by key.  The prefilter's reach is padded
+by the relative PREFILTER_SLACK, so float rounding cannot drop a center
+the exact test would keep.
 """
 
 from __future__ import annotations
@@ -85,6 +84,8 @@ from .geometry import (
     ball_distances,
     cells_meet_ball,
     center_distances,
+    check_eps,
+    check_k,
     check_point,
     grid_coords,
     grid_level_for_diameter,
@@ -124,11 +125,6 @@ class KnnAnswer(NamedTuple):
     out_of_domain: bool = False
 
 
-def _check_qk(reg: Registry, k: int) -> None:
-    if not 1 <= int(k) <= reg.n:
-        raise InputError(f"k must lie in [1, {reg.n}], got {k}")
-
-
 def constant_factor_detail(reg: Registry, q, k: int) -> tuple[float, str, int]:
     """(x, step, witness) with x/4 <= d_B(q,k) <= 4x; witness >= 0 only at x=0.
 
@@ -137,8 +133,7 @@ def constant_factor_detail(reg: Registry, q, k: int) -> tuple[float, str, int]:
     feasible, quarter probe not), "C" (dyadic descent below the quarter
     probe).
     """
-    _check_qk(reg, k)
-    k = int(k)
+    k = check_k(k, reg.n)
     qt = check_point(q, reg.dim)
     inside = reg.balls_containing_point(qt)
     if inside.size >= k:
@@ -239,10 +234,8 @@ def refine(reg: Registry, q, k: int, x: float, eps: float) -> KnnAnswer:
     x = 0 needs q inside at least k balls, and a grid that would be deeper
     than the exact levels gets an exact scan.
     """
-    _check_qk(reg, k)
-    if not 0.0 < eps < 1.0:
-        raise InputError(f"eps must lie in (0, 1), got {eps}")
-    k = int(k)
+    k = check_k(k, reg.n)
+    check_eps(eps)
     q = np.array(check_point(q, reg.dim))
     x = float(x)
     if not x >= 0.0:
@@ -273,21 +266,12 @@ def refine(reg: Registry, q, k: int, x: float, eps: float) -> KnnAnswer:
     # The large set of large_balls_intersecting(q, r_q, 2*ehat*x), ties in.
     large = (2.0 * reg.radii >= 2.0 * ehat * x) & (dist <= r_q)
     near &= ~large
-    if near.any():
-        ids = np.flatnonzero(large)
-        # One grid snap of the near centers feeds the cell test and the selection.
-        near_ids = np.flatnonzero(near)
-        cells = grid_coords(reg.centers[near_ids], level)
-        meet = cells_meet_ball(cells, q, r_snap, level)
-        wid = _select_with_cells(q, k, level, ids, dist[ids], near_ids[meet], cells[meet])
-    else:
-        # Only large candidates, each of weight 1: the k-th (distance, id).
-        kth, wids = kth_by_value_id(np.where(large, dist, np.inf)[None, :], k)
-        if not math.isfinite(kth[0]):
-            raise InternalInvariantError(
-                "selection ran out of candidates; the 4-factor estimate must be wrong"
-            )
-        wid = int(wids[0])
+    ids = np.flatnonzero(large)
+    # One grid snap of the near centers feeds the cell test and the selection.
+    near_ids = np.flatnonzero(near)
+    cells = grid_coords(reg.centers[near_ids], level)
+    meet = cells_meet_ball(cells, q, r_snap, level)
+    wid = _select_with_cells(q, k, level, ids, dist[ids], near_ids[meet], cells[meet])
     w = float(dist[wid])
     return KnnAnswer(wid, w, (w / (1.0 + eps), w / (1.0 - eps)))
 
@@ -343,8 +327,7 @@ def _select_with_cells(
 def two_stage_query(reg: Registry, q, k: int, eps: float) -> KnnAnswer:
     """(1 +- eps)-approximate k-th nearest ball by the two stages alone:
     estimate, then refine.  The answer is not flagged out_of_domain."""
-    if not 0.0 < eps < 1.0:
-        raise InputError(f"eps must lie in (0, 1), got {eps}")
+    check_eps(eps)
     q = check_point(q, reg.dim)
     x, step, wid = constant_factor_detail(reg, q, k)
     if step == "zero":
@@ -363,11 +346,10 @@ def query(reg: Registry, q, k: int, eps: float) -> KnnAnswer:
     needs dim finite coordinates, here as in two_stage_query and refine,
     else InputError.
     """
-    if not 0.0 < eps < 1.0:
-        raise InputError(f"eps must lie in (0, 1), got {eps}")
-    _check_qk(reg, k)
+    check_eps(eps)
+    k = check_k(k, reg.n)
     qt = check_point(q, reg.dim)
-    wid = reg.certified_kth_ball(qt, int(k), eps)
+    wid = reg.certified_kth_ball(qt, k, eps)
     if wid < 0:
         ans = two_stage_query(reg, qt, k, eps)
         wid, w, interval = ans.ball_id, ans.distance, ans.certified_interval

@@ -6,8 +6,11 @@ level M = max_level_for_dim(d); the cube owns the contiguous key range
 closed under pairwise least common ancestors.  Every lookup is a search on
 those sorted arrays: a node's parent is the stored LCA of it and the node
 before it, and the deepest stored cube holding a key is found by one
-`searchsorted` and a short walk up the parent links.  All keys fit in a
-signed 64-bit integer because d * M <= 63.
+`searchsorted` and a short walk up the parent links.  The pairs stay two
+arrays in every tree: one two-key lexsort sorts and dedupes them
+(_dedupe_keys), and an exact cube is found by one `searchsorted` on z and a
+walk along the run of nodes with that z (`CompressedQuadtree.find_keys`).
+All keys fit in a signed 64-bit integer because d * M <= 63.
 
 One rule builds the keys in every dimension: a coordinate's bits spread
 to every d-th bit in one shift-or-mask round per power of two below their
@@ -173,39 +176,11 @@ def _bit_length_i64(x: np.ndarray) -> np.ndarray:
     return np.where(hi > 0, hi + 32, lo).astype(np.int64)
 
 
-def _pack_shift(z: np.ndarray, bits: int) -> int | None:
-    """t, the trailing zero bits that every key of z shares, when each cube
-    (z, level) with a level of at most `bits` bits packs into one int64 as
-    _pack(z, level, t, bits); None when the keys leave no room for the
-    level (cubes at the deepest level do not).  z must not be empty."""
-    zbits = int(np.bitwise_or.reduce(z))
-    t = (zbits & -zbits).bit_length() - 1 if zbits else 0
-    return t if int(z.max()).bit_length() - t + bits <= 63 else None
-
-
-def _pack(z: np.ndarray, level: np.ndarray, t: int, bits: int) -> np.ndarray:
-    """(z >> t) << bits | level: one int64 per cube, ordered as the (z,
-    level) pairs are."""
-    return ((z >> np.int64(t)) << np.int64(bits)) | level
-
-
 def _dedupe_keys(z: np.ndarray, level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct (z, level) pairs, sorted by z and then level.
-
-    When the keys leave room for the level (_pack_shift), one sort of the
-    packed values orders and dedupes the pairs; otherwise a two-key
-    lexsort does.
-    """
+    """The distinct (z, level) pairs, sorted by z and then level, by one
+    two-key lexsort."""
     z = np.asarray(z, dtype=np.int64)
     level = np.asarray(level, dtype=np.int64)
-    if z.size == 0:
-        return z, level
-    bits = int(level.max()).bit_length()
-    t = _pack_shift(z, bits)
-    if t is not None:
-        key = np.sort(_pack(z, level, t, bits))
-        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-        return (key >> np.int64(bits)) << np.int64(t), key & np.int64((1 << bits) - 1)
     order = np.lexsort((level, z))
     z, level = z[order], level[order]
     keep = np.ones(z.size, dtype=bool)
@@ -285,24 +260,12 @@ class CompressedQuadtree:
     def find_keys(self, z: np.ndarray, level: np.ndarray) -> np.ndarray:
         """find_key over arrays of cubes: node index per exactly stored cube, or -1.
 
-        When the stored keys leave room for the level (_pack_shift), every
-        (z, level) packs into one int64 in node order, and one search finds
-        each cube; a cube with a bit set below the stored keys' shared
-        trailing zeros, t of them, is not stored.  Otherwise (a tree with
-        cubes at the deepest level) the nodes that share a key form one run,
-        levels ascending: one search finds where each cube's run starts, and
-        a few steps along the runs find the level.
+        The nodes that share a key form one run, levels ascending: one
+        search finds where each cube's run starts, and a few steps along
+        the runs find the level.
         """
         zz = np.asarray(z, dtype=np.int64)
         lv = np.asarray(level, dtype=np.int64)
-        bits = self.max_level.bit_length()
-        t = _pack_shift(self.z, bits)
-        if t is not None:
-            keys = _pack(self.z, self.level, t, bits)
-            packed = _pack(zz, lv, t, bits)
-            pos = np.minimum(keys.searchsorted(packed), self.size - 1)
-            hit = (keys[pos] == packed) & ((zz & np.int64((1 << t) - 1)) == 0) & (lv <= self.max_level)
-            return np.where(hit, pos, -1)
         out = np.full(zz.size, -1, dtype=np.int64)
         pos = np.searchsorted(self.z, zz)
         todo = np.flatnonzero(pos < self.size)
@@ -426,7 +389,6 @@ def overlay(t1: CompressedQuadtree, t2: CompressedQuadtree) -> tuple[CompressedQ
         raise InputError("overlay requires trees of one dimension")
     z = np.concatenate([t1.z, t2.z])
     level = np.concatenate([t1.level, t2.level])
-    z, level = _dedupe_keys(z, level)
     tree = build_from_cubes((z, level, t1.dim))
     return tree, _nearest_marked_ancestor(tree.parent, t2.find_keys(tree.z, tree.level) >= 0)
 

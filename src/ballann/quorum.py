@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import InputError, ball_distances
+from .geometry import InputError, ball_distances, check_k
 from .knn import kth_balls
 from .oracle import optimal_quorum_radius_bound
 from .registry import Registry
@@ -130,8 +130,7 @@ def ball_quorum(reg: Registry, k: int) -> list[QuorumCluster]:
     witness (and every other assigned ball) lies fully inside the cluster.
     """
     n, c_d = reg.n, reg.instance.c_d
-    if not 1 <= k <= n:
-        raise InputError(f"k must lie in [1, {n}], got {k}")
+    check_k(k, n)
     if k <= 2 * c_d:
         raise InputError(
             f"quorum clustering needs k > 2*c_d = {2 * c_d} in dimension "

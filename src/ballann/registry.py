@@ -17,8 +17,10 @@ the query primitives:
     distances through the node tables, used by `knn.query` as its exit;
     its root round, the far rule, is an O(d) test in plain floats, and its
     array rounds start from a cut of the tree stored at build: the nodes
-    that hold at most n // 32 centers (or are leaves) below a parent that
-    holds more (or is the root), with their table rows copied alongside.
+    that hold at most m centers (or are leaves) below a parent that holds
+    more (or is the root), with their table rows copied alongside.  m is
+    n // 32, doubled while the cut holds more than EXACT_FINISH_COUNT
+    nodes and m < n.
 
 Retrieval, containment and the count are one walk down the centers tree
 (`_walk`), after Arya and Mount's approximate range counting: a node whose
@@ -67,6 +69,7 @@ from .geometry import (
     NormalizedInstance,
     ball_distances,
     center_distances,
+    check_k,
     check_point,
     concat_ranges,
 )
@@ -186,9 +189,15 @@ class Registry:
         self._root_rmin, self._root_rmax = float(self._node_rmin[0]), float(self._node_rmax[0])
         self._root_first = int(self._node_first[0])
         self._root_splits = bool(ct.level[0] < ct.max_level)
-        # The exit's first array frontier: the cut at m = n // 32 centers
-        # (_exit_cut), with its own contiguous copies of its table rows.
-        self._cut = _exit_cut(ct, max(1, self.n // 32))
+        # The exit's first array frontier: the cut at m centers (_exit_cut),
+        # with its own contiguous copies of its table rows.  m starts at n //
+        # 32 and doubles while the cut holds more nodes than a frontier may
+        # keep; at m >= n the cut is the root's children.
+        m = max(1, self.n // 32)
+        self._cut = _exit_cut(ct, m)
+        while self._cut.size > EXACT_FINISH_COUNT and m < self.n:
+            m *= 2
+            self._cut = _exit_cut(ct, m)
         self._cut_cnt = ct.span_hi[self._cut] - ct.span_lo[self._cut]
         self._cut_lo, self._cut_hi = self._node_lo[self._cut], self._node_hi[self._cut]
         self._cut_rmin, self._cut_rmax = self._node_rmin[self._cut], self._node_rmax[self._cut]
@@ -397,14 +406,14 @@ class Registry:
         so L and H are its own bounds: it runs as an O(d) test in plain
         floats (_root_bounds), with the same comparisons in the same order.
         A root that splits hands on the stored cut (_exit_cut, at m = n //
-        32 centers), not its own children: the argument holds on any
-        antichain that holds every ball once, and a cut that deep answers
-        most queries in one array round.  That round takes its bounds from
-        the cut's own copies of its table rows, with _ball_bounds'
-        operations, so it indexes no table.
+        32 centers, doubled while the cut holds more than
+        EXACT_FINISH_COUNT nodes and m < n), not its own children: the
+        argument holds on any antichain that holds every ball once, and a
+        cut that deep answers most queries in one array round.  That round
+        takes its bounds from the cut's own copies of its table rows, with
+        _ball_bounds' operations, so it indexes no table.
         """
-        if not 1 <= k <= self.n:
-            raise InputError(f"k must lie in [1, {self.n}], got {k}")
+        check_k(k, self.n)
         qt = check_point(q, self.dim)
         low, high = self._root_bounds(qt)
         if high == 0.0:

@@ -184,17 +184,22 @@ def test_refine_picks_the_reference_witness(monkeypatch, dim):
     points inside a ball, outside the cube, among the balls and uniform,
     and on one whose grid would be deeper than the exact levels."""
     reg = make_registry(90 + dim, dim, 40, profile="nested-huge" if dim % 2 else "uniform")
-    cells = []
-    real_select = knn._select_with_cells
+    taken = []
 
-    def counted(*args):
-        cells.append(1)
-        return real_select(*args)
+    def counted(name):
+        real = getattr(knn, name)
 
-    monkeypatch.setattr(knn, "_select_with_cells", counted)
+        def wrapper(*args):
+            taken.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(knn, name, wrapper)
+
+    counted("_select_with_cells")
+    counted("_exact_answer")
     rng = np.random.default_rng(41 + dim)
     eps = 0.25
-    rows = cell_rows = zero_rows = 0
+    exact_rows = zero_rows = 0
     for k in (1, int(rng.integers(2, reg.n)), reg.n):
         for i in range(25):
             if i < 3:
@@ -208,10 +213,17 @@ def test_refine_picks_the_reference_witness(monkeypatch, dim):
             truth = _truth(reg, q, k)
             # The last point's grid would be deeper than the exact levels.
             x = 1e-20 if i == 24 else truth * float(rng.uniform(0.26, 3.9))
-            del cells[:]
+            del taken[:]
             ans = refine(reg, q, k, x, eps)
-            rows += 1
-            cell_rows += bool(cells)
+            # Every row with x > 0 takes the cell selection, unless its grid
+            # would be deeper than the exact levels: then the exact scan.
+            want = []
+            if x > 0.0:
+                ehat = eps / knn.EPS_HAT_SHRINK
+                clamped = grid_level_for_diameter(2.0 * (4.0 * x * (1.0 + ehat)), ehat / 16.0, dim)[1]
+                want = ["_exact_answer" if clamped else "_select_with_cells"]
+            assert taken == want
+            exact_rows += want == ["_exact_answer"]
             zero_rows += x == 0.0
             if x > 0.0:
                 assert ans.ball_id == _refine_reference(reg, q, k, x, eps)
@@ -219,10 +231,7 @@ def test_refine_picks_the_reference_witness(monkeypatch, dim):
             assert (1.0 - eps) * truth - tol <= ans.distance <= (1.0 + eps) * truth + tol
             lo, hi = ans.certified_interval
             assert lo - tol <= truth <= hi + tol
-    assert zero_rows >= 3
-    # The cell selection ran on some points, the large-only selection on
-    # others; neither runs at x = 0 or on the three deepest grids.
-    assert 0 < cell_rows < rows - zero_rows - 3
+    assert zero_rows >= 3 and exact_rows >= 3
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -270,8 +279,8 @@ def test_refine_breaks_tied_cell_estimates_by_id(monkeypatch, dim):
 
 
 def test_refine_breaks_distance_ties_by_id():
-    # Five coincident balls and one apart: every ball is large, so refine
-    # takes the large-only selection, and equal distances order by id.
+    # Five coincident balls and one apart: every ball is large, so the
+    # selection has no small candidate, and equal distances order by id.
     balls = [Ball((0.0, 0.0), 1.0)] * 5 + [Ball((6.0, 0.0), 1.0)]
     reg = build_registry(normalize(balls, 0.5))
     q = reg.instance.to_unit((0.0, 1.5))
@@ -423,9 +432,9 @@ def test_kth_by_value_id_matches_lexsort(kinds, n, which, seed):
     """The selection (a partitioned copy, one equality pass and argmax, and
     the column ranking on rows with more than one value at the k-th) is
     the k-th in (value, column) order: on rows of many equal values, on
-    all-equal rows and on rows with +inf entries, as refine's large-only
-    selection passes them, for k = 1, n and between.  A work array gives
-    the same answer, and values is left as it was."""
+    all-equal rows and on rows with +inf entries, for k = 1, n and
+    between.  A work array gives the same answer, and values is left as it
+    was."""
     rng = np.random.default_rng(seed)
     k = {"1": 1, "n": n, "any": int(rng.integers(1, n + 1))}[which]
     rows = []

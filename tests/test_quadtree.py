@@ -172,7 +172,7 @@ def _shared_corner_keys(rng, dim, m, top_level):
 def test_dedupe_keys_matches_lexsort(dim):
     rng = np.random.default_rng(300 + dim)
     M = max_level_for_dim(dim)
-    # Shallow keys pack into one int64; keys at the deepest level do not.
+    # Shallow keys, keys of mid depth and keys at the deepest level.
     for top_level in (3, min(12, M), M):
         z, lev = _shared_corner_keys(rng, dim, 400, top_level)
         order = np.lexsort((lev, z))
@@ -200,16 +200,24 @@ def _check_find_keys(tree):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5])
 def test_find_keys_matches_key_set(dim):
+    """On cubes of shared corners, and with every cube (0, l), l = 0..M,
+    added: one run of M + 1 nodes on the key 0, the longest the lookup
+    walks, which the query at level M + 1 walks to the end."""
     rng = np.random.default_rng(320 + dim)
-    z, lev = _shared_corner_keys(rng, dim, 300, min(10, max_level_for_dim(dim)))
+    M = max_level_for_dim(dim)
+    z, lev = _shared_corner_keys(rng, dim, 300, min(10, M))
     _check_find_keys(build_from_cubes((z, lev, dim)))
+    z, lev = _shared_corner_keys(rng, dim, 200, M)
+    z = np.concatenate([np.zeros(M + 1, dtype=np.int64), z])
+    tree = build_from_cubes((z, np.concatenate([np.arange(M + 1), lev]), dim))
+    assert tree.z[: M + 1].tolist() == [0] * (M + 1) and tree.level[: M + 1].tolist() == list(range(M + 1))
+    _check_find_keys(tree)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5])
 def test_find_keys_on_point_trees(dim):
-    """A cube tree has room to pack (z, level) into one search key; a point
-    tree, whose leaves sit at the deepest level, has none at d >= 2 and
-    walks runs of equal z instead."""
+    """A point tree, whose leaves sit at the deepest level, as the centers
+    tree does."""
     _check_find_keys(build_from_points(np.random.default_rng(330 + dim).random((300, dim)), dim))
 
 

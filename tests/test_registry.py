@@ -766,16 +766,26 @@ def test_exit_frontier_grows_slowly_with_n(dim, clustered, monkeypatch):
 
 
 def _check_cut(reg: Registry) -> None:
-    """The exit's stored cut against its definition: at m = n // 32 (at
-    least 1), the non-root nodes that hold at most m centers or are leaves
-    and whose parent is the root or holds more than m.  No cut node is an
-    ancestor of another, and their runs of point_perm hold every id once."""
-    t, m = reg.centers_tree, max(1, reg.n // 32)
+    """The exit's stored cut against its definition: the non-root nodes
+    that hold at most m centers or are leaves and whose parent is the root
+    or holds more than m, at m = n // 32 (at least 1), doubled while that
+    cut holds more than EXACT_FINISH_COUNT nodes and m < n.  No cut node is
+    an ancestor of another, and their runs of point_perm hold every id
+    once."""
+    t = reg.centers_tree
     cnt = (t.span_hi - t.span_lo).tolist()
     parent = t.parent.tolist()
     leaf = (t.child_off[1:] == t.child_off[:-1]).tolist()
     cut = reg._cut.tolist()
-    want = [v for v in range(1, t.size) if (cnt[v] <= m or leaf[v]) and (parent[v] == 0 or cnt[parent[v]] > m)]
+
+    def cut_at(m):
+        return [v for v in range(1, t.size) if (cnt[v] <= m or leaf[v]) and (parent[v] == 0 or cnt[parent[v]] > m)]
+
+    m = max(1, reg.n // 32)
+    want = cut_at(m)
+    while len(want) > EXACT_FINISH_COUNT and m < reg.n:
+        m *= 2
+        want = cut_at(m)
     assert cut == want
     members = set(cut)
     for v in cut:
@@ -800,6 +810,32 @@ def test_exit_cut_matches_its_definition_at_scale(dim, clustered):
     reg = build_registry(_cell_instance(np.random.default_rng(dim), dim, 4096, clustered))
     _check_cut(reg)
     assert reg._cut.size > 2**dim and reg._cut_cnt.max() > 1
+
+
+def test_exit_cut_stays_under_the_frontier_cap_at_d5():
+    """At d = 5, n = 4,096 the cut at m = n // 32 holds more nodes than a
+    frontier may keep, so m doubles: the stored cut holds at most
+    EXACT_FINISH_COUNT nodes.  On points among the balls, with k and eps
+    cycled, the exit answers most queries and every answer lies in the
+    oracle window."""
+    rng = np.random.default_rng(5)
+    reg = build_registry(_cell_instance(rng, 5, 4096, clustered=False))
+    _check_cut(reg)
+    assert registry_module._exit_cut(reg.centers_tree, reg.n // 32).size > EXACT_FINISH_COUNT
+    assert reg._cut.size <= EXACT_FINISH_COUNT
+    lo, hi = reg.centers.min(axis=0), reg.centers.max(axis=0)
+    answered = 0
+    for i in range(300):
+        q = rng.uniform(lo, hi)
+        k, eps = (1, 4, 64, 256, 1024)[i % 5], (0.1, 0.25, 0.5)[i % 3]
+        wid = reg.certified_kth_ball(q, k, eps)
+        if wid < 0:
+            continue
+        answered += 1
+        truth = exact_kth_distance(reg.instance, q, k).value
+        w = ball_distance(q.tolist(), reg.centers[wid].tolist(), float(reg.radii[wid]))
+        assert (1.0 - eps) * truth <= w <= (1.0 + eps) * truth
+    assert answered >= 240
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
