@@ -4,23 +4,25 @@ For each benchmark workload and seed, digests the normalized balls, every
 registry array (the centers tree's keys, levels, parent links, child CSR,
 point order, node boxes and node tables), on a line of its own the
 certified exit's stored cut (its node ids and counts, and its copied
-table rows; cut_line), the answers of the registry's
-two retrieval walks, `large_balls_intersecting` and
-`balls_containing_point`, on seeded points (walk_digest), the answers
-to its first 2,000 queries, and the answers of `knn.two_stage_query`, the
-stages behind the certified exit, to the first 1,000 of them
-(two_stage_line);
+table rows; cut_line), on another the same digests of the registry that
+load_index rebuilds after save_index, with the saved byte count and, on
+the registry workload, its answers to the first 2,000 queries
+(loaded_line), the answers of the registry's two retrieval walks,
+`large_balls_intersecting` and `balls_containing_point`, on seeded points
+(walk_digest), the answers to its first 2,000 queries, and the answers of
+`knn.two_stage_query`, the stages behind the certified exit, to the first
+1,000 of them (two_stage_line);
 for the cell index, also its tree (keys, levels and parent links), its
 stored estimates and its witnesses, each apart, and the rest of its
 arrays, once as built and once after a save_index/load_index round trip,
 with the saved file's byte count.  A line does the same for a cell index
-whose sweep selects one row per chunk (uniform d=2, n=16,384, k=4,096,
-eps 0.5, from `perfbench/inputs.py` with seed 1, on 2,000 of its cell
-queries), a line for the strict cell index of acceptance criterion 6
-(d=1, n=8, k=7, eps=0.5), its clusters included, on 2,000 uniform
-queries, and a registry line at d = 5 (uniform n = 4,096, floor 0.5): its
-arrays, its stored cut, and the exit's answers and declines on 300
-seeded points (d5_line).
+whose sweep selects at most knn._KTH_MIN_ROWS rows per chunk (uniform
+d=2, n=16,384, k=4,096, eps 0.5, from `perfbench/inputs.py` with seed 1,
+on 2,000 of its cell queries), a line for the strict cell index of
+acceptance criterion 6 (d=1, n=8, k=7, eps=0.5), its clusters included,
+on 2,000 uniform queries, and a registry line at d = 5 (uniform n =
+4,096, floor 0.5): its arrays, its stored cut, and the exit's answers and
+declines on 300 seeded points (d5_line), and that registry's loaded_line.
 After each cell-index line, an out-of-domain line digests the cell
 index's answers to 500 seeded points in [-1, 2]^d outside the unit cube.
 A grid-cover line per seed digests the grid cells that
@@ -290,7 +292,8 @@ def d5_line(dump: str | None) -> str:
     `certified_kth_ball`'s answers to 300 points uniform in [0, 1)^5, k
     and eps cycled as `inputs.registry_queries` cycles them (which draws
     points for d <= 3 only), with the count of declines, and of
-    `knn.query`'s answers to the same rows."""
+    `knn.query`'s answers to the same rows; and on a second line
+    loaded_line of the registry."""
     import math
 
     import inputs
@@ -311,18 +314,36 @@ def d5_line(dump: str | None) -> str:
     return (
         f"uniform d5 n4096: registry {digest(registry_arrays(reg))}{cut_line(reg)}"
         f" exit {digest([exits])} declines {np.count_nonzero(exits < 0)} of {exits.size}"
-        f" answers {answer_digest(answers, dump, 'uniform-d5-n4096', **extra)}"
+        f" answers {answer_digest(answers, dump, 'uniform-d5-n4096', **extra)}\n"
+        f"uniform d5 n4096{loaded_line(reg, [], dump, 'uniform-d5-n4096')}"
     )
 
 
 def round_trip(index) -> tuple:
-    """The index after save_index/load_index, and the saved byte count."""
+    """The index (a registry or a cell index) after save_index/load_index,
+    and the saved byte count."""
     from ballann import io
 
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "cell.idx")
+        path = os.path.join(tmp, "index.bin")
         io.save_index(path, index)
         return io.load_index(path), os.path.getsize(path)
+
+
+def loaded_line(reg, rows, dump: str | None, label: str) -> str:
+    """Digests of the registry that load_index rebuilds after save_index:
+    its arrays and its stored cut, as registry_arrays and cut_line take
+    them, and the saved byte count; with rows (point, k, eps), also of its
+    answers to them, dumped as label-loaded so that --compare checks them."""
+    from ballann import knn
+
+    loaded, size = round_trip(reg)
+    line = f" loaded: registry {digest(registry_arrays(loaded))}{cut_line(loaded)}"
+    if rows:
+        answers = [knn.query(loaded, tuple(q), k, e) for q, k, e in rows]
+        extra = oracle_arrays(loaded.instance, rows) if dump else {}
+        line += f" answers {answer_digest(answers, dump, label + '-loaded', **extra)}"
+    return line + f" bytes {size}"
 
 
 def cell_line(index, points, dump: str | None, label: str) -> str:
@@ -481,9 +502,11 @@ def main(argv=None) -> int:
                 line += f" answers {answer_digest(answers, args.dump, label, **extra)}"
             print(line, flush=True)
             print(f"{name} seed {seed}{cut_line(reg)}", flush=True)
+            asked = [] if w.cell else rows[:2000]
+            print(f"{name} seed {seed}{loaded_line(reg, asked, args.dump, label)}", flush=True)
             print(f"{name} seed {seed}{two_stage_line(reg, rows, args.dump, label)}", flush=True)
-    # A cell index whose sweep fills each selection chunk with one row: n is
-    # at least knn._KTH_CHUNK_PAIRS.
+    # A cell index whose sweep takes a selection chunk of at most
+    # knn._KTH_MIN_ROWS rows: n is at least knn._KTH_CHUNK_PAIRS.
     centers, radii = inputs.uniform_balls(1, 2, 16384)
     balls = [geometry.Ball(tuple(c), float(r)) for c, r in zip(centers.tolist(), radii)]
     index = avd.build_avd(registry.build_registry(geometry.normalize(balls, 0.5)), 4096, 0.5)

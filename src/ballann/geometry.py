@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -339,17 +340,21 @@ def normalize(balls: Sequence[Ball], eps: float) -> NormalizedInstance:
     d = balls[0].dimension
     if d < 1:
         raise InputError("dimension must be at least 1")
-    for b in balls:
-        if b.dimension != d:
-            raise InputError("all balls must share one dimension")
+    coords = [b.center for b in balls]
+    if set(map(len, coords)) != {d}:
+        raise InputError("all balls must share one dimension")
 
-    centers = np.array([b.center for b in balls], dtype=np.float64)
-    radii = np.array([b.radius for b in balls], dtype=np.float64)
+    n = len(coords)
+    centers = np.fromiter(chain.from_iterable(coords), dtype=np.float64, count=n * d).reshape(n, d)
+    radii = np.fromiter((b.radius for b in balls), dtype=np.float64, count=n)
     if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(radii))):
         raise InputError("normalize requires finite coordinates")
 
-    lo = (centers - radii[:, None]).min(axis=0)
-    hi = (centers + radii[:, None]).max(axis=0)
+    # The extremes per axis, reduced along contiguous rows of a (d, n) copy:
+    # down the columns of (n, d), numpy runs one d-long loop per ball.
+    axes = np.ascontiguousarray(centers.T)
+    lo = (axes - radii).min(axis=1)
+    hi = (axes + radii).max(axis=1)
     extent = float((hi - lo).max())
     delta = eps / 4.0
     if extent > 0.0:

@@ -11,13 +11,14 @@ The cell index's registry fallback and out-of-domain points
 selection: the cell index's sweep, the quorum's gamma
 (`quorum.ball_quorum`) and refine's exact scan take their k-th ball
 distances from it.  It works through cache-sized chunks of rows (at most
-_KTH_CHUNK_PAIRS (row, ball) pairs, or one row), in two float64 blocks it
-allocates once per call: the chunk's ball distances, and the axis terms
-that then hold the copy `kth_by_value_id` partitions.  That selection
-finds the k-th value by partition and its column by one equality pass;
-only a row where more than one column holds that value ranks the ties by
-column.  Every value and column is the same bit for bit as one dense row
-of `ball_distances` ordered by (distance, id).
+_KTH_CHUNK_PAIRS (row, ball) pairs, or up to _KTH_MIN_ROWS rows when n is
+large; `_kth_chunk_rows`), in two float64 blocks it allocates once per
+call: the chunk's ball distances, and the axis terms that then hold the
+copy `kth_by_value_id` partitions.  That selection finds the k-th value
+by partition and its column by one equality pass; only a row where more
+than one column holds that value ranks the ties by column.  Every value
+and column is the same bit for bit as one dense row of `ball_distances`
+ordered by (distance, id).
 
 The returned distance is always the exact distance to a real input ball; the
 approximation lives in which ball gets picked.
@@ -99,11 +100,18 @@ from .registry import Registry
 EPS_HAT_SHRINK = 16.0
 
 # kth_balls works on chunks of rows holding at most about this many
-# (row, ball) pairs (one row when n is larger).  That bounds its cache
-# footprint: two float64 blocks of 128 KB and a 16 KB mask fit in a
-# core's L2.  On `cell-d2` (n = 1,024), 2^13 and 2^15 pairs built about
-# 10% slower, and 2^16 25% slower.
+# (row, ball) pairs.  That bounds its cache footprint: two float64 blocks
+# of 128 KB and a 16 KB mask fit in a core's L2.  On `cell-d2` (n =
+# 1,024), 2^13 and 2^15 pairs built about 10% slower, and 2^16 25% slower.
 _KTH_CHUNK_PAIRS = 1 << 14
+# Where that budget holds fewer rows than this, a chunk still takes this
+# many while they fit in this many budgets, and otherwise as many rows as
+# fit (at least one), so that the kernel's dozen numpy calls are not paid
+# once per row when n is large.  On a 2-core x86-64 host with 4 MiB of L2
+# a core, at d=2, k = n/64, the sweep built 5-6% faster at n = 8,192 and
+# 16,384 than with 2 and 1 rows, and as fast at 32,768 with 2 rows; 4
+# rows there, or 2 or 4 at 65,536, built 7-18% slower.
+_KTH_MIN_ROWS = 4
 
 # Relative pad on the small-candidate prefilter's reach, far above the few
 # ulps by which a float center distance or cell test can be off.
@@ -172,17 +180,14 @@ def constant_factor_kth(reg: Registry, q, k: int) -> float:
     return constant_factor_detail(reg, q, k)[0]
 
 
-def kth_by_value_id(values: np.ndarray, k: int, work=None) -> tuple[np.ndarray, np.ndarray]:
+def kth_by_value_id(values: np.ndarray, k: int, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of values (m, n), the k-th smallest value and its column,
     the k-th in (value, column) order.  A copy partitioned in place (in
-    work, an array of values' shape, when given) finds the value, and one
-    equality pass its column: the first column at that value, unless
-    another column holds it too.  Only on such rows are the ties at the
-    value ranked by column."""
-    if work is None:
-        work = values.copy()
-    else:
-        np.copyto(work, values)
+    work, an array of values' shape) finds the value, and one equality
+    pass its column: the first column at that value, unless another
+    column holds it too.  Only on such rows are the ties at the value
+    ranked by column."""
+    np.copyto(work, values)
     work.partition(k - 1, axis=1)
     kth = work[:, k - 1].copy()
     at = values == kth[:, None]
@@ -197,6 +202,13 @@ def kth_by_value_id(values: np.ndarray, k: int, work=None) -> tuple[np.ndarray, 
     return kth, col
 
 
+def _kth_chunk_rows(n: int) -> int:
+    """Rows a kth_balls chunk holds at n balls: as many as fit in
+    _KTH_CHUNK_PAIRS pairs, at least _KTH_MIN_ROWS while those fit in
+    _KTH_MIN_ROWS times that, and at least one."""
+    return max(_KTH_CHUNK_PAIRS // n, min(_KTH_MIN_ROWS, _KTH_MIN_ROWS * _KTH_CHUNK_PAIRS // n), 1)
+
+
 def kth_balls(reg: Registry, pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The exact k-th ball distance d_k at each row of pts (m, d) and the
     k-th ball in (distance, id) order, from one block of ball distances per
@@ -207,7 +219,7 @@ def kth_balls(reg: Registry, pts: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
     m = pts.shape[0]
     dist = np.empty(m, dtype=np.float64)
     wid = np.empty(m, dtype=np.int64)
-    step = max(1, _KTH_CHUNK_PAIRS // reg.n)
+    step = _kth_chunk_rows(reg.n)
     block = np.empty((min(step, m), reg.n), dtype=np.float64)
     work = np.empty_like(block)
     centers = np.asfortranarray(reg.centers)

@@ -5,12 +5,20 @@ level M = max_level_for_dim(d); the cube owns the contiguous key range
 [z, z + 2^(d*(M-level))).  A tree is a sorted array of such (z, level) pairs,
 closed under pairwise least common ancestors.  Every lookup is a search on
 those sorted arrays: a node's parent is the stored LCA of it and the node
-before it, and the deepest stored cube holding a key is found by one
-`searchsorted` and a short walk up the parent links.  The pairs stay two
-arrays in every tree: one two-key lexsort sorts and dedupes them
-(_dedupe_keys), and an exact cube is found by one `searchsorted` on z and a
-walk along the run of nodes with that z (`CompressedQuadtree.find_keys`).
-All keys fit in a signed 64-bit integer because d * M <= 63.
+before it, which is the last node before it at the LCA's level (every node
+between the two is deeper), found by one `searchsorted` on the nodes
+ranked by level and then index; and the deepest stored cube holding a key
+is found by one `searchsorted` and a short walk up the parent links.  The
+pairs stay two arrays in every tree: one two-key lexsort sorts and dedupes
+them (_dedupe_keys), and an exact cube is found by one `searchsorted` on z
+and a walk along the run of nodes with that z
+(`CompressedQuadtree.find_keys`).  All keys fit in a signed 64-bit integer
+because d * M <= 63.
+
+A tree over points (`build_from_points`) takes one encode and one stable
+argsort of the points' keys: the sorted keys' distinct values are the
+leaves, their adjacent LCAs and the root are the other nodes, and each
+node's points are a run of the sorted keys.
 
 One rule builds the keys in every dimension: a coordinate's bits spread
 to every d-th bit in one shift-or-mask round per power of two below their
@@ -131,11 +139,10 @@ def morton_encode(coords: np.ndarray, level: int, dim: int) -> np.ndarray:
     M = max_level_for_dim(dim)
     if level > M:
         raise InputError(f"level {level} exceeds maximum {M} for dimension {dim}")
-    c = np.asarray(coords, dtype=np.int64).reshape(-1, dim)
+    c = _spread_bits(np.asarray(coords, dtype=np.int64).reshape(-1, dim), _morton_rounds(dim, M)[0])
     z = np.zeros(c.shape[0], dtype=np.int64)
-    spread = _morton_rounds(dim, M)[0]
     for j in range(dim):
-        z |= _spread_bits(c[:, j], spread) << np.int64(dim - 1 - j)
+        z |= c[:, j] << np.int64(dim - 1 - j)
     return z << np.int64(dim * (M - level))
 
 
@@ -220,30 +227,28 @@ class CompressedQuadtree:
         Node i - 1 either contains node i, and is then its parent, or lies
         before it in z order outside it; then the smallest cube holding both
         is i's parent, and it is stored because the tree is LCA-closed.  In
-        both cases the parent is the stored LCA of i - 1 and i.
+        both cases the parent is the stored LCA of i - 1 and i.  It is the
+        last node before i at the LCA's level: every node between the two
+        lies inside the parent, so it is deeper.  One stable argsort by
+        level lists the nodes by level * size + index, and one searchsorted
+        on that finds it; a found node that is not the LCA itself means the
+        LCA is not stored.
         """
         if self.size == 0 or self.z[0] != 0 or self.level[0] != 0:
             raise InternalInvariantError("tree must start at the root cube")
         lca_z, lca_l = _pair_lcas(self.z[:-1], self.level[:-1], self.z[1:], self.level[1:], self.dim)
-        self.parent[1:] = self.find_keys(lca_z, lca_l)
-        if (self.parent[1:] < 0).any():
+        by_level = np.argsort(self.level, kind="stable")
+        rank = self.level[by_level] * self.size + by_level
+        at = np.searchsorted(rank, lca_l * self.size + np.arange(1, self.size)) - 1
+        parent = by_level[at]
+        if not (np.array_equal(self.z[parent], lca_z) and np.array_equal(self.level[parent], lca_l)):
             raise InternalInvariantError("tree must be closed under least common ancestors")
+        self.parent[1:] = parent
         # Children in CSR form, ordered by node index (z order within a parent).
         counts = np.bincount(self.parent[1:], minlength=self.size)
         self.child_off = np.zeros(self.size + 1, dtype=np.int64)
         np.cumsum(counts, out=self.child_off[1:])
         self.child_idx = np.argsort(self.parent[1:], kind="stable") + 1
-
-    def attach_points(self, points: np.ndarray) -> None:
-        """Attach point codes so every cube can report exact counts and a witness."""
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, self.dim)
-        codes = encode_points(pts, self.dim)
-        order = np.lexsort((np.arange(codes.size), codes))
-        self.point_codes = codes[order]
-        self.point_perm = order.astype(np.int64)
-        self.span_lo = np.searchsorted(self.point_codes, self.z, side="left")
-        self.span_hi = np.searchsorted(self.point_codes, self.z_hi, side="right")
-        self.has_points = True
 
     # -- queries -----------------------------------------------------------
 
@@ -364,7 +369,12 @@ def build_from_points(points: np.ndarray, dim: int | None = None) -> CompressedQ
     """Tree storing points: leaves are the occupied maximum-level cells.
 
     Subtree counts are exact; coincident points share one leaf with
-    multiplicity.
+    multiplicity.  One encode and one stable argsort of the points' keys
+    give point_perm and the sorted point_codes.  Their distinct values are
+    the leaves, and the LCAs of adjacent leaves, with the root, are every
+    other node, so one _dedupe_keys orders the nodes.  Each node's points
+    are the run of point_codes inside its key range, found by two
+    searchsorted calls.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -372,10 +382,22 @@ def build_from_points(points: np.ndarray, dim: int | None = None) -> CompressedQ
     if dim is None:
         dim = pts.shape[1]
     M = max_level_for_dim(dim)
-    codes = np.unique(encode_points(pts, dim))
-    levels = np.full(codes.size, M, dtype=np.int64)
-    tree = build_from_cubes((codes, levels, dim))
-    tree.attach_points(pts)
+    codes = encode_points(pts, dim)
+    perm = np.argsort(codes, kind="stable")
+    codes = codes[perm]
+    first = np.ones(codes.size, dtype=bool)
+    first[1:] = codes[1:] != codes[:-1]
+    leaves = codes[first]
+    leaf_level = np.full(leaves.size, M, dtype=np.int64)
+    lca_z, lca_l = _pair_lcas(leaves[:-1], leaf_level[:-1], leaves[1:], leaf_level[1:], dim)
+    z = np.concatenate([[np.int64(0)], leaves, lca_z])
+    level = np.concatenate([[np.int64(0)], leaf_level, lca_l])
+    tree = CompressedQuadtree(dim, *_dedupe_keys(z, level))
+    tree.point_codes = codes
+    tree.point_perm = perm
+    tree.span_lo = np.searchsorted(codes, tree.z, side="left")
+    tree.span_hi = np.searchsorted(codes, tree.z_hi, side="right")
+    tree.has_points = True
     return tree
 
 

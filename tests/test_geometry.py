@@ -162,6 +162,41 @@ def test_normalize_matches_per_ball_formula(d, n):
     assert not (inst.centers.flags.writeable or inst.radii.flags.writeable)
 
 
+@pytest.mark.parametrize("d, n", [(1, 1), (1, 50), (2, 64), (3, 300), (4, 7), (5, 40)])
+def test_normalize_arrays_match_the_array_conversion(d, n):
+    """normalize reads the balls into the arrays np.array builds from the
+    centers and radii, so the normalized arrays are those of the affine
+    map on them, bit for bit: negative zeros, whole numbers and tiny
+    values included."""
+    rng = np.random.default_rng(520 + d)
+    raw = rng.uniform(-3e3, 7e3, (n, d))
+    raw[rng.random((n, d)) < 0.1] = -0.0
+    raw[rng.random((n, d)) < 0.1] = 5e-310
+    whole = rng.random((n, d)) < 0.1
+    raw[whole] = np.round(raw[whole])
+    balls = [Ball(tuple(c), float(r)) for c, r in zip(raw.tolist(), rng.uniform(0.0, 40.0, n))]
+    inst = normalize(balls, 0.3)
+    centers = np.array([b.center for b in balls], dtype=np.float64)
+    radii = np.array([b.radius for b in balls], dtype=np.float64)
+    want_c = centers * inst.scale + np.array(inst.offset)
+    assert inst.centers.dtype == np.float64 and inst.centers.shape == (n, d)
+    assert inst.centers.tobytes() == want_c.tobytes()
+    assert inst.radii.tobytes() == (radii * inst.scale).tobytes()
+
+
+def test_normalize_refuses_mixed_and_zero_dimensions():
+    """A ball of another dimension, first or later, and a zero-dimensional
+    set are refused, each with its own message."""
+    for balls in (
+        [Ball((0.0, 0.0), 1.0), Ball((1.0,), 1.0)],
+        [Ball((0.0,), 1.0), Ball((1.0,), 1.0), Ball((1.0, 2.0, 3.0), 0.5)],
+    ):
+        with pytest.raises(InputError, match="^all balls must share one dimension$"):
+            normalize(balls, 0.5)
+    with pytest.raises(InputError, match="^dimension must be at least 1$"):
+        normalize([Ball((), 1.0)], 0.5)
+
+
 def test_normalize_rejects_bad_eps_and_empty():
     with pytest.raises(InputError):
         normalize([Ball((0.0,), 1.0)], 0.0)

@@ -19,6 +19,7 @@ from ballann.io import (
     parse_query_line,
     read_balls,
     save_avd,
+    save_index,
     save_registry,
     write_balls,
 )
@@ -107,6 +108,36 @@ def test_registry_save_load_replays_queries(tmp_path):
     for _ in range(50):
         q = tuple(rng.random(2))
         assert query(reg, q, 5, 0.3) == query(reg2, q, 5, 0.3)
+
+
+_REGISTRY_ARRAYS = (
+    "_node_lo", "_node_hi", "_node_rmin", "_node_rmax", "_node_first",
+    "_cut", "_cut_cnt", "_cut_lo", "_cut_hi", "_cut_rmin", "_cut_rmax",
+)
+_TREE_ARRAYS = (
+    "z", "level", "shift", "z_hi", "parent", "child_off", "child_idx",
+    "point_codes", "point_perm", "span_lo", "span_hi",
+)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_registry_load_rebuilds_the_same_arrays(tmp_path, d):
+    """load_index rebuilds a saved registry from its balls: every
+    centers-tree array, node table and stored-cut row is the built
+    registry's, bit for bit, and so are the root's plain floats."""
+    reg = build_registry(normalize(generate_instance(40 + d, d, 150, "clustered"), 0.5))
+    path = tmp_path / "reg.idx"
+    save_index(str(path), reg)
+    back = load_index(str(path))
+    for obj, names in ((reg.centers_tree, _TREE_ARRAYS), (reg, _REGISTRY_ARRAYS)):
+        other = back.centers_tree if obj is reg.centers_tree else back
+        for name in names:
+            got, want = getattr(other, name), getattr(obj, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+    roots = ("_root_lo", "_root_hi", "_root_rmin", "_root_rmax", "_root_first", "_root_splits")
+    assert [getattr(back, a) for a in roots] == [getattr(reg, a) for a in roots]
+    assert reg._cut.size > 0
 
 
 def test_avd_save_load_equal_arrays_and_answers(tmp_path):

@@ -433,8 +433,7 @@ def test_kth_by_value_id_matches_lexsort(kinds, n, which, seed):
     the column ranking on rows with more than one value at the k-th) is
     the k-th in (value, column) order: on rows of many equal values, on
     all-equal rows and on rows with +inf entries, for k = 1, n and
-    between.  A work array gives the same answer, and values is left as it
-    was."""
+    between, and values is left as it was."""
     rng = np.random.default_rng(seed)
     k = {"1": 1, "n": n, "any": int(rng.integers(1, n + 1))}[which]
     rows = []
@@ -450,11 +449,18 @@ def test_kth_by_value_id_matches_lexsort(kinds, n, which, seed):
     values = np.array(rows)
     before = values.tobytes()
     want_kth, want_col = _kth_reference(values, k)
-    for work in (None, np.empty_like(values)):
-        kth, col = kth_by_value_id(values, k, work)
-        assert kth.tobytes() == want_kth.tobytes()
-        assert col.tolist() == want_col.tolist()
+    kth, col = kth_by_value_id(values, k, np.empty_like(values))
+    assert kth.tobytes() == want_kth.tobytes()
+    assert col.tolist() == want_col.tolist()
     assert values.tobytes() == before
+
+
+def test_kth_chunk_rows_floor():
+    """A chunk holds _KTH_CHUNK_PAIRS pairs of rows, 16 at n = 1,024, and at
+    least 4 rows while they fit in 4 times that: 4 up to n = 16,384, then
+    as many as fit, 2 at 32,768 and 1 from 65,536 on."""
+    rows = {n: knn._kth_chunk_rows(n) for n in (1, 1024, 4096, 5000, 16384, 20000, 32768, 65536, 1 << 20)}
+    assert rows == {1: 1 << 14, 1024: 16, 4096: 4, 5000: 4, 16384: 4, 20000: 3, 32768: 2, 65536: 1, 1 << 20: 1}
 
 
 def _tied_registry() -> Registry:
@@ -471,8 +477,9 @@ def _tied_registry() -> Registry:
 def test_kth_balls_matches_a_dense_row_in_every_chunk_regime(monkeypatch, regime, m):
     """kth_balls equals, bit for bit, one dense ball_distances row per point
     and its k-th (distance, id) by lexsort, whether the rows fit in one
-    chunk, end in a short chunk, or fill a chunk one at a time because n is
-    at least the chunk's pairs."""
+    chunk, end in a short chunk, take the floor of _KTH_MIN_ROWS rows or
+    fewer because n is at least the chunk's pairs, or fill a chunk one at a
+    time."""
     reg = _tied_registry()
     n = reg.n
     pairs = {

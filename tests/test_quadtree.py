@@ -15,6 +15,7 @@ from ballann.quadtree import (
     CompressedQuadtree,
     _bit_length_i64,
     _dedupe_keys,
+    _pair_lcas,
     build_from_cubes,
     build_from_points,
     cube_to_key,
@@ -464,6 +465,79 @@ def test_tree_without_its_lcas_is_refused():
     z = np.array([0, 0, 1 << (max_level_for_dim(1) - 5)], dtype=np.int64)
     with pytest.raises(InternalInvariantError):
         CompressedQuadtree(1, z, np.array([0, 5, 5], dtype=np.int64))
+
+
+def _point_sets(rng, dim):
+    """Random points with coincident copies, points on dyadic faces (every
+    coordinate a multiple of 2^-l, l up to M, 0 and the top cell's corner
+    among them), a single point, and many copies of one point."""
+    M = max_level_for_dim(dim)
+    pts = rng.random((150, dim))
+    copies = np.concatenate([pts, pts[rng.integers(0, 150, 60)]])[rng.permutation(210)]
+    lev = rng.integers(0, M + 1, size=(150, 1))
+    faces = rng.integers(0, 1 << 62, size=(150, dim)) % (1 << lev) * 2.0**-lev
+    faces[:2] = [[0.0] * dim, [1.0 - 2.0**-M] * dim]
+    return {
+        "copies": copies,
+        "faces": faces,
+        "single": rng.random((1, dim)),
+        "equal": np.full((40, dim), rng.random()),
+    }
+
+
+_TREE_ARRAYS = ("z", "level", "shift", "z_hi", "parent", "child_off", "child_idx")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_point_tree_from_one_sort_matches_cube_tree(dim):
+    """build_from_points (one encode, one stable argsort, the adjacent
+    leaves' LCAs) gives the tree build_from_cubes builds over the distinct
+    level-M keys, every array bit for bit, and its point order and spans
+    equal the lexsort and searchsorted reference."""
+    rng = np.random.default_rng(700 + dim)
+    M = max_level_for_dim(dim)
+    for name, pts in _point_sets(rng, dim).items():
+        tree = build_from_points(pts, dim)
+        codes = encode_points(pts, dim)
+        leaves = np.unique(codes)
+        want = build_from_cubes((leaves, np.full(leaves.size, M, dtype=np.int64), dim))
+        for attr in _TREE_ARRAYS:
+            got, ref = getattr(tree, attr), getattr(want, attr)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (name, attr)
+        assert (tree.size, tree.deepest_level) == (want.size, want.deepest_level), name
+        order = np.lexsort((np.arange(codes.size), codes))
+        assert tree.point_perm.dtype == np.int64 and tree.point_perm.tolist() == order.tolist(), name
+        assert tree.point_codes.tolist() == codes[order].tolist(), name
+        lo = np.searchsorted(codes[order], tree.z, side="left")
+        hi = np.searchsorted(codes[order], tree.z_hi, side="right")
+        assert tree.span_lo.tolist() == lo.tolist() and tree.span_hi.tolist() == hi.tolist(), name
+        assert tree.has_points and tree.span_hi[0] - tree.span_lo[0] == len(pts)
+        if name == "equal":
+            assert tree.size == 2 and tree.level.tolist() == [0, M]
+
+
+def test_point_tree_at_a_root_only_dimension():
+    """At d = 64 the maximum level is 0: every point's key is 0, and the
+    tree is the root alone, holding every point."""
+    assert max_level_for_dim(64) == 0
+    tree = build_from_points(np.random.default_rng(1).random((5, 64)), 64)
+    assert tree.z.tolist() == [0] and tree.level.tolist() == [0] and tree.parent.tolist() == [-1]
+    assert tree.point_perm.tolist() == list(range(5))
+    assert (tree.span_lo.tolist(), tree.span_hi.tolist()) == ([0], [5])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_parent_rule_matches_find_keys_on_lca_pairs(dim):
+    """The parent of node i, the last node before i at the level of
+    LCA(i - 1, i), is the node find_keys finds for that LCA, on point trees
+    and on trees of cubes that share corners."""
+    rng = np.random.default_rng(720 + dim)
+    trees = [build_from_points(pts, dim) for pts in _point_sets(rng, dim).values()]
+    trees += [_cube_tree(_cubes_sharing_corners(rng, dim, int(m)), dim) for m in (1, 5, 40)]
+    for tree in trees:
+        lca_z, lca_l = _pair_lcas(tree.z[:-1], tree.level[:-1], tree.z[1:], tree.level[1:], dim)
+        assert tree.parent[0] == -1
+        assert tree.parent[1:].tolist() == tree.find_keys(lca_z, lca_l).tolist()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
