@@ -2,9 +2,10 @@
 
 For each benchmark workload and seed, digests the normalized balls, every
 registry array (the centers tree's keys, levels, parent links, child CSR,
-point order, node boxes and node tables), on a line of its own the
-certified exit's stored cut (its node ids and counts, and its copied
-table rows; cut_line), on another the same digests of the registry that
+point order, node boxes and node tables, the tables in their row-major
+byte order whatever layout the registry keeps; table_rows), on a line of
+its own the certified exit's stored cut (its node ids and counts, and its
+copied table rows; cut_line), on another the same digests of the registry that
 load_index rebuilds after save_index, with the saved byte count and, on
 the registry workload, its answers to the first 2,000 queries
 (loaded_line), the answers of the registry's two retrieval walks,
@@ -75,20 +76,35 @@ def digest(arrays) -> str:
     return h.hexdigest()[:16]
 
 
+def table_rows(reg, cut: bool = False) -> list:
+    """The node tables, or the stored cut's rows of them, as the row-major
+    arrays they were first kept as: low corners and high corners (N, d),
+    least radius and greatest radius (N,).  A registry that keeps one
+    transposed table (low corners, negated high corners, rmax and rmin, one
+    row each, one column per node) has them read back from it, exactly, so
+    that the digests compare across both layouts."""
+    table = getattr(reg, "_cut_table" if cut else "_table", None)
+    if table is None:
+        prefix = "_cut_" if cut else "_node_"
+        return [getattr(reg, prefix + name) for name in ("lo", "hi", "rmin", "rmax")]
+    d = reg.dim
+    return [table[:d].T, -table[d : 2 * d].T, table[2 * d + 1], table[2 * d]]
+
+
 def registry_arrays(reg) -> list:
     c = reg.centers_tree
     out = [c.z, c.level, c.parent, c.child_off, c.child_idx, c.point_perm, c.span_lo, c.span_hi]
-    out += [reg._node_lo, reg._node_hi, reg._node_rmin, reg._node_rmax, reg._node_first]
+    out += table_rows(reg) + [reg._node_first]
     return out + [reg.centers, reg.radii]
 
 
 def cut_line(reg) -> str:
     """Digests of the exit's stored cut: its node ids and counts, and its
-    copied rows of the node tables.  A checkout that predates the cut
-    prints "none stored", so that its other lines still compare."""
+    copied rows of the node tables (table_rows).  A checkout that predates
+    the cut prints "none stored", so that its other lines still compare."""
     if not hasattr(reg, "_cut"):
         return " cut: none stored"
-    rows = [reg._cut_lo, reg._cut_hi, reg._cut_rmin, reg._cut_rmax]
+    rows = table_rows(reg, cut=True)
     return f" cut: {reg._cut.size} nodes, ids {digest([reg._cut, reg._cut_cnt])} rows {digest(rows)}"
 
 

@@ -356,16 +356,17 @@ def query(reg: Registry, q, k: int, eps: float) -> KnnAnswer:
     inside the unit cube, so arbitrary query points are certified too; the
     answer to a point outside [0,1)^d is flagged out_of_domain.  A point
     needs dim finite coordinates, here as in two_stage_query and refine,
-    else InputError.
+    else InputError.  q, k and eps are checked once, here; the exit runs
+    unchecked (`Registry._certified_kth_ball`).
     """
     check_eps(eps)
     k = check_k(k, reg.n)
     qt = check_point(q, reg.dim)
-    wid = reg.certified_kth_ball(qt, k, eps)
+    wid = reg._certified_kth_ball(qt, k, eps)
     if wid < 0:
         ans = two_stage_query(reg, qt, k, eps)
         wid, w, interval = ans.ball_id, ans.distance, ans.certified_interval
     else:
         w = ball_distance(qt, reg.centers[wid].tolist(), float(reg.radii[wid]))
         interval = (w / (1.0 + eps), w / (1.0 - eps))
-    return KnnAnswer(wid, w, interval, out_of_domain=not all(0.0 <= v < 1.0 for v in qt))
+    return KnnAnswer(wid, w, interval, out_of_domain=not (min(qt) >= 0.0 and max(qt) < 1.0))

@@ -1,10 +1,13 @@
 """Ball registry over one compressed quadtree.
 
 `centers_tree` stores the ball centers as points.  Each node also carries
-the tight box of its centers, its least and greatest radius and its
-smallest ball id (`_node_tables`); the root's row, kept as plain floats
-too, gives the largest radius and the box of all balls.  On top of it sit
-the query primitives:
+the tight box of its centers, its greatest and least radius and its
+smallest ball id (`_node_tables`).  The boxes and radii are one node
+table, stored transposed: one column per node, one contiguous row per
+axis for the low corners and for the negated high corners, and the rows
+rmax and rmin, so that a frontier's bounds are a few numpy calls on whole
+rows.  The root's column, kept as plain floats too, gives the largest
+radius and the box of all balls.  On top of it sit the query primitives:
 
   * exact retrieval of the balls, with a diameter floor, that meet a query
     ball (skipped when no ball reaches the floor), and of the balls whose
@@ -18,9 +21,11 @@ the query primitives:
     its root round, the far rule, is an O(d) test in plain floats, and its
     array rounds start from a cut of the tree stored at build: the nodes
     that hold at most m centers (or are leaves) below a parent that holds
-    more (or is the root), with their table rows copied alongside.  m is
-    n // 32, doubled while the cut holds more than EXACT_FINISH_COUNT
-    nodes and m < n.
+    more (or is the root), with their table columns copied alongside.  m
+    is n // 32, doubled while the cut holds more than EXACT_FINISH_COUNT
+    nodes and m < n.  An array round is one fused kernel: the bounds of
+    every frontier node at once as one (2, m) array (`_ball_bounds_of`),
+    and L and H from one sort of both its rows (`_kth_bounds`).
 
 Retrieval, containment and the count are one walk down the centers tree
 (`_walk`), after Arya and Mount's approximate range counting: a node whose
@@ -45,15 +50,16 @@ against 36 us without the giants and 24 us on the ball tree.
 The walk and both frontiers bound distances through the node boxes
 (`_box_dists`), whose far corner is taken with the same operations as
 `geometry.center_distances`, so a bound is never beaten by the distance it
-bounds; the ball bounds (`_ball_bounds`) are padded outward by the
-relative WALK_MARGIN besides.  A walk finishes with the exact test on all
-that is left once its frontier holds few items, as the k-th center
-frontier finishes with an exact selection.
+bounds; the ball bounds (`_ball_bounds_of`) are padded outward by the
+relative WALK_MARGIN besides.  All three read the same node table.  A walk
+finishes with the exact test on all that is left once its frontier holds
+few items, as the k-th center frontier finishes with an exact selection.
 
 Everything here works in normalized coordinates; the structure is immutable
 once built and all queries are pure.  Each query primitive takes q through
 `geometry.check_point`, so a point of another dimension or with a
-coordinate that is not finite raises InputError.
+coordinate that is not finite raises InputError; `knn.query` checks q, k
+and eps once and calls the exit unchecked (`_certified_kth_ball`).
 """
 
 from __future__ import annotations
@@ -88,22 +94,40 @@ FRONTIER_MAX_ROUNDS = 400
 WALK_MARGIN = 1e-9
 
 
-def _box_dists(low: np.ndarray, high: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Min and max distance from q to each closed box, given by its low and
-    high corners, the squares summed over the axes in order.  On each axis
-    the far gap max(q - low, high - q) is -min(below, above), exactly."""
-    below = low - q
-    above = q - high
-    near = np.maximum(below, above)
-    np.maximum(near, 0.0, out=near)
-    far = np.minimum(below, above)
-    near *= near
-    far *= far
-    near_sum, far_sum = near[:, 0], far[:, 0]
-    for j in range(1, low.shape[1]):
-        near_sum = near_sum + near[:, j]
-        far_sum = far_sum + far[:, j]
-    return np.sqrt(near_sum), np.sqrt(far_sum)
+# A 0-d zero for the clips: numpy takes it faster than the float 0.0.
+_ZERO = np.zeros(())
+# The outward pads of the lower and upper bounds.
+_PADS = np.array([[1.0 - WALK_MARGIN], [1.0 + WALK_MARGIN]])
+
+
+def _column(q: list[float]) -> np.ndarray:
+    """The column [q; -q], (2d, 1), that _box_dists subtracts from the box
+    rows of the node table."""
+    return np.array(q + [-x for x in q])[:, None]
+
+
+def _box_dists(boxes: np.ndarray, qq: np.ndarray) -> np.ndarray:
+    """Min and max distance from q to each closed box, one column of boxes
+    (2d, m) per box, its low corner over its negated high corner, with qq =
+    _column(q): one (2, m) array [near; far].
+
+    One subtraction gives the gaps below and above q on every axis, lo - q
+    and -hi + q = q - hi exactly.  Their max clipped at 0 and their min go
+    into one (2, d, m) buffer, squared in place and summed over the axes in
+    order.  On each axis the far gap max(q - lo, hi - q) is -min(below,
+    above), exactly."""
+    d = qq.shape[0] // 2
+    gaps = boxes - qq
+    below, above = gaps[:d], gaps[d:]
+    sq = np.empty((2,) + below.shape)
+    np.maximum(below, above, out=sq[0])
+    np.maximum(sq[0], _ZERO, out=sq[0])
+    np.minimum(below, above, out=sq[1])
+    sq *= sq
+    sums = sq[:, 0]
+    for j in range(1, d):
+        sums = sums + sq[:, j]
+    return np.sqrt(sums, out=sums)
 
 
 def _box_dist(low, high, q) -> tuple[float, float]:
@@ -122,24 +146,34 @@ def _box_dist(low, high, q) -> tuple[float, float]:
     return math.sqrt(near_sum), math.sqrt(far_sum)
 
 
-def _kth_bounds(lo: np.ndarray, hi: np.ndarray, cnt: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The k-th count-weighted lower and upper bound, for each k of ks
-    (ascending): a frontier node stands for cnt items, each with a value
-    in [lo, hi], so the k-th smallest value lies between the two."""
-    o_lo = lo.argsort(kind="stable")
-    o_hi = hi.argsort(kind="stable")
-    k_lo = lo[o_lo[cnt[o_lo].cumsum().searchsorted(ks)]]
-    return k_lo, hi[o_hi[cnt[o_hi].cumsum().searchsorted(ks)]]
+def _ball_bounds_of(cols: np.ndarray, qq: np.ndarray) -> np.ndarray:
+    """Lower and upper bounds on d(q, b) over the balls b of each column of
+    the node table, qq = _column(q): one (2, m) array [lo; hi], padded
+    outward by WALK_MARGIN.  Every center lies in the column's box and every
+    radius between its least and greatest one, so lo is the box's near
+    distance less rmax and hi its far distance less rmin, each clipped at
+    0."""
+    b = _box_dists(cols[:-2], qq)
+    b -= cols[-2:]
+    np.maximum(b, _ZERO, out=b)
+    b *= _PADS
+    return b
 
 
-def _ball_bounds_of_rows(low, high, rmin, rmax, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds on d(q, b) over the balls b of each node row,
-    padded outward by WALK_MARGIN: every center lies in the row's box and
-    every radius between its least and greatest one."""
-    near, far = _box_dists(low, high, q)
-    lo = np.maximum(near - rmax, 0.0) * (1.0 - WALK_MARGIN)
-    hi = np.maximum(far - rmin, 0.0) * (1.0 + WALK_MARGIN)
-    return lo, hi
+def _kth_bounds(b: np.ndarray, cnt: np.ndarray, ks):
+    """The ks-th count-weighted smallest value of each row of b (2, m), ks
+    an int or an ascending array of ints: column i stands for cnt[i] items,
+    each with a value in [b[0, i], b[1, i]], so the k-th smallest item value
+    lies between the two rows' k-th values.
+
+    One unstable argsort of both rows and one cumsum of the permuted counts
+    (add.accumulate, which numpy calls faster than cumsum): the k-th value
+    sits at the first position whose cumsum reaches k, found by a search of
+    each row, and the order of ties cannot move it (proof in
+    Registry.certified_kth_ball)."""
+    o = b.argsort(axis=1)
+    run = np.add.accumulate(cnt[o], axis=1)
+    return b[0, o[0, run[0].searchsorted(ks)]], b[1, o[1, run[1].searchsorted(ks)]]
 
 
 def _exit_cut(tree, m: int) -> np.ndarray:
@@ -178,29 +212,29 @@ class Registry:
         self.centers_tree = build_from_points(self.centers, dim=self.dim)
         t1 = time.perf_counter()
 
-        # Per node the tight box of its centers, its least and greatest
-        # radius and its smallest ball id (_node_tables).
-        tables = self._node_tables()
-        self._node_lo, self._node_hi, self._node_rmin, self._node_rmax, self._node_first = tables
-        # The root's row as plain floats, for the exit's root round and the
-        # box of all balls.
+        # Per node the tight box of its centers, its greatest and least
+        # radius (_node_tables), as the columns of one table, and its
+        # smallest ball id.
+        self._table, self._node_first = self._node_tables()
+        # The root's column as plain floats, for the exit's root round and
+        # the box of all balls.
         ct = self.centers_tree
-        self._root_lo, self._root_hi = self._node_lo[0].tolist(), self._node_hi[0].tolist()
-        self._root_rmin, self._root_rmax = float(self._node_rmin[0]), float(self._node_rmax[0])
+        d = self.dim
+        self._root_lo, self._root_hi = self._table[:d, 0].tolist(), (-self._table[d : 2 * d, 0]).tolist()
+        self._root_rmax, self._root_rmin = self._table[2 * d :, 0].tolist()
         self._root_first = int(self._node_first[0])
         self._root_splits = bool(ct.level[0] < ct.max_level)
         # The exit's first array frontier: the cut at m centers (_exit_cut),
-        # with its own contiguous copies of its table rows.  m starts at n //
-        # 32 and doubles while the cut holds more nodes than a frontier may
-        # keep; at m >= n the cut is the root's children.
+        # with its own contiguous copy of its table columns.  m starts at n
+        # // 32 and doubles while the cut holds more nodes than a frontier
+        # may keep; at m >= n the cut is the root's children.
         m = max(1, self.n // 32)
         self._cut = _exit_cut(ct, m)
         while self._cut.size > EXACT_FINISH_COUNT and m < self.n:
             m *= 2
             self._cut = _exit_cut(ct, m)
         self._cut_cnt = ct.span_hi[self._cut] - ct.span_lo[self._cut]
-        self._cut_lo, self._cut_hi = self._node_lo[self._cut], self._node_hi[self._cut]
-        self._cut_rmin, self._cut_rmax = self._node_rmin[self._cut], self._node_rmax[self._cut]
+        self._cut_table = self._table[:, self._cut]
         t2 = time.perf_counter()
 
         self.stats = {
@@ -216,25 +250,29 @@ class Registry:
             "build_seconds": t2 - t0,
         }
 
-    def _node_tables(self) -> tuple[np.ndarray, ...]:
-        """Per centers-tree node: the low and high corners of the tight box
-        of its centers, its least and greatest radius and its smallest ball
-        id.
+    def _node_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The node table, one column per centers-tree node and 2d + 2
+        rows: the low corners of the tight boxes of the nodes' centers, one
+        row per axis, then the high corners negated, as _box_dists takes
+        them, then the greatest and the least radius; and each node's
+        smallest ball id.
 
         A node's centers are the run span_lo..span_hi of point_perm, so
-        every table is one minimum.reduceat over the interleaved run bounds
+        every row is one minimum.reduceat over the interleaved run bounds
         (even slots; a sentinel row keeps span_hi = n in range), the maxima
         as minima of negated columns.  Ids stay exact in float64.
         """
         t = self.centers_tree
         perm = t.point_perm
         c, r = self.centers[perm], self.radii[perm]
-        cols = np.column_stack([c, -c, r, -r, perm])
+        cols = np.column_stack([c, -c, -r, r, perm])
         cols = np.concatenate([cols, cols[:1]])
         bounds = np.column_stack([t.span_lo, t.span_hi]).ravel()
         m = np.minimum.reduceat(cols, bounds, axis=0)[::2]
         d = self.dim
-        return m[:, :d], -m[:, d : 2 * d], m[:, 2 * d], -m[:, 2 * d + 1], m[:, 2 * d + 2].astype(np.int64)
+        table = m[:, : 2 * d + 2].T.copy()
+        np.negative(table[2 * d], out=table[2 * d])
+        return table, m[:, 2 * d + 2].astype(np.int64)
 
     # -- exact retrieval -------------------------------------------------------
 
@@ -261,9 +299,9 @@ class Registry:
         A walk down the centers tree from _start_node(q, (radius + rmax)
         * (1 + WALK_MARGIN)), rmax the greatest radius: such a ball, of
         radius r, has its center within radius + r of q.  A node is dropped
-        when its _ball_bounds lower bound, at most the distance of each of
-        its balls, exceeds radius * (1 + WALK_MARGIN), or when its greatest
-        diameter is under the floor.  A node is taken whole as sure when
+        when its _ball_bounds_of lower bound, at most the distance of each
+        of its balls, exceeds radius * (1 + WALK_MARGIN), or when its
+        greatest diameter is under the floor.  A node is taken whole as sure when
         its upper bound, at least the float ball distance of each of its
         balls, is at most `sure` and its least diameter reaches the floor;
         a leaf is taken whole as candidates.  Once the frontier holds at
@@ -272,13 +310,17 @@ class Registry:
         """
         t = self.centers_tree
         reach = radius * (1.0 + WALK_MARGIN)
-        start = self._start_node(q.tolist(), (radius + self._root_rmax) * (1.0 + WALK_MARGIN))
+        qt = q.tolist()
+        qq = _column(qt)
+        start = self._start_node(qt, (radius + self._root_rmax) * (1.0 + WALK_MARGIN))
         nodes = np.array([start], dtype=np.int64)
         whole, taken = [np.empty(0, dtype=np.int64)], []
         while (t.span_hi[nodes] - t.span_lo[nodes]).sum() > EXACT_FINISH_COUNT:
-            lo, hi = self._ball_bounds(nodes, q)
-            keep = (lo <= reach) & (2.0 * self._node_rmax[nodes] >= floor)
-            inside = keep & (hi <= sure) & (2.0 * self._node_rmin[nodes] >= floor)
+            cols = self._table[:, nodes]
+            lo, hi = _ball_bounds_of(cols, qq)
+            rmax, rmin = cols[-2:]
+            keep = (lo <= reach) & (2.0 * rmax >= floor)
+            inside = keep & (hi <= sure) & (2.0 * rmin >= floor)
             whole.append(nodes[inside])
             nodes = nodes[keep & ~inside]
             if (t.span_hi[nodes] - t.span_lo[nodes]).sum() <= EXACT_FINISH_COUNT:
@@ -317,34 +359,37 @@ class Registry:
         Frontier refinement over the centers tree: keep an antichain of nodes
         with distance bounds [lo, hi], the near and far distances of their
         boxes of centers (_box_dists, which no center distance beats), and
-        exact counts, certify a k once the k-th cumulative hi is within
-        twice the k-th cumulative lo, and fall back to exact selection over
-        a small candidate set when the frontier stops helping (ties,
-        coincident centers, q on a center).  The frontier is parallel
-        arrays, and each round splits all its chosen nodes at once.
+        exact counts, certify a k once the k-th count-weighted hi is within
+        twice the k-th count-weighted lo (_kth_bounds), and fall back to
+        exact selection over a small candidate set when the frontier stops
+        helping (ties, coincident centers, q on a center).  The frontier is
+        a (2, m) array of bounds beside the node ids and counts, and each
+        round splits all its chosen nodes at once.
         """
-        qa = np.array(check_point(q, self.dim))
+        qt = check_point(q, self.dim)
         ks = sorted({int(k) for k in ks})
         if ks[0] < 1:
             raise InputError(f"k must be positive, got {ks[0]}")
         if ks[-1] > self.n:
             raise InputError(f"k={ks[-1]} exceeds the number of balls {self.n}")
         t = self.centers_tree
+        qq = _column(qt)
+        boxes = self._table[:-2]
         nodes = np.zeros(1, dtype=np.int64)
-        lo, hi = _box_dists(self._node_lo[nodes], self._node_hi[nodes], qa)
+        b = _box_dists(boxes[:, :1], qq)
         cnt = t.span_hi[nodes] - t.span_lo[nodes]
         results: dict[int, float] = {}
         pending = np.array(ks, dtype=np.int64)
         for _ in range(FRONTIER_MAX_ROUNDS):
-            t_lo, t_hi = _kth_bounds(lo, hi, cnt, pending)
+            t_lo, t_hi = _kth_bounds(b, cnt, pending)
             done = t_hi <= 2.0 * t_lo
             results.update(zip(pending[done].tolist(), t_hi[done].tolist()))
             pending, t_lo, t_hi = pending[~done], t_lo[~done], t_hi[~done]
             if not pending.size:
                 return results
-            keep = lo <= t_hi.max()
-            nodes, lo, hi, cnt = nodes[keep], lo[keep], hi[keep], cnt[keep]
-            split = (t.level[nodes] < t.max_level) & (hi > t_lo.min())
+            keep = b[0] <= t_hi.max()
+            nodes, b, cnt = nodes[keep], b[:, keep], cnt[keep]
+            split = (t.level[nodes] < t.max_level) & (b[1] > t_lo.min())
             if cnt.sum() <= EXACT_FINISH_COUNT or not split.any():
                 break
             par = nodes[split]
@@ -355,30 +400,22 @@ class Registry:
             ends = np.cumsum(n_kids)
             if not np.array_equal(run[ends] - run[ends - n_kids], cnt[split]):
                 raise InternalInvariantError("child counts must add up to the parent")
-            kid_lo, kid_hi = _box_dists(self._node_lo[kids], self._node_hi[kids], qa)
             nodes = np.concatenate([nodes[~split], kids])
-            lo = np.concatenate([lo[~split], kid_lo])
-            hi = np.concatenate([hi[~split], kid_hi])
+            b = np.concatenate([b[:, ~split], _box_dists(boxes[:, kids], qq)], axis=1)
             cnt = np.concatenate([cnt[~split], kid_cnt])
         # Exact finish over the centers of the remaining nodes.
         ids = t.point_perm[concat_ranges(t.span_lo[nodes], cnt)]
         if ids.size < pending[-1]:
             raise InternalInvariantError("frontier lost candidates it still needed")
-        dist = np.partition(center_distances(qa, self.centers[ids]), pending - 1)
+        dist = np.partition(center_distances(qt, self.centers[ids]), pending - 1)
         results.update(zip(pending.tolist(), dist[pending - 1].tolist()))
         return results
 
     # -- certified k-th ball ------------------------------------------------------
 
-    def _ball_bounds(self, nodes: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """_ball_bounds_of_rows on the given nodes' rows of the node tables."""
-        return _ball_bounds_of_rows(
-            self._node_lo[nodes], self._node_hi[nodes], self._node_rmin[nodes], self._node_rmax[nodes], q
-        )
-
     def _root_bounds(self, q) -> tuple[float, float]:
-        """_ball_bounds of the root, from its row as plain floats, equal to
-        it bit for bit: the bounds near and far on every ball distance."""
+        """_ball_bounds_of the root, from its column as plain floats, equal
+        to it bit for bit: the bounds near and far on every ball distance."""
         near, far = _box_dist(self._root_lo, self._root_hi, q)
         lo = near - self._root_rmax
         hi = far - self._root_rmin
@@ -391,14 +428,15 @@ class Registry:
 
         A frontier over the centers tree, from the root: an antichain whose
         nodes hold every ball once.  Each node carries bounds [lo, hi] on
-        its balls' distances (_ball_bounds) and its exact count.  L and H,
-        the k-th count-weighted lo and hi (_kth_bounds), satisfy L <= d_k
-        <= H.  A node whose every ball lies in [(1 - eps) H, (1 + eps) L]
-        certifies: the first such node answers with its smallest ball id.  Otherwise the nodes with lo > H are dropped (their
-        balls lie beyond d_k, and the k-th bounds of the rest are the same)
-        and the nodes that straddle [L, H], lo < H and hi > L, are split.
-        The frontier gives up when H = 0 (q lies in k balls: d_k = 0, which
-        no window around it can certify), when after the drop it holds more
+        its balls' distances (_ball_bounds_of) and its exact count.  L and
+        H, the k-th count-weighted lo and hi (_kth_bounds), satisfy L <=
+        d_k <= H.  A node whose every ball lies in [(1 - eps) H, (1 + eps)
+        L] certifies: the first such node answers with its smallest ball
+        id.  Otherwise the nodes with lo > H are dropped (their balls lie
+        beyond d_k, and the k-th bounds of the rest are the same) and the
+        nodes that straddle [L, H], lo < H and hi > L, are split.  The
+        frontier gives up when H = 0 (q lies in k balls: d_k = 0, which no
+        window around it can certify), when after the drop it holds more
         than EXACT_FINISH_COUNT nodes, or when no straddling node can be
         split.
 
@@ -409,12 +447,42 @@ class Registry:
         32 centers, doubled while the cut holds more than
         EXACT_FINISH_COUNT nodes and m < n), not its own children: the
         argument holds on any antichain that holds every ball once, and a
-        cut that deep answers most queries in one array round.  That round
-        takes its bounds from the cut's own copies of its table rows, with
-        _ball_bounds' operations, so it indexes no table.
+        cut that deep answers most queries in one array round.
+
+        An array round is one fused kernel over the frontier's columns of
+        the node table (the cut keeps its own contiguous copy of its
+        columns, so its round indexes no table).  _ball_bounds_of gives lo
+        and hi together as one (2, m) array: one subtraction of the column
+        [q; -q] gives the gaps below and above q on every axis, and their
+        max and min share one (2, d, m) buffer.  _kth_bounds gives L and H
+        together, from one unstable argsort of both rows, one cumsum of the
+        permuted counts and a search of each row.  The sure test is one
+        argmax on the sure mask, and a read of that element.  The first
+        array round makes 22 numpy computations (ufuncs, functions and
+        methods; views and element reads aside) where the row-major round
+        it replaced made 38, and the ones left run on contiguous rows.
+
+        Tie order cannot move L or H.  In a row sorted by value, the first
+        position whose cumsum reaches k holds the k-th value.  Take any
+        value v of the row: the nodes below v hold C_< items and those up
+        to v hold C_<= items, two sums that no order of the ties changes.
+        The positions that hold v are one run, and since every count is at
+        least 1 the cumsum along it rises from above C_< to C_<=, so the
+        first position to reach k lies in that run exactly when C_< < k <=
+        C_<=, and then reads v, whichever node of the run sits there.  So
+        L and H, every later comparison, the certifying node and the answer
+        are the same for every order of the ties, and the same bit for bit
+        as a stable sort's.
+
+        q and k are checked (geometry.check_point, check_k); knn.query,
+        which checks them itself, calls the unchecked _certified_kth_ball.
         """
-        check_k(k, self.n)
-        qt = check_point(q, self.dim)
+        k = check_k(k, self.n)
+        return self._certified_kth_ball(check_point(q, self.dim), k, eps)
+
+    def _certified_kth_ball(self, qt: list[float], k: int, eps: float) -> int:
+        """certified_kth_ball on a checked point, a list of dim finite
+        floats, and a checked rank k."""
         low, high = self._root_bounds(qt)
         if high == 0.0:
             return -1
@@ -423,27 +491,26 @@ class Registry:
         if not (low < high and self._root_splits):
             return -1
         t = self.centers_tree
-        qa = np.array(qt)
-        ks = np.array([k], dtype=np.int64)
+        qq = _column(qt)
         nodes, cnt = self._cut, self._cut_cnt
-        lo, hi = _ball_bounds_of_rows(self._cut_lo, self._cut_hi, self._cut_rmin, self._cut_rmax, qa)
+        b = _ball_bounds_of(self._cut_table, qq)
         while True:
-            low, high = (float(v[0]) for v in _kth_bounds(lo, hi, cnt, ks))
+            low, high = _kth_bounds(b, cnt, k)
             if high == 0.0:
                 return -1
+            lo, hi = b[0], b[1]
             sure = (lo >= (1.0 - eps) * high) & (hi <= (1.0 + eps) * low)
-            if sure.any():
-                return int(self._node_first[nodes[sure.argmax()]])
+            j = sure.argmax()
+            if sure[j]:
+                return int(self._node_first[nodes[j]])
             keep = lo <= high
             split = (lo < high) & (hi > low) & (t.level[nodes] < t.max_level)
             if np.count_nonzero(keep) > EXACT_FINISH_COUNT or not split.any():
                 return -1
             stay = keep & ~split
             kids = _children(t, nodes[split])
-            kid_lo, kid_hi = self._ball_bounds(kids, qa)
             nodes = np.concatenate([nodes[stay], kids])
-            lo = np.concatenate([lo[stay], kid_lo])
-            hi = np.concatenate([hi[stay], kid_hi])
+            b = np.concatenate([b[:, stay], _ball_bounds_of(self._table[:, kids], qq)], axis=1)
             cnt = np.concatenate([cnt[stay], t.span_hi[kids] - t.span_lo[kids]])
 
     # -- approximate ball-intersection count ------------------------------------

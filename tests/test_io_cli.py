@@ -110,10 +110,7 @@ def test_registry_save_load_replays_queries(tmp_path):
         assert query(reg, q, 5, 0.3) == query(reg2, q, 5, 0.3)
 
 
-_REGISTRY_ARRAYS = (
-    "_node_lo", "_node_hi", "_node_rmin", "_node_rmax", "_node_first",
-    "_cut", "_cut_cnt", "_cut_lo", "_cut_hi", "_cut_rmin", "_cut_rmax",
-)
+_REGISTRY_ARRAYS = ("_table", "_node_first", "_cut", "_cut_cnt", "_cut_table")
 _TREE_ARRAYS = (
     "z", "level", "shift", "z_hi", "parent", "child_off", "child_idx",
     "point_codes", "point_perm", "span_lo", "span_hi",

@@ -407,10 +407,24 @@ def test_registry_structure_matches_definitions(dim):
         cube = ct.node_cube(v)
         low, side = np.array(cube.low), cube.side
         ids = np.flatnonzero(np.all((reg.centers >= low) & (reg.centers < low + side), axis=1))
-        assert np.array_equal(reg._node_lo[v], reg.centers[ids].min(axis=0))
-        assert np.array_equal(reg._node_hi[v], reg.centers[ids].max(axis=0))
-        assert reg._node_rmin[v] == reg.radii[ids].min() and reg._node_rmax[v] == reg.radii[ids].max()
+        lo, hi, rmin, rmax = _node_rows(reg, reg._table[:, v : v + 1])
+        assert np.array_equal(lo[0], reg.centers[ids].min(axis=0))
+        assert np.array_equal(hi[0], reg.centers[ids].max(axis=0))
+        assert rmin[0] == reg.radii[ids].min() and rmax[0] == reg.radii[ids].max()
         assert reg._node_first[v] == ids[0]
+
+
+def _node_rows(reg: Registry, cols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Columns of the node table as row-major low and high corners, (m, d)
+    each, and least and greatest radii: the table holds the low corners,
+    the negated high corners, rmax and rmin, one row each."""
+    d = reg.dim
+    return cols[:d].T, -cols[d : 2 * d].T, cols[2 * d + 1], cols[2 * d]
+
+
+def _bounds(reg: Registry, nodes: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The padded ball-distance bounds [lo; hi] of the given nodes at q."""
+    return registry_module._ball_bounds_of(reg._table[:, nodes], registry_module._column(q.tolist()))
 
 
 
@@ -585,8 +599,9 @@ def _root_box_queries(rng, reg: Registry) -> list[np.ndarray]:
     for scale in (1.0, 10.0, 100.0, 1000.0):
         u = rng.normal(size=dim)
         out.append(0.5 + scale * u / np.linalg.norm(u))
-    r = reg._node_rmax[0]
-    for lo, hi in ((reg._node_lo[0], reg._node_hi[0]), (reg._node_lo[0] - r, reg._node_hi[0] + r)):
+    low, high, _, rmax = _node_rows(reg, reg._table[:, :1])
+    low, high, r = low[0], high[0], rmax[0]
+    for lo, hi in ((low, high), (low - r, high + r)):
         corners = rng.integers(0, 2, size=(3, dim)).astype(bool)
         out.extend(np.where(corners, hi, lo))
         for _ in range(3):
@@ -601,7 +616,7 @@ def _root_box_queries(rng, reg: Registry) -> list[np.ndarray]:
 @settings(max_examples=40, deadline=None)
 def test_root_round_bounds_are_exact(dim, seed):
     """The exit's root round in plain floats (_root_bounds) gives the root's
-    _ball_bounds bit for bit; where the far rule holds, the exit answers
+    _ball_bounds_of bit for bit; where the far rule holds, the exit answers
     with the root's smallest ball id, and knn.query's answer lies in the
     oracle window."""
     rng = np.random.default_rng(seed)
@@ -610,7 +625,7 @@ def test_root_round_bounds_are_exact(dim, seed):
     far_rule = 0
     for q in _edge_queries(rng, reg) + _root_box_queries(rng, reg):
         lo, hi = reg._root_bounds(q.tolist())
-        want = np.concatenate(reg._ball_bounds(root, q))
+        want = _bounds(reg, root, q).ravel()
         assert np.array([lo, hi]).tobytes() == want.tobytes()
         for eps in (0.5, 0.1, 0.01):
             if not (hi > 0.0 and lo >= (1.0 - eps) * hi and hi <= (1.0 + eps) * lo):
@@ -653,10 +668,10 @@ def test_walk_cost_grows_slowly_with_n(dim, clustered, monkeypatch):
     rows = {"approx_ball_count": 0, "large_balls_intersecting": 0}
     current = [None]
 
-    def counted(test, rows_arg):
+    def counted(test, rows_of):
         def run(*args):
             if current[0] is not None:
-                rows[current[0]] += len(args[rows_arg])
+                rows[current[0]] += rows_of(args)
             return test(*args)
 
         return run
@@ -673,8 +688,9 @@ def test_walk_cost_grows_slowly_with_n(dim, clustered, monkeypatch):
 
         return run
 
-    monkeypatch.setattr(registry_module, "_box_dists", counted(registry_module._box_dists, 0))
-    monkeypatch.setattr(registry_module, "ball_distances", counted(registry_module.ball_distances, 1))
+    # _box_dists takes one column per box, ball_distances one row per ball.
+    monkeypatch.setattr(registry_module, "_box_dists", counted(registry_module._box_dists, lambda a: a[0].shape[1]))
+    monkeypatch.setattr(registry_module, "ball_distances", counted(registry_module.ball_distances, lambda a: len(a[1])))
     for name in rows:
         monkeypatch.setattr(Registry, name, attributed(name))
     per_call = {}
@@ -731,7 +747,7 @@ def test_ball_count_sandwich_at_scale(dim):
 def test_exit_frontier_grows_slowly_with_n(dim, clustered, monkeypatch):
     """Frontier nodes the certified exit bounds per query at n = 1,024 and
     16,384, from points among the balls: the root, bounded by _box_dist,
-    and the rows of _box_dists.  They grow far slower than n, and the exit
+    and the columns of _box_dists.  They grow far slower than n, and the exit
     answers nearly every query."""
     rows = [0]
 
@@ -739,9 +755,9 @@ def test_exit_frontier_grows_slowly_with_n(dim, clustered, monkeypatch):
         rows[0] += 1
         return box_dist(low, high, q)
 
-    def counted(low, high, q):
-        rows[0] += len(low)
-        return box_dists(low, high, q)
+    def counted(boxes, qq):
+        rows[0] += boxes.shape[1]
+        return box_dists(boxes, qq)
 
     box_dist, box_dists = registry_module._box_dist, registry_module._box_dists
     monkeypatch.setattr(registry_module, "_box_dist", counted_one)
@@ -882,32 +898,41 @@ def test_root_only_tree_answers_through_the_two_stages():
 
 
 def _check_cut_round(rng, reg: Registry) -> None:
-    """The cut's stored rows are its rows of the node tables, and the exit's
-    first array round, on them, bounds the cut as _ball_bounds does, bit for
-    bit, with the cut's center counts, from the edge queries and the points
-    on and far outside the box of all balls."""
+    """The cut's stored columns are its columns of the node table, and the
+    exit's first array round, on them, bounds the cut as _ball_bounds_of
+    does on the table, bit for bit, with the cut's center counts, from the
+    edge queries and the points on and far outside the box of all balls.
+    The rank kernel (_kth_bounds) records the first round: it runs exactly
+    when the root round passes a query on, and it runs for some query."""
     cut = reg._cut
-    for name in ("lo", "hi", "rmin", "rmax"):
-        assert getattr(reg, f"_cut_{name}").tobytes() == getattr(reg, f"_node_{name}")[cut].tobytes()
+    assert reg._cut_table.tobytes() == reg._table[:, cut].tobytes()
+    counts = (reg.centers_tree.span_hi - reg.centers_tree.span_lo)[cut].tolist()
     first = []
     kth_bounds = registry_module._kth_bounds
 
-    def recorded(lo, hi, cnt, ks):
-        first.append((lo, hi, cnt))
-        return kth_bounds(lo, hi, cnt, ks)
+    def recorded(b, cnt, ks):
+        first.append((b.copy(), cnt.copy()))
+        return kth_bounds(b, cnt, ks)
 
+    passed_on = 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(registry_module, "_kth_bounds", recorded)
         for q in _edge_queries(rng, reg) + _root_box_queries(rng, reg):
-            want = np.concatenate(reg._ball_bounds(cut, q)).tobytes()
+            want = _bounds(reg, cut, q).tobytes()
+            low, high = reg._root_bounds(q.tolist())
             for k in sorted({1, (reg.n + 1) // 2, reg.n}):
                 for eps in (0.5, 0.1, 0.01):
                     first.clear()
                     reg.certified_kth_ball(q, k, eps)
-                    if first:  # the root round did not decide
-                        lo, hi, cnt = first[0]
-                        assert np.concatenate([lo, hi]).tobytes() == want
-                        assert cnt.tolist() == (reg.centers_tree.span_hi - reg.centers_tree.span_lo)[cut].tolist()
+                    far_rule = low >= (1.0 - eps) * high and high <= (1.0 + eps) * low
+                    on = high > 0.0 and not far_rule and low < high and reg._root_splits
+                    assert bool(first) == on
+                    if on:
+                        passed_on += 1
+                        b, cnt = first[0]
+                        assert b.tobytes() == want
+                        assert cnt.tolist() == counts
+    assert passed_on > 0
 
 
 @given(st.integers(1, 4), st.integers(0, 10_000))
@@ -921,6 +946,93 @@ def test_cut_round_bounds_are_exact_at_edges(dim, seed):
 def test_cut_round_bounds_are_exact_at_scale(dim, clustered):
     rng = np.random.default_rng(90 + dim)
     _check_cut_round(rng, build_registry(_cell_instance(rng, dim, 4096, clustered)))
+
+
+def _ball_bounds_of_rows(low, high, rmin, rmax, q):
+    """The row-major bounds the fused kernel replaced, as reference: per
+    row, the near and far distance of the box with the squares summed over
+    the axes in order, less rmax and rmin, clipped at 0 and padded."""
+    below = low - q
+    above = q - high
+    near = np.maximum(below, above)
+    np.maximum(near, 0.0, out=near)
+    far = np.minimum(below, above)
+    near *= near
+    far *= far
+    near_sum, far_sum = near[:, 0], far[:, 0]
+    for j in range(1, low.shape[1]):
+        near_sum = near_sum + near[:, j]
+        far_sum = far_sum + far[:, j]
+    margin = registry_module.WALK_MARGIN
+    lo = np.maximum(np.sqrt(near_sum) - rmax, 0.0) * (1.0 - margin)
+    hi = np.maximum(np.sqrt(far_sum) - rmin, 0.0) * (1.0 + margin)
+    return lo, hi
+
+
+def _tied_frontier(rng, dim: int, m: int):
+    """m node columns of a node table on a coarse dyadic grid, so that
+    boxes coincide, touch and share faces, bounds tie and many lower bounds
+    are 0 (radii up to the grid's size), and the query points: on box
+    faces and corners, inside boxes, on the grid and far outside the
+    cube."""
+    step = 0.125
+    low = step * rng.integers(0, 8, size=(m, dim))
+    high = low + step * rng.integers(0, 3, size=(m, dim))
+    for i in range(1, m):
+        j = int(rng.integers(i))
+        kind = int(rng.integers(4))
+        if kind == 0:  # coincident with an earlier box
+            low[i], high[i] = low[j], high[j]
+        elif kind == 1:  # tangent to an earlier box on one axis
+            a = int(rng.integers(dim))
+            low[i, a] = high[j, a]
+            high[i, a] = max(high[i, a], low[i, a])
+    rmin = step / 4 * rng.integers(0, 3, size=m)
+    rmax = rmin + step * rng.integers(0, 9, size=m)
+    queries = []
+    for i in rng.integers(m, size=4).tolist():
+        on_face = rng.uniform(low[i], high[i])
+        a = int(rng.integers(dim))
+        on_face[a] = (low[i] if rng.random() < 0.5 else high[i])[a]
+        queries += [on_face, low[i].copy(), (low[i] + high[i]) / 2]
+    queries.append(step * rng.integers(-2, 11, size=dim))
+    for scale in (10.0, 1e3):
+        u = rng.normal(size=dim)
+        queries.append(0.5 + scale * u / np.linalg.norm(u))
+    return low, high, rmin, rmax, queries
+
+
+@given(st.integers(1, 5), st.integers(1, 40), st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_fused_exit_kernel_matches_row_reference(dim, m, seed):
+    """The exit's fused kernel against the row-major operations it
+    replaced.  _ball_bounds_of on the node table's columns (low corners,
+    negated high corners, rmax, rmin) equals the row reference bit for bit,
+    and _kth_bounds, one unstable argsort of both rows, gives for every k
+    from 1 to the total count the same L and H as two stable argsorts and a
+    search of each cumsum, one k at a time and all ks at once, on frontiers
+    heavy in ties and in lower bounds of 0."""
+    rng = np.random.default_rng(seed)
+    low, high, rmin, rmax, queries = _tied_frontier(rng, dim, m)
+    cols = np.concatenate([low.T, -high.T, rmax[None], rmin[None]])
+    cnt = rng.integers(1, 4, size=m)
+    ks = np.arange(1, cnt.sum() + 1)
+    zeros = 0
+    for q in queries:
+        b = registry_module._ball_bounds_of(cols, registry_module._column(q.tolist()))
+        lo, hi = _ball_bounds_of_rows(low, high, rmin, rmax, q)
+        assert b.shape == (2, m)
+        assert b[0].tobytes() == lo.tobytes() and b[1].tobytes() == hi.tobytes()
+        zeros += int(np.count_nonzero(lo == 0.0))
+        o_lo, o_hi = lo.argsort(kind="stable"), hi.argsort(kind="stable")
+        want_lo = lo[o_lo[cnt[o_lo].cumsum().searchsorted(ks)]]
+        want_hi = hi[o_hi[cnt[o_hi].cumsum().searchsorted(ks)]]
+        got_lo, got_hi = registry_module._kth_bounds(b, cnt, ks)
+        assert got_lo.tobytes() == want_lo.tobytes() and got_hi.tobytes() == want_hi.tobytes()
+        for k in ks.tolist():
+            one_lo, one_hi = registry_module._kth_bounds(b, cnt, k)
+            assert (one_lo, one_hi) == (want_lo[k - 1], want_hi[k - 1])
+    assert zeros > 0
 
 
 @pytest.mark.parametrize("dim, clustered", [(2, False), (3, True)])
