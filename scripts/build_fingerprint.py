@@ -19,7 +19,9 @@ arrays, once as built and once after a save_index/load_index round trip,
 with the saved file's byte count.  A line does the same for a cell index
 whose sweep selects at most knn._KTH_MIN_ROWS rows per chunk (uniform
 d=2, n=16,384, k=4,096, eps 0.5, from `perfbench/inputs.py` with seed 1,
-on 2,000 of its cell queries), a line for the strict cell index of
+on 2,000 of its cell queries), a line for a practical cell index at d=3
+(uniform n=1,024, k=256, eps 0.5, seed 1, on 2,000 of its cell queries),
+a line for the strict cell index of
 acceptance criterion 6 (d=1, n=8, k=7, eps=0.5), its clusters included,
 on 2,000 uniform queries, and a registry line at d = 5 (uniform n =
 4,096, floor 0.5): its arrays, its stored cut, and the exit's answers and
@@ -529,6 +531,13 @@ def main(argv=None) -> int:
     points = inputs.cell_queries(1, 2, 16384, 2000)
     print("uniform n16384 k4096:" + cell_line(index, points, args.dump, "uniform-n16384"), flush=True)
     print("uniform n16384 k4096" + ood_line(index, 1, args.dump, "uniform-n16384"), flush=True)
+    # A cell index at d = 3, which no benchmark workload builds.
+    centers, radii = inputs.uniform_balls(1, 3, 1024)
+    balls = [geometry.Ball(tuple(c), float(r)) for c, r in zip(centers.tolist(), radii)]
+    index = avd.build_avd(registry.build_registry(geometry.normalize(balls, 0.5)), 256, 0.5)
+    points = inputs.cell_queries(1, 3, 1024, 2000)
+    print("uniform d3 n1024 k256:" + cell_line(index, points, args.dump, "uniform-d3-n1024"), flush=True)
+    print("uniform d3 n1024 k256" + ood_line(index, 1, args.dump, "uniform-d3-n1024"), flush=True)
     reg = registry.build_registry(geometry.normalize(datasets.generate_instance(6025, 1, 8), 0.5))
     points = np.random.default_rng(0).random((2000, 1))
     index = avd.build_avd(reg, 7, 0.5, "strict")

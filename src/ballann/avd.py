@@ -102,6 +102,7 @@ from .geometry import (
     enumerate_grid_cells_ball,
     grid_level_for_diameter,
     max_level_for_dim,
+    offset_and_ball_distance,
 )
 from .knn import KnnAnswer, kth_balls, query
 
@@ -162,6 +163,15 @@ class AVDIndex:
     def __post_init__(self) -> None:
         self.rep = _cube_centers(self.tree.z, self.tree.level, self.tree.dim)
         self.query_counts = dict.fromkeys(("near", "cluster", "fallback", "out_of_domain"), 0)
+        # avd_query's reads: views whose items are Python numbers.  rep and
+        # the instance's centers are C-contiguous, so the flat reshapes copy
+        # nothing.
+        self._rep_view = memoryview(self.rep.reshape(-1))
+        self._kdist_view = memoryview(self.kdist)
+        self._witness_view = memoryview(self.kdist_witness)
+        self._flags_view = memoryview(self.flags)
+        self._centers_view = memoryview(self.registry.centers.reshape(-1))
+        self._radii_view = memoryview(self.registry.radii)
 
 
 def _cube_centers(z: np.ndarray, level: np.ndarray, dim: int) -> np.ndarray:
@@ -472,11 +482,16 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
     what held at build time; if nothing fires the query falls back to
     `knn.query`.
 
-    An in-domain query runs in plain floats except for the one search of
-    point location: it reads its cell's row as Python numbers and measures
-    the offset with `ball_distance`'s loop, which can differ from
-    np.linalg.norm in the last bit; only the strict cluster branch uses
-    numpy.
+    An in-domain query makes no numpy call outside the strict cluster
+    branch.  Point location searches memoryviews of the tree's arrays
+    (`CompressedQuadtree.point_location`), and the query reads its cell
+    and its witness from zero-copy memoryviews that `AVDIndex` keeps of
+    rep, kdist, kdist_witness, flags and the registry's centers and radii:
+    one item per number, and one slice and `.tolist()` per row.  The
+    offset |q - rep| and the witness's distance come from one loop over
+    the coordinates (`geometry.offset_and_ball_distance`), each sum in
+    `ball_distance`'s order, so both equal `ball_distance` bit for bit;
+    that loop can differ from np.linalg.norm in the last bit.
     """
     qt = check_point(q, a.registry.dim)
     eps, k = a.eps, a.k
@@ -485,13 +500,15 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
         a.query_counts["out_of_domain"] += 1
         return ans
     v = a.tree.point_location(qt)
-    if a.flags.item(v) & _EMPTY:
+    if a._flags_view[v] & _EMPTY:
         raise InternalInvariantError("point location landed in a tiled cell")
     reg = a.registry
-    offset = ball_distance(qt, a.rep[v].tolist(), 0.0)
-    kd = a.kdist.item(v)
-    w = a.kdist_witness.item(v)
-    dist = ball_distance(qt, reg.centers[w].tolist(), reg.radii.item(w))
+    d = len(qt)
+    kd = a._kdist_view[v]
+    w = a._witness_view[v]
+    offset, dist = offset_and_ball_distance(
+        qt, a._rep_view[v * d : v * d + d].tolist(), a._centers_view[w * d : w * d + d].tolist(), a._radii_view[w]
+    )
     if near_test(dist, kd, offset, eps):
         a.query_counts["near"] += 1
         return KnnAnswer(w, dist, (dist / (1.0 + eps), dist / (1.0 - eps)))

@@ -266,6 +266,24 @@ def ball_distance(q: Sequence[float], center: Sequence[float], radius: float) ->
     return gap if gap > 0.0 else 0.0
 
 
+def offset_and_ball_distance(
+    q: Sequence[float], rep: Sequence[float], center: Sequence[float], radius: float
+) -> tuple[float, float]:
+    """(|q - rep|, d(q, b)) for the ball b = (center, radius), from one loop
+    over the coordinates.  Each sum runs in ball_distance's order, so the
+    pair equals (ball_distance(q, rep, 0.0), ball_distance(q, center,
+    radius)) bit for bit: a radius of 0 subtracts nothing, and a root is
+    never negative, so the first needs no clip."""
+    acc = sq = 0.0
+    for x, r, c in zip(q, rep, center):
+        t = r - x
+        acc += t * t
+        t = c - x
+        sq += t * t
+    gap = math.sqrt(sq) - radius
+    return math.sqrt(acc), gap if gap > 0.0 else 0.0
+
+
 def concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Concatenation of arange(s, s + l) over the pairs (s, l), as int64."""
     ends = np.cumsum(lens)

@@ -7,13 +7,13 @@ closed under pairwise least common ancestors.  Every lookup is a search on
 those sorted arrays: a node's parent is the stored LCA of it and the node
 before it, which is the last node before it at the LCA's level (every node
 between the two is deeper), found by one `searchsorted` on the nodes
-ranked by level and then index; and the deepest stored cube holding a key
-is found by one `searchsorted` and a short walk up the parent links.  The
-pairs stay two arrays in every tree: one two-key lexsort sorts and dedupes
-them (_dedupe_keys), and an exact cube is found by one `searchsorted` on z
-and a walk along the run of nodes with that z
-(`CompressedQuadtree.find_keys`).  All keys fit in a signed 64-bit integer
-because d * M <= 63.
+ranked by level and then index; and the deepest stored cube holding a
+point is found by one binary search and a short walk up the parent links
+(`CompressedQuadtree.point_location`).  The pairs stay two arrays in
+every tree: one two-key lexsort sorts and dedupes them (_dedupe_keys),
+and an exact cube is found by one `searchsorted` on z and a walk along
+the run of nodes with that z (`CompressedQuadtree.find_keys`).  All keys
+fit in a signed 64-bit integer because d * M <= 63.
 
 A tree over points (`build_from_points`) takes one encode and one stable
 argsort of the points' keys: the sorted keys' distinct values are the
@@ -24,15 +24,20 @@ One rule builds the keys in every dimension: a coordinate's bits spread
 to every d-th bit in one shift-or-mask round per power of two below their
 count, each moving blocks of that many bits, and compact back by the same
 rounds in reverse; _morton_rounds derives them from d and the bit count.
-A point's key at a coarser level (`encode_point`) spreads only that
-level's bits, so a tree locates a point by its key at the tree's deepest
-stored level, which orders it among the stored cubes as its full-depth key
-does (`CompressedQuadtree.point_location`).  Trees take their cubes as key
+The array encoders run those rounds.  One point's key (`encode_point`)
+instead spreads a coordinate a byte at a time, by a 256-entry table per
+dimension (_byte_table), so it costs a lookup per byte of the level's
+bits at any level.  A tree locates a point by its key at the tree's
+deepest stored level, which orders it among the stored cubes as its
+full-depth key does, searching and walking zero-copy memoryviews of its
+key and parent arrays, whose items read as Python ints
+(`CompressedQuadtree.point_location`).  Trees take their cubes as key
 arrays; cube_to_key and key_to_cube convert single CanonicalCubes.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from typing import Sequence
@@ -73,8 +78,8 @@ def _morton_rounds(dim: int, bits: int) -> tuple[tuple, int, tuple]:
     bits puts it, so fewer bits need fewer rounds.  The compact keeps the
     bits at j*dim (`low`) and runs the same rounds in reverse, shifting down
     into the masks of block size 2b.  At d = 1, or with one bit, no round
-    moves a bit, and there are none.  Cached per (dim, bits): encode_point
-    spreads the bits of one level, morton_encode and morton_decode all M.
+    moves a bit, and there are none.  Cached per (dim, bits): morton_encode
+    and morton_decode spread all M.
     """
 
     def mask(b: int) -> int:
@@ -105,6 +110,17 @@ def _compact_bits(x, dim: int):
     return x
 
 
+@functools.cache
+def _byte_table(dim: int) -> tuple[int, ...]:
+    """The spread of every byte: entry b holds bit j of b at bit j*dim, so a
+    coordinate spreads one byte per lookup, byte i shifted up by 8*i*dim.
+    Entry b is the entry of b >> 1 moved up by dim, plus b's low bit."""
+    table = [0]
+    for b in range(1, 256):
+        table.append(table[b >> 1] << dim | b & 1)
+    return tuple(table)
+
+
 def encode_point(p: Sequence[float], dim: int, level: int | None = None) -> int:
     """Full-depth key of the level-`level` cube holding p (level M when not
     given), as a Python int: encode_points' floor and clip at that level,
@@ -113,14 +129,15 @@ def encode_point(p: Sequence[float], dim: int, level: int | None = None) -> int:
     It equals p's level-M key with its low dim*(M - level) bits cleared:
     for x in [0, 1), x * 2^M is exact, so floor(x * 2^level) is the top
     `level` bits of floor(x * 2^M), and a point outside the cube clips to
-    the same boundary cell at either level.  Only the level's bits are
-    spread, with only the rounds they need.
+    the same boundary cell at either level.  Each coordinate spreads by
+    _byte_table, 8 of its bits a lookup, so the level's bits cost a lookup
+    per byte they fill, at any level up to M.
     """
     M = max_level_for_dim(dim)
     if level is None:
         level = M
     top = 1 << level
-    spread = _morton_rounds(dim, level)[0]
+    table, step = _byte_table(dim), 8 * dim
     code = 0
     for x in p:
         c = math.floor(x * top)
@@ -128,9 +145,12 @@ def encode_point(p: Sequence[float], dim: int, level: int | None = None) -> int:
             c = 0
         elif c >= top:
             c = top - 1
-        for shift, mask in spread:  # _spread_bits inlined: a call costs as much as the rounds
-            c = (c | (c << shift)) & mask
-        code = code << 1 | c
+        s = sh = 0
+        while c:
+            s |= table[c & 255] << sh
+            c >>= 8
+            sh += step
+        code = code << 1 | s
     return code << dim * (M - level)
 
 
@@ -249,6 +269,15 @@ class CompressedQuadtree:
         self.child_off = np.zeros(self.size + 1, dtype=np.int64)
         np.cumsum(counts, out=self.child_off[1:])
         self.child_idx = np.argsort(self.parent[1:], kind="stable") + 1
+        # point_location's reads: zero-copy views, whose items are Python
+        # ints, and the constants of its encode at the deepest level L.
+        self._z_view = memoryview(self.z)
+        self._z_hi_view = memoryview(self.z_hi)
+        self._parent_view = memoryview(self.parent)
+        self._top = 1 << self.deepest_level
+        self._low_shift = self.dim * (self.max_level - self.deepest_level)
+        self._table = _byte_table(self.dim)
+        self._step = 8 * self.dim
 
     # -- queries -----------------------------------------------------------
 
@@ -290,23 +319,38 @@ class CompressedQuadtree:
         The last node whose key is at most p's key lies inside that cube
         (or is it), so the walk up its parent links from there stops at the
         answer; the root always matches.  p's key is taken at the tree's
-        deepest stored level L (encode_point), p's full-depth key with its
-        low d*(M - L) bits cleared, and both tests decide as they would on
-        the full-depth key: every stored key z is a multiple of
-        2^(d*(M - L)), and every z_hi one less than such a multiple, so z <=
-        code and z_hi < code hold for the cleared key exactly when they
-        hold for the full one.
+        deepest stored level L, p's full-depth key with its low d*(M - L)
+        bits cleared, and both tests decide as they would on the full-depth
+        key: every stored key z is a multiple of 2^(d*(M - L)), and every
+        z_hi one less than such a multiple, so z <= code and z_hi < code
+        hold for the cleared key exactly when they hold for the full one.
+
+        The key is encode_point's at level L, by the same byte table, with
+        the tree's constants for L kept by _finalize; for x in [0, 1), int
+        truncates x * 2^L as floor does, and no clip is needed.  The search
+        is `bisect.bisect_right` on a memoryview of z, and the walk reads
+        memoryviews of z_hi and parent: no numpy call, and no copy of the
+        arrays.
         """
         if len(p) != self.dim:
             raise InputError(f"point dimension {len(p)} != tree dimension {self.dim}")
-        for x in p:
+        top, table, step = self._top, self._table, self._step
+        code = 0
+        for x in p:  # encode_point inlined: the call would add a quarter to the location
             if not 0.0 <= x < 1.0:
                 raise InputError(f"point {tuple(p)} outside [0,1)^d")
-        code = encode_point(p, self.dim, self.deepest_level)
-        j = int(self.z.searchsorted(code, side="right")) - 1
-        z_hi, parent = self.z_hi, self.parent
+            c = int(x * top)
+            s = sh = 0
+            while c:
+                s |= table[c & 255] << sh
+                c >>= 8
+                sh += step
+            code = code << 1 | s
+        code <<= self._low_shift
+        j = bisect.bisect_right(self._z_view, code) - 1
+        z_hi, parent = self._z_hi_view, self._parent_view
         while z_hi[j] < code:
-            j = int(parent[j])
+            j = parent[j]
         return j
 
     def count_points_in_cubes(self, z: np.ndarray, level: int) -> np.ndarray:

@@ -21,8 +21,9 @@ from ballann.avd import (
     near_test,
 )
 from ballann.geometry import InputError, ball_distance, ball_distances
+from ballann.io import load_index, save_index
 from ballann.oracle import exact_kth_distance
-from ballann.quadtree import build_from_cubes
+from ballann.quadtree import build_from_cubes, encode_points
 from ballann.quorum import ball_quorum
 
 from conftest import make_registry
@@ -224,6 +225,93 @@ def test_avd_query_input_forms_agree(seed, dim, n, k, mode, budget):
     assert sum(a.query_counts.values()) == 5 * len(points32)
     assert a.query_counts["near"] > 0 and a.query_counts["out_of_domain"] > 0
     assert (a.query_counts["fallback"] > 0) == (budget == 20)
+
+
+def _reference_location(t, qt: list[float]) -> int:
+    """point_location on numpy: the full-depth key by encode_points, then
+    np.searchsorted and the parent walk on the tree's arrays."""
+    code = int(encode_points(np.array([qt]), t.dim)[0])
+    v = int(np.searchsorted(t.z, code, side="right")) - 1
+    while t.z_hi[v] < code:
+        v = int(t.parent[v])
+    return v
+
+
+def _reference_avd_query(a, q) -> knn.KnnAnswer:
+    """avd_query as the numpy path answers it: _reference_location, the
+    cell row by rep[v].tolist() and ndarray.item, and two ball_distance
+    calls."""
+    qt = [float(x) for x in q]
+    reg, eps = a.registry, a.eps
+    if not all(0.0 <= x < 1.0 for x in qt):
+        return knn.query(reg, qt, a.k, eps)
+    v = _reference_location(a.tree, qt)
+    assert not a.flags[v] & 1
+    offset = ball_distance(qt, a.rep[v].tolist(), 0.0)
+    kd, w = a.kdist.item(v), a.kdist_witness.item(v)
+    dist = ball_distance(qt, reg.centers[w].tolist(), reg.radii.item(w))
+    if not near_test(dist, kd, offset, eps):
+        lower = kd - offset
+        if not (lower > 0.0 and a.site.item(v) >= 0):
+            return knn.query(reg, qt, a.k, eps)
+        cl = a.clusters[a.site.item(v)]
+        lam1 = float(np.linalg.norm(np.array(qt) - np.asarray(cl.center))) + cl.radius
+        if not (2.0 * cl.radius <= eps * lower and lam1 <= (1.0 + eps) * lower):
+            return knn.query(reg, qt, a.k, eps)
+        w = int(cl.witness)
+        dist = ball_distance(qt, reg.centers[w].tolist(), reg.radii.item(w))
+    return knn.KnnAnswer(w, dist, (dist / (1.0 + eps), dist / (1.0 - eps)))
+
+
+def _answer_bits(ans: knn.KnnAnswer) -> tuple:
+    return ans.ball_id, ans.distance.hex(), tuple(x.hex() for x in ans.certified_interval), ans.out_of_domain
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+@pytest.mark.parametrize("config", ["practical-d1", "practical-d2", "practical-d2-budget", "practical-d3", "strict-c6"])
+def test_avd_query_matches_the_numpy_reference_path(tmp_path, config, loaded):
+    """avd_query, on its memoryviews and one-pass distances, answers as
+    _reference_avd_query does, ids and floats bit for bit, and point
+    location finds the reference's cell: on practical indexes at d = 1, 2
+    and 3 (one cut short by its cell budget, so that it falls back) and
+    criterion 6's strict index, as built and after save_index/load_index,
+    at random points, on the dyadic faces of the stored cells and one step
+    below them, at nextafter(1, 0) and outside the cube."""
+    if config == "strict-c6":
+        a = build_avd(build_registry(normalize(generate_instance(6025, 1, 8), 0.5)), 7, 0.5, "strict")
+    else:
+        dim = int(config[len("practical-d")])
+        seed, n, k = {1: (52, 64, 16), 2: (54, 100, 25), 3: (55, 256, 64)}[dim]
+        a = _build(seed, dim, n, k, 0.5, cell_budget=20 if config.endswith("budget") else 400_000)
+    if loaded:
+        path = tmp_path / "index.bin"
+        save_index(str(path), a)
+        a = load_index(str(path))
+    t, reg = a.tree, a.registry
+    views = [(a._rep_view, a.rep), (a._kdist_view, a.kdist), (a._witness_view, a.kdist_witness)]
+    views += [(a._flags_view, a.flags), (a._centers_view, reg.centers), (a._radii_view, reg.radii)]
+    views += [(t._z_view, t.z), (t._z_hi_view, t.z_hi), (t._parent_view, t.parent)]
+    for view, arr in views:  # the query reads the index's own arrays, copying none
+        assert np.shares_memory(np.asarray(view), arr) and view.nbytes == arr.nbytes
+    dim = a.registry.dim
+    rng = np.random.default_rng(31)
+    points = rng.random((300, dim)).tolist()
+    top = math.nextafter(1.0, 0.0)
+    points += [[top] * dim, [0.0] * dim, [top] + [0.0] * (dim - 1)]
+    side = np.ldexp(1.0, -a.tree.level)[:, None]
+    for v in rng.choice(a.tree.size, size=100).tolist():
+        lo = (a.rep[v] - side[v] / 2.0).tolist()
+        hi = (a.rep[v] + side[v] / 2.0).tolist()
+        points += [lo, [math.nextafter(x, 0.0) for x in lo], [min(x, top) for x in hi]]
+        points.append([math.nextafter(x, 0.0) if rng.random() < 0.5 else x for x in hi])
+    points += rng.uniform(-0.5, 1.5, size=(20, dim)).tolist()
+    for p in points:
+        assert _answer_bits(avd_query(a, p)) == _answer_bits(_reference_avd_query(a, p)), p
+        if all(0.0 <= x < 1.0 for x in p):
+            assert a.tree.point_location(p) == _reference_location(a.tree, p), p
+    if config == "practical-d2-budget":
+        assert a.query_counts["fallback"] > 0
+    assert a.query_counts["near"] > 0 and a.query_counts["out_of_domain"] > 0
 
 
 def test_avd_dimension_mismatch_rejected():

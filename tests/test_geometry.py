@@ -21,6 +21,7 @@ from ballann.geometry import (
     grid_level_for_diameter,
     max_level_for_dim,
     normalize,
+    offset_and_ball_distance,
     packing_constant,
     product_norm,
 )
@@ -100,6 +101,48 @@ def test_one_ball_and_batched_distances_agree_bit_for_bit(d):
         row = ball_distances(q, centers, radii)
         assert np.array_equal(row, block[i])
         assert row.tolist() == [ball_distance(q, c, r) for c, r in zip(centers.tolist(), radii.tolist())]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_offset_and_ball_distance_is_two_ball_distance_calls(d):
+    """The one-pass pair equals ball_distance(q, rep, 0.0) and
+    ball_distance(q, center, radius) bit for bit (signs of zero included),
+    on 2,000 seeded cases a dimension: radius 0, q at the center (with
+    radius 0 too) or at rep, q on the sphere along an axis, q on dyadic
+    faces and a step to either side, and coordinates near 0 and at
+    nextafter(1, 0)."""
+    rng = np.random.default_rng(900 + d)
+    top = math.nextafter(1.0, 0.0)
+    edge = [0.0, 5e-324, 1e-300, 2.0**-40, top, 0.5]
+    for lev in (1, 3, 7, 8, 9, 16, 30):
+        face = int(rng.integers(0, 1 << lev)) * 2.0**-lev
+        edge += [face, math.nextafter(face, 0.0), math.nextafter(face, 1.0)]
+    for case in range(2000):
+        kind = case % 8
+        if kind < 2:
+            q = rng.choice(edge, size=d).tolist()
+        else:
+            q = rng.random(d).tolist()
+        lev = int(rng.integers(0, 20))
+        rep = ((np.floor(rng.random(d) * 2.0**lev) + 0.5) * 2.0**-lev).tolist()
+        center = rng.random(d).tolist()
+        radius = float(rng.uniform(0.0, 0.3))
+        if kind == 2:
+            radius = 0.0
+        elif kind == 3:
+            center = list(q)
+        elif kind == 4:
+            rep = list(q)
+        elif kind == 5:  # on the sphere along an axis
+            q = list(center)
+            q[int(rng.integers(d))] += radius
+        elif kind == 6:
+            center = rng.choice(edge, size=d).tolist()
+        else:
+            center, radius = list(q), 0.0
+        got = offset_and_ball_distance(q, rep, center, radius)
+        want = (ball_distance(q, rep, 0.0), ball_distance(q, center, radius))
+        assert [x.hex() for x in got] == [x.hex() for x in want], (q, rep, center, radius)
 
 
 # -- normalization -------------------------------------------------------------

@@ -15,7 +15,9 @@ from ballann.quadtree import (
     CompressedQuadtree,
     _bit_length_i64,
     _dedupe_keys,
+    _morton_rounds,
     _pair_lcas,
+    _spread_bits,
     build_from_cubes,
     build_from_points,
     cube_to_key,
@@ -286,12 +288,15 @@ def test_point_location_matches_brute_force(dim):
 def test_encode_point_at_a_level_clears_the_low_bits(dim):
     """encode_point at each level is the full-depth key with its low
     dim*(M - level) bits cleared, and that key decodes at the level to the
-    clipped floor of p * 2^level: on dyadic faces from both sides, the
-    cube's far corner, points outside the cube and random points."""
+    clipped floor of p * 2^level and equals the interleave of those floors
+    spread by the _morton_rounds of the level, so the byte table spreads
+    as the rounds do: on dyadic faces from both sides, at levels on either
+    side of the table's byte edges too, the cube's far corner, points
+    outside the cube and random points."""
     M = max_level_for_dim(dim)
     rng = np.random.default_rng(600 + dim)
     values = [0.0, math.nextafter(1.0, 0.0), 1.0, -0.25, -1e-300, 1.5, 7.0]
-    for lev in (1, 2, 3, M // 2, M - 1, M):
+    for lev in sorted({1, 2, 3, 7, 8, 9, 15, 16, 17, M // 2, M - 1, M} & set(range(1, M + 1))):
         for j in rng.integers(0, 1 << lev, size=3).tolist():
             face = j * 2.0**-lev
             values += [face, math.nextafter(face, 0.0), math.nextafter(face, 1.0)]
@@ -307,17 +312,29 @@ def test_encode_point_at_a_level_clears_the_low_bits(dim):
             top = 1 << level
             want = [min(max(math.floor(x * top), 0), top - 1) for x in p]
             assert morton_decode(np.array([got]), level, dim)[0].tolist() == want
+            spread = _morton_rounds(dim, level)[0]
+            rounds = 0
+            for c in want:
+                rounds = rounds << 1 | _spread_bits(c, spread)
+            assert got == rounds << dim * (M - level), (p, level)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("depth", ["root", "one", "mid", "max"])
-def test_point_location_at_every_tree_depth(dim, depth):
+_DEPTHS = ["root", "one", "mid", "max", "7", "8", "9", "15", "16", "17"]
+
+
+@pytest.mark.parametrize(
+    "depth,dim",
+    [(t, d) for t in _DEPTHS for d in range(1, 6) if not t.isdigit() or int(t) <= max_level_for_dim(d)],
+)
+def test_point_location_at_every_tree_depth(depth, dim):
     """point_location encodes at the tree's deepest stored level L and
     still finds the deepest stored cube: trees whose deepest level is 0,
-    1, about M/2 and M, probed at random points, on the faces of the
-    deepest cubes from both sides, and on dyadic faces finer than L."""
+    1, about M/2 and M, and 7, 8, 9, 15, 16 and 17 (where M allows), on
+    either side of the encode table's byte edges, probed at random
+    points, on the faces of the deepest cubes from both sides, and on
+    dyadic faces finer than L."""
     M = max_level_for_dim(dim)
-    L = {"root": 0, "one": 1, "mid": M // 2, "max": M}[depth]
+    L = {"root": 0, "one": 1, "mid": M // 2, "max": M}[depth] if not depth.isdigit() else int(depth)
     rng = np.random.default_rng(700 + 10 * dim + L)
 
     def cube(lev):
