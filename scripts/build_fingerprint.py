@@ -33,7 +33,8 @@ A grid-cover line per seed digests the grid cells that
 seeded balls and boxes at d = 1..5 (grid_cover_line).
 Answer ids and answer distances are digested apart, so that a distance
 that moves in its last bit does not hide ids that stay.  A representative
-is digested on live cells only: an empty cell's row is never read.  Run it
+and a site are digested on live cells only: no query reads a tiled cell's
+row (one whose children tile its cube).  Run it
 on two checkouts and diff the output: a change that keeps the structures
 bit for bit prints the same lines, up to the byte counts when the file
 format changes.
@@ -257,7 +258,7 @@ def cell_digest(index, points, dump: str | None, label: str) -> str:
 
     t = index.tree
     live = (index.flags & 1) == 0
-    arrays = [index.rep[live], index.site, index.flags]
+    arrays = [index.rep[live], index.site[live], index.flags]
     for c in index.clusters:
         scalars = [c.radius, c.rho, c.gamma, c.witness, c.round_index, c.is_remainder]
         arrays += [np.asarray(c.center), np.asarray(c.assigned), np.array(scalars, dtype=np.float64)]

@@ -13,7 +13,7 @@ guarantee holds, the tree bottoms out, or the cell budget runs dry; this is
 adaptive quadtree subdivision (Har-Peled, FOCS 2001; Arya, Malamatos &
 Mount, JACM 2009).  Practical mode starts it from the root cube.  Strict
 mode starts it from the paper's construction: the overlay of exponential
-grids around the clusters (the near field I, at fineness zeta1) and a
+grids around the clusters (the near field I, at fineness ZETA1_STRICT) and a
 nearest-cluster decomposition under the lifted product norm (the far field
 S).  The sweep runs breadth first, one layer at a time, and decides a
 layer by array operations in queue order.  Every live cell of a layer gets
@@ -139,8 +139,6 @@ ZETA1_PRACTICAL = 16.0 * XI
 # few ulps by which a float ball distance or offset can be off.
 NEAR_MARGIN = 1e-9
 
-_EMPTY = np.uint8(1)  # flags bit: children tile the cube, no query lands here
-
 
 @dataclass(eq=False)
 class AVDIndex:
@@ -148,20 +146,23 @@ class AVDIndex:
 
     tree: CompressedQuadtree
     rep: np.ndarray = field(init=False)  # (size, d) cube centers, from the tree's keys
-    kdist: np.ndarray  # (size,) exact d_k at rep; 0 on empty cells
-    kdist_witness: np.ndarray  # (size,) k-th ball at rep in (distance, id) order; -1 on empty cells
-    site: np.ndarray  # (size,) owning cluster per cell; -1 when there are no clusters
-    flags: np.ndarray  # (size,) bit 1: empty region
+    kdist: np.ndarray  # (size,) exact d_k at rep; 0 on tiled cells
+    kdist_witness: np.ndarray  # (size,) k-th ball at rep in (distance, id) order; -1 on tiled cells
+    site: np.ndarray  # (size,) owning cluster per cell; -1 on tiled cells and when there are no clusters
+    flags: np.ndarray = field(init=False)  # (size,) uint8, 1 where the children tile the cube, from the tree
     clusters: list[QuorumCluster]  # empty in a practical index
     registry: Registry
     k: int
     eps: float
     mode: str
-    zeta1: float
     stats: dict
 
     def __post_init__(self) -> None:
         self.rep = _cube_centers(self.tree.z, self.tree.level, self.tree.dim)
+        self.flags = self.tree.tiled.view(np.uint8)
+        # The stats that the mode and the arrays fix, for built and loaded alike.
+        self.stats.update(zeta1=self.zeta1, clusters=len(self.clusters), W=self.tree.size,
+                          empty_cells=int(np.count_nonzero(self.flags)))
         self.query_counts = dict.fromkeys(("near", "cluster", "fallback", "out_of_domain"), 0)
         # avd_query's reads: views whose items are Python numbers.  rep and
         # the instance's centers are C-contiguous, so the flat reshapes copy
@@ -173,6 +174,11 @@ class AVDIndex:
         self._centers_view = memoryview(self.registry.centers.reshape(-1))
         self._radii_view = memoryview(self.registry.radii)
 
+    @property
+    def zeta1(self) -> float:
+        """The near field's fineness, fixed by the mode; a practical index reads it nowhere."""
+        return ZETA1_STRICT if self.mode == "strict" else ZETA1_PRACTICAL
+
 
 def _cube_centers(z: np.ndarray, level: np.ndarray, dim: int) -> np.ndarray:
     """The centers of the cubes (z, level), from one full-depth decode."""
@@ -181,9 +187,7 @@ def _cube_centers(z: np.ndarray, level: np.ndarray, dim: int) -> np.ndarray:
     return (coords.astype(np.float64) + 0.5) * np.ldexp(1.0, -level)[:, None]
 
 
-def _near_field(
-    centers: np.ndarray, radii: np.ndarray, eps: float, zeta1: float, dim: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _near_field(centers: np.ndarray, radii: np.ndarray, eps: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Exponential grids around each cluster: balls 2^j x out to 32*XI/eps."""
     top_j = math.ceil(math.log2(32.0 * XI / eps))
     zs: list[np.ndarray] = []
@@ -191,7 +195,7 @@ def _near_field(
     for i in range(centers.shape[0]):
         for j in range(top_j + 1):
             radius = (2.0**j) * float(radii[i])
-            level, _ = grid_level_for_diameter(2.0 * radius, eps / zeta1, dim)
+            level, _ = grid_level_for_diameter(2.0 * radius, eps / ZETA1_STRICT, dim)
             coords = enumerate_grid_cells_ball(centers[i], radius, level)
             if coords.shape[0]:
                 zs.append(morton_encode(coords, level, dim))
@@ -268,12 +272,12 @@ def _nearest_sites(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> n
 
 
 def _paper_cells(
-    centers: np.ndarray, radii: np.ndarray, eps: float, zeta1: float, dim: int
-) -> tuple[CompressedQuadtree, np.ndarray, np.ndarray, int, int, float]:
+    centers: np.ndarray, radii: np.ndarray, eps: float, dim: int
+) -> tuple[CompressedQuadtree, np.ndarray, int, int, float]:
     """Strict mode's first layer: the overlay W of the near field I and the
-    far field S, with each W node's far-field cluster and whether its
-    children tile it, plus |I|, |S| and the time the fields were done."""
-    near_z, near_l = _near_field(centers, radii, eps, zeta1, dim)
+    far field S, with each W node's far-field cluster, plus |I|, |S| and
+    the time the fields were done."""
+    near_z, near_l = _near_field(centers, radii, eps, dim)
     far_z, far_l = _far_field(centers, radii, eps, dim)
     far_keys = np.unique(np.stack([far_z, far_l], axis=1), axis=0)
     far_z, far_l = far_keys[:, 0], far_keys[:, 1]
@@ -286,13 +290,7 @@ def _paper_cells(
     far_node = far_tree.find_keys(w_tree.z[back_far], w_tree.level[back_far])
     if (far_node < 0).any():
         raise InternalInvariantError("overlay back pointer lost its source cube")
-    # In an LCA-closed tree no quadrant of a cell holds two of its children,
-    # so the children tile the cell exactly when all 2^d quadrants are
-    # children one level down.
-    kids = w_tree.parent[1:]
-    deeper = w_tree.level[1:] == w_tree.level[kids] + 1
-    tiled = np.bincount(kids[deeper], minlength=w_tree.size) == 1 << dim
-    return w_tree, far_node_site[far_node], tiled, int(near_z.size), int(far_z.size), t_fields
+    return w_tree, far_node_site[far_node], int(near_z.size), int(far_z.size), t_fields
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -334,8 +332,8 @@ def build_avd(
     padded by NEAR_MARGIN (module docstring); it costs one row of n ball
     distances per live cell and no registry search.
 
-    Strict mode's near field has fineness ZETA1_STRICT; a practical build
-    records ZETA1_PRACTICAL in `AVDIndex.zeta1` and reads it nowhere.
+    Strict mode's near field has fineness ZETA1_STRICT; `AVDIndex.zeta1`
+    follows from the mode, and a practical index reads it nowhere.
     """
     t0 = time.perf_counter()
     n, dim = reg.n, reg.dim
@@ -351,30 +349,29 @@ def build_avd(
     if mode not in ("practical", "strict"):
         raise InputError(f"mode must be 'practical' or 'strict', got {mode!r}")
     strict = mode == "strict"
-    z1 = ZETA1_STRICT if strict else ZETA1_PRACTICAL
 
     if strict:
         clusters = ball_quorum(reg, k)
         centers = np.stack([np.asarray(c.center, dtype=np.float64) for c in clusters])
         radii = np.array([c.radius for c in clusters], dtype=np.float64)
         t_quorum = time.perf_counter()
-        w_tree, site, tiled, n_near, n_far, t_fields = _paper_cells(centers, radii, eps, z1, dim)
+        w_tree, site, n_near, n_far, t_fields = _paper_cells(centers, radii, eps, dim)
     else:  # the root cube alone; no clusters, so every site stays -1
         clusters = []
         t_quorum = time.perf_counter()
         w_tree = build_from_cubes((np.zeros(1, np.int64), np.zeros(1, np.int64), dim))
-        site, tiled = np.full(1, -1, dtype=np.int64), np.zeros(1, dtype=bool)
+        site = np.full(1, -1, dtype=np.int64)
         n_near = n_far = 0
         t_fields = time.perf_counter()
     t_overlay = time.perf_counter()
 
     # Certification sweep (see the module docstring).  A layer is parallel
-    # arrays (keys, levels, owning clusters, tile flags), decided in one pass
-    # in queue order.
+    # arrays (keys, levels, owning clusters, whether live), decided in one
+    # pass in queue order.
     max_level = w_tree.max_level
     offsets = np.arange(1 << dim, dtype=np.int64)
-    z, lev, live = w_tree.z, w_tree.level, ~tiled
-    cols: list[tuple[np.ndarray, ...]] = []  # per layer: z, level, kdist, witness, site, flags
+    z, lev, live = w_tree.z, w_tree.level, ~w_tree.tiled
+    cols: list[tuple[np.ndarray, ...]] = []  # per layer: z, level, kdist, witness, site
     cells = w_tree.size
     splits = uncertified = layers = 0
     while z.size:
@@ -405,11 +402,12 @@ def build_avd(
         cells += int(grow[split].sum())
         splits += int(split.sum())
         uncertified += int(np.count_nonzero(live & ~certified)) - int(split.sum())
-        # No query lands in an empty cell, so it stores kdist 0 and witness -1.
-        empty = ~live
-        empty[cand[split]] = True
-        kd[empty], wid[empty] = 0.0, -1
-        cols.append((z, lev, kd, wid, site, np.where(empty, _EMPTY, np.uint8(0))))
+        # A split cell is tiled by its quadrants.  No query lands in a tiled
+        # cell, so it stores kdist 0, witness -1 and site -1.
+        tiled = ~live
+        tiled[cand[split]] = True
+        kd[tiled], wid[tiled], site[tiled] = 0.0, -1, -1
+        cols.append((z, lev, kd, wid, site))
         parent = np.repeat(cand[split], new[split].sum(axis=1))
         z, lev = qz[split][new[split]], lev[parent] + 1
         site = np.full(z.size, -1, dtype=np.int64)
@@ -418,12 +416,12 @@ def build_avd(
 
     # One sort puts the cells in tree order; the tree built from their keys
     # must list exactly those keys, or the keys were not closed under LCAs.
-    all_z, all_l, kdist, kwit, site, flag_arr = (np.concatenate(c) for c in zip(*cols))
+    all_z, all_l, kdist, kwit, site = (np.concatenate(c) for c in zip(*cols))
     tree = build_from_cubes((all_z, all_l, dim))
     order = np.lexsort((all_l, all_z))
     if not (np.array_equal(tree.z, all_z[order]) and np.array_equal(tree.level, all_l[order])):
         raise InternalInvariantError("cell keys were not closed under ancestors")
-    kdist, kwit, site, flag_arr = (c[order] for c in (kdist, kwit, site, flag_arr))
+    kdist, kwit, site = (c[order] for c in (kdist, kwit, site))
     t_end = time.perf_counter()
 
     stats = {
@@ -432,15 +430,11 @@ def build_avd(
         "k": k,
         "eps": eps,
         "mode": mode,
-        "zeta1": z1,
-        "clusters": len(clusters),
         "I": n_near,
         "S": n_far,
-        "W": int(tree.size),
         "overlay_pre_split": int(w_tree.size),
         "splits": splits,
         "uncertified": uncertified,
-        "empty_cells": int(np.count_nonzero(flag_arr & _EMPTY)),
         "sweep_layers": layers,
         "quorum_s": t_quorum - t0,
         "fields_s": t_fields - t_quorum,
@@ -454,13 +448,11 @@ def build_avd(
         kdist=kdist,
         kdist_witness=kwit,
         site=site,
-        flags=flag_arr,
         clusters=clusters,
         registry=reg,
         k=k,
         eps=eps,
         mode=mode,
-        zeta1=z1,
         stats=stats,
     )
 
@@ -500,7 +492,7 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
         a.query_counts["out_of_domain"] += 1
         return ans
     v = a.tree.point_location(qt)
-    if a._flags_view[v] & _EMPTY:
+    if a._flags_view[v]:
         raise InternalInvariantError("point location landed in a tiled cell")
     reg = a.registry
     d = len(qt)
@@ -581,7 +573,7 @@ def audit_cells(a: AVDIndex, samples: int = 200, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
     reg = a.registry
     eps, k = a.eps, a.k
-    live = np.flatnonzero((a.flags & _EMPTY) == 0)
+    live = np.flatnonzero(a.flags == 0)
     if live.size > samples:
         live = live[rng.choice(live.size, size=samples, replace=False)]
     violations: list[str] = []

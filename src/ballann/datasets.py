@@ -16,18 +16,20 @@ __all__ = ["PROFILES", "generate_instance"]
 
 PROFILES = ("uniform", "clustered", "nested-huge")
 
+# Rejection-sampling tries allowed per ball before placement gives up.
+_TRIES_PER_BALL = 400
+
 
 def _place_disjoint(
     rng: np.random.Generator,
     n: int,
     sample_center,
     sample_radius,
-    budget_per_ball: int = 400,
 ) -> list[Ball]:
     centers = np.empty((0, 0))
     radii = np.empty(n)
     placed = 0
-    budget = budget_per_ball * n
+    budget = _TRIES_PER_BALL * n
     while placed < n:
         if budget <= 0:
             raise InputError(

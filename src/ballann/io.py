@@ -8,12 +8,12 @@ before any structure is touched.
 A registry file (magic BREG) stores only the inputs; the structure is
 rebuilt on load, which is deterministic and cheap.  An approximate-Voronoi
 file (magic BAVD) stores the cell decomposition: the cube table and each
-cell's exact k-th ball distance, witness and flags, plus the cluster list
-with each cell's owning cluster when it holds clusters, and the inputs
+live cell's exact k-th ball distance and witness, plus the cluster list
+with each live cell's owning cluster when it holds clusters, and the inputs
 needed to rebuild the fallback registry.  It stores nothing the loader can
-derive: a cell's representative is its cube's center, and a file with no
-clusters (a practical index) gets site -1 on every cell.  Each magic has
-its own format version.
+derive (README, "File formats"): the tree fixes which cells its children
+tile, which hold no row, and each cell's representative; the mode fixes
+zeta1.  Each magic has its own format version.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .avd import _EMPTY, AVDIndex, XI
+from .avd import AVDIndex, XI
 from .geometry import (
     Ball,
     InputError,
@@ -41,22 +41,14 @@ from .quorum import QuorumCluster
 from .registry import Registry, build_registry
 
 # Format version per magic; older versions are refused (README, "File formats").
-_VERSION = {b"BREG": 1, b"BAVD": 4}
+_VERSION = {b"BREG": 1, b"BAVD": 5}
 _MODE_CODE = {"practical": 0, "strict": 1}
 _MODE_NAME = {v: k for k, v in _MODE_CODE.items()}
 
-# Stats persisted in a BAVD file, in order.  Timing fields are deliberately
-# absent: identical inputs must produce byte-identical files.
-_STAT_FIELDS = (
-    "clusters",
-    "I",
-    "S",
-    "W",
-    "overlay_pre_split",
-    "splits",
-    "uncertified",
-    "empty_cells",
-)
+# The build facts a BAVD file keeps, in order; AVDIndex derives the rest of
+# its stats.  Timing fields are deliberately absent: identical inputs must
+# produce byte-identical files.
+_STAT_FIELDS = ("I", "S", "overlay_pre_split", "splits", "uncertified")
 
 
 # -- ball files --------------------------------------------------------------
@@ -274,7 +266,7 @@ def _load_registry(payload: bytes) -> Registry:
 def save_avd(path: str, a: AVDIndex) -> None:
     inst = a.registry.instance
     payload = bytearray()
-    payload += struct.pack("<BxxxQddd", _MODE_CODE[a.mode], a.k, a.eps, a.zeta1, XI)
+    payload += struct.pack("<BxxxQdd", _MODE_CODE[a.mode], a.k, a.eps, XI)
     payload += _instance_block(inst)
     payload += struct.pack("<Q", len(a.clusters))
     for c in a.clusters:
@@ -287,19 +279,19 @@ def save_avd(path: str, a: AVDIndex) -> None:
     payload += struct.pack("<Q", tree.size)
     payload += tree.z.astype("<i8").tobytes()
     payload += tree.level.astype("<i8").tobytes()
-    payload += a.kdist.astype("<f8").tobytes()
-    payload += a.kdist_witness.astype("<i8").tobytes()
+    live = a.flags == 0
+    payload += a.kdist[live].astype("<f8").tobytes()
+    payload += a.kdist_witness[live].astype("<i8").tobytes()
     if a.clusters:
-        payload += a.site.astype("<i8").tobytes()
-    payload += a.flags.astype("u1").tobytes()
-    payload += struct.pack("<8Q", *(int(a.stats.get(f, 0)) for f in _STAT_FIELDS))
+        payload += a.site[live].astype("<i8").tobytes()
+    payload += struct.pack("<5Q", *(int(a.stats[f]) for f in _STAT_FIELDS))
     with open(path, "wb") as fh:
         fh.write(_container(b"BAVD", bytes(payload)))
 
 
 def _load_avd(payload: bytes) -> AVDIndex:
     r = _Reader(payload)
-    mode_code, k, eps, zeta1, xi = r.unpack("BxxxQddd")
+    mode_code, k, eps, xi = r.unpack("BxxxQdd")
     if mode_code not in _MODE_NAME:
         raise InputError(f"unknown mode code {mode_code}")
     if xi != XI:
@@ -317,74 +309,71 @@ def _load_avd(payload: bytes) -> AVDIndex:
     size = r.unpack("Q")[0]
     z = r.array("i8", size)
     level = r.array("i8", size)
-    kdist = r.array("f8", size)
-    kdist_witness = r.array("i8", size)
-    site = r.array("i8", size) if m else np.full(size, -1, dtype=np.int64)
-    flags = r.array("u1", size)
-    stat_vals = r.unpack("8Q")
-    if r.pos != len(r.buf):
-        raise InputError("index payload has trailing bytes")
-    _check_cells(d, n, clusters, z, level, kdist_witness, site, flags)
+    _check_keys(d, z, level)
     try:
         tree = CompressedQuadtree(d, z, level)
     except InternalInvariantError as exc:
         raise InputError(f"index cell table is malformed: {exc}") from exc
+    live = ~tree.tiled
+    rows = int(np.count_nonzero(live))
+    live_kdist = r.array("f8", rows)
+    live_witness = r.array("i8", rows)
+    live_site = r.array("i8", rows) if m else None
+    stat_vals = r.unpack("5Q")
+    if r.pos != len(r.buf):
+        raise InputError("index payload has trailing bytes")
+    _check_ids(n, clusters, live_witness, live_site)
+    # A tiled cell has no row: kdist 0, witness -1 and site -1, as built.
+    kdist = np.zeros(size)
+    kdist_witness = np.full(size, -1, dtype=np.int64)
+    site = np.full(size, -1, dtype=np.int64)
+    kdist[live], kdist_witness[live] = live_kdist, live_witness
+    if m:
+        site[live] = live_site
     reg = build_registry(inst)
     mode = _MODE_NAME[mode_code]
-    stats = {"n": n, "dim": d, "k": k, "eps": eps, "mode": mode, "zeta1": zeta1, "loaded": True}
+    stats = {"n": n, "dim": d, "k": k, "eps": eps, "mode": mode, "loaded": True}
     stats.update(dict(zip(_STAT_FIELDS, (int(v) for v in stat_vals))))
     return AVDIndex(
         tree=tree,
         kdist=kdist,
         kdist_witness=kdist_witness,
         site=site,
-        flags=flags,
         clusters=clusters,
         registry=reg,
         k=int(k),
         eps=float(eps),
         mode=mode,
-        zeta1=float(zeta1),
         stats=stats,
     )
 
 
-def _check_cells(
-    d: int,
-    n: int,
-    clusters: list[QuorumCluster],
-    z: np.ndarray,
-    level: np.ndarray,
-    kdist_witness: np.ndarray,
-    site: np.ndarray,
-    flags: np.ndarray,
-) -> None:
-    """Reject a BAVD payload whose ids or cubes point outside what it holds:
-    a file can pass its CRC and still be wrong, and a query would then fail
-    deep inside the structure instead of at load time.
+def _check_keys(d: int, z: np.ndarray, level: np.ndarray) -> None:
+    """Reject cubes that are not canonical (level at most max_level_for_dim(d),
+    key inside the unit cube and aligned to the level) or not in strictly
+    increasing (key, level) order, before a tree is built from them: a file
+    can pass its CRC and still be wrong.  The tree build checks closure
+    under least common ancestors."""
+    top = max_level_for_dim(d)
+    if level.size and not (0 <= level.min() and level.max() <= top):
+        raise InputError(f"index cell table is malformed: levels must lie in [0, {top}]")
+    shift = (top - level) * d
+    if z.size and (z.min() < 0 or int(z.max()) >> (d * top) or np.any((z >> shift) << shift != z)):
+        raise InputError("index cell table is malformed: keys are not canonical cubes")
+    if np.any((z[1:] < z[:-1]) | ((z[1:] == z[:-1]) & (level[1:] <= level[:-1]))):
+        raise InputError("index cell table is malformed: not in strictly increasing (key, level) order")
 
-    Cubes must be canonical (level at most max_level_for_dim(d), key inside
-    the unit cube and aligned to the level) and listed in strictly
-    increasing (key, level) order; closure under least common ancestors is
-    checked when the tree is built.  Ball ids must lie in [0, n), except
-    that a cell whose children tile it may carry witness -1.  In a file that
-    holds clusters, sites must name one of them.
-    """
+
+def _check_ids(n: int, clusters: list[QuorumCluster], witness: np.ndarray, site: np.ndarray | None) -> None:
+    """Reject ball ids outside [0, n), in the clusters and in the live
+    cells' witnesses, and a live cell's site (None in a file with no
+    clusters) that names no cluster."""
     for c in clusters:
         if not 0 <= c.witness < n or (c.assigned.size and not (0 <= c.assigned.min() and c.assigned.max() < n)):
             raise InputError(f"index cluster holds a ball id outside [0, {n})")
-    top = max_level_for_dim(d)
-    if level.size and not (0 <= level.min() and level.max() <= top):
-        raise InputError(f"index cell levels must lie in [0, {top}]")
-    shift = (top - level) * d
-    if z.size and (z.min() < 0 or int(z.max()) >> (d * top) or np.any((z >> shift) << shift != z)):
-        raise InputError("index cell keys are not canonical cubes")
-    if np.any((z[1:] < z[:-1]) | ((z[1:] == z[:-1]) & (level[1:] <= level[:-1]))):
-        raise InputError("index cell table is not in strictly increasing (key, level) order")
-    tiled = (flags & _EMPTY) != 0
-    if np.any((kdist_witness < np.where(tiled, -1, 0)) | (kdist_witness >= n)):
-        raise InputError(f"index cell witness outside [0, {n}) (-1 only on tiled cells)")
-    if clusters and site.size and not (0 <= site.min() and site.max() < len(clusters)):
+    if witness.size and not (0 <= witness.min() and witness.max() < n):
+        raise InputError(f"index cell witness outside [0, {n})")
+    if site is not None and site.size and not (0 <= site.min() and site.max() < len(clusters)):
         raise InputError(f"index cell site outside [0, {len(clusters)})")
 
 

@@ -281,6 +281,16 @@ class CompressedQuadtree:
 
     # -- queries -----------------------------------------------------------
 
+    @functools.cached_property
+    def tiled(self) -> np.ndarray:
+        """Whether each node's children tile its cube, computed once per
+        tree.  No quadrant of a node holds two of its children, since the
+        tree is LCA-closed, so they tile it exactly when all 2^d quadrants
+        are children one level down."""
+        kids = self.parent[1:]
+        deeper = self.level[1:] == self.level[kids] + 1
+        return np.bincount(kids[deeper], minlength=self.size) == 1 << self.dim
+
     def node_cube(self, i: int) -> CanonicalCube:
         return key_to_cube(int(self.z[i]), int(self.level[i]), self.dim)
 

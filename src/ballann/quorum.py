@@ -38,6 +38,9 @@ __all__ = [
 # 1-approximation.
 XI = 12.0
 
+# Rows per distance block in _cheapest_center, which holds (256, n, d) floats.
+_CENTER_BLOCK = 256
+
 
 @dataclass(frozen=True, eq=False)
 class PointQuorumBall:
@@ -68,14 +71,14 @@ class QuorumCluster:
     is_remainder: bool
 
 
-def _cheapest_center(pts: np.ndarray, take: int, block: int = 256) -> tuple[int, float]:
+def _cheapest_center(pts: np.ndarray, take: int) -> tuple[int, float]:
     """Row whose take-th smallest squared distance (self included) is minimal.
 
     Strict < keeps the earliest row on ties, so the sweep is deterministic.
     """
     best_row, best_val = 0, math.inf
-    for lo in range(0, pts.shape[0], block):
-        sub = pts[lo : lo + block]
+    for lo in range(0, pts.shape[0], _CENTER_BLOCK):
+        sub = pts[lo : lo + _CENTER_BLOCK]
         d2 = np.square(sub[:, None, :] - pts[None, :, :]).sum(axis=2)
         kth = np.partition(d2, take - 1, axis=1)[:, take - 1]
         i = int(np.argmin(kth))

@@ -64,6 +64,7 @@ and eps once and calls the exit unchecked (`_certified_kth_ball`).
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 
@@ -281,14 +282,17 @@ class Registry:
         padded for rounding and clipped to the cube as encode_point clips:
         its run of point_perm holds every center within reach of q on each
         axis.  The node is the deepest stored cube holding both corners of
-        the box, found as point_location finds the cube of one point."""
+        the box, found as point_location finds the cube of one point: a
+        search of the tree's key view, then a walk up its z_hi and parent
+        views."""
         t = self.centers_tree
         pads = [reach + WALK_MARGIN * (1.0 + abs(x)) for x in q]
         lo = encode_point([x - p for x, p in zip(q, pads)], self.dim)
         hi = encode_point([x + p for x, p in zip(q, pads)], self.dim)
-        j = int(t.z.searchsorted(lo, side="right")) - 1
-        while t.z_hi[j] < hi:
-            j = int(t.parent[j])
+        j = bisect.bisect_right(t._z_view, lo) - 1
+        z_hi, parent = t._z_hi_view, t._parent_view
+        while z_hi[j] < hi:
+            j = parent[j]
         return j
 
     def _walk(self, q: np.ndarray, radius: float, floor: float, sure: float) -> tuple[np.ndarray, np.ndarray]:
@@ -367,11 +371,7 @@ class Registry:
         round splits all its chosen nodes at once.
         """
         qt = check_point(q, self.dim)
-        ks = sorted({int(k) for k in ks})
-        if ks[0] < 1:
-            raise InputError(f"k must be positive, got {ks[0]}")
-        if ks[-1] > self.n:
-            raise InputError(f"k={ks[-1]} exceeds the number of balls {self.n}")
+        ks = sorted({check_k(k, self.n) for k in ks})
         t = self.centers_tree
         qq = _column(qt)
         boxes = self._table[:-2]

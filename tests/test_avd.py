@@ -610,6 +610,38 @@ def test_stored_estimates_are_exact(monkeypatch, config):
         assert ball_distances(a.rep[v], reg.centers, reg.radii)[a.kdist_witness[v]] == d_k, v
 
 
+@pytest.mark.parametrize("config", ["cell-d2", "budget-20", "budget-0", "practical-d3", "strict-c6"])
+def test_tiled_cells_are_derived_and_the_loaded_index_equals_the_built(tmp_path, monkeypatch, config):
+    """flags, which AVDIndex derives from the tree, marks the cells whose
+    2^d quadrants are all children one level down; exactly those cells hold
+    kdist 0, witness -1 and site -1; and save_index/load_index gives back
+    the built index's arrays, zeta1 and stats."""
+    if config == "cell-d2":
+        a = _cell_d2_index(monkeypatch)
+    elif config.startswith("budget-"):
+        a = _build(54, 2, 100, 25, 0.5, cell_budget=int(config[len("budget-"):]))
+    elif config == "practical-d3":
+        a = _build(55, 3, 256, 64, 0.5)
+    else:
+        a = build_avd(build_registry(normalize(generate_instance(6025, 1, 8), 0.5)), 7, 0.5, "strict")
+    t = a.tree
+    quadrants = np.array([np.count_nonzero(t.level[t.children(i)] == t.level[i] + 1) for i in range(t.size)])
+    assert a.flags.dtype == np.uint8
+    assert np.array_equal(a.flags, quadrants == 1 << t.dim)
+    blank = (a.kdist == 0.0) & (a.kdist_witness == -1) & (a.site == -1)
+    assert np.array_equal(blank, a.flags == 1)
+    path = tmp_path / "index.bin"
+    save_index(str(path), a)
+    b = load_index(str(path))
+    for name in ("rep", "kdist", "kdist_witness", "site", "flags"):
+        got, want = getattr(b, name), getattr(a, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert b.zeta1 == a.zeta1
+    shared = a.stats.keys() & b.stats.keys()
+    assert {"zeta1", "clusters", "W", "empty_cells", "I", "S", "overlay_pre_split", "splits", "uncertified"} <= shared
+    assert {key: b.stats[key] for key in shared} == {key: a.stats[key] for key in shared}
+
+
 # -- far-field quality property ------------------------------------------------------
 
 

@@ -176,9 +176,9 @@ def test_avd_save_load_equal_arrays_and_answers(tmp_path):
 
 def test_avd_practical_file_size(tmp_path, monkeypatch):
     """A practical file holds the container head, the BAVD header, the
-    instance, the cluster and cell counts, per cell a key, a level, an
-    estimate, a witness and a flags byte, the stats and the CRC: no
-    representative, no site."""
+    instance, the cluster and cell counts, per cell a key and a level, per
+    live cell an estimate and a witness, the five stats and the CRC: no
+    representative, no site, no flags and no row for a tiled cell."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import workloads
 
@@ -187,9 +187,10 @@ def test_avd_practical_file_size(tmp_path, monkeypatch):
     balls = [Ball(tuple(c), float(r)) for c, r in zip(centers.tolist(), radii)]
     a = build_avd(build_registry(normalize(balls, w.floor)), w.cell_k, w.cell_eps)
     n, d, s = a.registry.n, a.registry.dim, a.tree.size
+    live = int(np.count_nonzero(a.flags == 0))
     instance = 28 + 8 * d + 8 * n * (d + 1)
-    expect = 8 + 36 + instance + 8 + 8 + s * (8 + 8 + 8 + 8 + 1) + 64 + 4
-    assert len(_saved_bytes(a, tmp_path)) == expect == 50_257
+    expect = 8 + 28 + instance + 8 + 8 + s * (8 + 8) + live * (8 + 8) + 40 + 4
+    assert live < s and len(_saved_bytes(a, tmp_path)) == expect == 46_364
 
 
 def _saved_bytes(a, tmp_path):
@@ -202,17 +203,18 @@ def test_avd_version_1_file_is_rejected(tmp_path):
     balls = generate_instance(8, 1, 48)
     a = build_avd(build_registry(normalize(balls, 0.5)), 12, 0.5)
     blob = _saved_bytes(a, tmp_path)
-    assert blob[:4] == b"BAVD" and struct.unpack_from("<H", blob, 4)[0] == 4
+    assert blob[:4] == b"BAVD" and struct.unpack_from("<H", blob, 4)[0] == 5
     queries = tmp_path / "q.txt"
     queries.write_text("0.5\n")
     # The header sits outside the payload, so each forged file keeps a
-    # valid CRC; a version 3 file stores a scaled kdist that format 4 would
-    # read as the exact d_k.
+    # valid CRC; a version 4 file stores rows for tiled cells and a flags
+    # column, which format 5 would read as other columns.
     for version, match in (
-        (1, "predates format 4 and must be rebuilt"),
-        (2, "predates format 4 and must be rebuilt"),
-        (3, "predates format 4 and must be rebuilt"),
-        (5, "unsupported version"),
+        (1, "predates format 5 and must be rebuilt"),
+        (2, "predates format 5 and must be rebuilt"),
+        (3, "predates format 5 and must be rebuilt"),
+        (4, "predates format 5 and must be rebuilt"),
+        (6, "unsupported version"),
     ):
         old = tmp_path / f"v{version}.idx"
         old.write_bytes(blob[:4] + struct.pack("<H", version) + blob[6:])
@@ -264,10 +266,9 @@ def test_index_integrity_rejects_damage(tmp_path):
     at, size, n = _bavd_layout(a, blob), a.tree.size, a.registry.n
     sat = _bavd_layout(s, strict_blob)
     assert "site" not in at
-    live = int(np.flatnonzero((a.flags & 1) == 0)[-1])
-    slive = int(np.flatnonzero((s.flags & 1) == 0)[-1])
-    tiled = np.flatnonzero(a.kdist_witness == -1)
-    assert tiled.size and np.all(a.flags[tiled] & 1)  # -1 on tiled cells loads fine
+    # The last live cell's row.
+    live = int(np.count_nonzero(a.flags == 0)) - 1
+    slive = int(np.count_nonzero(s.flags == 0)) - 1
     last = size - 1
     queries = tmp_path / "q.txt"
     queries.write_text("0.5\n")
@@ -324,12 +325,12 @@ def test_index_integrity_rejects_damage(tmp_path):
     # bytes after its stats; the last four bytes hold the recomputed CRC.
     damaged_files.append((truncated, bytearray(blob[: at["z"] + 4 * size]) + bytes(4)))
     damaged_files.append((truncated, bytearray(blob[:-4]) + bytes(8 + 4)))
-    # Drop a cell with two children from every column: their least common
-    # ancestor is then missing.
+    # Drop a cell with two children from the key and level columns: their
+    # least common ancestor is then missing.
     gone = next(v for v in range(1, size) if a.tree.children(v).size >= 2)
     damaged = bytearray(blob[: at["z"] - 8]) + struct.pack("<Q", size - 1)
     pos = at["z"]
-    for width in (8, 8, 8, 8, 1):
+    for width in (8, 8):
         damaged += blob[pos : pos + width * gone] + blob[pos + width * (gone + 1) : pos + width * size]
         pos += width * size
     damaged += blob[pos:]
@@ -345,21 +346,23 @@ def test_index_integrity_rejects_damage(tmp_path):
 def _bavd_layout(a, blob):
     """Byte offsets in a saved BAVD file of index a: the instance block and
     its ball rows, the cluster count, cluster 0's witness and assigned length (when there is a
-    cluster 0), and the cell columns, counted back from the 64 stat bytes
-    that end the payload.  The site column is there only when the file
-    holds clusters."""
+    cluster 0), and the cell columns, counted back from the 40 stat bytes
+    that end the payload.  The key and level columns hold a row per cell,
+    the others a row per live cell; the site column is there only when the
+    file holds clusters."""
     n, size, d = a.registry.n, a.tree.size, a.registry.dim
-    at = {"instance": 8 + 36}
+    rows = int(np.count_nonzero(a.flags == 0))
+    at = {"instance": 8 + 28}
     at["balls"] = at["instance"] + 28 + 8 * d  # ball 0's center, then its radius
     at["clusters"] = at["balls"] + 8 * n * (d + 1)
     # Cluster 0: its center, three radii, then witness and round index.
     at["cluster_witness"] = at["clusters"] + 8 + 8 * d + 24
     at["assigned_len"] = at["clusters"] + 8 + 8 * d + 48
-    at["flags"] = len(blob) - 4 - 64 - size
+    stats = len(blob) - 4 - 40
     if a.clusters:
-        at["site"] = at["flags"] - 8 * size
-    at["witness"] = at.get("site", at["flags"]) - 8 * size
-    at["level"] = at["witness"] - 8 * size - 8 * size
+        at["site"] = stats - 8 * rows
+    at["witness"] = at.get("site", stats) - 8 * rows
+    at["level"] = at["witness"] - 8 * rows - 8 * size
     at["z"] = at["level"] - 8 * size
     return at
 
