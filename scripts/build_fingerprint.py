@@ -32,9 +32,11 @@ A grid-cover line per seed digests the grid cells that
 `geometry.enumerate_grid_cells_ball` and `geometry.grid_approx` list for
 seeded balls and boxes at d = 1..5 (grid_cover_line).
 Answer ids and answer distances are digested apart, so that a distance
-that moves in its last bit does not hide ids that stay.  A representative
-and a site are digested on live cells only: no query reads a tiled cell's
-row (one whose children tile its cube).  Run it
+that moves in its last bit does not hide ids that stay.  A tiled cell (one
+whose children tile its cube) has no row, so representatives, sites,
+estimates and witnesses are digested on live cells only, in node order,
+whether the index keeps a row per node or per live cell, and the tiling
+comes from the tree.  Run it
 on two checkouts and diff the output: a change that keeps the structures
 bit for bit prints the same lines, up to the byte counts when the file
 format changes.
@@ -47,8 +49,8 @@ REPO_ROOT defaults to the checkout holding this script; its `src/` and
 cells to DIR, one .npz per digest, and with every answer list each
 query's eps and exact k-th distance d_k (`oracle.exact_kth_distance`).
 --compare reads two such dumps.  On a cell index whose tree stayed, it
-lists every cell whose estimate or witness moved, and otherwise reports
-the cell counts W of both.  It counts the answers that moved and lists
+lists every live cell (by node) whose estimate or witness moved, and
+otherwise reports the cell counts W of both.  It counts the answers that moved and lists
 those that fail the checks of the second dump: the distance in
 [(1 - eps) d_k, (1 + eps) d_k] and the interval around d_k, each up to a
 relative 1e-9; every moved out-of-domain answer is listed.  Walk answers
@@ -257,22 +259,28 @@ def cell_digest(index, points, dump: str | None, label: str) -> str:
     from ballann import avd
 
     t = index.tree
-    live = (index.flags & 1) == 0
-    arrays = [index.rep[live], index.site[live], index.flags]
+    live = ~t.tiled
+
+    def rows(col):
+        """The column's rows of the live cells, from either layout."""
+        return col[live] if col.shape[0] == t.size else col
+
+    kdist, witness = rows(index.kdist), rows(index.kdist_witness)
+    arrays = [index.rep[live], rows(index.site), t.tiled.view(np.uint8)]
     for c in index.clusters:
         scalars = [c.radius, c.rho, c.gamma, c.witness, c.round_index, c.is_remainder]
         arrays += [np.asarray(c.center), np.asarray(c.assigned), np.array(scalars, dtype=np.float64)]
     if dump:
         np.savez(
             os.path.join(dump, label + "-cells.npz"),
-            z=t.z, level=t.level, kdist=index.kdist, witness=index.kdist_witness,
+            z=t.z, level=t.level, node=np.flatnonzero(live), kdist=kdist, witness=witness,
         )
     pts = points[:2000].tolist()
     answers = [avd.avd_query(index, tuple(q)) for q in pts]
     extra = oracle_arrays(index.registry.instance, [(q, index.k, index.eps) for q in pts]) if dump else {}
     return (
         f"tree {digest([t.z, t.level, t.parent])} cells {digest(arrays)} "
-        f"kdist {digest([index.kdist])} witness {digest([index.kdist_witness])} "
+        f"kdist {digest([kdist])} witness {digest([witness])} "
         f"answers {answer_digest(answers, dump, label, **extra)}"
     )
 
@@ -434,26 +442,27 @@ def walk_moves(label: str, a, b) -> int:
 
 
 def cell_moves(label: str, a, b) -> int:
-    """Print every cell whose estimate or witness differs between dumps a
-    and b of one cell index, or the cell counts when the tree itself moved,
-    and a summary line; return the number of moved cells (1 for a moved
-    tree)."""
+    """Print every live cell whose estimate or witness differs between
+    dumps a and b of one cell index, or the cell counts when the tree
+    itself moved, and a summary line; return the number of moved cells (1
+    for a moved tree)."""
     import numpy as np
 
     z, level = a["z"], a["level"]
     if not (np.array_equal(z, b["z"]) and np.array_equal(level, b["level"])):
         print(f"{label}: the tree moved, W {z.size} -> {b['z'].size}")
         return 1
-    ka, kb, wa, wb = a["kdist"], b["kdist"], a["witness"], b["witness"]
+    node, ka, kb, wa, wb = a["node"], a["kdist"], b["kdist"], a["witness"], b["witness"]
     ulps = kb.view(np.int64) - ka.view(np.int64)
     moved = np.flatnonzero((ulps != 0) | (wa != wb))
     for i in moved.tolist():
+        v = node[i]
         print(
-            f"{label} cell {i} (z {z[i]}, level {level[i]}): kdist {ka[i]!r} -> {kb[i]!r} "
+            f"{label} cell {v} (z {z[v]}, level {level[v]}): kdist {ka[i]!r} -> {kb[i]!r} "
             f"({int(ulps[i]):+d} ulp), witness {wa[i]} -> {wb[i]}"
         )
     print(
-        f"{label}: {z.size} cells, same tree, {np.count_nonzero(ulps)} estimates "
+        f"{label}: {z.size} cells, {node.size} live, same tree, {np.count_nonzero(ulps)} estimates "
         f"and {np.count_nonzero(wa != wb)} witnesses moved"
     )
     return moved.size

@@ -1,11 +1,12 @@
 """Sublinear-space cell decomposition answering k-th nearest ball queries.
 
 The structure fixes (k, eps) at build time.  It stores a compressed
-quadtree W of cells, each with the exact k-th ball distance d_k at its
-representative point, the cube's center, and the ball realizing it.  A
-strict index also wraps the input in quorum clusters (Carmi et al.,
-Algorithmica 2005) and records the cluster that owns each cell; a
-practical index holds no clusters and site -1 on every cell.
+quadtree W of cells, and for each live cell (one whose children do not
+tile it) the exact k-th ball distance d_k at its representative point, the
+cube's center, and the ball realizing it.  A tiled cell has no row: no
+query lands in it.  A strict index also wraps the input in quorum clusters
+(Carmi et al., Algorithmica 2005) and records the cluster that owns each
+live cell; a practical index holds no clusters and site -1 on every row.
 
 A certification sweep splits every cell whose stored data cannot yet
 guarantee a (1 +- eps) answer for every query inside it, until the
@@ -146,10 +147,11 @@ class AVDIndex:
 
     tree: CompressedQuadtree
     rep: np.ndarray = field(init=False)  # (size, d) cube centers, from the tree's keys
-    kdist: np.ndarray  # (size,) exact d_k at rep; 0 on tiled cells
-    kdist_witness: np.ndarray  # (size,) k-th ball at rep in (distance, id) order; -1 on tiled cells
-    site: np.ndarray  # (size,) owning cluster per cell; -1 on tiled cells and when there are no clusters
-    flags: np.ndarray = field(init=False)  # (size,) uint8, 1 where the children tile the cube, from the tree
+    row: np.ndarray = field(init=False)  # (size,) each node's row below; -1 on a tiled cell, which has none
+    # One row per live cell, in node order, as a BAVD file stores them.
+    kdist: np.ndarray  # exact d_k at rep
+    kdist_witness: np.ndarray  # k-th ball at rep in (distance, id) order
+    site: np.ndarray  # owning cluster; -1 when there are no clusters
     clusters: list[QuorumCluster]  # empty in a practical index
     registry: Registry
     k: int
@@ -159,10 +161,11 @@ class AVDIndex:
 
     def __post_init__(self) -> None:
         self.rep = _cube_centers(self.tree.z, self.tree.level, self.tree.dim)
-        self.flags = self.tree.tiled.view(np.uint8)
+        tiled = self.tree.tiled
+        self.row = np.where(tiled, -1, np.cumsum(~tiled) - 1)
         # The stats that the mode and the arrays fix, for built and loaded alike.
         self.stats.update(zeta1=self.zeta1, clusters=len(self.clusters), W=self.tree.size,
-                          empty_cells=int(np.count_nonzero(self.flags)))
+                          empty_cells=self.tree.size - self.kdist.size)
         self.query_counts = dict.fromkeys(("near", "cluster", "fallback", "out_of_domain"), 0)
         # avd_query's reads: views whose items are Python numbers.  rep and
         # the instance's centers are C-contiguous, so the flat reshapes copy
@@ -170,7 +173,7 @@ class AVDIndex:
         self._rep_view = memoryview(self.rep.reshape(-1))
         self._kdist_view = memoryview(self.kdist)
         self._witness_view = memoryview(self.kdist_witness)
-        self._flags_view = memoryview(self.flags)
+        self._row_view = memoryview(self.row)
         self._centers_view = memoryview(self.registry.centers.reshape(-1))
         self._radii_view = memoryview(self.registry.radii)
 
@@ -323,7 +326,7 @@ def build_avd(
 
     Practical mode runs the certification sweep from the root cube and
     certifies by the near test alone, with no quorum: the index holds no
-    clusters and site -1 on every cell.  Strict mode builds the quorum and
+    clusters and site -1 on every row.  Strict mode builds the quorum and
     runs the sweep over the paper's near field, far field and overlay; its
     cells certify by the near test or the cluster test.  Either sweep
     stores at each live cell the exact k-th ball distance d_k at its
@@ -402,11 +405,6 @@ def build_avd(
         cells += int(grow[split].sum())
         splits += int(split.sum())
         uncertified += int(np.count_nonzero(live & ~certified)) - int(split.sum())
-        # A split cell is tiled by its quadrants.  No query lands in a tiled
-        # cell, so it stores kdist 0, witness -1 and site -1.
-        tiled = ~live
-        tiled[cand[split]] = True
-        kd[tiled], wid[tiled], site[tiled] = 0.0, -1, -1
         cols.append((z, lev, kd, wid, site))
         parent = np.repeat(cand[split], new[split].sum(axis=1))
         z, lev = qz[split][new[split]], lev[parent] + 1
@@ -416,12 +414,14 @@ def build_avd(
 
     # One sort puts the cells in tree order; the tree built from their keys
     # must list exactly those keys, or the keys were not closed under LCAs.
+    # A tiled cell (a split one among them) has no row: no query lands in it.
     all_z, all_l, kdist, kwit, site = (np.concatenate(c) for c in zip(*cols))
     tree = build_from_cubes((all_z, all_l, dim))
     order = np.lexsort((all_l, all_z))
     if not (np.array_equal(tree.z, all_z[order]) and np.array_equal(tree.level, all_l[order])):
         raise InternalInvariantError("cell keys were not closed under ancestors")
-    kdist, kwit, site = (c[order] for c in (kdist, kwit, site))
+    rows = order[~tree.tiled]
+    kdist, kwit, site = kdist[rows], kwit[rows], site[rows]
     t_end = time.perf_counter()
 
     stats = {
@@ -478,8 +478,10 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
     branch.  Point location searches memoryviews of the tree's arrays
     (`CompressedQuadtree.point_location`), and the query reads its cell
     and its witness from zero-copy memoryviews that `AVDIndex` keeps of
-    rep, kdist, kdist_witness, flags and the registry's centers and radii:
+    rep, row, kdist, kdist_witness and the registry's centers and radii:
     one item per number, and one slice and `.tolist()` per row.  The
+    cell's row r, read once, guards against a tiled cell (r < 0) and
+    indexes kdist, kdist_witness and site; rep is read at the node.  The
     offset |q - rep| and the witness's distance come from one loop over
     the coordinates (`geometry.offset_and_ball_distance`), each sum in
     `ball_distance`'s order, so both equal `ball_distance` bit for bit;
@@ -492,12 +494,13 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
         a.query_counts["out_of_domain"] += 1
         return ans
     v = a.tree.point_location(qt)
-    if a._flags_view[v]:
+    r = a._row_view[v]
+    if r < 0:
         raise InternalInvariantError("point location landed in a tiled cell")
     reg = a.registry
     d = len(qt)
-    kd = a._kdist_view[v]
-    w = a._witness_view[v]
+    kd = a._kdist_view[r]
+    w = a._witness_view[r]
     offset, dist = offset_and_ball_distance(
         qt, a._rep_view[v * d : v * d + d].tolist(), a._centers_view[w * d : w * d + d].tolist(), a._radii_view[w]
     )
@@ -505,8 +508,8 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
         a.query_counts["near"] += 1
         return KnnAnswer(w, dist, (dist / (1.0 + eps), dist / (1.0 - eps)))
     lower = kd - offset
-    if lower > 0.0 and a.site.item(v) >= 0:
-        cl = a.clusters[a.site.item(v)]
+    if lower > 0.0 and a.site.item(r) >= 0:
+        cl = a.clusters[a.site.item(r)]
         lam1 = float(np.linalg.norm(np.array(qt) - np.asarray(cl.center))) + cl.radius
         if 2.0 * cl.radius <= eps * lower and lam1 <= (1.0 + eps) * lower:
             w = int(cl.witness)
@@ -537,14 +540,15 @@ def near_test(dist: float, kdist: float, offset: float, eps: float) -> bool:
     )
 
 
-def _region_sample(a: AVDIndex, node: int, rng: np.random.Generator, tries: int = 64) -> np.ndarray:
-    """A point of the node's region: inside its cube, outside child cubes."""
+def _region_sample(a: AVDIndex, node: int, rng: np.random.Generator) -> np.ndarray:
+    """A point of the node's region: inside its cube, outside child cubes,
+    from up to 64 draws; the representative when all of them miss."""
     kids = a.tree.children(node)
     half = np.ldexp(0.5, -a.tree.level[kids])[:, None]
     klo, khi = a.rep[kids] - half, a.rep[kids] + half
     side = np.ldexp(1.0, -int(a.tree.level[node]))
     lo = a.rep[node] - side / 2.0
-    for _ in range(tries):
+    for _ in range(64):
         p = lo + rng.random(a.registry.dim) * side
         if not np.any(np.all((klo <= p) & (p < khi), axis=1)):
             return p
@@ -573,7 +577,7 @@ def audit_cells(a: AVDIndex, samples: int = 200, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
     reg = a.registry
     eps, k = a.eps, a.k
-    live = np.flatnonzero(a.flags == 0)
+    live = np.flatnonzero(a.row >= 0)
     if live.size > samples:
         live = live[rng.choice(live.size, size=samples, replace=False)]
     violations: list[str] = []
@@ -595,14 +599,15 @@ def audit_cells(a: AVDIndex, samples: int = 200, seed: int = 0) -> dict:
         wx = np.array([c.radius for c in a.clusters])
     for v in live:
         v = int(v)
+        r = int(a.row[v])
         rep = a.rep[v]
-        kd = float(a.kdist[v])
+        kd = float(a.kdist[r])
         dk_rep = np.partition(ball_distances(rep, reg.centers, reg.radii), k - 1)[k - 1]
         counts["kdist_spot"] += 1
         if kd != dk_rep:
             violations.append(f"node {v}: stored kdist {kd!r} is not the exact d_k {dk_rep!r}")
         if clustered:
-            j = int(a.site[v])
+            j = int(a.site[r])
             w = int(a.clusters[j].witness)
             span = float(np.linalg.norm(reg.centers[w] - wc[j])) + float(reg.radii[w])
             if span > wx[j] * (1 + 1e-9):
@@ -624,7 +629,7 @@ def audit_cells(a: AVDIndex, samples: int = 200, seed: int = 0) -> dict:
             def in_window(dist: float) -> bool:
                 return (1 - eps) * dk * (1 - 1e-9) <= dist <= (1 + eps) * dk * (1 + 1e-9)
 
-            d_near = dq[a.kdist_witness[v]]
+            d_near = dq[a.kdist_witness[r]]
             d_else = dq[a.clusters[j].witness] if clustered else d_near
             if near_test(float(d_near), kd, offset, eps):
                 counts["near_branch"] += 1

@@ -30,7 +30,7 @@ from .geometry import (
     find_overlap,
     normalize,
 )
-from .oracle import exact_kth_distance
+from .oracle import exact_counts, exact_kth_distance
 from .quorum import ball_quorum, verify_quorum
 from .registry import Registry, build_registry
 
@@ -161,8 +161,8 @@ def _suite_counter(reg: Registry, trials: int, rng) -> tuple[bool, str]:
         x = float(rng.random() * 1.5 * math.sqrt(d))
         delta = float(rng.choice([0.5, 0.2, 0.1]))
         approx = reg.approx_ball_count(q, delta, x)
-        lo = reg.exact_intersection_count(q, x)
-        hi = reg.exact_intersection_count(q, (1.0 + delta) * x)
+        lo = exact_counts(reg.instance, q, x)[0]
+        hi = exact_counts(reg.instance, q, (1.0 + delta) * x)[0]
         if not (lo <= approx <= hi):
             bad += 1
     return bad == 0, f"{trials} trials, {bad} outside the sandwich"

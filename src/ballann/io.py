@@ -10,9 +10,12 @@ rebuilt on load, which is deterministic and cheap.  An approximate-Voronoi
 file (magic BAVD) stores the cell decomposition: the cube table and each
 live cell's exact k-th ball distance and witness, plus the cluster list
 with each live cell's owning cluster when it holds clusters, and the inputs
-needed to rebuild the fallback registry.  It stores nothing the loader can
-derive (README, "File formats"): the tree fixes which cells its children
-tile, which hold no row, and each cell's representative; the mode fixes
+needed to rebuild the fallback registry.  The cell columns are
+`AVDIndex`'s own, one row per live cell in node order: a tiled cell (one
+whose children tile it) has no row in the file or in memory, and a load
+hands the columns to the index as views of the file's bytes.  The file
+stores nothing the loader can derive (README, "File formats"): the tree
+fixes which cells are tiled and each cell's representative; the mode fixes
 zeta1.  Each magic has its own format version.
 """
 
@@ -187,7 +190,8 @@ def _open_container(path: str, blob: bytes) -> tuple[bytes, bytes]:
 
 
 class _Reader:
-    """Sequential little-endian decoder over one payload."""
+    """Sequential little-endian decoder over one payload; arrays are
+    read-only views of it where the host is little-endian."""
 
     def __init__(self, buf: bytes):
         self.buf = buf
@@ -205,7 +209,10 @@ class _Reader:
             raise InputError("index payload ended early")
         out = np.frombuffer(self.buf, dtype=dt, count=count, offset=self.pos)
         self.pos += nbytes
-        return out.astype(dt.newbyteorder("="))
+        # A '<' dtype exports its buffer as format '<d' (or '<q'), whose
+        # memoryview refuses item reads; the native spelling exports 'd'.
+        native = dt.newbyteorder("=")
+        return out.view(native) if dt.isnative else out.astype(native)
 
 
 def _instance_block(inst: NormalizedInstance) -> bytes:
@@ -279,11 +286,10 @@ def save_avd(path: str, a: AVDIndex) -> None:
     payload += struct.pack("<Q", tree.size)
     payload += tree.z.astype("<i8").tobytes()
     payload += tree.level.astype("<i8").tobytes()
-    live = a.flags == 0
-    payload += a.kdist[live].astype("<f8").tobytes()
-    payload += a.kdist_witness[live].astype("<i8").tobytes()
+    payload += a.kdist.astype("<f8").tobytes()
+    payload += a.kdist_witness.astype("<i8").tobytes()
     if a.clusters:
-        payload += a.site[live].astype("<i8").tobytes()
+        payload += a.site.astype("<i8").tobytes()
     payload += struct.pack("<5Q", *(int(a.stats[f]) for f in _STAT_FIELDS))
     with open(path, "wb") as fh:
         fh.write(_container(b"BAVD", bytes(payload)))
@@ -314,22 +320,14 @@ def _load_avd(payload: bytes) -> AVDIndex:
         tree = CompressedQuadtree(d, z, level)
     except InternalInvariantError as exc:
         raise InputError(f"index cell table is malformed: {exc}") from exc
-    live = ~tree.tiled
-    rows = int(np.count_nonzero(live))
-    live_kdist = r.array("f8", rows)
-    live_witness = r.array("i8", rows)
-    live_site = r.array("i8", rows) if m else None
+    rows = size - int(np.count_nonzero(tree.tiled))
+    kdist = r.array("f8", rows)
+    kdist_witness = r.array("i8", rows)
+    site = r.array("i8", rows) if m else np.full(rows, -1, dtype=np.int64)
     stat_vals = r.unpack("5Q")
     if r.pos != len(r.buf):
         raise InputError("index payload has trailing bytes")
-    _check_ids(n, clusters, live_witness, live_site)
-    # A tiled cell has no row: kdist 0, witness -1 and site -1, as built.
-    kdist = np.zeros(size)
-    kdist_witness = np.full(size, -1, dtype=np.int64)
-    site = np.full(size, -1, dtype=np.int64)
-    kdist[live], kdist_witness[live] = live_kdist, live_witness
-    if m:
-        site[live] = live_site
+    _check_ids(n, clusters, kdist_witness, site)
     reg = build_registry(inst)
     mode = _MODE_NAME[mode_code]
     stats = {"n": n, "dim": d, "k": k, "eps": eps, "mode": mode, "loaded": True}
@@ -364,16 +362,16 @@ def _check_keys(d: int, z: np.ndarray, level: np.ndarray) -> None:
         raise InputError("index cell table is malformed: not in strictly increasing (key, level) order")
 
 
-def _check_ids(n: int, clusters: list[QuorumCluster], witness: np.ndarray, site: np.ndarray | None) -> None:
+def _check_ids(n: int, clusters: list[QuorumCluster], witness: np.ndarray, site: np.ndarray) -> None:
     """Reject ball ids outside [0, n), in the clusters and in the live
-    cells' witnesses, and a live cell's site (None in a file with no
-    clusters) that names no cluster."""
+    cells' witnesses, and a live cell's site that names no cluster (all
+    -1 when there are no clusters)."""
     for c in clusters:
         if not 0 <= c.witness < n or (c.assigned.size and not (0 <= c.assigned.min() and c.assigned.max() < n)):
             raise InputError(f"index cluster holds a ball id outside [0, {n})")
     if witness.size and not (0 <= witness.min() and witness.max() < n):
         raise InputError(f"index cell witness outside [0, {n})")
-    if site is not None and site.size and not (0 <= site.min() and site.max() < len(clusters)):
+    if clusters and site.size and not (0 <= site.min() and site.max() < len(clusters)):
         raise InputError(f"index cell site outside [0, {len(clusters)})")
 
 

@@ -52,9 +52,11 @@ being deeper, it certifies most queries in that one round.  Later rounds
 drop nodes beyond H and split the nodes that straddle [L, H], which raises
 L and lowers H.  The bounds are padded outward by the registry's
 WALK_MARGIN, far above the rounding of a box distance, so the float
-comparisons keep the argument.  When d_k = 0, L = 0 and no window
-certifies: the exit declines, as it does when its frontier grows past
-EXACT_FINISH_COUNT nodes, and the two stages answer unchanged.
+comparisons keep the argument.  When d_k = 0, L = H = 0 and the window
+is [0, 0]: a node certifies exactly when its hi is 0, so that every one
+of its balls contains q (proof in `Registry.certified_kth_ball`).  When no
+node does, or its frontier grows past EXACT_FINISH_COUNT nodes, the exit
+declines and the two stages answer unchanged.
 
 Refinement takes one row of center distances at q, which yields the large
 balls and a prefilter for the small candidates.  A small candidate is a

@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import InputError, ball_distances, check_k
 from .knn import kth_balls
-from .oracle import optimal_quorum_radius_bound
+from .oracle import QUORUM_BOUND_BALL_CAP, optimal_quorum_radius_bound
 from .registry import Registry
 
 __all__ = [
@@ -168,20 +168,14 @@ def ball_quorum(reg: Registry, k: int) -> list[QuorumCluster]:
     return ordered
 
 
-def verify_quorum(
-    reg: Registry,
-    clusters: list[QuorumCluster],
-    k: int,
-    *,
-    optimal_cap: int = 64,
-    grid_steps: int = 41,
-) -> dict:
+def verify_quorum(reg: Registry, clusters: list[QuorumCluster], k: int) -> dict:
     """Audit a cluster list against the three defining guarantees.
 
     Containment of every assigned ball and the k-intersection count are
-    checked exactly.  On instances small enough for the grid oracle, each
-    cluster radius is also compared with a certified lower bound on the
-    smallest feasible radius at its turn (replaying the cluster order); the
+    checked exactly.  On instances within the grid oracle's cap
+    (QUORUM_BOUND_BALL_CAP balls), each cluster radius is also compared
+    with a certified lower bound on the smallest feasible radius at its
+    turn (replaying the cluster order); the
     ratio must stay within XI, with the grid resolution as slack.  The
     remainder cluster's ratio is reported but excluded from the verdict: its
     radius is driven by the containment of an arbitrary leftover ball, which
@@ -218,14 +212,11 @@ def verify_quorum(
 
     ratios: list[dict] = []
     worst_ratio = math.nan
-    if n <= optimal_cap:
+    if n <= QUORUM_BOUND_BALL_CAP:
         rem = np.ones(n, dtype=bool)
         for i, c in enumerate(clusters):
             ids = np.flatnonzero(rem).tolist()
-            rep = optimal_quorum_radius_bound(
-                reg.instance.balls, ids, int(np.asarray(c.assigned).size), k,
-                grid_steps=grid_steps,
-            )
+            rep = optimal_quorum_radius_bound(reg.instance.balls, ids, int(np.asarray(c.assigned).size), k)
             res = rep.resolution or 0.0
             # rep.value is a certified lower bound; value + resolution is a
             # radius the grid search saw to be feasible, so exceeding XI

@@ -435,10 +435,17 @@ class Registry:
         id.  Otherwise the nodes with lo > H are dropped (their balls lie
         beyond d_k, and the k-th bounds of the rest are the same) and the
         nodes that straddle [L, H], lo < H and hi > L, are split.  The
-        frontier gives up when H = 0 (q lies in k balls: d_k = 0, which no
-        window around it can certify), when after the drop it holds more
-        than EXACT_FINISH_COUNT nodes, or when no straddling node can be
-        split.
+        frontier gives up when after the drop it holds more than
+        EXACT_FINISH_COUNT nodes, or when no straddling node can be split.
+
+        The same test answers d_k = 0.  At H = 0, L = 0 too, since 0 <= L
+        <= H, so the window is [0, 0] and the sure test keeps exactly the
+        nodes with hi = 0.  A node's hi is its far box distance less its
+        least radius, clipped at 0, so hi = 0 only when that far distance
+        is at most the least radius: every center lies within it of q, so
+        every ball of the node contains q, and its smallest id answers at
+        distance 0 = d_k.  With no such node, no node straddles (lo < H =
+        0 holds for none), and the frontier gives up.
 
         The root round, the far rule, is one node holding all n >= k balls,
         so L and H are its own bounds: it runs as an O(d) test in plain
@@ -484,8 +491,6 @@ class Registry:
         """certified_kth_ball on a checked point, a list of dim finite
         floats, and a checked rank k."""
         low, high = self._root_bounds(qt)
-        if high == 0.0:
-            return -1
         if low >= (1.0 - eps) * high and high <= (1.0 + eps) * low:
             return self._root_first
         if not (low < high and self._root_splits):
@@ -496,8 +501,6 @@ class Registry:
         b = _ball_bounds_of(self._cut_table, qq)
         while True:
             low, high = _kth_bounds(b, cnt, k)
-            if high == 0.0:
-                return -1
             lo, hi = b[0], b[1]
             sure = (lo >= (1.0 - eps) * high) & (hi <= (1.0 + eps) * low)
             j = sure.argmax()
@@ -552,10 +555,6 @@ class Registry:
         sure, cand = self._walk(qa, 0.0, 0.0, 0.0)
         cand = cand[ball_distances(qa, self.centers[cand], self.radii[cand]) == 0.0]
         return np.sort(np.concatenate([sure, cand]))
-
-    def exact_intersection_count(self, q, x: float) -> int:
-        """Exact N(x): balls whose closed body meets closed ball(q, x)."""
-        return int((ball_distances(q, self.centers, self.radii) <= x).sum())
 
 
 def build_registry(instance: NormalizedInstance) -> Registry:

@@ -106,11 +106,11 @@ def test_queries_at_the_near_boundary_stay_in_the_window():
     reg, balls = a.registry, a.registry.instance.balls
     eps = a.eps
     rng = np.random.default_rng(58)
-    live = np.flatnonzero((a.flags & 1) == 0)
+    live = np.flatnonzero(a.row >= 0)
     inside = 0
     for v in live[rng.permutation(live.size)[:120]]:
-        rep, kd = a.rep[v], float(a.kdist[v])
-        w = int(a.kdist_witness[v])
+        rep, kd = a.rep[v], float(a.kdist[a.row[v]])
+        w = int(a.kdist_witness[a.row[v]])
         edge = eps / (2.0 + eps) * kd
         u = rng.normal(size=2)
         away = rep - reg.centers[w]
@@ -137,7 +137,7 @@ def test_queries_at_the_near_boundary_stay_in_the_window():
 
 def test_avd_query_at_stored_representative_uses_stored_witness():
     a = _build(60, 1, 32, 8, 0.5)
-    live = [i for i in range(a.tree.size) if not (a.flags[i] & 1)]
+    live = np.flatnonzero(a.row >= 0).tolist()
     before = dict(a.query_counts)
     hits = 0
     for i in live[:50]:
@@ -246,15 +246,16 @@ def _reference_avd_query(a, q) -> knn.KnnAnswer:
     if not all(0.0 <= x < 1.0 for x in qt):
         return knn.query(reg, qt, a.k, eps)
     v = _reference_location(a.tree, qt)
-    assert not a.flags[v] & 1
+    r = a.row.item(v)
+    assert r >= 0
     offset = ball_distance(qt, a.rep[v].tolist(), 0.0)
-    kd, w = a.kdist.item(v), a.kdist_witness.item(v)
+    kd, w = a.kdist.item(r), a.kdist_witness.item(r)
     dist = ball_distance(qt, reg.centers[w].tolist(), reg.radii.item(w))
     if not near_test(dist, kd, offset, eps):
         lower = kd - offset
-        if not (lower > 0.0 and a.site.item(v) >= 0):
+        if not (lower > 0.0 and a.site.item(r) >= 0):
             return knn.query(reg, qt, a.k, eps)
-        cl = a.clusters[a.site.item(v)]
+        cl = a.clusters[a.site.item(r)]
         lam1 = float(np.linalg.norm(np.array(qt) - np.asarray(cl.center))) + cl.radius
         if not (2.0 * cl.radius <= eps * lower and lam1 <= (1.0 + eps) * lower):
             return knn.query(reg, qt, a.k, eps)
@@ -289,7 +290,7 @@ def test_avd_query_matches_the_numpy_reference_path(tmp_path, config, loaded):
         a = load_index(str(path))
     t, reg = a.tree, a.registry
     views = [(a._rep_view, a.rep), (a._kdist_view, a.kdist), (a._witness_view, a.kdist_witness)]
-    views += [(a._flags_view, a.flags), (a._centers_view, reg.centers), (a._radii_view, reg.radii)]
+    views += [(a._row_view, a.row), (a._centers_view, reg.centers), (a._radii_view, reg.radii)]
     views += [(t._z_view, t.z), (t._z_hi_view, t.z_hi), (t._parent_view, t.parent)]
     for view, arr in views:  # the query reads the index's own arrays, copying none
         assert np.shares_memory(np.asarray(view), arr) and view.nbytes == arr.nbytes
@@ -327,24 +328,39 @@ def test_avd_dimension_mismatch_rejected():
 # -- cells and audit --------------------------------------------------------------
 
 
-def test_cell_view_fields_are_consistent():
+def test_cell_view_fields_are_consistent(tmp_path):
+    """On a practical and a strict index, as built and after
+    save_index/load_index: each live cell's representative lies in its
+    cube, its row holds an estimate in the sandwich and a witness id, and
+    in the strict index the owning cluster's witness is one of its balls.
+    Every memoryview the query reads has a native format and answers item
+    reads: a view of a little-endian ('<d') array would refuse them."""
     a = _build(64, 1, 32, 8, 0.5)
     s = _build(69, 1, 8, 7, 0.5, mode="strict")
     assert a.clusters == [] and np.all(a.site == -1)
-    for b in (a, s):
+    indexes = [a, s]
+    for i, b in enumerate((a, s)):
+        path = tmp_path / f"index{i}.bin"
+        save_index(str(path), b)
+        indexes.append(load_index(str(path)))
+    for b in indexes:
         balls = b.registry.instance.balls
-        live = [i for i in range(b.tree.size) if not (b.flags[i] & 1)]
-        for i in live[:60]:
+        for i in np.flatnonzero(b.row >= 0)[:60].tolist():
+            r = b.row.item(i)
             rep = tuple(float(x) for x in b.rep[i])
             assert b.tree.node_cube(i).contains_point(rep)
             truth = exact_kth_distance(balls, rep, b.k).value
-            assert truth - 1e-12 <= b.kdist[i] <= (1.0 + b.eps / 4.0) * truth + 1e-12
-            assert 0 <= b.kdist_witness[i] < len(balls)
-    # In the strict index, each cell's owning cluster's witness is a ball
-    # assigned to that cluster.
-    for i in np.flatnonzero((s.flags & 1) == 0)[:60]:
-        cl = s.clusters[int(s.site[i])]
-        assert cl.witness in cl.assigned.tolist()
+            assert truth - 1e-12 <= b.kdist[r] <= (1.0 + b.eps / 4.0) * truth + 1e-12
+            assert 0 <= b.kdist_witness[r] < len(balls)
+            if b.clusters:
+                cl = b.clusters[b.site.item(r)]
+                assert cl.witness in cl.assigned.tolist()
+        t = b.tree
+        views = (b._rep_view, b._row_view, b._kdist_view, b._witness_view, b._centers_view, b._radii_view,
+                 t._z_view, t._z_hi_view, t._parent_view)
+        for view in views:
+            assert view.format in ("d", "l", "q"), view.format
+            assert view[0] == view.tolist()[0]
 
 
 def test_audit_cells_clean_on_standard_build():
@@ -405,7 +421,7 @@ def test_practical_build_runs_no_quorum(monkeypatch):
     monkeypatch.setattr(avd, "ball_quorum", refuse)
     a = _build(54, 2, 100, 25, 0.5)
     assert a.clusters == [] and a.stats["clusters"] == 0
-    assert a.site.shape == (a.tree.size,) and np.all(a.site == -1)
+    assert a.site.shape == a.kdist.shape and np.all(a.site == -1)
     assert a.stats["uncertified"] == 0
     _check_queries(a, 200, 55, require_no_fallback=True)
     with pytest.raises(AssertionError, match="ball_quorum"):
@@ -456,9 +472,9 @@ def test_near_test_matches_oracle_at_edges(dim, eps, profile, seed):
     rng = np.random.default_rng(seed)
     reg = build_registry(normalize(generate_instance(seed, dim, n, profile), 0.5))
     a = build_avd(reg, k, eps, cell_budget=20_000)
-    live = np.flatnonzero((a.flags & 1) == 0)
-    certified = near_certifies(a.kdist, np.ldexp(0.5 * math.sqrt(dim), -a.tree.level), eps)
-    assert a.stats["uncertified"] == np.count_nonzero(~certified[live])
+    live = np.flatnonzero(a.row >= 0)
+    certified = near_certifies(a.kdist, np.ldexp(0.5 * math.sqrt(dim), -a.tree.level[live]), eps)
+    assert a.stats["uncertified"] == np.count_nonzero(~certified)
     points = []
     for v in rng.choice(live, size=min(live.size, 12), replace=False).tolist():
         side = 2.0 ** -float(a.tree.level[v])
@@ -490,7 +506,7 @@ def test_near_test_matches_oracle_at_edges(dim, eps, profile, seed):
             lo_i, hi_i = ans.certified_interval
             assert lo_i - tol <= truth <= hi_i + tol
             assert ans.distance == ball_distances(q, reg.centers, reg.radii)[ans.ball_id]
-        if np.all((0.0 <= q) & (q < 1.0)) and certified[a.tree.point_location(q.tolist())]:
+        if np.all((0.0 <= q) & (q < 1.0)) and certified[a.row[a.tree.point_location(q.tolist())]]:
             assert a.query_counts["near"] == before + 1
             near_hits += 1
     assert near_hits > 0
@@ -527,7 +543,7 @@ def test_build_deterministic():
     b = _build(72, 1, 48, 12, 0.5)
     assert np.array_equal(a.tree.z, b.tree.z)
     assert np.array_equal(a.tree.level, b.tree.level)
-    for name in ("rep", "kdist", "kdist_witness", "site", "flags"):
+    for name in ("rep", "row", "kdist", "kdist_witness", "site"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
@@ -570,7 +586,7 @@ def test_block_sweep_matches_cell_by_cell_sweep(monkeypatch, seed, dim, n, k, ep
         assert a.stats["W"] <= budget
     assert np.array_equal(a.tree.z, b.tree.z)
     assert np.array_equal(a.tree.level, b.tree.level)
-    for name in ("rep", "kdist", "kdist_witness", "site", "flags"):
+    for name in ("rep", "row", "kdist", "kdist_witness", "site"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     for key in ("splits", "uncertified", "sweep_layers"):
         assert a.stats[key] == b.stats[key], key
@@ -602,20 +618,22 @@ def test_stored_estimates_are_exact(monkeypatch, config):
     else:
         a = _build(55, 3, 256, 64, 0.5)
     reg = a.registry
-    live = np.flatnonzero((a.flags & 1) == 0)
+    live = np.flatnonzero(a.row >= 0)
     assert live.size > 0
     for v in live.tolist():
         d_k = exact_kth_distance(a.registry.instance, a.rep[v], a.k).value
-        assert a.kdist[v] == d_k, v
-        assert ball_distances(a.rep[v], reg.centers, reg.radii)[a.kdist_witness[v]] == d_k, v
+        assert a.kdist[a.row[v]] == d_k, v
+        assert ball_distances(a.rep[v], reg.centers, reg.radii)[a.kdist_witness[a.row[v]]] == d_k, v
 
 
 @pytest.mark.parametrize("config", ["cell-d2", "budget-20", "budget-0", "practical-d3", "strict-c6"])
 def test_tiled_cells_are_derived_and_the_loaded_index_equals_the_built(tmp_path, monkeypatch, config):
-    """flags, which AVDIndex derives from the tree, marks the cells whose
-    2^d quadrants are all children one level down; exactly those cells hold
-    kdist 0, witness -1 and site -1; and save_index/load_index gives back
-    the built index's arrays, zeta1 and stats."""
+    """The tree's tiled cells are those whose 2^d quadrants are all
+    children one level down; they have no row: kdist, kdist_witness and
+    site hold one row per live cell, and row, which AVDIndex derives from
+    the tree, is each live cell's rank among the live cells and -1 on a
+    tiled cell.  save_index/load_index gives back the built index's arrays,
+    zeta1 and stats."""
     if config == "cell-d2":
         a = _cell_d2_index(monkeypatch)
     elif config.startswith("budget-"):
@@ -626,14 +644,17 @@ def test_tiled_cells_are_derived_and_the_loaded_index_equals_the_built(tmp_path,
         a = build_avd(build_registry(normalize(generate_instance(6025, 1, 8), 0.5)), 7, 0.5, "strict")
     t = a.tree
     quadrants = np.array([np.count_nonzero(t.level[t.children(i)] == t.level[i] + 1) for i in range(t.size)])
-    assert a.flags.dtype == np.uint8
-    assert np.array_equal(a.flags, quadrants == 1 << t.dim)
-    blank = (a.kdist == 0.0) & (a.kdist_witness == -1) & (a.site == -1)
-    assert np.array_equal(blank, a.flags == 1)
+    assert np.array_equal(t.tiled, quadrants == 1 << t.dim)
+    live = ~t.tiled
+    rows = int(np.count_nonzero(live))
+    assert a.kdist.shape == a.kdist_witness.shape == a.site.shape == (rows,)
+    assert a.row.shape == (t.size,) and np.all(a.row[t.tiled] == -1)
+    assert a.row[live].tolist() == list(range(rows))
+    assert a.stats["empty_cells"] == t.size - rows
     path = tmp_path / "index.bin"
     save_index(str(path), a)
     b = load_index(str(path))
-    for name in ("rep", "kdist", "kdist_witness", "site", "flags"):
+    for name in ("rep", "row", "kdist", "kdist_witness", "site"):
         got, want = getattr(b, name), getattr(a, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     assert b.zeta1 == a.zeta1

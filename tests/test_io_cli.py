@@ -147,7 +147,7 @@ def test_avd_save_load_equal_arrays_and_answers(tmp_path):
     assert isinstance(b, AVDIndex)
     assert (b.k, b.eps, b.mode, b.zeta1) == (a.k, a.eps, a.mode, a.zeta1)
     assert np.array_equal(a.tree.z, b.tree.z)
-    for name in ("rep", "kdist", "kdist_witness", "site", "flags"):
+    for name in ("rep", "row", "kdist", "kdist_witness", "site"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert len(a.clusters) == len(b.clusters)
     rng = np.random.default_rng(1)
@@ -161,7 +161,7 @@ def test_avd_save_load_equal_arrays_and_answers(tmp_path):
     t = load_index(str(path))
     assert (t.mode, t.stats["clusters"]) == ("strict", len(s.clusters))
     assert np.array_equal(s.tree.z, t.tree.z) and np.array_equal(s.tree.level, t.tree.level)
-    for name in ("rep", "kdist", "kdist_witness", "site", "flags"):
+    for name in ("rep", "row", "kdist", "kdist_witness", "site"):
         assert np.array_equal(getattr(s, name), getattr(t, name)), name
     assert len(t.clusters) == len(s.clusters)
     for cs, ct in zip(s.clusters, t.clusters):
@@ -187,7 +187,7 @@ def test_avd_practical_file_size(tmp_path, monkeypatch):
     balls = [Ball(tuple(c), float(r)) for c, r in zip(centers.tolist(), radii)]
     a = build_avd(build_registry(normalize(balls, w.floor)), w.cell_k, w.cell_eps)
     n, d, s = a.registry.n, a.registry.dim, a.tree.size
-    live = int(np.count_nonzero(a.flags == 0))
+    live = int(np.count_nonzero(~a.tree.tiled))
     instance = 28 + 8 * d + 8 * n * (d + 1)
     expect = 8 + 28 + instance + 8 + 8 + s * (8 + 8) + live * (8 + 8) + 40 + 4
     assert live < s and len(_saved_bytes(a, tmp_path)) == expect == 46_364
@@ -267,8 +267,8 @@ def test_index_integrity_rejects_damage(tmp_path):
     sat = _bavd_layout(s, strict_blob)
     assert "site" not in at
     # The last live cell's row.
-    live = int(np.count_nonzero(a.flags == 0)) - 1
-    slive = int(np.count_nonzero(s.flags == 0)) - 1
+    live = int(np.count_nonzero(~a.tree.tiled)) - 1
+    slive = int(np.count_nonzero(~s.tree.tiled)) - 1
     last = size - 1
     queries = tmp_path / "q.txt"
     queries.write_text("0.5\n")
@@ -351,7 +351,7 @@ def _bavd_layout(a, blob):
     the others a row per live cell; the site column is there only when the
     file holds clusters."""
     n, size, d = a.registry.n, a.tree.size, a.registry.dim
-    rows = int(np.count_nonzero(a.flags == 0))
+    rows = int(np.count_nonzero(~a.tree.tiled))
     at = {"instance": 8 + 28}
     at["balls"] = at["instance"] + 28 + 8 * d  # ball 0's center, then its radius
     at["clusters"] = at["balls"] + 8 * n * (d + 1)

@@ -42,17 +42,6 @@ def test_build_registry_refuses_centers_outside_the_cube():
 # -- exact routes agree with the oracle -----------------------------------------
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_exact_intersection_count_matches_oracle(dim):
-    reg = make_registry(2 + dim, dim, 50)
-    balls = reg.instance.balls
-    rng = np.random.default_rng(dim)
-    for _ in range(200):
-        q = tuple(rng.random(dim))
-        x = float(rng.random() * 0.8)
-        assert reg.exact_intersection_count(q, x) == exact_counts(balls, q, x)[0]
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_balls_containing_point_matches_brute(dim):
     """Against brute force, on a normalized instance and on the same balls
@@ -139,7 +128,7 @@ def test_walks_on_centers_outside_the_cube(dim):
             want = np.flatnonzero((2.0 * reg.radii >= min_diameter) & (d_balls <= radius))
             assert reg.large_balls_intersecting(q, radius, min_diameter).tolist() == want.tolist()
         count = reg.approx_ball_count(q, 0.5, radius)
-        assert reg.exact_intersection_count(q, radius) <= count <= reg.exact_intersection_count(q, 1.5 * radius)
+        assert exact_counts(reg.instance, q, radius)[0] <= count <= exact_counts(reg.instance, q, 1.5 * radius)[0]
     assert outside > 0  # some ball was found from a point outside the cube
 
 
@@ -155,8 +144,8 @@ def test_ball_count_sandwich(dim):
         x = float(rng.random() * 1.2)
         delta = float(rng.choice([1.0, 0.5, 0.2, 0.1]))
         approx = reg.approx_ball_count(q, delta, x)
-        assert reg.exact_intersection_count(q, x) <= approx
-        assert approx <= reg.exact_intersection_count(q, (1.0 + delta) * x)
+        assert exact_counts(reg.instance, q, x)[0] <= approx
+        assert approx <= exact_counts(reg.instance, q, (1.0 + delta) * x)[0]
 
 
 def test_ball_count_zero_radius_counts_containing_balls():
@@ -362,7 +351,7 @@ def test_tangent_ball_kept_at_its_own_distance():
     assert math.dist(q, centers[0]) < d
     assert d == ball_distances(q, reg.centers, reg.radii)[0]
     assert 0 in reg.large_balls_intersecting(q, d, 0.0).tolist()
-    assert reg.exact_intersection_count(q, d) == 1
+    assert exact_counts(reg.instance, q, d)[0] == 1
 
 
 def test_stats_present():
@@ -558,8 +547,8 @@ def _check_walks(rng, reg: Registry, queries) -> None:
                 assert got.tolist() == want.tolist()
             for delta in (1.0, 0.5, 0.25):
                 approx = reg.approx_ball_count(q, delta, radius)
-                assert reg.exact_intersection_count(q, radius) <= approx
-                assert approx <= reg.exact_intersection_count(q, (1.0 + delta) * radius)
+                assert exact_counts(reg.instance, q, radius)[0] <= approx
+                assert approx <= exact_counts(reg.instance, q, (1.0 + delta) * radius)[0]
 
 
 @given(st.integers(1, 4), st.integers(0, 10_000))
@@ -590,6 +579,37 @@ def test_certified_exit_matches_oracle_at_edges(dim, seed):
                     assert (ans.ball_id, ans.distance, ans.certified_interval) == (
                         two.ball_id, two.distance, two.certified_interval,
                     )
+
+
+@given(st.integers(1, 4), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_certified_exit_answers_d_k_zero(dim, seed):
+    """On the edge inputs, at points inside each ball (k = 1) and at the
+    tangent point of each pair of balls tangent along one axis (k = 2), the
+    oracle's d_k is 0, the certified exit answers with a ball that contains
+    q, and knn.query answers it at distance 0 with the interval (0, 0)."""
+    rng = np.random.default_rng(seed)
+    reg = _edge_registry(rng, dim)
+    c, r = reg.centers, reg.radii
+    rows = []
+    for b in range(reg.n):
+        q = c[b].copy()
+        q[int(rng.integers(dim))] += r[b] * float(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0]))
+        rows.append((q, 1))
+    gap = c[:, None, :] - c[None, :, :]
+    tangent = ((gap != 0.0).sum(axis=2) == 1) & (np.abs(gap).sum(axis=2) == r[:, None] + r[None, :])
+    for i, j in zip(*np.nonzero(np.triu(tangent))):
+        q = c[i].copy()
+        q[gap[j, i] != 0.0] += np.sign(gap[j, i][gap[j, i] != 0.0]) * r[i]
+        rows.append((q, 2))
+    assert len(rows) > reg.n  # the edge inputs hold tangent pairs
+    for q, k in rows:
+        assert exact_kth_distance(reg.instance, q, k).value == 0.0
+        for eps in (0.5, 0.1, 0.01):
+            wid = reg.certified_kth_ball(q, k, eps)
+            assert wid >= 0 and ball_distance(q.tolist(), c[wid].tolist(), float(r[wid])) == 0.0
+            ans = knn.query(reg, q, k, eps)
+            assert (ans.ball_id, ans.distance, ans.certified_interval) == (wid, 0.0, (0.0, 0.0))
 
 
 def _root_box_queries(rng, reg: Registry) -> list[np.ndarray]:
@@ -736,8 +756,8 @@ def test_ball_count_sandwich_at_scale(dim):
         for x in xs:
             for delta in (1.0, 0.5, 0.25, 0.05):
                 count = reg.approx_ball_count(q, delta, x)
-                assert reg.exact_intersection_count(q, x) <= count
-                assert count <= reg.exact_intersection_count(q, (1.0 + delta) * x)
+                assert exact_counts(reg.instance, q, x)[0] <= count
+                assert count <= exact_counts(reg.instance, q, (1.0 + delta) * x)[0]
                 assert reg.approx_ball_count(q, delta, x / (1.0 + delta)) <= count
                 whole += reg._walk(q, x, 0.0, (1.0 + delta) * x)[0].size > 0
     assert whole > 0  # some count took nodes whole
@@ -857,7 +877,7 @@ def test_exit_cut_stays_under_the_frontier_cap_at_d5():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_one_ball_exit_cut_is_the_roots_children(dim):
     """With one ball (n <= m) the cut is the root's children, and the exit
-    answers with the ball from outside it and declines inside it (d_1 = 0)."""
+    answers with the ball from outside it and inside it (d_1 = 0)."""
     inst = normalize([Ball((0.5,) * dim, 0.125)], 0.5)
     reg = build_registry(inst)
     _check_cut(reg)
@@ -865,7 +885,7 @@ def test_one_ball_exit_cut_is_the_roots_children(dim):
     c, r = reg.centers[0], float(reg.radii[0])
     surface = c.copy()
     surface[0] += r
-    for q, want in ((c, -1), (surface, -1), (c + 2.0 * r, 0), (np.full(dim, -3.0), 0), (np.full(dim, 1e3), 0)):
+    for q, want in ((c, 0), (surface, 0), (c + 2.0 * r, 0), (np.full(dim, -3.0), 0), (np.full(dim, 1e3), 0)):
         for eps in (0.5, 0.1, 0.01):
             assert reg.certified_kth_ball(q, 1, eps) == want
 
