@@ -16,7 +16,9 @@ the registry workload, its answers to the first 2,000 queries
 for the cell index, also its tree (keys, levels and parent links), its
 stored estimates and its witnesses, each apart, and the rest of its
 arrays, once as built and once after a save_index/load_index round trip,
-with the saved file's byte count.  A line does the same for a cell index
+with the saved file's byte count, and whether the loaded index had built
+its registry after those queries and after the out-of-domain points below
+(registry_built).  A line does the same for a cell index
 whose sweep selects at most knn._KTH_MIN_ROWS rows per chunk (uniform
 d=2, n=16,384, k=4,096, eps 0.5, from `perfbench/inputs.py` with seed 1,
 on 2,000 of its cell queries), a line for a practical cell index at d=3
@@ -277,7 +279,7 @@ def cell_digest(index, points, dump: str | None, label: str) -> str:
         )
     pts = points[:2000].tolist()
     answers = [avd.avd_query(index, tuple(q)) for q in pts]
-    extra = oracle_arrays(index.registry.instance, [(q, index.k, index.eps) for q in pts]) if dump else {}
+    extra = oracle_arrays(index.instance, [(q, index.k, index.eps) for q in pts]) if dump else {}
     return (
         f"tree {digest([t.z, t.level, t.parent])} cells {digest(arrays)} "
         f"kdist {digest([kdist])} witness {digest([witness])} "
@@ -285,19 +287,24 @@ def cell_digest(index, points, dump: str | None, label: str) -> str:
     )
 
 
-def ood_line(index, seed: int, dump: str | None, label: str) -> str:
-    """Digests of the cell index's answers to 500 points outside the unit
-    cube, drawn from [-1, 2]^d with the given seed, and, when dumping, each
-    point's exact d_k for --compare."""
+def ood_points(dim: int, seed: int) -> list:
+    """500 points outside the unit cube, drawn from [-1, 2]^d with the
+    given seed."""
     import numpy as np
 
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 2.0, (2000, dim))
+    return pts[((pts < 0.0) | (pts >= 1.0)).any(axis=1)][:500].tolist()
+
+
+def ood_line(index, seed: int, dump: str | None, label: str) -> str:
+    """Digests of the cell index's answers to the ood_points of the seed,
+    and, when dumping, each point's exact d_k for --compare."""
     from ballann import avd
 
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1.0, 2.0, (2000, index.registry.dim))
-    pts = pts[((pts < 0.0) | (pts >= 1.0)).any(axis=1)][:500].tolist()
+    pts = ood_points(index.dim, seed)
     answers = [avd.avd_query(index, tuple(q)) for q in pts]
-    extra = oracle_arrays(index.registry.instance, [(q, index.k, index.eps) for q in pts]) if dump else {}
+    extra = oracle_arrays(index.instance, [(q, index.k, index.eps) for q in pts]) if dump else {}
     return f" out-of-domain: answers {answer_digest(answers, dump, label + '-ood', **extra)}"
 
 
@@ -373,12 +380,27 @@ def loaded_line(reg, rows, dump: str | None, label: str) -> str:
     return line + f" bytes {size}"
 
 
-def cell_line(index, points, dump: str | None, label: str) -> str:
+def registry_built(index) -> str:
+    """Whether a cell index holds a registry, which `AVDIndex.registry`
+    builds on first access and keeps."""
+    return "no" if index._registry is None else "yes"
+
+
+def cell_line(index, points, ood_seed: int, dump: str | None, label: str) -> str:
+    """cell_digest of the index as built and after a round trip, the saved
+    byte count, and whether the loaded index had built its registry after
+    its cell queries and after answering the ood_points of ood_seed."""
+    from ballann import avd
+
     loaded, size = round_trip(index)
-    return (
+    line = (
         f" {cell_digest(index, points, dump, label)}"
         f" loaded {cell_digest(loaded, points, dump, label + '-loaded')} bytes {size}"
     )
+    after_cells = registry_built(loaded)
+    for q in ood_points(loaded.dim, ood_seed):
+        avd.avd_query(loaded, tuple(q))
+    return line + f" registry built: after cells {after_cells}, after out-of-domain {registry_built(loaded)}"
 
 
 def compare(dir_a: str, dir_b: str) -> int:
@@ -522,7 +544,7 @@ def main(argv=None) -> int:
             rows = list(zip(points.tolist(), ks.tolist(), epss.tolist()))
             if w.cell:
                 index = avd.build_avd(reg, w.cell_k, w.cell_eps)
-                line += cell_line(index, points, args.dump, label)
+                line += cell_line(index, points, seed, args.dump, label)
                 line += f"\n{name} seed {seed}{ood_line(index, seed, args.dump, label)}"
             else:
                 answers = [knn.query(reg, tuple(q), k, e) for q, k, e in rows[:2000]]
@@ -539,19 +561,19 @@ def main(argv=None) -> int:
     balls = [geometry.Ball(tuple(c), float(r)) for c, r in zip(centers.tolist(), radii)]
     index = avd.build_avd(registry.build_registry(geometry.normalize(balls, 0.5)), 4096, 0.5)
     points = inputs.cell_queries(1, 2, 16384, 2000)
-    print("uniform n16384 k4096:" + cell_line(index, points, args.dump, "uniform-n16384"), flush=True)
+    print("uniform n16384 k4096:" + cell_line(index, points, 1, args.dump, "uniform-n16384"), flush=True)
     print("uniform n16384 k4096" + ood_line(index, 1, args.dump, "uniform-n16384"), flush=True)
     # A cell index at d = 3, which no benchmark workload builds.
     centers, radii = inputs.uniform_balls(1, 3, 1024)
     balls = [geometry.Ball(tuple(c), float(r)) for c, r in zip(centers.tolist(), radii)]
     index = avd.build_avd(registry.build_registry(geometry.normalize(balls, 0.5)), 256, 0.5)
     points = inputs.cell_queries(1, 3, 1024, 2000)
-    print("uniform d3 n1024 k256:" + cell_line(index, points, args.dump, "uniform-d3-n1024"), flush=True)
+    print("uniform d3 n1024 k256:" + cell_line(index, points, 1, args.dump, "uniform-d3-n1024"), flush=True)
     print("uniform d3 n1024 k256" + ood_line(index, 1, args.dump, "uniform-d3-n1024"), flush=True)
     reg = registry.build_registry(geometry.normalize(datasets.generate_instance(6025, 1, 8), 0.5))
     points = np.random.default_rng(0).random((2000, 1))
     index = avd.build_avd(reg, 7, 0.5, "strict")
-    print("strict c6:" + cell_line(index, points, args.dump, "strict-c6"), flush=True)
+    print("strict c6:" + cell_line(index, points, 0, args.dump, "strict-c6"), flush=True)
     print("strict c6" + ood_line(index, 0, args.dump, "strict-c6"), flush=True)
     print(d5_line(args.dump), flush=True)
     for seed in args.seeds:

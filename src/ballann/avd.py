@@ -81,7 +81,15 @@ Queries answer from per-cell data alone; each answer branch re-checks
 its own sufficient condition at query time, so answers are correct even in
 cells the sweep left uncertified, where the structure falls back to the
 registry search (`knn.query`, certified exit first).  Points outside the
-unit cube have no cell and go to the registry search as well.
+unit cube have no cell.  They try the far rule first, the certified exit's
+root round (`registry.root_bounds`, `registry.far_rule`) on the box of all
+centers and the greatest and least radius, which the index takes from its
+instance (`registry.root_column`), equal to the registry's root column bit
+for bit; a hit answers with ball 0, as `knn.query` would.  The points it
+declines go to the registry search as well.  So the registry is needed
+only by a query that no cell branch and no far rule answers: the index
+builds it then, once, and keeps it, and a loaded index whose queries all
+land in certified cells or pass the far rule builds none.
 """
 
 from __future__ import annotations
@@ -95,6 +103,7 @@ import numpy as np
 from .geometry import (
     InputError,
     InternalInvariantError,
+    NormalizedInstance,
     ball_distance,
     ball_distances,
     check_eps,
@@ -118,7 +127,7 @@ from .quadtree import (
     overlay,
 )
 from .quorum import XI, QuorumCluster, ball_quorum
-from .registry import Registry
+from .registry import Registry, build_registry, far_rule, root_bounds, root_column
 
 __all__ = [
     "ZETA1_PRACTICAL",
@@ -143,7 +152,9 @@ NEAR_MARGIN = 1e-9
 
 @dataclass(eq=False)
 class AVDIndex:
-    """Frozen query structure; query_counts is the only mutable part."""
+    """Frozen query structure over its instance.  Two parts change:
+    query_counts, and the registry, which the first query that needs it
+    builds from the instance and which is kept from then on."""
 
     tree: CompressedQuadtree
     rep: np.ndarray = field(init=False)  # (size, d) cube centers, from the tree's keys
@@ -153,13 +164,17 @@ class AVDIndex:
     kdist_witness: np.ndarray  # k-th ball at rep in (distance, id) order
     site: np.ndarray  # owning cluster; -1 when there are no clusters
     clusters: list[QuorumCluster]  # empty in a practical index
-    registry: Registry
+    instance: NormalizedInstance  # the normalized balls, a BAVD file's instance block
+    dim: int = field(init=False)
     k: int
     eps: float
     mode: str
     stats: dict
 
     def __post_init__(self) -> None:
+        self.dim = self.instance.dimension
+        # The root's column of the registry's node table, for the far rule.
+        self._root = root_column(self.instance.centers, self.instance.radii)
         self.rep = _cube_centers(self.tree.z, self.tree.level, self.tree.dim)
         tiled = self.tree.tiled
         self.row = np.where(tiled, -1, np.cumsum(~tiled) - 1)
@@ -174,8 +189,25 @@ class AVDIndex:
         self._kdist_view = memoryview(self.kdist)
         self._witness_view = memoryview(self.kdist_witness)
         self._row_view = memoryview(self.row)
-        self._centers_view = memoryview(self.registry.centers.reshape(-1))
-        self._radii_view = memoryview(self.registry.radii)
+        self._centers_view = memoryview(self.instance.centers.reshape(-1))
+        self._radii_view = memoryview(self.instance.radii)
+        # Set here, not added on first need, so that every index holds the
+        # same attributes in the same order and keeps the dict layout that
+        # CPython's fast attribute reads rely on: with the key added later
+        # (as functools.cached_property adds it), avd_query ran about 7%
+        # slower once the registry existed (cell-d2, CPython 3.11, 2-core
+        # x86_64 host).
+        self._registry: Registry | None = None
+
+    @property
+    def registry(self) -> Registry:
+        """The registry over the instance, built on the first access and
+        kept: the fallback, the points outside the cube that the far rule
+        declines and the audits search it.  build_avd hands over the one it
+        was built on; a loaded index builds one only when a query needs it."""
+        if self._registry is None:
+            self._registry = build_registry(self.instance)
+        return self._registry
 
     @property
     def zeta1(self) -> float:
@@ -443,27 +475,32 @@ def build_avd(
         "assemble_s": t_end - t_sweep,
         "build_seconds": t_end - t0,
     }
-    return AVDIndex(
+    index = AVDIndex(
         tree=tree,
         kdist=kdist,
         kdist_witness=kwit,
         site=site,
         clusters=clusters,
-        registry=reg,
+        instance=reg.instance,
         k=k,
         eps=eps,
         mode=mode,
         stats=stats,
     )
+    index._registry = reg  # the one the sweep ran on: a built index never builds another
+    return index
 
 
 def avd_query(a: AVDIndex, q) -> KnnAnswer:
     """Answer a fixed-(k, eps) query from per-cell data.
 
     q needs dim finite coordinates (`geometry.check_point`), else
-    InputError.  Points outside the unit cube have no cell: `knn.query`
-    answers them as it answers the registry's own queries, with its
-    certified interval and the out_of_domain flag.  In-domain queries walk
+    InputError.  Points outside the unit cube have no cell, and get
+    `knn.query`'s answer, its certified interval and the out_of_domain
+    flag: first by the far rule, the certified exit's root round, on the
+    index's own copy of the root's column (module docstring), which
+    answers with ball 0 as the exit does, and otherwise from the registry
+    search itself.  In-domain queries walk
     to their cell and try, in order: the stored witness when the query
     sees it inside the window that the representative's exact d_k and the
     offset give (the near branch, which also covers the paper's small-cell
@@ -472,13 +509,14 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
     cluster's contained ball.  Each branch re-checks its own sufficient
     condition on the live query point, so a hit is correct regardless of
     what held at build time; if nothing fires the query falls back to
-    `knn.query`.
+    `knn.query`.  Only that fallback and the points the far rule declines
+    read `AVDIndex.registry`, which builds the registry on first need.
 
     An in-domain query makes no numpy call outside the strict cluster
     branch.  Point location searches memoryviews of the tree's arrays
     (`CompressedQuadtree.point_location`), and the query reads its cell
     and its witness from zero-copy memoryviews that `AVDIndex` keeps of
-    rep, row, kdist, kdist_witness and the registry's centers and radii:
+    rep, row, kdist, kdist_witness and the instance's centers and radii:
     one item per number, and one slice and `.tolist()` per row.  The
     cell's row r, read once, guards against a tiled cell (r < 0) and
     indexes kdist, kdist_witness and site; rep is read at the node.  The
@@ -487,18 +525,19 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
     `ball_distance`'s order, so both equal `ball_distance` bit for bit;
     that loop can differ from np.linalg.norm in the last bit.
     """
-    qt = check_point(q, a.registry.dim)
-    eps, k = a.eps, a.k
+    qt = check_point(q, a.dim)
+    eps = a.eps
+    d = len(qt)
     if not (min(qt) >= 0.0 and max(qt) < 1.0):  # qt holds no NaN
-        ans = query(a.registry, qt, k, eps)
         a.query_counts["out_of_domain"] += 1
-        return ans
+        if far_rule(*root_bounds(*a._root, qt), eps):
+            dist = ball_distance(qt, a._centers_view[0:d].tolist(), a._radii_view[0])
+            return KnnAnswer(0, dist, (dist / (1.0 + eps), dist / (1.0 - eps)), out_of_domain=True)
+        return query(a.registry, qt, a.k, eps)
     v = a.tree.point_location(qt)
     r = a._row_view[v]
     if r < 0:
         raise InternalInvariantError("point location landed in a tiled cell")
-    reg = a.registry
-    d = len(qt)
     kd = a._kdist_view[r]
     w = a._witness_view[r]
     offset, dist = offset_and_ball_distance(
@@ -513,11 +552,11 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
         lam1 = float(np.linalg.norm(np.array(qt) - np.asarray(cl.center))) + cl.radius
         if 2.0 * cl.radius <= eps * lower and lam1 <= (1.0 + eps) * lower:
             w = int(cl.witness)
-            dist = ball_distance(qt, reg.centers[w].tolist(), reg.radii.item(w))
+            dist = ball_distance(qt, a._centers_view[w * d : w * d + d].tolist(), a._radii_view[w])
             a.query_counts["cluster"] += 1
             return KnnAnswer(w, dist, (dist / (1.0 + eps), dist / (1.0 - eps)))
     a.query_counts["fallback"] += 1
-    return query(reg, qt, k, eps)
+    return query(a.registry, qt, a.k, eps)
 
 
 def near_certifies(kdist: np.ndarray, half: np.ndarray, eps: float) -> np.ndarray:
@@ -549,7 +588,7 @@ def _region_sample(a: AVDIndex, node: int, rng: np.random.Generator) -> np.ndarr
     side = np.ldexp(1.0, -int(a.tree.level[node]))
     lo = a.rep[node] - side / 2.0
     for _ in range(64):
-        p = lo + rng.random(a.registry.dim) * side
+        p = lo + rng.random(a.dim) * side
         if not np.any(np.all((klo <= p) & (p < khi), axis=1)):
             return p
     return a.rep[node].copy()
@@ -575,7 +614,7 @@ def audit_cells(a: AVDIndex, samples: int = 200, seed: int = 0) -> dict:
     sweep ran out of budget shows up here.
     """
     rng = np.random.default_rng(seed)
-    reg = a.registry
+    inst = a.instance
     eps, k = a.eps, a.k
     live = np.flatnonzero(a.row >= 0)
     if live.size > samples:
@@ -602,21 +641,21 @@ def audit_cells(a: AVDIndex, samples: int = 200, seed: int = 0) -> dict:
         r = int(a.row[v])
         rep = a.rep[v]
         kd = float(a.kdist[r])
-        dk_rep = np.partition(ball_distances(rep, reg.centers, reg.radii), k - 1)[k - 1]
+        dk_rep = np.partition(ball_distances(rep, inst.centers, inst.radii), k - 1)[k - 1]
         counts["kdist_spot"] += 1
         if kd != dk_rep:
             violations.append(f"node {v}: stored kdist {kd!r} is not the exact d_k {dk_rep!r}")
         if clustered:
             j = int(a.site[r])
             w = int(a.clusters[j].witness)
-            span = float(np.linalg.norm(reg.centers[w] - wc[j])) + float(reg.radii[w])
+            span = float(np.linalg.norm(inst.centers[w] - wc[j])) + float(inst.radii[w])
             if span > wx[j] * (1 + 1e-9):
                 violations.append(f"node {v}: cluster witness ball sticks out of cluster {j}")
-        diam = (2.0 ** (-int(a.tree.level[v]))) * math.sqrt(a.registry.dim)
+        diam = (2.0 ** (-int(a.tree.level[v]))) * math.sqrt(a.dim)
         for _ in range(per_cell):
             q = _region_sample(a, v, rng)
             counts["points"] += 1
-            dq = ball_distances(q, reg.centers, reg.radii)
+            dq = ball_distances(q, inst.centers, inst.radii)
             dk = np.partition(dq, k - 1)[k - 1]
             offset = ball_distance(q.tolist(), rep.tolist(), 0.0)
             lam_star = kd + offset

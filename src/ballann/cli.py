@@ -112,7 +112,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_query(args) -> int:
     idx = bio.load_index(args.indexfile)
-    inst = idx.registry.instance if isinstance(idx, AVDIndex) else idx.instance
+    inst = idx.instance
     if isinstance(idx, AVDIndex):
         if args.k is not None and args.k != idx.k:
             raise InputError(f"--k {args.k} conflicts with the index (k={idx.k})")
@@ -210,10 +210,10 @@ def _suite_quorum(reg: Registry, rng) -> tuple[bool, str]:
 
 
 def _suite_avd(a: AVDIndex, trials: int, rng) -> tuple[bool, str]:
-    inst = a.registry.instance
+    inst = a.instance
     bad = 0
     for _ in range(trials):
-        q = tuple(rng.random(a.registry.dim))
+        q = tuple(rng.random(a.dim))
         ans = avd_query(a, q)
         truth = exact_kth_distance(inst, q, a.k).value
         tol = 1e-9 * max(1.0, truth)
@@ -236,7 +236,7 @@ def _cmd_audit(args) -> int:
             print("audit: FAIL")
             return 2
         suites.append(("integrity", True, "magic, version, and checksum verified"))
-        inst = idx.registry.instance if isinstance(idx, AVDIndex) else idx.instance
+        inst = idx.instance
         expect = normalize(balls, inst.epsilon_floor)
         same = np.array_equal(expect.centers, inst.centers) and np.array_equal(expect.radii, inst.radii)
         suites.append(("index-matches-input", same, f"n={inst.radii.size} dim={inst.dimension}"))

@@ -9,8 +9,9 @@ A registry file (magic BREG) stores only the inputs; the structure is
 rebuilt on load, which is deterministic and cheap.  An approximate-Voronoi
 file (magic BAVD) stores the cell decomposition: the cube table and each
 live cell's exact k-th ball distance and witness, plus the cluster list
-with each live cell's owning cluster when it holds clusters, and the inputs
-needed to rebuild the fallback registry.  The cell columns are
+with each live cell's owning cluster when it holds clusters, and the
+inputs, from which the index builds its fallback registry when a query
+first needs it; a load builds none.  The cell columns are
 `AVDIndex`'s own, one row per live cell in node order: a tiled cell (one
 whose children tile it) has no row in the file or in memory, and a load
 hands the columns to the index as views of the file's bytes.  The file
@@ -271,7 +272,7 @@ def _load_registry(payload: bytes) -> Registry:
 
 
 def save_avd(path: str, a: AVDIndex) -> None:
-    inst = a.registry.instance
+    inst = a.instance
     payload = bytearray()
     payload += struct.pack("<BxxxQdd", _MODE_CODE[a.mode], a.k, a.eps, XI)
     payload += _instance_block(inst)
@@ -328,7 +329,6 @@ def _load_avd(payload: bytes) -> AVDIndex:
     if r.pos != len(r.buf):
         raise InputError("index payload has trailing bytes")
     _check_ids(n, clusters, kdist_witness, site)
-    reg = build_registry(inst)
     mode = _MODE_NAME[mode_code]
     stats = {"n": n, "dim": d, "k": k, "eps": eps, "mode": mode, "loaded": True}
     stats.update(dict(zip(_STAT_FIELDS, (int(v) for v in stat_vals))))
@@ -338,7 +338,7 @@ def _load_avd(payload: bytes) -> AVDIndex:
         kdist_witness=kdist_witness,
         site=site,
         clusters=clusters,
-        registry=reg,
+        instance=inst,
         k=int(k),
         eps=float(eps),
         mode=mode,

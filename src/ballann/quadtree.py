@@ -224,8 +224,10 @@ class CompressedQuadtree:
     def __init__(self, dim: int, z: np.ndarray, level: np.ndarray):
         self.dim = int(dim)
         self.max_level = max_level_for_dim(dim)
-        self.z = z.astype(np.int64)
-        self.level = level.astype(np.int64)
+        # No copy of int64 keys: a loaded tree's keys and levels stay views
+        # of the file's bytes.  Nothing writes to either.
+        self.z = z.astype(np.int64, copy=False)
+        self.level = level.astype(np.int64, copy=False)
         self.size = int(z.size)
         self.shift = (self.max_level - self.level) * dim  # low bits owned per node
         self.z_hi = range_hi_inclusive(self.z, self.shift)

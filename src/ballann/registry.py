@@ -147,6 +147,37 @@ def _box_dist(low, high, q) -> tuple[float, float]:
     return math.sqrt(near_sum), math.sqrt(far_sum)
 
 
+def root_column(centers: np.ndarray, radii: np.ndarray) -> tuple[list[float], list[float], float, float]:
+    """The root's column of the node table as plain floats, from the balls
+    alone: the low and high corners of the box of all centers, and the
+    greatest and least radius.  Min and max are exact, so these equal the
+    column that _node_tables reduces bit for bit, in whatever order the
+    tree lists the balls."""
+    return centers.min(axis=0).tolist(), centers.max(axis=0).tolist(), float(radii.max()), float(radii.min())
+
+
+def root_bounds(low, high, rmax: float, rmin: float, q) -> tuple[float, float]:
+    """_ball_bounds_of one column of the node table in plain floats, equal
+    to it bit for bit: bounds near and far on the distance from q of every
+    ball of a node whose centers' box has corners low and high and whose
+    radii lie in [rmin, rmax].  The exit's root round
+    (Registry._root_bounds) and the cell index's points outside the cube
+    (`avd.avd_query`) take it on the root's column."""
+    near, far = _box_dist(low, high, q)
+    lo = near - rmax
+    hi = far - rmin
+    return (lo if lo > 0.0 else 0.0) * (1.0 - WALK_MARGIN), (hi if hi > 0.0 else 0.0) * (1.0 + WALK_MARGIN)
+
+
+def far_rule(low: float, high: float, eps: float) -> bool:
+    """The far rule, the exit's root round on the root's bounds (low, high)
+    = root_bounds: one node holds all n >= k balls, so they are its L and
+    H, and it certifies when every ball lies in [(1 - eps) H, (1 + eps) L];
+    then the root's smallest ball id, 0, answers for every k
+    (Registry.certified_kth_ball)."""
+    return low >= (1.0 - eps) * high and high <= (1.0 + eps) * low
+
+
 def _ball_bounds_of(cols: np.ndarray, qq: np.ndarray) -> np.ndarray:
     """Lower and upper bounds on d(q, b) over the balls b of each column of
     the node table, qq = _column(q): one (2, m) array [lo; hi], padded
@@ -414,12 +445,10 @@ class Registry:
     # -- certified k-th ball ------------------------------------------------------
 
     def _root_bounds(self, q) -> tuple[float, float]:
-        """_ball_bounds_of the root, from its column as plain floats, equal
-        to it bit for bit: the bounds near and far on every ball distance."""
-        near, far = _box_dist(self._root_lo, self._root_hi, q)
-        lo = near - self._root_rmax
-        hi = far - self._root_rmin
-        return (lo if lo > 0.0 else 0.0) * (1.0 - WALK_MARGIN), (hi if hi > 0.0 else 0.0) * (1.0 + WALK_MARGIN)
+        """_ball_bounds_of the root, from its column as plain floats
+        (root_bounds), equal to it bit for bit: the bounds near and far on
+        every ball distance."""
+        return root_bounds(self._root_lo, self._root_hi, self._root_rmax, self._root_rmin, q)
 
     def certified_kth_ball(self, q, k: int, eps: float) -> int:
         """Id of a ball whose distance provably lies in [(1 - eps) d_k,
@@ -449,7 +478,8 @@ class Registry:
 
         The root round, the far rule, is one node holding all n >= k balls,
         so L and H are its own bounds: it runs as an O(d) test in plain
-        floats (_root_bounds), with the same comparisons in the same order.
+        floats (_root_bounds and far_rule), with the same comparisons in
+        the same order.
         A root that splits hands on the stored cut (_exit_cut, at m = n //
         32 centers, doubled while the cut holds more than
         EXACT_FINISH_COUNT nodes and m < n), not its own children: the
@@ -491,7 +521,7 @@ class Registry:
         """certified_kth_ball on a checked point, a list of dim finite
         floats, and a checked rank k."""
         low, high = self._root_bounds(qt)
-        if low >= (1.0 - eps) * high and high <= (1.0 + eps) * low:
+        if far_rule(low, high, eps):
             return self._root_first
         if not (low < high and self._root_splits):
             return -1

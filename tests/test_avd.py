@@ -25,6 +25,7 @@ from ballann.io import load_index, save_index
 from ballann.oracle import exact_kth_distance
 from ballann.quadtree import build_from_cubes, encode_points
 from ballann.quorum import ball_quorum
+from ballann.registry import Registry, far_rule, root_bounds, root_column
 
 from conftest import make_registry
 
@@ -315,6 +316,75 @@ def test_avd_query_matches_the_numpy_reference_path(tmp_path, config, loaded):
     assert a.query_counts["near"] > 0 and a.query_counts["out_of_domain"] > 0
 
 
+class _RegistryBuilds:
+    """Counts Registry.__init__ calls while installed."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        init = Registry.__init__
+
+        def counted(reg, instance):
+            self.count += 1
+            init(reg, instance)
+
+        monkeypatch.setattr(Registry, "__init__", counted)
+
+
+@pytest.mark.parametrize("config", ["practical-d1", "practical-d2", "practical-d3", "strict-c6", "practical-d2-budget"])
+def test_loaded_cell_index_builds_registry_only_on_need(tmp_path, monkeypatch, config):
+    """A built index keeps the registry it was built on, and a loaded one
+    builds none until a query needs it, not even to be saved again:
+    in-domain points in certified cells and points outside the cube that
+    the far rule answers build none; the first point the far rule
+    declines (just outside a face), or the first fallback of an index cut
+    short by its cell budget, builds exactly one, and later ones reuse
+    it.  Every answer equals the built
+    index's, id, distance, interval and out_of_domain bit for bit: on
+    practical indexes at d = 1, 2 and 3 and criterion 6's strict index."""
+    if config == "strict-c6":
+        reg = build_registry(normalize(generate_instance(6025, 1, 8), 0.5))
+        k, mode, budget = 7, "strict", 400_000
+    else:
+        dim = int(config[len("practical-d")])
+        seed, n, k = {1: (52, 64, 16), 2: (54, 100, 25), 3: (55, 256, 64)}[dim]
+        reg, mode = make_registry(seed, dim, n, eps=0.5), "practical"
+        budget = 20 if config.endswith("budget") else 400_000
+    builds = _RegistryBuilds(monkeypatch)
+    a = build_avd(reg, k, 0.5, mode, cell_budget=budget)
+    assert a.registry is reg and builds.count == 0
+    cut = config.endswith("budget")
+    assert (a.stats["uncertified"] > 0) == cut
+    dim = a.dim
+    rng = np.random.default_rng(7)
+    inside = rng.random((200, dim)).tolist()
+    # Far from the cube the far rule answers; just outside a face it declines.
+    far = [(0.5 + s * u / np.linalg.norm(u)).tolist() for s in (10.0, 1000.0) for u in rng.normal(size=(5, dim))]
+    near = [[-1e-9] + [0.5] * (dim - 1), [0.5] * (dim - 1) + [1.0]]
+    root = root_column(a.instance.centers, a.instance.radii)
+    assert all(far_rule(*root_bounds(*root, q), a.eps) for q in far)
+    assert not any(far_rule(*root_bounds(*root, q), a.eps) for q in near)
+    want = {tuple(q): _answer_bits(avd_query(a, q)) for q in inside + far + near}
+    assert builds.count == 0
+    path = tmp_path / "index.bin"
+    save_index(str(path), a)
+    b = load_index(str(path))
+    again = tmp_path / "again.bin"
+    save_index(str(again), b)
+    assert again.read_bytes() == path.read_bytes()
+    assert builds.count == 0 and b._registry is None
+    for q in inside:
+        assert _answer_bits(avd_query(b, q)) == want[tuple(q)], q
+    assert builds.count == (1 if cut else 0)
+    assert (b.query_counts["fallback"] > 0) == cut
+    for q in far:
+        assert _answer_bits(avd_query(b, q)) == want[tuple(q)], q
+    assert builds.count == (1 if cut else 0)
+    for q in near:
+        assert _answer_bits(avd_query(b, q)) == want[tuple(q)], q
+        assert builds.count == 1
+    assert b.query_counts["out_of_domain"] == len(far) + len(near)
+
+
 def test_avd_dimension_mismatch_rejected():
     """A point of the wrong dimension, or with a coordinate that is not
     finite, is the caller's error, and no branch counts it."""
@@ -334,7 +404,9 @@ def test_cell_view_fields_are_consistent(tmp_path):
     cube, its row holds an estimate in the sandwich and a witness id, and
     in the strict index the owning cluster's witness is one of its balls.
     Every memoryview the query reads has a native format and answers item
-    reads: a view of a little-endian ('<d') array would refuse them."""
+    reads: a view of a little-endian ('<d') array would refuse them.  A
+    loaded index's tree keys and levels, like its cell columns, share the
+    file's bytes: the load copies none of them."""
     a = _build(64, 1, 32, 8, 0.5)
     s = _build(69, 1, 8, 7, 0.5, mode="strict")
     assert a.clusters == [] and np.all(a.site == -1)
@@ -343,8 +415,15 @@ def test_cell_view_fields_are_consistent(tmp_path):
         path = tmp_path / f"index{i}.bin"
         save_index(str(path), b)
         indexes.append(load_index(str(path)))
+    for b in indexes[2:]:
+        payload = b.kdist
+        while isinstance(payload.base, np.ndarray):
+            payload = payload.base
+        payload = np.frombuffer(payload.base, dtype=np.uint8)  # the bytes the load read
+        for name in ("z", "level"):
+            assert np.shares_memory(getattr(b.tree, name), payload), name
     for b in indexes:
-        balls = b.registry.instance.balls
+        balls = b.instance.balls
         for i in np.flatnonzero(b.row >= 0)[:60].tolist():
             r = b.row.item(i)
             rep = tuple(float(x) for x in b.rep[i])

@@ -659,6 +659,50 @@ def test_root_round_bounds_are_exact(dim, seed):
     assert far_rule >= 1
 
 
+@given(st.integers(1, 5), st.integers(1, 24), st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_far_rule_helpers_equal_the_registry_root_round(dim, n, seed):
+    """root_column, root_bounds and far_rule, which the cell index runs on
+    its instance for points outside the cube, equal the registry's root
+    round bit for bit: the column is the node table's root column, the
+    bounds are the root's _ball_bounds_of and Registry._root_bounds, and
+    the rule holds exactly when the array round's sure test holds on the
+    root, and then the exit answers with ball 0.  The balls sit on a coarse
+    dyadic grid, with coincident centers and tied radii (0 among them),
+    and the points lie on the faces and corners of the root's box, on the
+    grid and far outside the cube."""
+    rng = np.random.default_rng(seed)
+    centers = rng.integers(0, 8, size=(n, dim)) / 8.0
+    centers[rng.integers(n, size=n // 2)] = centers[0]  # coincident centers
+    radii = rng.choice([0.0, 1.0 / 64, 1.0 / 32], size=n)
+    inst = normalize(generate_instance(0, dim, 2), 0.5)
+    reg = Registry(replace(inst, centers=centers, radii=radii))
+    low, high, rmax, rmin = registry_module.root_column(reg.instance.centers, reg.instance.radii)
+    d = reg.dim
+    column = np.array(low + [-x for x in high] + [rmax, rmin])
+    assert column.tobytes() == reg._table[:, 0].tobytes()
+    assert (low, high, rmax, rmin) == (reg._root_lo, reg._root_hi, reg._root_rmax, reg._root_rmin)
+    root = np.zeros(1, dtype=np.int64)
+    points = _root_box_queries(rng, reg)
+    points += [rng.integers(-8, 16, size=d) / 8.0 for _ in range(6)]
+    hits = 0
+    for q in points:
+        bounds = registry_module.root_bounds(low, high, rmax, rmin, q.tolist())
+        want = _bounds(reg, root, q).ravel()
+        assert np.array(bounds).tobytes() == want.tobytes()
+        assert bounds == reg._root_bounds(q.tolist())
+        lo, hi = want.tolist()
+        for eps in (0.5, 0.1, 0.01):
+            rule = registry_module.far_rule(*bounds, eps)
+            assert rule == bool((lo >= (1.0 - eps) * hi) and (hi <= (1.0 + eps) * lo))
+            if rule:
+                hits += 1
+                for k in sorted({1, reg.n}):
+                    assert reg.certified_kth_ball(q, k, eps) == 0
+                    assert knn.query(reg, q, k, eps).ball_id == 0
+    assert hits >= 1
+
+
 def _cell_instance(rng, dim: int, n: int, clustered: bool):
     """n disjoint balls, one in each of n distinct cells of a grid with about
     4n cells, the cells uniform or drawn around n/12 anchors; normalized."""
