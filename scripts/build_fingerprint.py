@@ -18,7 +18,8 @@ stored estimates and its witnesses, each apart, and the rest of its
 arrays, once as built and once after a save_index/load_index round trip,
 with the saved file's byte count, and whether the loaded index had built
 its registry after those queries and after the out-of-domain points below
-(registry_built).  A line does the same for a cell index
+(registry_built), and its cell lookup's level, entries and the misses
+among the 2,000 queries (grid_field).  A line does the same for a cell index
 whose sweep selects at most knn._KTH_MIN_ROWS rows per chunk (uniform
 d=2, n=16,384, k=4,096, eps 0.5, from `perfbench/inputs.py` with seed 1,
 on 2,000 of its cell queries), a line for a practical cell index at d=3
@@ -386,10 +387,28 @@ def registry_built(index) -> str:
     return "no" if index._registry is None else "yes"
 
 
+def grid_field(index, points) -> str:
+    """The cell lookup's level and number of entries, and how many of the
+    first 2,000 points that lie in the unit cube read -1 in it and go to
+    point location; "none" for an index that keeps no lookup."""
+    import numpy as np
+
+    grid = getattr(index, "grid", None)
+    if grid is None:
+        return " grid: none"
+    pts = np.asarray(points[:2000], dtype=np.float64)
+    pts = pts[((pts >= 0.0) & (pts < 1.0)).all(axis=1)]
+    top = 1 << index.grid_level
+    cells = np.ravel_multi_index(tuple(np.floor(pts * top).astype(np.int64).T), (top,) * index.dim)
+    misses = np.count_nonzero(grid[cells] < 0)
+    return f" grid: level {index.grid_level} entries {grid.size} misses {misses} of {len(pts)}"
+
+
 def cell_line(index, points, ood_seed: int, dump: str | None, label: str) -> str:
     """cell_digest of the index as built and after a round trip, the saved
-    byte count, and whether the loaded index had built its registry after
-    its cell queries and after answering the ood_points of ood_seed."""
+    byte count, whether the loaded index had built its registry after its
+    cell queries and after answering the ood_points of ood_seed, and the
+    loaded index's grid_field."""
     from ballann import avd
 
     loaded, size = round_trip(index)
@@ -400,7 +419,8 @@ def cell_line(index, points, ood_seed: int, dump: str | None, label: str) -> str
     after_cells = registry_built(loaded)
     for q in ood_points(loaded.dim, ood_seed):
         avd.avd_query(loaded, tuple(q))
-    return line + f" registry built: after cells {after_cells}, after out-of-domain {registry_built(loaded)}"
+    line += f" registry built: after cells {after_cells}, after out-of-domain {registry_built(loaded)}"
+    return line + grid_field(loaded, points)
 
 
 def compare(dir_a: str, dir_b: str) -> int:

@@ -77,9 +77,12 @@ most n V_d r^d / k, so the integral is O((n/k)(1 + log(1/delta))), delta
 the least d_k in the cube; for balls of every size a bound in n/k alone
 needs the clusters, as in the paper.
 
-Queries answer from per-cell data alone; each answer branch re-checks
-its own sufficient condition at query time, so answers are correct even in
-cells the sweep left uncertified, where the structure falls back to the
+Queries answer from per-cell data alone, after one read of a dense cell
+lookup over the finest grid of at most 8 W cells, no finer than the tree
+(`AVDIndex`); a grid cell that holds a deeper stored cube sends its
+queries to point location instead.  Each answer branch re-checks its own
+sufficient condition at query time, so answers are correct even in cells
+the sweep left uncertified, where the structure falls back to the
 registry search (`knn.query`, certified exit first).  Points outside the
 unit cube have no cell.  They try the far rule first, the certified exit's
 root round (`registry.root_bounds`, `registry.far_rule`) on the box of all
@@ -111,7 +114,6 @@ from .geometry import (
     check_point,
     enumerate_grid_cells_ball,
     grid_level_for_diameter,
-    max_level_for_dim,
     offset_and_ball_distance,
 )
 from .knn import KnnAnswer, kth_balls, query
@@ -122,6 +124,7 @@ from .quadtree import (
     CompressedQuadtree,
     _nearest_marked_ancestor,
     build_from_cubes,
+    grid_lookup,
     morton_decode,
     morton_encode,
     overlay,
@@ -149,16 +152,39 @@ ZETA1_PRACTICAL = 16.0 * XI
 # few ulps by which a float ball distance or offset can be off.
 NEAR_MARGIN = 1e-9
 
+# The cell lookup's grid has at most this many cells per tree node, so that
+# it stays O(W) int32 words (AVDIndex).
+GRID_CELLS_PER_NODE = 8
+
 
 @dataclass(eq=False)
 class AVDIndex:
     """Frozen query structure over its instance.  Two parts change:
     query_counts, and the registry, which the first query that needs it
-    builds from the instance and which is kept from then on."""
+    builds from the instance and which is kept from then on.
+
+    Construction derives, for built and loaded indexes alike, what a BAVD
+    file does not store:
+    - rep, each node's cube center, from the tree's keys;
+    - row, each node's row in kdist, kdist_witness and site, -1 on a
+      tiled cell;
+    - the cell lookup, grid: per cell of the level-grid_level grid, in
+      row-major order, the node of the smallest stored cube that holds the
+      whole grid cell, or -1 when a stored cube deeper than the grid lies
+      inside it (`quadtree.grid_lookup`).  grid_level is the deepest level,
+      at most the tree's deepest level L, whose grid has at most
+      GRID_CELLS_PER_NODE * W cells, so the lookup is O(W) int32 words and
+      needs no setting; where the tree's cells are no finer than that,
+      grid_level = L and no entry is -1;
+    - the root's column for the far rule, the stats that the mode and the
+      arrays fix, and avd_query's memoryviews.
+    """
 
     tree: CompressedQuadtree
     rep: np.ndarray = field(init=False)  # (size, d) cube centers, from the tree's keys
     row: np.ndarray = field(init=False)  # (size,) each node's row below; -1 on a tiled cell, which has none
+    grid_level: int = field(init=False)
+    grid: np.ndarray = field(init=False)  # (2^(grid_level*d),) int32 nodes, row-major; -1 sends to point location
     # One row per live cell, in node order, as a BAVD file stores them.
     kdist: np.ndarray  # exact d_k at rep
     kdist_witness: np.ndarray  # k-th ball at rep in (distance, id) order
@@ -178,6 +204,9 @@ class AVDIndex:
         self.rep = _cube_centers(self.tree.z, self.tree.level, self.tree.dim)
         tiled = self.tree.tiled
         self.row = np.where(tiled, -1, np.cumsum(~tiled) - 1)
+        cap_bits = (GRID_CELLS_PER_NODE * self.tree.size).bit_length() - 1  # floor(log2(8 W))
+        self.grid_level = min(self.tree.deepest_level, cap_bits // self.dim)
+        self.grid = grid_lookup(self.tree, self.grid_level)
         # The stats that the mode and the arrays fix, for built and loaded alike.
         self.stats.update(zeta1=self.zeta1, clusters=len(self.clusters), W=self.tree.size,
                           empty_cells=self.tree.size - self.kdist.size)
@@ -189,6 +218,8 @@ class AVDIndex:
         self._kdist_view = memoryview(self.kdist)
         self._witness_view = memoryview(self.kdist_witness)
         self._row_view = memoryview(self.row)
+        self._grid_view = memoryview(self.grid)
+        self._grid_top = 1 << self.grid_level
         self._centers_view = memoryview(self.instance.centers.reshape(-1))
         self._radii_view = memoryview(self.instance.radii)
         # Set here, not added on first need, so that every index holds the
@@ -216,9 +247,10 @@ class AVDIndex:
 
 
 def _cube_centers(z: np.ndarray, level: np.ndarray, dim: int) -> np.ndarray:
-    """The centers of the cubes (z, level), from one full-depth decode."""
-    top = max_level_for_dim(dim)
-    coords = morton_decode(z, top, dim) >> (top - level)[:, None]
+    """The centers of the cubes (z, level), from one decode at the deepest
+    of their levels."""
+    deepest = int(level.max(initial=0))
+    coords = morton_decode(z, deepest, dim) >> (deepest - level)[:, None]
     return (coords.astype(np.float64) + 0.5) * np.ldexp(1.0, -level)[:, None]
 
 
@@ -500,8 +532,8 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
     flag: first by the far rule, the certified exit's root round, on the
     index's own copy of the root's column (module docstring), which
     answers with ball 0 as the exit does, and otherwise from the registry
-    search itself.  In-domain queries walk
-    to their cell and try, in order: the stored witness when the query
+    search itself.  In-domain queries find
+    their cell and try, in order: the stored witness when the query
     sees it inside the window that the representative's exact d_k and the
     offset give (the near branch, which also covers the paper's small-cell
     branch; see the module docstring), then,
@@ -513,8 +545,16 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
     read `AVDIndex.registry`, which builds the registry on first need.
 
     An in-domain query makes no numpy call outside the strict cluster
-    branch.  Point location searches memoryviews of the tree's arrays
-    (`CompressedQuadtree.point_location`), and the query reads its cell
+    branch.  It finds its cell by one read of the cell lookup
+    (`AVDIndex.grid`), at the row-major index i = i * 2^l + int(x * 2^l)
+    over its coordinates x, l the lookup's level: x * 2^l is exact for x
+    in [0, 1), and int truncates it as floor does, -0.0 to the cell of
+    0.0.  The domain test runs first, so no coordinate of 1.0 or below 0
+    reaches that sum, where it would wrap into another row or truncate to
+    0.  An entry of -1, a grid cell that holds a deeper stored cube, falls
+    back to point location, which searches memoryviews of the tree's
+    arrays (`CompressedQuadtree.point_location`); both give the smallest
+    stored cube holding q.  The query reads its cell
     and its witness from zero-copy memoryviews that `AVDIndex` keeps of
     rep, row, kdist, kdist_witness and the instance's centers and radii:
     one item per number, and one slice and `.tolist()` per row.  The
@@ -534,7 +574,13 @@ def avd_query(a: AVDIndex, q) -> KnnAnswer:
             dist = ball_distance(qt, a._centers_view[0:d].tolist(), a._radii_view[0])
             return KnnAnswer(0, dist, (dist / (1.0 + eps), dist / (1.0 - eps)), out_of_domain=True)
         return query(a.registry, qt, a.k, eps)
-    v = a.tree.point_location(qt)
+    top = a._grid_top
+    i = 0
+    for x in qt:  # the row-major grid cell; x * top is exact for x in [0, 1)
+        i = i * top + int(x * top)
+    v = a._grid_view[i]
+    if v < 0:
+        v = a.tree.point_location(qt)
     r = a._row_view[v]
     if r < 0:
         raise InternalInvariantError("point location landed in a tiled cell")

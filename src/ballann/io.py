@@ -16,8 +16,8 @@ first needs it; a load builds none.  The cell columns are
 whose children tile it) has no row in the file or in memory, and a load
 hands the columns to the index as views of the file's bytes.  The file
 stores nothing the loader can derive (README, "File formats"): the tree
-fixes which cells are tiled and each cell's representative; the mode fixes
-zeta1.  Each magic has its own format version.
+fixes which cells are tiled, each cell's representative and the cell
+lookup that queries read; the mode fixes zeta1.  Each magic has its own format version.
 """
 
 from __future__ import annotations

@@ -31,8 +31,12 @@ bits at any level.  A tree locates a point by its key at the tree's
 deepest stored level, which orders it among the stored cubes as its
 full-depth key does, searching and walking zero-copy memoryviews of its
 key and parent arrays, whose items read as Python ints
-(`CompressedQuadtree.point_location`).  Trees take their cubes as key
-arrays; cube_to_key and key_to_cube convert single CanonicalCubes.
+(`CompressedQuadtree.point_location`).  A dense lookup over one level's
+grid (`grid_lookup`) answers point location for every grid cell that no
+deeper stored cube lies in, from O(grid) array passes and no search: each
+node repeated over the grid cells from its low corner's to the next
+node's.  Trees take their cubes as key arrays; cube_to_key and
+key_to_cube convert single CanonicalCubes.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ __all__ = [
     "CompressedQuadtree",
     "build_from_cubes",
     "build_from_points",
+    "grid_lookup",
     "overlay",
 ]
 
@@ -79,7 +84,7 @@ def _morton_rounds(dim: int, bits: int) -> tuple[tuple, int, tuple]:
     bits at j*dim (`low`) and runs the same rounds in reverse, shifting down
     into the masks of block size 2b.  At d = 1, or with one bit, no round
     moves a bit, and there are none.  Cached per (dim, bits): morton_encode
-    and morton_decode spread all M.
+    spreads all M bits, and morton_decode compacts the bits of its level.
     """
 
     def mask(b: int) -> int:
@@ -100,10 +105,10 @@ def _spread_bits(x, spread: tuple):
     return x
 
 
-def _compact_bits(x, dim: int):
-    """Inverse of _spread_bits over all M bits: bit j*dim of x moves back
-    to bit j; the other bits drop."""
-    _, low, compact = _morton_rounds(dim, max_level_for_dim(dim))
+def _compact_bits(x, dim: int, bits: int):
+    """Inverse of _spread_bits for the bits j < `bits`: bit j*dim of x
+    moves back to bit j; the other bits drop."""
+    _, low, compact = _morton_rounds(dim, bits)
     x = x & low
     for shift, mask in compact:
         x = (x | (x >> shift)) & mask
@@ -172,7 +177,7 @@ def morton_decode(z: np.ndarray, level: int, dim: int) -> np.ndarray:
     zz = np.asarray(z, dtype=np.int64).reshape(-1) >> np.int64(dim * (M - level))
     out = np.empty((zz.shape[0], dim), dtype=np.int64)
     for j in range(dim):
-        out[:, j] = _compact_bits(zz >> np.int64(dim - 1 - j), dim)
+        out[:, j] = _compact_bits(zz >> np.int64(dim - 1 - j), dim, level)
     return out
 
 
@@ -271,6 +276,15 @@ class CompressedQuadtree:
         self.child_off = np.zeros(self.size + 1, dtype=np.int64)
         np.cumsum(counts, out=self.child_off[1:])
         self.child_idx = np.argsort(self.parent[1:], kind="stable") + 1
+        # Whether each node's children tile its cube.  No quadrant of a node
+        # holds two of its children, since the tree is LCA-closed, so they
+        # tile it exactly when all 2^d quadrants are children one level
+        # down.  A plain attribute set here, not a cached property: a key
+        # added to the instance dict later slowed every later
+        # point_location by 11-13% (CPython 3.11).
+        kids = self.parent[1:]
+        deeper = self.level[1:] == self.level[kids] + 1
+        self.tiled = np.bincount(kids[deeper], minlength=self.size) == 1 << self.dim
         # point_location's reads: zero-copy views, whose items are Python
         # ints, and the constants of its encode at the deepest level L.
         self._z_view = memoryview(self.z)
@@ -282,16 +296,6 @@ class CompressedQuadtree:
         self._step = 8 * self.dim
 
     # -- queries -----------------------------------------------------------
-
-    @functools.cached_property
-    def tiled(self) -> np.ndarray:
-        """Whether each node's children tile its cube, computed once per
-        tree.  No quadrant of a node holds two of its children, since the
-        tree is LCA-closed, so they tile it exactly when all 2^d quadrants
-        are children one level down."""
-        kids = self.parent[1:]
-        deeper = self.level[1:] == self.level[kids] + 1
-        return np.bincount(kids[deeper], minlength=self.size) == 1 << self.dim
 
     def node_cube(self, i: int) -> CanonicalCube:
         return key_to_cube(int(self.z[i]), int(self.level[i]), self.dim)
@@ -455,6 +459,54 @@ def build_from_points(points: np.ndarray, dim: int | None = None) -> CompressedQ
     tree.span_hi = np.searchsorted(codes, tree.z_hi, side="right")
     tree.has_points = True
     return tree
+
+
+@functools.cache
+def _row_major_cells(dim: int, level: int) -> np.ndarray:
+    """The Morton index, at `level`, of each cell of the level's grid in
+    row-major order, the first coordinate most significant; cached per
+    (dim, level) and read-only, since every caller shares it."""
+    top = 1 << level
+    coords = np.indices((top,) * dim).reshape(dim, -1).T
+    out = morton_encode(coords, level, dim) >> np.int64(dim * (max_level_for_dim(dim) - level))
+    out.setflags(write=False)
+    return out
+
+
+def grid_lookup(tree: CompressedQuadtree, level: int) -> np.ndarray:
+    """Per cell of the level-`level` grid, in row-major order: the node of
+    the smallest stored cube that contains the whole cell, or -1 when a
+    stored cube deeper than `level` lies inside the cell.  Where it is not
+    -1, it is `point_location` of every point of the cell: no stored cube
+    deeper than the cell holds one of its points, and a stored cube at
+    `level` or above holds all of them or none.
+
+    O(2^(level*d)) array passes and no search.  The nodes, in tree order,
+    start at nondecreasing grid indices: repeating each node from its low
+    corner's grid cell up to the next node's gives each grid cell the
+    last node in tree order whose corner is at or before the cell's, and
+    of nodes sharing a corner the deepest, which comes last.  That node
+    lies inside the answer or is it, and is the answer unless its cube
+    ends before the cell: a gap between stored children, or a node deeper
+    than `level` whose run passes its own grid cell.  When any run passes
+    its node's cube, the grid cells whose node ends before them walk up
+    the parent links, together, until it reaches them.  Then every grid
+    cell that holds a deeper node's corner gets -1.
+    """
+    shift = np.int64(tree.dim * (tree.max_level - level))
+    start = tree.z >> shift
+    stop = np.empty_like(start)  # where each node's run stops: the next one's start
+    stop[:-1] = start[1:]
+    stop[-1] = 1 << tree.dim * level
+    cells = np.repeat(np.arange(tree.size, dtype=np.int32), stop - start)
+    if (tree.z_hi >> shift < stop - 1).any():
+        low = np.arange(cells.size, dtype=np.int64) << shift
+        todo = np.flatnonzero(tree.z_hi[cells] < low)
+        while todo.size:
+            cells[todo] = tree.parent[cells[todo]]
+            todo = todo[tree.z_hi[cells[todo]] < low[todo]]
+    cells[start[tree.level > level]] = -1
+    return cells[_row_major_cells(tree.dim, level)]
 
 
 def overlay(t1: CompressedQuadtree, t2: CompressedQuadtree) -> tuple[CompressedQuadtree, np.ndarray]:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -23,7 +24,7 @@ from ballann.avd import (
 from ballann.geometry import InputError, ball_distance, ball_distances
 from ballann.io import load_index, save_index
 from ballann.oracle import exact_kth_distance
-from ballann.quadtree import build_from_cubes, encode_points
+from ballann.quadtree import build_from_cubes, encode_points, morton_decode
 from ballann.quorum import ball_quorum
 from ballann.registry import Registry, far_rule, root_bounds, root_column
 
@@ -292,6 +293,7 @@ def test_avd_query_matches_the_numpy_reference_path(tmp_path, config, loaded):
     t, reg = a.tree, a.registry
     views = [(a._rep_view, a.rep), (a._kdist_view, a.kdist), (a._witness_view, a.kdist_witness)]
     views += [(a._row_view, a.row), (a._centers_view, reg.centers), (a._radii_view, reg.radii)]
+    views += [(a._grid_view, a.grid)]
     views += [(t._z_view, t.z), (t._z_hi_view, t.z_hi), (t._parent_view, t.parent)]
     for view, arr in views:  # the query reads the index's own arrays, copying none
         assert np.shares_memory(np.asarray(view), arr) and view.nbytes == arr.nbytes
@@ -314,6 +316,125 @@ def test_avd_query_matches_the_numpy_reference_path(tmp_path, config, loaded):
     if config == "practical-d2-budget":
         assert a.query_counts["fallback"] > 0
     assert a.query_counts["near"] > 0 and a.query_counts["out_of_domain"] > 0
+
+
+# Indexes for the cell lookup's tests: practical at d = 1..4 (the d = 3
+# and d = 4 lookups are partial, grid_level < L), criterion 6's strict
+# index, and one cut short by its cell budget.
+_LOOKUP_CONFIGS = ["practical-d1", "practical-d2", "practical-d3", "practical-d4", "strict-c6", "practical-d2-budget"]
+
+
+@functools.cache
+def _lookup_index(config: str) -> AVDIndex:
+    if config == "strict-c6":
+        return build_avd(build_registry(normalize(generate_instance(6025, 1, 8), 0.5)), 7, 0.5, "strict")
+    dim = int(config[len("practical-d")])
+    seed, n, k = {1: (52, 64, 16), 2: (54, 100, 25), 3: (55, 256, 64), 4: (57, 200, 170)}[dim]
+    return _build(seed, dim, n, k, 0.5, cell_budget=20 if config.endswith("budget") else 400_000)
+
+
+def _check_lookup(a: AVDIndex, points) -> int:
+    """At each point of [0, 1)^d (-0.0 included), the lookup's entry,
+    found by numpy's floor, is point_location's node unless it is -1;
+    returns the number of -1 entries met."""
+    top = 1 << a.grid_level
+    pts = np.array(points, dtype=np.float64).reshape(-1, a.dim)
+    cells = np.ravel_multi_index(tuple(np.floor(pts * top).astype(np.int64).T), (top,) * a.dim)
+    misses = 0
+    for p, v in zip(pts.tolist(), a.grid[cells].tolist()):
+        if v < 0:
+            misses += 1
+        else:
+            assert v == a.tree.point_location(p), p
+    return misses
+
+
+@pytest.mark.parametrize("config", _LOOKUP_CONFIGS)
+def test_cell_lookup_equals_point_location(tmp_path, config):
+    """AVDIndex's cell lookup is row-major over the deepest grid, at most
+    the tree's deepest level L, of at most 8 W cells, and a loaded index
+    derives the built one's.  An entry is -1 exactly on the grid cells
+    that hold a stored cube deeper than the grid, and elsewhere it is
+    point_location's node: at every grid cell's low corner and center, on
+    dyadic faces j/2^grid_level and j/2^L, and at 0.0, -0.0 and
+    nextafter(1, 0) on each axis."""
+    a = _lookup_index(config)
+    path = tmp_path / "index.bin"
+    save_index(str(path), a)
+    b = load_index(str(path))
+    t, d, level = a.tree, a.dim, a.grid_level
+    assert b.grid_level == level and b.grid.dtype == a.grid.dtype == np.int32
+    assert np.array_equal(b.grid, a.grid)
+    W, L = t.size, t.deepest_level
+    assert a.grid.shape == (1 << d * level,) and a.grid.size <= 8 * W
+    assert level == L or 1 << d * (level + 1) > 8 * W
+    assert (level < L) == (config in ("practical-d3", "practical-d4"))
+    # -1 exactly where a deeper stored cube's low corner lies.
+    top = 1 << level
+    deep = morton_decode(t.z[t.level > level], level, d)
+    want = np.unique(np.ravel_multi_index(tuple(deep.T), (top,) * d)) if deep.size else np.empty(0, np.int64)
+    assert np.array_equal(np.flatnonzero(a.grid < 0), want)
+    assert (want.size > 0) == (level < L)
+    coords = np.indices((top,) * d).reshape(d, -1).T
+    points = np.concatenate([coords / top, (coords + 0.5) / top]).tolist()
+    rng = np.random.default_rng(40 + d)
+    for lev in (level, L):
+        faces = rng.integers(0, 1 << lev, size=(200, d)) * 2.0**-lev
+        mixed = np.where(rng.random((200, d)) < 0.5, faces, rng.random((200, d)))
+        points += faces.tolist() + mixed.tolist()
+    for axis in range(d):
+        for x in (0.0, -0.0, math.nextafter(1.0, 0.0)):
+            for p in rng.random((5, d)).tolist() + [[0.0] * d]:
+                p[axis] = x
+                points.append(p)
+    misses = _check_lookup(a, points)
+    assert misses > 0 if level < L else misses == 0
+
+
+@given(config=st.sampled_from(_LOOKUP_CONFIGS), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_cell_lookup_equals_point_location_at_drawn_points(config, data):
+    a = _lookup_index(config)
+    coord = st.floats(min_value=0.0, max_value=1.0, exclude_max=True) | st.just(-0.0)
+    _check_lookup(a, [data.draw(st.lists(coord, min_size=a.dim, max_size=a.dim))])
+
+
+@pytest.mark.parametrize("config", ["practical-d1", "practical-d2", "practical-d3", "strict-c6"])
+def test_avd_query_routes_the_cube_edges(config):
+    """The domain test runs before the cell lookup, which would wrap a
+    coordinate of 1.0 into the next row and truncate a tiny negative one
+    to 0: a point with a coordinate of exactly 1.0 or below 0 takes the
+    out-of-domain path and gets knn.query's answer; NaN and wrong-length
+    points raise InputError and count nowhere; -0.0 lands in the cell of
+    0.0 and gets its answer bit for bit."""
+    a = _lookup_index(config)
+    d = a.dim
+    rng = np.random.default_rng(12)
+    outside = []
+    for axis in range(d):
+        for x in (1.0, -5e-324, -1e-300, -0.5):
+            for p in rng.random((3, d)).tolist() + [[0.0] * d]:
+                p[axis] = x
+                outside.append(p)
+    outside.append([1.0] * d)
+    before = dict(a.query_counts)
+    for p in outside:
+        got = avd_query(a, p)
+        assert got.out_of_domain and _answer_bits(got) == _answer_bits(knn.query(a.registry, p, a.k, a.eps)), p
+    assert a.query_counts == {**before, "out_of_domain": before["out_of_domain"] + len(outside)}
+    bad = [[float("nan")] + [0.5] * (d - 1), [0.5] * (d + 1), [0.5] * (d - 1)]
+    for p in bad:
+        with pytest.raises(InputError):
+            avd_query(a, p)
+    assert a.query_counts["out_of_domain"] == before["out_of_domain"] + len(outside)
+    assert sum(a.query_counts.values()) == sum(before.values()) + len(outside)
+    for axis in range(d):
+        for p in rng.random((10, d)).tolist() + [[0.0] * d, [-0.0] * d]:
+            p[axis] = -0.0
+            zero = [0.0 if x == 0.0 else x for x in p]
+            got = avd_query(a, p)
+            assert not got.out_of_domain and _answer_bits(got) == _answer_bits(avd_query(a, zero)), p
+    assert a.query_counts["out_of_domain"] == before["out_of_domain"] + len(outside)
 
 
 class _RegistryBuilds:

@@ -23,10 +23,12 @@ from ballann.quadtree import (
     cube_to_key,
     encode_point,
     encode_points,
+    grid_lookup,
     key_to_cube,
     morton_decode,
     morton_encode,
     overlay,
+    range_hi_inclusive,
 )
 
 
@@ -360,6 +362,43 @@ def test_point_location_at_every_tree_depth(depth, dim):
             points.append(tuple(x * 2.0**-lev for x in j))
     for p in points:
         assert stored[tree.point_location(p)] == _brute_deepest(stored, p), p
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_grid_lookup_matches_brute_force(dim):
+    """grid_lookup at every level whose grid has at most 2^12 cells, on
+    trees of random cubes, whose stored children leave gaps, and on a
+    point tree: each row-major grid cell holds the deepest stored cube at
+    or above the level that contains it, or -1 when a stored cube deeper
+    than the level lies inside it, and point_location agrees at each
+    cell's low corner and center wherever the entry is not -1.  Some
+    cells lie in a gap, after a stored child inside the answer, so the
+    walk up the parent links runs."""
+    rng = np.random.default_rng(800 + dim)
+    trees = [_cube_tree(_random_cubes(rng, dim, 30, max_level=6), dim) for _ in range(3)]
+    trees.append(build_from_points(rng.random((50, dim)) ** 3, dim))
+    gaps = 0
+    for tree in trees:
+        for level in range(min(tree.deepest_level, 12 // dim) + 1):
+            got = grid_lookup(tree, level)
+            top = 1 << level
+            assert got.dtype == np.int32 and got.shape == (top**dim,)
+            coords = np.indices((top,) * dim).reshape(dim, -1).T  # row-major
+            lo = morton_encode(coords, level, dim)
+            hi = range_hi_inclusive(lo, dim * (tree.max_level - level))
+            coarse = tree.level <= level
+            holds = (tree.z <= lo[:, None]) & (lo[:, None] <= tree.z_hi) & coarse
+            deepest = np.where(holds, tree.level, -1).argmax(axis=1)
+            deeper = ((lo[:, None] <= tree.z) & (tree.z <= hi[:, None]) & ~coarse).any(axis=1)
+            want = np.where(deeper, -1, deepest)
+            assert np.array_equal(got, want), level
+            before = np.flatnonzero(coarse)[np.searchsorted(tree.z[coarse], lo, side="right") - 1]
+            gaps += int(np.count_nonzero((want >= 0) & (want != before)))
+            for c, v in zip(coords.tolist(), got.tolist()):
+                if v >= 0:
+                    for p in ([x / top for x in c], [(x + 0.5) / top for x in c]):
+                        assert tree.point_location(p) == v, (level, p)
+    assert gaps > 0
 
 
 def test_tree_orders_parents_before_children():
